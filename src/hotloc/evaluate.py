@@ -9,9 +9,7 @@ generated ground truth:
   that hold the top p of the real traffic;
 * the CDF of per-pixel weights, for distribution-shape comparison.
 
-All three are pure and deterministic; variant evaluations are independent
-and may run in parallel (capped by the HOTLOC_THREADS environment
-variable).
+All three are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,15 +211,6 @@ def _evaluate_one(
     )
 
 
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("HOTLOC_THREADS", "1")
-    try:
-        limit = max(1, int(raw))
-    except ValueError:
-        limit = 1
-    return min(limit, n_tasks)
-
-
 def compare_variants(
     truth: WeightMap, runs: dict[str, WeightMap], config: EvalConfig
 ) -> EvalReport:
@@ -235,18 +222,9 @@ def compare_variants(
     truth_peaks = extract_peaks(truth_n, config.peak_count, config.suppression_radius_m)
     if not truth_peaks:
         raise ValueError("ground truth has no positive weight")
-    labels = list(runs)
-    workers = _worker_count(len(labels))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evals = list(
-                pool.map(
-                    lambda label: _evaluate_one(label, runs[label], truth_n, truth_peaks, config),
-                    labels,
-                )
-            )
-    else:
-        evals = [_evaluate_one(label, runs[label], truth_n, truth_peaks, config) for label in labels]
+    evals = [
+        _evaluate_one(label, wmap, truth_n, truth_peaks, config) for label, wmap in runs.items()
+    ]
     report = EvalReport(
         config=config,
         truth_peaks=truth_peaks,

@@ -251,14 +251,16 @@ def step7_smooth(
     fused: WeightMap,
     params: LocalizerParams,
     uncovered_mask: np.ndarray | None = None,
-    backend: str | None = None,
 ) -> WeightMap:
     """Smooth the fused map with the truncated Gaussian kernel average.
 
-    When an uncovered-pixel mask is given, those pixels are zeroed in the
-    result since no traffic can originate there.
+    One separable pass of ``smooth_grid`` with bandwidth ``params.h``;
+    1-D kernel factors below ``params.kernel_tail`` are dropped, so each
+    pixel averages over a square window. When an uncovered-pixel mask is
+    given, those pixels are zeroed in the result since no traffic can
+    originate there.
     """
-    smoothed = smooth_grid(fused.values, params.h, params.kernel_tail, backend=backend)
+    smoothed = smooth_grid(fused.values, params.h, params.kernel_tail)
     # The kernel average of non-negative data can pick up sign noise at the
     # float epsilon level; clip to keep the weight-map contract.
     smoothed = np.clip(smoothed, 0.0, None)
@@ -300,7 +302,6 @@ def localize(
     x: ImportanceVector,
     params: LocalizerParams,
     kpi_maps: tuple[WeightMap, ...] | None = None,
-    backend: str | None = None,
 ) -> LocalizationResult:
     """Full pipeline: per-KPI maps, fusion with ``x`` and smoothing.
 
@@ -310,5 +311,5 @@ def localize(
     if kpi_maps is None:
         kpi_maps = compute_kpi_maps(kpis, grid, servers, params)
     fused = step6_combine(kpi_maps, x)
-    smoothed = step7_smooth(fused, params, servers.uncovered_mask(), backend=backend)
+    smoothed = step7_smooth(fused, params, servers.uncovered_mask())
     return LocalizationResult(kpi_maps=tuple(kpi_maps), fused=fused, smoothed=smoothed, x=x)

@@ -7,55 +7,27 @@ sits at ``i / (m - 1)``, so the first and last pixel centers are exactly
 one map edge apart. The constant Gaussian prefactor cancels in the
 average and is omitted.
 
-Kernel entries whose exponential factor falls below ``tail`` are dropped,
-which turns the quadratic full-map sum into a banded window pass. Two
-interchangeable backends implement that pass: a Cython extension
-(``hotloc._smoothcore``) and a scipy correlation fallback, chosen at
-import time. ``HOTLOC_SMOOTH_BACKEND=compiled|numpy`` forces one of them.
+The kernel factors as ``g(dx) g(dy)`` with the 1-D factor
+``g(k) = exp(-(k delta)^2 / (2 h))``, so the whole average is one
+separable pass: ``(G V G) / (G 1 G)`` with ``G`` the banded symmetric
+Toeplitz matrix of ``g``. 1-D factors below ``tail`` are dropped, which
+gives the truncated kernel a square support.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from hotloc import _smoothpy
-
-try:
-    from hotloc import _smoothcore
-except ImportError:
-    _smoothcore = None
-
 DEFAULT_TAIL = 1e-12
 
-_BACKENDS = {"numpy": _smoothpy}
-if _smoothcore is not None:
-    _BACKENDS["compiled"] = _smoothcore
 
+def _kernel_factor(m: int, h: float, tail: float) -> np.ndarray:
+    """The 1-D kernel factor ``g(k)`` for pixel offsets k = -R..R.
 
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def default_backend() -> str:
-    forced = os.environ.get("HOTLOC_SMOOTH_BACKEND")
-    if forced:
-        if forced not in _BACKENDS:
-            raise ValueError(
-                f"HOTLOC_SMOOTH_BACKEND={forced!r} not available; have {available_backends()}"
-            )
-        return forced
-    return "compiled" if "compiled" in _BACKENDS else "numpy"
-
-
-def truncated_kernel(m: int, h: float, tail: float = DEFAULT_TAIL) -> np.ndarray:
-    """Build the truncated Gaussian kernel for an m x m grid.
-
-    Returns a (2R+1, 2R+1) array of ``exp`` factors with entries below
-    ``tail`` zeroed; R is the largest pixel offset whose factor survives,
-    capped at m - 1 (a window that already spans the whole map).
+    R is the largest offset whose factor reaches ``tail``, capped at
+    m - 1 (a window that already spans the whole map).
     """
     if m < 2:
         raise ValueError("kernel needs m >= 2")
@@ -68,24 +40,36 @@ def truncated_kernel(m: int, h: float, tail: float = DEFAULT_TAIL) -> np.ndarray
     rmax = math.sqrt(-2.0 * h * math.log(tail)) / delta
     radius = min(int(rmax), m - 1)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    d2 = (offsets[:, None] ** 2 + offsets[None, :] ** 2) * delta**2
-    kernel = np.exp(-d2 / (2.0 * h))
+    g = np.exp(-((offsets * delta) ** 2) / (2.0 * h))
+    g[g < tail] = 0.0
+    return g
+
+
+def truncated_kernel(m: int, h: float, tail: float = DEFAULT_TAIL) -> np.ndarray:
+    """Build the truncated Gaussian kernel for an m x m grid.
+
+    Returns the (2R+1, 2R+1) array ``g(dx) g(dy)`` with entries below
+    ``tail`` zeroed; its centre row is ``_kernel_factor(m, h, tail)``.
+    """
+    g = _kernel_factor(m, h, tail)
+    kernel = np.outer(g, g)
     kernel[kernel < tail] = 0.0
     return kernel
 
 
-def smooth_grid(
-    values: np.ndarray,
-    h: float,
-    tail: float = DEFAULT_TAIL,
-    backend: str | None = None,
-) -> np.ndarray:
+def smooth_grid(values: np.ndarray, h: float, tail: float = DEFAULT_TAIL) -> np.ndarray:
     """Smooth a square grid with the truncated Gaussian kernel average."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError(f"expected a square grid, got shape {values.shape}")
-    kernel = truncated_kernel(values.shape[0], h, tail)
-    name = backend or default_backend()
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown smoothing backend {name!r}; have {available_backends()}")
-    return _BACKENDS[name].smooth_windowed(values, kernel)
+    m = values.shape[0]
+    g = _kernel_factor(m, h, tail)
+    radius = g.size // 2
+    # weights[i, j] = g(i - j): the banded symmetric Toeplitz matrix G.
+    column = np.zeros(m)
+    column[: radius + 1] = g[radius:]
+    idx = np.arange(m)
+    weights = column[np.abs(idx[:, None] - idx)]
+    # The denominator takes the same matmul path as the numerator, so a
+    # constant map whose scaling is exact in floats comes back unchanged.
+    return (weights @ values @ weights) / (weights @ np.ones_like(values) @ weights)

@@ -1,11 +1,5 @@
 """Shared fixtures and small grid builders for the test suite."""
 
-import importlib.util
-import os
-import shutil
-import subprocess
-import sys
-import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -18,25 +12,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DESK_CONFIG = REPO_ROOT / "configs" / "desk.json"
 SIM_CONFIG = REPO_ROOT / "configs" / "sim-small.json"
 GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "golden_report.json"
-
-
-def _c_build_missing():
-    """What this machine lacks to build hotloc._smoothcore, or None."""
-    compiler = (os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(compiler) is None:
-        return f"no C compiler {compiler!r} on PATH"
-    include = Path(sysconfig.get_paths()["include"])
-    if not (include / "Python.h").is_file():
-        return f"no Python.h under {include}"
-    return None
-
-
-C_BUILD_MISSING = _c_build_missing()
-SMOOTHCORE_FILE = Path("hotloc", "_smoothcore" + sysconfig.get_config_var("EXT_SUFFIX"))
-needs_c_build = pytest.mark.skipif(
-    C_BUILD_MISSING is not None,
-    reason=f"cannot build hotloc._smoothcore: {C_BUILD_MISSING}",
-)
 
 
 def constant_grid(cells, m=8, pixel=25.0, q_rxlevmin=-115.0, origin=(0.0, 0.0)):
@@ -101,50 +76,3 @@ def desk_run(tmp_path_factory):
     config = load_scenario_config(DESK_CONFIG)
     out = tmp_path_factory.mktemp("desk-run")
     return run_pipeline(config, out, kpi_source="oracle")
-
-
-@pytest.fixture(scope="session")
-def smoothcore_build(tmp_path_factory):
-    """Package tree with hotloc._smoothcore built from the tracked sources.
-
-    Runs the repository's setup.py on a copy of setup.py, pyproject.toml
-    and src/, so the build writes nothing into the checkout (with Cython
-    installed it regenerates the C in the copy). Returns the build's lib
-    directory, which holds the whole hotloc package. setup.py marks the
-    extension optional, so a compile failure shows as a missing module.
-    """
-    root = tmp_path_factory.mktemp("smoothcore-build")
-    shutil.copy2(REPO_ROOT / "setup.py", root)
-    shutil.copy2(REPO_ROOT / "pyproject.toml", root)
-    shutil.copytree(
-        REPO_ROOT / "src",
-        root / "src",
-        ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.egg-info"),
-    )
-    lib = root / "lib"
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build", "--build-lib", str(lib),
-         "--build-temp", str(root / "temp")],
-        cwd=root,
-        capture_output=True,
-        text=True,
-    )
-    if proc.returncode != 0 or not (lib / SMOOTHCORE_FILE).is_file():
-        pytest.fail(
-            f"building hotloc._smoothcore failed (exit {proc.returncode}):\n"
-            f"{proc.stdout}\n{proc.stderr}",
-            pytrace=False,
-        )
-    return lib
-
-
-@pytest.fixture(scope="session")
-def compiled_smoothcore(request):
-    """hotloc._smoothcore loaded from the session build; None without a C build."""
-    if C_BUILD_MISSING is not None:
-        return None
-    lib = request.getfixturevalue("smoothcore_build")
-    spec = importlib.util.spec_from_file_location("hotloc._smoothcore", lib / SMOOTHCORE_FILE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module

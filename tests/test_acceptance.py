@@ -29,8 +29,7 @@ from hotloc.nnls import DesignSystem, build_system, solve_nnls
 from hotloc.pipeline import run_pipeline
 from hotloc.scenario import build_scenario, load_scenario_config
 from hotloc.sim import run_simulation
-from hotloc import smoothing
-from hotloc.smoothing import available_backends, smooth_grid
+from hotloc.smoothing import smooth_grid
 from hotloc.evaluate import match_and_measure, HotspotPeak
 
 
@@ -266,12 +265,10 @@ class TestCriterion5MultiKpiBeatsTaOnly:
 
 
 class TestCriterion6SmoothingInvariants:
-    """For every backend: constant maps are exact fixed points, outputs
+    """Constant maps are exact fixed points of the smoother, outputs
     respect pixelwise min/max bounds exactly, and the truncated kernel
     stays within 1e-9 relative of the full untruncated sum on 20x20
-    maps. The backends are the numpy fallback and, where a C compiler
-    and the Python headers exist, the compiled core built from the
-    tracked sources."""
+    maps."""
 
     def full_sum(self, values, h):
         m = values.shape[0]
@@ -286,37 +283,25 @@ class TestCriterion6SmoothingInvariants:
         out = kernel @ values.reshape(-1) / kernel.sum(axis=1)
         return out.reshape(m, m)
 
-    def test_criterion_6(self, compiled_smoothcore, monkeypatch):
-        # Without a C build this still runs every check on the numpy backend.
-        if compiled_smoothcore is not None:
-            monkeypatch.setitem(smoothing._BACKENDS, "compiled", compiled_smoothcore)
+    def test_criterion_6(self):
         failures = []
-        backends = available_backends()
         rng = np.random.default_rng(6006)
         worst_rel = 0.0
-        for backend in backends:
-            for c in (1.0, 0.5, 4.0, 0.25):
-                out = smooth_grid(np.full((20, 20), c), 1e-3, backend=backend)
-                if not (out == c).all():
-                    failures.append(f"{backend}: constant {c} not a fixed point")
-            for _ in range(10):
-                values = rng.random((20, 20))
-                out = smooth_grid(values, 1e-3, backend=backend)
-                if out.min() < values.min() or out.max() > values.max():
-                    failures.append(f"{backend}: min/max bound violated")
-                oracle = self.full_sum(values, 1e-3)
-                rel = np.abs(out - oracle) / np.abs(oracle)
-                worst_rel = max(worst_rel, float(rel.max()))
-                if rel.max() > 1e-9:
-                    failures.append(
-                        f"{backend}: truncated vs full sum off by {rel.max():.3g}"
-                    )
-        report(
-            6,
-            failures,
-            f"backends {', '.join(backends)}, worst truncation error "
-            f"{worst_rel:.2e} relative",
-        )
+        for c in (1.0, 0.5, 4.0, 0.25):
+            out = smooth_grid(np.full((20, 20), c), 1e-3)
+            if not (out == c).all():
+                failures.append(f"constant {c} not a fixed point")
+        for _ in range(10):
+            values = rng.random((20, 20))
+            out = smooth_grid(values, 1e-3)
+            if out.min() < values.min() or out.max() > values.max():
+                failures.append("min/max bound violated")
+            oracle = self.full_sum(values, 1e-3)
+            rel = np.abs(out - oracle) / np.abs(oracle)
+            worst_rel = max(worst_rel, float(rel.max()))
+            if rel.max() > 1e-9:
+                failures.append(f"truncated vs full sum off by {rel.max():.3g}")
+        report(6, failures, f"worst truncation error {worst_rel:.2e} relative")
 
 
 class TestCriterion7SimulatorMatchesOracle:

@@ -228,7 +228,7 @@ class TestWeightCdf:
 
 
 class TestCompareVariants:
-    def setup_report(self, **env):
+    def setup_report(self):
         rng = np.random.default_rng(26)
         truth = WeightMap(rng.random((12, 12)), 25.0, LABEL_TRUTH)
         runs = {
@@ -255,24 +255,6 @@ class TestCompareVariants:
         truth, _, config = self.setup_report()
         with pytest.raises(ValueError, match="at least one variant"):
             compare_variants(truth, {}, config)
-
-    def test_thread_pool_gives_identical_results(self, monkeypatch):
-        truth, runs, config = self.setup_report()
-        serial = compare_variants(truth, runs, config)
-        monkeypatch.setenv("HOTLOC_THREADS", "2")
-        threaded = compare_variants(truth, runs, config)
-        assert serial.mean_distances() == threaded.mean_distances()
-        for label in runs:
-            assert serial.variants[label].detection == threaded.variants[label].detection
-            np.testing.assert_array_equal(
-                serial.variants[label].cdf_weights, threaded.variants[label].cdf_weights
-            )
-
-    def test_garbled_thread_env_falls_back_to_serial(self, monkeypatch):
-        truth, runs, config = self.setup_report()
-        monkeypatch.setenv("HOTLOC_THREADS", "lots")
-        report = compare_variants(truth, runs, config)
-        assert set(report.variants) == set(runs)
 
 
 class TestReportOutputs:

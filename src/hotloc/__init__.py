@@ -35,7 +35,7 @@ from hotloc.localize import (
     compute_kpi_maps,
     localize,
 )
-from hotloc.nnls import build_system, optimize_importance, solve_nnls
+from hotloc.nnls import build_system, solve_nnls
 from hotloc.evaluate import EvalConfig, EvalReport, compare_variants
 from hotloc.sim import SimConfig, run_simulation
 from hotloc.scenario import Scenario, ScenarioConfig, build_scenario, load_scenario_config
@@ -73,7 +73,6 @@ __all__ = [
     "load_grid",
     "load_scenario_config",
     "localize",
-    "optimize_importance",
     "oracle_kpis",
     "rasterize_potential_map",
     "run_pipeline",

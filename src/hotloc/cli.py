@@ -1,51 +1,49 @@
 """Command-line entry points.
 
-``hotloc pipeline`` drives the whole flow from one config file; the other
-subcommands expose the individual stages so artifacts can be regenerated
-or swapped out piecemeal. All stage outputs land in ``--out`` and the
-stage inputs are read from ``--in`` (default: the output directory), so a
-single working directory accumulates the full artifact set.
+``hotloc pipeline`` runs every stage of :mod:`hotloc.pipeline` from one
+config file. The other subcommands run single stages on the artifacts in
+``--in`` (default: the output directory) and write to ``--out``, so one
+working directory accumulates the full artifact set:
+
+    gen-scenario            scenario
+    oracle-kpis, simulate   kpis
+    optimize                maps, then optimize
+    localize                maps, then localize
+    evaluate                evaluate
+
+A subcommand parses its options, loads its inputs through the public
+loaders, calls the stage functions and echoes a summary; what a stage
+computes and writes lives in the pipeline. Every failure, loading the
+inputs included, ends the command with ``hotloc: stage <name>: <message>``
+on stderr and exit status 1.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import sys
 from pathlib import Path
 
 import click
 
-from hotloc.evaluate import compare_variants, save_report, write_report_csvs
-from hotloc.grid import GridSpec, compute_server_maps, load_grid, save_grid
-from hotloc.kpi import (
-    KPI_LABELS,
-    load_kpi_set,
-    load_potential_spec,
-    load_weight_map,
-    oracle_kpis,
-    rasterize_potential_map,
-    save_kpi_set,
-    save_potential_spec,
-    save_weight_map,
-)
-from hotloc.localize import ImportanceVector, compute_kpi_maps, localize
-from hotloc.nnls import IterationLimitError, build_system, solve_nnls
+from hotloc import pipeline
+from hotloc.grid import compute_server_maps, load_grid
+from hotloc.kpi import load_kpi_set, load_weight_map
+from hotloc.localize import ImportanceVector
 from hotloc.pipeline import (
     ALL_VARIANTS,
     KPI_SOURCE_ORACLE,
     KPI_SOURCE_SIM,
-    VARIANT_COLUMNS,
     VARIANT_STEP6,
     VARIANT_STEP7,
+    VARIANT_TA_NEIGHBOR,
+    VARIANT_TA_ONLY,
     StageError,
-    restricted_fit,
     run_pipeline,
 )
-from hotloc.scenario import ConfigError, build_scenario, load_scenario_config
-from hotloc.sim import run_simulation
+from hotloc.scenario import ConfigError, load_scenario_config
 
-_VARIANT_FLAGS = {"ta-only": "ta_only", "ta-neighbor": "ta_neighbor", "all": "all"}
+_VARIANT_FLAGS = {"ta-only": VARIANT_TA_ONLY, "ta-neighbor": VARIANT_TA_NEIGHBOR, "all": None}
 
 
 def _fail(stage: str, message: str) -> None:
@@ -53,11 +51,48 @@ def _fail(stage: str, message: str) -> None:
     sys.exit(1)
 
 
+def _reported(name: str):
+    """Run a subcommand so that every failure leaves through ``_fail``:
+    a stage's failure under that stage's name, anything else (loading the
+    inputs, say) under ``name``."""
+
+    def wrap(fn):
+        body = pipeline.stage(name)(fn)
+
+        def command(**kwargs):
+            try:
+                body(**kwargs)
+            except StageError as exc:
+                _fail(exc.stage, str(exc))
+
+        command.__doc__ = fn.__doc__
+        return command
+
+    return wrap
+
+
 def _load_config(path: str, seed: int | None):
     try:
         return load_scenario_config(path, seed_override=seed)
     except ConfigError as exc:
-        _fail("config", str(exc))
+        raise StageError("config", str(exc)) from exc
+
+
+def _dirs(out_dir: str, in_dir: str | None) -> tuple[Path, Path]:
+    """The output directory, created if needed, and the input directory
+    (default: the output directory)."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out, Path(in_dir or out_dir)
+
+
+def _load_grid(art: Path):
+    grid = load_grid(art / "grid.csv")
+    return grid, compute_server_maps(grid)
+
+
+def _format_x(x: ImportanceVector) -> str:
+    return ", ".join(f"{v:.4g}" for v in x.values)
 
 
 def _parse_x_override(_ctx, _param, value):
@@ -95,35 +130,28 @@ def main() -> None:
     """KPI-driven traffic hotspot localization toolkit."""
 
 
-def _artifact_dir(in_dir: str | None, out_dir: str) -> Path:
-    path = Path(in_dir) if in_dir else Path(out_dir)
-    return path
-
-
 @main.command("gen-scenario")
 @config_opt
 @seed_opt
 @out_opt
+@_reported("scenario")
 def gen_scenario_cmd(config_path: str, seed: int | None, out_dir: str) -> None:
     """Build the synthetic scenario: coverage grid, ground truth and
     potential-hotspot prior."""
     config = _load_config(config_path, seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        scenario = build_scenario(config)
-        save_grid(scenario.grid, out / "grid.csv")
-        save_weight_map(scenario.truth, out / "truth.csv")
-        save_potential_spec(scenario.potential, out / "potential.json")
-    except (ConfigError, ValueError, OSError) as exc:
-        _fail("scenario", str(exc))
+    out, _ = _dirs(out_dir, None)
+    scenario, _ = pipeline._run_scenario(config, out)
     click.echo(f"scenario written to {out} ({len(scenario.grid.cells)} cells, m={config.spec.m})")
 
 
-def _load_grid_truth(art: Path):
-    grid = load_grid(art / "grid.csv")
+def _kpis(kpi_source: str, config_path: str, seed: int | None, out_dir: str, in_dir: str | None, events: bool) -> None:
+    config = _load_config(config_path, seed)
+    out, art = _dirs(out_dir, in_dir)
+    grid, servers = _load_grid(art)
     truth = load_weight_map(art / "truth.csv")
-    return grid, compute_server_maps(grid), truth
+    kpis = pipeline._run_kpis(grid, servers, truth, config, kpi_source, out, events)
+    source = "oracle" if kpi_source == KPI_SOURCE_ORACLE else "simulated"
+    click.echo(f"{source} KPIs for {len(kpis.cells)} cells written to {out / 'kpis.json'}")
 
 
 @main.command("oracle-kpis")
@@ -131,18 +159,10 @@ def _load_grid_truth(art: Path):
 @seed_opt
 @out_opt
 @in_opt
+@_reported("kpis")
 def oracle_kpis_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str | None) -> None:
     """Derive per-cell KPIs analytically from the ground-truth map."""
-    config = _load_config(config_path, seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        grid, servers, truth = _load_grid_truth(_artifact_dir(in_dir, out_dir))
-        kpis = oracle_kpis(truth, grid, servers, config.oracle)
-        save_kpi_set(kpis, out / "kpis.json")
-    except (ValueError, OSError) as exc:
-        _fail("kpis", str(exc))
-    click.echo(f"oracle KPIs for {len(kpis.cells)} cells written to {out / 'kpis.json'}")
+    _kpis(KPI_SOURCE_ORACLE, config_path, seed, out_dir, in_dir, events=False)
 
 
 @main.command("simulate")
@@ -151,19 +171,17 @@ def oracle_kpis_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: st
 @out_opt
 @in_opt
 @click.option("--events/--no-events", default=False, help="Also write the per-tick event log.")
+@_reported("kpis")
 def simulate_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str | None, events: bool) -> None:
     """Run the discrete-event simulator and emit its KPI set."""
-    config = _load_config(config_path, seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        grid, servers, truth = _load_grid_truth(_artifact_dir(in_dir, out_dir))
-        log_path = str(out / "events.csv") if events else None
-        kpis = run_simulation(config.sim, truth, grid, servers, log_path)
-        save_kpi_set(kpis, out / "kpis.json")
-    except (ValueError, OSError) as exc:
-        _fail("kpis", str(exc))
-    click.echo(f"simulated KPIs for {len(kpis.cells)} cells written to {out / 'kpis.json'}")
+    _kpis(KPI_SOURCE_SIM, config_path, seed, out_dir, in_dir, events)
+
+
+def _load_maps_inputs(art: Path):
+    grid, servers = _load_grid(art)
+    kpis = load_kpi_set(art / "kpis.json")
+    potential_map = load_weight_map(art / "potential.csv")
+    return grid, servers, kpis, potential_map
 
 
 @main.command("optimize")
@@ -171,38 +189,16 @@ def simulate_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str |
 @seed_opt
 @out_opt
 @in_opt
+@_reported("optimize")
 def optimize_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str | None) -> None:
-    """Fit the importance factors to the potential-hotspot prior."""
-    _load_config(config_path, seed)  # validates; optimize itself is config-free
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    art = _artifact_dir(in_dir, out_dir)
-    try:
-        maps = tuple(load_weight_map(art / f"{label}.csv") for label in KPI_LABELS)
-        potential = load_potential_spec(art / "potential.json")
-        ref = maps[0]
-        spec = GridSpec(m=ref.m, pixel_size=ref.pixel_size, origin=ref.origin)
-        potential_map = rasterize_potential_map(potential, spec)
-        system = build_system(maps, potential_map)
-        result = solve_nnls(system)
-    except IterationLimitError as exc:
-        _fail("optimize", str(exc))
-    except (ValueError, OSError) as exc:
-        _fail("optimize", str(exc))
-    total = float(sum(result.x))
-    doc = {
-        "x": [float(v) for v in result.x],
-        "residual": result.residual,
-        "iterations": result.iterations,
-        "x_normalized": [float(v) / total for v in result.x] if total > 0 else None,
-        "fitted": True,
-    }
-    with open(out / "importance.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    click.echo(
-        "x = (" + ", ".join(f"{v:.4g}" for v in result.x) + f"), residual {result.residual:.6g}"
-    )
+    """Build the per-KPI maps and fit the importance factors to the
+    potential-hotspot prior."""
+    config = _load_config(config_path, seed)
+    out, art = _dirs(out_dir, in_dir)
+    grid, servers, kpis, potential_map = _load_maps_inputs(art)
+    kpi_maps = pipeline._run_maps(grid, servers, kpis, config.localizer, out)
+    x, residual, _ = pipeline._run_optimize(kpi_maps, potential_map, None, out)
+    click.echo(f"x = ({_format_x(x)}), residual {residual:.6g}")
 
 
 @main.command("localize")
@@ -212,6 +208,7 @@ def optimize_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str |
 @in_opt
 @click.option("--x-override", callback=_parse_x_override, default=None, help="Importance factors a,b,c,d,e (skips the fitted vector).")
 @click.option("--variant", type=click.Choice(sorted(_VARIANT_FLAGS)), default="all", help="KPI subset to fuse.")
+@_reported("localize")
 def localize_cmd(
     config_path: str,
     seed: int | None,
@@ -222,44 +219,22 @@ def localize_cmd(
 ) -> None:
     """Build the per-KPI maps and the fused and smoothed estimates."""
     config = _load_config(config_path, seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    art = _artifact_dir(in_dir, out_dir)
-    try:
-        grid = load_grid(art / "grid.csv")
-        servers = compute_server_maps(grid)
-        kpis = load_kpi_set(art / "kpis.json")
-        kpi_maps = compute_kpi_maps(kpis, grid, servers, config.localizer)
-
-        variant_key = _VARIANT_FLAGS[variant]
-        if variant_key in VARIANT_COLUMNS:
-            if x_override is not None:
-                raise ValueError("--x-override only applies to --variant all")
-            potential = load_potential_spec(art / "potential.json")
-            potential_map = rasterize_potential_map(potential, grid.spec)
-            x = restricted_fit(kpi_maps, potential_map, VARIANT_COLUMNS[variant_key])
-        elif x_override is not None:
-            x = ImportanceVector(x_override)
-        else:
-            importance_path = art / "importance.json"
-            if not importance_path.exists():
-                raise ValueError(
-                    "no importance vector: run optimize first or pass --x-override"
-                )
-            doc = json.loads(importance_path.read_text())
-            x = ImportanceVector(tuple(float(v) for v in doc["x"]))
-
-        result = localize(kpis, grid, servers, x, config.localizer, kpi_maps=kpi_maps)
-        for label, wmap in zip(KPI_LABELS, result.kpi_maps):
-            save_weight_map(wmap, out / f"{label}.csv")
-        save_weight_map(result.fused, out / "fused.csv")
-        save_weight_map(result.smoothed, out / "smoothed.csv")
-    except (ValueError, OSError) as exc:
-        _fail("localize", str(exc))
-    click.echo(
-        f"fused and smoothed maps written to {out} "
-        f"(x = {', '.join(f'{v:.4g}' for v in x.values)})"
+    variant = _VARIANT_FLAGS[variant]
+    if variant is not None and x_override is not None:
+        raise ValueError("--x-override only applies to --variant all")
+    out, art = _dirs(out_dir, in_dir)
+    grid, servers, kpis, potential_map = _load_maps_inputs(art)
+    if x_override is not None:
+        x = ImportanceVector(x_override)
+    elif variant is None:
+        x = pipeline.load_importance(art / "importance.json")
+    else:
+        x = None
+    kpi_maps = pipeline._run_maps(grid, servers, kpis, config.localizer, out)
+    result, _ = pipeline._run_localize(
+        grid, servers, kpis, kpi_maps, potential_map, x, config.localizer, out, variant
     )
+    click.echo(f"fused and smoothed maps written to {out} (x = {_format_x(result.x)})")
 
 
 @main.command("evaluate")
@@ -267,27 +242,21 @@ def localize_cmd(
 @seed_opt
 @out_opt
 @in_opt
+@_reported("evaluate")
 def evaluate_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str | None) -> None:
-    """Score the estimated maps in the artifact directory against the
-    ground truth."""
+    """Score the fused and smoothed estimates in the input directory
+    against the ground truth."""
     config = _load_config(config_path, seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    art = _artifact_dir(in_dir, out_dir)
-    try:
-        truth = load_weight_map(art / "truth.csv")
-        runs = {}
-        for name, filename in ((VARIANT_STEP6, "fused.csv"), (VARIANT_STEP7, "smoothed.csv")):
-            path = art / filename
-            if path.exists():
-                runs[name] = load_weight_map(path)
-        if not runs:
-            raise ValueError("nothing to evaluate: no fused.csv or smoothed.csv found")
-        report = compare_variants(truth, runs, config.evaluation)
-        save_report(report, out / "report.json")
-        write_report_csvs(report, out / "peaks.csv", out / "detection.csv", out / "cdf.csv")
-    except (ValueError, OSError) as exc:
-        _fail("evaluate", str(exc))
+    out, art = _dirs(out_dir, in_dir)
+    truth = load_weight_map(art / "truth.csv")
+    estimates = {
+        name: load_weight_map(art / filename)
+        for name, filename in ((VARIANT_STEP6, "fused.csv"), (VARIANT_STEP7, "smoothed.csv"))
+        if (art / filename).exists()
+    }
+    if not estimates:
+        raise ValueError("nothing to evaluate: no fused.csv or smoothed.csv found")
+    report = pipeline._run_evaluate(truth, estimates, config.evaluation, out)
     means = ", ".join(f"{k}: {v.mean_distance_m:.1f} m" for k, v in sorted(report.variants.items()))
     click.echo(f"report written to {out / 'report.json'} ({means})")
 
@@ -300,6 +269,7 @@ def evaluate_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str |
 @click.option("--x-override", callback=_parse_x_override, default=None, help="Importance factors a,b,c,d,e (skips optimization).")
 @click.option("--events/--no-events", default=False, help="Write the simulator event log.")
 @click.option("--seeds", callback=_parse_seeds, default=None, help="Comma-separated seed list: run once per seed into seed-N subdirectories and collect seeds.csv.")
+@_reported("pipeline")
 def pipeline_cmd(
     config_path: str,
     seed: int | None,
@@ -310,8 +280,7 @@ def pipeline_cmd(
     seeds: tuple[int, ...] | None,
 ) -> None:
     """Run every stage from scenario generation to the evaluation report."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out, _ = _dirs(out_dir, None)
 
     if seeds is not None:
         rows = []
@@ -323,7 +292,7 @@ def pipeline_cmd(
                     x_override=x_override, event_log=events,
                 )
             except StageError as exc:
-                _fail(exc.stage, f"(seed {s}) {exc}")
+                raise StageError(exc.stage, f"(seed {s}) {exc}") from exc
             for label, variant in sorted(result.report.variants.items()):
                 for p, detected in sorted(variant.detection.items()):
                     rows.append((s, label, variant.mean_distance_m, p, detected))
@@ -336,14 +305,10 @@ def pipeline_cmd(
         return
 
     config = _load_config(config_path, seed)
-    try:
-        result = run_pipeline(
-            config, out, kpi_source=kpi_source, x_override=x_override, event_log=events
-        )
-    except StageError as exc:
-        _fail(exc.stage, str(exc))
-    x_str = ", ".join(f"{v:.4g}" for v in result.x.values)
-    click.echo(f"x = ({x_str})")
+    result = run_pipeline(
+        config, out, kpi_source=kpi_source, x_override=x_override, event_log=events
+    )
+    click.echo(f"x = ({_format_x(result.x)})")
     for label in ALL_VARIANTS:
         variant = result.report.variants[label]
         click.echo(f"{label}: mean peak distance {variant.mean_distance_m:.1f} m")

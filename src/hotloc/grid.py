@@ -286,6 +286,21 @@ def save_grid(grid: CoverageGrid, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def header_row(
+    header: dict[str, list[str]], key: str, path: str | Path, convert=float, count: int = 1
+) -> list:
+    """The ``count`` values of header row ``key`` of a text artifact, each
+    passed through ``convert``. Raises ValueError naming the file and the
+    row when the row is missing or garbled."""
+    values = header.get(key)
+    try:
+        if values is None or len(values) != count:
+            raise ValueError
+        return [convert(v) for v in values]
+    except ValueError:
+        raise ValueError(f"{path}: missing or garbled {key!r} header row") from None
+
+
 def load_grid(path: str | Path) -> CoverageGrid:
     """Read a coverage grid written by :func:`save_grid`."""
     lines = Path(path).read_text().splitlines()
@@ -315,11 +330,12 @@ def load_grid(path: str | Path) -> CoverageGrid:
         raise ValueError(f"{path}: missing rsrp section")
 
     spec = GridSpec(
-        m=int(header["m"][0]),
-        pixel_size=float(header["pixel_size"][0]),
-        origin=(float(header["origin"][0]), float(header["origin"][1])),
+        m=header_row(header, "m", path, int)[0],
+        pixel_size=header_row(header, "pixel_size", path)[0],
+        origin=tuple(header_row(header, "origin", path, count=2)),
     )
-    declared = int(header["cells"][0])
+    q_rxlevmin = header_row(header, "q_rxlevmin", path)[0]
+    declared = header_row(header, "cells", path, int)[0]
     if declared != len(cells):
         raise ValueError(f"{path}: header declares {declared} cells, found {len(cells)}")
 
@@ -335,5 +351,5 @@ def load_grid(path: str | Path) -> CoverageGrid:
         spec=spec,
         cells=cells,
         rsrp=rsrp,
-        q_rxlevmin=float(header["q_rxlevmin"][0]),
+        q_rxlevmin=q_rxlevmin,
     )

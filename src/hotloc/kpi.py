@@ -22,6 +22,7 @@ from hotloc.grid import (
     ServerMaps,
     TA_ZONE_COUNT,
     aoa_zone_layer,
+    header_row,
     ta_zone_layer,
 )
 
@@ -64,15 +65,29 @@ class CellKpis:
         if self.ta.shape != (TA_ZONE_COUNT,) or self.aoa.shape != (3,):
             raise ValueError("ta must have 6 entries and aoa 3")
         for name, values in (("ta", self.ta), ("aoa", self.aoa)):
+            if not (np.isfinite(values).all() and values.min() >= 0):
+                raise ValueError(
+                    f"{name} fractions must be finite and non-negative, got {values.tolist()}"
+                )
             total = float(values.sum())
-            if values.min() < 0 or not (abs(total) <= DIST_TOL or abs(total - 1) <= DIST_TOL):
+            if not (abs(total) <= DIST_TOL or abs(total - 1) <= DIST_TOL):
                 raise ValueError(f"{name} fractions must sum to 0 or 1, got {total}")
         if self.neighbor_level:
-            total = sum(self.neighbor_level.values())
-            if min(self.neighbor_level.values()) < 0 or abs(total - 1) > DIST_TOL:
+            levels = list(self.neighbor_level.values())
+            if not (np.isfinite(levels).all() and min(levels) >= 0):
+                raise ValueError(
+                    f"neighbor_level fractions must be finite and non-negative, "
+                    f"got {self.neighbor_level}"
+                )
+            total = sum(levels)
+            if abs(total - 1) > DIST_TOL:
                 raise ValueError(f"neighbor_level must sum to 1, got {total}")
         if not 0.0 <= self.load_time <= 1.0:
             raise ValueError(f"load_time must be in [0, 1], got {self.load_time}")
+        if not np.isfinite([self.amt_bps, self.hmt_bps]).all():
+            raise ValueError(
+                f"throughputs must be finite, got amt_bps={self.amt_bps} hmt_bps={self.hmt_bps}"
+            )
         if self.amt_bps < 0 or self.hmt_bps < 0 or self.hmt_bps > self.amt_bps:
             raise ValueError(
                 f"throughputs need 0 <= hmt <= amt, got amt={self.amt_bps} hmt={self.hmt_bps}"
@@ -111,6 +126,12 @@ class KpiSet:
             expected = {c.cell_id for c in grid.cells}
             if set(self.cells) != expected:
                 raise ValueError("KPI set does not cover exactly the grid's cells")
+            for cell_id, kpis in self.cells.items():
+                unknown = sorted(set(kpis.neighbor_level) - expected)
+                if unknown:
+                    raise ValueError(
+                        f"cell {cell_id!r}: neighbor_level names cells not on the grid: {unknown}"
+                    )
 
     def all_empty(self) -> bool:
         return all(k.is_empty() for k in self.cells.values())
@@ -371,17 +392,19 @@ def load_weight_map(path: str | Path) -> WeightMap:
         parts = lines[row].split(",")
         header[parts[0]] = parts[1:]
         row += 1
-    m = int(header["m"][0])
+    m = header_row(header, "m", path, int)[0]
+    pixel_size = header_row(header, "pixel_size", path)[0]
+    label = header_row(header, "label", path, str)[0]
     origin = (0.0, 0.0)
     if "origin" in header:
-        origin = (float(header["origin"][0]), float(header["origin"][1]))
+        origin = tuple(header_row(header, "origin", path, count=2))
     values = np.zeros((m, m))
     for line in lines[row + 1 :]:
         if not line:
             continue
         i, j, value = line.split(",")
         values[int(i), int(j)] = float(value)
-    return WeightMap(values, float(header["pixel_size"][0]), header["label"][0], origin)
+    return WeightMap(values, pixel_size, label, origin)
 
 
 def save_kpi_set(kpis: KpiSet, path: str | Path) -> None:
@@ -406,19 +429,28 @@ def save_kpi_set(kpis: KpiSet, path: str | Path) -> None:
 
 
 def load_kpi_set(path: str | Path) -> KpiSet:
+    """Read a KPI set written by :func:`save_kpi_set` and validate every
+    cell."""
     doc = json.loads(Path(path).read_text())
-    cells = {
-        entry["cell_id"]: CellKpis(
-            ta=np.array(entry["ta"], dtype=np.float64),
-            aoa=np.array(entry["aoa"], dtype=np.float64),
-            neighbor_level={nb: float(v) for nb, v in entry["neighbor_level"].items()},
-            load_time=float(entry["load_time"]),
-            amt_bps=float(entry["amt_bps"]),
-            hmt_bps=float(entry["hmt_bps"]),
-        )
-        for entry in doc["cells"]
-    }
-    return KpiSet(cells=cells, source=doc["source"], window_s=doc["window_s"])
+    try:
+        cells = {
+            entry["cell_id"]: CellKpis(
+                ta=np.array(entry["ta"], dtype=np.float64),
+                aoa=np.array(entry["aoa"], dtype=np.float64),
+                neighbor_level={nb: float(v) for nb, v in entry["neighbor_level"].items()},
+                load_time=float(entry["load_time"]),
+                amt_bps=float(entry["amt_bps"]),
+                hmt_bps=float(entry["hmt_bps"]),
+            )
+            for entry in doc["cells"]
+        }
+        kpis = KpiSet(cells=cells, source=doc["source"], window_s=doc["window_s"])
+        kpis.validate()
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return kpis
 
 
 def save_potential_spec(spec_zones: PotentialHotspotSpec, path: str | Path) -> None:

@@ -33,8 +33,10 @@ class ImportanceVector:
     def __post_init__(self):
         if len(self.values) != KPI_COUNT:
             raise ValueError(f"importance vector needs {KPI_COUNT} entries")
-        if any(v < 0 for v in self.values):
-            raise ValueError(f"importance factors must be non-negative, got {self.values}")
+        if not (np.isfinite(self.values).all() and min(self.values) >= 0):
+            raise ValueError(
+                f"importance factors must be finite and non-negative, got {self.values}"
+            )
 
     @classmethod
     def of(cls, *values: float) -> "ImportanceVector":

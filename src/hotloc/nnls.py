@@ -142,32 +142,3 @@ def solve_nnls(
     if not ((~free & (w > tol)).any() or (np.abs(w[free]) > tol).any()):
         return NnlsResult(x, history[-1], len(history) - 1, history)
     raise IterationLimitError(best_x=x, residual=history[-1], iterations=len(history) - 1)
-
-
-@dataclass
-class ImportanceFit:
-    x: ImportanceVector
-    residual: float
-    iterations: int
-
-    def normalized_x(self) -> tuple[float, ...] | None:
-        """x scaled to unit sum for cross-scenario comparison, None when x
-        is identically zero."""
-        total = sum(self.x.values)
-        if total <= 0:
-            return None
-        return tuple(v / total for v in self.x.values)
-
-
-def optimize_importance(
-    maps: tuple[WeightMap, ...],
-    potential: WeightMap,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> ImportanceFit:
-    """Fit the importance factors to the potential hotspot map."""
-    system = build_system(maps, potential)
-    result = solve_nnls(system, tol=tol, max_iter=max_iter)
-    return ImportanceFit(
-        x=result.importance(), residual=result.residual, iterations=result.iterations
-    )

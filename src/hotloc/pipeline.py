@@ -2,8 +2,12 @@
 fitting, localization and evaluation, with every intermediate written to
 the output directory.
 
-Stages run in a fixed order and failures carry the stage name, so a
-caller (the CLI in particular) can report exactly where a run died.
+Each stage is one ``_run_<stage>`` function that takes the artifacts it
+consumes (grid, server maps, truth, KPIs, maps, config blocks) and writes
+the artifacts it produces. :func:`run_pipeline` feeds them from memory;
+the CLI's stage subcommands feed them from files. Stages run in a fixed
+order and failures carry the stage name, so a caller (the CLI in
+particular) can report exactly where a run died.
 """
 
 from __future__ import annotations
@@ -14,7 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from hotloc.evaluate import EvalReport, compare_variants, save_report, write_report_csvs
+from hotloc.evaluate import (
+    EvalConfig,
+    EvalReport,
+    compare_variants,
+    save_report,
+    write_report_csvs,
+)
 from hotloc.kpi import (
     KPI_LABELS,
     KpiSet,
@@ -25,10 +35,11 @@ from hotloc.kpi import (
     save_potential_spec,
     save_weight_map,
 )
-from hotloc.grid import save_grid
+from hotloc.grid import CoverageGrid, ServerMaps, save_grid
 from hotloc.localize import (
     ImportanceVector,
     LocalizationResult,
+    LocalizerParams,
     compute_kpi_maps,
     localize,
     step6_combine,
@@ -76,7 +87,10 @@ class PipelineResult:
     out_dir: Path
 
 
-def _stage(name: str):
+def stage(name: str):
+    """Decorator: any failure of the wrapped call that does not already
+    name a stage is raised as a :class:`StageError` of stage ``name``."""
+
     def wrap(fn):
         def run(*args, **kwargs):
             try:
@@ -104,7 +118,7 @@ def restricted_fit(
     return ImportanceVector(tuple(float(v) for v in full))
 
 
-@_stage("scenario")
+@stage("scenario")
 def _run_scenario(config: ScenarioConfig, out: Path) -> tuple[Scenario, WeightMap]:
     scenario = build_scenario(config)
     potential_map = rasterize_potential_map(scenario.potential, config.spec)
@@ -117,18 +131,23 @@ def _run_scenario(config: ScenarioConfig, out: Path) -> tuple[Scenario, WeightMa
     return scenario, potential_map
 
 
-@_stage("kpis")
+@stage("kpis")
 def _run_kpis(
-    scenario: Scenario, kpi_source: str, out: Path, event_log: bool
+    grid: CoverageGrid,
+    servers: ServerMaps,
+    truth: WeightMap,
+    config: ScenarioConfig,
+    kpi_source: str,
+    out: Path,
+    event_log: bool = False,
 ) -> KpiSet:
-    config = scenario.config
+    """Per-cell KPIs from the oracle (``config.oracle``) or the simulator
+    (``config.sim``)."""
     if kpi_source == KPI_SOURCE_ORACLE:
-        kpis = oracle_kpis(scenario.truth, scenario.grid, scenario.servers, config.oracle)
+        kpis = oracle_kpis(truth, grid, servers, config.oracle)
     elif kpi_source == KPI_SOURCE_SIM:
         log_path = str(out / "events.csv") if event_log else None
-        kpis = run_simulation(
-            config.sim, scenario.truth, scenario.grid, scenario.servers, log_path
-        )
+        kpis = run_simulation(config.sim, truth, grid, servers, log_path)
     else:
         raise ValueError(f"unknown KPI source {kpi_source!r}")
     if kpis.all_empty():
@@ -140,23 +159,30 @@ def _run_kpis(
     return kpis
 
 
-@_stage("maps")
-def _run_maps(scenario: Scenario, kpis: KpiSet, out: Path) -> tuple[WeightMap, ...]:
-    maps = compute_kpi_maps(
-        kpis, scenario.grid, scenario.servers, scenario.config.localizer
-    )
+@stage("maps")
+def _run_maps(
+    grid: CoverageGrid,
+    servers: ServerMaps,
+    kpis: KpiSet,
+    params: LocalizerParams,
+    out: Path,
+) -> tuple[WeightMap, ...]:
+    kpis.validate(grid)
+    maps = compute_kpi_maps(kpis, grid, servers, params)
     for label, wmap in zip(KPI_LABELS, maps):
         save_weight_map(wmap, out / f"{label}.csv")
     return maps
 
 
-@_stage("optimize")
+@stage("optimize")
 def _run_optimize(
     kpi_maps: tuple[WeightMap, ...],
     potential_map: WeightMap,
     x_override: tuple[float, ...] | None,
     out: Path,
 ) -> tuple[ImportanceVector, float | None, int | None]:
+    """The fitted importance vector, or ``x_override`` when given, written
+    to ``importance.json``."""
     if x_override is not None:
         x = ImportanceVector(tuple(float(v) for v in x_override))
         residual = None
@@ -181,31 +207,52 @@ def _run_optimize(
     return x, residual, iterations
 
 
-@_stage("localize")
+def load_importance(path: Path) -> ImportanceVector:
+    """The importance vector of an ``importance.json`` written by the
+    optimize stage."""
+    if not path.exists():
+        raise ValueError(f"no importance vector: {path} not found, run optimize first")
+    doc = json.loads(path.read_text())
+    x = doc.get("x") if isinstance(doc, dict) else None
+    if not (
+        isinstance(x, list)
+        and len(x) == len(KPI_LABELS)
+        and all(type(v) in (int, float) for v in x)
+    ):
+        raise ValueError(f"{path}: 'x' must be a list of {len(KPI_LABELS)} numbers")
+    return ImportanceVector(tuple(float(v) for v in x))
+
+
+@stage("localize")
 def _run_localize(
-    scenario: Scenario,
+    grid: CoverageGrid,
+    servers: ServerMaps,
     kpis: KpiSet,
     kpi_maps: tuple[WeightMap, ...],
     potential_map: WeightMap,
-    x: ImportanceVector,
+    x: ImportanceVector | None,
+    params: LocalizerParams,
     out: Path,
+    variant: str | None = None,
 ) -> tuple[LocalizationResult, dict[str, WeightMap]]:
-    result = localize(
-        kpis,
-        scenario.grid,
-        scenario.servers,
-        x,
-        scenario.config.localizer,
-        kpi_maps=kpi_maps,
-    )
+    """Fused and smoothed estimates with ``x``, plus the fused maps of the
+    restricted variants, each fitted on its own KPI columns. A restricted
+    ``variant`` fuses and smooths with that variant's fit instead of
+    ``x``."""
+    restricted = {
+        name: restricted_fit(kpi_maps, potential_map, columns)
+        for name, columns in VARIANT_COLUMNS.items()
+    }
+    if variant is not None:
+        x = restricted[variant]
+    result = localize(kpis, grid, servers, x, params, kpi_maps=kpi_maps)
     save_weight_map(result.fused, out / "fused.csv")
     save_weight_map(result.smoothed, out / "smoothed.csv")
     variant_maps = {
         VARIANT_STEP6: result.relabeled_fused(VARIANT_STEP6),
         VARIANT_STEP7: result.smoothed,
     }
-    for name, columns in VARIANT_COLUMNS.items():
-        x_restricted = restricted_fit(kpi_maps, potential_map, columns)
+    for name, x_restricted in restricted.items():
         fused = step6_combine(kpi_maps, x_restricted)
         variant_maps[name] = WeightMap(
             fused.values, fused.pixel_size, name, fused.origin
@@ -213,14 +260,18 @@ def _run_localize(
     return result, variant_maps
 
 
-@_stage("evaluate")
+@stage("evaluate")
 def _run_evaluate(
-    scenario: Scenario, variant_maps: dict[str, WeightMap], out: Path
+    truth: WeightMap,
+    variant_maps: dict[str, WeightMap],
+    config: EvalConfig,
+    out: Path,
 ) -> EvalReport:
+    """Score whichever of the variants ``variant_maps`` holds."""
     report = compare_variants(
-        scenario.truth,
-        {name: variant_maps[name] for name in ALL_VARIANTS},
-        scenario.config.evaluation,
+        truth,
+        {name: variant_maps[name] for name in ALL_VARIANTS if name in variant_maps},
+        config,
     )
     save_report(report, out / "report.json")
     write_report_csvs(
@@ -241,13 +292,14 @@ def run_pipeline(
     out.mkdir(parents=True, exist_ok=True)
 
     scenario, potential_map = _run_scenario(config, out)
-    kpis = _run_kpis(scenario, kpi_source, out, event_log)
-    kpi_maps = _run_maps(scenario, kpis, out)
+    grid, servers = scenario.grid, scenario.servers
+    kpis = _run_kpis(grid, servers, scenario.truth, config, kpi_source, out, event_log)
+    kpi_maps = _run_maps(grid, servers, kpis, config.localizer, out)
     x, residual, iterations = _run_optimize(kpi_maps, potential_map, x_override, out)
     localization, variant_maps = _run_localize(
-        scenario, kpis, kpi_maps, potential_map, x, out
+        grid, servers, kpis, kpi_maps, potential_map, x, config.localizer, out
     )
-    report = _run_evaluate(scenario, variant_maps, out)
+    report = _run_evaluate(scenario.truth, variant_maps, config.evaluation, out)
 
     return PipelineResult(
         scenario=scenario,

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -13,6 +14,17 @@ CONFIG = str(SIM_CONFIG)
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def fails(runner, stage, *args):
+    """Run a command that must fail cleanly in ``stage``: exit status 1,
+    the stage named on stderr and no uncaught exception."""
+    result = runner.invoke(main, list(args))
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"hotloc: stage {stage}:" in result.stderr
+    assert "Traceback" not in result.output
+    return result.stderr
 
 
 def invoke(runner, *args):
@@ -165,6 +177,139 @@ class TestStageCommands:
         line = [ln for ln in result.output.splitlines() if "x =" in ln][0]
         factors = line.split("(x = ")[1].rstrip(")").split(", ")
         assert [float(v) for v in factors[1:]] == [0.0, 0.0, 0.0, 0.0]
+
+
+STAGEWISE_ARTIFACTS = (
+    "grid.csv",
+    "truth.csv",
+    "potential.json",
+    "potential.csv",
+    "kpis.json",
+    "q1.csv",
+    "q2.csv",
+    "q3.csv",
+    "q4.csv",
+    "q5.csv",
+    "importance.json",
+    "fused.csv",
+    "smoothed.csv",
+)
+
+
+class TestStagewiseEqualsPipeline:
+    def test_readme_flow_matches_pipeline(self, runner, tmp_path):
+        """The README's five stage commands, with nothing else run in
+        between, leave the same artifacts as one ``hotloc pipeline``."""
+        art, whole = tmp_path / "art", tmp_path / "whole"
+        for command in ("gen-scenario", "oracle-kpis", "optimize", "localize", "evaluate"):
+            result = invoke(runner, command, "--config", CONFIG, "--out", str(art))
+            assert result.exit_code == 0, (command, result.output)
+        invoke(runner, "pipeline", "--config", CONFIG, "--out", str(whole))
+        for name in STAGEWISE_ARTIFACTS:
+            assert (art / name).read_bytes() == (whole / name).read_bytes(), name
+        stagewise = json.loads((art / "report.json").read_text())["variants"]
+        piped = json.loads((whole / "report.json").read_text())["variants"]
+        assert set(stagewise) == {"step6", "step7"}
+        for variant in ("step6", "step7"):
+            assert stagewise[variant] == piped[variant]
+
+
+@pytest.fixture(scope="module")
+def scenario_dir(tmp_path_factory):
+    """Artifacts of ``gen-scenario`` and ``oracle-kpis`` on sim-small."""
+    art = tmp_path_factory.mktemp("scenario")
+    runner = CliRunner()
+    for command in ("gen-scenario", "oracle-kpis"):
+        assert invoke(runner, command, "--config", CONFIG, "--out", str(art)).exit_code == 0
+    return art
+
+
+class TestBadInputs:
+    """Broken artifacts fail in the stage that reads them, with the file
+    and the field named and no traceback."""
+
+    def copy(self, scenario_dir, tmp_path):
+        art = tmp_path / "art"
+        shutil.copytree(scenario_dir, art)
+        return art
+
+    def drop_row(self, path, row):
+        text = path.read_text()
+        assert f"\n{row}\n" in text
+        path.write_text(text.replace(f"\n{row}\n", "\n", 1))
+
+    def test_grid_without_m_row(self, runner, scenario_dir, tmp_path):
+        art = self.copy(scenario_dir, tmp_path)
+        self.drop_row(art / "grid.csv", "m,32")
+        err = fails(
+            runner, "localize",
+            "localize", "--config", CONFIG, "--out", str(art), "--x-override", "1,1,1,1,1",
+        )
+        assert "grid.csv: missing or garbled 'm' header row" in err
+
+    def test_truth_without_m_row(self, runner, scenario_dir, tmp_path):
+        art = self.copy(scenario_dir, tmp_path)
+        invoke(runner, "localize", "--config", CONFIG, "--out", str(art), "--x-override", "1,1,1,1,1")
+        self.drop_row(art / "truth.csv", "m,32")
+        err = fails(runner, "evaluate", "evaluate", "--config", CONFIG, "--out", str(art))
+        assert "truth.csv: missing or garbled 'm' header row" in err
+
+    def edit_kpis(self, art, edit):
+        path = art / "kpis.json"
+        doc = json.loads(path.read_text())
+        edit(doc["cells"][0])
+        path.write_text(json.dumps(doc))
+        return doc["cells"][0]["cell_id"]
+
+    def test_nan_load_time_and_negative_ta_fail_at_load(self, runner, scenario_dir, tmp_path):
+        art = self.copy(scenario_dir, tmp_path)
+
+        def edit(cell):
+            cell["load_time"] = float("nan")
+            cell["ta"][0] = -0.5
+            cell["ta"][1] += 0.5
+
+        cell_id = self.edit_kpis(art, edit)
+        err = fails(runner, "optimize", "optimize", "--config", CONFIG, "--out", str(art))
+        assert f"kpis.json: cell '{cell_id}': ta fractions must be finite and non-negative" in err
+        assert "weight map entries" not in err
+
+    def test_nan_amt_fails_at_load(self, runner, scenario_dir, tmp_path):
+        art = self.copy(scenario_dir, tmp_path)
+        cell_id = self.edit_kpis(art, lambda cell: cell.update(amt_bps=float("nan")))
+        err = fails(runner, "optimize", "optimize", "--config", CONFIG, "--out", str(art))
+        assert f"cell '{cell_id}': throughputs must be finite" in err
+
+    def test_unknown_neighbor_id(self, runner, scenario_dir, tmp_path):
+        art = self.copy(scenario_dir, tmp_path)
+
+        def edit(cell):
+            cell["neighbor_level"] = {"NOPE": 1.0}
+
+        cell_id = self.edit_kpis(art, edit)
+        err = fails(
+            runner, "maps",
+            "localize", "--config", CONFIG, "--out", str(art), "--x-override", "1,1,1,1,1",
+        )
+        assert f"cell '{cell_id}': neighbor_level names cells not on the grid: ['NOPE']" in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"residual": 1.0}, "'x' must be a list of 5 numbers"),
+            ({"x": ["a", 0, 0, 0, 0]}, "'x' must be a list of 5 numbers"),
+            ({"x": [0.5, 0.5]}, "'x' must be a list of 5 numbers"),
+            ([0.2, 0.2, 0.2, 0.2, 0.2], "'x' must be a list of 5 numbers"),
+            ({"x": [0.1, -0.1, 0, 0, 0]}, "must be finite and non-negative"),
+            ({"x": [float("nan"), 0, 0, 0, 0]}, "must be finite and non-negative"),
+        ],
+    )
+    def test_bad_importance_vector(self, runner, scenario_dir, tmp_path, doc, message):
+        art = self.copy(scenario_dir, tmp_path)
+        (art / "importance.json").write_text(json.dumps(doc))
+        err = fails(runner, "localize", "localize", "--config", CONFIG, "--out", str(art))
+        assert message in err
+        assert not (art / "fused.csv").exists()
 
 
 class TestXOverrideParsing:

@@ -255,3 +255,26 @@ class TestGridFile:
         path.write_text(text)
         with pytest.raises(ValueError, match="declares 2"):
             load_grid(path)
+
+    @pytest.mark.parametrize(
+        "row, replacement",
+        [
+            ("m,4", ""),
+            ("m,4", "m,four"),
+            ("pixel_size,25.0", ""),
+            ("origin,0.0,0.0", "origin,0.0"),
+            ("q_rxlevmin,-115.0", "q_rxlevmin,"),
+            ("cells,1", ""),
+        ],
+    )
+    def test_missing_or_garbled_header_row_named(self, tmp_path, row, replacement):
+        grid = constant_grid([("A", (0.0, 0.0), 0.0, -90.0, ())], m=4)
+        path = tmp_path / "grid.csv"
+        save_grid(grid, path)
+        text = path.read_text()
+        assert f"\n{row}\n" in text
+        path.write_text(text.replace(f"\n{row}\n", f"\n{replacement}\n" if replacement else "\n"))
+        key = row.split(",")[0]
+        with pytest.raises(ValueError, match=f"grid.csv: missing or garbled '{key}' header row"):
+            load_grid(path)
+

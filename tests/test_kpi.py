@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,20 @@ class TestCellKpis:
         with pytest.raises(ValueError, match="load_time"):
             bad.validate()
 
+    @pytest.mark.parametrize("field", ["amt_bps", "hmt_bps"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_throughput_rejected(self, field, value):
+        bad = self.good()
+        setattr(bad, field, value)
+        with pytest.raises(ValueError, match="throughputs must be finite"):
+            bad.validate()
+
+    def test_non_finite_neighbor_level_rejected(self):
+        bad = self.good()
+        bad.neighbor_level = {"B": np.nan, "C": 1.0}
+        with pytest.raises(ValueError, match="neighbor_level fractions must be finite"):
+            bad.validate()
+
     def test_aoa_fraction_indexing(self):
         kpis = self.good()
         assert kpis.aoa_fraction(-1) == 0.3
@@ -107,6 +123,27 @@ class TestWeightMap:
         assert loaded.pixel_size == wmap.pixel_size
         assert loaded.label == wmap.label
         assert loaded.origin == wmap.origin
+
+
+    @pytest.mark.parametrize(
+        "row, replacement",
+        [
+            ("m,6", ""),
+            ("pixel_size,12.5", "pixel_size,twelve"),
+            ("label,tag", ""),
+            ("origin,3.25,-7.5", "origin,3.25"),
+        ],
+    )
+    def test_missing_or_garbled_header_row_named(self, tmp_path, row, replacement):
+        wmap = WeightMap(np.ones((6, 6)), 12.5, "tag", origin=(3.25, -7.5))
+        path = tmp_path / "map.csv"
+        save_weight_map(wmap, path)
+        text = path.read_text()
+        assert f"\n{row}\n" in text
+        path.write_text(text.replace(f"\n{row}\n", f"\n{replacement}\n" if replacement else "\n"))
+        key = row.split(",")[0]
+        with pytest.raises(ValueError, match=f"map.csv: missing or garbled '{key}' header row"):
+            load_weight_map(path)
 
 
 class TestGroundTruth:
@@ -335,3 +372,44 @@ class TestOracle:
         kpis = KpiSet(cells={"A": CellKpis.empty()})
         with pytest.raises(ValueError, match="exactly the grid's cells"):
             kpis.validate(grid)
+
+    def test_validate_against_grid_detects_unknown_neighbor(self):
+        grid, servers = self.two_cell_setup()
+        good = TestCellKpis().good()
+        kpis = KpiSet(cells={"A": good, "B": CellKpis.empty()})
+        with pytest.raises(ValueError, match=r"cell 'A': neighbor_level names cells not on the grid: \['C'\]"):
+            kpis.validate(grid)
+
+    def test_load_validates_every_cell(self, tmp_path):
+        """The probe from a NaN load time and a negative TA fraction: the
+        loader names the file, the cell and the field."""
+        grid, servers = self.two_cell_setup()
+        rng = np.random.default_rng(16)
+        kpis = oracle_kpis(random_truth(grid.spec, rng), grid, servers, self.params)
+        path = tmp_path / "kpis.json"
+        save_kpi_set(kpis, path)
+        doc = json.loads(path.read_text())
+        doc["cells"][1]["load_time"] = float("nan")
+        doc["cells"][1]["ta"][0] = -0.25
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"kpis.json: cell 'B': ta fractions must be finite and non-negative"):
+            load_kpi_set(path)
+
+    def test_load_rejects_nan_throughput(self, tmp_path):
+        grid, servers = self.two_cell_setup()
+        rng = np.random.default_rng(16)
+        kpis = oracle_kpis(random_truth(grid.spec, rng), grid, servers, self.params)
+        path = tmp_path / "kpis.json"
+        save_kpi_set(kpis, path)
+        doc = json.loads(path.read_text())
+        doc["cells"][0]["amt_bps"] = float("nan")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"cell 'A': throughputs must be finite"):
+            load_kpi_set(path)
+
+    def test_load_names_missing_field(self, tmp_path):
+        path = tmp_path / "kpis.json"
+        path.write_text(json.dumps({"source": "oracle", "window_s": None, "cells": [{"cell_id": "A"}]}))
+        with pytest.raises(ValueError, match="kpis.json: missing field 'ta'"):
+            load_kpi_set(path)
+

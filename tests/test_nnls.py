@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,9 +10,9 @@ from hotloc.nnls import (
     DesignSystem,
     IterationLimitError,
     build_system,
-    optimize_importance,
     solve_nnls,
 )
+from hotloc.pipeline import _run_optimize
 
 
 def assert_kkt(system, x, tol=1e-8):
@@ -165,6 +167,9 @@ class TestSolveNnls:
 
 
 class TestOptimizeImportance:
+    """The fit as the optimize stage runs it: ``solve_nnls`` on
+    ``build_system``, recorded in ``importance.json``."""
+
     def test_recovers_known_mixture(self):
         rng = np.random.default_rng(17)
         maps = tuple(
@@ -173,27 +178,32 @@ class TestOptimizeImportance:
         x_true = ImportanceVector.of(0.5, 0.0, 0.3, 0.1, 0.0)
         potential = step6_combine(maps, x_true).normalized()
         scale = 1.0 / step6_combine(maps, x_true).total()
-        fit = optimize_importance(maps, potential)
+        fit = solve_nnls(build_system(maps, potential))
         np.testing.assert_allclose(
-            fit.x.as_array(), scale * x_true.as_array(), atol=1e-8
+            fit.importance().as_array(), scale * x_true.as_array(), atol=1e-8
         )
         assert fit.residual <= 1e-9
 
-    def test_normalized_x(self):
+    def test_normalized_x(self, tmp_path):
         rng = np.random.default_rng(18)
         maps = tuple(
             WeightMap(rng.random((6, 6)), 25.0, f"q{k + 1}") for k in range(5)
         )
         potential = step6_combine(maps, ImportanceVector.uniform()).normalized()
-        fit = optimize_importance(maps, potential)
-        normalized = fit.normalized_x()
+        x, residual, iterations = _run_optimize(maps, potential, None, tmp_path)
+        doc = json.loads((tmp_path / "importance.json").read_text())
+        assert doc["x"] == list(x.values)
+        assert (doc["residual"], doc["iterations"]) == (residual, iterations)
+        normalized = doc["x_normalized"]
         assert normalized is not None
         assert abs(sum(normalized) - 1.0) <= 1e-12
 
-    def test_normalized_x_none_for_zero_fit(self):
+    def test_normalized_x_none_for_zero_fit(self, tmp_path):
         maps = tuple(
             WeightMap(np.ones((4, 4)), 25.0, f"q{k + 1}") for k in range(5)
         )
         potential = WeightMap(np.zeros((4, 4)), 25.0, "potential")
-        fit = optimize_importance(maps, potential)
-        assert fit.normalized_x() is None
+        x, _, _ = _run_optimize(maps, potential, None, tmp_path)
+        assert x.values == (0.0,) * 5
+        doc = json.loads((tmp_path / "importance.json").read_text())
+        assert doc["x_normalized"] is None

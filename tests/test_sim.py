@@ -1,12 +1,18 @@
 import csv
+import hashlib
+import json
 import math
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import constant_grid, single_cell_grid
+from conftest import SIM_CONFIG, constant_grid, single_cell_grid
 from hotloc.grid import compute_server_maps
 from hotloc.kpi import LABEL_TRUTH, WeightMap, save_kpi_set
+from hotloc.pipeline import run_pipeline
+from hotloc.scenario import load_scenario_config
 from hotloc.sim import KPI_SOURCE_SIM, SimConfig, UeSession, _reflect, run_simulation
 
 
@@ -25,6 +31,144 @@ def read_events(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+SIM_DIGESTS = Path(__file__).resolve().parent / "data" / "sim_digests.json"
+
+
+def two_cell_corridor():
+    """Cells A (x < 100 m) and B (x >= 100 m), each the other's neighbor,
+    25 dB apart on either side of the midline."""
+    left = np.full((8, 8), np.nan)
+    left[:4] = -70.0
+    left[4:] = -95.0
+    right = np.full((8, 8), np.nan)
+    right[4:] = -70.0
+    right[:4] = -95.0
+    grid = constant_grid(
+        [
+            ("A", (0.0, 100.0), math.pi / 2, left, ("B",)),
+            ("B", (200.0, 100.0), 3 * math.pi / 2, right, ("A",)),
+        ],
+        m=8,
+    )
+    return grid, compute_server_maps(grid)
+
+
+def patchy_grid():
+    """Two neighbor cells with holes: A misses the top two columns, B covers
+    the right half only, and the top-right block has no coverage at all."""
+    a = np.full((8, 8), -72.0)
+    a[:, 6:] = np.nan
+    b = np.full((8, 8), np.nan)
+    b[4:] = -80.0
+    b[4:, 2:4] = -60.0
+    grid = constant_grid(
+        [
+            ("A", (50.0, 50.0), 0.0, a, ("B",)),
+            ("B", (150.0, 150.0), math.pi, b, ("A",)),
+        ],
+        m=8,
+    )
+    return grid, compute_server_maps(grid)
+
+
+def tied_neighbors_grid():
+    """A serves the left half; its neighbors B and C tie on the right half,
+    so a report must go to the first configured one, C."""
+    a = np.full((8, 8), -95.0)
+    a[:4] = -70.0
+    b = np.full((8, 8), -100.0)
+    b[4:] = -75.0
+    c = b.copy()
+    c[6:] = np.nan
+    grid = constant_grid(
+        [
+            ("A", (0.0, 100.0), math.pi / 2, a, ("C", "B")),
+            ("B", (200.0, 50.0), 3 * math.pi / 2, b, ("A", "C")),
+            ("C", (200.0, 150.0), 3 * math.pi / 2, c, ("B", "A")),
+        ],
+        m=8,
+    )
+    return grid, compute_server_maps(grid)
+
+
+def _corridor_case(speed_kmh, cap, seed):
+    # 400 km/h over a 2 s tick is a 222 m step across a 200 m map, so some
+    # moves bounce off both walls of an axis.
+    config = SimConfig(
+        arrival_rate=4.0,
+        duration_s=300.0,
+        tick_s=2.0 if speed_kmh > 100 else 1.0,
+        mobile_fraction=0.7,
+        speed_kmh=speed_kmh,
+        handover_margin_db=6.0,
+        file_size_bits=2e7,
+        max_ue_per_cell=cap,
+        seed=seed,
+    )
+    return (config, *two_cell_corridor())
+
+
+def sim_digest_cases():
+    """Seeded simulator runs whose outputs are pinned by sha256, as
+    ``name -> (config, grid, servers)``; every run uses a uniform truth."""
+    cases = {}
+    for speed in (30.0, 400.0):
+        for cap in (6, 3):
+            for seed in (3, 11):
+                name = f"corridor-{speed:.0f}kmh-cap{cap}-seed{seed}"
+                cases[name] = _corridor_case(speed, cap, seed)
+    cases["patchy"] = (
+        SimConfig(
+            arrival_rate=3.0, duration_s=200.0, mobile_fraction=0.8,
+            speed_kmh=60.0, file_size_bits=1e7, max_ue_per_cell=8, seed=5,
+        ),
+        *patchy_grid(),
+    )
+    cases["tied-neighbors"] = (
+        SimConfig(
+            arrival_rate=3.0, duration_s=200.0, mobile_fraction=0.6,
+            speed_kmh=90.0, file_size_bits=1e7, max_ue_per_cell=5, seed=2,
+        ),
+        *tied_neighbors_grid(),
+    )
+    cases["contended-single-cell"] = (
+        SimConfig(
+            arrival_rate=8.0, duration_s=120.0, mobile_fraction=0.5,
+            speed_kmh=50.0, capacity_per_cell_bps=3e6, max_ue_per_cell=10, seed=9,
+        ),
+        *single_cell_grid(m=8, site=(12.5, 12.5), level=-80.0),
+    )
+    return cases
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def sim_digests(workdir):
+    """sha256 of every pinned output: ``kpis.json`` and ``events.csv`` of
+    each case in :func:`sim_digest_cases`, plus ``kpis.json``,
+    ``events.csv`` and ``report.json`` of a ``configs/sim-small.json``
+    pipeline run."""
+    workdir = Path(workdir)
+    digests = {}
+    for name, (config, grid, servers) in sim_digest_cases().items():
+        events = workdir / f"{name}-events.csv"
+        kpis = run_simulation(
+            config, uniform_truth(grid.spec.m, grid.spec.pixel_size), grid, servers,
+            event_log_path=str(events),
+        )
+        kpis_path = workdir / f"{name}-kpis.json"
+        save_kpi_set(kpis, kpis_path)
+        digests[name] = {"kpis.json": _sha256(kpis_path), "events.csv": _sha256(events)}
+    out = workdir / "sim-small"
+    run_pipeline(load_scenario_config(SIM_CONFIG), out, kpi_source="sim", event_log=True)
+    digests["sim-small-pipeline"] = {
+        name: _sha256(out / name) for name in ("kpis.json", "events.csv", "report.json")
+    }
+    return digests
 
 
 class TestSimConfig:
@@ -194,24 +338,8 @@ class TestRunSimulation:
         assert all(r[1] == "block" and r[2] == "" for r in rows)
         assert kpis.cells["BS01A"].is_empty()
 
-    def two_cell_corridor(self):
-        left = np.full((8, 8), np.nan)
-        left[:4] = -70.0
-        left[4:] = -95.0
-        right = np.full((8, 8), np.nan)
-        right[4:] = -70.0
-        right[:4] = -95.0
-        grid = constant_grid(
-            [
-                ("A", (0.0, 100.0), math.pi / 2, left, ("B",)),
-                ("B", (200.0, 100.0), 3 * math.pi / 2, right, ("A",)),
-            ],
-            m=8,
-        )
-        return grid, compute_server_maps(grid)
-
     def test_mobility_triggers_handovers(self, tmp_path):
-        grid, servers = self.two_cell_corridor()
+        grid, servers = two_cell_corridor()
         truth = uniform_truth(8, 25.0)
         config = SimConfig(
             arrival_rate=4.0,
@@ -234,9 +362,15 @@ class TestRunSimulation:
                 assert ck.neighbor_level == {other: 1.0}
 
     def test_static_ues_never_hand_over(self, tmp_path):
-        grid, servers = self.two_cell_corridor()
+        grid, servers = two_cell_corridor()
         config = SimConfig(arrival_rate=4.0, duration_s=60.0, mobile_fraction=0.0)
         log = tmp_path / "events.csv"
         run_simulation(config, uniform_truth(8, 25.0), grid, servers, str(log))
         _, rows = read_events(str(log))
         assert all(r[1] != "handover" for r in rows)
+
+
+class TestSimDigests:
+    def test_outputs_match_the_recorded_digests(self, tmp_path):
+        recorded = json.loads(SIM_DIGESTS.read_text())["digests"]
+        assert sim_digests(tmp_path) == recorded

@@ -301,6 +301,13 @@ def header_row(
         raise ValueError(f"{path}: missing or garbled {key!r} header row") from None
 
 
+def garbled_line(path: str | Path, line_no: int, line: str, reason: str) -> ValueError:
+    """The error for a garbled row of a text artifact, naming the file and
+    the 1-based line. Loaders parse their rows inside one ``try`` and call
+    this only on the error path, so the rows that parse pay nothing."""
+    return ValueError(f"{path}: line {line_no}: {reason}: {line!r}")
+
+
 def load_grid(path: str | Path) -> CoverageGrid:
     """Read a coverage grid written by :func:`save_grid`."""
     lines = Path(path).read_text().splitlines()
@@ -310,22 +317,25 @@ def load_grid(path: str | Path) -> CoverageGrid:
     header: dict[str, list[str]] = {}
     cells: list[CellInfo] = []
     row = 1
-    while row < len(lines) and lines[row] != "rsrp":
-        parts = lines[row].split(",")
-        if parts[0] == "cell":
-            _, cell_id, x, y, az_deg, nbs = parts
-            neighbors = tuple(n for n in nbs.split(";") if n)
-            cells.append(
-                CellInfo(
-                    cell_id=cell_id,
-                    site_position=(float(x), float(y)),
-                    azimuth=math.radians(float(az_deg)) % (2.0 * math.pi),
-                    neighbors=neighbors,
+    try:
+        while row < len(lines) and lines[row] != "rsrp":
+            parts = lines[row].split(",")
+            if parts[0] == "cell":
+                _, cell_id, x, y, az_deg, nbs = parts
+                neighbors = tuple(n for n in nbs.split(";") if n)
+                cells.append(
+                    CellInfo(
+                        cell_id=cell_id,
+                        site_position=(float(x), float(y)),
+                        azimuth=math.radians(float(az_deg)) % (2.0 * math.pi),
+                        neighbors=neighbors,
+                    )
                 )
-            )
-        else:
-            header[parts[0]] = parts[1:]
-        row += 1
+            else:
+                header[parts[0]] = parts[1:]
+            row += 1
+    except ValueError as exc:
+        raise garbled_line(path, row + 1, lines[row], str(exc)) from None
     if row == len(lines):
         raise ValueError(f"{path}: missing rsrp section")
 
@@ -341,11 +351,17 @@ def load_grid(path: str | Path) -> CoverageGrid:
 
     index = {c.cell_id: k for k, c in enumerate(cells)}
     rsrp = np.full((len(cells), spec.m, spec.m), np.nan)
-    for line in lines[row + 1 :]:
-        if not line:
-            continue
-        cell_id, i, j, value = line.split(",")
-        rsrp[index[cell_id], int(i), int(j)] = float(value)
+    try:
+        for line in lines[row + 1 :]:
+            if not line:
+                continue
+            cell_id, i, j, value = line.split(",")
+            rsrp[index[cell_id], int(i), int(j)] = float(value)
+    except (ValueError, KeyError, IndexError) as exc:
+        # Equal lines fail alike, so the first copy of the failing line is
+        # the offending one.
+        reason = f"unknown cell id {cell_id!r}" if isinstance(exc, KeyError) else str(exc)
+        raise garbled_line(path, lines.index(line, row + 1) + 1, line, reason) from None
 
     return CoverageGrid(
         spec=spec,

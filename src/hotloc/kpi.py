@@ -22,6 +22,7 @@ from hotloc.grid import (
     ServerMaps,
     TA_ZONE_COUNT,
     aoa_zone_layer,
+    garbled_line,
     header_row,
     ta_zone_layer,
 )
@@ -399,11 +400,15 @@ def load_weight_map(path: str | Path) -> WeightMap:
     if "origin" in header:
         origin = tuple(header_row(header, "origin", path, count=2))
     values = np.zeros((m, m))
-    for line in lines[row + 1 :]:
-        if not line:
-            continue
-        i, j, value = line.split(",")
-        values[int(i), int(j)] = float(value)
+    try:
+        for line in lines[row + 1 :]:
+            if not line:
+                continue
+            i, j, value = line.split(",")
+            values[int(i), int(j)] = float(value)
+    except (ValueError, IndexError) as exc:
+        # Equal lines fail alike: the first copy is the offending line.
+        raise garbled_line(path, lines.index(line, row + 1) + 1, line, str(exc)) from None
     return WeightMap(values, pixel_size, label, origin)
 
 

@@ -249,12 +249,30 @@ def _get(data: dict, key: str, path: str, required: bool = True, default=None):
     return data[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """False for NaN and +-Infinity, which Python's json module accepts."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _check_number(value, field: str) -> None:
+    if not _is_number(value):
+        raise ConfigError(field, f"expected a number, got {value!r}")
+    if not _is_finite_number(value):
+        raise ConfigError(field, f"must be finite, got {value!r}")
+
+
 def _number(data: dict, key: str, path: str, required: bool = True, default=None) -> float:
     value = _get(data, key, path, required, default)
     if value is None:
         return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}" if path else key, f"expected a number, got {value!r}")
+    _check_number(value, f"{path}.{key}" if path else key)
     return float(value)
 
 
@@ -264,9 +282,9 @@ def _pair(data: dict, key: str, path: str, default=None) -> tuple[float, float]:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
+        or not all(_is_finite_number(v) for v in value)
     ):
-        raise ConfigError(field, f"expected [x, y], got {value!r}")
+        raise ConfigError(field, f"expected [x, y] of finite numbers, got {value!r}")
     return (float(value[0]), float(value[1]))
 
 
@@ -361,8 +379,14 @@ def _parse_potential(data: dict) -> PotentialHotspotSpec:
                 )
             elif shape == "rect":
                 corners = _get(zone, "corners", path)
-                if not isinstance(corners, (list, tuple)) or len(corners) != 4:
-                    raise ConfigError(f"{path}.corners", "expected [xmin, ymin, xmax, ymax]")
+                if (
+                    not isinstance(corners, (list, tuple))
+                    or len(corners) != 4
+                    or not all(_is_finite_number(v) for v in corners)
+                ):
+                    raise ConfigError(
+                        f"{path}.corners", "expected [xmin, ymin, xmax, ymax] of finite numbers"
+                    )
                 zones.append(
                     HotspotZone(
                         shape="rect",
@@ -389,8 +413,7 @@ def _parse_block(data: dict, key: str, cls, field_map: dict[str, str]):
     for json_key, arg in field_map.items():
         if json_key in raw:
             value = raw[json_key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{key}.{json_key}", f"expected a number, got {value!r}")
+            _check_number(value, f"{key}.{json_key}")
             kwargs[arg] = value
     try:
         return cls(**kwargs)
@@ -441,6 +464,8 @@ def parse_scenario_config(data: dict, seed_override: int | None = None) -> Scena
             max_ue_per_cell=int(_number(sim_raw, "max_ue_per_cell", "sim", False, 50)),
             seed=seed,
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError("sim", str(exc)) from exc
 
@@ -466,7 +491,7 @@ def parse_scenario_config(data: dict, seed_override: int | None = None) -> Scena
     if (
         not isinstance(p_list, (list, tuple))
         or not p_list
-        or any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in p_list)
+        or not all(_is_finite_number(p) for p in p_list)
     ):
         raise ConfigError("evaluation.p_list", f"expected a list of fractions, got {p_list!r}")
     try:
@@ -477,6 +502,8 @@ def parse_scenario_config(data: dict, seed_override: int | None = None) -> Scena
             ),
             p_list=tuple(float(p) for p in p_list),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError("evaluation", str(exc)) from exc
 

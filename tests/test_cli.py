@@ -363,6 +363,26 @@ class TestPipelineCommand:
         assert result.exit_code == 0
         assert (out / "events.csv").exists()
 
+    def test_nan_config_number_fails_in_config_stage(self, runner, tmp_path):
+        # json reads the NaN literal; a NaN margin made every UE with a
+        # configured neighbor hand over.
+        text = SIM_CONFIG.read_text().replace(
+            '"handover_margin_db": 6.0', '"handover_margin_db": NaN'
+        )
+        assert "NaN" in text
+        bad = tmp_path / "nan.json"
+        bad.write_text(text)
+        # Config errors are reported before any stage runs, as "config".
+        err = fails(
+            runner,
+            "config",
+            "pipeline",
+            "--config", str(bad),
+            "--out", str(tmp_path / "out"),
+            "--kpi-source", "sim",
+        )
+        assert "sim.handover_margin_db: must be finite, got nan" in err
+
     def test_idle_sim_fails_in_kpi_stage(self, runner, tmp_path):
         doc = json.loads(SIM_CONFIG.read_text())
         doc["sim"]["arrival_rate"] = 0.0

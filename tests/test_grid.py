@@ -278,3 +278,36 @@ class TestGridFile:
         with pytest.raises(ValueError, match=f"grid.csv: missing or garbled '{key}' header row"):
             load_grid(path)
 
+    @pytest.mark.parametrize(
+        "row, replacement, reason",
+        [
+            (
+                "cell,B,5.0,0.0,57.29577951308232,A",
+                "cell,B,5.0",
+                "not enough values to unpack (expected 6, got 3)",
+            ),
+            ("cell,A,0.0,0.0,0.0,B", "cell,A,zero,0.0,0.0,B", "could not convert"),
+            ("A,1,1,-90.0", "A,1", "not enough values to unpack (expected 4, got 2)"),
+            ("A,1,2,-90.0", "A,1,2,-9o.0", "could not convert"),
+            ("B,2,1,-80.0", "C,2,1,-80.0", "unknown cell id 'C'"),
+        ],
+    )
+    def test_garbled_row_named_by_line(self, tmp_path, row, replacement, reason):
+        layer = np.full((3, 3), -90.0)
+        layer[0, 0] = np.nan
+        grid = constant_grid(
+            [("A", (0.0, 0.0), 0.0, layer, ("B",)), ("B", (5.0, 0.0), 1.0, -80.0, ("A",))],
+            m=3,
+        )
+        path = tmp_path / "grid.csv"
+        save_grid(grid, path)
+        lines = path.read_text().splitlines()
+        line_no = lines.index(row) + 1
+        lines[line_no - 1] = replacement
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_grid(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: line {line_no}: {reason}")
+        assert message.endswith(repr(replacement))
+

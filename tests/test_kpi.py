@@ -145,6 +145,20 @@ class TestWeightMap:
         with pytest.raises(ValueError, match=f"map.csv: missing or garbled '{key}' header row"):
             load_weight_map(path)
 
+    def test_garbled_row_named_by_line(self, tmp_path):
+        wmap = WeightMap(np.ones((3, 3)), 12.5, "tag")
+        path = tmp_path / "map.csv"
+        save_weight_map(wmap, path)
+        lines = path.read_text().splitlines()
+        line_no = lines.index("1,2,1.0") + 1
+        lines[line_no - 1] = "1,2"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_weight_map(path)
+        assert str(excinfo.value) == (
+            f"{path}: line {line_no}: not enough values to unpack (expected 3, got 2): '1,2'"
+        )
+
 
 class TestGroundTruth:
     spec = GridSpec(m=20, pixel_size=25.0)

@@ -210,6 +210,45 @@ class TestParseConfig:
             parse_scenario_config(data)
         assert excinfo.value.field == "localizer.epsilon"
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("sim", "handover_margin_db"),
+            ("sim", "speed_kmh"),
+            ("localizer", "epsilon"),
+            ("oracle", "rho_cap"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected(self, section, key, value):
+        data = minimal_config(**{section: {key: value}})
+        with pytest.raises(ConfigError, match="must be finite") as excinfo:
+            parse_scenario_config(data)
+        assert excinfo.value.field == f"{section}.{key}"
+
+    def test_non_finite_pair_rejected(self):
+        data = minimal_config(grid={"extent_m": 100.0, "pixel_size_m": 25.0, "origin": [0.0, math.inf]})
+        with pytest.raises(ConfigError, match="finite") as excinfo:
+            parse_scenario_config(data)
+        assert excinfo.value.field == "grid.origin"
+
+    def test_non_finite_lists_rejected(self):
+        zone = {"shape": "rect", "importance": 1.0, "corners": [0.0, 0.0, math.nan, 100.0]}
+        with pytest.raises(ConfigError) as excinfo:
+            parse_scenario_config(minimal_config(potential={"zones": [zone]}))
+        assert excinfo.value.field == "potential.zones[0].corners"
+        with pytest.raises(ConfigError) as excinfo:
+            parse_scenario_config(minimal_config(evaluation={"p_list": [0.01, math.nan]}))
+        assert excinfo.value.field == "evaluation.p_list"
+
+    def test_nan_literal_in_config_file(self, tmp_path):
+        # Python's json module reads the non-standard NaN literal.
+        path = tmp_path / "nan.json"
+        text = json.dumps(minimal_config(sim={"handover_margin_db": 6.0}))
+        path.write_text(text.replace("6.0", "NaN"))
+        with pytest.raises(ConfigError, match="sim.handover_margin_db: must be finite"):
+            load_scenario_config(path)
+
     def test_invalid_sim_block(self):
         data = minimal_config(sim={"arrival_rate": -2.0})
         with pytest.raises(ConfigError, match="sim"):

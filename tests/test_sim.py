@@ -13,7 +13,7 @@ from hotloc.grid import compute_server_maps
 from hotloc.kpi import LABEL_TRUTH, WeightMap, save_kpi_set
 from hotloc.pipeline import run_pipeline
 from hotloc.scenario import load_scenario_config
-from hotloc.sim import KPI_SOURCE_SIM, SimConfig, UeSession, _reflect, run_simulation
+from hotloc.sim import KPI_SOURCE_SIM, SimConfig, _reflect, run_simulation
 
 
 def delta_truth(m, pixel, hot_pixels):
@@ -75,13 +75,14 @@ def patchy_grid():
 
 def tied_neighbors_grid():
     """A serves the left half; its neighbors B and C tie on the right half,
-    so a report must go to the first configured one, C."""
+    so a report must go to the first configured one, C, except in the top
+    two columns, where C has no signal and B must win."""
     a = np.full((8, 8), -95.0)
     a[:4] = -70.0
     b = np.full((8, 8), -100.0)
     b[4:] = -75.0
     c = b.copy()
-    c[6:] = np.nan
+    c[:, 6:] = np.nan
     grid = constant_grid(
         [
             ("A", (0.0, 100.0), math.pi / 2, a, ("C", "B")),
@@ -184,33 +185,44 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="margin"):
             SimConfig(arrival_rate=1.0, handover_margin_db=-1.0)
 
+    @pytest.mark.parametrize("name", ["speed_kmh", "handover_margin_db", "tick_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, name, value):
+        # An infinite speed would fold positions back into the map forever.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SimConfig(arrival_rate=1.0, **{name: value})
+
     def test_tick_count(self):
         assert SimConfig(arrival_rate=1.0, duration_s=10.0, tick_s=1.0).n_ticks == 10
         assert SimConfig(arrival_rate=1.0, duration_s=10.0, tick_s=4.0).n_ticks == 2
         assert SimConfig(arrival_rate=1.0, duration_s=0.4, tick_s=1.0).n_ticks == 1
 
-    def test_session_validation(self):
-        with pytest.raises(ValueError, match="remaining bits"):
-            UeSession(
-                ue_id=0, x=0.0, y=0.0, pixel=(0, 0), serving=0,
-                remaining_bits=-1.0, mobile=False, heading=0.0, start_tick=0,
-            )
-
 
 class TestReflect:
+    def reflect(self, positions):
+        pos, flipped = _reflect(np.array(positions), 0.0, 10.0)
+        return pos.tolist(), flipped.tolist()
+
     def test_inside_untouched(self):
-        assert _reflect(5.0, 0.0, 10.0) == (5.0, False)
-        assert _reflect(0.0, 0.0, 10.0) == (0.0, False)
-        assert _reflect(10.0, 0.0, 10.0) == (10.0, False)
+        # Points on either edge are inside and keep their value.
+        assert self.reflect([5.0, 0.0, 10.0, 0.25]) == (
+            [5.0, 0.0, 10.0, 0.25],
+            [False, False, False, False],
+        )
 
     def test_single_reflection(self):
-        assert _reflect(-3.0, 0.0, 10.0) == (3.0, True)
-        assert _reflect(13.0, 0.0, 10.0) == (7.0, True)
+        assert self.reflect([-3.0, 13.0, -10.0, 20.0]) == (
+            [3.0, 7.0, 10.0, 0.0],
+            [True, True, True, True],
+        )
 
     def test_double_reflection_restores_direction(self):
-        pos, flipped = _reflect(25.0, 0.0, 10.0)
-        assert pos == 5.0
-        assert flipped is False
+        # 25 folds at 10 to -5, then at 0 to 5; -12 folds at 0 to 12, then
+        # at 10 to 8. The inside entry is not moved by the extra passes.
+        assert self.reflect([25.0, -12.0, 4.0, 13.0]) == (
+            [5.0, 8.0, 4.0, 7.0],
+            [False, False, False, True],
+        )
 
 
 class TestRunSimulation:
@@ -360,6 +372,29 @@ class TestRunSimulation:
             other = "B" if cell_id == "A" else "A"
             if ck.neighbor_level:
                 assert ck.neighbor_level == {other: 1.0}
+
+    def test_handover_into_full_cell_reports_without_switching(self, tmp_path):
+        grid, servers = two_cell_corridor()
+        # One slot per cell and downloads that never finish: the first UE
+        # admitted in each cell holds it for the whole run, so a UE that
+        # crosses the midline files reports but can never switch.
+        config = SimConfig(
+            arrival_rate=5.0,
+            duration_s=200.0,
+            mobile_fraction=1.0,
+            speed_kmh=200.0,
+            file_size_bits=1e12,
+            max_ue_per_cell=1,
+            seed=1,
+        )
+        log = tmp_path / "events.csv"
+        kpis = run_simulation(config, uniform_truth(8, 25.0), grid, servers, str(log))
+        _, rows = read_events(str(log))
+        arrivals = sorted(r[2] for r in rows if r[1] == "arrive")
+        assert arrivals == ["A", "B"]
+        assert not [r for r in rows if r[1] in ("handover", "complete")]
+        reported = {c: ck.neighbor_level for c, ck in kpis.cells.items() if ck.neighbor_level}
+        assert reported == {"A": {"B": 1.0}, "B": {"A": 1.0}}
 
     def test_static_ues_never_hand_over(self, tmp_path):
         grid, servers = two_cell_corridor()

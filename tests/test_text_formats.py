@@ -1,0 +1,179 @@
+"""Byte pins of the text artifacts: ``grid.csv``, the weight-map CSVs and
+``cdf.csv``.
+
+The per-row writers below are the reference implementations of the three
+formats. The production writers must produce the same bytes on every
+artifact of a desk run and on seeded grids and maps with edge values, and
+``save(load(f))`` must give ``f`` back.
+"""
+
+import csv
+import io
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from hotloc.evaluate import write_report_csvs
+from hotloc.grid import CellInfo, CoverageGrid, GridSpec, load_grid, save_grid
+from hotloc.kpi import LABEL_TRUTH, WeightMap, load_weight_map, save_weight_map
+
+EDGE_VALUES = (-0.0, 5e-324, 1e16, 1e-5, 1e-4)
+
+
+def reference_grid_text(grid: CoverageGrid) -> str:
+    spec = grid.spec
+    lines = ["hotloc-grid,1"]
+    lines.append(f"m,{spec.m}")
+    lines.append(f"pixel_size,{spec.pixel_size!r}")
+    lines.append(f"origin,{spec.origin[0]!r},{spec.origin[1]!r}")
+    lines.append(f"q_rxlevmin,{grid.q_rxlevmin!r}")
+    lines.append(f"cells,{grid.n_cells}")
+    for cell in grid.cells:
+        az_deg = math.degrees(cell.azimuth)
+        nbs = ";".join(cell.neighbors)
+        lines.append(
+            f"cell,{cell.cell_id},{cell.site_position[0]!r},"
+            f"{cell.site_position[1]!r},{az_deg!r},{nbs}"
+        )
+    lines.append("rsrp")
+    for k, cell in enumerate(grid.cells):
+        layer = grid.rsrp[k]
+        ii, jj = np.nonzero(~np.isnan(layer))
+        for i, j, value in zip(ii.tolist(), jj.tolist(), layer[ii, jj].tolist()):
+            lines.append(f"{cell.cell_id},{i},{j},{value!r}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_map_text(wmap: WeightMap) -> str:
+    lines = ["hotloc-weightmap,1"]
+    lines.append(f"m,{wmap.m}")
+    lines.append(f"pixel_size,{wmap.pixel_size!r}")
+    lines.append(f"label,{wmap.label}")
+    lines.append(f"origin,{wmap.origin[0]!r},{wmap.origin[1]!r}")
+    lines.append("i,j,weight")
+    for i in range(wmap.m):
+        row = wmap.values[i].tolist()
+        for j in range(wmap.m):
+            lines.append(f"{i},{j},{row[j]!r}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_cdf_text(report) -> str:
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["variant", "weight", "fraction"])
+    series = [(LABEL_TRUTH, report.truth_cdf)]
+    series += [(label, (v.cdf_weights, v.cdf_fractions)) for label, v in sorted(report.variants.items())]
+    for label, (weights, fractions) in series:
+        for w, f in zip(weights, fractions):
+            writer.writerow([label, repr(float(w)), repr(float(f))])
+    return fh.getvalue()
+
+
+def edge_grid(seed: int) -> CoverageGrid:
+    """Four cells with numeric-looking ids on a 7x7 grid: random RSRP with
+    NaN holes, one all-NaN layer, and the edge values in the last one."""
+    rng = np.random.default_rng(seed)
+    m = 7
+    rsrp = rng.uniform(-130.0, -60.0, size=(4, m, m))
+    rsrp[rng.random((4, m, m)) < 0.3] = np.nan
+    rsrp[1] = np.nan
+    rsrp[3].flat[: len(EDGE_VALUES)] = EDGE_VALUES
+    ids = ("12", "1e3", "nan", "-0.5")
+    cells = [
+        CellInfo(cell_id=cid, site_position=(25.0 * k, -12.5), azimuth=0.25 * k)
+        for k, cid in enumerate(ids)
+    ]
+    return CoverageGrid(
+        spec=GridSpec(m=m, pixel_size=12.5, origin=(-30.0, 40.0)),
+        cells=cells,
+        rsrp=rsrp,
+        q_rxlevmin=-115.0,
+    )
+
+
+def edge_map(seed: int) -> WeightMap:
+    """A 9x9 weight map of random weights, zeros and the edge values."""
+    rng = np.random.default_rng(seed)
+    values = rng.random((9, 9)) * 10.0 ** rng.integers(-8, 8, size=(9, 9))
+    values[rng.random((9, 9)) < 0.2] = 0.0
+    values.flat[: len(EDGE_VALUES)] = EDGE_VALUES
+    return WeightMap(values, 12.5, "1e3", origin=(3.25, -7.5))
+
+
+def assert_round_trip(path, load, save):
+    """``save(load(path))`` rewrites ``path`` byte for byte."""
+    original = path.read_bytes()
+    again = path.with_name("again-" + path.name)
+    save(load(path), again)
+    assert again.read_bytes() == original
+
+
+class TestDeskArtifacts:
+    def test_grid_csv_matches_reference(self, desk_run):
+        path = desk_run.out_dir / "grid.csv"
+        assert path.read_bytes() == reference_grid_text(desk_run.scenario.grid).encode()
+
+    def test_weight_maps_match_reference(self, desk_run):
+        maps = {
+            "truth": desk_run.scenario.truth,
+            "potential": desk_run.potential_map,
+            "fused": desk_run.localization.fused,
+            "smoothed": desk_run.localization.smoothed,
+        }
+        maps.update((wmap.label, wmap) for wmap in desk_run.kpi_maps)
+        assert len(maps) == 9
+        for name, wmap in maps.items():
+            path = desk_run.out_dir / f"{name}.csv"
+            assert path.read_bytes() == reference_map_text(wmap).encode(), name
+
+    def test_cdf_csv_matches_reference(self, desk_run):
+        path = desk_run.out_dir / "cdf.csv"
+        assert path.read_bytes() == reference_cdf_text(desk_run.report).encode()
+
+    def test_save_of_load_is_identity(self, desk_run, tmp_path):
+        for path in sorted(desk_run.out_dir.glob("*.csv")):
+            if path.name == "grid.csv":
+                load, save = load_grid, save_grid
+            elif path.read_text().startswith("hotloc-weightmap,1\n"):
+                load, save = load_weight_map, save_weight_map
+            else:
+                continue
+            copy = tmp_path / path.name
+            copy.write_bytes(path.read_bytes())
+            assert_round_trip(copy, load, save)
+
+
+class TestEdgeValues:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_grid_bytes_and_round_trip(self, tmp_path, seed):
+        grid = edge_grid(seed)
+        path = tmp_path / "grid.csv"
+        save_grid(grid, path)
+        assert path.read_bytes() == reference_grid_text(grid).encode()
+        loaded = load_grid(path)
+        np.testing.assert_array_equal(loaded.rsrp, grid.rsrp)
+        np.testing.assert_array_equal(np.signbit(loaded.rsrp), np.signbit(grid.rsrp))
+        assert [c.cell_id for c in loaded.cells] == [c.cell_id for c in grid.cells]
+        assert_round_trip(path, load_grid, save_grid)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_map_bytes_and_round_trip(self, tmp_path, seed):
+        wmap = edge_map(seed)
+        path = tmp_path / "map.csv"
+        save_weight_map(wmap, path)
+        assert path.read_bytes() == reference_map_text(wmap).encode()
+        loaded = load_weight_map(path)
+        np.testing.assert_array_equal(loaded.values, wmap.values)
+        np.testing.assert_array_equal(np.signbit(loaded.values), np.signbit(wmap.values))
+        assert_round_trip(path, load_weight_map, save_weight_map)
+
+    def test_cdf_bytes_with_edge_weights(self, tmp_path, desk_run):
+        weights = np.array(sorted({0.0, *EDGE_VALUES[1:], 0.5}))
+        fractions = np.linspace(0.0, 1.0, weights.size)
+        edge_report = replace(desk_run.report, truth_cdf=(weights, fractions))
+        paths = [tmp_path / name for name in ("peaks.csv", "detection.csv", "cdf.csv")]
+        write_report_csvs(edge_report, *map(str, paths))
+        assert paths[2].read_bytes() == reference_cdf_text(edge_report).encode()

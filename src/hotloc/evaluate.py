@@ -18,6 +18,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -307,5 +308,6 @@ def write_report_csvs(report: EvalReport, peaks_path: str, detection_path: str, 
             for label, v in sorted(report.variants.items())
         ]
         for label, (weights, fractions) in series:
-            for w, f in zip(weights, fractions):
-                writer.writerow([label, repr(float(w)), repr(float(f))])
+            writer.writerows(
+                zip(repeat(label), map(repr, weights.tolist()), map(repr, fractions.tolist()))
+            )

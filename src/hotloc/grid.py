@@ -14,9 +14,13 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -255,10 +259,22 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo) -> np.ndarray:
 #                q_rxlevmin,<float> / cells,<count>
 #   cell rows:   cell,<id>,<x>,<y>,<azimuth_deg>,<nb1;nb2;...>
 #   marker row:  rsrp
-#   layer rows:  <cell_id>,<i>,<j>,<rsrp_dbm>    (absent pair = no coverage)
+#   layer rows:  <cell_id>,<i>,<j>,<rsrp_dbm>
+#
+# Layer rows may come in any order. Each (cell, pixel) pair appears at most
+# once, with 0 <= i, j < m. A pair that is absent, or whose value is nan,
+# means no coverage from that cell at that pixel. The writer emits the
+# covered pixels of each layer in row-major order, layer by layer.
 # ---------------------------------------------------------------------------
 
 _GRID_MAGIC = "hotloc-grid,1"
+
+
+def pixel_prefixes(m: int) -> list[str]:
+    """The ``"i,j,"`` prefixes of the data rows of an m x m raster, in
+    row-major order."""
+    coords = [f"{n}," for n in range(m)]
+    return list(map("".join, itertools.product(coords, repeat=2)))
 
 
 def save_grid(grid: CoverageGrid, path: str | Path) -> None:
@@ -278,12 +294,18 @@ def save_grid(grid: CoverageGrid, path: str | Path) -> None:
             f"{cell.site_position[1]!r},{az_deg!r},{nbs}"
         )
     lines.append("rsrp")
-    for k, cell in enumerate(grid.cells):
-        layer = grid.rsrp[k]
-        ii, jj = np.nonzero(~np.isnan(layer))
-        for i, j, value in zip(ii.tolist(), jj.tolist(), layer[ii, jj].tolist()):
-            lines.append(f"{cell.cell_id},{i},{j},{value!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    pixels = np.array(pixel_prefixes(spec.m), dtype=object)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        for cell, layer in zip(grid.cells, grid.rsrp.reshape(grid.n_cells, -1)):
+            covered = ~np.isnan(layer)
+            if not covered.any():
+                continue
+            # The cell id leads every row: it opens the block and follows
+            # each line break of the join.
+            lead = f"{cell.cell_id},"
+            rows = map(str.__add__, pixels[covered].tolist(), map(repr, layer[covered].tolist()))
+            fh.write(lead + f"\n{lead}".join(rows) + "\n")
 
 
 def header_row(
@@ -303,65 +325,167 @@ def header_row(
 
 def garbled_line(path: str | Path, line_no: int, line: str, reason: str) -> ValueError:
     """The error for a garbled row of a text artifact, naming the file and
-    the 1-based line. Loaders parse their rows inside one ``try`` and call
-    this only on the error path, so the rows that parse pay nothing."""
+    the 1-based line."""
     return ValueError(f"{path}: line {line_no}: {reason}: {line!r}")
+
+
+def read_header_lines(fh: TextIO, marker: str) -> list[str]:
+    """The lines of the open text file ``fh`` up to and including the first
+    one equal to ``marker``, or to the end of the file, without their line
+    ends. ``fh`` is left at the line after the marker."""
+    lines = []
+    for line in iter(fh.readline, ""):
+        lines.append(line.rstrip("\n"))
+        if lines[-1] == marker:
+            break
+    return lines
+
+
+_PIXEL_ROW = np.dtype([("i", np.intp), ("j", np.intp), ("v", np.float64)])
+# A grid layer row leads with its cell id, which a second pass maps to the
+# layer. loadtxt keeps one character of it, which is enough to hold every
+# row to exactly four fields.
+_LAYER_ROW = np.dtype([("cell", "U1"), *_PIXEL_ROW.descr])
+
+
+def scatter_pixel_rows(
+    path: str | Path,
+    fh: TextIO,
+    first_line: int,
+    out: np.ndarray,
+    cell_index: dict[str, int] | None = None,
+) -> None:
+    """Read the data rows left in the open text file ``fh`` and write their
+    values into ``out``. Rows are ``i,j,value`` into an (m, m) raster, or
+    ``<cell_id>,i,j,value`` into the (n, m, m) stack when ``cell_index``
+    maps cell ids to layers. ``first_line`` is the 0-based line number of
+    the first row. Empty lines are skipped.
+
+    Every row must parse, name a known cell, hold indices in ``[0, m)``
+    and name a pixel no earlier row named. The rows are parsed in bulk;
+    only when that fails does :func:`_first_bad_row` read them again one
+    by one to raise a ValueError naming the file and the first bad line."""
+    m = out.shape[-1]
+    start = fh.tell()
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads "1.5" into an integer column with only a
+            # DeprecationWarning; the rows must hold plain integers. A
+            # section without rows is valid.
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("ignore", UserWarning)
+            parsed = np.loadtxt(
+                fh,
+                dtype=_PIXEL_ROW if cell_index is None else _LAYER_ROW,
+                delimiter=",",
+                comments=None,
+                ndmin=1,
+            )
+        layer = 0
+        if cell_index is not None:
+            fh.seek(start)
+            rows = filter("\n".__ne__, fh)
+            ids = map(itemgetter(0), map(str.partition, rows, itertools.repeat(",")))
+            layer = np.fromiter(map(cell_index.__getitem__, ids), np.intp, len(parsed))
+    except (KeyError, ValueError, DeprecationWarning) as exc:
+        # The scan passes the few spellings Python reads and numpy does not,
+        # such as "1_0".
+        raise _first_bad_row(path, fh, start, first_line, m, cell_index) or ValueError(
+            f"{path}: garbled data row: {exc}"
+        ) from None
+    i, j = parsed["i"], parsed["j"]
+    if ((i >= 0) & (i < m) & (j >= 0) & (j < m)).all():
+        flat = (layer * m + i) * m + j
+        taken = np.zeros(out.size, dtype=bool)
+        taken[flat] = True
+        if np.count_nonzero(taken) == len(flat):
+            np.put(out, flat, parsed["v"])
+            return
+    raise _first_bad_row(path, fh, start, first_line, m, cell_index)
+
+
+def _first_bad_row(
+    path: str | Path,
+    fh: TextIO,
+    start: int,
+    first_line: int,
+    m: int,
+    cell_index: dict[str, int] | None,
+) -> ValueError | None:
+    """The error for the first data row from position ``start`` of ``fh``
+    that does not parse, names an unknown cell, a pixel outside the grid
+    or a pixel already given, or None when every row is good."""
+    fh.seek(start)
+    seen: dict[tuple, int] = {}
+    for line_no, line in enumerate(fh, first_line + 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        try:
+            if cell_index is None:
+                cell_id = None
+                i, j, value = line.split(",")
+            else:
+                cell_id, i, j, value = line.split(",")
+            float(value)
+            if cell_id is not None and cell_id not in cell_index:
+                raise ValueError(f"unknown cell id {cell_id!r}")
+            pixel = (int(i), int(j))
+            if not (0 <= pixel[0] < m and 0 <= pixel[1] < m):
+                raise ValueError(f"pixel {pixel} outside the {m}x{m} grid")
+            first = seen.setdefault((cell_id, pixel), line_no)
+            if first != line_no:
+                raise ValueError(f"pixel {pixel} already given on line {first}")
+        except ValueError as exc:
+            return garbled_line(path, line_no, line, str(exc))
+    return None
 
 
 def load_grid(path: str | Path) -> CoverageGrid:
     """Read a coverage grid written by :func:`save_grid`."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _GRID_MAGIC:
-        raise ValueError(f"{path}: not a hotloc coverage grid file")
+    with open(path) as fh:
+        lines = read_header_lines(fh, "rsrp")
+        if not lines or lines[0] != _GRID_MAGIC:
+            raise ValueError(f"{path}: not a hotloc coverage grid file")
 
-    header: dict[str, list[str]] = {}
-    cells: list[CellInfo] = []
-    row = 1
-    try:
-        while row < len(lines) and lines[row] != "rsrp":
-            parts = lines[row].split(",")
-            if parts[0] == "cell":
-                _, cell_id, x, y, az_deg, nbs = parts
-                neighbors = tuple(n for n in nbs.split(";") if n)
-                cells.append(
-                    CellInfo(
-                        cell_id=cell_id,
-                        site_position=(float(x), float(y)),
-                        azimuth=math.radians(float(az_deg)) % (2.0 * math.pi),
-                        neighbors=neighbors,
+        header: dict[str, list[str]] = {}
+        cells: list[CellInfo] = []
+        row = 1
+        try:
+            while row < len(lines) and lines[row] != "rsrp":
+                parts = lines[row].split(",")
+                if parts[0] == "cell":
+                    _, cell_id, x, y, az_deg, nbs = parts
+                    neighbors = tuple(n for n in nbs.split(";") if n)
+                    cells.append(
+                        CellInfo(
+                            cell_id=cell_id,
+                            site_position=(float(x), float(y)),
+                            azimuth=math.radians(float(az_deg)) % (2.0 * math.pi),
+                            neighbors=neighbors,
+                        )
                     )
-                )
-            else:
-                header[parts[0]] = parts[1:]
-            row += 1
-    except ValueError as exc:
-        raise garbled_line(path, row + 1, lines[row], str(exc)) from None
-    if row == len(lines):
-        raise ValueError(f"{path}: missing rsrp section")
+                else:
+                    header[parts[0]] = parts[1:]
+                row += 1
+        except ValueError as exc:
+            raise garbled_line(path, row + 1, lines[row], str(exc)) from None
+        if row == len(lines):
+            raise ValueError(f"{path}: missing rsrp section")
 
-    spec = GridSpec(
-        m=header_row(header, "m", path, int)[0],
-        pixel_size=header_row(header, "pixel_size", path)[0],
-        origin=tuple(header_row(header, "origin", path, count=2)),
-    )
-    q_rxlevmin = header_row(header, "q_rxlevmin", path)[0]
-    declared = header_row(header, "cells", path, int)[0]
-    if declared != len(cells):
-        raise ValueError(f"{path}: header declares {declared} cells, found {len(cells)}")
+        spec = GridSpec(
+            m=header_row(header, "m", path, int)[0],
+            pixel_size=header_row(header, "pixel_size", path)[0],
+            origin=tuple(header_row(header, "origin", path, count=2)),
+        )
+        q_rxlevmin = header_row(header, "q_rxlevmin", path)[0]
+        declared = header_row(header, "cells", path, int)[0]
+        if declared != len(cells):
+            raise ValueError(f"{path}: header declares {declared} cells, found {len(cells)}")
 
-    index = {c.cell_id: k for k, c in enumerate(cells)}
-    rsrp = np.full((len(cells), spec.m, spec.m), np.nan)
-    try:
-        for line in lines[row + 1 :]:
-            if not line:
-                continue
-            cell_id, i, j, value = line.split(",")
-            rsrp[index[cell_id], int(i), int(j)] = float(value)
-    except (ValueError, KeyError, IndexError) as exc:
-        # Equal lines fail alike, so the first copy of the failing line is
-        # the offending one.
-        reason = f"unknown cell id {cell_id!r}" if isinstance(exc, KeyError) else str(exc)
-        raise garbled_line(path, lines.index(line, row + 1) + 1, line, reason) from None
+        index = {c.cell_id: k for k, c in enumerate(cells)}
+        rsrp = np.full((len(cells), spec.m, spec.m), np.nan)
+        scatter_pixel_rows(path, fh, row + 1, rsrp, index)
 
     return CoverageGrid(
         spec=spec,

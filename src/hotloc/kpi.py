@@ -22,8 +22,10 @@ from hotloc.grid import (
     ServerMaps,
     TA_ZONE_COUNT,
     aoa_zone_layer,
-    garbled_line,
     header_row,
+    pixel_prefixes,
+    read_header_lines,
+    scatter_pixel_rows,
     ta_zone_layer,
 )
 
@@ -368,47 +370,41 @@ _WMAP_MAGIC = "hotloc-weightmap,1"
 
 
 def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
-    """Write a weight map as CSV: header rows, then one i,j,weight row per
-    pixel in row-major order."""
+    """Write a weight map as CSV: header rows, then one ``i,j,weight`` row
+    per pixel in row-major order.
+
+    A reader takes the data rows in any order. Each pixel appears at most
+    once, with 0 <= i, j < m, and an absent pixel has weight 0."""
     lines = [_WMAP_MAGIC]
     lines.append(f"m,{wmap.m}")
     lines.append(f"pixel_size,{wmap.pixel_size!r}")
     lines.append(f"label,{wmap.label}")
     lines.append(f"origin,{wmap.origin[0]!r},{wmap.origin[1]!r}")
     lines.append("i,j,weight")
-    for i in range(wmap.m):
-        row = wmap.values[i].tolist()
-        for j in range(wmap.m):
-            lines.append(f"{i},{j},{row[j]!r}")
+    weights = map(repr, wmap.values.reshape(-1).tolist())
+    lines.extend(map(str.__add__, pixel_prefixes(wmap.m), weights))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_weight_map(path: str | Path) -> WeightMap:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _WMAP_MAGIC:
-        raise ValueError(f"{path}: not a hotloc weight map file")
-    header: dict[str, list[str]] = {}
-    row = 1
-    while row < len(lines) and lines[row] != "i,j,weight":
-        parts = lines[row].split(",")
-        header[parts[0]] = parts[1:]
-        row += 1
-    m = header_row(header, "m", path, int)[0]
-    pixel_size = header_row(header, "pixel_size", path)[0]
-    label = header_row(header, "label", path, str)[0]
-    origin = (0.0, 0.0)
-    if "origin" in header:
-        origin = tuple(header_row(header, "origin", path, count=2))
-    values = np.zeros((m, m))
-    try:
-        for line in lines[row + 1 :]:
-            if not line:
-                continue
-            i, j, value = line.split(",")
-            values[int(i), int(j)] = float(value)
-    except (ValueError, IndexError) as exc:
-        # Equal lines fail alike: the first copy is the offending line.
-        raise garbled_line(path, lines.index(line, row + 1) + 1, line, str(exc)) from None
+    with open(path) as fh:
+        lines = read_header_lines(fh, "i,j,weight")
+        if not lines or lines[0] != _WMAP_MAGIC:
+            raise ValueError(f"{path}: not a hotloc weight map file")
+        header: dict[str, list[str]] = {}
+        row = 1
+        while row < len(lines) and lines[row] != "i,j,weight":
+            parts = lines[row].split(",")
+            header[parts[0]] = parts[1:]
+            row += 1
+        m = header_row(header, "m", path, int)[0]
+        pixel_size = header_row(header, "pixel_size", path)[0]
+        label = header_row(header, "label", path, str)[0]
+        origin = (0.0, 0.0)
+        if "origin" in header:
+            origin = tuple(header_row(header, "origin", path, count=2))
+        values = np.zeros((m, m))
+        scatter_pixel_rows(path, fh, row + 1, values)
     return WeightMap(values, pixel_size, label, origin)
 
 

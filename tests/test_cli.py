@@ -247,6 +247,17 @@ class TestBadInputs:
         )
         assert "grid.csv: missing or garbled 'm' header row" in err
 
+    def test_grid_row_outside_the_grid(self, runner, scenario_dir, tmp_path):
+        art = self.copy(scenario_dir, tmp_path)
+        path = art / "grid.csv"
+        lines = path.read_text().splitlines()
+        line_no = lines.index("rsrp") + 2
+        cell_id, _, j, value = lines[line_no - 1].split(",")
+        lines[line_no - 1] = f"{cell_id},-1,{j},{value}"
+        path.write_text("\n".join(lines) + "\n")
+        err = fails(runner, "kpis", "oracle-kpis", "--config", CONFIG, "--out", str(art))
+        assert f"grid.csv: line {line_no}: pixel (-1, {j}) outside the 32x32 grid" in err
+
     def test_truth_without_m_row(self, runner, scenario_dir, tmp_path):
         art = self.copy(scenario_dir, tmp_path)
         invoke(runner, "localize", "--config", CONFIG, "--out", str(art), "--x-override", "1,1,1,1,1")

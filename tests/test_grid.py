@@ -278,6 +278,46 @@ class TestGridFile:
         with pytest.raises(ValueError, match=f"grid.csv: missing or garbled '{key}' header row"):
             load_grid(path)
 
+    def two_cell_file(self, tmp_path):
+        """A 3x3 grid.csv of cells A and B; A leaves pixel (0, 0) uncovered."""
+        layer = np.full((3, 3), -90.0)
+        layer[0, 0] = np.nan
+        grid = constant_grid(
+            [("A", (0.0, 0.0), 0.0, layer, ("B",)), ("B", (5.0, 0.0), 1.0, -80.0, ("A",))],
+            m=3,
+        )
+        path = tmp_path / "grid.csv"
+        save_grid(grid, path)
+        return path
+
+    def test_rows_in_any_order(self, tmp_path):
+        path = self.two_cell_file(tmp_path)
+        expected = load_grid(path)
+        lines = path.read_text().splitlines()
+        start = lines.index("rsrp") + 1
+        # A nan value means no coverage, like an absent row.
+        lines[start:] = lines[:start - 1:-1] + ["A,0,0,nan"]
+        path.write_text("\n".join(lines) + "\n")
+        np.testing.assert_array_equal(load_grid(path).rsrp, expected.rsrp)
+
+    def test_row_only_python_reads_is_rejected(self, tmp_path):
+        path = self.two_cell_file(tmp_path)
+        path.write_text(path.read_text().replace("\nA,1,1,-90.0\n", "\nA,0_1,1,-90.0\n"))
+        with pytest.raises(ValueError, match=f"^{path}: garbled data row: "):
+            load_grid(path)
+
+    def test_duplicate_row_named_by_line(self, tmp_path):
+        path = self.two_cell_file(tmp_path)
+        lines = path.read_text().splitlines()
+        first = lines.index("A,1,1,-90.0") + 1
+        path.write_text("\n".join(lines + ["A,1,1,-95.0"]) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_grid(path)
+        assert str(excinfo.value) == (
+            f"{path}: line {len(lines) + 1}: pixel (1, 1) already given on line {first}: "
+            "'A,1,1,-95.0'"
+        )
+
     @pytest.mark.parametrize(
         "row, replacement, reason",
         [
@@ -290,17 +330,18 @@ class TestGridFile:
             ("A,1,1,-90.0", "A,1", "not enough values to unpack (expected 4, got 2)"),
             ("A,1,2,-90.0", "A,1,2,-9o.0", "could not convert"),
             ("B,2,1,-80.0", "C,2,1,-80.0", "unknown cell id 'C'"),
+            ("A,1,2,-90.0", "A,1,2,-90.0,5", "too many values to unpack (expected 4"),
+            ("A,1,2,-90.0", "A,1,2,-90.0#5", "could not convert string to float: '-90.0#5'"),
+            ("A,1,2,-90.0", "A,1e0,2,-90.0", "invalid literal for int() with base 10: '1e0'"),
+            ("A,1,2,-90.0", "A,1,1.5,-90.0", "invalid literal for int() with base 10: '1.5'"),
+            ("A,1,1,-90.0", "A,-1,0,-42.0", "pixel (-1, 0) outside the 3x3 grid"),
+            ("A,1,1,-90.0", "A,1,-1,-42.0", "pixel (1, -1) outside the 3x3 grid"),
+            ("B,2,1,-80.0", "B,3,1,-80.0", "pixel (3, 1) outside the 3x3 grid"),
+            ("B,2,1,-80.0", "B,2,3,-80.0", "pixel (2, 3) outside the 3x3 grid"),
         ],
     )
     def test_garbled_row_named_by_line(self, tmp_path, row, replacement, reason):
-        layer = np.full((3, 3), -90.0)
-        layer[0, 0] = np.nan
-        grid = constant_grid(
-            [("A", (0.0, 0.0), 0.0, layer, ("B",)), ("B", (5.0, 0.0), 1.0, -80.0, ("A",))],
-            m=3,
-        )
-        path = tmp_path / "grid.csv"
-        save_grid(grid, path)
+        path = self.two_cell_file(tmp_path)
         lines = path.read_text().splitlines()
         line_no = lines.index(row) + 1
         lines[line_no - 1] = replacement

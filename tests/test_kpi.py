@@ -145,19 +145,57 @@ class TestWeightMap:
         with pytest.raises(ValueError, match=f"map.csv: missing or garbled '{key}' header row"):
             load_weight_map(path)
 
-    def test_garbled_row_named_by_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row, replacement, reason",
+        [
+            ("1,2,1.0", "1,2", "not enough values to unpack (expected 3, got 2)"),
+            ("1,2,1.0", "1,2,1.0,5", "too many values to unpack (expected 3"),
+            ("1,2,1.0", "1,2,1.0#5", "could not convert string to float: '1.0#5'"),
+            ("1,2,1.0", "1e0,2,1.0", "invalid literal for int() with base 10: '1e0'"),
+            ("1,2,1.0", "1,1.5,1.0", "invalid literal for int() with base 10: '1.5'"),
+            ("1,2,1.0", "-1,2,1.0", "pixel (-1, 2) outside the 3x3 grid"),
+            ("1,2,1.0", "1,-1,1.0", "pixel (1, -1) outside the 3x3 grid"),
+            ("1,2,1.0", "3,2,1.0", "pixel (3, 2) outside the 3x3 grid"),
+            ("1,2,1.0", "1,3,1.0", "pixel (1, 3) outside the 3x3 grid"),
+        ],
+    )
+    def test_garbled_row_named_by_line(self, tmp_path, row, replacement, reason):
         wmap = WeightMap(np.ones((3, 3)), 12.5, "tag")
         path = tmp_path / "map.csv"
         save_weight_map(wmap, path)
         lines = path.read_text().splitlines()
-        line_no = lines.index("1,2,1.0") + 1
-        lines[line_no - 1] = "1,2"
+        line_no = lines.index(row) + 1
+        lines[line_no - 1] = replacement
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as excinfo:
             load_weight_map(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: line {line_no}: {reason}")
+        assert message.endswith(repr(replacement))
+
+    def test_duplicate_row_named_by_line(self, tmp_path):
+        wmap = WeightMap(np.ones((3, 3)), 12.5, "tag")
+        path = tmp_path / "map.csv"
+        save_weight_map(wmap, path)
+        lines = path.read_text().splitlines()
+        first = lines.index("1,2,1.0") + 1
+        path.write_text("\n".join(lines + ["1,2,7.0"]) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_weight_map(path)
         assert str(excinfo.value) == (
-            f"{path}: line {line_no}: not enough values to unpack (expected 3, got 2): '1,2'"
+            f"{path}: line {len(lines) + 1}: pixel (1, 2) already given on line {first}: '1,2,7.0'"
         )
+
+    def test_rows_in_any_order_and_absent_pixels_weigh_zero(self, tmp_path):
+        values = np.arange(1.0, 10.0).reshape(3, 3)
+        path = tmp_path / "map.csv"
+        save_weight_map(WeightMap(values, 12.5, "tag"), path)
+        lines = path.read_text().splitlines()
+        start = lines.index("i,j,weight") + 1
+        lines[start:] = lines[:start:-1]
+        path.write_text("\n".join(lines) + "\n")
+        values[0, 0] = 0.0
+        np.testing.assert_array_equal(load_weight_map(path).values, values)
 
 
 class TestGroundTruth:

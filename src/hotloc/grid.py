@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -91,6 +91,15 @@ class CellInfo:
             raise ValueError(f"cell {self.cell_id!r} lists itself as a neighbor")
 
 
+class CellSites(NamedTuple):
+    """Site positions and boresight azimuths of many cells at once, as
+    arrays of one shape. The zone-layer functions take it in place of a
+    :class:`CellInfo` and broadcast it against the (m, m) pixel grid."""
+
+    site_position: tuple[np.ndarray, np.ndarray]
+    azimuth: np.ndarray
+
+
 @dataclass
 class CoverageGrid:
     """Per-cell RSRP layers over a common grid.
@@ -127,6 +136,23 @@ class CoverageGrid:
 
     def cell_index(self, cell_id: str) -> int:
         return self._index[cell_id]
+
+    def sites(self, index: np.ndarray) -> CellSites:
+        """The sites and azimuths of ``cells[index]``, shaped like the
+        integer array ``index``. An (n, 1, 1) index gives per-cell stacks;
+        ``ServerMaps.best`` gives each pixel its serving cell's site, where
+        UNCOVERED (-1) picks the last cell and callers mask those pixels."""
+        x = np.array([c.site_position[0] for c in self.cells])
+        y = np.array([c.site_position[1] for c in self.cells])
+        azimuth = np.array([c.azimuth for c in self.cells])
+        return CellSites((x[index], y[index]), azimuth[index])
+
+    def serving_rsrp(self, servers: ServerMaps) -> np.ndarray:
+        """The best server's RSRP at every pixel, shape (m, m), NaN where
+        the pixel is uncovered."""
+        best = servers.best
+        level = np.take_along_axis(self.rsrp, best[None].astype(np.intp), axis=0)[0]
+        return np.where(best == UNCOVERED, np.nan, level)
 
 
 @dataclass(frozen=True)
@@ -226,16 +252,25 @@ def aoa_zone(spec: GridSpec, cell: CellInfo, pixel: tuple[int, int]) -> int:
     return 1 if delta > 0 else -1
 
 
-def ta_zone_layer(spec: GridSpec, cell: CellInfo) -> np.ndarray:
-    """Vectorized TA ring index for every pixel, shape (m, m), dtype int8."""
+def ta_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
+    """Vectorized TA ring index for every pixel, dtype int8.
+
+    The site coordinates broadcast against the (m, m) pixel centers: a
+    :class:`CellInfo` gives that cell's (m, m) layer, ``grid.sites`` of an
+    (n, 1, 1) index the (n, m, m) stack of every cell's layer, and
+    ``grid.sites(servers.best)`` each pixel's ring in its serving cell.
+    Every element goes through the same float operations whatever the
+    shapes, so the results agree bit for bit with the per-cell layers.
+    """
     cx, cy = spec.center_coords()
     dist = np.hypot(cx - cell.site_position[0], cy - cell.site_position[1])
     zones = np.minimum((dist / TA_GRANULARITY_M).astype(np.int64), TA_ZONE_COUNT - 1)
     return zones.astype(np.int8)
 
 
-def aoa_zone_layer(spec: GridSpec, cell: CellInfo) -> np.ndarray:
-    """Vectorized AoA sector index (-1, 0, 1) for every pixel, dtype int8."""
+def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
+    """Vectorized AoA sector index (-1, 0, 1) for every pixel, dtype int8.
+    The site and azimuth broadcast as in :func:`ta_zone_layer`."""
     cx, cy = spec.center_coords()
     dx = cx - cell.site_position[0]
     dy = cy - cell.site_position[1]

@@ -21,6 +21,7 @@ from hotloc.grid import (
     GridSpec,
     ServerMaps,
     TA_ZONE_COUNT,
+    UNCOVERED,
     aoa_zone_layer,
     header_row,
     pixel_prefixes,
@@ -320,41 +321,72 @@ def oracle_kpis(
     is the capped cell mass; the two mean throughputs are the traffic
     weighted arithmetic and harmonic means of the RSRP-derived per-pixel
     throughput. Cells without traffic get all-zero KPIs.
+
+    The covered pixels are grouped once by a stable sort on the serving
+    cell, and once more on the second-best server for the neighbor
+    masses, so each group is one contiguous slice that keeps row-major
+    order. Every per-cell sum is then taken over exactly the values, in
+    exactly the order, that a boolean mask of the cell would select:
+    ``.sum()`` of a slice pairs its values as the mask's sum does, and the
+    zone masses come from one ``np.bincount`` whose bins each add their
+    values in that order. The results are bitwise those of a per-cell
+    loop.
     """
     m = grid.spec.m
     if truth.values.shape != (m, m) or servers.best.shape != (m, m):
         raise ValueError("truth map, grid and server maps must share one grid")
 
+    n = grid.n_cells
+    sites = grid.sites(servers.best)
+    best = servers.best.reshape(-1)
+    covered = np.flatnonzero(best != UNCOVERED)
+    pixels = covered[np.argsort(best[covered], kind="stable")]
+    cell_of = best[pixels].astype(np.intp)
+    bounds = np.searchsorted(cell_of, np.arange(n + 1))
+    w = truth.values.reshape(-1)[pixels]
+
+    ta_zones = ta_zone_layer(grid.spec, sites).reshape(-1)[pixels]
+    ta_mass = np.bincount(
+        cell_of * TA_ZONE_COUNT + ta_zones, weights=w, minlength=n * TA_ZONE_COUNT
+    ).reshape(n, TA_ZONE_COUNT)
+    aoa_zones = aoa_zone_layer(grid.spec, sites).reshape(-1)[pixels] + 1
+    aoa_mass = np.bincount(cell_of * 3 + aoa_zones, weights=w, minlength=n * 3).reshape(n, 3)
+
+    # Within a cell, a stable sort on the second-best server (-1 first)
+    # keeps each (cell, second) group in row-major order.
+    pair = cell_of * (n + 1) + (servers.second.reshape(-1)[pixels] + 1)
+    by_pair = np.argsort(pair, kind="stable")
+    pair, w_by_pair = pair[by_pair], w[by_pair]
+
+    rates = throughput_curve(grid.serving_rsrp(servers).reshape(-1)[pixels], grid.q_rxlevmin, params)
+    w_times_rate = w * rates
+    w_over_rate = w / rates
+
     cells: dict[str, CellKpis] = {}
     for k, cell in enumerate(grid.cells):
-        mask = servers.best == k
-        w = truth.values[mask]
-        total = float(w.sum())
+        group = slice(bounds[k], bounds[k + 1])
+        total = float(w[group].sum())
         if total <= 0.0:
             cells[cell.cell_id] = CellKpis.empty()
             continue
 
-        ta_zones = ta_zone_layer(grid.spec, cell)[mask]
-        ta = np.bincount(ta_zones, weights=w, minlength=TA_ZONE_COUNT) / total
+        ta = ta_mass[k] / total
+        aoa = aoa_mass[k] / total
 
-        aoa_zones = aoa_zone_layer(grid.spec, cell)[mask] + 1
-        aoa = np.bincount(aoa_zones, weights=w, minlength=3) / total
-
-        second = servers.second[mask]
         neighbor_level: dict[str, float] = {}
         masses = []
         for nb_id in cell.neighbors:
-            nb_idx = grid.cell_index(nb_id)
-            masses.append((nb_id, float(w[second == nb_idx].sum())))
+            key = k * (n + 1) + grid.cell_index(nb_id) + 1
+            lo, hi = np.searchsorted(pair, [key, key + 1])
+            masses.append((nb_id, float(w_by_pair[lo:hi].sum())))
         nb_total = sum(mass for _, mass in masses)
         if nb_total > 0:
             neighbor_level = {nb: mass / nb_total for nb, mass in masses}
 
         load = min(1.0, total / params.rho_cap)
 
-        rates = throughput_curve(grid.rsrp[k][mask], grid.q_rxlevmin, params)
-        amt = float((w * rates).sum()) / total
-        hmt = total / float((w / rates).sum())
+        amt = float(w_times_rate[group].sum()) / total
+        hmt = total / float(w_over_rate[group].sum())
         hmt = min(hmt, amt)
 
         cells[cell.cell_id] = CellKpis(ta, aoa, neighbor_level, load, amt, hmt)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from hotloc.grid import CoverageGrid, ServerMaps, aoa_zone_layer, ta_zone_layer
+from hotloc.grid import UNCOVERED, CoverageGrid, ServerMaps, aoa_zone_layer, ta_zone_layer
 from hotloc.kpi import KPI_LABELS, LABEL_FUSED, LABEL_SMOOTHED, KpiSet, WeightMap
 from hotloc.smoothing import DEFAULT_TAIL, smooth_grid
 
@@ -100,31 +100,29 @@ def _kpi_map(values: np.ndarray, grid: CoverageGrid, label: str) -> WeightMap:
     return WeightMap(values, grid.spec.pixel_size, label, grid.spec.origin)
 
 
+def _cell_rows(kpis: KpiSet, grid: CoverageGrid, field: str) -> np.ndarray:
+    """One row per cell of a per-cell KPI array, in grid order, plus a
+    zero row that UNCOVERED (-1) indices pick."""
+    rows = [getattr(kpis.cells[c.cell_id], field) for c in grid.cells]
+    return np.vstack([*rows, np.zeros_like(rows[0])])
+
+
 def step1_ta(kpis: KpiSet, grid: CoverageGrid, servers: ServerMaps) -> WeightMap:
     """Each covered pixel gets its serving cell's TA fraction for the ring
-    the pixel lies in."""
+    the pixel lies in: one lookup into the (n + 1) x 6 table of fractions
+    at (serving cell, ring)."""
     _check_kpis(kpis, grid)
-    out = np.zeros((grid.spec.m, grid.spec.m))
-    for k, cell in enumerate(grid.cells):
-        mask = servers.best == k
-        if not mask.any():
-            continue
-        zones = ta_zone_layer(grid.spec, cell)
-        out[mask] = kpis.cells[cell.cell_id].ta[zones[mask]]
+    zones = ta_zone_layer(grid.spec, grid.sites(servers.best))
+    out = _cell_rows(kpis, grid, "ta")[servers.best, zones]
     return _kpi_map(out, grid, KPI_LABELS[0])
 
 
 def step2_aoa(kpis: KpiSet, grid: CoverageGrid, servers: ServerMaps) -> WeightMap:
     """Each covered pixel gets its serving cell's AoA fraction for the
-    bearing sector the pixel lies in."""
+    bearing sector the pixel lies in, looked up like step 1."""
     _check_kpis(kpis, grid)
-    out = np.zeros((grid.spec.m, grid.spec.m))
-    for k, cell in enumerate(grid.cells):
-        mask = servers.best == k
-        if not mask.any():
-            continue
-        zones = aoa_zone_layer(grid.spec, cell) + 1
-        out[mask] = kpis.cells[cell.cell_id].aoa[zones[mask]]
+    zones = aoa_zone_layer(grid.spec, grid.sites(servers.best)) + 1
+    out = _cell_rows(kpis, grid, "aoa")[servers.best, zones]
     return _kpi_map(out, grid, KPI_LABELS[1])
 
 
@@ -133,21 +131,13 @@ def step3_neighbor(kpis: KpiSet, grid: CoverageGrid, servers: ServerMaps) -> Wei
     second-best server; zero when there is none or it is not a configured
     neighbor."""
     _check_kpis(kpis, grid)
-    out = np.zeros((grid.spec.m, grid.spec.m))
+    # Level table (serving, second best), zero outside each S_k; the spare
+    # last row and column absorb the -1 sentinels of both maps.
+    table = np.zeros((grid.n_cells + 1, grid.n_cells + 1))
     for k, cell in enumerate(grid.cells):
-        mask = servers.best == k
-        if not mask.any():
-            continue
-        levels = kpis.cells[cell.cell_id].neighbor_level
-        if not levels:
-            continue
-        # Lookup table second-best index -> level, zero outside S_k; the
-        # spare last slot absorbs the -1 "no second best" sentinel.
-        table = np.zeros(grid.n_cells + 1)
-        for nb_id, frac in levels.items():
-            table[grid.cell_index(nb_id)] = frac
-        out[mask] = table[servers.second[mask]]
-    return _kpi_map(out, grid, KPI_LABELS[2])
+        for nb_id, frac in kpis.cells[cell.cell_id].neighbor_level.items():
+            table[k, grid.cell_index(nb_id)] = frac
+    return _kpi_map(table[servers.best, servers.second], grid, KPI_LABELS[2])
 
 
 def step4_load(
@@ -158,40 +148,54 @@ def step4_load(
     that pixel; elsewhere zero.
 
     The serving cell always belongs to that candidate set, so the average
-    is well defined.
+    is well defined. The loop runs over the candidate cell, each pass
+    vectorized over the congested pixels whose serving cell it is similar
+    to, in ascending cell order as a per-pixel sum would add them. Memory
+    stays O(m^2) plus the n x n similarity matrix.
     """
     _check_kpis(kpis, grid)
     rho = np.array([kpis.cells[c.cell_id].load_time for c in grid.cells])
-    out = np.zeros((grid.spec.m, grid.spec.m))
-    for k in range(grid.n_cells):
-        if rho[k] <= params.rho_threshold:
-            continue
-        mask = servers.best == k
-        if not mask.any():
-            continue
-        similar = np.flatnonzero(np.abs(rho[k] - rho) < params.epsilon)
-        own = grid.rsrp[k][mask]
-        rho_sum = np.zeros(own.shape)
-        count = np.zeros(own.shape)
-        for other in similar:
-            diff = np.abs(own - grid.rsrp[other][mask])
-            near = np.nan_to_num(diff, nan=np.inf) < params.lambda_ho_db
-            rho_sum += np.where(near, rho[other], 0.0)
-            count += near
-        out[mask] = rho_sum / count
-    return _kpi_map(out, grid, KPI_LABELS[3])
+    congested = rho > params.rho_threshold
+    best = servers.best.reshape(-1)
+    pixels = np.flatnonzero(np.append(congested, False)[best])
+    serving = best[pixels]
+    similar = np.abs(rho[:, None] - rho) < params.epsilon
+    rsrp = grid.rsrp.reshape(grid.n_cells, -1)
+    own = rsrp[serving, pixels]
+    rho_sum = np.zeros(pixels.size)
+    count = np.zeros(pixels.size)
+    for other in np.flatnonzero(similar[congested].any(axis=0)):
+        rows = np.flatnonzero(similar[serving, other])
+        diff = np.abs(own[rows] - rsrp[other, pixels[rows]])
+        near = np.nan_to_num(diff, nan=np.inf) < params.lambda_ho_db
+        rho_sum[rows] += np.where(near, rho[other], 0.0)
+        count[rows] += near
+    out = np.zeros(best.size)
+    out[pixels] = rho_sum / count
+    return _kpi_map(out.reshape(grid.spec.m, grid.spec.m), grid, KPI_LABELS[3])
 
 
 def _rsrp0_per_cell(grid: CoverageGrid, servers: ServerMaps, params: LocalizerParams) -> np.ndarray:
     """Center/edge RSRP threshold per cell: the configured value, or the
-    median serving RSRP over the cell's covered pixels."""
+    median serving RSRP over the cell's covered pixels, taken from one
+    sort of the covered pixels by (cell, RSRP)."""
     if params.rsrp0_dbm is not None:
         return np.full(grid.n_cells, params.rsrp0_dbm)
+    best = servers.best.reshape(-1)
+    covered = best != UNCOVERED
+    cell_of = best[covered]
+    level = grid.serving_rsrp(servers).reshape(-1)[covered]
+    order = np.lexsort((level, cell_of))
+    level = level[order]
+    count = np.bincount(cell_of, minlength=grid.n_cells)
+    start = np.cumsum(count) - count
+    served = count > 0
+    lo = (start + (count - 1) // 2)[served]
+    hi = (start + count // 2)[served]
     thresholds = np.full(grid.n_cells, -np.inf)
-    for k in range(grid.n_cells):
-        mask = servers.best == k
-        if mask.any():
-            thresholds[k] = np.median(grid.rsrp[k][mask])
+    # The mean of the two middle values, or of the middle one with itself,
+    # as np.median takes it.
+    thresholds[served] = (level[lo] + level[hi]) / 2
     return thresholds
 
 
@@ -205,8 +209,7 @@ def step5_throughput(
     RSRP is at or above the center/edge threshold count as center.
     """
     _check_kpis(kpis, grid)
-    rsrp0 = _rsrp0_per_cell(grid, servers, params)
-    out = np.zeros((grid.spec.m, grid.spec.m))
+    gaps = np.zeros(grid.n_cells)
     for k, cell in enumerate(grid.cells):
         ck = kpis.cells[cell.cell_id]
         if ck.amt_bps < ck.hmt_bps:
@@ -214,12 +217,12 @@ def step5_throughput(
                 f"invalid KPI pair for cell {cell.cell_id!r}: "
                 f"amt={ck.amt_bps} < hmt={ck.hmt_bps}"
             )
-        mask = servers.best == k
-        if not mask.any():
-            continue
-        gap = min(max((ck.amt_bps - ck.hmt_bps) / params.mu0_bps, 0.0), 1.0)
-        center = grid.rsrp[k][mask] >= rsrp0[k]
-        out[mask] = np.where(center, gap, 1.0 - gap)
+        gaps[k] = min(max((ck.amt_bps - ck.hmt_bps) / params.mu0_bps, 0.0), 1.0)
+    rsrp0 = _rsrp0_per_cell(grid, servers, params)
+    best = servers.best
+    gap = gaps[best]
+    center = grid.serving_rsrp(servers) >= rsrp0[best]
+    out = np.where(best == UNCOVERED, 0.0, np.where(center, gap, 1.0 - gap))
     return _kpi_map(out, grid, KPI_LABELS[4])
 
 

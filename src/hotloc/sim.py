@@ -236,9 +236,12 @@ def run_simulation(
     position_cdf = np.cumsum(truth.values.reshape(-1))
     position_cdf /= position_cdf[-1]
 
-    # Per-cell layers flattened to (cell, pixel), read at (serving, pixel).
-    ta_layers = np.stack([ta_zone_layer(spec, c) for c in grid.cells]).reshape(n_cells, -1)
-    aoa_layers = np.stack([aoa_zone_layer(spec, c) for c in grid.cells]).reshape(n_cells, -1)
+    # Every cell's zone layers, flattened to (cell, pixel) and read at
+    # (serving, pixel). After a handover the serving cell is not the
+    # pixel's best server, so the best server's zones would not do.
+    sites = grid.sites(np.arange(n_cells)[:, None, None])
+    ta_layers = ta_zone_layer(spec, sites).reshape(n_cells, -1)
+    aoa_layers = aoa_zone_layer(spec, sites).reshape(n_cells, -1)
     best_of = servers.best.reshape(-1).astype(np.intp)
     neighbors = _neighbor_matrix(grid)
     handover_slots = _handover_slots(

@@ -392,3 +392,18 @@ def test_broadcast_zone_layers_equal_per_cell_calls(case, layer):
     assert serving.shape == servers.best.shape and serving.dtype == np.int8
     ii, jj = np.nonzero(covered)
     assert_same_bits(serving[covered], per_cell[servers.best[covered], ii, jj])
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_grid_sites_and_serving_rsrp(case):
+    grid, servers, _ = build(case)
+    for index in (np.arange(grid.n_cells)[:, None, None], servers.best):
+        sites, want = grid.sites(index), site_arrays(grid, index)
+        assert_same_bits(sites.site_position[0], want.site_position[0])
+        assert_same_bits(sites.site_position[1], want.site_position[1])
+        assert_same_bits(sites.azimuth, want.azimuth)
+    serving = grid.serving_rsrp(servers)
+    covered = servers.best != UNCOVERED
+    assert np.isnan(serving[~covered]).all()
+    ii, jj = np.nonzero(covered)
+    assert_same_bits(serving[covered], grid.rsrp[servers.best[covered], ii, jj])

@@ -389,6 +389,7 @@ def scatter_pixel_rows(
     first_line: int,
     out: np.ndarray,
     cell_index: dict[str, int] | None = None,
+    weights: bool = False,
 ) -> None:
     """Read the data rows left in the open text file ``fh`` and write their
     values into ``out``. Rows are ``i,j,value`` into an (m, m) raster, or
@@ -397,9 +398,10 @@ def scatter_pixel_rows(
     the first row. Empty lines are skipped.
 
     Every row must parse, name a known cell, hold indices in ``[0, m)``
-    and name a pixel no earlier row named. The rows are parsed in bulk;
-    only when that fails does :func:`_first_bad_row` read them again one
-    by one to raise a ValueError naming the file and the first bad line."""
+    and name a pixel no earlier row named; with ``weights`` its value must
+    also be finite and non-negative. The rows are parsed in bulk; only
+    when that fails does :func:`_first_bad_row` read them again one by one
+    to raise a ValueError naming the file and the first bad line."""
     m = out.shape[-1]
     start = fh.tell()
     try:
@@ -425,18 +427,21 @@ def scatter_pixel_rows(
     except (KeyError, ValueError, DeprecationWarning) as exc:
         # The scan passes the few spellings Python reads and numpy does not,
         # such as "1_0".
-        raise _first_bad_row(path, fh, start, first_line, m, cell_index) or ValueError(
+        raise _first_bad_row(path, fh, start, first_line, m, cell_index, weights) or ValueError(
             f"{path}: garbled data row: {exc}"
         ) from None
-    i, j = parsed["i"], parsed["j"]
-    if ((i >= 0) & (i < m) & (j >= 0) & (j < m)).all():
+    i, j, v = parsed["i"], parsed["j"], parsed["v"]
+    in_range = (i >= 0) & (i < m) & (j >= 0) & (j < m)
+    if weights:
+        in_range &= np.isfinite(v) & (v >= 0)
+    if in_range.all():
         flat = (layer * m + i) * m + j
         taken = np.zeros(out.size, dtype=bool)
         taken[flat] = True
         if np.count_nonzero(taken) == len(flat):
-            np.put(out, flat, parsed["v"])
+            np.put(out, flat, v)
             return
-    raise _first_bad_row(path, fh, start, first_line, m, cell_index)
+    raise _first_bad_row(path, fh, start, first_line, m, cell_index, weights)
 
 
 def _first_bad_row(
@@ -446,10 +451,12 @@ def _first_bad_row(
     first_line: int,
     m: int,
     cell_index: dict[str, int] | None,
+    weights: bool = False,
 ) -> ValueError | None:
     """The error for the first data row from position ``start`` of ``fh``
     that does not parse, names an unknown cell, a pixel outside the grid
-    or a pixel already given, or None when every row is good."""
+    or a pixel already given, or (with ``weights``) holds a negative or
+    non-finite value, or None when every row is good."""
     fh.seek(start)
     seen: dict[tuple, int] = {}
     for line_no, line in enumerate(fh, first_line + 1):
@@ -462,7 +469,9 @@ def _first_bad_row(
                 i, j, value = line.split(",")
             else:
                 cell_id, i, j, value = line.split(",")
-            float(value)
+            number = float(value)
+            if weights and not (math.isfinite(number) and number >= 0):
+                raise ValueError("weight must be finite and non-negative")
             if cell_id is not None and cell_id not in cell_index:
                 raise ValueError(f"unknown cell id {cell_id!r}")
             pixel = (int(i), int(j))

@@ -419,6 +419,10 @@ def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
 
 
 def load_weight_map(path: str | Path) -> WeightMap:
+    """Read a weight map written by :func:`save_weight_map`. A file cut
+    off before its ``i,j,weight`` row, a garbled row and a negative or
+    non-finite weight raise ValueError naming the file, and the line for
+    a bad row."""
     with open(path) as fh:
         lines = read_header_lines(fh, "i,j,weight")
         if not lines or lines[0] != _WMAP_MAGIC:
@@ -429,6 +433,8 @@ def load_weight_map(path: str | Path) -> WeightMap:
             parts = lines[row].split(",")
             header[parts[0]] = parts[1:]
             row += 1
+        if row == len(lines):
+            raise ValueError(f"{path}: missing i,j,weight section")
         m = header_row(header, "m", path, int)[0]
         pixel_size = header_row(header, "pixel_size", path)[0]
         label = header_row(header, "label", path, str)[0]
@@ -436,7 +442,7 @@ def load_weight_map(path: str | Path) -> WeightMap:
         if "origin" in header:
             origin = tuple(header_row(header, "origin", path, count=2))
         values = np.zeros((m, m))
-        scatter_pixel_rows(path, fh, row + 1, values)
+        scatter_pixel_rows(path, fh, row + 1, values, weights=True)
     return WeightMap(values, pixel_size, label, origin)
 
 

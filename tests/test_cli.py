@@ -258,6 +258,14 @@ class TestBadInputs:
         err = fails(runner, "kpis", "oracle-kpis", "--config", CONFIG, "--out", str(art))
         assert f"grid.csv: line {line_no}: pixel (-1, {j}) outside the 32x32 grid" in err
 
+    def test_potential_map_cut_off_before_its_rows(self, runner, scenario_dir, tmp_path):
+        art = self.copy(scenario_dir, tmp_path)
+        path = art / "potential.csv"
+        text = path.read_text()
+        path.write_text(text[: text.index("i,j,weight")])
+        err = fails(runner, "optimize", "optimize", "--config", CONFIG, "--out", str(art))
+        assert "potential.csv: missing i,j,weight section" in err
+
     def test_truth_without_m_row(self, runner, scenario_dir, tmp_path):
         art = self.copy(scenario_dir, tmp_path)
         invoke(runner, "localize", "--config", CONFIG, "--out", str(art), "--x-override", "1,1,1,1,1")

@@ -157,6 +157,9 @@ class TestWeightMap:
             ("1,2,1.0", "1,-1,1.0", "pixel (1, -1) outside the 3x3 grid"),
             ("1,2,1.0", "3,2,1.0", "pixel (3, 2) outside the 3x3 grid"),
             ("1,2,1.0", "1,3,1.0", "pixel (1, 3) outside the 3x3 grid"),
+            ("0,0,1.0", "0,0,-1.0", "weight must be finite and non-negative"),
+            ("1,2,1.0", "1,2,nan", "weight must be finite and non-negative"),
+            ("1,2,1.0", "1,2,inf", "weight must be finite and non-negative"),
         ],
     )
     def test_garbled_row_named_by_line(self, tmp_path, row, replacement, reason):
@@ -172,6 +175,16 @@ class TestWeightMap:
         message = str(excinfo.value)
         assert message.startswith(f"{path}: line {line_no}: {reason}")
         assert message.endswith(repr(replacement))
+
+    @pytest.mark.parametrize("cut_before", ["i,j,weight", "pixel_size,12.5"])
+    def test_map_cut_off_before_its_rows_rejected(self, tmp_path, cut_before):
+        wmap = WeightMap(np.ones((3, 3)), 12.5, "tag")
+        path = tmp_path / "map.csv"
+        save_weight_map(wmap, path)
+        text = path.read_text()
+        path.write_text(text[: text.index(f"\n{cut_before}\n") + 1])
+        with pytest.raises(ValueError, match=f"^{path}: missing i,j,weight section$"):
+            load_weight_map(path)
 
     def test_duplicate_row_named_by_line(self, tmp_path):
         wmap = WeightMap(np.ones((3, 3)), 12.5, "tag")

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from conftest import DESK_CONFIG, random_truth
+from hotloc import sim
 from hotloc.grid import (
     NO_SECOND,
     TA_GRANULARITY_M,
@@ -407,3 +408,13 @@ def test_grid_sites_and_serving_rsrp(case):
     assert np.isnan(serving[~covered]).all()
     ii, jj = np.nonzero(covered)
     assert_same_bits(serving[covered], grid.rsrp[servers.best[covered], ii, jj])
+
+
+@pytest.mark.parametrize("cells_per_call", [1, 3, N_CELLS])
+def test_simulator_zone_stacks_equal_per_cell_calls(monkeypatch, cells_per_call):
+    grid, _, _ = random_case(0)
+    monkeypatch.setattr(sim, "ZONE_BLOCK_ELEMENTS", cells_per_call * M * M)
+    ta, aoa = sim._zone_stacks(grid)
+    for got, layer in ((ta, ta_zone_layer), (aoa, aoa_zone_layer)):
+        want = np.stack([layer(grid.spec, cell) for cell in grid.cells])
+        assert_same_bits(got, want.reshape(grid.n_cells, -1))

@@ -451,7 +451,7 @@ def _first_bad_row(
     first_line: int,
     m: int,
     cell_index: dict[str, int] | None,
-    weights: bool = False,
+    weights: bool,
 ) -> ValueError | None:
     """The error for the first data row from position ``start`` of ``fh``
     that does not parse, names an unknown cell, a pixel outside the grid

@@ -358,7 +358,8 @@ def oracle_kpis(
     by_pair = np.argsort(pair, kind="stable")
     pair, w_by_pair = pair[by_pair], w[by_pair]
 
-    rates = throughput_curve(grid.serving_rsrp(servers).reshape(-1)[pixels], grid.q_rxlevmin, params)
+    level = grid.serving_rsrp(servers).reshape(-1)[pixels]
+    rates = throughput_curve(level, grid.q_rxlevmin, params)
     w_times_rate = w * rates
     w_over_rate = w / rates
 

@@ -197,7 +197,7 @@ def optimize_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str |
     out, art = _dirs(out_dir, in_dir)
     grid, servers, kpis, potential_map = _load_maps_inputs(art)
     kpi_maps = pipeline._run_maps(grid, servers, kpis, config.localizer, out)
-    x, residual, _ = pipeline._run_optimize(kpi_maps, potential_map, None, out)
+    x, residual = pipeline._run_optimize(kpi_maps, potential_map, None, out)
     click.echo(f"x = ({_format_x(x)}), residual {residual:.6g}")
 
 

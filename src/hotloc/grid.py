@@ -397,11 +397,12 @@ def scatter_pixel_rows(
     maps cell ids to layers. ``first_line`` is the 0-based line number of
     the first row. Empty lines are skipped.
 
-    Every row must parse, name a known cell, hold indices in ``[0, m)``
-    and name a pixel no earlier row named; with ``weights`` its value must
-    also be finite and non-negative. The rows are parsed in bulk; only
-    when that fails does :func:`_first_bad_row` read them again one by one
-    to raise a ValueError naming the file and the first bad line."""
+    Every row must parse, name a known cell, hold indices in ``[0, m)``,
+    name a pixel no earlier row named and hold a finite or NaN value; with
+    ``weights`` its value must be finite and non-negative. The rows are
+    parsed in bulk; only when that fails does :func:`_first_bad_row` read
+    them again one by one to raise a ValueError naming the file and the
+    first bad line."""
     m = out.shape[-1]
     start = fh.tell()
     try:
@@ -431,10 +432,10 @@ def scatter_pixel_rows(
             f"{path}: garbled data row: {exc}"
         ) from None
     i, j, v = parsed["i"], parsed["j"], parsed["v"]
-    in_range = (i >= 0) & (i < m) & (j >= 0) & (j < m)
+    good = (i >= 0) & (i < m) & (j >= 0) & (j < m) & ~np.isinf(v)
     if weights:
-        in_range &= np.isfinite(v) & (v >= 0)
-    if in_range.all():
+        good &= np.isfinite(v) & (v >= 0)
+    if good.all():
         flat = (layer * m + i) * m + j
         taken = np.zeros(out.size, dtype=bool)
         taken[flat] = True
@@ -455,8 +456,8 @@ def _first_bad_row(
 ) -> ValueError | None:
     """The error for the first data row from position ``start`` of ``fh``
     that does not parse, names an unknown cell, a pixel outside the grid
-    or a pixel already given, or (with ``weights``) holds a negative or
-    non-finite value, or None when every row is good."""
+    or a pixel already given, or holds an infinite value (with ``weights``,
+    a negative or non-finite one), or None when every row is good."""
     fh.seek(start)
     seen: dict[tuple, int] = {}
     for line_no, line in enumerate(fh, first_line + 1):
@@ -472,6 +473,8 @@ def _first_bad_row(
             number = float(value)
             if weights and not (math.isfinite(number) and number >= 0):
                 raise ValueError("weight must be finite and non-negative")
+            if math.isinf(number):
+                raise ValueError("value must be finite or NaN")
             if cell_id is not None and cell_id not in cell_index:
                 raise ValueError(f"unknown cell id {cell_id!r}")
             pixel = (int(i), int(j))

@@ -229,13 +229,8 @@ def step5_throughput(
 def step6_combine(
     maps: tuple[WeightMap, WeightMap, WeightMap, WeightMap, WeightMap],
     x: ImportanceVector,
-    normalize: bool = False,
 ) -> WeightMap:
-    """Fuse the five KPI maps into one weighted sum.
-
-    With ``normalize`` each map is scaled to unit total first (maps with
-    zero total stay zero); by default the maps enter as-is.
-    """
+    """Fuse the five KPI maps into one weighted sum."""
     if len(maps) != KPI_COUNT:
         raise ValueError(f"expected {KPI_COUNT} maps")
     first = maps[0]
@@ -243,12 +238,7 @@ def step6_combine(
     for weight, wmap in zip(x.values, maps):
         if wmap.values.shape != first.values.shape or wmap.pixel_size != first.pixel_size:
             raise ValueError("KPI maps must share one grid")
-        values = wmap.values
-        if normalize:
-            total = values.sum()
-            if total > 0:
-                values = values / total
-        fused = fused + weight * values
+        fused = fused + weight * wmap.values
     return WeightMap(fused, first.pixel_size, LABEL_FUSED, first.origin)
 
 

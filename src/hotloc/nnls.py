@@ -3,16 +3,16 @@ potential hotspot map.
 
 The five flattened KPI maps form the columns of a tall design matrix A and
 the flattened potential map the target b; the importance vector is the
-minimizer of ||A x - b||_2 subject to x >= 0. The solver is an active-set
-method: on the current free set the Newton step for the linear residual is
-the minimum-norm solution of the reduced least-squares system, with
-backtracking onto the constraint boundary whenever a free coordinate would
-turn negative.
+minimizer of ||A x - b||_2 subject to x >= 0. With five columns there are
+only 31 candidate supports, so the solver is exact: it solves the
+unconstrained least-squares problem on each support and keeps the first
+whose solution satisfies the optimality conditions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -20,21 +20,6 @@ from hotloc.kpi import WeightMap
 from hotloc.localize import KPI_COUNT, ImportanceVector
 
 DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITER = 100
-
-
-class IterationLimitError(Exception):
-    """Raised when the active-set loop exceeds its iteration budget; carries
-    the best iterate found so far."""
-
-    def __init__(self, best_x: np.ndarray, residual: float, iterations: int):
-        super().__init__(
-            f"no convergence within {iterations} active-set iterations "
-            f"(best residual {residual:.6g})"
-        )
-        self.best_x = best_x
-        self.residual = residual
-        self.iterations = iterations
 
 
 @dataclass
@@ -75,70 +60,40 @@ def build_system(maps: tuple[WeightMap, ...], potential: WeightMap) -> DesignSys
 class NnlsResult:
     x: np.ndarray
     residual: float
-    iterations: int
-    residual_history: list[float]
+    iterations: int  # least-squares solves made
 
     def importance(self) -> ImportanceVector:
         return ImportanceVector(tuple(float(v) for v in self.x))
 
 
-def solve_nnls(
-    system: DesignSystem,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> NnlsResult:
-    """Active-set non-negative least squares.
+def solve_nnls(system: DesignSystem) -> NnlsResult:
+    """Exact non-negative least squares by support enumeration.
 
-    Returns an x >= 0 satisfying the problem's optimality conditions within
-    ``tol``: gradient components are >= -tol on zero coordinates and zero
-    within tol on positive ones. Rank-deficient reduced systems are handled
-    by the minimum-norm step. Raises :class:`IterationLimitError` (carrying
-    the best iterate) if the active set fails to settle within
-    ``max_iter`` changes.
+    Supports are tried in order of size, then of column index. On each one
+    the minimum-norm least-squares solution is taken; the first that is
+    strictly positive and whose negative gradient ``A^T (b - A x)`` is at
+    most ``DEFAULT_TOL`` off the support satisfies the optimality
+    conditions, which suffice for this convex problem. ``x = 0`` when
+    ``A^T b <= DEFAULT_TOL``.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     A, b = system.A, system.b
     n = A.shape[1]
-    x = np.zeros(n)
-    free = np.zeros(n, dtype=bool)
-    residual = b - A @ x
-    history = [float(np.linalg.norm(residual))]
-
-    def reduced_solve() -> np.ndarray:
-        z = np.zeros(n)
-        z[free] = np.linalg.lstsq(A[:, free], b, rcond=None)[0]
-        return z
-
-    for _ in range(max_iter):
-        w = A.T @ residual  # negative gradient
-        candidates = np.flatnonzero(~free & (w > tol))
-        if candidates.size == 0:
-            return NnlsResult(x, history[-1], len(history) - 1, history)
-
-        free[candidates[np.argmax(w[candidates])]] = True
-
-        # Re-solve on the free set, backtracking onto the constraint
-        # boundary while the unconstrained step leaves the orthant.
-        z = reduced_solve()
-        while (free & (z <= 0)).any():
-            blocking = free & (z <= 0)
-            gap = x - z
-            movable = blocking & (gap > 0)
-            alpha = float(np.min(x[movable] / gap[movable])) if movable.any() else 0.0
-            x = x + alpha * (z - x)
-            x[blocking & (x < tol)] = 0.0
-            free &= x > 0
-            if not free.any():
-                break
-            x[~free] = 0.0
-            z = reduced_solve()
-
-        x = np.where(free, z, 0.0)
-        residual = b - A @ x
-        history.append(float(np.linalg.norm(residual)))
-
-    w = A.T @ residual
-    if not ((~free & (w > tol)).any() or (np.abs(w[free]) > tol).any()):
-        return NnlsResult(x, history[-1], len(history) - 1, history)
-    raise IterationLimitError(best_x=x, residual=history[-1], iterations=len(history) - 1)
+    if (A.T @ b <= DEFAULT_TOL).all():
+        return NnlsResult(np.zeros(n), float(np.linalg.norm(b)), 0)
+    solves = 0
+    for size in range(1, n + 1):
+        for support in combinations(range(n), size):
+            columns = list(support)
+            z = np.linalg.lstsq(A[:, columns], b, rcond=None)[0]
+            solves += 1
+            if (z <= 0).any():
+                continue
+            x = np.zeros(n)
+            x[columns] = z
+            residual = b - A @ x
+            if (np.delete(A.T @ residual, columns) <= DEFAULT_TOL).all():
+                return NnlsResult(x, float(np.linalg.norm(residual)), solves)
+    raise ValueError(
+        f"importance fit: none of the {solves} column supports satisfies "
+        f"the NNLS optimality conditions within {DEFAULT_TOL:g}"
+    )

@@ -80,7 +80,6 @@ class PipelineResult:
     potential_map: WeightMap
     x: ImportanceVector
     fit_residual: float | None
-    fit_iterations: int | None
     localization: LocalizationResult
     variant_maps: dict[str, WeightMap]
     report: EvalReport
@@ -110,9 +109,8 @@ def restricted_fit(
 ) -> ImportanceVector:
     """Importance fit with only the given KPI columns allowed to be
     non-zero (the others are forced out of the model)."""
-    A = np.column_stack([kpi_maps[c].values.reshape(-1) for c in columns])
-    b = potential_map.values.reshape(-1)
-    result = solve_nnls(DesignSystem(A=A, b=b))
+    system = build_system(kpi_maps, potential_map)
+    result = solve_nnls(DesignSystem(A=system.A[:, list(columns)], b=system.b))
     full = np.zeros(len(kpi_maps))
     full[list(columns)] = result.x
     return ImportanceVector(tuple(float(v) for v in full))
@@ -180,31 +178,28 @@ def _run_optimize(
     potential_map: WeightMap,
     x_override: tuple[float, ...] | None,
     out: Path,
-) -> tuple[ImportanceVector, float | None, int | None]:
+) -> tuple[ImportanceVector, float | None]:
     """The fitted importance vector, or ``x_override`` when given, written
     to ``importance.json``."""
     if x_override is not None:
         x = ImportanceVector(tuple(float(v) for v in x_override))
         residual = None
-        iterations = None
     else:
         system = build_system(tuple(kpi_maps), potential_map)
         result = solve_nnls(system)
         x = result.importance()
         residual = result.residual
-        iterations = result.iterations
     total = sum(x.values)
     doc = {
         "x": list(x.values),
         "residual": residual,
-        "iterations": iterations,
         "x_normalized": [v / total for v in x.values] if total > 0 else None,
         "fitted": x_override is None,
     }
     with open(out / "importance.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    return x, residual, iterations
+    return x, residual
 
 
 def load_importance(path: Path) -> ImportanceVector:
@@ -295,7 +290,7 @@ def run_pipeline(
     grid, servers = scenario.grid, scenario.servers
     kpis = _run_kpis(grid, servers, scenario.truth, config, kpi_source, out, event_log)
     kpi_maps = _run_maps(grid, servers, kpis, config.localizer, out)
-    x, residual, iterations = _run_optimize(kpi_maps, potential_map, x_override, out)
+    x, residual = _run_optimize(kpi_maps, potential_map, x_override, out)
     localization, variant_maps = _run_localize(
         grid, servers, kpis, kpi_maps, potential_map, x, config.localizer, out
     )
@@ -308,7 +303,6 @@ def run_pipeline(
         potential_map=potential_map,
         x=x,
         fit_residual=residual,
-        fit_iterations=iterations,
         localization=localization,
         variant_maps=variant_maps,
         report=report,

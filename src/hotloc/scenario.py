@@ -305,7 +305,8 @@ def _parse_grid(data: dict) -> tuple[GridSpec, float]:
 
 def _parse_layout(data: dict) -> LayoutParams:
     pl_data = _get(data, "pathloss", "layout", required=False, default={})
-    defaults = PathlossParams()
+    layout_defaults = LayoutParams()
+    defaults = layout_defaults.pathloss
     try:
         pathloss = PathlossParams(
             tx_power_dbm=_number(pl_data, "tx_power_dbm", "layout.pathloss", False, defaults.tx_power_dbm),
@@ -318,10 +319,14 @@ def _parse_layout(data: dict) -> LayoutParams:
             prune_below_dbm=_number(pl_data, "prune_below_dbm", "layout.pathloss", False, defaults.prune_below_dbm),
         )
         return LayoutParams(
-            site_count=int(_number(data, "site_count", "layout", False, 7)),
-            isd_m=_number(data, "isd_m", "layout", False, 500.0),
-            sectors_per_site=int(_number(data, "sectors_per_site", "layout", False, 3)),
-            neighbor_radius_factor=_number(data, "neighbor_radius_factor", "layout", False, 1.5),
+            site_count=int(_number(data, "site_count", "layout", False, layout_defaults.site_count)),
+            isd_m=_number(data, "isd_m", "layout", False, layout_defaults.isd_m),
+            sectors_per_site=int(
+                _number(data, "sectors_per_site", "layout", False, layout_defaults.sectors_per_site)
+            ),
+            neighbor_radius_factor=_number(
+                data, "neighbor_radius_factor", "layout", False, layout_defaults.neighbor_radius_factor
+            ),
             pathloss=pathloss,
         )
     except ConfigError:
@@ -450,18 +455,19 @@ def parse_scenario_config(data: dict, seed_override: int | None = None) -> Scena
     sim_raw = _get(data, "sim", "", required=False, default={})
     if not isinstance(sim_raw, dict):
         raise ConfigError("sim", "expected an object")
+    defaults = SimConfig()
     try:
         sim = SimConfig(
-            arrival_rate=_number(sim_raw, "arrival_rate", "sim", False, 2.0),
-            file_size_bits=_number(sim_raw, "file_size_bits", "sim", False, 1e6),
-            mobile_fraction=_number(sim_raw, "mobile_fraction", "sim", False, 0.2),
-            speed_kmh=_number(sim_raw, "speed_kmh", "sim", False, 8.33),
-            handover_margin_db=_number(sim_raw, "handover_margin_db", "sim", False, 6.0),
-            duration_s=_number(sim_raw, "duration_s", "sim", False, 600.0),
-            tick_s=_number(sim_raw, "tick_s", "sim", False, 1.0),
-            capacity_per_cell_bps=_number(sim_raw, "capacity_per_cell_bps", "sim", False, 2e7),
-            mu0_bps=_number(sim_raw, "mu0_bps", "sim", False, 2e6),
-            max_ue_per_cell=int(_number(sim_raw, "max_ue_per_cell", "sim", False, 50)),
+            arrival_rate=_number(sim_raw, "arrival_rate", "sim", False, defaults.arrival_rate),
+            file_size_bits=_number(sim_raw, "file_size_bits", "sim", False, defaults.file_size_bits),
+            mobile_fraction=_number(sim_raw, "mobile_fraction", "sim", False, defaults.mobile_fraction),
+            speed_kmh=_number(sim_raw, "speed_kmh", "sim", False, defaults.speed_kmh),
+            handover_margin_db=_number(sim_raw, "handover_margin_db", "sim", False, defaults.handover_margin_db),
+            duration_s=_number(sim_raw, "duration_s", "sim", False, defaults.duration_s),
+            tick_s=_number(sim_raw, "tick_s", "sim", False, defaults.tick_s),
+            capacity_per_cell_bps=_number(sim_raw, "capacity_per_cell_bps", "sim", False, defaults.capacity_per_cell_bps),
+            mu0_bps=_number(sim_raw, "mu0_bps", "sim", False, defaults.mu0_bps),
+            max_ue_per_cell=int(_number(sim_raw, "max_ue_per_cell", "sim", False, defaults.max_ue_per_cell)),
             seed=seed,
         )
     except ConfigError:

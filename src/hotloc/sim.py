@@ -58,12 +58,12 @@ class SimConfig:
     and for declaring a tick fully loaded.
     """
 
-    arrival_rate: float
+    arrival_rate: float = 2.0
     file_size_bits: float = 1e6
     mobile_fraction: float = 0.2
     speed_kmh: float = 8.33
     handover_margin_db: float = 6.0
-    duration_s: float = 3600.0
+    duration_s: float = 600.0
     tick_s: float = 1.0
     capacity_per_cell_bps: float = 2e7
     mu0_bps: float = 2e6

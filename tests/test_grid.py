@@ -338,6 +338,8 @@ class TestGridFile:
             ("A,1,1,-90.0", "A,1,-1,-42.0", "pixel (1, -1) outside the 3x3 grid"),
             ("B,2,1,-80.0", "B,3,1,-80.0", "pixel (3, 1) outside the 3x3 grid"),
             ("B,2,1,-80.0", "B,2,3,-80.0", "pixel (2, 3) outside the 3x3 grid"),
+            ("A,1,1,-90.0", "A,1,1,inf", "value must be finite or NaN"),
+            ("B,2,1,-80.0", "B,2,1,-inf", "value must be finite or NaN"),
         ],
     )
     def test_garbled_row_named_by_line(self, tmp_path, row, replacement, reason):

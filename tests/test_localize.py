@@ -286,16 +286,6 @@ class TestStep6Combine:
         expected = sum(w * a for w, a in zip(x.values, arrays))
         np.testing.assert_allclose(out.values, expected, rtol=1e-15)
 
-    def test_normalize_toggle_scales_each_map_first(self):
-        a = np.zeros((2, 2))
-        a[0, 0] = 2.0
-        b = np.zeros((2, 2))
-        b[1, 1] = 8.0
-        maps = self.maps_of([a, b, np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))])
-        out = step6_combine(maps, ImportanceVector.of(1, 1, 0, 0, 0), normalize=True)
-        assert out.values[0, 0] == 1.0
-        assert out.values[1, 1] == 1.0
-
     def test_grid_mismatch_rejected(self):
         maps = list(self.maps_of([np.zeros((4, 4))] * 5))
         maps[3] = WeightMap(np.zeros((5, 5)), 25.0, "q4")

@@ -6,12 +6,7 @@ import scipy.optimize
 
 from hotloc.kpi import WeightMap
 from hotloc.localize import ImportanceVector, step6_combine
-from hotloc.nnls import (
-    DesignSystem,
-    IterationLimitError,
-    build_system,
-    solve_nnls,
-)
+from hotloc.nnls import DesignSystem, build_system, solve_nnls
 from hotloc.pipeline import _run_optimize
 
 
@@ -111,6 +106,17 @@ class TestSolveNnls:
             assert_kkt(system, result.x)
             assert (result.x >= 0).all()
 
+    def test_matches_reference_solver_x(self):
+        rng = np.random.default_rng(12)
+        systems = [(rng.random((40, 5)), rng.standard_normal(40)) for _ in range(30)]
+        one_column = rng.random((40, 1))
+        systems.append((one_column, one_column[:, 0] * 0.7 + 0.1 * rng.standard_normal(40)))
+        A = rng.random((40, 5))
+        systems.append((A, -rng.random(40)))  # A^T b <= 0: the fit is x = 0
+        for A, b in systems:
+            ref_x, _ = scipy.optimize.nnls(A, b)
+            np.testing.assert_allclose(solve_nnls(DesignSystem(A=A, b=b)).x, ref_x, atol=1e-10)
+
     def test_beats_coarse_lattice(self):
         rng = np.random.default_rng(13)
         A = rng.random((25, 3))
@@ -131,33 +137,6 @@ class TestSolveNnls:
         result = solve_nnls(system)
         assert result.residual <= 1e-9
         assert_kkt(system, result.x)
-
-    def test_residual_history_non_increasing(self):
-        rng = np.random.default_rng(15)
-        A = rng.random((50, 5))
-        b = rng.random(50)
-        result = solve_nnls(DesignSystem(A=A, b=b))
-        history = np.array(result.residual_history)
-        assert (np.diff(history) <= 1e-9).all()
-        assert result.residual == history[-1]
-        assert result.iterations == len(history) - 1
-
-    def test_iteration_limit_carries_best_iterate(self):
-        rng = np.random.default_rng(16)
-        A = rng.random((20, 4))
-        b = rng.random(20) + 1.0
-        with pytest.raises(IterationLimitError, match="no convergence") as excinfo:
-            solve_nnls(DesignSystem(A=A, b=b), max_iter=1)
-        err = excinfo.value
-        assert err.best_x.shape == (4,)
-        assert (err.best_x >= 0).all()
-        assert err.residual >= 0.0
-        assert err.iterations == 1
-
-    def test_tol_validation(self):
-        system = DesignSystem(A=np.eye(2), b=np.ones(2))
-        with pytest.raises(ValueError, match="tol"):
-            solve_nnls(system, tol=0.0)
 
     def test_importance_conversion(self):
         system = DesignSystem(A=np.eye(5), b=np.array([0.4, 0.3, 0.0, 0.2, 0.1]))
@@ -190,10 +169,10 @@ class TestOptimizeImportance:
             WeightMap(rng.random((6, 6)), 25.0, f"q{k + 1}") for k in range(5)
         )
         potential = step6_combine(maps, ImportanceVector.uniform()).normalized()
-        x, residual, iterations = _run_optimize(maps, potential, None, tmp_path)
+        x, residual = _run_optimize(maps, potential, None, tmp_path)
         doc = json.loads((tmp_path / "importance.json").read_text())
         assert doc["x"] == list(x.values)
-        assert (doc["residual"], doc["iterations"]) == (residual, iterations)
+        assert doc["residual"] == residual
         normalized = doc["x_normalized"]
         assert normalized is not None
         assert abs(sum(normalized) - 1.0) <= 1e-12
@@ -203,7 +182,7 @@ class TestOptimizeImportance:
             WeightMap(np.ones((4, 4)), 25.0, f"q{k + 1}") for k in range(5)
         )
         potential = WeightMap(np.zeros((4, 4)), 25.0, "potential")
-        x, _, _ = _run_optimize(maps, potential, None, tmp_path)
+        x, _ = _run_optimize(maps, potential, None, tmp_path)
         assert x.values == (0.0,) * 5
         doc = json.loads((tmp_path / "importance.json").read_text())
         assert doc["x_normalized"] is None

@@ -15,6 +15,7 @@ from hotloc.scenario import (
     load_scenario_config,
     parse_scenario_config,
 )
+from hotloc.sim import SimConfig
 
 
 def minimal_config(**overrides):
@@ -265,6 +266,11 @@ class TestParseConfig:
         assert reseeded.seed == 3
         assert reseeded.sim.seed == 3
         assert config.seed == 5  # original untouched
+
+    def test_empty_blocks_take_dataclass_defaults(self):
+        config = parse_scenario_config(minimal_config(seed=4, layout={}, sim={}))
+        assert config.layout == LayoutParams()
+        assert config.sim == SimConfig(seed=4)
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

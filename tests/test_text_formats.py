@@ -20,6 +20,14 @@ from hotloc.grid import CellInfo, CoverageGrid, GridSpec, load_grid, save_grid
 from hotloc.kpi import LABEL_TRUTH, WeightMap, load_weight_map, save_weight_map
 
 EDGE_VALUES = (-0.0, 5e-324, 1e16, 1e-5, 1e-4)
+# The longest reprs a double has: 24 characters negative, 23 positive.
+LONGEST_NEGATIVE = (-2.2250738585072014e-308, -1.7976931348623157e308)
+LONGEST_POSITIVE = (2.2250738585072014e-308, 1.7976931348623157e308)
+# Pools the edge grids and maps draw repeated values from, one per format
+# and the same for every seed, so values repeat within a layer or map,
+# across layers and across maps.
+GRID_POOL = np.random.default_rng(1234).uniform(-130.0, -60.0, size=8)
+MAP_POOL = np.random.default_rng(5678).random(8)
 
 
 def reference_grid_text(grid: CoverageGrid) -> str:
@@ -73,13 +81,18 @@ def reference_cdf_text(report) -> str:
 
 
 def edge_grid(seed: int) -> CoverageGrid:
-    """Four cells with numeric-looking ids on a 7x7 grid: random RSRP with
-    NaN holes, one all-NaN layer, and the edge values in the last one."""
+    """Four cells with numeric-looking ids on a 7x7 grid: random RSRP, half
+    of it drawn from ``GRID_POOL``, with NaN holes, one all-NaN layer,
+    ``0.0`` and the 24-character reprs in the first layer and the edge
+    values, ``-0.0`` among them, in the last one."""
     rng = np.random.default_rng(seed)
     m = 7
     rsrp = rng.uniform(-130.0, -60.0, size=(4, m, m))
+    repeated = rng.random((4, m, m)) < 0.5
+    rsrp[repeated] = rng.choice(GRID_POOL, size=np.count_nonzero(repeated))
     rsrp[rng.random((4, m, m)) < 0.3] = np.nan
     rsrp[1] = np.nan
+    rsrp[0].flat[:3] = (0.0, *LONGEST_NEGATIVE)
     rsrp[3].flat[: len(EDGE_VALUES)] = EDGE_VALUES
     ids = ("12", "1e3", "nan", "-0.5")
     cells = [
@@ -95,11 +108,15 @@ def edge_grid(seed: int) -> CoverageGrid:
 
 
 def edge_map(seed: int) -> WeightMap:
-    """A 9x9 weight map of random weights, zeros and the edge values."""
+    """A 9x9 weight map of random weights, half of them drawn from
+    ``MAP_POOL``, zeros, the edge values and the 23-character reprs."""
     rng = np.random.default_rng(seed)
     values = rng.random((9, 9)) * 10.0 ** rng.integers(-8, 8, size=(9, 9))
+    repeated = rng.random((9, 9)) < 0.5
+    values[repeated] = rng.choice(MAP_POOL, size=np.count_nonzero(repeated))
     values[rng.random((9, 9)) < 0.2] = 0.0
     values.flat[: len(EDGE_VALUES)] = EDGE_VALUES
+    values.flat[-len(LONGEST_POSITIVE) :] = LONGEST_POSITIVE
     return WeightMap(values, 12.5, "1e3", origin=(3.25, -7.5))
 
 

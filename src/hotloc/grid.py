@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -304,16 +304,64 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 
 _GRID_MAGIC = "hotloc-grid,1"
 
+# The longest repr of a double, e.g. "-2.2250738585072014e-308".
+_REPR_WIDTH = 24
+# Distinct values formatted per batch, which bounds the Python strings
+# alive at once.
+_REPR_CHUNK = 1 << 12
 
-def pixel_prefixes(m: int) -> list[str]:
-    """The ``"i,j,"`` prefixes of the data rows of an m x m raster, in
+
+def pixel_prefixes(m: int) -> list[bytes]:
+    """The ``b"i,j,"`` prefixes of the data rows of an m x m raster, in
     row-major order."""
-    coords = [f"{n}," for n in range(m)]
-    return list(map("".join, itertools.product(coords, repeat=2)))
+    coords = [b"%d," % n for n in range(m)]
+    return list(map(b"".join, itertools.product(coords, repeat=2)))
+
+
+def repr_lookup(values: np.ndarray) -> Callable[[np.ndarray], list[bytes]]:
+    """A function that gives the ASCII ``repr`` of each float64 of an
+    array whose values all occur in ``values``, as a list of bytes.
+
+    ``repr`` runs once per distinct value: the text writers' layers and
+    maps repeat most of their values. Values are keyed on their bit
+    patterns, which keeps ``-0.0`` apart from ``0.0``, so the bytes are
+    those of ``repr`` by construction. One sorted copy of the bits, the
+    distinct ones and their texts in a fixed-width array are the only
+    tables built: ``np.unique``, an object array of texts or a table of
+    Python strings per value each raised a desk run's peak memory."""
+    bits = np.sort(np.asarray(values, np.float64).view(np.uint64), axis=None)
+    first = np.ones(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    distinct = bits[first]
+    del bits, first
+    texts = np.empty(distinct.size, dtype=f"S{_REPR_WIDTH}")
+    for lo in range(0, distinct.size, _REPR_CHUNK):
+        chunk = distinct[lo : lo + _REPR_CHUNK].view(np.float64).tolist()
+        texts[lo : lo + len(chunk)] = np.fromiter(map(repr, chunk), texts.dtype, len(chunk))
+
+    def lookup(part: np.ndarray) -> list[bytes]:
+        keys = np.asarray(part, np.float64).view(np.uint64)
+        return texts[np.searchsorted(distinct, keys)].tolist()
+
+    return lookup
+
+
+def reject_separators(what: str, name: str, separators: str) -> None:
+    """Raise ValueError naming ``name`` when it holds one of ``separators``
+    or a line break, which would split or merge the fields and rows of a
+    text artifact."""
+    found = "".join(sorted(set(name) & set(separators + "\n\r")))
+    if found:
+        raise ValueError(f"{what} {name!r} contains {found!r}, which the file format cannot hold")
 
 
 def save_grid(grid: CoverageGrid, path: str | Path) -> None:
-    """Write a coverage grid to its CSV-based interchange format."""
+    """Write a coverage grid to its CSV-based interchange format. A cell or
+    neighbor id holding ``,``, ``;`` or a line break raises ValueError."""
+    for cell in grid.cells:
+        reject_separators("cell id", cell.cell_id, ",;")
+        for nb_id in cell.neighbors:
+            reject_separators("neighbor id", nb_id, ",;")
     spec = grid.spec
     lines = [_GRID_MAGIC]
     lines.append(f"m,{spec.m}")
@@ -330,17 +378,19 @@ def save_grid(grid: CoverageGrid, path: str | Path) -> None:
         )
     lines.append("rsrp")
     pixels = np.array(pixel_prefixes(spec.m), dtype=object)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        for cell, layer in zip(grid.cells, grid.rsrp.reshape(grid.n_cells, -1)):
+    layers = grid.rsrp.reshape(grid.n_cells, -1)
+    reprs = repr_lookup(layers[~np.isnan(layers)])
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
+        for cell, layer in zip(grid.cells, layers):
             covered = ~np.isnan(layer)
             if not covered.any():
                 continue
             # The cell id leads every row: it opens the block and follows
             # each line break of the join.
-            lead = f"{cell.cell_id},"
-            rows = map(str.__add__, pixels[covered].tolist(), map(repr, layer[covered].tolist()))
-            fh.write(lead + f"\n{lead}".join(rows) + "\n")
+            lead = f"{cell.cell_id},".encode()
+            rows = map(bytes.__add__, pixels[covered].tolist(), reprs(layer[covered]))
+            fh.write(lead + (b"\n" + lead).join(rows) + b"\n")
 
 
 def header_row(

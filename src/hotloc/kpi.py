@@ -26,6 +26,8 @@ from hotloc.grid import (
     header_row,
     pixel_prefixes,
     read_header_lines,
+    reject_separators,
+    repr_lookup,
     scatter_pixel_rows,
     ta_zone_layer,
 )
@@ -407,16 +409,18 @@ def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
     per pixel in row-major order.
 
     A reader takes the data rows in any order. Each pixel appears at most
-    once, with 0 <= i, j < m, and an absent pixel has weight 0."""
+    once, with 0 <= i, j < m, and an absent pixel has weight 0. A label
+    holding ``,`` or a line break raises ValueError."""
+    reject_separators("weight map label", wmap.label, ",")
     lines = [_WMAP_MAGIC]
     lines.append(f"m,{wmap.m}")
     lines.append(f"pixel_size,{wmap.pixel_size!r}")
     lines.append(f"label,{wmap.label}")
     lines.append(f"origin,{wmap.origin[0]!r},{wmap.origin[1]!r}")
     lines.append("i,j,weight")
-    weights = map(repr, wmap.values.reshape(-1).tolist())
-    lines.extend(map(str.__add__, pixel_prefixes(wmap.m), weights))
-    Path(path).write_text("\n".join(lines) + "\n")
+    weights = repr_lookup(wmap.values)(wmap.values.reshape(-1))
+    rows = map(bytes.__add__, pixel_prefixes(wmap.m), weights)
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode() + b"\n".join(rows) + b"\n")
 
 
 def load_weight_map(path: str | Path) -> WeightMap:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,24 @@ class TestGridFile:
             assert back.site_position == orig.site_position
             assert abs(back.azimuth - orig.azimuth) < 1e-12
         np.testing.assert_array_equal(loaded.rsrp, grid.rsrp)
+
+    @pytest.mark.parametrize(
+        "cell_id, neighbor, name",
+        [
+            ("a,b", "B", "a,b"),
+            ("a;b", "B", "a;b"),
+            ("a\nb", "B", "a\nb"),
+            ("A", "b,c", "b,c"),
+            ("A", "b;c", "b;c"),
+            ("A", "b\rc", "b\rc"),
+        ],
+    )
+    def test_separator_in_id_rejected_before_writing(self, tmp_path, cell_id, neighbor, name):
+        grid = constant_grid([(cell_id, (0.0, 0.0), 0.0, -90.0, (neighbor,))], m=4)
+        path = tmp_path / "grid.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            save_grid(grid, path)
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "not-a-grid.csv"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,12 @@ class TestWeightMap:
         assert loaded.label == wmap.label
         assert loaded.origin == wmap.origin
 
+    @pytest.mark.parametrize("label", ["x,y", "x\ny", "x\r"])
+    def test_separator_in_label_rejected_before_writing(self, tmp_path, label):
+        path = tmp_path / "map.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            save_weight_map(WeightMap(np.ones((3, 3)), 12.5, label), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize(
         "row, replacement",

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from hotloc.evaluate import write_report_csvs
-from hotloc.grid import CellInfo, CoverageGrid, GridSpec, load_grid, save_grid
+from hotloc import grid as grid_module
+from hotloc.grid import CellInfo, CoverageGrid, GridSpec, load_grid, repr_lookup, save_grid
 from hotloc.kpi import LABEL_TRUTH, WeightMap, load_weight_map, save_weight_map
 
 EDGE_VALUES = (-0.0, 5e-324, 1e16, 1e-5, 1e-4)
@@ -194,3 +195,26 @@ class TestEdgeValues:
         paths = [tmp_path / name for name in ("peaks.csv", "detection.csv", "cdf.csv")]
         write_report_csvs(edge_report, *map(str, paths))
         assert paths[2].read_bytes() == reference_cdf_text(edge_report).encode()
+
+
+class TestReprLookup:
+    def test_matches_repr_on_random_bit_patterns(self, monkeypatch):
+        # Batches smaller than the input, with a ragged last one.
+        monkeypatch.setattr(grid_module, "_REPR_CHUNK", 999)
+        rng = np.random.default_rng(0)
+        top = np.iinfo(np.uint64).max
+        bits = rng.integers(0, top, size=10_000, dtype=np.uint64, endpoint=True)
+        # Subnormals: a zero exponent field under either sign.
+        bits[:200] &= np.uint64((1 << 63) | ((1 << 52) - 1))
+        # The smallest and largest subnormals and normals, signed zeros
+        # and infinities.
+        special = [5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308]
+        special += [*LONGEST_NEGATIVE, *LONGEST_POSITIVE, 0.0, -0.0, math.inf, -math.inf]
+        values = np.concatenate((bits.view(np.float64), special))
+        values = values[~np.isnan(values)]
+        # Every value again, in another order, so most of them repeat.
+        values = np.concatenate((values, rng.permutation(values)))
+        lookup = repr_lookup(values)
+        assert lookup(values) == [repr(v).encode() for v in values.tolist()]
+        part = values[::-7]
+        assert lookup(part) == [repr(v).encode() for v in part.tolist()]

@@ -28,22 +28,16 @@ import click
 
 from hotloc import pipeline
 from hotloc.grid import compute_server_maps, load_grid
-from hotloc.kpi import load_kpi_set, load_weight_map
+from hotloc.kpi import KPI_LABELS, load_kpi_set, load_weight_map
 from hotloc.localize import ImportanceVector
 from hotloc.pipeline import (
     ALL_VARIANTS,
     KPI_SOURCE_ORACLE,
     KPI_SOURCE_SIM,
-    VARIANT_STEP6,
-    VARIANT_STEP7,
-    VARIANT_TA_NEIGHBOR,
-    VARIANT_TA_ONLY,
     StageError,
     run_pipeline,
 )
 from hotloc.scenario import ConfigError, load_scenario_config
-
-_VARIANT_FLAGS = {"ta-only": VARIANT_TA_ONLY, "ta-neighbor": VARIANT_TA_NEIGHBOR, "all": None}
 
 
 def _fail(stage: str, message: str) -> None:
@@ -114,13 +108,16 @@ def _parse_seeds(_ctx, _param, value):
     if value is None:
         return None
     try:
-        return tuple(int(p) for p in value.split(","))
+        seeds = tuple(int(p) for p in value.split(","))
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
+    if any(s < 0 for s in seeds):
+        raise click.BadParameter("seeds must be non-negative")
+    return seeds
 
 
 config_opt = click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Scenario configuration (JSON).")
-seed_opt = click.option("--seed", type=int, default=None, help="Master seed override.")
+seed_opt = click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed override.")
 out_opt = click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False), help="Output directory.")
 in_opt = click.option("--in", "in_dir", type=click.Path(exists=True, file_okay=False), default=None, help="Input artifact directory (default: the output directory).")
 
@@ -179,9 +176,7 @@ def simulate_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str |
 
 def _load_maps_inputs(art: Path):
     grid, servers = _load_grid(art)
-    kpis = load_kpi_set(art / "kpis.json")
-    potential_map = load_weight_map(art / "potential.csv")
-    return grid, servers, kpis, potential_map
+    return grid, servers, load_kpi_set(art / "kpis.json")
 
 
 @main.command("optimize")
@@ -195,7 +190,8 @@ def optimize_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str |
     potential-hotspot prior."""
     config = _load_config(config_path, seed)
     out, art = _dirs(out_dir, in_dir)
-    grid, servers, kpis, potential_map = _load_maps_inputs(art)
+    grid, servers, kpis = _load_maps_inputs(art)
+    potential_map = load_weight_map(art / "potential.csv")
     kpi_maps = pipeline._run_maps(grid, servers, kpis, config.localizer, out)
     x, residual = pipeline._run_optimize(kpi_maps, potential_map, None, out)
     click.echo(f"x = ({_format_x(x)}), residual {residual:.6g}")
@@ -207,7 +203,6 @@ def optimize_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str |
 @out_opt
 @in_opt
 @click.option("--x-override", callback=_parse_x_override, default=None, help="Importance factors a,b,c,d,e (skips the fitted vector).")
-@click.option("--variant", type=click.Choice(sorted(_VARIANT_FLAGS)), default="all", help="KPI subset to fuse.")
 @_reported("localize")
 def localize_cmd(
     config_path: str,
@@ -215,25 +210,17 @@ def localize_cmd(
     out_dir: str,
     in_dir: str | None,
     x_override: tuple[float, ...] | None,
-    variant: str,
 ) -> None:
     """Build the per-KPI maps and the fused and smoothed estimates."""
     config = _load_config(config_path, seed)
-    variant = _VARIANT_FLAGS[variant]
-    if variant is not None and x_override is not None:
-        raise ValueError("--x-override only applies to --variant all")
     out, art = _dirs(out_dir, in_dir)
-    grid, servers, kpis, potential_map = _load_maps_inputs(art)
+    grid, servers, kpis = _load_maps_inputs(art)
     if x_override is not None:
         x = ImportanceVector(x_override)
-    elif variant is None:
-        x = pipeline.load_importance(art / "importance.json")
     else:
-        x = None
+        x = pipeline.load_importance(art / "importance.json")
     kpi_maps = pipeline._run_maps(grid, servers, kpis, config.localizer, out)
-    result, _ = pipeline._run_localize(
-        grid, servers, kpis, kpi_maps, potential_map, x, config.localizer, out, variant
-    )
+    result = pipeline._run_localize(grid, servers, kpis, kpi_maps, x, config.localizer, out)
     click.echo(f"fused and smoothed maps written to {out} (x = {_format_x(result.x)})")
 
 
@@ -244,19 +231,17 @@ def localize_cmd(
 @in_opt
 @_reported("evaluate")
 def evaluate_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str | None) -> None:
-    """Score the fused and smoothed estimates in the input directory
-    against the ground truth."""
+    """Fit the restricted variants and score every variant against the
+    ground truth."""
     config = _load_config(config_path, seed)
     out, art = _dirs(out_dir, in_dir)
-    truth = load_weight_map(art / "truth.csv")
-    estimates = {
-        name: load_weight_map(art / filename)
-        for name, filename in ((VARIANT_STEP6, "fused.csv"), (VARIANT_STEP7, "smoothed.csv"))
-        if (art / filename).exists()
-    }
-    if not estimates:
-        raise ValueError("nothing to evaluate: no fused.csv or smoothed.csv found")
-    report = pipeline._run_evaluate(truth, estimates, config.evaluation, out)
+    truth, potential_map, fused, smoothed = (
+        load_weight_map(art / f"{name}.csv") for name in ("truth", "potential", "fused", "smoothed")
+    )
+    kpi_maps = tuple(load_weight_map(art / f"{label}.csv") for label in KPI_LABELS)
+    report, _ = pipeline._run_evaluate(
+        truth, kpi_maps, potential_map, fused, smoothed, config.evaluation, out
+    )
     means = ", ".join(f"{k}: {v.mean_distance_m:.1f} m" for k, v in sorted(report.variants.items()))
     click.echo(f"report written to {out / 'report.json'} ({means})")
 

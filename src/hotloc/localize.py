@@ -12,7 +12,7 @@ smoother.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -285,9 +285,6 @@ class LocalizationResult:
     fused: WeightMap
     smoothed: WeightMap
     x: ImportanceVector
-
-    def relabeled_fused(self, label: str) -> WeightMap:
-        return replace(self.fused, label=label)
 
 
 def localize(

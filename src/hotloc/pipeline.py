@@ -224,55 +224,42 @@ def _run_localize(
     servers: ServerMaps,
     kpis: KpiSet,
     kpi_maps: tuple[WeightMap, ...],
-    potential_map: WeightMap,
-    x: ImportanceVector | None,
+    x: ImportanceVector,
     params: LocalizerParams,
     out: Path,
-    variant: str | None = None,
-) -> tuple[LocalizationResult, dict[str, WeightMap]]:
-    """Fused and smoothed estimates with ``x``, plus the fused maps of the
-    restricted variants, each fitted on its own KPI columns. A restricted
-    ``variant`` fuses and smooths with that variant's fit instead of
-    ``x``."""
-    restricted = {
-        name: restricted_fit(kpi_maps, potential_map, columns)
-        for name, columns in VARIANT_COLUMNS.items()
-    }
-    if variant is not None:
-        x = restricted[variant]
+) -> LocalizationResult:
+    """Fused and smoothed estimates with the importance vector ``x``."""
     result = localize(kpis, grid, servers, x, params, kpi_maps=kpi_maps)
     save_weight_map(result.fused, out / "fused.csv")
     save_weight_map(result.smoothed, out / "smoothed.csv")
-    variant_maps = {
-        VARIANT_STEP6: result.relabeled_fused(VARIANT_STEP6),
-        VARIANT_STEP7: result.smoothed,
-    }
-    for name, x_restricted in restricted.items():
-        fused = step6_combine(kpi_maps, x_restricted)
-        variant_maps[name] = WeightMap(
-            fused.values, fused.pixel_size, name, fused.origin
-        )
-    return result, variant_maps
+    return result
 
 
 @stage("evaluate")
 def _run_evaluate(
     truth: WeightMap,
-    variant_maps: dict[str, WeightMap],
+    kpi_maps: tuple[WeightMap, ...],
+    potential_map: WeightMap,
+    fused: WeightMap,
+    smoothed: WeightMap,
     config: EvalConfig,
     out: Path,
-) -> EvalReport:
-    """Score whichever of the variants ``variant_maps`` holds."""
-    report = compare_variants(
-        truth,
-        {name: variant_maps[name] for name in ALL_VARIANTS if name in variant_maps},
-        config,
-    )
+) -> tuple[EvalReport, dict[str, WeightMap]]:
+    """Score every variant: the fused and smoothed estimates as ``step6``
+    and ``step7``, and the fused maps of the restricted variants, each
+    fitted on its own KPI columns."""
+    variant_maps = {
+        name: step6_combine(kpi_maps, restricted_fit(kpi_maps, potential_map, columns))
+        for name, columns in VARIANT_COLUMNS.items()
+    }
+    variant_maps[VARIANT_STEP6] = fused
+    variant_maps[VARIANT_STEP7] = smoothed
+    report = compare_variants(truth, variant_maps, config)
     save_report(report, out / "report.json")
     write_report_csvs(
         report, out / "peaks.csv", out / "detection.csv", out / "cdf.csv"
     )
-    return report
+    return report, variant_maps
 
 
 def run_pipeline(
@@ -291,10 +278,11 @@ def run_pipeline(
     kpis = _run_kpis(grid, servers, scenario.truth, config, kpi_source, out, event_log)
     kpi_maps = _run_maps(grid, servers, kpis, config.localizer, out)
     x, residual = _run_optimize(kpi_maps, potential_map, x_override, out)
-    localization, variant_maps = _run_localize(
-        grid, servers, kpis, kpi_maps, potential_map, x, config.localizer, out
+    localization = _run_localize(grid, servers, kpis, kpi_maps, x, config.localizer, out)
+    report, variant_maps = _run_evaluate(
+        scenario.truth, kpi_maps, potential_map, localization.fused,
+        localization.smoothed, config.evaluation, out,
     )
-    report = _run_evaluate(scenario.truth, variant_maps, config.evaluation, out)
 
     return PipelineResult(
         scenario=scenario,

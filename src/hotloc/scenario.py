@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -241,12 +241,49 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
 # -- JSON configuration ------------------------------------------------
 
+# Keys of the root and of the sections whose JSON names differ from their
+# dataclass fields (``extent_m``, ``sigma_m``, ``radius_m``). Every
+# parameter block takes its keys from its dataclass, in :func:`_params`.
+_ROOT_KEYS = (
+    "schema", "seed", "grid", "layout", "traffic", "potential",
+    "oracle", "sim", "localizer", "evaluation",
+)
+_GRID_KEYS = ("extent_m", "pixel_size_m", "origin", "q_rxlevmin_dbm")
+_TRAFFIC_KEYS = ("components", "floor", "noise_sigma")
+_COMPONENT_KEYS = ("center", "sigma_m", "amplitude")
+_ZONE_KEYS = {
+    "disk": ("shape", "importance", "center", "radius_m"),
+    "rect": ("shape", "importance", "corners"),
+}
+
+
+def _field(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _get(data: dict, key: str, path: str, required: bool = True, default=None):
     if key not in data:
         if required:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
+            raise ConfigError(_field(path, key), "missing required field")
         return default
     return data[key]
+
+
+def _object(value, path: str, keys) -> dict:
+    """``value``, which must be a JSON object with no key outside ``keys``."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, "expected an object")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(_field(path, key), "unknown key")
+    return value
+
+
+def _list(data: dict, key: str, path: str) -> list:
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}.{key}", f"expected a list, got {value!r}")
+    return value
 
 
 def _is_number(value) -> bool:
@@ -272,23 +309,65 @@ def _number(data: dict, key: str, path: str, required: bool = True, default=None
     value = _get(data, key, path, required, default)
     if value is None:
         return default
-    _check_number(value, f"{path}.{key}" if path else key)
+    _check_number(value, _field(path, key))
     return float(value)
 
 
 def _pair(data: dict, key: str, path: str, default=None) -> tuple[float, float]:
     value = _get(data, key, path, default is None, default)
-    field = f"{path}.{key}" if path else key
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(_is_finite_number(v) for v in value)
     ):
-        raise ConfigError(field, f"expected [x, y] of finite numbers, got {value!r}")
+        raise ConfigError(_field(path, key), f"expected [x, y] of finite numbers, got {value!r}")
     return (float(value[0]), float(value[1]))
 
 
-def _parse_grid(data: dict) -> tuple[GridSpec, float]:
+def _value(value, default, field: str):
+    """``value`` checked by the type of the field's ``default``: an int
+    needs an integral number, a tuple a non-empty list of finite numbers,
+    anything else a finite number."""
+    if isinstance(default, tuple):
+        if (
+            not isinstance(value, (list, tuple))
+            or not value
+            or not all(_is_finite_number(v) for v in value)
+        ):
+            raise ConfigError(field, f"expected a non-empty list of finite numbers, got {value!r}")
+        return tuple(float(v) for v in value)
+    _check_number(value, field)
+    if isinstance(default, int):
+        if value != int(value):
+            raise ConfigError(field, f"expected an integer, got {value!r}")
+        return int(value)
+    return float(value)
+
+
+def _params(data: dict, key: str, cls, parent: str = ""):
+    """The ``cls`` parameter block from the optional object ``data[key]``.
+
+    The block's keys and defaults are the fields of ``cls``; a field whose
+    default is a dataclass is a nested block. ``seed`` is a root key and
+    reaches the simulator through :meth:`ScenarioConfig.with_seed`.
+    """
+    path = _field(parent, key)
+    defaults = {f.name: f.default for f in fields(cls) if f.name != "seed"}
+    raw = _object(data.get(key, {}), path, defaults)
+    kwargs = {
+        name: _params(raw, name, type(defaults[name]), path)
+        if is_dataclass(defaults[name])
+        else _value(value, defaults[name], f"{path}.{name}")
+        for name, value in raw.items()
+    }
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _parse_grid(data) -> tuple[GridSpec, float]:
+    _object(data, "grid", _GRID_KEYS)
     extent = _number(data, "extent_m", "grid")
     pixel = _number(data, "pixel_size_m", "grid")
     if pixel <= 0:
@@ -303,45 +382,12 @@ def _parse_grid(data: dict) -> tuple[GridSpec, float]:
     return GridSpec(m=int(round(m)), pixel_size=pixel, origin=origin), q_rxlevmin
 
 
-def _parse_layout(data: dict) -> LayoutParams:
-    pl_data = _get(data, "pathloss", "layout", required=False, default={})
-    layout_defaults = LayoutParams()
-    defaults = layout_defaults.pathloss
-    try:
-        pathloss = PathlossParams(
-            tx_power_dbm=_number(pl_data, "tx_power_dbm", "layout.pathloss", False, defaults.tx_power_dbm),
-            ref_loss_db=_number(pl_data, "ref_loss_db", "layout.pathloss", False, defaults.ref_loss_db),
-            exponent=_number(pl_data, "exponent", "layout.pathloss", False, defaults.exponent),
-            d0_m=_number(pl_data, "d0_m", "layout.pathloss", False, defaults.d0_m),
-            beamwidth_deg=_number(pl_data, "beamwidth_deg", "layout.pathloss", False, defaults.beamwidth_deg),
-            max_attenuation_db=_number(pl_data, "max_attenuation_db", "layout.pathloss", False, defaults.max_attenuation_db),
-            shadowing_sigma_db=_number(pl_data, "shadowing_sigma_db", "layout.pathloss", False, defaults.shadowing_sigma_db),
-            prune_below_dbm=_number(pl_data, "prune_below_dbm", "layout.pathloss", False, defaults.prune_below_dbm),
-        )
-        return LayoutParams(
-            site_count=int(_number(data, "site_count", "layout", False, layout_defaults.site_count)),
-            isd_m=_number(data, "isd_m", "layout", False, layout_defaults.isd_m),
-            sectors_per_site=int(
-                _number(data, "sectors_per_site", "layout", False, layout_defaults.sectors_per_site)
-            ),
-            neighbor_radius_factor=_number(
-                data, "neighbor_radius_factor", "layout", False, layout_defaults.neighbor_radius_factor
-            ),
-            pathloss=pathloss,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("layout", str(exc)) from exc
-
-
-def _parse_traffic(data: dict) -> TrafficModel:
-    raw = _get(data, "components", "traffic", required=False, default=[])
+def _parse_traffic(data) -> TrafficModel:
+    _object(data, "traffic", _TRAFFIC_KEYS)
     components = []
-    for idx, comp in enumerate(raw):
+    for idx, comp in enumerate(_list(data, "components", "traffic")):
         path = f"traffic.components[{idx}]"
-        if not isinstance(comp, dict):
-            raise ConfigError(path, "expected an object")
+        _object(comp, path, _COMPONENT_KEYS)
         try:
             components.append(
                 TrafficComponent(
@@ -364,14 +410,17 @@ def _parse_traffic(data: dict) -> TrafficModel:
         raise ConfigError("traffic", str(exc)) from exc
 
 
-def _parse_potential(data: dict) -> PotentialHotspotSpec:
-    raw = _get(data, "zones", "potential", required=False, default=[])
+def _parse_potential(data) -> PotentialHotspotSpec:
+    _object(data, "potential", ("zones",))
     zones = []
-    for idx, zone in enumerate(raw):
+    for idx, zone in enumerate(_list(data, "zones", "potential")):
         path = f"potential.zones[{idx}]"
         if not isinstance(zone, dict):
             raise ConfigError(path, "expected an object")
         shape = _get(zone, "shape", path)
+        if shape not in _ZONE_KEYS:
+            raise ConfigError(f"{path}.shape", f"unknown shape {shape!r}")
+        _object(zone, path, _ZONE_KEYS[shape])
         try:
             if shape == "disk":
                 zones.append(
@@ -382,7 +431,7 @@ def _parse_potential(data: dict) -> PotentialHotspotSpec:
                         radius=_number(zone, "radius_m", path),
                     )
                 )
-            elif shape == "rect":
+            else:
                 corners = _get(zone, "corners", path)
                 if (
                     not isinstance(corners, (list, tuple))
@@ -399,8 +448,6 @@ def _parse_potential(data: dict) -> PotentialHotspotSpec:
                         corners=tuple(float(v) for v in corners),
                     )
                 )
-            else:
-                raise ConfigError(f"{path}.shape", f"unknown shape {shape!r}")
         except ConfigError:
             raise
         except ValueError as exc:
@@ -408,123 +455,28 @@ def _parse_potential(data: dict) -> PotentialHotspotSpec:
     return PotentialHotspotSpec(zones=zones)
 
 
-def _parse_block(data: dict, key: str, cls, field_map: dict[str, str]):
-    """Build a parameter dataclass from an optional JSON object, mapping
-    JSON keys to constructor arguments."""
-    raw = _get(data, key, "", required=False, default={})
-    if not isinstance(raw, dict):
-        raise ConfigError(key, "expected an object")
-    kwargs = {}
-    for json_key, arg in field_map.items():
-        if json_key in raw:
-            value = raw[json_key]
-            _check_number(value, f"{key}.{json_key}")
-            kwargs[arg] = value
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from exc
-
-
 def parse_scenario_config(data: dict, seed_override: int | None = None) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("", "config root must be an object")
-    schema = _get(data, "schema", "", required=False, default=SCHEMA_VERSION)
+    _object(data, "", _ROOT_KEYS)
+    schema = data.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema version {schema!r}")
-    seed = int(_number(data, "seed", "", required=False, default=0))
-    if seed_override is not None:
-        seed = seed_override
-
+    seed = _value(data.get("seed", 0), 0, "seed")
+    if seed < 0:
+        raise ConfigError("seed", f"must be non-negative, got {seed}")
     spec, q_rxlevmin = _parse_grid(_get(data, "grid", ""))
-    layout = _parse_layout(_get(data, "layout", "", required=False, default={}))
-    traffic = _parse_traffic(_get(data, "traffic", ""))
-    potential = _parse_potential(_get(data, "potential", "", required=False, default={}))
-
-    oracle = _parse_block(
-        data,
-        "oracle",
-        OracleParams,
-        {
-            "rho_cap": "rho_cap",
-            "mu0_bps": "mu0_bps",
-            "r_min_bps": "r_min_bps",
-            "rsrp_hi_dbm": "rsrp_hi_dbm",
-        },
-    )
-    sim_raw = _get(data, "sim", "", required=False, default={})
-    if not isinstance(sim_raw, dict):
-        raise ConfigError("sim", "expected an object")
-    defaults = SimConfig()
-    try:
-        sim = SimConfig(
-            arrival_rate=_number(sim_raw, "arrival_rate", "sim", False, defaults.arrival_rate),
-            file_size_bits=_number(sim_raw, "file_size_bits", "sim", False, defaults.file_size_bits),
-            mobile_fraction=_number(sim_raw, "mobile_fraction", "sim", False, defaults.mobile_fraction),
-            speed_kmh=_number(sim_raw, "speed_kmh", "sim", False, defaults.speed_kmh),
-            handover_margin_db=_number(sim_raw, "handover_margin_db", "sim", False, defaults.handover_margin_db),
-            duration_s=_number(sim_raw, "duration_s", "sim", False, defaults.duration_s),
-            tick_s=_number(sim_raw, "tick_s", "sim", False, defaults.tick_s),
-            capacity_per_cell_bps=_number(sim_raw, "capacity_per_cell_bps", "sim", False, defaults.capacity_per_cell_bps),
-            mu0_bps=_number(sim_raw, "mu0_bps", "sim", False, defaults.mu0_bps),
-            max_ue_per_cell=int(_number(sim_raw, "max_ue_per_cell", "sim", False, defaults.max_ue_per_cell)),
-            seed=seed,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("sim", str(exc)) from exc
-
-    localizer = _parse_block(
-        data,
-        "localizer",
-        LocalizerParams,
-        {
-            "epsilon": "epsilon",
-            "lambda_ho_db": "lambda_ho_db",
-            "rho_threshold": "rho_threshold",
-            "rsrp0_dbm": "rsrp0_dbm",
-            "mu0_bps": "mu0_bps",
-            "h": "h",
-            "kernel_tail": "kernel_tail",
-        },
-    )
-
-    eval_raw = _get(data, "evaluation", "", required=False, default={})
-    if not isinstance(eval_raw, dict):
-        raise ConfigError("evaluation", "expected an object")
-    p_list = eval_raw.get("p_list", list(EvalConfig().p_list))
-    if (
-        not isinstance(p_list, (list, tuple))
-        or not p_list
-        or not all(_is_finite_number(p) for p in p_list)
-    ):
-        raise ConfigError("evaluation.p_list", f"expected a list of fractions, got {p_list!r}")
-    try:
-        evaluation = EvalConfig(
-            peak_count=int(_number(eval_raw, "peak_count", "evaluation", False, EvalConfig().peak_count)),
-            suppression_radius_m=_number(
-                eval_raw, "suppression_radius_m", "evaluation", False, EvalConfig().suppression_radius_m
-            ),
-            p_list=tuple(float(p) for p in p_list),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("evaluation", str(exc)) from exc
-
     config = ScenarioConfig(
         spec=spec,
         q_rxlevmin_dbm=q_rxlevmin,
-        layout=layout,
-        traffic=traffic,
-        potential=potential,
-        oracle=oracle,
-        sim=sim,
-        localizer=localizer,
-        evaluation=evaluation,
-        seed=seed,
-    )
+        layout=_params(data, "layout", LayoutParams),
+        traffic=_parse_traffic(_get(data, "traffic", "")),
+        potential=_parse_potential(data.get("potential", {})),
+        oracle=_params(data, "oracle", OracleParams),
+        sim=_params(data, "sim", SimConfig),
+        localizer=_params(data, "localizer", LocalizerParams),
+        evaluation=_params(data, "evaluation", EvalConfig),
+    ).with_seed(seed if seed_override is None else seed_override)
     build_cells(config)  # surface layout/map inconsistencies at load time
     return config
 

@@ -110,7 +110,7 @@ class TestStageCommands:
         result = invoke(runner, "evaluate", "--config", CONFIG, "--out", art)
         assert result.exit_code == 0
         report = json.loads((tmp_path / "art" / "report.json").read_text())
-        assert set(report["variants"]) == {"step6", "step7"}
+        assert set(report["variants"]) == {"ta_only", "ta_neighbor", "step6", "step7"}
         for name in ("peaks.csv", "detection.csv", "cdf.csv"):
             assert (tmp_path / "art" / name).exists()
 
@@ -147,37 +147,6 @@ class TestStageCommands:
         assert "hotloc: stage localize:" in result.stderr
         assert "no importance vector" in result.stderr
 
-    def test_variant_flag_conflicts_with_override(self, runner, tmp_path):
-        art = str(tmp_path / "art")
-        invoke(runner, "gen-scenario", "--config", CONFIG, "--out", art)
-        invoke(runner, "oracle-kpis", "--config", CONFIG, "--out", art)
-        result = runner.invoke(
-            main,
-            [
-                "localize",
-                "--config", CONFIG,
-                "--out", art,
-                "--variant", "ta-only",
-                "--x-override", "1,0,0,0,0",
-            ],
-        )
-        assert result.exit_code == 1
-        assert "--x-override only applies to --variant all" in result.stderr
-
-    def test_variant_subset_localization(self, runner, tmp_path):
-        art = str(tmp_path / "art")
-        invoke(runner, "gen-scenario", "--config", CONFIG, "--out", art)
-        invoke(runner, "oracle-kpis", "--config", CONFIG, "--out", art)
-        result = invoke(
-            runner,
-            "localize", "--config", CONFIG, "--out", art, "--variant", "ta-only",
-        )
-        assert result.exit_code == 0
-        # Only the TA factor may be non-zero in the reported vector.
-        line = [ln for ln in result.output.splitlines() if "x =" in ln][0]
-        factors = line.split("(x = ")[1].rstrip(")").split(", ")
-        assert [float(v) for v in factors[1:]] == [0.0, 0.0, 0.0, 0.0]
-
 
 STAGEWISE_ARTIFACTS = (
     "grid.csv",
@@ -193,13 +162,18 @@ STAGEWISE_ARTIFACTS = (
     "importance.json",
     "fused.csv",
     "smoothed.csv",
+    "report.json",
+    "peaks.csv",
+    "detection.csv",
+    "cdf.csv",
 )
 
 
 class TestStagewiseEqualsPipeline:
     def test_readme_flow_matches_pipeline(self, runner, tmp_path):
         """The README's five stage commands, with nothing else run in
-        between, leave the same artifacts as one ``hotloc pipeline``."""
+        between, leave the same artifacts as one ``hotloc pipeline``, the
+        report and its tables with all four variants included."""
         art, whole = tmp_path / "art", tmp_path / "whole"
         for command in ("gen-scenario", "oracle-kpis", "optimize", "localize", "evaluate"):
             result = invoke(runner, command, "--config", CONFIG, "--out", str(art))
@@ -207,11 +181,8 @@ class TestStagewiseEqualsPipeline:
         invoke(runner, "pipeline", "--config", CONFIG, "--out", str(whole))
         for name in STAGEWISE_ARTIFACTS:
             assert (art / name).read_bytes() == (whole / name).read_bytes(), name
-        stagewise = json.loads((art / "report.json").read_text())["variants"]
-        piped = json.loads((whole / "report.json").read_text())["variants"]
-        assert set(stagewise) == {"step6", "step7"}
-        for variant in ("step6", "step7"):
-            assert stagewise[variant] == piped[variant]
+        report = json.loads((art / "report.json").read_text())
+        assert set(report["variants"]) == {"ta_only", "ta_neighbor", "step6", "step7"}
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +372,33 @@ class TestPipelineCommand:
             "--kpi-source", "sim",
         )
         assert "sim.handover_margin_db: must be finite, got nan" in err
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("sim", "arival_rate", 40.0, "sim.arival_rate: unknown key"),
+            ("layout", "site_count", 1.5, "layout.site_count: expected an integer, got 1.5"),
+            (None, "seed", -3, "seed: must be non-negative, got -3"),
+            ("layout", "pathloss", 3, "layout.pathloss: expected an object"),
+        ],
+    )
+    def test_bad_config_fails_in_config_stage(self, runner, tmp_path, section, key, value, message):
+        doc = json.loads(SIM_CONFIG.read_text())
+        (doc[section] if section else doc)[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        err = fails(runner, "config", "pipeline", "--config", str(bad), "--out", str(tmp_path / "out"))
+        assert message in err
+        assert not (tmp_path / "out" / "grid.csv").exists()
+
+    @pytest.mark.parametrize("option, value", [("--seed", "-3"), ("--seeds", "0,-3")])
+    def test_negative_seed_option_rejected(self, runner, tmp_path, option, value):
+        result = runner.invoke(
+            main, ["pipeline", "--config", CONFIG, "--out", str(tmp_path / "out"), option, value]
+        )
+        assert result.exit_code == 2
+        assert "Invalid value" in result.stderr
+        assert not (tmp_path / "out" / "grid.csv").exists()
 
     def test_idle_sim_fails_in_kpi_stage(self, runner, tmp_path):
         doc = json.loads(SIM_CONFIG.read_text())

@@ -1,10 +1,14 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from conftest import DESK_CONFIG, SIM_CONFIG
+from hotloc.evaluate import EvalConfig
+from hotloc.kpi import OracleParams
+from hotloc.localize import LocalizerParams
 from hotloc.scenario import (
     ConfigError,
     LayoutParams,
@@ -277,6 +281,115 @@ class TestParseConfig:
         path.write_text("{")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_scenario_config(path)
+
+
+DISK_ZONE = {"shape": "disk", "center": [700.0, 700.0], "radius_m": 150.0, "importance": 1.0}
+
+
+def rejected(data):
+    """The ConfigError that parsing ``data`` raises."""
+    with pytest.raises(ConfigError) as excinfo:
+        parse_scenario_config(data)
+    return excinfo.value
+
+
+class TestStrictConfig:
+    """Every section rejects keys it does not know, counts that are not
+    integers and values of the wrong shape, with the dotted path."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "",
+            "grid",
+            "layout",
+            "layout.pathloss",
+            "traffic",
+            "traffic.components[0]",
+            "potential",
+            "potential.zones[0]",
+            "oracle",
+            "sim",
+            "localizer",
+            "evaluation",
+        ],
+    )
+    def test_unknown_key_in_every_section(self, path):
+        data = minimal_config(potential={"zones": [dict(DISK_ZONE)]})
+        section = data
+        for part in filter(None, path.replace("[0]", ".0").split(".")):
+            section = section[int(part)] if part.isdigit() else section.setdefault(part, {})
+        section["colour"] = 1.0
+        error = rejected(data)
+        assert error.field == (f"{path}.colour" if path else "colour")
+        assert str(error).endswith("unknown key")
+
+    def test_sim_block_has_no_seed(self):
+        # The seed is a root key; the simulator takes it from there.
+        assert rejected(minimal_config(sim={"seed": 3})).field == "sim.seed"
+
+    def test_zone_keys_follow_the_shape(self):
+        zone = dict(DISK_ZONE, corners=[0.0, 0.0, 100.0, 100.0])
+        error = rejected(minimal_config(potential={"zones": [zone]}))
+        assert error.field == "potential.zones[0].corners"
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("layout", "site_count"),
+            ("layout", "sectors_per_site"),
+            ("sim", "max_ue_per_cell"),
+            ("evaluation", "peak_count"),
+            (None, "seed"),
+        ],
+    )
+    def test_fractional_count_rejected(self, section, key):
+        data = minimal_config(**({section: {key: 2.5}} if section else {key: 2.5}))
+        error = rejected(data)
+        assert error.field == (f"{section}.{key}" if section else key)
+        assert "expected an integer, got 2.5" in str(error)
+
+    def test_integral_float_count_accepted(self):
+        config = parse_scenario_config(
+            minimal_config(seed=4.0, layout={"sectors_per_site": 3.0}, evaluation={"peak_count": 2.0})
+        )
+        assert config.seed == 4 and type(config.seed) is int
+        assert type(config.sim.seed) is int
+        assert type(config.layout.sectors_per_site) is int
+        assert config.evaluation.peak_count == 2
+
+    @pytest.mark.parametrize(
+        "overrides, path, expected",
+        [
+            ({"layout": 3}, "layout", "an object"),
+            ({"layout": {"pathloss": 3}}, "layout.pathloss", "an object"),
+            ({"traffic": [1.0]}, "traffic", "an object"),
+            ({"sim": None}, "sim", "an object"),
+            ({"traffic": {"components": {"center": [0.0, 0.0]}}}, "traffic.components", "a list"),
+            ({"potential": {"zones": DISK_ZONE}}, "potential.zones", "a list"),
+        ],
+    )
+    def test_wrong_container_rejected(self, overrides, path, expected):
+        error = rejected(minimal_config(**overrides))
+        assert error.field == path
+        assert f"expected {expected}" in str(error)
+
+    def test_every_field_is_a_key(self):
+        # A block spelled out with all its fields parses to the defaults.
+        blocks = {
+            "layout": LayoutParams(),
+            "oracle": OracleParams(),
+            "localizer": LocalizerParams(),
+            "evaluation": EvalConfig(),
+        }
+        data = minimal_config(
+            sim={k: v for k, v in asdict(SimConfig()).items() if k != "seed"},
+            **{k: {f: v for f, v in asdict(b).items() if v is not None} for k, b in blocks.items()},
+        )
+        config = parse_scenario_config(data)
+        assert config.sim == SimConfig()
+        for key, block in blocks.items():
+            assert getattr(config, key) == block
 
 
 class TestBuildScenario:

@@ -176,7 +176,9 @@ def simulate_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str |
 
 def _load_maps_inputs(art: Path):
     grid, servers = _load_grid(art)
-    return grid, servers, load_kpi_set(art / "kpis.json")
+    kpis = load_kpi_set(art / "kpis.json")
+    potential_map = load_weight_map(art / "potential.csv")
+    return grid, servers, kpis, potential_map
 
 
 @main.command("optimize")
@@ -190,8 +192,7 @@ def optimize_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str |
     potential-hotspot prior."""
     config = _load_config(config_path, seed)
     out, art = _dirs(out_dir, in_dir)
-    grid, servers, kpis = _load_maps_inputs(art)
-    potential_map = load_weight_map(art / "potential.csv")
+    grid, servers, kpis, potential_map = _load_maps_inputs(art)
     kpi_maps = pipeline._run_maps(grid, servers, kpis, config.localizer, out)
     x, residual = pipeline._run_optimize(kpi_maps, potential_map, None, out)
     click.echo(f"x = ({_format_x(x)}), residual {residual:.6g}")
@@ -214,13 +215,15 @@ def localize_cmd(
     """Build the per-KPI maps and the fused and smoothed estimates."""
     config = _load_config(config_path, seed)
     out, art = _dirs(out_dir, in_dir)
-    grid, servers, kpis = _load_maps_inputs(art)
+    grid, servers, kpis, potential_map = _load_maps_inputs(art)
     if x_override is not None:
         x = ImportanceVector(x_override)
     else:
         x = pipeline.load_importance(art / "importance.json")
     kpi_maps = pipeline._run_maps(grid, servers, kpis, config.localizer, out)
-    result = pipeline._run_localize(grid, servers, kpis, kpi_maps, x, config.localizer, out)
+    result, _ = pipeline._run_localize(
+        grid, servers, kpis, kpi_maps, potential_map, x, config.localizer, out
+    )
     click.echo(f"fused and smoothed maps written to {out} (x = {_format_x(result.x)})")
 
 
@@ -239,9 +242,8 @@ def evaluate_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str |
         load_weight_map(art / f"{name}.csv") for name in ("truth", "potential", "fused", "smoothed")
     )
     kpi_maps = tuple(load_weight_map(art / f"{label}.csv") for label in KPI_LABELS)
-    report, _ = pipeline._run_evaluate(
-        truth, kpi_maps, potential_map, fused, smoothed, config.evaluation, out
-    )
+    maps = pipeline.variant_maps(kpi_maps, potential_map, fused, smoothed)
+    report = pipeline._run_evaluate(truth, maps, config.evaluation, out)
     means = ", ".join(f"{k}: {v.mean_distance_m:.1f} m" for k, v in sorted(report.variants.items()))
     click.echo(f"report written to {out / 'report.json'} ({means})")
 

@@ -218,48 +218,54 @@ def load_importance(path: Path) -> ImportanceVector:
     return ImportanceVector(tuple(float(v) for v in x))
 
 
+def variant_maps(
+    kpi_maps: tuple[WeightMap, ...],
+    potential_map: WeightMap,
+    fused: WeightMap,
+    smoothed: WeightMap,
+) -> dict[str, WeightMap]:
+    """Every variant's map: the fused and smoothed estimates as ``step6``
+    and ``step7``, and the fused maps of the restricted variants, each
+    fitted on its own KPI columns."""
+    maps = {
+        name: step6_combine(kpi_maps, restricted_fit(kpi_maps, potential_map, columns))
+        for name, columns in VARIANT_COLUMNS.items()
+    }
+    maps[VARIANT_STEP6] = fused
+    maps[VARIANT_STEP7] = smoothed
+    return maps
+
+
 @stage("localize")
 def _run_localize(
     grid: CoverageGrid,
     servers: ServerMaps,
     kpis: KpiSet,
     kpi_maps: tuple[WeightMap, ...],
+    potential_map: WeightMap,
     x: ImportanceVector,
     params: LocalizerParams,
     out: Path,
-) -> LocalizationResult:
-    """Fused and smoothed estimates with the importance vector ``x``."""
+) -> tuple[LocalizationResult, dict[str, WeightMap]]:
+    """Fused and smoothed estimates with the importance vector ``x``, and
+    every variant's map."""
     result = localize(kpis, grid, servers, x, params, kpi_maps=kpi_maps)
     save_weight_map(result.fused, out / "fused.csv")
     save_weight_map(result.smoothed, out / "smoothed.csv")
-    return result
+    return result, variant_maps(kpi_maps, potential_map, result.fused, result.smoothed)
 
 
 @stage("evaluate")
 def _run_evaluate(
-    truth: WeightMap,
-    kpi_maps: tuple[WeightMap, ...],
-    potential_map: WeightMap,
-    fused: WeightMap,
-    smoothed: WeightMap,
-    config: EvalConfig,
-    out: Path,
-) -> tuple[EvalReport, dict[str, WeightMap]]:
-    """Score every variant: the fused and smoothed estimates as ``step6``
-    and ``step7``, and the fused maps of the restricted variants, each
-    fitted on its own KPI columns."""
-    variant_maps = {
-        name: step6_combine(kpi_maps, restricted_fit(kpi_maps, potential_map, columns))
-        for name, columns in VARIANT_COLUMNS.items()
-    }
-    variant_maps[VARIANT_STEP6] = fused
-    variant_maps[VARIANT_STEP7] = smoothed
-    report = compare_variants(truth, variant_maps, config)
+    truth: WeightMap, maps: dict[str, WeightMap], config: EvalConfig, out: Path
+) -> EvalReport:
+    """Score every variant in ``maps`` against the ground truth."""
+    report = compare_variants(truth, maps, config)
     save_report(report, out / "report.json")
     write_report_csvs(
         report, out / "peaks.csv", out / "detection.csv", out / "cdf.csv"
     )
-    return report, variant_maps
+    return report
 
 
 def run_pipeline(
@@ -278,11 +284,10 @@ def run_pipeline(
     kpis = _run_kpis(grid, servers, scenario.truth, config, kpi_source, out, event_log)
     kpi_maps = _run_maps(grid, servers, kpis, config.localizer, out)
     x, residual = _run_optimize(kpi_maps, potential_map, x_override, out)
-    localization = _run_localize(grid, servers, kpis, kpi_maps, x, config.localizer, out)
-    report, variant_maps = _run_evaluate(
-        scenario.truth, kpi_maps, potential_map, localization.fused,
-        localization.smoothed, config.evaluation, out,
+    localization, maps = _run_localize(
+        grid, servers, kpis, kpi_maps, potential_map, x, config.localizer, out
     )
+    report = _run_evaluate(scenario.truth, maps, config.evaluation, out)
 
     return PipelineResult(
         scenario=scenario,
@@ -292,7 +297,7 @@ def run_pipeline(
         x=x,
         fit_residual=residual,
         localization=localization,
-        variant_maps=variant_maps,
+        variant_maps=maps,
         report=report,
         out_dir=out,
     )

@@ -418,7 +418,7 @@ def _parse_potential(data) -> PotentialHotspotSpec:
         if not isinstance(zone, dict):
             raise ConfigError(path, "expected an object")
         shape = _get(zone, "shape", path)
-        if shape not in _ZONE_KEYS:
+        if not isinstance(shape, str) or shape not in _ZONE_KEYS:
             raise ConfigError(f"{path}.shape", f"unknown shape {shape!r}")
         _object(zone, path, _ZONE_KEYS[shape])
         try:

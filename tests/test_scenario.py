@@ -333,6 +333,13 @@ class TestStrictConfig:
         error = rejected(minimal_config(potential={"zones": [zone]}))
         assert error.field == "potential.zones[0].corners"
 
+    @pytest.mark.parametrize("shape", [["disk"], {"disk": 1}, 3, None])
+    def test_non_string_shape_rejected(self, shape):
+        zone = dict(DISK_ZONE, shape=shape)
+        error = rejected(minimal_config(potential={"zones": [zone]}))
+        assert error.field == "potential.zones[0].shape"
+        assert "unknown shape" in str(error)
+
     @pytest.mark.parametrize(
         "section, key",
         [

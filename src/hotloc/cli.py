@@ -221,10 +221,8 @@ def localize_cmd(
     else:
         x = pipeline.load_importance(art / "importance.json")
     kpi_maps = pipeline._run_maps(grid, servers, kpis, config.localizer, out)
-    result, _ = pipeline._run_localize(
-        grid, servers, kpis, kpi_maps, potential_map, x, config.localizer, out
-    )
-    click.echo(f"fused and smoothed maps written to {out} (x = {_format_x(result.x)})")
+    pipeline._run_localize(servers, kpi_maps, potential_map, x, config.localizer, out)
+    click.echo(f"fused and smoothed maps written to {out} (x = {_format_x(x)})")
 
 
 @main.command("evaluate")

@@ -42,9 +42,6 @@ class HotspotPeak:
         if self.weight <= 0:
             raise ValueError("peak weight must be positive")
 
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class PeakPair:
@@ -188,9 +185,6 @@ class EvalReport:
     truth_peaks: list[HotspotPeak]
     truth_cdf: tuple[np.ndarray, np.ndarray]
     variants: dict[str, VariantEval] = field(default_factory=dict)
-
-    def mean_distances(self) -> dict[str, float]:
-        return {label: v.mean_distance_m for label, v in self.variants.items()}
 
 
 def _evaluate_one(

@@ -56,19 +56,12 @@ class GridSpec:
         """Side length of the map in meters."""
         return self.m * self.pixel_size
 
-    def pixel_center(self, i: int, j: int) -> tuple[float, float]:
-        x0, y0 = self.origin
-        return (x0 + (i + 0.5) * self.pixel_size, y0 + (j + 0.5) * self.pixel_size)
-
     def center_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """World coordinates of all pixel centers as two (m, m) arrays."""
         idx = np.arange(self.m, dtype=np.float64) + 0.5
         x = self.origin[0] + idx * self.pixel_size
         y = self.origin[1] + idx * self.pixel_size
         return np.meshgrid(x, y, indexing="ij")
-
-    def contains_pixel(self, i: int, j: int) -> bool:
-        return 0 <= i < self.m and 0 <= j < self.m
 
 
 @dataclass(frozen=True)
@@ -196,64 +189,10 @@ def compute_server_maps(grid: CoverageGrid) -> ServerMaps:
     return ServerMaps(best=best, second=second)
 
 
-def angle_and_distance(
-    cell: CellInfo, pixel: tuple[float, float]
-) -> tuple[float, float]:
-    """Bearing (radians clockwise from North) and Euclidean distance from the
-    cell site to a world-coordinate point. A zero-length offset has bearing 0
-    by convention."""
-    dx = pixel[0] - cell.site_position[0]
-    dy = pixel[1] - cell.site_position[1]
-    dist = math.hypot(dx, dy)
-    if dist == 0.0:
-        return 0.0, 0.0
-    bearing = math.atan2(dx, dy) % (2.0 * math.pi)
-    return bearing, dist
-
-
-def ta_zone(spec: GridSpec, cell: CellInfo, pixel: tuple[int, int]) -> int:
-    """Timing-advance ring of a pixel in a cell: floor(distance / 78.25 m),
-    clamped to the open-ended last ring (index 5)."""
-    if not spec.contains_pixel(*pixel):
-        raise ValueError(f"pixel {pixel} outside {spec.m}x{spec.m} grid")
-    center = spec.pixel_center(*pixel)
-    _, dist = angle_and_distance(cell, center)
-    return min(int(dist / TA_GRANULARITY_M), TA_ZONE_COUNT - 1)
-
-
-def _wrap_pi(angle: float) -> float:
-    """Wrap to the half-open interval (-pi, pi]."""
-    # In-range angles pass through untouched; the modulo arithmetic below
-    # can shift them by a few ulp, enough to cross a closed zone boundary.
-    if -math.pi < angle <= math.pi:
-        return angle
-    wrapped = angle % (2.0 * math.pi)
-    if wrapped > math.pi:
-        wrapped -= 2.0 * math.pi
-    return wrapped
-
-
-def aoa_zone(spec: GridSpec, cell: CellInfo, pixel: tuple[int, int]) -> int:
-    """Bearing sector of a pixel relative to the cell boresight.
-
-    Returns 0 when the bearing offset from the azimuth lies in
-    [-pi/6, pi/6], +1 for offsets in (pi/6, pi] and -1 for offsets in
-    (-pi, -pi/6). A pixel centered exactly on the site gets zone 0.
-    """
-    if not spec.contains_pixel(*pixel):
-        raise ValueError(f"pixel {pixel} outside {spec.m}x{spec.m} grid")
-    center = spec.pixel_center(*pixel)
-    bearing, dist = angle_and_distance(cell, center)
-    if dist == 0.0:
-        return 0
-    delta = _wrap_pi(bearing - cell.azimuth)
-    if -AOA_BORESIGHT_HALF_WIDTH <= delta <= AOA_BORESIGHT_HALF_WIDTH:
-        return 0
-    return 1 if delta > 0 else -1
-
-
 def ta_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
-    """Vectorized TA ring index for every pixel, dtype int8.
+    """Timing-advance ring of every pixel, dtype int8: floor(distance from
+    the site to the pixel center / 78.25 m), clamped to the open-ended
+    last ring (index 5).
 
     The site coordinates broadcast against the (m, m) pixel centers: a
     :class:`CellInfo` gives that cell's (m, m) layer, ``grid.sites`` of an
@@ -269,15 +208,18 @@ def ta_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 
 
 def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
-    """Vectorized AoA sector index (-1, 0, 1) for every pixel, dtype int8.
-    The site and azimuth broadcast as in :func:`ta_zone_layer`."""
+    """Bearing sector of every pixel relative to the cell boresight, dtype
+    int8: 0 when the offset of the pixel's bearing from the azimuth lies in
+    [-pi/6, pi/6], +1 for offsets in (pi/6, pi] and -1 for offsets in
+    (-pi, -pi/6). A pixel centered exactly on the site gets zone 0. The
+    site and azimuth broadcast as in :func:`ta_zone_layer`."""
     cx, cy = spec.center_coords()
     dx = cx - cell.site_position[0]
     dy = cy - cell.site_position[1]
     bearing = np.arctan2(dx, dy)
     delta = (bearing - cell.azimuth + math.pi) % (2.0 * math.pi) - math.pi
-    # The modulo above yields [-pi, pi); fold -pi onto +pi to match the
-    # scalar (-pi, pi] convention.
+    # The modulo above yields [-pi, pi); fold -pi onto +pi, so the offsets
+    # lie in (-pi, pi].
     delta = np.where(delta == -math.pi, math.pi, delta)
     zones = np.where(delta > AOA_BORESIGHT_HALF_WIDTH, 1, 0).astype(np.int8)
     zones = np.where(delta < -AOA_BORESIGHT_HALF_WIDTH, -1, zones).astype(np.int8)

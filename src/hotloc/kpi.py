@@ -63,10 +63,6 @@ class CellKpis:
         self.ta = np.asarray(self.ta, dtype=np.float64)
         self.aoa = np.asarray(self.aoa, dtype=np.float64)
 
-    def aoa_fraction(self, zone: int) -> float:
-        """Fraction for AoA zone in {-1, 0, 1}."""
-        return float(self.aoa[zone + 1])
-
     def validate(self) -> None:
         if self.ta.shape != (TA_ZONE_COUNT,) or self.aoa.shape != (3,):
             raise ValueError("ta must have 6 entries and aoa 3")
@@ -472,27 +468,49 @@ def save_kpi_set(kpis: KpiSet, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float when it is a JSON number, else ValueError."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _cell_entry(entry) -> tuple[str, CellKpis]:
+    """One entry of the ``cells`` list of a KPI file as (cell id, KPIs)."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"each cell must be an object, got {entry!r}")
+    cell_id = entry["cell_id"]
+    if not isinstance(cell_id, str):
+        raise ValueError(f"cell_id must be a string, got {cell_id!r}")
+    what = f"cell {cell_id!r}: "
+    ta = np.array(entry["ta"], dtype=np.float64)
+    aoa = np.array(entry["aoa"], dtype=np.float64)
+    levels = entry["neighbor_level"]
+    if not isinstance(levels, dict):
+        raise ValueError(f"{what}neighbor_level must be an object, got {levels!r}")
+    neighbor_level = {nb: _number(v, f"{what}neighbor_level[{nb!r}]") for nb, v in levels.items()}
+    scalars = [_number(entry[key], what + key) for key in ("load_time", "amt_bps", "hmt_bps")]
+    return cell_id, CellKpis(ta, aoa, neighbor_level, *scalars)
+
+
 def load_kpi_set(path: str | Path) -> KpiSet:
     """Read a KPI set written by :func:`save_kpi_set` and validate every
-    cell."""
-    doc = json.loads(Path(path).read_text())
+    cell. Text that is not JSON, a document or cell of the wrong shape, a
+    missing field and a bad value raise ValueError naming the file."""
     try:
-        cells = {
-            entry["cell_id"]: CellKpis(
-                ta=np.array(entry["ta"], dtype=np.float64),
-                aoa=np.array(entry["aoa"], dtype=np.float64),
-                neighbor_level={nb: float(v) for nb, v in entry["neighbor_level"].items()},
-                load_time=float(entry["load_time"]),
-                amt_bps=float(entry["amt_bps"]),
-                hmt_bps=float(entry["hmt_bps"]),
-            )
-            for entry in doc["cells"]
-        }
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        if not isinstance(doc["cells"], list):
+            raise ValueError("'cells' must be a list")
+        cells = dict(map(_cell_entry, doc["cells"]))
         kpis = KpiSet(cells=cells, source=doc["source"], window_s=doc["window_s"])
         kpis.validate()
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from exc
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return kpis
 

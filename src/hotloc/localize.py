@@ -38,25 +38,6 @@ class ImportanceVector:
                 f"importance factors must be finite and non-negative, got {self.values}"
             )
 
-    @classmethod
-    def of(cls, *values: float) -> "ImportanceVector":
-        return cls(tuple(float(v) for v in values))
-
-    @classmethod
-    def uniform(cls) -> "ImportanceVector":
-        return cls.of(*([1.0 / KPI_COUNT] * KPI_COUNT))
-
-    @classmethod
-    def basis(cls, *indices: int) -> "ImportanceVector":
-        """Unit weight on the given zero-based KPI indices, zero elsewhere."""
-        values = [0.0] * KPI_COUNT
-        for idx in indices:
-            values[idx] = 1.0
-        return cls(tuple(values))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class LocalizerParams:
@@ -243,24 +224,19 @@ def step6_combine(
 
 
 def step7_smooth(
-    fused: WeightMap,
-    params: LocalizerParams,
-    uncovered_mask: np.ndarray | None = None,
+    fused: WeightMap, params: LocalizerParams, uncovered_mask: np.ndarray
 ) -> WeightMap:
     """Smooth the fused map with the truncated Gaussian kernel average.
 
     One separable pass of ``smooth_grid`` with bandwidth ``params.h``;
     1-D kernel factors below ``params.kernel_tail`` are dropped, so each
-    pixel averages over a square window. When an uncovered-pixel mask is
-    given, those pixels are zeroed in the result since no traffic can
-    originate there.
+    pixel averages over a square window. The pixels of ``uncovered_mask``
+    are zeroed in the result since no traffic can originate there.
     """
     smoothed = smooth_grid(fused.values, params.h, params.kernel_tail)
     # The kernel average of non-negative data can pick up sign noise at the
     # float epsilon level; clip to keep the weight-map contract.
-    smoothed = np.clip(smoothed, 0.0, None)
-    if uncovered_mask is not None:
-        smoothed = np.where(uncovered_mask, 0.0, smoothed)
+    smoothed = np.where(uncovered_mask, 0.0, np.clip(smoothed, 0.0, None))
     return WeightMap(smoothed, fused.pixel_size, LABEL_SMOOTHED, fused.origin)
 
 
@@ -279,29 +255,20 @@ def compute_kpi_maps(
 
 @dataclass
 class LocalizationResult:
-    """All intermediate and final maps of one localization run."""
+    """The fused (step 6) and smoothed (step 7) maps of one localization
+    run."""
 
-    kpi_maps: tuple[WeightMap, WeightMap, WeightMap, WeightMap, WeightMap]
     fused: WeightMap
     smoothed: WeightMap
-    x: ImportanceVector
 
 
 def localize(
-    kpis: KpiSet,
-    grid: CoverageGrid,
-    servers: ServerMaps,
+    kpi_maps: tuple[WeightMap, WeightMap, WeightMap, WeightMap, WeightMap],
     x: ImportanceVector,
     params: LocalizerParams,
-    kpi_maps: tuple[WeightMap, ...] | None = None,
+    uncovered_mask: np.ndarray,
 ) -> LocalizationResult:
-    """Full pipeline: per-KPI maps, fusion with ``x`` and smoothing.
-
-    Precomputed KPI maps may be passed to avoid recomputation when the
-    fusion factors were just optimized on them.
-    """
-    if kpi_maps is None:
-        kpi_maps = compute_kpi_maps(kpis, grid, servers, params)
+    """Steps 6 and 7: fuse the five KPI maps with ``x`` and smooth the
+    result, zeroing the uncovered pixels."""
     fused = step6_combine(kpi_maps, x)
-    smoothed = step7_smooth(fused, params, servers.uncovered_mask())
-    return LocalizationResult(kpi_maps=tuple(kpi_maps), fused=fused, smoothed=smoothed, x=x)
+    return LocalizationResult(fused, step7_smooth(fused, params, uncovered_mask))

@@ -39,9 +39,6 @@ class DesignSystem:
         if self.A.min() < 0:
             raise ValueError("design matrix columns are weight maps and must be non-negative")
 
-    def residual_norm(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.A @ x - self.b))
-
 
 def build_system(maps: tuple[WeightMap, ...], potential: WeightMap) -> DesignSystem:
     """Flatten the five KPI maps and the potential map into A and b."""

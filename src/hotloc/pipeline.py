@@ -46,10 +46,9 @@ from hotloc.localize import (
 )
 from hotloc.nnls import DesignSystem, build_system, solve_nnls
 from hotloc.scenario import Scenario, ScenarioConfig, build_scenario
-from hotloc.sim import run_simulation
+from hotloc.sim import KPI_SOURCE_SIM, run_simulation
 
 KPI_SOURCE_ORACLE = "oracle"
-KPI_SOURCE_SIM = "sim"
 
 VARIANT_TA_ONLY = "ta_only"
 VARIANT_TA_NEIGHBOR = "ta_neighbor"
@@ -104,14 +103,11 @@ def stage(name: str):
     return wrap
 
 
-def restricted_fit(
-    kpi_maps: tuple[WeightMap, ...], potential_map: WeightMap, columns: tuple[int, ...]
-) -> ImportanceVector:
-    """Importance fit with only the given KPI columns allowed to be
-    non-zero (the others are forced out of the model)."""
-    system = build_system(kpi_maps, potential_map)
+def restricted_fit(system: DesignSystem, columns: tuple[int, ...]) -> ImportanceVector:
+    """Importance fit on only the given columns of ``system``; the other
+    KPI maps are forced out of the model and get factor zero."""
     result = solve_nnls(DesignSystem(A=system.A[:, list(columns)], b=system.b))
-    full = np.zeros(len(kpi_maps))
+    full = np.zeros(system.A.shape[1])
     full[list(columns)] = result.x
     return ImportanceVector(tuple(float(v) for v in full))
 
@@ -207,15 +203,20 @@ def load_importance(path: Path) -> ImportanceVector:
     optimize stage."""
     if not path.exists():
         raise ValueError(f"no importance vector: {path} not found, run optimize first")
-    doc = json.loads(path.read_text())
-    x = doc.get("x") if isinstance(doc, dict) else None
-    if not (
-        isinstance(x, list)
-        and len(x) == len(KPI_LABELS)
-        and all(type(v) in (int, float) for v in x)
-    ):
-        raise ValueError(f"{path}: 'x' must be a list of {len(KPI_LABELS)} numbers")
-    return ImportanceVector(tuple(float(v) for v in x))
+    try:
+        doc = json.loads(path.read_text())
+        x = doc.get("x") if isinstance(doc, dict) else None
+        if not (
+            isinstance(x, list)
+            and len(x) == len(KPI_LABELS)
+            and all(type(v) in (int, float) for v in x)
+        ):
+            raise ValueError(f"'x' must be a list of {len(KPI_LABELS)} numbers")
+        return ImportanceVector(tuple(float(v) for v in x))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def variant_maps(
@@ -226,9 +227,10 @@ def variant_maps(
 ) -> dict[str, WeightMap]:
     """Every variant's map: the fused and smoothed estimates as ``step6``
     and ``step7``, and the fused maps of the restricted variants, each
-    fitted on its own KPI columns."""
+    fitted on its own KPI columns of one design system."""
+    system = build_system(tuple(kpi_maps), potential_map)
     maps = {
-        name: step6_combine(kpi_maps, restricted_fit(kpi_maps, potential_map, columns))
+        name: step6_combine(kpi_maps, restricted_fit(system, columns))
         for name, columns in VARIANT_COLUMNS.items()
     }
     maps[VARIANT_STEP6] = fused
@@ -238,9 +240,7 @@ def variant_maps(
 
 @stage("localize")
 def _run_localize(
-    grid: CoverageGrid,
     servers: ServerMaps,
-    kpis: KpiSet,
     kpi_maps: tuple[WeightMap, ...],
     potential_map: WeightMap,
     x: ImportanceVector,
@@ -249,7 +249,7 @@ def _run_localize(
 ) -> tuple[LocalizationResult, dict[str, WeightMap]]:
     """Fused and smoothed estimates with the importance vector ``x``, and
     every variant's map."""
-    result = localize(kpis, grid, servers, x, params, kpi_maps=kpi_maps)
+    result = localize(kpi_maps, x, params, servers.uncovered_mask())
     save_weight_map(result.fused, out / "fused.csv")
     save_weight_map(result.smoothed, out / "smoothed.csv")
     return result, variant_maps(kpi_maps, potential_map, result.fused, result.smoothed)
@@ -285,7 +285,7 @@ def run_pipeline(
     kpi_maps = _run_maps(grid, servers, kpis, config.localizer, out)
     x, residual = _run_optimize(kpi_maps, potential_map, x_override, out)
     localization, maps = _run_localize(
-        grid, servers, kpis, kpi_maps, potential_map, x, config.localizer, out
+        servers, kpi_maps, potential_map, x, config.localizer, out
     )
     report = _run_evaluate(scenario.truth, maps, config.evaluation, out)
 

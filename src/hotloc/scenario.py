@@ -10,6 +10,7 @@ seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -121,24 +122,36 @@ class Scenario:
     potential: PotentialHotspotSpec
 
 
-def hex_site_positions(count: int, isd_m: float, center: tuple[float, float]) -> np.ndarray:
-    """Site coordinates on a hexagonal lattice, spiral order from the
-    center outward."""
-    axial: list[tuple[int, int]] = [(0, 0)]
-    directions = [(1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1)]
-    ring = 1
-    while len(axial) < count:
+def _hex_spiral():
+    """Axial coordinates (q, r) of the hexagonal lattice, ring by ring from
+    the center outward, without end."""
+    yield 0, 0
+    for ring in itertools.count(1):
         q, r = (-ring, ring)  # ring start, then walk the six edges
-        for dq, dr in directions:
+        for dq, dr in [(1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1)]:
             for _ in range(ring):
-                axial.append((q, r))
+                yield q, r
                 q, r = q + dq, r + dr
-        ring += 1
-    out = np.empty((count, 2))
-    for k, (q, r) in enumerate(axial[:count]):
-        out[k, 0] = center[0] + isd_m * (q + r / 2.0)
-        out[k, 1] = center[1] + isd_m * (math.sqrt(3.0) / 2.0) * r
-    return out
+
+
+def hex_site_positions(count: int, isd_m: float, spec: GridSpec) -> np.ndarray:
+    """Site coordinates on a hexagonal lattice centered on the map, spiral
+    order outward. The first site off the map raises ConfigError before
+    any later site is built."""
+    xmin, ymin = spec.origin
+    center = (xmin + spec.extent / 2.0, ymin + spec.extent / 2.0)
+    sites = []
+    for k, (q, r) in zip(range(count), _hex_spiral()):
+        x = center[0] + isd_m * (q + r / 2.0)
+        y = center[1] + isd_m * (math.sqrt(3.0) / 2.0) * r
+        if not (xmin <= x <= xmin + spec.extent and ymin <= y <= ymin + spec.extent):
+            raise ConfigError(
+                "layout.site_count",
+                f"site {k} at ({x:.1f}, {y:.1f}) falls outside the map; "
+                "grow the map or shrink isd_m",
+            )
+        sites.append((x, y))
+    return np.array(sites)
 
 
 def _sector_id(site: int, sector: int) -> str:
@@ -150,18 +163,7 @@ def build_cells(config: ScenarioConfig) -> list[CellInfo]:
     sites within neighbor_radius_factor * ISD, other sectors of the same
     site included)."""
     layout = config.layout
-    extent = config.spec.m * config.spec.pixel_size
-    center = (config.spec.origin[0] + extent / 2.0, config.spec.origin[1] + extent / 2.0)
-    sites = hex_site_positions(layout.site_count, layout.isd_m, center)
-
-    xmin, ymin = config.spec.origin
-    for k, (x, y) in enumerate(sites):
-        if not (xmin <= x <= xmin + extent and ymin <= y <= ymin + extent):
-            raise ConfigError(
-                "layout.site_count",
-                f"site {k} at ({x:.1f}, {y:.1f}) falls outside the map; "
-                "grow the map or shrink isd_m",
-            )
+    sites = hex_site_positions(layout.site_count, layout.isd_m, config.spec)
 
     sector_step = 2.0 * math.pi / layout.sectors_per_site
     ids: list[list[str]] = [

@@ -284,6 +284,40 @@ class TestBadInputs:
         assert f"cell '{cell_id}': neighbor_level names cells not on the grid: ['NOPE']" in err
 
     @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("neighbor_level", [], "neighbor_level must be an object, got []"),
+            ("load_time", None, "load_time must be a number, got None"),
+            ("cell_id", ["BS01A"], "cell_id must be a string, got ['BS01A']"),
+        ],
+    )
+    def test_malformed_kpi_cell_names_the_file(
+        self, runner, scenario_dir, tmp_path, field, value, message
+    ):
+        art = self.copy(scenario_dir, tmp_path)
+        self.edit_kpis(art, lambda cell: cell.update({field: value}))
+        err = fails(runner, "optimize", "optimize", "--config", CONFIG, "--out", str(art))
+        assert f"{art / 'kpis.json'}: " in err
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("kpis.json", "[]", "expected a JSON object, got list"),
+            ("kpis.json", "cells: none", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+            ("importance.json", "x = 1", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+        ],
+    )
+    def test_malformed_json_names_the_file(
+        self, runner, scenario_dir, tmp_path, name, text, message
+    ):
+        art = self.copy(scenario_dir, tmp_path)
+        (art / name).write_text(text)
+        err = fails(runner, "localize", "localize", "--config", CONFIG, "--out", str(art))
+        assert f"{art / name}: {message}" in err
+        assert not (art / "fused.csv").exists()
+
+    @pytest.mark.parametrize(
         "doc, message",
         [
             ({"residual": 1.0}, "'x' must be a list of 5 numbers"),

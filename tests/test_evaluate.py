@@ -34,9 +34,6 @@ class TestHotspotPeak:
         with pytest.raises(ValueError, match="positive"):
             peak(0.0, 0.0, weight=0.0)
 
-    def test_position(self):
-        np.testing.assert_array_equal(peak(3.0, 4.0).position(), [3.0, 4.0])
-
 
 class TestEvalConfig:
     def test_validation(self):
@@ -243,7 +240,6 @@ class TestCompareVariants:
         report = compare_variants(truth, runs, config)
         assert set(report.variants) == {"copy", "other"}
         assert report.variants["copy"].mean_distance_m == 0.0
-        assert report.mean_distances()["copy"] == 0.0
         for p in config.p_list:
             assert report.variants["copy"].detection[p] == pytest.approx(
                 detection_percentage(

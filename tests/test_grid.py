@@ -13,15 +13,13 @@ from hotloc.grid import (
     CellInfo,
     CoverageGrid,
     GridSpec,
-    angle_and_distance,
-    aoa_zone,
     aoa_zone_layer,
     compute_server_maps,
     load_grid,
     save_grid,
-    ta_zone,
     ta_zone_layer,
 )
+from test_serving_tables import aoa_zone, ta_zone
 
 
 def cell_at(site, azimuth=0.0):
@@ -35,7 +33,7 @@ class TestZones:
 
     def zone_at_distance(self, dist):
         cell = cell_at((12.5 - dist, 12.5))
-        return ta_zone(self.spec, cell, (0, 0))
+        return ta_zone_layer(self.spec, cell)[0, 0]
 
     def test_ring_zero_at_site(self):
         assert self.zone_at_distance(0.0) == 0
@@ -52,17 +50,11 @@ class TestZones:
         assert self.zone_at_distance(2 * TA_GRANULARITY_M) == 2
         assert self.zone_at_distance(5 * TA_GRANULARITY_M) == 5
 
-    def test_pixel_outside_grid_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            ta_zone(self.spec, cell_at(self.site), (10, 0))
-        with pytest.raises(ValueError, match="outside"):
-            aoa_zone(self.spec, cell_at(self.site), (-1, 3))
-
     def aoa_at_bearing(self, bearing, azimuth):
         # Place the site one pixel away along the requested bearing.
         dist = 60.0
         site = (12.5 - dist * math.sin(bearing), 12.5 - dist * math.cos(bearing))
-        return aoa_zone(self.spec, cell_at(site, azimuth), (0, 0))
+        return aoa_zone_layer(self.spec, cell_at(site, azimuth))[0, 0]
 
     def test_boresight_is_zone_zero(self):
         assert self.aoa_at_bearing(0.3, azimuth=0.3) == 0
@@ -78,10 +70,9 @@ class TestZones:
         assert self.aoa_at_bearing(-math.pi / 2 + 2 * math.pi, azimuth=0.0) == -1
 
     def test_boundary_offsets_belong_to_zone_zero(self):
-        # Bearings 0 and pi come out of atan2 exact and an in-range
-        # azimuth is stored untouched, so the first offset hits the
-        # closed lower edge exactly; the second lands within one ulp
-        # inside the upper edge. Overshooting by 1e-6 flips the zone.
+        # Bearings 0 and pi come out of atan2 exact, so the offsets land
+        # on the closed edges of the boresight sector up to the ulp the
+        # layer's wrap leaves. Overshooting by 1e-6 flips the zone.
         half = math.pi / 6
         assert self.aoa_at_bearing(0.0, azimuth=half) == 0
         assert self.aoa_at_bearing(math.pi, azimuth=math.pi - half) == 0
@@ -94,7 +85,7 @@ class TestZones:
 
     def test_site_pixel_gets_zone_zero(self):
         cell = cell_at(self.site, azimuth=1.0)
-        assert aoa_zone(self.spec, cell, (0, 0)) == 0
+        assert aoa_zone_layer(self.spec, cell)[0, 0] == 0
 
     def test_zone_layers_match_scalar_functions(self):
         cell = CellInfo(cell_id="C", site_position=(80.0, 130.0), azimuth=2.1)
@@ -106,11 +97,12 @@ class TestZones:
                 assert aoa_layer[i, j] == aoa_zone(self.spec, cell, (i, j))
 
     def test_bearing_convention_north_clockwise(self):
-        cell = cell_at((0.0, 0.0))
-        north, _ = angle_and_distance(cell, (0.0, 10.0))
-        east, _ = angle_and_distance(cell, (10.0, 0.0))
-        assert north == 0.0
-        assert east == math.pi / 2
+        # Pixel (5, 5) holds the site; +j is North and +i is East.
+        site = (137.5, 137.5)
+        north = aoa_zone_layer(self.spec, cell_at(site, azimuth=0.0))
+        east = aoa_zone_layer(self.spec, cell_at(site, azimuth=math.pi / 2))
+        assert (north[5, 9], north[9, 5], north[1, 5]) == (0, 1, -1)
+        assert (east[9, 5], east[5, 1], east[5, 9]) == (0, 1, -1)
 
 
 class TestServerMaps:

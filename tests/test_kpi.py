@@ -86,12 +86,6 @@ class TestCellKpis:
         with pytest.raises(ValueError, match="neighbor_level fractions must be finite"):
             bad.validate()
 
-    def test_aoa_fraction_indexing(self):
-        kpis = self.good()
-        assert kpis.aoa_fraction(-1) == 0.3
-        assert kpis.aoa_fraction(0) == 0.4
-        assert kpis.aoa_fraction(1) == 0.3
-
 
 class TestWeightMap:
     def test_rejects_negative_and_non_square(self):
@@ -239,7 +233,8 @@ class TestGroundTruth:
         model = TrafficModel(components=[TrafficComponent((262.5, 137.5), 60.0, 3.0)])
         truth = generate_ground_truth(model, self.spec, seed=0)
         i, j = np.unravel_index(np.argmax(truth.values), truth.values.shape)
-        assert self.spec.pixel_center(i, j) == (262.5, 137.5)
+        cx, cy = self.spec.center_coords()
+        assert (cx[i, j], cy[i, j]) == (262.5, 137.5)
 
     def test_negative_floor_truncates_tails(self):
         model = TrafficModel(

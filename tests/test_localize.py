@@ -38,6 +38,7 @@ def cell_kpis(ta=None, aoa=None, neighbor_level=None, load=0.0, amt=0.0, hmt=0.0
 
 
 PARAMS = LocalizerParams()
+UNIFORM = ImportanceVector((0.2,) * 5)
 
 
 class TestImportanceVector:
@@ -45,15 +46,7 @@ class TestImportanceVector:
         with pytest.raises(ValueError, match="5 entries"):
             ImportanceVector((1.0, 2.0))
         with pytest.raises(ValueError, match="non-negative"):
-            ImportanceVector.of(0.1, -0.2, 0.3, 0.4, 0.5)
-
-    def test_constructors(self):
-        assert ImportanceVector.uniform().values == (0.2,) * 5
-        assert ImportanceVector.basis(0).values == (1.0, 0.0, 0.0, 0.0, 0.0)
-        assert ImportanceVector.basis(0, 2).values == (1.0, 0.0, 1.0, 0.0, 0.0)
-        np.testing.assert_array_equal(
-            ImportanceVector.of(1, 2, 3, 4, 5).as_array(), [1, 2, 3, 4, 5]
-        )
+            ImportanceVector((0.1, -0.2, 0.3, 0.4, 0.5))
 
 
 class TestStep1Ta:
@@ -267,21 +260,21 @@ class TestStep6Combine:
     def test_uniform_weights_on_identical_maps(self):
         base = np.arange(16.0).reshape(4, 4)
         maps = self.maps_of([base] * 5)
-        out = step6_combine(maps, ImportanceVector.uniform())
+        out = step6_combine(maps, UNIFORM)
         np.testing.assert_allclose(out.values, base)
 
     def test_basis_vector_selects_one_map(self):
         rng = np.random.default_rng(31)
         arrays = [rng.random((4, 4)) for _ in range(5)]
         maps = self.maps_of(arrays)
-        out = step6_combine(maps, ImportanceVector.basis(0))
+        out = step6_combine(maps, ImportanceVector((1.0, 0.0, 0.0, 0.0, 0.0)))
         np.testing.assert_array_equal(out.values, arrays[0])
 
     def test_matches_weighted_sum_of_published_factors(self):
         rng = np.random.default_rng(32)
         arrays = [rng.random((6, 6)) for _ in range(5)]
         maps = self.maps_of(arrays)
-        x = ImportanceVector.of(0.418, 0.2689, 0.2281, 0.0358, 0.0491)
+        x = ImportanceVector((0.418, 0.2689, 0.2281, 0.0358, 0.0491))
         out = step6_combine(maps, x)
         expected = sum(w * a for w, a in zip(x.values, arrays))
         np.testing.assert_allclose(out.values, expected, rtol=1e-15)
@@ -290,7 +283,7 @@ class TestStep6Combine:
         maps = list(self.maps_of([np.zeros((4, 4))] * 5))
         maps[3] = WeightMap(np.zeros((5, 5)), 25.0, "q4")
         with pytest.raises(ValueError, match="share one grid"):
-            step6_combine(tuple(maps), ImportanceVector.uniform())
+            step6_combine(tuple(maps), UNIFORM)
 
 
 class TestStep7Smooth:
@@ -311,9 +304,11 @@ class TestStep7Smooth:
                 ta=[0.5, 0.5, 0, 0, 0, 0], aoa=[0.2, 0.6, 0.2], load=0.9, amt=8.0, hmt=2.0
             ),
         )
-        result = localize(kpis, grid, servers, ImportanceVector.uniform(), PARAMS)
-        assert len(result.kpi_maps) == 5
+        maps = compute_kpi_maps(kpis, grid, servers, PARAMS)
+        mask = servers.uncovered_mask()
+        result = localize(maps, UNIFORM, PARAMS, mask)
         assert result.fused.values.shape == (8, 8)
-        assert result.smoothed.values.shape == (8, 8)
-        fused = step6_combine(result.kpi_maps, ImportanceVector.uniform())
+        fused = step6_combine(maps, UNIFORM)
         np.testing.assert_array_equal(result.fused.values, fused.values)
+        smoothed = step7_smooth(fused, PARAMS, mask)
+        np.testing.assert_array_equal(result.smoothed.values, smoothed.values)

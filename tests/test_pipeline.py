@@ -7,6 +7,7 @@ import pytest
 
 from conftest import GOLDEN_REPORT, SIM_CONFIG
 from hotloc.kpi import WeightMap
+from hotloc.nnls import build_system
 from hotloc.pipeline import (
     ALL_VARIANTS,
     VARIANT_COLUMNS,
@@ -79,7 +80,7 @@ class TestDeskRun:
             assert wmap.values.shape == (60, 60)
 
     def test_smoothed_beats_fused_on_peak_distance(self, desk_run):
-        means = desk_run.report.mean_distances()
+        means = {k: v.mean_distance_m for k, v in desk_run.report.variants.items()}
         assert means["step7"] <= means["step6"]
 
 
@@ -91,7 +92,7 @@ class TestRestrictedFit:
         )
         potential = WeightMap(rng.random((6, 6)), 25.0, "potential")
         for columns in VARIANT_COLUMNS.values():
-            x = restricted_fit(maps, potential, columns)
+            x = restricted_fit(build_system(maps, potential), columns)
             for idx, value in enumerate(x.values):
                 if idx not in columns:
                     assert value == 0.0
@@ -101,7 +102,7 @@ class TestRestrictedFit:
         base = rng.random((6, 6))
         maps = tuple(WeightMap(base, 25.0, f"q{k + 1}") for k in range(5))
         potential = WeightMap(base * 2.5, 25.0, "potential")
-        x = restricted_fit(maps, potential, (0,))
+        x = restricted_fit(build_system(maps, potential), (0,))
         assert x.values[0] == pytest.approx(2.5, abs=1e-12)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import DESK_CONFIG, SIM_CONFIG
 from hotloc.evaluate import EvalConfig
+from hotloc.grid import GridSpec
 from hotloc.kpi import OracleParams
 from hotloc.localize import LocalizerParams
 from hotloc.scenario import (
@@ -35,20 +37,24 @@ def minimal_config(**overrides):
     return data
 
 
+# A 2 km map whose center is the world origin.
+CENTERED_ON_ORIGIN = GridSpec(m=80, pixel_size=25.0, origin=(-1000.0, -1000.0))
+
+
 class TestHexLayout:
     def test_single_site_sits_at_center(self):
-        out = hex_site_positions(1, 500.0, (750.0, 750.0))
+        out = hex_site_positions(1, 500.0, GridSpec(m=60, pixel_size=25.0))
         np.testing.assert_array_equal(out, [[750.0, 750.0]])
 
     def test_first_ring_at_isd(self):
-        out = hex_site_positions(7, 500.0, (0.0, 0.0))
+        out = hex_site_positions(7, 500.0, CENTERED_ON_ORIGIN)
         center = out[0]
         ring = out[1:]
         dists = np.hypot(ring[:, 0] - center[0], ring[:, 1] - center[1])
         np.testing.assert_allclose(dists, 500.0)
 
     def test_min_pairwise_spacing_is_isd(self):
-        out = hex_site_positions(19, 400.0, (0.0, 0.0))
+        out = hex_site_positions(19, 400.0, CENTERED_ON_ORIGIN)
         assert out.shape == (19, 2)
         diffs = out[:, None, :] - out[None, :, :]
         dists = np.hypot(diffs[..., 0], diffs[..., 1])
@@ -105,6 +111,15 @@ class TestBuildCells:
             parse_scenario_config(data)
         assert excinfo.value.field == "layout.site_count"
 
+    def test_huge_site_count_stops_at_the_first_site_off_the_map(self):
+        # Seven sites fit; the lattice is built no further than site 7.
+        data = minimal_config(layout={"site_count": 10**8})
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"site 7 at \(.*\) falls outside the map") as excinfo:
+            parse_scenario_config(data)
+        assert time.perf_counter() - start < 1.0
+        assert excinfo.value.field == "layout.site_count"
+
 
 class TestSynthesizeRsrp:
     def build(self, **layout_overrides):
@@ -122,7 +137,8 @@ class TestSynthesizeRsrp:
         spec = config.spec
         i = int((cell.site_position[0] - spec.origin[0]) / spec.pixel_size)
         j = int((cell.site_position[1] - spec.origin[1]) / spec.pixel_size)
-        x, y = spec.pixel_center(i, j)
+        x = spec.origin[0] + (i + 0.5) * spec.pixel_size
+        y = spec.origin[1] + (j + 0.5) * spec.pixel_size
         dx, dy = x - cell.site_position[0], y - cell.site_position[1]
         assert math.hypot(dx, dy) < 25.0  # inside the reference distance
         delta = math.atan2(dx, dy) - cell.azimuth

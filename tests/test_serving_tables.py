@@ -11,10 +11,12 @@ sector edges and at -pi, distances on TA ring boundaries, odd and even
 pixel counts per cell, and no, some or every cell congested. The desk
 scenario is one more case.
 
-The zone-layer functions read ``site_position`` and ``azimuth`` off
-their second argument and broadcast them against the (m, m) pixel grid,
-so one call with stacked or per-pixel site arrays must equal the
-per-cell calls.
+The scalar zone functions below compute one pixel's TA ring and AoA
+sector; ``test_grid.py`` pins the zone layers against them. The
+zone-layer functions read ``site_position`` and ``azimuth`` off their
+second argument and broadcast them against the (m, m) pixel grid, so one
+call with stacked or per-pixel site arrays must equal the per-cell
+calls.
 """
 
 import math
@@ -58,6 +60,55 @@ from hotloc.localize import (
 from hotloc.scenario import build_scenario, load_scenario_config
 
 # Reference implementations -------------------------------------------------
+
+
+def angle_and_distance(cell, point):
+    """Bearing (radians clockwise from North) and Euclidean distance from
+    the cell site to a world-coordinate point. A zero-length offset has
+    bearing 0 by convention."""
+    dx = point[0] - cell.site_position[0]
+    dy = point[1] - cell.site_position[1]
+    dist = math.hypot(dx, dy)
+    if dist == 0.0:
+        return 0.0, 0.0
+    return math.atan2(dx, dy) % (2.0 * math.pi), dist
+
+
+def spec_pixel_center(spec, pixel):
+    x0, y0 = spec.origin
+    return (x0 + (pixel[0] + 0.5) * spec.pixel_size, y0 + (pixel[1] + 0.5) * spec.pixel_size)
+
+
+def ta_zone(spec, cell, pixel):
+    """Timing-advance ring of one pixel in one cell: floor(distance /
+    78.25 m), clamped to the open-ended last ring."""
+    _, dist = angle_and_distance(cell, spec_pixel_center(spec, pixel))
+    return min(int(dist / TA_GRANULARITY_M), TA_ZONE_COUNT - 1)
+
+
+def wrap_pi(angle):
+    """Wrap to the half-open interval (-pi, pi]."""
+    # In-range angles pass through untouched; the modulo arithmetic below
+    # can shift them by a few ulp, enough to cross a closed zone boundary.
+    if -math.pi < angle <= math.pi:
+        return angle
+    wrapped = angle % (2.0 * math.pi)
+    if wrapped > math.pi:
+        wrapped -= 2.0 * math.pi
+    return wrapped
+
+
+def aoa_zone(spec, cell, pixel):
+    """Bearing sector of one pixel relative to the cell boresight: 0 for
+    offsets in [-pi/6, pi/6], +1 in (pi/6, pi], -1 in (-pi, -pi/6), and 0
+    for a pixel centered on the site."""
+    bearing, dist = angle_and_distance(cell, spec_pixel_center(spec, pixel))
+    if dist == 0.0:
+        return 0
+    delta = wrap_pi(bearing - cell.azimuth)
+    if abs(delta) <= math.pi / 6:
+        return 0
+    return 1 if delta > 0 else -1
 
 
 def reference_oracle_kpis(truth, grid, servers, params):

@@ -21,6 +21,7 @@ on stderr and exit status 1.
 from __future__ import annotations
 
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -99,8 +100,12 @@ def _parse_x_override(_ctx, _param, value):
         values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
+    if not all(math.isfinite(v) for v in values):
+        raise click.BadParameter("importance factors must be finite")
     if any(v < 0 for v in values):
         raise click.BadParameter("importance factors must be non-negative")
+    if not any(values):
+        raise click.BadParameter("importance factors must not all be zero")
     return values
 
 
@@ -113,6 +118,8 @@ def _parse_seeds(_ctx, _param, value):
         raise click.BadParameter(str(exc)) from exc
     if any(s < 0 for s in seeds):
         raise click.BadParameter("seeds must be non-negative")
+    if len(set(seeds)) < len(seeds):
+        raise click.BadParameter(f"seeds must not repeat, got {value}")
     return seeds
 
 

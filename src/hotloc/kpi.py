@@ -468,7 +468,7 @@ def save_kpi_set(kpis: KpiSet, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _number(value, what: str) -> float:
+def _json_float(value, what: str) -> float:
     """``value`` as a float when it is a JSON number, else ValueError."""
     if type(value) not in (int, float):
         raise ValueError(f"{what} must be a number, got {value!r}")
@@ -488,8 +488,8 @@ def _cell_entry(entry) -> tuple[str, CellKpis]:
     levels = entry["neighbor_level"]
     if not isinstance(levels, dict):
         raise ValueError(f"{what}neighbor_level must be an object, got {levels!r}")
-    neighbor_level = {nb: _number(v, f"{what}neighbor_level[{nb!r}]") for nb, v in levels.items()}
-    scalars = [_number(entry[key], what + key) for key in ("load_time", "amt_bps", "hmt_bps")]
+    neighbor_level = {nb: _json_float(v, f"{what}neighbor_level[{nb!r}]") for nb, v in levels.items()}
+    scalars = [_json_float(entry[key], what + key) for key in ("load_time", "amt_bps", "hmt_bps")]
     return cell_id, CellKpis(ta, aoa, neighbor_level, *scalars)
 
 
@@ -503,7 +503,11 @@ def load_kpi_set(path: str | Path) -> KpiSet:
             raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
         if not isinstance(doc["cells"], list):
             raise ValueError("'cells' must be a list")
-        cells = dict(map(_cell_entry, doc["cells"]))
+        cells: dict[str, CellKpis] = {}
+        for cell_id, cell in map(_cell_entry, doc["cells"]):
+            if cell_id in cells:
+                raise ValueError(f"duplicate cell_id {cell_id!r}")
+            cells[cell_id] = cell
         kpis = KpiSet(cells=cells, source=doc["source"], window_s=doc["window_s"])
         kpis.validate()
     except json.JSONDecodeError as exc:
@@ -516,12 +520,13 @@ def load_kpi_set(path: str | Path) -> KpiSet:
 
 
 def save_potential_spec(spec_zones: PotentialHotspotSpec, path: str | Path) -> None:
+    """Write the prior as the ``potential`` section of a scenario config."""
     zones = []
     for zone in spec_zones.zones:
         entry: dict = {"shape": zone.shape, "importance": zone.importance}
         if zone.shape == "disk":
             entry["center"] = list(zone.center)
-            entry["radius"] = zone.radius
+            entry["radius_m"] = zone.radius
         else:
             entry["corners"] = list(zone.corners)
         zones.append(entry)
@@ -529,24 +534,13 @@ def save_potential_spec(spec_zones: PotentialHotspotSpec, path: str | Path) -> N
 
 
 def load_potential_spec(path: str | Path) -> PotentialHotspotSpec:
-    doc = json.loads(Path(path).read_text())
-    zones = []
-    for entry in doc["zones"]:
-        if entry["shape"] == "disk":
-            zones.append(
-                HotspotZone(
-                    shape="disk",
-                    importance=float(entry["importance"]),
-                    center=tuple(entry["center"]),
-                    radius=float(entry["radius"]),
-                )
-            )
-        else:
-            zones.append(
-                HotspotZone(
-                    shape="rect",
-                    importance=float(entry["importance"]),
-                    corners=tuple(entry["corners"]),
-                )
-            )
-    return PotentialHotspotSpec(zones=zones)
+    """Read a prior written by :func:`save_potential_spec` through the
+    config reader; every error names the file."""
+    from hotloc.scenario import read_section  # scenario imports this module
+
+    try:
+        return read_section(json.loads(Path(path).read_text()), PotentialHotspotSpec, "potential")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

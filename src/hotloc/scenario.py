@@ -10,11 +10,14 @@ seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -243,124 +246,128 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
 # -- JSON configuration ------------------------------------------------
 
-# Keys of the root and of the sections whose JSON names differ from their
-# dataclass fields (``extent_m``, ``sigma_m``, ``radius_m``). Every
-# parameter block takes its keys from its dataclass, in :func:`_params`.
-_ROOT_KEYS = (
-    "schema", "seed", "grid", "layout", "traffic", "potential",
-    "oracle", "sim", "localizer", "evaluation",
-)
-_GRID_KEYS = ("extent_m", "pixel_size_m", "origin", "q_rxlevmin_dbm")
-_TRAFFIC_KEYS = ("components", "floor", "noise_sigma")
-_COMPONENT_KEYS = ("center", "sigma_m", "amplitude")
+# Every section is read by :func:`read_section` from the fields of its
+# dataclass and their types. Listed by hand: the root keys, the grid keys
+# (the grid section turns ``extent_m`` into ``m``), the keys of each zone
+# shape and the two fields whose JSON key differs from their name.
+_SECTIONS = ("layout", "traffic", "potential", "oracle", "sim", "localizer", "evaluation")
+_ROOT_KEYS = ("schema", "seed", "grid", *_SECTIONS)
+_GRID_KEYS = {
+    "extent_m": float, "pixel_size_m": float, "origin": tuple[float, float], "q_rxlevmin_dbm": float,
+}
 _ZONE_KEYS = {
     "disk": ("shape", "importance", "center", "radius_m"),
     "rect": ("shape", "importance", "corners"),
 }
+_JSON_KEYS = {(TrafficComponent, "sigma"): "sigma_m", (HotspotZone, "radius"): "radius_m"}
 
 
 def _field(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _get(data: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in data:
-        if required:
-            raise ConfigError(_field(path, key), "missing required field")
-        return default
-    return data[key]
-
-
-def _object(value, path: str, keys) -> dict:
-    """``value``, which must be a JSON object with no key outside ``keys``."""
+def _object(value, path: str, keys, required=()) -> dict:
+    """``value``, which must be a JSON object with no key outside ``keys``
+    and every key of ``required``."""
     if not isinstance(value, dict):
         raise ConfigError(path, "expected an object")
     for key in value:
         if key not in keys:
             raise ConfigError(_field(path, key), "unknown key")
+    for key in required:
+        if key not in value:
+            raise ConfigError(_field(path, key), "missing required field")
     return value
-
-
-def _list(data: dict, key: str, path: str) -> list:
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}.{key}", f"expected a list, got {value!r}")
-    return value
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_finite_number(value) -> bool:
-    """False for NaN and +-Infinity, which Python's json module accepts."""
+    """False for booleans, NaN and +-Infinity (which Python's json module
+    accepts) and integers beyond the float range."""
     try:
-        return _is_number(value) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return number and math.isfinite(value)
+    except OverflowError:
         return False
 
 
-def _check_number(value, field: str) -> None:
-    if not _is_number(value):
-        raise ConfigError(field, f"expected a number, got {value!r}")
-    if not _is_finite_number(value):
-        raise ConfigError(field, f"must be finite, got {value!r}")
+@functools.cache
+def _fields(cls) -> dict[str, tuple[str, object, bool]]:
+    """JSON key -> (field name, type, required) for each field of the
+    dataclass ``cls``. ``seed`` is a root key and reaches the simulator
+    through :meth:`ScenarioConfig.with_seed`."""
+    hints = get_type_hints(cls)
+    return {
+        _JSON_KEYS.get((cls, f.name), f.name): (
+            f.name,
+            hints[f.name],
+            f.default is MISSING and f.default_factory is MISSING,
+        )
+        for f in fields(cls)
+        if f.name != "seed"
+    }
 
 
-def _number(data: dict, key: str, path: str, required: bool = True, default=None) -> float:
-    value = _get(data, key, path, required, default)
-    if value is None:
-        return default
-    _check_number(value, _field(path, key))
-    return float(value)
-
-
-def _pair(data: dict, key: str, path: str, default=None) -> tuple[float, float]:
-    value = _get(data, key, path, default is None, default)
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(_is_finite_number(v) for v in value)
-    ):
-        raise ConfigError(_field(path, key), f"expected [x, y] of finite numbers, got {value!r}")
-    return (float(value[0]), float(value[1]))
-
-
-def _value(value, default, field: str):
-    """``value`` checked by the type of the field's ``default``: an int
-    needs an integral number, a tuple a non-empty list of finite numbers,
-    anything else a finite number."""
-    if isinstance(default, tuple):
+def _read(value, tp, path: str):
+    """``value`` read as the type ``tp``: a dataclass from an object, a
+    ``list[X]`` from a list of X, a tuple of floats from a list of finite
+    numbers (of the tuple's length, or non-empty for ``tuple[float,
+    ...]``), an int from an integral number, a str from a string and a
+    float from a finite number. ``X | None`` is read as X."""
+    if get_origin(tp) in (Union, UnionType):
+        (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
+    origin, args = get_origin(tp), get_args(tp)
+    if is_dataclass(tp):
+        return read_section(value, tp, path)
+    if origin is list:
+        if not isinstance(value, list):
+            raise ConfigError(path, f"expected a list, got {value!r}")
+        return [_read(item, args[0], f"{path}[{k}]") for k, item in enumerate(value)]
+    if origin is tuple:
+        size = None if args[-1] is Ellipsis else len(args)
         if (
             not isinstance(value, (list, tuple))
             or not value
+            or (size is not None and len(value) != size)
             or not all(_is_finite_number(v) for v in value)
         ):
-            raise ConfigError(field, f"expected a non-empty list of finite numbers, got {value!r}")
+            what = f"a list of {size}" if size else "a non-empty list of"
+            raise ConfigError(path, f"expected {what} finite numbers, got {value!r}")
         return tuple(float(v) for v in value)
-    _check_number(value, field)
-    if isinstance(default, int):
+    if tp is str:
+        if not isinstance(value, str):
+            raise ConfigError(path, f"expected a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected a number, got {value!r}")
+    if not _is_finite_number(value):
+        raise ConfigError(path, f"must be finite, got {value!r}")
+    if tp is int:
         if value != int(value):
-            raise ConfigError(field, f"expected an integer, got {value!r}")
+            raise ConfigError(path, f"expected an integer, got {value!r}")
         return int(value)
     return float(value)
 
 
-def _params(data: dict, key: str, cls, parent: str = ""):
-    """The ``cls`` parameter block from the optional object ``data[key]``.
-
-    The block's keys and defaults are the fields of ``cls``; a field whose
-    default is a dataclass is a nested block. ``seed`` is a root key and
-    reaches the simulator through :meth:`ScenarioConfig.with_seed`.
-    """
-    path = _field(parent, key)
-    defaults = {f.name: f.default for f in fields(cls) if f.name != "seed"}
-    raw = _object(data.get(key, {}), path, defaults)
+def read_section(value, cls, path: str):
+    """The dataclass ``cls`` read from the config section ``value`` at the
+    dotted ``path``. Its keys are the fields of ``cls``, each read by
+    :func:`_read`, and a field without a default is required; a zone
+    takes the keys of its ``shape``, all of them required. Every error is
+    a ConfigError naming the offending key."""
+    spec = _fields(cls)
+    if cls is HotspotZone:
+        # The shape decides the other keys, so it is checked first.
+        shape = _object(value, path, value, ("shape",))["shape"]
+        if not isinstance(shape, str) or shape not in _ZONE_KEYS:
+            raise ConfigError(f"{path}.shape", f"unknown shape {shape!r}")
+        keys = required = _ZONE_KEYS[shape]
+    else:
+        keys, required = spec, [key for key, (_, _, req) in spec.items() if req]
+    _object(value, path, keys, required)
     kwargs = {
-        name: _params(raw, name, type(defaults[name]), path)
-        if is_dataclass(defaults[name])
-        else _value(value, defaults[name], f"{path}.{name}")
-        for name, value in raw.items()
+        name: _read(value[key], tp, f"{path}.{key}")
+        for key, (name, tp, _) in spec.items()
+        if key in value
     }
     try:
         return cls(**kwargs)
@@ -369,9 +376,10 @@ def _params(data: dict, key: str, cls, parent: str = ""):
 
 
 def _parse_grid(data) -> tuple[GridSpec, float]:
-    _object(data, "grid", _GRID_KEYS)
-    extent = _number(data, "extent_m", "grid")
-    pixel = _number(data, "pixel_size_m", "grid")
+    _object(data, "grid", _GRID_KEYS, ("extent_m", "pixel_size_m"))
+    grid = {"origin": (0.0, 0.0), "q_rxlevmin_dbm": DEFAULT_Q_RXLEVMIN_DBM}
+    grid.update((key, _read(value, _GRID_KEYS[key], f"grid.{key}")) for key, value in data.items())
+    extent, pixel = grid["extent_m"], grid["pixel_size_m"]
     if pixel <= 0:
         raise ConfigError("grid.pixel_size_m", "must be positive")
     m = extent / pixel
@@ -379,105 +387,26 @@ def _parse_grid(data) -> tuple[GridSpec, float]:
         raise ConfigError(
             "grid.extent_m", f"extent {extent} is not an integer multiple (>= 2) of {pixel}"
         )
-    origin = _pair(data, "origin", "grid", default=(0.0, 0.0))
-    q_rxlevmin = _number(data, "q_rxlevmin_dbm", "grid", required=False, default=DEFAULT_Q_RXLEVMIN_DBM)
-    return GridSpec(m=int(round(m)), pixel_size=pixel, origin=origin), q_rxlevmin
-
-
-def _parse_traffic(data) -> TrafficModel:
-    _object(data, "traffic", _TRAFFIC_KEYS)
-    components = []
-    for idx, comp in enumerate(_list(data, "components", "traffic")):
-        path = f"traffic.components[{idx}]"
-        _object(comp, path, _COMPONENT_KEYS)
-        try:
-            components.append(
-                TrafficComponent(
-                    center=_pair(comp, "center", path),
-                    sigma=_number(comp, "sigma_m", path),
-                    amplitude=_number(comp, "amplitude", path),
-                )
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
-    try:
-        return TrafficModel(
-            components=components,
-            floor=_number(data, "floor", "traffic", False, 0.0),
-            noise_sigma=_number(data, "noise_sigma", "traffic", False, 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError("traffic", str(exc)) from exc
-
-
-def _parse_potential(data) -> PotentialHotspotSpec:
-    _object(data, "potential", ("zones",))
-    zones = []
-    for idx, zone in enumerate(_list(data, "zones", "potential")):
-        path = f"potential.zones[{idx}]"
-        if not isinstance(zone, dict):
-            raise ConfigError(path, "expected an object")
-        shape = _get(zone, "shape", path)
-        if not isinstance(shape, str) or shape not in _ZONE_KEYS:
-            raise ConfigError(f"{path}.shape", f"unknown shape {shape!r}")
-        _object(zone, path, _ZONE_KEYS[shape])
-        try:
-            if shape == "disk":
-                zones.append(
-                    HotspotZone(
-                        shape="disk",
-                        importance=_number(zone, "importance", path),
-                        center=_pair(zone, "center", path),
-                        radius=_number(zone, "radius_m", path),
-                    )
-                )
-            else:
-                corners = _get(zone, "corners", path)
-                if (
-                    not isinstance(corners, (list, tuple))
-                    or len(corners) != 4
-                    or not all(_is_finite_number(v) for v in corners)
-                ):
-                    raise ConfigError(
-                        f"{path}.corners", "expected [xmin, ymin, xmax, ymax] of finite numbers"
-                    )
-                zones.append(
-                    HotspotZone(
-                        shape="rect",
-                        importance=_number(zone, "importance", path),
-                        corners=tuple(float(v) for v in corners),
-                    )
-                )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
-    return PotentialHotspotSpec(zones=zones)
+    spec = GridSpec(m=int(round(m)), pixel_size=pixel, origin=grid["origin"])
+    return spec, grid["q_rxlevmin_dbm"]
 
 
 def parse_scenario_config(data: dict, seed_override: int | None = None) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("", "config root must be an object")
-    _object(data, "", _ROOT_KEYS)
+    _object(data, "", _ROOT_KEYS, ("grid", "traffic"))
     schema = data.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema version {schema!r}")
-    seed = _value(data.get("seed", 0), 0, "seed")
+    seed = _read(data.get("seed", 0), int, "seed")
     if seed < 0:
         raise ConfigError("seed", f"must be non-negative, got {seed}")
-    spec, q_rxlevmin = _parse_grid(_get(data, "grid", ""))
+    spec, q_rxlevmin = _parse_grid(data["grid"])
+    sections = _fields(ScenarioConfig)
     config = ScenarioConfig(
         spec=spec,
         q_rxlevmin_dbm=q_rxlevmin,
-        layout=_params(data, "layout", LayoutParams),
-        traffic=_parse_traffic(_get(data, "traffic", "")),
-        potential=_parse_potential(data.get("potential", {})),
-        oracle=_params(data, "oracle", OracleParams),
-        sim=_params(data, "sim", SimConfig),
-        localizer=_params(data, "localizer", LocalizerParams),
-        evaluation=_params(data, "evaluation", EvalConfig),
+        **{key: read_section(data.get(key, {}), sections[key][1], key) for key in _SECTIONS},
     ).with_seed(seed if seed_override is None else seed_override)
     build_cells(config)  # surface layout/map inconsistencies at load time
     return config

@@ -300,6 +300,18 @@ class TestBadInputs:
         assert f"{art / 'kpis.json'}: " in err
         assert message in err
 
+    def test_repeated_cell_id(self, runner, scenario_dir, tmp_path):
+        # A copy of the first cell with other KPIs, appended: the fit must
+        # not silently use the copy.
+        art = self.copy(scenario_dir, tmp_path)
+        path = art / "kpis.json"
+        doc = json.loads(path.read_text())
+        doc["cells"].append(dict(doc["cells"][0], load_time=0.99))
+        path.write_text(json.dumps(doc))
+        err = fails(runner, "optimize", "optimize", "--config", CONFIG, "--out", str(art))
+        assert f"{path}: duplicate cell_id '{doc['cells'][0]['cell_id']}'" in err
+        assert not (art / "importance.json").exists()
+
     @pytest.mark.parametrize(
         "name, text, message",
         [
@@ -362,6 +374,26 @@ class TestXOverrideParsing:
         )
         assert result.exit_code == 2
         assert "non-negative" in result.stderr
+
+    @pytest.mark.parametrize("command", ["pipeline", "localize"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("nan,0,0,0,0", "must be finite"),
+            ("1e400,0,0,0,0", "must be finite"),
+            ("1,inf,0,0,0", "must be finite"),
+            ("0,0,0,0,0", "must not all be zero"),
+        ],
+    )
+    def test_unusable_vector_rejected_at_the_option(self, runner, tmp_path, command, value, message):
+        # Rejected before any stage runs: nothing is written.
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, [command, "--config", CONFIG, "--out", str(out), "--x-override", value]
+        )
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert not out.exists()
 
 
 class TestPipelineCommand:
@@ -474,13 +506,17 @@ class TestPipelineCommand:
             float(row[2]), float(row[3]), float(row[4])
 
     def test_bad_seeds_list(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
-            [
-                "pipeline",
-                "--config", CONFIG,
-                "--out", str(tmp_path),
-                "--seeds", "1,zwei",
-            ],
-        )
-        assert result.exit_code == 2
+        out = tmp_path / "out"
+        for seeds, message in [("1,zwei", "zwei"), ("-1", "non-negative"), ("1,1", "must not repeat")]:
+            result = runner.invoke(
+                main,
+                [
+                    "pipeline",
+                    "--config", CONFIG,
+                    "--out", str(out),
+                    "--seeds", seeds,
+                ],
+            )
+            assert result.exit_code == 2
+            assert message in result.stderr
+        assert not out.exists()

@@ -300,6 +300,32 @@ class TestPotentialMap:
         save_potential_spec(zones, path)
         assert load_potential_spec(path) == zones
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("zones: []", "not JSON: Expecting value"),
+            (
+                '{"zones": [{"shape": "disk", "importance": 1.0, "center": [1.0, 2.0], "radius": 5.0}]}',
+                "potential.zones[0].radius: unknown key",
+            ),
+            (
+                '{"zones": [{"shape": "disk", "importance": 1.0, "center": [1.0, 2.0]}]}',
+                "potential.zones[0].radius_m: missing required field",
+            ),
+            (
+                '{"zones": [{"shape": "disk", "importance": 1.0, "center": [NaN, 2.0], "radius_m": 5.0}]}',
+                "potential.zones[0].center: expected a list of 2 finite numbers",
+            ),
+        ],
+        ids=["not-json", "unknown-key", "missing-radius", "non-finite-centre"],
+    )
+    def test_malformed_spec_file_names_it(self, tmp_path, text, message):
+        path = tmp_path / "potential.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            load_potential_spec(path)
+        assert str(excinfo.value).startswith(f"{path}: {message}")
+
 
 class TestThroughputCurve:
     params = OracleParams(rho_cap=0.1, mu0_bps=2e6, r_min_bps=1e5, rsrp_hi_dbm=-80.0)

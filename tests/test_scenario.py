@@ -292,6 +292,13 @@ class TestParseConfig:
         assert config.layout == LayoutParams()
         assert config.sim == SimConfig(seed=4)
 
+    def test_potential_file_is_the_config_section(self, desk_run):
+        # potential.json of a run, read as a config's potential section,
+        # gives the run's prior.
+        data = json.loads(DESK_CONFIG.read_text())
+        data["potential"] = json.loads((desk_run.out_dir / "potential.json").read_text())
+        assert parse_scenario_config(data).potential == desk_run.scenario.potential
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")
@@ -348,6 +355,12 @@ class TestStrictConfig:
         zone = dict(DISK_ZONE, corners=[0.0, 0.0, 100.0, 100.0])
         error = rejected(minimal_config(potential={"zones": [zone]}))
         assert error.field == "potential.zones[0].corners"
+
+    def test_disk_zone_without_radius_rejected(self):
+        zone = {k: v for k, v in DISK_ZONE.items() if k != "radius_m"}
+        error = rejected(minimal_config(potential={"zones": [zone]}))
+        assert error.field == "potential.zones[0].radius_m"
+        assert str(error).endswith("missing required field")
 
     @pytest.mark.parametrize("shape", [["disk"], {"disk": 1}, 3, None])
     def test_non_string_shape_rejected(self, shape):

@@ -21,7 +21,6 @@ on stderr and exit status 1.
 from __future__ import annotations
 
 import csv
-import math
 import sys
 from pathlib import Path
 
@@ -49,16 +48,18 @@ def _fail(stage: str, message: str) -> None:
 def _reported(name: str):
     """Run a subcommand so that every failure leaves through ``_fail``:
     a stage's failure under that stage's name, anything else (loading the
-    inputs, say) under ``name``."""
+    inputs, say) under ``name``. Click reports usage errors itself."""
 
     def wrap(fn):
-        body = pipeline.stage(name)(fn)
-
         def command(**kwargs):
             try:
-                body(**kwargs)
+                fn(**kwargs)
             except StageError as exc:
                 _fail(exc.stage, str(exc))
+            except click.UsageError:
+                raise
+            except Exception as exc:
+                _fail(name, str(exc))
 
         command.__doc__ = fn.__doc__
         return command
@@ -97,16 +98,9 @@ def _parse_x_override(_ctx, _param, value):
     if len(parts) != 5:
         raise click.BadParameter("expected five comma-separated values, e.g. 0.2,0.2,0.2,0.2,0.2")
     try:
-        values = tuple(float(p) for p in parts)
+        return ImportanceVector(tuple(float(p) for p in parts))
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
-    if not all(math.isfinite(v) for v in values):
-        raise click.BadParameter("importance factors must be finite")
-    if any(v < 0 for v in values):
-        raise click.BadParameter("importance factors must be non-negative")
-    if not any(values):
-        raise click.BadParameter("importance factors must not all be zero")
-    return values
 
 
 def _parse_seeds(_ctx, _param, value):
@@ -217,16 +211,13 @@ def localize_cmd(
     seed: int | None,
     out_dir: str,
     in_dir: str | None,
-    x_override: tuple[float, ...] | None,
+    x_override: ImportanceVector | None,
 ) -> None:
     """Build the per-KPI maps and the fused and smoothed estimates."""
     config = _load_config(config_path, seed)
     out, art = _dirs(out_dir, in_dir)
     grid, servers, kpis, potential_map = _load_maps_inputs(art)
-    if x_override is not None:
-        x = ImportanceVector(x_override)
-    else:
-        x = pipeline.load_importance(art / "importance.json")
+    x = x_override or pipeline.load_importance(art / "importance.json")
     kpi_maps = pipeline._run_maps(grid, servers, kpis, config.localizer, out)
     pipeline._run_localize(servers, kpi_maps, potential_map, x, config.localizer, out)
     click.echo(f"fused and smoothed maps written to {out} (x = {_format_x(x)})")
@@ -267,11 +258,13 @@ def pipeline_cmd(
     seed: int | None,
     out_dir: str,
     kpi_source: str,
-    x_override: tuple[float, ...] | None,
+    x_override: ImportanceVector | None,
     events: bool,
     seeds: tuple[int, ...] | None,
 ) -> None:
     """Run every stage from scenario generation to the evaluation report."""
+    if seed is not None and seeds is not None:
+        raise click.UsageError("--seed and --seeds exclude each other")
     out, _ = _dirs(out_dir, None)
 
     if seeds is not None:

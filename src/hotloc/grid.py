@@ -500,7 +500,7 @@ def load_grid(path: str | Path) -> CoverageGrid:
                         CellInfo(
                             cell_id=cell_id,
                             site_position=(float(x), float(y)),
-                            azimuth=math.radians(float(az_deg)) % (2.0 * math.pi),
+                            azimuth=math.radians(float(az_deg)),
                             neighbors=neighbors,
                         )
                     )

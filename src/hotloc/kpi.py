@@ -119,6 +119,13 @@ class KpiSet:
     window_s: float | None = None
 
     def validate(self, grid: CoverageGrid | None = None) -> None:
+        """Check the header and every cell; with ``grid``, also that the cells
+        are the grid's and that neighbor levels name configured neighbors."""
+        if not isinstance(self.source, str):
+            raise ValueError(f"source must be a string, got {self.source!r}")
+        window = self.window_s
+        if window is not None and not (type(window) in (int, float) and 0 <= window < np.inf):
+            raise ValueError(f"window_s must be null or a finite non-negative number, got {window!r}")
         for cell_id, kpis in self.cells.items():
             try:
                 kpis.validate()
@@ -128,12 +135,13 @@ class KpiSet:
             expected = {c.cell_id for c in grid.cells}
             if set(self.cells) != expected:
                 raise ValueError("KPI set does not cover exactly the grid's cells")
-            for cell_id, kpis in self.cells.items():
-                unknown = sorted(set(kpis.neighbor_level) - expected)
-                if unknown:
-                    raise ValueError(
-                        f"cell {cell_id!r}: neighbor_level names cells not on the grid: {unknown}"
-                    )
+            for cell in grid.cells:
+                named = set(self.cells[cell.cell_id].neighbor_level)
+                unknown = sorted(named - expected)
+                stray = sorted(named - set(cell.neighbors))
+                if unknown or stray:
+                    what = "cells not on the grid" if unknown else "cells that are not its configured neighbors"
+                    raise ValueError(f"cell {cell.cell_id!r}: neighbor_level names {what}: {unknown or stray}")
 
     def all_empty(self) -> bool:
         return all(k.is_empty() for k in self.cells.values())
@@ -494,9 +502,9 @@ def _cell_entry(entry) -> tuple[str, CellKpis]:
 
 
 def load_kpi_set(path: str | Path) -> KpiSet:
-    """Read a KPI set written by :func:`save_kpi_set` and validate every
-    cell. Text that is not JSON, a document or cell of the wrong shape, a
-    missing field and a bad value raise ValueError naming the file."""
+    """Read a KPI set written by :func:`save_kpi_set` and validate it.
+    Text that is not JSON, a document or cell of the wrong shape, a missing
+    field and a bad value raise ValueError naming the file."""
     try:
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict):

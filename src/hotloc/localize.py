@@ -26,7 +26,8 @@ KPI_COUNT = 5
 @dataclass(frozen=True)
 class ImportanceVector:
     """Non-negative fusion factors for the five KPI maps, in the order
-    TA, AoA, neighbor level, load, throughput gap."""
+    TA, AoA, neighbor level, load, throughput gap; not all zero, since the
+    evaluation normalizes the fused map."""
 
     values: tuple[float, float, float, float, float]
 
@@ -37,6 +38,8 @@ class ImportanceVector:
             raise ValueError(
                 f"importance factors must be finite and non-negative, got {self.values}"
             )
+        if not any(self.values):
+            raise ValueError("importance factors must not all be zero")
 
 
 @dataclass(frozen=True)
@@ -45,11 +48,11 @@ class LocalizerParams:
 
     ``epsilon`` bounds the load difference for two cells to count as
     behaving alike; ``lambda_ho_db`` bounds their RSRP difference at a
-    pixel (defaults to the handover margin); ``rho_threshold`` marks a
-    serving cell as congested. ``rsrp0_dbm`` splits cell center from edge
-    (None selects the per-cell median serving RSRP). ``mu0_bps`` scales the
-    throughput gap and ``h`` is the smoothing bandwidth in squared
-    normalized map units.
+    pixel (6 dB by default, independent of ``sim.handover_margin_db``);
+    ``rho_threshold`` marks a serving cell as congested. ``rsrp0_dbm``
+    splits cell center from edge (None selects the per-cell median serving
+    RSRP). ``mu0_bps`` scales the throughput gap and ``h`` is the smoothing
+    bandwidth in squared normalized map units.
     """
 
     epsilon: float = 0.1
@@ -71,12 +74,6 @@ class LocalizerParams:
             raise ValueError("smoothing bandwidth h must be positive")
 
 
-def _check_kpis(kpis: KpiSet, grid: CoverageGrid) -> None:
-    missing = [c.cell_id for c in grid.cells if c.cell_id not in kpis.cells]
-    if missing:
-        raise ValueError(f"KPI set is missing cells {missing}")
-
-
 def _kpi_map(values: np.ndarray, grid: CoverageGrid, label: str) -> WeightMap:
     return WeightMap(values, grid.spec.pixel_size, label, grid.spec.origin)
 
@@ -92,7 +89,6 @@ def step1_ta(kpis: KpiSet, grid: CoverageGrid, servers: ServerMaps) -> WeightMap
     """Each covered pixel gets its serving cell's TA fraction for the ring
     the pixel lies in: one lookup into the (n + 1) x 6 table of fractions
     at (serving cell, ring)."""
-    _check_kpis(kpis, grid)
     zones = ta_zone_layer(grid.spec, grid.sites(servers.best))
     out = _cell_rows(kpis, grid, "ta")[servers.best, zones]
     return _kpi_map(out, grid, KPI_LABELS[0])
@@ -101,7 +97,6 @@ def step1_ta(kpis: KpiSet, grid: CoverageGrid, servers: ServerMaps) -> WeightMap
 def step2_aoa(kpis: KpiSet, grid: CoverageGrid, servers: ServerMaps) -> WeightMap:
     """Each covered pixel gets its serving cell's AoA fraction for the
     bearing sector the pixel lies in, looked up like step 1."""
-    _check_kpis(kpis, grid)
     zones = aoa_zone_layer(grid.spec, grid.sites(servers.best)) + 1
     out = _cell_rows(kpis, grid, "aoa")[servers.best, zones]
     return _kpi_map(out, grid, KPI_LABELS[1])
@@ -111,7 +106,6 @@ def step3_neighbor(kpis: KpiSet, grid: CoverageGrid, servers: ServerMaps) -> Wei
     """Each pixel gets the serving cell's neighbor level of the pixel's
     second-best server; zero when there is none or it is not a configured
     neighbor."""
-    _check_kpis(kpis, grid)
     # Level table (serving, second best), zero outside each S_k; the spare
     # last row and column absorb the -1 sentinels of both maps.
     table = np.zeros((grid.n_cells + 1, grid.n_cells + 1))
@@ -134,7 +128,6 @@ def step4_load(
     to, in ascending cell order as a per-pixel sum would add them. Memory
     stays O(m^2) plus the n x n similarity matrix.
     """
-    _check_kpis(kpis, grid)
     rho = np.array([kpis.cells[c.cell_id].load_time for c in grid.cells])
     congested = rho > params.rho_threshold
     best = servers.best.reshape(-1)
@@ -189,15 +182,9 @@ def step5_throughput(
     The gap is (AMT - HMT) / mu0 clamped to [0, 1]; pixels whose serving
     RSRP is at or above the center/edge threshold count as center.
     """
-    _check_kpis(kpis, grid)
     gaps = np.zeros(grid.n_cells)
     for k, cell in enumerate(grid.cells):
         ck = kpis.cells[cell.cell_id]
-        if ck.amt_bps < ck.hmt_bps:
-            raise ValueError(
-                f"invalid KPI pair for cell {cell.cell_id!r}: "
-                f"amt={ck.amt_bps} < hmt={ck.hmt_bps}"
-            )
         gaps[k] = min(max((ck.amt_bps - ck.hmt_bps) / params.mu0_bps, 0.0), 1.0)
     rsrp0 = _rsrp0_per_cell(grid, servers, params)
     best = servers.best
@@ -243,7 +230,8 @@ def step7_smooth(
 def compute_kpi_maps(
     kpis: KpiSet, grid: CoverageGrid, servers: ServerMaps, params: LocalizerParams
 ) -> tuple[WeightMap, WeightMap, WeightMap, WeightMap, WeightMap]:
-    """Run steps 1 to 5 and return the five per-KPI maps."""
+    """Check ``kpis`` against the grid, then run steps 1 to 5 on it."""
+    kpis.validate(grid)
     return (
         step1_ta(kpis, grid, servers),
         step2_aoa(kpis, grid, servers),

@@ -161,7 +161,6 @@ def _run_maps(
     params: LocalizerParams,
     out: Path,
 ) -> tuple[WeightMap, ...]:
-    kpis.validate(grid)
     maps = compute_kpi_maps(kpis, grid, servers, params)
     for label, wmap in zip(KPI_LABELS, maps):
         save_weight_map(wmap, out / f"{label}.csv")
@@ -172,24 +171,25 @@ def _run_maps(
 def _run_optimize(
     kpi_maps: tuple[WeightMap, ...],
     potential_map: WeightMap,
-    x_override: tuple[float, ...] | None,
+    x_override: ImportanceVector | None,
     out: Path,
 ) -> tuple[ImportanceVector, float | None]:
     """The fitted importance vector, or ``x_override`` when given, written
-    to ``importance.json``."""
-    if x_override is not None:
-        x = ImportanceVector(tuple(float(v) for v in x_override))
-        residual = None
-    else:
-        system = build_system(tuple(kpi_maps), potential_map)
-        result = solve_nnls(system)
-        x = result.importance()
-        residual = result.residual
+    to ``importance.json``; an all-zero fit is refused before the write."""
+    x, residual = x_override, None
+    if x is None:
+        result = solve_nnls(build_system(tuple(kpi_maps), potential_map))
+        if not result.x.any():
+            raise ValueError(
+                "importance fit: every factor is zero; "
+                "the potential-hotspot prior overlaps none of the KPI maps"
+            )
+        x, residual = result.importance(), result.residual
     total = sum(x.values)
     doc = {
         "x": list(x.values),
         "residual": residual,
-        "x_normalized": [v / total for v in x.values] if total > 0 else None,
+        "x_normalized": [v / total for v in x.values],
         "fitted": x_override is None,
     }
     with open(out / "importance.json", "w") as fh:
@@ -229,10 +229,12 @@ def variant_maps(
     and ``step7``, and the fused maps of the restricted variants, each
     fitted on its own KPI columns of one design system."""
     system = build_system(tuple(kpi_maps), potential_map)
-    maps = {
-        name: step6_combine(kpi_maps, restricted_fit(system, columns))
-        for name, columns in VARIANT_COLUMNS.items()
-    }
+    maps = {}
+    for name, columns in VARIANT_COLUMNS.items():
+        try:
+            maps[name] = step6_combine(kpi_maps, restricted_fit(system, columns))
+        except ValueError as exc:
+            raise ValueError(f"{name} fit: {exc}") from exc
     maps[VARIANT_STEP6] = fused
     maps[VARIANT_STEP7] = smoothed
     return maps
@@ -272,7 +274,7 @@ def run_pipeline(
     config: ScenarioConfig,
     out_dir: str | Path,
     kpi_source: str = KPI_SOURCE_ORACLE,
-    x_override: tuple[float, ...] | None = None,
+    x_override: ImportanceVector | None = None,
     event_log: bool = False,
 ) -> PipelineResult:
     """Run every stage and leave all artifacts in ``out_dir``."""

@@ -5,7 +5,7 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
-from conftest import SIM_CONFIG
+from conftest import DESK_CONFIG, SIM_CONFIG
 from hotloc.cli import main
 
 CONFIG = str(SIM_CONFIG)
@@ -170,16 +170,28 @@ STAGEWISE_ARTIFACTS = (
 
 
 class TestStagewiseEqualsPipeline:
-    def test_readme_flow_matches_pipeline(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "kpi_command, pipeline_args, extra",
+        [
+            (["oracle-kpis"], [], ()),
+            (["simulate", "--events"], ["--kpi-source", "sim", "--events"], ("events.csv",)),
+        ],
+        ids=["oracle", "sim"],
+    )
+    def test_readme_flow_matches_pipeline(self, runner, tmp_path, kpi_command, pipeline_args, extra):
         """The README's five stage commands, with nothing else run in
-        between, leave the same artifacts as one ``hotloc pipeline``, the
-        report and its tables with all four variants included."""
+        between, leave the same files as one ``hotloc pipeline``, byte for
+        byte: the report and its tables with all four variants included,
+        and the event log when the KPIs come from the simulator."""
         art, whole = tmp_path / "art", tmp_path / "whole"
-        for command in ("gen-scenario", "oracle-kpis", "optimize", "localize", "evaluate"):
-            result = invoke(runner, command, "--config", CONFIG, "--out", str(art))
+        for command in (["gen-scenario"], kpi_command, ["optimize"], ["localize"], ["evaluate"]):
+            result = invoke(runner, *command, "--config", CONFIG, "--out", str(art))
             assert result.exit_code == 0, (command, result.output)
-        invoke(runner, "pipeline", "--config", CONFIG, "--out", str(whole))
-        for name in STAGEWISE_ARTIFACTS:
+        invoke(runner, "pipeline", "--config", CONFIG, "--out", str(whole), *pipeline_args)
+        names = sorted(path.name for path in art.iterdir())
+        assert names == sorted(STAGEWISE_ARTIFACTS + extra)
+        assert names == sorted(path.name for path in whole.iterdir())
+        for name in names:
             assert (art / name).read_bytes() == (whole / name).read_bytes(), name
         report = json.loads((art / "report.json").read_text())
         assert set(report["variants"]) == {"ta_only", "ta_neighbor", "step6", "step7"}
@@ -283,6 +295,43 @@ class TestBadInputs:
         )
         assert f"cell '{cell_id}': neighbor_level names cells not on the grid: ['NOPE']" in err
 
+    def test_level_for_a_cell_that_is_not_a_neighbor(self, runner, tmp_path):
+        # On the desk grid BS05A is second best on one of BS02B's pixels,
+        # but it is not one of BS02B's configured neighbors.
+        art = tmp_path / "art"
+        for command in ("gen-scenario", "oracle-kpis"):
+            invoke(runner, command, "--config", str(DESK_CONFIG), "--out", str(art))
+        path = art / "kpis.json"
+        doc = json.loads(path.read_text())
+        (cell,) = [c for c in doc["cells"] if c["cell_id"] == "BS02B"]
+        cell["neighbor_level"] = {"BS05A": 1.0}
+        path.write_text(json.dumps(doc))
+        err = fails(
+            runner, "maps",
+            "localize", "--config", str(DESK_CONFIG), "--out", str(art), "--x-override", "1,1,1,1,1",
+        )
+        assert "cell 'BS02B': neighbor_level names cells that are not its configured neighbors: ['BS05A']" in err
+        assert not (art / "q3.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("source", ["x"], "source must be a string, got ['x']"),
+            ("window_s", "abc", "window_s must be null or a finite non-negative number, got 'abc'"),
+            ("window_s", -1.0, "window_s must be null or a finite non-negative number, got -1.0"),
+            ("window_s", float("nan"), "window_s must be null or a finite non-negative number, got nan"),
+        ],
+    )
+    def test_malformed_kpi_header_names_the_file(self, runner, scenario_dir, tmp_path, key, value, message):
+        art = self.copy(scenario_dir, tmp_path)
+        path = art / "kpis.json"
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        err = fails(runner, "optimize", "optimize", "--config", CONFIG, "--out", str(art))
+        assert f"{path}: {message}" in err
+        assert not (art / "importance.json").exists()
+
     @pytest.mark.parametrize(
         "field, value, message",
         [
@@ -338,6 +387,7 @@ class TestBadInputs:
             ([0.2, 0.2, 0.2, 0.2, 0.2], "'x' must be a list of 5 numbers"),
             ({"x": [0.1, -0.1, 0, 0, 0]}, "must be finite and non-negative"),
             ({"x": [float("nan"), 0, 0, 0, 0]}, "must be finite and non-negative"),
+            ({"x": [0, 0, 0, 0, 0.0]}, "importance factors must not all be zero"),
         ],
     )
     def test_bad_importance_vector(self, runner, scenario_dir, tmp_path, doc, message):
@@ -465,6 +515,32 @@ class TestPipelineCommand:
         assert result.exit_code == 2
         assert "Invalid value" in result.stderr
         assert not (tmp_path / "out" / "grid.csv").exists()
+
+    def test_seed_and_seeds_exclude_each_other(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["pipeline", "--config", CONFIG, "--out", str(out), "--seed", "5", "--seeds", "1"]
+        )
+        assert result.exit_code == 2
+        assert "--seed and --seeds exclude each other" in result.stderr
+        assert not out.exists()
+
+    def test_zero_fit_fails_in_optimize_stage(self, runner, tmp_path):
+        # Nine pixels in ten uncovered and the prior's one zone in a corner
+        # no cell reaches: the prior overlaps none of the KPI maps.
+        doc = json.loads(SIM_CONFIG.read_text())
+        doc["grid"]["q_rxlevmin_dbm"] = -95.0
+        doc["potential"]["zones"] = [{"shape": "rect", "corners": [0, 0, 50, 50], "importance": 1.0}]
+        config = tmp_path / "zero.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        err = fails(runner, "optimize", "pipeline", "--config", str(config), "--out", str(out))
+        assert (
+            "importance fit: every factor is zero; "
+            "the potential-hotspot prior overlaps none of the KPI maps"
+        ) in err
+        assert (out / "q1.csv").exists()
+        assert not (out / "importance.json").exists()
 
     def test_idle_sim_fails_in_kpi_stage(self, runner, tmp_path):
         doc = json.loads(SIM_CONFIG.read_text())

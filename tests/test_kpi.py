@@ -473,6 +473,22 @@ class TestOracle:
         with pytest.raises(ValueError, match=r"cell 'A': neighbor_level names cells not on the grid: \['C'\]"):
             kpis.validate(grid)
 
+    def test_validate_against_grid_detects_level_for_non_neighbor(self):
+        # C is on the grid but is not one of A's configured neighbors.
+        grid = constant_grid(
+            [
+                ("A", (100.0, 100.0), 0.0, -85.0, ("B",)),
+                ("B", (100.0, 100.0), 2.0, -90.0, ("A", "C")),
+                ("C", (100.0, 100.0), 4.0, -95.0, ("B",)),
+            ]
+        )
+        kpis = KpiSet(cells={"A": TestCellKpis().good(), "B": CellKpis.empty(), "C": CellKpis.empty()})
+        with pytest.raises(
+            ValueError,
+            match=r"cell 'A': neighbor_level names cells that are not its configured neighbors: \['C'\]",
+        ):
+            kpis.validate(grid)
+
     def test_load_validates_every_cell(self, tmp_path):
         """The probe from a NaN load time and a negative TA fraction: the
         loader names the file, the cell and the field."""

@@ -48,6 +48,10 @@ class TestImportanceVector:
         with pytest.raises(ValueError, match="non-negative"):
             ImportanceVector((0.1, -0.2, 0.3, 0.4, 0.5))
 
+    def test_all_zero_rejected(self):
+        with pytest.raises(ValueError, match="must not all be zero"):
+            ImportanceVector((0.0, 0.0, 0.0, 0.0, 0.0))
+
 
 class TestStep1Ta:
     def test_worked_ring_fraction(self):
@@ -80,8 +84,8 @@ class TestStep1Ta:
 
     def test_missing_cell_kpis_rejected(self):
         grid, servers = single_cell_grid()
-        with pytest.raises(ValueError, match="missing cells"):
-            step1_ta(KpiSet(cells={}), grid, servers)
+        with pytest.raises(ValueError, match="exactly the grid's cells"):
+            compute_kpi_maps(KpiSet(cells={}), grid, servers, PARAMS)
 
 
 class TestStep2Aoa:
@@ -246,8 +250,8 @@ class TestStep5Throughput:
     def test_inverted_means_rejected(self):
         grid, servers = self.center_edge_grid()
         kpis = kpi_set_for(grid, A=cell_kpis(amt=2.0, hmt=8.0))
-        with pytest.raises(ValueError, match="invalid KPI pair"):
-            step5_throughput(kpis, grid, servers, PARAMS)
+        with pytest.raises(ValueError, match=r"cell 'A': throughputs need 0 <= hmt <= amt"):
+            compute_kpi_maps(kpis, grid, servers, PARAMS)
 
 
 class TestStep6Combine:

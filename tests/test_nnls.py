@@ -7,7 +7,7 @@ import scipy.optimize
 from hotloc.kpi import WeightMap
 from hotloc.localize import ImportanceVector, step6_combine
 from hotloc.nnls import DesignSystem, build_system, solve_nnls
-from hotloc.pipeline import _run_optimize
+from hotloc.pipeline import StageError, _run_optimize
 
 
 def assert_kkt(system, x, tol=1e-8):
@@ -173,12 +173,12 @@ class TestOptimizeImportance:
         assert normalized is not None
         assert abs(sum(normalized) - 1.0) <= 1e-12
 
-    def test_normalized_x_none_for_zero_fit(self, tmp_path):
+    def test_zero_fit_rejected_before_writing(self, tmp_path):
         maps = tuple(
             WeightMap(np.ones((4, 4)), 25.0, f"q{k + 1}") for k in range(5)
         )
         potential = WeightMap(np.zeros((4, 4)), 25.0, "potential")
-        x, _ = _run_optimize(maps, potential, None, tmp_path)
-        assert x.values == (0.0,) * 5
-        doc = json.loads((tmp_path / "importance.json").read_text())
-        assert doc["x_normalized"] is None
+        with pytest.raises(StageError, match="every factor is zero") as excinfo:
+            _run_optimize(maps, potential, None, tmp_path)
+        assert excinfo.value.stage == "optimize"
+        assert not (tmp_path / "importance.json").exists()

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import GOLDEN_REPORT, SIM_CONFIG
 from hotloc.kpi import WeightMap
+from hotloc.localize import ImportanceVector
 from hotloc.nnls import build_system
 from hotloc.pipeline import (
     ALL_VARIANTS,
@@ -14,6 +15,7 @@ from hotloc.pipeline import (
     StageError,
     restricted_fit,
     run_pipeline,
+    variant_maps,
 )
 from hotloc.scenario import load_scenario_config
 
@@ -105,6 +107,16 @@ class TestRestrictedFit:
         x = restricted_fit(build_system(maps, potential), (0,))
         assert x.values[0] == pytest.approx(2.5, abs=1e-12)
 
+    def test_zero_restricted_fit_names_the_variant(self):
+        # q1 lives where the prior is zero, so ta_only fits x = 0 while
+        # ta_neighbor, on q1 and q3, does not.
+        half = np.zeros((6, 6))
+        half[:3] = 1.0
+        maps = tuple(WeightMap(half if k else 1.0 - half, 25.0, f"q{k + 1}") for k in range(5))
+        potential = WeightMap(half, 25.0, "potential")
+        with pytest.raises(ValueError, match="^ta_only fit: importance factors must not all be zero$"):
+            variant_maps(maps, potential, maps[0], maps[0])
+
 
 class TestPipelineErrors:
     def test_idle_simulation_fails_in_kpi_stage(self, tmp_path):
@@ -143,7 +155,7 @@ class TestSimPipeline:
     def test_x_override_skips_fitting(self, tmp_path):
         config = load_scenario_config(SIM_CONFIG)
         result = run_pipeline(
-            config, tmp_path / "o", x_override=(0.2, 0.2, 0.2, 0.2, 0.2)
+            config, tmp_path / "o", x_override=ImportanceVector((0.2,) * 5)
         )
         assert result.x.values == (0.2,) * 5
         assert result.fit_residual is None

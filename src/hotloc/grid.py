@@ -18,7 +18,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, TextIO
 
@@ -238,10 +237,12 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 #   marker row:  rsrp
 #   layer rows:  <cell_id>,<i>,<j>,<rsrp_dbm>
 #
-# Layer rows may come in any order. Each (cell, pixel) pair appears at most
-# once, with 0 <= i, j < m. A pair that is absent, or whose value is nan,
-# means no coverage from that cell at that pixel. The writer emits the
-# covered pixels of each layer in row-major order, layer by layer.
+# Cell ids are distinct, every neighbor id names a cell row, and no id holds
+# ",", ";", a NUL or a line break. Layer rows may come in any order, with
+# blank lines between them. Each (cell, pixel) pair appears at most once,
+# with 0 <= i, j < m. A pair that is absent, or whose value is nan, means
+# no coverage from that cell at that pixel. The writer emits the covered
+# pixels of each layer in row-major order, layer by layer.
 # ---------------------------------------------------------------------------
 
 _GRID_MAGIC = "hotloc-grid,1"
@@ -291,7 +292,8 @@ def repr_lookup(values: np.ndarray) -> Callable[[np.ndarray], list[bytes]]:
 def reject_separators(what: str, name: str, separators: str) -> None:
     """Raise ValueError naming ``name`` when it holds one of ``separators``
     or a line break, which would split or merge the fields and rows of a
-    text artifact."""
+    text artifact. A NUL, passed as a separator, would merge ids: numpy
+    drops trailing NULs from the strings it reads."""
     found = "".join(sorted(set(name) & set(separators + "\n\r")))
     if found:
         raise ValueError(f"{what} {name!r} contains {found!r}, which the file format cannot hold")
@@ -299,11 +301,12 @@ def reject_separators(what: str, name: str, separators: str) -> None:
 
 def save_grid(grid: CoverageGrid, path: str | Path) -> None:
     """Write a coverage grid to its CSV-based interchange format. A cell or
-    neighbor id holding ``,``, ``;`` or a line break raises ValueError."""
+    neighbor id holding ``,``, ``;``, a NUL or a line break raises
+    ValueError."""
     for cell in grid.cells:
-        reject_separators("cell id", cell.cell_id, ",;")
+        reject_separators("cell id", cell.cell_id, ",;\0")
         for nb_id in cell.neighbors:
-            reject_separators("neighbor id", nb_id, ",;")
+            reject_separators("neighbor id", nb_id, ",;\0")
     spec = grid.spec
     lines = [_GRID_MAGIC]
     lines.append(f"m,{spec.m}")
@@ -369,10 +372,28 @@ def read_header_lines(fh: TextIO, marker: str) -> list[str]:
 
 
 _PIXEL_ROW = np.dtype([("i", np.intp), ("j", np.intp), ("v", np.float64)])
-# A grid layer row leads with its cell id, which a second pass maps to the
-# layer. loadtxt keeps one character of it, which is enough to hold every
-# row to exactly four fields.
-_LAYER_ROW = np.dtype([("cell", "U1"), *_PIXEL_ROW.descr])
+# Data rows parsed per np.loadtxt call, which bounds the parsed rows alive
+# at once.
+_ROW_BLOCK = 1 << 14
+
+
+def _row_blocks(fh: TextIO, dtype: np.dtype):
+    """The data rows left in ``fh`` parsed as ``dtype``, in blocks of up to
+    ``_ROW_BLOCK`` rows; loadtxt leaves ``fh`` at the row after a block."""
+    while True:
+        with warnings.catch_warnings():
+            # numpy 1.x reads "1.5" into an integer column with only a
+            # DeprecationWarning; the rows must hold plain integers. A
+            # block without rows, or with blank lines, is valid.
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("ignore", UserWarning)
+            block = np.loadtxt(
+                fh, dtype=dtype, delimiter=",", comments=None, ndmin=1, max_rows=_ROW_BLOCK
+            )
+        yield block
+        # max_rows counts data rows only, so a short block is the last.
+        if len(block) < _ROW_BLOCK:
+            return
 
 
 def scatter_pixel_rows(
@@ -380,61 +401,62 @@ def scatter_pixel_rows(
     fh: TextIO,
     first_line: int,
     out: np.ndarray,
-    cell_index: dict[str, int] | None = None,
+    cell_ids: list[str] | None = None,
     weights: bool = False,
 ) -> None:
     """Read the data rows left in the open text file ``fh`` and write their
     values into ``out``. Rows are ``i,j,value`` into an (m, m) raster, or
-    ``<cell_id>,i,j,value`` into the (n, m, m) stack when ``cell_index``
-    maps cell ids to layers. ``first_line`` is the 0-based line number of
-    the first row. Empty lines are skipped.
+    ``<cell_id>,i,j,value`` into the (n, m, m) stack whose layer k belongs
+    to ``cell_ids[k]``; those ids must hold no NUL character, since numpy
+    drops trailing NULs from its strings. ``first_line`` is the 0-based
+    line number of the first row. Empty lines are skipped.
 
     Every row must parse, name a known cell, hold indices in ``[0, m)``,
     name a pixel no earlier row named and hold a finite or NaN value; with
     ``weights`` its value must be finite and non-negative. The rows are
-    parsed in bulk; only when that fails does :func:`_first_bad_row` read
-    them again one by one to raise a ValueError naming the file and the
-    first bad line."""
+    parsed, checked and scattered in blocks; only when that fails does
+    :func:`_first_bad_row` read them again one by one to raise a
+    ValueError naming the file and the first bad line."""
     m = out.shape[-1]
     start = fh.tell()
+    dtype = _PIXEL_ROW
+    if cell_ids is not None:
+        # One character wider than the longest known id, so that a longer
+        # id is cut to a string that matches none.
+        width = max(map(len, cell_ids), default=0) + 1
+        ids = np.array(cell_ids, dtype=f"U{width}")
+        layers = np.argsort(ids)
+        known = ids[layers]
+        dtype = np.dtype([("cell", known.dtype), *_PIXEL_ROW.descr])
+    taken = np.zeros(out.size, dtype=bool)
+    rows = 0
     try:
-        with warnings.catch_warnings():
-            # numpy 1.x reads "1.5" into an integer column with only a
-            # DeprecationWarning; the rows must hold plain integers. A
-            # section without rows is valid.
-            warnings.simplefilter("error", DeprecationWarning)
-            warnings.simplefilter("ignore", UserWarning)
-            parsed = np.loadtxt(
-                fh,
-                dtype=_PIXEL_ROW if cell_index is None else _LAYER_ROW,
-                delimiter=",",
-                comments=None,
-                ndmin=1,
-            )
-        layer = 0
-        if cell_index is not None:
-            fh.seek(start)
-            rows = filter("\n".__ne__, fh)
-            ids = map(itemgetter(0), map(str.partition, rows, itertools.repeat(",")))
-            layer = np.fromiter(map(cell_index.__getitem__, ids), np.intp, len(parsed))
-    except (KeyError, ValueError, DeprecationWarning) as exc:
-        # The scan passes the few spellings Python reads and numpy does not,
-        # such as "1_0".
-        raise _first_bad_row(path, fh, start, first_line, m, cell_index, weights) or ValueError(
+        for block in _row_blocks(fh, dtype):
+            i, j, v = block["i"], block["j"], block["v"]
+            good = (i >= 0) & (i < m) & (j >= 0) & (j < m) & ~np.isinf(v)
+            if weights:
+                good &= np.isfinite(v) & (v >= 0)
+            if cell_ids is not None:
+                left = np.searchsorted(known, block["cell"], "left")
+                good &= np.searchsorted(known, block["cell"], "right") > left
+            if not good.all():
+                break
+            flat = i * m + j
+            if cell_ids is not None:
+                flat += layers[left] * (m * m)
+            taken[flat] = True
+            np.put(out, flat, v)
+            rows += len(block)
+        else:
+            if np.count_nonzero(taken) == rows:
+                return
+    except (ValueError, DeprecationWarning) as exc:
+        # The scan passes the few spellings Python reads and numpy does
+        # not, such as "1_0".
+        raise _first_bad_row(path, fh, start, first_line, m, cell_ids, weights) or ValueError(
             f"{path}: garbled data row: {exc}"
         ) from None
-    i, j, v = parsed["i"], parsed["j"], parsed["v"]
-    good = (i >= 0) & (i < m) & (j >= 0) & (j < m) & ~np.isinf(v)
-    if weights:
-        good &= np.isfinite(v) & (v >= 0)
-    if good.all():
-        flat = (layer * m + i) * m + j
-        taken = np.zeros(out.size, dtype=bool)
-        taken[flat] = True
-        if np.count_nonzero(taken) == len(flat):
-            np.put(out, flat, v)
-            return
-    raise _first_bad_row(path, fh, start, first_line, m, cell_index, weights)
+    raise _first_bad_row(path, fh, start, first_line, m, cell_ids, weights)
 
 
 def _first_bad_row(
@@ -443,7 +465,7 @@ def _first_bad_row(
     start: int,
     first_line: int,
     m: int,
-    cell_index: dict[str, int] | None,
+    cell_ids: list[str] | None,
     weights: bool,
 ) -> ValueError | None:
     """The error for the first data row from position ``start`` of ``fh``
@@ -451,13 +473,14 @@ def _first_bad_row(
     or a pixel already given, or holds an infinite value (with ``weights``,
     a negative or non-finite one), or None when every row is good."""
     fh.seek(start)
+    known = set(cell_ids or ())
     seen: dict[tuple, int] = {}
     for line_no, line in enumerate(fh, first_line + 1):
         line = line.rstrip("\n")
         if not line:
             continue
         try:
-            if cell_index is None:
+            if cell_ids is None:
                 cell_id = None
                 i, j, value = line.split(",")
             else:
@@ -467,7 +490,7 @@ def _first_bad_row(
                 raise ValueError("weight must be finite and non-negative")
             if math.isinf(number):
                 raise ValueError("value must be finite or NaN")
-            if cell_id is not None and cell_id not in cell_index:
+            if cell_id is not None and cell_id not in known:
                 raise ValueError(f"unknown cell id {cell_id!r}")
             pixel = (int(i), int(j))
             if not (0 <= pixel[0] < m and 0 <= pixel[1] < m):
@@ -481,14 +504,19 @@ def _first_bad_row(
 
 
 def load_grid(path: str | Path) -> CoverageGrid:
-    """Read a coverage grid written by :func:`save_grid`."""
-    with open(path) as fh:
+    """Read a coverage grid written by :func:`save_grid`. A garbled header
+    row, a repeated cell id, a neighbor that names no cell and an id that
+    holds a NUL raise ValueError naming the file, and the line for a cell
+    row; so do the data rows :func:`scatter_pixel_rows` rejects."""
+    with open(path, encoding="utf-8") as fh:
         lines = read_header_lines(fh, "rsrp")
         if not lines or lines[0] != _GRID_MAGIC:
             raise ValueError(f"{path}: not a hotloc coverage grid file")
 
         header: dict[str, list[str]] = {}
         cells: list[CellInfo] = []
+        # The 0-based line of each cell row, by cell id.
+        cell_rows: dict[str, int] = {}
         row = 1
         try:
             while row < len(lines) and lines[row] != "rsrp":
@@ -496,6 +524,12 @@ def load_grid(path: str | Path) -> CoverageGrid:
                 if parts[0] == "cell":
                     _, cell_id, x, y, az_deg, nbs = parts
                     neighbors = tuple(n for n in nbs.split(";") if n)
+                    reject_separators("cell id", cell_id, "\0")
+                    for nb_id in neighbors:
+                        reject_separators("neighbor id", nb_id, "\0")
+                    first = cell_rows.setdefault(cell_id, row)
+                    if first != row:
+                        raise ValueError(f"cell id {cell_id!r} already given on line {first + 1}")
                     cells.append(
                         CellInfo(
                             cell_id=cell_id,
@@ -521,10 +555,16 @@ def load_grid(path: str | Path) -> CoverageGrid:
         declared = header_row(header, "cells", path, int)[0]
         if declared != len(cells):
             raise ValueError(f"{path}: header declares {declared} cells, found {len(cells)}")
+        for cell in cells:
+            unknown = [nb_id for nb_id in cell.neighbors if nb_id not in cell_rows]
+            if unknown:
+                line = cell_rows[cell.cell_id]
+                raise garbled_line(
+                    path, line + 1, lines[line], f"neighbors {unknown} are not cells of the grid"
+                )
 
-        index = {c.cell_id: k for k, c in enumerate(cells)}
         rsrp = np.full((len(cells), spec.m, spec.m), np.nan)
-        scatter_pixel_rows(path, fh, row + 1, rsrp, index)
+        scatter_pixel_rows(path, fh, row + 1, rsrp, list(cell_rows))
 
     return CoverageGrid(
         spec=spec,

@@ -432,7 +432,7 @@ def load_weight_map(path: str | Path) -> WeightMap:
     off before its ``i,j,weight`` row, a garbled row and a negative or
     non-finite weight raise ValueError naming the file, and the line for
     a bad row."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = read_header_lines(fh, "i,j,weight")
         if not lines or lines[0] != _WMAP_MAGIC:
             raise ValueError(f"{path}: not a hotloc weight map file")

@@ -198,7 +198,9 @@ def step6_combine(
     maps: tuple[WeightMap, WeightMap, WeightMap, WeightMap, WeightMap],
     x: ImportanceVector,
 ) -> WeightMap:
-    """Fuse the five KPI maps into one weighted sum."""
+    """Fuse the five KPI maps into one weighted sum. A sum that is zero
+    everywhere raises ValueError naming the factors and the KPI maps that
+    are zero everywhere: the evaluation cannot normalize it."""
     if len(maps) != KPI_COUNT:
         raise ValueError(f"expected {KPI_COUNT} maps")
     first = maps[0]
@@ -207,6 +209,12 @@ def step6_combine(
         if wmap.values.shape != first.values.shape or wmap.pixel_size != first.pixel_size:
             raise ValueError("KPI maps must share one grid")
         fused = fused + weight * wmap.values
+    if not fused.any():
+        zero = [wmap.label for wmap in maps if not wmap.values.any()]
+        raise ValueError(
+            f"the fused map is zero everywhere: importance factors {list(x.values)}, "
+            f"all-zero KPI maps {zero}"
+        )
     return WeightMap(fused, first.pixel_size, LABEL_FUSED, first.origin)
 
 

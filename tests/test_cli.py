@@ -349,6 +349,42 @@ class TestBadInputs:
         assert f"{art / 'kpis.json'}: " in err
         assert message in err
 
+    @pytest.mark.parametrize(
+        "command, row, replacement, reason",
+        [
+            (
+                "oracle-kpis",
+                "cell,BS01A,400.0,400.0,0.0,BS01B;BS01C",
+                "cell,BS01A,400.0,400.0,0.0,BS01B;BS01C;ZZ",
+                "neighbors ['ZZ'] are not cells of the grid",
+            ),
+            (
+                "simulate",
+                "cell,BS01A,400.0,400.0,0.0,BS01B;BS01C",
+                "cell,BS01A,400.0,400.0,0.0,BS01B;BS01C;ZZ",
+                "neighbors ['ZZ'] are not cells of the grid",
+            ),
+            (
+                "oracle-kpis",
+                "cell,BS01C,400.0,400.0,239.99999999999997,BS01A;BS01B",
+                "cell,BS01A,400.0,400.0,239.99999999999997,BS01C;BS01B",
+                "cell id 'BS01A' already given on line 7",
+            ),
+        ],
+        ids=["unknown-neighbor", "unknown-neighbor-simulate", "repeated-id"],
+    )
+    def test_bad_cell_row_named_by_line(
+        self, runner, scenario_dir, tmp_path, command, row, replacement, reason
+    ):
+        art = self.copy(scenario_dir, tmp_path)
+        path = art / "grid.csv"
+        lines = path.read_text().splitlines()
+        line_no = lines.index(row) + 1
+        lines[line_no - 1] = replacement
+        path.write_text("\n".join(lines) + "\n")
+        err = fails(runner, "kpis", command, "--config", CONFIG, "--out", str(art))
+        assert f"grid.csv: line {line_no}: {reason}: {replacement!r}" in err
+
     def test_repeated_cell_id(self, runner, scenario_dir, tmp_path):
         # A copy of the first cell with other KPIs, appended: the fit must
         # not silently use the copy.
@@ -541,6 +577,26 @@ class TestPipelineCommand:
         ) in err
         assert (out / "q1.csv").exists()
         assert not (out / "importance.json").exists()
+
+    def test_all_zero_fuse_fails_in_localize_stage(self, runner, tmp_path):
+        # Under rho_cap 10 no cell is congested, so q4 is zero everywhere
+        # and factors on q4 alone fuse to a map of zeros.
+        doc = json.loads(SIM_CONFIG.read_text())
+        doc["oracle"]["rho_cap"] = 10.0
+        config = tmp_path / "calm.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        err = fails(
+            runner, "localize",
+            "pipeline", "--config", str(config), "--out", str(out), "--x-override", "0,0,0,1,0",
+        )
+        assert (
+            "the fused map is zero everywhere: importance factors [0.0, 0.0, 0.0, 1.0, 0.0], "
+            "all-zero KPI maps ['q4']"
+        ) in err
+        assert (out / "q4.csv").exists()
+        assert not (out / "fused.csv").exists()
+        assert not (out / "smoothed.csv").exists()
 
     def test_idle_sim_fails_in_kpi_stage(self, runner, tmp_path):
         doc = json.loads(SIM_CONFIG.read_text())

@@ -1,10 +1,12 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import constant_grid
+from hotloc import grid as grid_module
 from hotloc.grid import (
     NO_SECOND,
     TA_GRANULARITY_M,
@@ -19,6 +21,7 @@ from hotloc.grid import (
     save_grid,
     ta_zone_layer,
 )
+from hotloc.kpi import WeightMap, load_weight_map, save_weight_map
 from test_serving_tables import aoa_zone, ta_zone
 
 
@@ -243,6 +246,9 @@ class TestGridFile:
             ("A", "b,c", "b,c"),
             ("A", "b;c", "b;c"),
             ("A", "b\rc", "b\rc"),
+            # numpy drops trailing NULs, so "A\0" would read as "A".
+            ("A\0", "B", "A\0"),
+            ("A", "B\0", "B\0"),
         ],
     )
     def test_separator_in_id_rejected_before_writing(self, tmp_path, cell_id, neighbor, name):
@@ -351,6 +357,18 @@ class TestGridFile:
             ("B,2,1,-80.0", "B,2,3,-80.0", "pixel (2, 3) outside the 3x3 grid"),
             ("A,1,1,-90.0", "A,1,1,inf", "value must be finite or NaN"),
             ("B,2,1,-80.0", "B,2,1,-inf", "value must be finite or NaN"),
+            (
+                "cell,A,0.0,0.0,0.0,B",
+                "cell,A,0.0,0.0,0.0,B;ZZ",
+                "neighbors ['ZZ'] are not cells of the grid",
+            ),
+            (
+                "cell,B,5.0,0.0,57.29577951308232,A",
+                "cell,A,5.0,0.0,57.29577951308232,B",
+                "cell id 'A' already given on line 7",
+            ),
+            ("cell,A,0.0,0.0,0.0,B", "cell,A\0,0.0,0.0,0.0,B", "cell id 'A\\x00' contains '\\x00'"),
+            ("cell,A,0.0,0.0,0.0,B", "cell,A,0.0,0.0,0.0,B\0", "neighbor id 'B\\x00' contains"),
         ],
     )
     def test_garbled_row_named_by_line(self, tmp_path, row, replacement, reason):
@@ -365,3 +383,153 @@ class TestGridFile:
         assert message.startswith(f"{path}: line {line_no}: {reason}")
         assert message.endswith(repr(replacement))
 
+
+def reference_rsrp(path) -> np.ndarray:
+    """The RSRP stack of a grid.csv read one data row at a time with
+    Python's own parsers: the reference for load_grid's bulk pass. A bad
+    row raises ValueError whose argument is its 1-based line number."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    marker = lines.index("rsrp")
+    ids, m = [], None
+    for line in lines[1:marker]:
+        key, _, rest = line.partition(",")
+        if key == "cell":
+            ids.append(rest.split(",")[0])
+        elif key == "m":
+            m = int(rest)
+    rsrp = np.full((len(ids), m, m), np.nan)
+    seen = set()
+    for line_no, line in enumerate(lines[marker + 1 :], marker + 2):
+        if not line:
+            continue
+        try:
+            cell_id, i, j, value = line.split(",")
+            key = (ids.index(cell_id), int(i), int(j))
+            good = 0 <= key[1] < m and 0 <= key[2] < m and not math.isinf(float(value))
+        except ValueError:
+            good = False
+        if not good or key in seen:
+            raise ValueError(line_no)
+        seen.add(key)
+        rsrp[key] = float(value)
+    return rsrp
+
+
+def random_grid_file(tmp_path, ids, m=4, seed=0):
+    """grid.csv of cells ``ids`` on an m x m grid, each layer of random
+    RSRP with about a fifth of its pixels uncovered."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for k, cell_id in enumerate(ids):
+        layer = rng.uniform(-120.0, -70.0, (m, m))
+        layer[rng.random((m, m)) < 0.2] = np.nan
+        cells.append((cell_id, (10.0 * k, 0.0), 0.0, layer, ()))
+    grid = constant_grid(cells, m=m)
+    path = tmp_path / "grid.csv"
+    save_grid(grid, path)
+    return path, grid
+
+
+def edit_data_rows(path, edit):
+    """Replace the data rows of grid.csv by ``edit(rows)``."""
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    start = lines.index("rsrp") + 1
+    lines[start:] = edit(lines[start:])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestBlockedReader:
+    """load_grid parses the data rows in blocks of ``_ROW_BLOCK``; with
+    blocks of four rows, every file below spans more than two of them.
+    The reader must agree with :func:`reference_rsrp` on every file."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(grid_module, "_ROW_BLOCK", 4)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            # One id a prefix of others, listed out of sorted order.
+            ("AB", "A", "ABC", "B"),
+            ("Zelle-\u00e4", "\u57fa\u7ad9-1", "A"),
+        ],
+    )
+    def test_matches_reference(self, tmp_path, ids):
+        path, grid = random_grid_file(tmp_path, ids)
+        loaded = load_grid(path)
+        assert [c.cell_id for c in loaded.cells] == list(ids)
+        np.testing.assert_array_equal(loaded.rsrp, reference_rsrp(path))
+        np.testing.assert_array_equal(loaded.rsrp, grid.rsrp)
+
+    def test_shuffled_rows_and_blank_lines(self, tmp_path):
+        path, grid = random_grid_file(tmp_path, ("A", "AB", "B"))
+        rng = np.random.default_rng(1)
+
+        def shuffle(rows):
+            # Layers interleaved, and blank lines in runs of up to three,
+            # at the start, inside and across blocks and at the end.
+            rows = [rows[k] for k in rng.permutation(len(rows))]
+            for at in sorted(rng.choice(len(rows) + 1, size=12), reverse=True):
+                rows[at:at] = [""] * int(rng.integers(1, 4))
+            return [""] + rows + [""]
+
+        edit_data_rows(path, shuffle)
+        loaded = load_grid(path)
+        np.testing.assert_array_equal(loaded.rsrp, reference_rsrp(path))
+        np.testing.assert_array_equal(loaded.rsrp, grid.rsrp)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # The first row again in the last block.
+            lambda rows: rows + ["", rows[0]],
+            # A garbled value, unknown ids one and three characters
+            # longer than the longest id, and one that is a prefix of a
+            # known id, in the third block and later.
+            lambda rows: rows[:10] + [rows[10].rsplit(",", 1)[0] + ",x"] + rows[11:],
+            lambda rows: rows[:9] + ["ABZ" + rows[9][rows[9].index(",") :]] + rows[10:],
+            lambda rows: rows[:9] + ["ABZZZ" + rows[9][rows[9].index(",") :]] + rows[10:],
+            lambda rows: rows[:13] + ["A" + rows[13][rows[13].index(",") :]] + rows[14:],
+            # A pixel outside the grid after the first block.
+            lambda rows: rows[:5] + [rows[5].split(",")[0] + ",4,0,-90.0"] + rows[6:],
+        ],
+        ids=["duplicate", "garbled", "longer-id", "much-longer-id", "prefix-id", "outside"],
+    )
+    def test_bad_row_in_a_later_block_named_by_line(self, tmp_path, edit):
+        path, _ = random_grid_file(tmp_path, ("AB", "BC", "CD"))
+        edit_data_rows(path, edit)
+        with pytest.raises(ValueError) as reference:
+            reference_rsrp(path)
+        (line_no,) = reference.value.args
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line_no}: "):
+            load_grid(path)
+
+    def test_weight_map_over_blocks(self, tmp_path):
+        values = np.random.default_rng(2).random((5, 5))
+        values[1, 2] = 0.0
+        path = tmp_path / "map.csv"
+        save_weight_map(WeightMap(values, 25.0, "q1"), path)
+        np.testing.assert_array_equal(load_weight_map(path).values, values)
+
+
+def test_load_grid_memory_is_bounded_by_the_block(tmp_path):
+    # Nine full layers of 128 x 128 pixels: nine blocks of rows. Only the
+    # stack, one bool per entry and one block's rows may be alive at once.
+    m, cells = 128, 9
+    grid = constant_grid(
+        [(f"C{k}", (10.0 * k, 0.0), 0.0, -70.0 - k, ()) for k in range(cells)], m=m
+    )
+    path = tmp_path / "grid.csv"
+    save_grid(grid, path)
+    assert cells * m * m >= 8 * grid_module._ROW_BLOCK
+    tracemalloc.start()
+    try:
+        loaded = load_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(loaded.rsrp, grid.rsrp)
+    allowance = loaded.rsrp.size + 200 * grid_module._ROW_BLOCK
+    assert peak < loaded.rsrp.nbytes + allowance

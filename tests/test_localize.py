@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,17 @@ class TestStep6Combine:
         out = step6_combine(maps, x)
         expected = sum(w * a for w, a in zip(x.values, arrays))
         np.testing.assert_allclose(out.values, expected, rtol=1e-15)
+
+    def test_all_zero_fuse_rejected(self):
+        arrays = [np.ones((4, 4))] * 5
+        arrays[1] = arrays[3] = np.zeros((4, 4))
+        x = ImportanceVector((0.0, 0.5, 0.0, 2.0, 0.0))
+        message = (
+            "the fused map is zero everywhere: importance factors [0.0, 0.5, 0.0, 2.0, 0.0], "
+            "all-zero KPI maps ['q2', 'q4']"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            step6_combine(self.maps_of(arrays), x)
 
     def test_grid_mismatch_rejected(self):
         maps = list(self.maps_of([np.zeros((4, 4))] * 5))

@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, TextIO
+from typing import BinaryIO, Callable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -47,8 +47,10 @@ class GridSpec:
     def __post_init__(self):
         if self.m < 2:
             raise ValueError(f"grid needs at least 2x2 pixels, got m={self.m}")
-        if self.pixel_size <= 0:
-            raise ValueError(f"pixel_size must be positive, got {self.pixel_size}")
+        if not (math.isfinite(self.pixel_size) and self.pixel_size > 0):
+            raise ValueError(f"pixel_size must be finite and positive, got {self.pixel_size}")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError(f"origin must be finite, got {self.origin}")
 
     @property
     def extent(self) -> float:
@@ -77,6 +79,9 @@ class CellInfo:
     neighbors: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (*self.site_position, self.azimuth))):
+            site, azimuth = self.site_position, self.azimuth
+            raise ValueError(f"cell {self.cell_id!r}: site {site} and azimuth {azimuth} must be finite")
         if not 0.0 <= self.azimuth < 2.0 * math.pi:
             object.__setattr__(self, "azimuth", self.azimuth % (2.0 * math.pi))
         if self.cell_id in self.neighbors:
@@ -118,6 +123,8 @@ class CoverageGrid:
             )
         if np.isinf(self.rsrp).any():
             raise ValueError("rsrp values must be finite or NaN")
+        if not math.isfinite(self.q_rxlevmin):
+            raise ValueError(f"q_rxlevmin must be finite, got {self.q_rxlevmin}")
         self._index = {c.cell_id: k for k, c in enumerate(self.cells)}
         if len(self._index) != n:
             raise ValueError("duplicate cell ids")
@@ -227,25 +234,25 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Coverage grid file format
+# Raster file formats
 #
-# Plain-text, single file:
-#   line 1: "hotloc-grid,1"                      (magic, format version)
+# grid.csv and the weight maps (see hotloc.kpi) are plain text: a magic row
+# with the format version, header rows, a marker row, then each (m, m)
+# raster as m rows, row i holding the reprs of pixels (i, 0) .. (i, m-1).
+# Row i is world x, so the text is the map on its side, not north-up.
+#
+# grid.csv, after the magic row "hotloc-grid,2":
 #   header rows: m,<int> / pixel_size,<float> / origin,<x>,<y> /
 #                q_rxlevmin,<float> / cells,<count>
 #   cell rows:   cell,<id>,<x>,<y>,<azimuth_deg>,<nb1;nb2;...>
 #   marker row:  rsrp
-#   layer rows:  <cell_id>,<i>,<j>,<rsrp_dbm>
+#   layer rows:  each cell's layer in cell-row order; "nan" is no coverage
 #
 # Cell ids are distinct, every neighbor id names a cell row, and no id holds
-# ",", ";", a NUL or a line break. Layer rows may come in any order, with
-# blank lines between them. Each (cell, pixel) pair appears at most once,
-# with 0 <= i, j < m. A pair that is absent, or whose value is nan, means
-# no coverage from that cell at that pixel. The writer emits the covered
-# pixels of each layer in row-major order, layer by layer.
+# ",", ";", a NUL or a line break.
 # ---------------------------------------------------------------------------
 
-_GRID_MAGIC = "hotloc-grid,1"
+_GRID_MAGIC = "hotloc-grid,2"
 
 # The longest repr of a double, e.g. "-2.2250738585072014e-308".
 _REPR_WIDTH = 24
@@ -254,16 +261,9 @@ _REPR_WIDTH = 24
 _REPR_CHUNK = 1 << 12
 
 
-def pixel_prefixes(m: int) -> list[bytes]:
-    """The ``b"i,j,"`` prefixes of the data rows of an m x m raster, in
-    row-major order."""
-    coords = [b"%d," % n for n in range(m)]
-    return list(map(b"".join, itertools.product(coords, repeat=2)))
-
-
 def repr_lookup(values: np.ndarray) -> Callable[[np.ndarray], list[bytes]]:
     """A function that gives the ASCII ``repr`` of each float64 of an
-    array whose values all occur in ``values``, as a list of bytes.
+    array whose values all occur in ``values``, as bytes nested like ``tolist``.
 
     ``repr`` runs once per distinct value: the text writers' layers and
     maps repeat most of their values. Values are keyed on their bit
@@ -292,11 +292,91 @@ def repr_lookup(values: np.ndarray) -> Callable[[np.ndarray], list[bytes]]:
 def reject_separators(what: str, name: str, separators: str) -> None:
     """Raise ValueError naming ``name`` when it holds one of ``separators``
     or a line break, which would split or merge the fields and rows of a
-    text artifact. A NUL, passed as a separator, would merge ids: numpy
-    drops trailing NULs from the strings it reads."""
+    text artifact. The ids of ``grid.csv`` also refuse a NUL: text tools
+    take a file that holds one for binary, and C strings end at it."""
     found = "".join(sorted(set(name) & set(separators + "\n\r")))
     if found:
         raise ValueError(f"{what} {name!r} contains {found!r}, which the file format cannot hold")
+
+
+def write_raster(fh: BinaryIO, rasters: np.ndarray) -> None:
+    """Write an (m, m) raster, or each layer of an (n, m, m) stack, to the
+    binary file ``fh`` as m rows of m comma-separated reprs."""
+    m = rasters.shape[-1]
+    layers = rasters.reshape(-1, m, m)
+    # Only the covered values and one NaN are keyed, so the lookup's
+    # tables do not grow with the uncovered part of a stack.
+    reprs = repr_lookup(np.append(layers[~np.isnan(layers)], np.nan))
+    for layer in layers:
+        # Every NaN is keyed on the bits of np.nan; repr writes all "nan".
+        rows = reprs(np.where(np.isnan(layer), np.nan, layer))
+        fh.write(b"\n".join(map(b",".join, rows)) + b"\n")
+
+
+def _first_bad_line(lines: list[str], m: int, weights: bool) -> tuple[int, str] | None:
+    """The index of the first bad line of a layer and the reason, found by
+    Python's parser; None when all m lines are good."""
+    allowed = "finite and non-negative" if weights else "finite or NaN"
+    for k, line in enumerate(lines):
+        fields = line.rstrip("\n").split(",") if line.strip() else []
+        if len(fields) != m:
+            return k, f"expected {m} values, got {len(fields)}"
+        for column, field in enumerate(fields, 1):
+            try:
+                value = float(field)
+            except ValueError:
+                return k, f"value {column} {field!r} is not a number"
+            if math.isinf(value) or (weights and not value >= 0):
+                return k, f"value {column} {field!r} is not {allowed}"
+    if len(lines) < m:
+        return len(lines), f"the file ends after {len(lines)} of {m} rows"
+    return None
+
+
+def _read_layer(path: str | Path, fh: TextIO, start: int, m: int, what: str, weights: bool):
+    """The next m rows of ``fh`` as an (m, m) array, parsed by one
+    ``np.loadtxt`` call; ``start`` is the 0-based line of the first."""
+    lines = list(itertools.islice(fh, m))
+    error = None
+    try:
+        with warnings.catch_warnings():
+            # Blank or missing lines give fewer rows, which the shape check refuses.
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        error = exc
+    else:
+        # NaN compares false, so ">= 0" also refuses a NaN weight.
+        if values.shape == (m, m) and not np.isinf(values).any():
+            if not weights or (values >= 0).all():
+                return values
+    # numpy refuses a few spellings Python reads, such as "1_0".
+    offset, reason = _first_bad_line(lines, m, weights) or (0, f"garbled rows from here: {error}")
+    raise ValueError(f"{path}: line {start + offset + 1}: {what}{reason}")
+
+
+def read_raster(
+    path: str | Path,
+    fh: TextIO,
+    first_line: int,
+    out: np.ndarray,
+    cell_ids: list[str] | None = None,
+    weights: bool = False,
+) -> None:
+    """Fill ``out``, an (m, m) raster or the (n, m, m) stack whose layer k
+    belongs to ``cell_ids[k]``, from the m rows per layer left in the text
+    file ``fh``, the first on 0-based line ``first_line``. A row without m
+    values finite or NaN (finite and non-negative with ``weights``), a
+    missing row and a row after the last raise ValueError naming the file,
+    the line and, in a stack, the cell."""
+    m = out.shape[-1]
+    layers = out.reshape(-1, m, m)
+    for k, layer in enumerate(layers):
+        what = "" if cell_ids is None else f"cell {cell_ids[k]!r}: "
+        layer[...] = _read_layer(path, fh, first_line + k * m, m, what, weights)
+    rows = len(layers) * m
+    if fh.readline():
+        raise ValueError(f"{path}: line {first_line + rows + 1}: more than {rows} rows")
 
 
 def save_grid(grid: CoverageGrid, path: str | Path) -> None:
@@ -322,20 +402,9 @@ def save_grid(grid: CoverageGrid, path: str | Path) -> None:
             f"{cell.site_position[1]!r},{az_deg!r},{nbs}"
         )
     lines.append("rsrp")
-    pixels = np.array(pixel_prefixes(spec.m), dtype=object)
-    layers = grid.rsrp.reshape(grid.n_cells, -1)
-    reprs = repr_lookup(layers[~np.isnan(layers)])
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
-        for cell, layer in zip(grid.cells, layers):
-            covered = ~np.isnan(layer)
-            if not covered.any():
-                continue
-            # The cell id leads every row: it opens the block and follows
-            # each line break of the join.
-            lead = f"{cell.cell_id},".encode()
-            rows = map(bytes.__add__, pixels[covered].tolist(), reprs(layer[covered]))
-            fh.write(lead + (b"\n" + lead).join(rows) + b"\n")
+        write_raster(fh, grid.rsrp)
 
 
 def header_row(
@@ -371,147 +440,17 @@ def read_header_lines(fh: TextIO, marker: str) -> list[str]:
     return lines
 
 
-_PIXEL_ROW = np.dtype([("i", np.intp), ("j", np.intp), ("v", np.float64)])
-# Data rows parsed per np.loadtxt call, which bounds the parsed rows alive
-# at once.
-_ROW_BLOCK = 1 << 14
-
-
-def _row_blocks(fh: TextIO, dtype: np.dtype):
-    """The data rows left in ``fh`` parsed as ``dtype``, in blocks of up to
-    ``_ROW_BLOCK`` rows; loadtxt leaves ``fh`` at the row after a block."""
-    while True:
-        with warnings.catch_warnings():
-            # numpy 1.x reads "1.5" into an integer column with only a
-            # DeprecationWarning; the rows must hold plain integers. A
-            # block without rows, or with blank lines, is valid.
-            warnings.simplefilter("error", DeprecationWarning)
-            warnings.simplefilter("ignore", UserWarning)
-            block = np.loadtxt(
-                fh, dtype=dtype, delimiter=",", comments=None, ndmin=1, max_rows=_ROW_BLOCK
-            )
-        yield block
-        # max_rows counts data rows only, so a short block is the last.
-        if len(block) < _ROW_BLOCK:
-            return
-
-
-def scatter_pixel_rows(
-    path: str | Path,
-    fh: TextIO,
-    first_line: int,
-    out: np.ndarray,
-    cell_ids: list[str] | None = None,
-    weights: bool = False,
-) -> None:
-    """Read the data rows left in the open text file ``fh`` and write their
-    values into ``out``. Rows are ``i,j,value`` into an (m, m) raster, or
-    ``<cell_id>,i,j,value`` into the (n, m, m) stack whose layer k belongs
-    to ``cell_ids[k]``; those ids must hold no NUL character, since numpy
-    drops trailing NULs from its strings. ``first_line`` is the 0-based
-    line number of the first row. Empty lines are skipped.
-
-    Every row must parse, name a known cell, hold indices in ``[0, m)``,
-    name a pixel no earlier row named and hold a finite or NaN value; with
-    ``weights`` its value must be finite and non-negative. The rows are
-    parsed, checked and scattered in blocks; only when that fails does
-    :func:`_first_bad_row` read them again one by one to raise a
-    ValueError naming the file and the first bad line."""
-    m = out.shape[-1]
-    start = fh.tell()
-    dtype = _PIXEL_ROW
-    if cell_ids is not None:
-        # One character wider than the longest known id, so that a longer
-        # id is cut to a string that matches none.
-        width = max(map(len, cell_ids), default=0) + 1
-        ids = np.array(cell_ids, dtype=f"U{width}")
-        layers = np.argsort(ids)
-        known = ids[layers]
-        dtype = np.dtype([("cell", known.dtype), *_PIXEL_ROW.descr])
-    taken = np.zeros(out.size, dtype=bool)
-    rows = 0
-    try:
-        for block in _row_blocks(fh, dtype):
-            i, j, v = block["i"], block["j"], block["v"]
-            good = (i >= 0) & (i < m) & (j >= 0) & (j < m) & ~np.isinf(v)
-            if weights:
-                good &= np.isfinite(v) & (v >= 0)
-            if cell_ids is not None:
-                left = np.searchsorted(known, block["cell"], "left")
-                good &= np.searchsorted(known, block["cell"], "right") > left
-            if not good.all():
-                break
-            flat = i * m + j
-            if cell_ids is not None:
-                flat += layers[left] * (m * m)
-            taken[flat] = True
-            np.put(out, flat, v)
-            rows += len(block)
-        else:
-            if np.count_nonzero(taken) == rows:
-                return
-    except (ValueError, DeprecationWarning) as exc:
-        # The scan passes the few spellings Python reads and numpy does
-        # not, such as "1_0".
-        raise _first_bad_row(path, fh, start, first_line, m, cell_ids, weights) or ValueError(
-            f"{path}: garbled data row: {exc}"
-        ) from None
-    raise _first_bad_row(path, fh, start, first_line, m, cell_ids, weights)
-
-
-def _first_bad_row(
-    path: str | Path,
-    fh: TextIO,
-    start: int,
-    first_line: int,
-    m: int,
-    cell_ids: list[str] | None,
-    weights: bool,
-) -> ValueError | None:
-    """The error for the first data row from position ``start`` of ``fh``
-    that does not parse, names an unknown cell, a pixel outside the grid
-    or a pixel already given, or holds an infinite value (with ``weights``,
-    a negative or non-finite one), or None when every row is good."""
-    fh.seek(start)
-    known = set(cell_ids or ())
-    seen: dict[tuple, int] = {}
-    for line_no, line in enumerate(fh, first_line + 1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        try:
-            if cell_ids is None:
-                cell_id = None
-                i, j, value = line.split(",")
-            else:
-                cell_id, i, j, value = line.split(",")
-            number = float(value)
-            if weights and not (math.isfinite(number) and number >= 0):
-                raise ValueError("weight must be finite and non-negative")
-            if math.isinf(number):
-                raise ValueError("value must be finite or NaN")
-            if cell_id is not None and cell_id not in known:
-                raise ValueError(f"unknown cell id {cell_id!r}")
-            pixel = (int(i), int(j))
-            if not (0 <= pixel[0] < m and 0 <= pixel[1] < m):
-                raise ValueError(f"pixel {pixel} outside the {m}x{m} grid")
-            first = seen.setdefault((cell_id, pixel), line_no)
-            if first != line_no:
-                raise ValueError(f"pixel {pixel} already given on line {first}")
-        except ValueError as exc:
-            return garbled_line(path, line_no, line, str(exc))
-    return None
-
-
 def load_grid(path: str | Path) -> CoverageGrid:
-    """Read a coverage grid written by :func:`save_grid`. A garbled header
-    row, a repeated cell id, a neighbor that names no cell and an id that
-    holds a NUL raise ValueError naming the file, and the line for a cell
-    row; so do the data rows :func:`scatter_pixel_rows` rejects."""
+    """Read a coverage grid written by :func:`save_grid`. A file of another
+    format version, a garbled header row, a non-finite header value, a
+    repeated cell id, a neighbor that names no cell, an id that holds a NUL
+    and a non-finite site or azimuth raise ValueError naming the file, and
+    the line for a cell row; so do the rows :func:`read_raster` rejects."""
     with open(path, encoding="utf-8") as fh:
         lines = read_header_lines(fh, "rsrp")
-        if not lines or lines[0] != _GRID_MAGIC:
-            raise ValueError(f"{path}: not a hotloc coverage grid file")
+        if lines[:1] != [_GRID_MAGIC]:
+            first = "".join(lines[:1])
+            raise ValueError(f"{path}: not a hotloc coverage grid file ({_GRID_MAGIC}): {first!r}")
 
         header: dict[str, list[str]] = {}
         cells: list[CellInfo] = []
@@ -530,14 +469,8 @@ def load_grid(path: str | Path) -> CoverageGrid:
                     first = cell_rows.setdefault(cell_id, row)
                     if first != row:
                         raise ValueError(f"cell id {cell_id!r} already given on line {first + 1}")
-                    cells.append(
-                        CellInfo(
-                            cell_id=cell_id,
-                            site_position=(float(x), float(y)),
-                            azimuth=math.radians(float(az_deg)),
-                            neighbors=neighbors,
-                        )
-                    )
+                    site, azimuth = (float(x), float(y)), math.radians(float(az_deg))
+                    cells.append(CellInfo(cell_id, site, azimuth, neighbors))
                 else:
                     header[parts[0]] = parts[1:]
                 row += 1
@@ -546,11 +479,9 @@ def load_grid(path: str | Path) -> CoverageGrid:
         if row == len(lines):
             raise ValueError(f"{path}: missing rsrp section")
 
-        spec = GridSpec(
-            m=header_row(header, "m", path, int)[0],
-            pixel_size=header_row(header, "pixel_size", path)[0],
-            origin=tuple(header_row(header, "origin", path, count=2)),
-        )
+        m = header_row(header, "m", path, int)[0]
+        pixel_size = header_row(header, "pixel_size", path)[0]
+        origin = tuple(header_row(header, "origin", path, count=2))
         q_rxlevmin = header_row(header, "q_rxlevmin", path)[0]
         declared = header_row(header, "cells", path, int)[0]
         if declared != len(cells):
@@ -562,13 +493,12 @@ def load_grid(path: str | Path) -> CoverageGrid:
                 raise garbled_line(
                     path, line + 1, lines[line], f"neighbors {unknown} are not cells of the grid"
                 )
-
-        rsrp = np.full((len(cells), spec.m, spec.m), np.nan)
-        scatter_pixel_rows(path, fh, row + 1, rsrp, list(cell_rows))
-
-    return CoverageGrid(
-        spec=spec,
-        cells=cells,
-        rsrp=rsrp,
-        q_rxlevmin=q_rxlevmin,
-    )
+        try:
+            spec = GridSpec(m=m, pixel_size=pixel_size, origin=origin)
+            # The rows fill the stack in place; read_raster holds them to
+            # the grid's rule of finite or NaN values.
+            grid = CoverageGrid(spec, cells, np.zeros((len(cells), m, m)), q_rxlevmin)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        read_raster(path, fh, row + 1, grid.rsrp, list(cell_rows))
+    return grid

@@ -11,6 +11,7 @@ invert.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,12 +25,11 @@ from hotloc.grid import (
     UNCOVERED,
     aoa_zone_layer,
     header_row,
-    pixel_prefixes,
     read_header_lines,
+    read_raster,
     reject_separators,
-    repr_lookup,
-    scatter_pixel_rows,
     ta_zone_layer,
+    write_raster,
 )
 
 DIST_TOL = 1e-9
@@ -164,6 +164,10 @@ class WeightMap:
             raise ValueError("weight map entries must be finite")
         if self.values.min() < 0:
             raise ValueError("weight map entries must be non-negative")
+        if not (math.isfinite(self.pixel_size) and self.pixel_size > 0):
+            raise ValueError(f"pixel_size must be finite and positive, got {self.pixel_size}")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError(f"origin must be finite, got {self.origin}")
 
     @property
     def m(self) -> int:
@@ -403,18 +407,24 @@ def oracle_kpis(
 
 # ---------------------------------------------------------------------------
 # File formats
+#
+# A weight map is plain text in the raster layout of hotloc.grid:
+#   line 1: "hotloc-weightmap,2"                 (magic, format version)
+#   header rows: m,<int> / pixel_size,<float> / label,<text> /
+#                origin,<x>,<y>                  (origin may be left out)
+#   marker row:  i,j,weight
+#   map rows:    m rows of m weights; row i holds pixels (i, 0) .. (i, m-1)
+#
+# Row i is world x, so the text is the map turned on its side, not a
+# north-up picture. Weights are finite and non-negative.
 # ---------------------------------------------------------------------------
 
-_WMAP_MAGIC = "hotloc-weightmap,1"
+_WMAP_MAGIC = "hotloc-weightmap,2"
 
 
 def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
-    """Write a weight map as CSV: header rows, then one ``i,j,weight`` row
-    per pixel in row-major order.
-
-    A reader takes the data rows in any order. Each pixel appears at most
-    once, with 0 <= i, j < m, and an absent pixel has weight 0. A label
-    holding ``,`` or a line break raises ValueError."""
+    """Write a weight map as CSV: header rows, then m rows of m weights. A
+    label holding ``,`` or a line break raises ValueError."""
     reject_separators("weight map label", wmap.label, ",")
     lines = [_WMAP_MAGIC]
     lines.append(f"m,{wmap.m}")
@@ -422,20 +432,22 @@ def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
     lines.append(f"label,{wmap.label}")
     lines.append(f"origin,{wmap.origin[0]!r},{wmap.origin[1]!r}")
     lines.append("i,j,weight")
-    weights = repr_lookup(wmap.values)(wmap.values.reshape(-1))
-    rows = map(bytes.__add__, pixel_prefixes(wmap.m), weights)
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode() + b"\n".join(rows) + b"\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
+        write_raster(fh, wmap.values)
 
 
 def load_weight_map(path: str | Path) -> WeightMap:
-    """Read a weight map written by :func:`save_weight_map`. A file cut
-    off before its ``i,j,weight`` row, a garbled row and a negative or
-    non-finite weight raise ValueError naming the file, and the line for
-    a bad row."""
+    """Read a weight map written by :func:`save_weight_map`. A file of
+    another format version, a file cut off before its ``i,j,weight`` row,
+    a garbled or non-finite header value and the rows :func:`read_raster`
+    rejects raise ValueError naming the file, and the line for a bad
+    row."""
     with open(path, encoding="utf-8") as fh:
         lines = read_header_lines(fh, "i,j,weight")
-        if not lines or lines[0] != _WMAP_MAGIC:
-            raise ValueError(f"{path}: not a hotloc weight map file")
+        if lines[:1] != [_WMAP_MAGIC]:
+            first = "".join(lines[:1])
+            raise ValueError(f"{path}: not a hotloc weight map file ({_WMAP_MAGIC}): {first!r}")
         header: dict[str, list[str]] = {}
         row = 1
         while row < len(lines) and lines[row] != "i,j,weight":
@@ -450,9 +462,14 @@ def load_weight_map(path: str | Path) -> WeightMap:
         origin = (0.0, 0.0)
         if "origin" in header:
             origin = tuple(header_row(header, "origin", path, count=2))
-        values = np.zeros((m, m))
-        scatter_pixel_rows(path, fh, row + 1, values, weights=True)
-    return WeightMap(values, pixel_size, label, origin)
+        try:
+            # The rows fill the map in place, held to its rules by
+            # read_raster.
+            wmap = WeightMap(np.zeros((m, m)), pixel_size, label, origin)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        read_raster(path, fh, row + 1, wmap.values, weights=True)
+    return wmap
 
 
 def save_kpi_set(kpis: KpiSet, path: str | Path) -> None:

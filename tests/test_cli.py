@@ -231,15 +231,30 @@ class TestBadInputs:
         assert "grid.csv: missing or garbled 'm' header row" in err
 
     def test_grid_row_outside_the_grid(self, runner, scenario_dir, tmp_path):
+        # A 33rd value in a row of the 32x32 grid.
         art = self.copy(scenario_dir, tmp_path)
         path = art / "grid.csv"
         lines = path.read_text().splitlines()
         line_no = lines.index("rsrp") + 2
-        cell_id, _, j, value = lines[line_no - 1].split(",")
-        lines[line_no - 1] = f"{cell_id},-1,{j},{value}"
+        lines[line_no - 1] += ",-42.0"
         path.write_text("\n".join(lines) + "\n")
+        cell_id = next(line for line in lines if line.startswith("cell,")).split(",")[1]
         err = fails(runner, "kpis", "oracle-kpis", "--config", CONFIG, "--out", str(art))
-        assert f"grid.csv: line {line_no}: pixel (-1, {j}) outside the 32x32 grid" in err
+        assert f"grid.csv: line {line_no}: cell '{cell_id}': expected 32 values, got 33" in err
+
+    def test_non_finite_cell_site_fails_in_kpi_stage(self, runner, scenario_dir, tmp_path):
+        art = self.copy(scenario_dir, tmp_path)
+        path = art / "grid.csv"
+        lines = path.read_text().splitlines()
+        line_no = next(k for k, line in enumerate(lines, 1) if line.startswith("cell,BS01A,"))
+        fields = lines[line_no - 1].split(",")
+        fields[2] = "nan"
+        lines[line_no - 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        (art / "kpis.json").unlink()
+        err = fails(runner, "kpis", "oracle-kpis", "--config", CONFIG, "--out", str(art))
+        assert f"grid.csv: line {line_no}: cell 'BS01A': site (nan, 400.0) and azimuth" in err
+        assert not (art / "kpis.json").exists()
 
     def test_potential_map_cut_off_before_its_rows(self, runner, scenario_dir, tmp_path):
         art = self.copy(scenario_dir, tmp_path)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import constant_grid
-from hotloc import grid as grid_module
 from hotloc.grid import (
     NO_SECOND,
     TA_GRANULARITY_M,
@@ -21,7 +20,6 @@ from hotloc.grid import (
     save_grid,
     ta_zone_layer,
 )
-from hotloc.kpi import WeightMap, load_weight_map, save_weight_map
 from test_serving_tables import aoa_zone, ta_zone
 
 
@@ -210,6 +208,25 @@ class TestGridContainer:
         with pytest.raises(ValueError, match="at least 2x2"):
             GridSpec(m=1, pixel_size=25.0)
 
+    @pytest.mark.parametrize(
+        "pixel_size, origin",
+        [(math.nan, (0.0, 0.0)), (math.inf, (0.0, 0.0)), (25.0, (math.inf, 0.0)), (25.0, (0.0, math.nan))],
+    )
+    def test_grid_geometry_must_be_finite(self, pixel_size, origin):
+        with pytest.raises(ValueError, match="must be finite"):
+            GridSpec(m=4, pixel_size=pixel_size, origin=origin)
+
+    @pytest.mark.parametrize(
+        "site, azimuth", [((math.nan, 0.0), 0.0), ((0.0, -math.inf), 0.0), ((0.0, 0.0), math.inf)]
+    )
+    def test_cell_site_and_azimuth_must_be_finite(self, site, azimuth):
+        with pytest.raises(ValueError, match="cell 'A': .* must be finite"):
+            CellInfo(cell_id="A", site_position=site, azimuth=azimuth)
+
+    def test_q_rxlevmin_must_be_finite(self):
+        with pytest.raises(ValueError, match="q_rxlevmin must be finite, got nan"):
+            constant_grid([("A", (0.0, 0.0), 0.0, -90.0, ())], m=4, q_rxlevmin=math.nan)
+
 
 class TestGridFile:
     def test_round_trip(self, tmp_path):
@@ -307,33 +324,81 @@ class TestGridFile:
         save_grid(grid, path)
         return path
 
-    def test_rows_in_any_order(self, tmp_path):
-        path = self.two_cell_file(tmp_path)
-        expected = load_grid(path)
-        lines = path.read_text().splitlines()
-        start = lines.index("rsrp") + 1
-        # A nan value means no coverage, like an absent row.
-        lines[start:] = lines[:start - 1:-1] + ["A,0,0,nan"]
-        path.write_text("\n".join(lines) + "\n")
-        np.testing.assert_array_equal(load_grid(path).rsrp, expected.rsrp)
-
     def test_row_only_python_reads_is_rejected(self, tmp_path):
         path = self.two_cell_file(tmp_path)
-        path.write_text(path.read_text().replace("\nA,1,1,-90.0\n", "\nA,0_1,1,-90.0\n"))
-        with pytest.raises(ValueError, match=f"^{path}: garbled data row: "):
+        path.write_text(path.read_text().replace("\n-90.0,-90.0,-90.0\n", "\n-90.0,-9_0.0,-90.0\n", 1))
+        with pytest.raises(ValueError, match=f"^{path}: line 10: cell 'A': garbled rows from here: "):
             load_grid(path)
 
     def test_duplicate_row_named_by_line(self, tmp_path):
+        # A row given twice is one row too many; the extra one is named.
         path = self.two_cell_file(tmp_path)
         lines = path.read_text().splitlines()
-        first = lines.index("A,1,1,-90.0") + 1
-        path.write_text("\n".join(lines + ["A,1,1,-95.0"]) + "\n")
+        path.write_text("\n".join(lines + [lines[-1]]) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_grid(path)
+        assert str(excinfo.value) == f"{path}: line {len(lines) + 1}: more than 6 rows"
+
+    def test_file_cut_off_in_a_layer_named_by_line(self, tmp_path):
+        path = self.two_cell_file(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValueError) as excinfo:
             load_grid(path)
         assert str(excinfo.value) == (
-            f"{path}: line {len(lines) + 1}: pixel (1, 1) already given on line {first}: "
-            "'A,1,1,-95.0'"
+            f"{path}: line {len(lines) - 1}: cell 'B': the file ends after 1 of 3 rows"
         )
+
+    @pytest.mark.parametrize(
+        "offset, replacement, reason",
+        [
+            (1, "-90.0,-90.0", "cell 'A': expected 3 values, got 2"),
+            (4, "-80.0,-80.0,-80.0,-80.0", "cell 'B': expected 3 values, got 4"),
+            (3, "-80.0;-80.0;-80.0", "cell 'B': expected 3 values, got 1"),
+            (2, "", "cell 'A': expected 3 values, got 0"),
+            (2, "-90.0,-9o.0,-90.0", "cell 'A': value 2 '-9o.0' is not a number"),
+            (1, "-90.0,-90.0,-90.0#5", "cell 'A': value 3 '-90.0#5' is not a number"),
+            (0, "nan,inf,-90.0", "cell 'A': value 2 'inf' is not finite or NaN"),
+            (5, "-80.0,-80.0,-inf", "cell 'B': value 3 '-inf' is not finite or NaN"),
+        ],
+        ids=["short", "long", "semicolons", "blank", "garbled", "hash", "inf", "-inf"],
+    )
+    def test_bad_layer_row_named_by_line(self, tmp_path, offset, replacement, reason):
+        path = self.two_cell_file(tmp_path)
+        lines = path.read_text().splitlines()
+        line_no = lines.index("rsrp") + 2 + offset
+        lines[line_no - 1] = replacement
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_grid(path)
+        assert str(excinfo.value) == f"{path}: line {line_no}: {reason}"
+
+    def test_version_one_file_refused_with_its_version(self, tmp_path):
+        path = self.two_cell_file(tmp_path)
+        path.write_text(path.read_text().replace("hotloc-grid,2\n", "hotloc-grid,1\n", 1))
+        with pytest.raises(ValueError) as excinfo:
+            load_grid(path)
+        assert str(excinfo.value) == (
+            f"{path}: not a hotloc coverage grid file (hotloc-grid,2): 'hotloc-grid,1'"
+        )
+
+    @pytest.mark.parametrize(
+        "row, replacement, reason",
+        [
+            ("pixel_size,25.0", "pixel_size,nan", "pixel_size must be finite and positive, got nan"),
+            ("pixel_size,25.0", "pixel_size,-25.0", "pixel_size must be finite and positive"),
+            ("origin,0.0,0.0", "origin,inf,0.0", "origin must be finite, got (inf, 0.0)"),
+            ("q_rxlevmin,-115.0", "q_rxlevmin,nan", "q_rxlevmin must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_header_value_names_the_file(self, tmp_path, row, replacement, reason):
+        path = self.two_cell_file(tmp_path)
+        text = path.read_text()
+        assert f"\n{row}\n" in text
+        path.write_text(text.replace(f"\n{row}\n", f"\n{replacement}\n"))
+        with pytest.raises(ValueError) as excinfo:
+            load_grid(path)
+        assert str(excinfo.value).startswith(f"{path}: {reason}")
 
     @pytest.mark.parametrize(
         "row, replacement, reason",
@@ -344,19 +409,6 @@ class TestGridFile:
                 "not enough values to unpack (expected 6, got 3)",
             ),
             ("cell,A,0.0,0.0,0.0,B", "cell,A,zero,0.0,0.0,B", "could not convert"),
-            ("A,1,1,-90.0", "A,1", "not enough values to unpack (expected 4, got 2)"),
-            ("A,1,2,-90.0", "A,1,2,-9o.0", "could not convert"),
-            ("B,2,1,-80.0", "C,2,1,-80.0", "unknown cell id 'C'"),
-            ("A,1,2,-90.0", "A,1,2,-90.0,5", "too many values to unpack (expected 4"),
-            ("A,1,2,-90.0", "A,1,2,-90.0#5", "could not convert string to float: '-90.0#5'"),
-            ("A,1,2,-90.0", "A,1e0,2,-90.0", "invalid literal for int() with base 10: '1e0'"),
-            ("A,1,2,-90.0", "A,1,1.5,-90.0", "invalid literal for int() with base 10: '1.5'"),
-            ("A,1,1,-90.0", "A,-1,0,-42.0", "pixel (-1, 0) outside the 3x3 grid"),
-            ("A,1,1,-90.0", "A,1,-1,-42.0", "pixel (1, -1) outside the 3x3 grid"),
-            ("B,2,1,-80.0", "B,3,1,-80.0", "pixel (3, 1) outside the 3x3 grid"),
-            ("B,2,1,-80.0", "B,2,3,-80.0", "pixel (2, 3) outside the 3x3 grid"),
-            ("A,1,1,-90.0", "A,1,1,inf", "value must be finite or NaN"),
-            ("B,2,1,-80.0", "B,2,1,-inf", "value must be finite or NaN"),
             (
                 "cell,A,0.0,0.0,0.0,B",
                 "cell,A,0.0,0.0,0.0,B;ZZ",
@@ -369,6 +421,16 @@ class TestGridFile:
             ),
             ("cell,A,0.0,0.0,0.0,B", "cell,A\0,0.0,0.0,0.0,B", "cell id 'A\\x00' contains '\\x00'"),
             ("cell,A,0.0,0.0,0.0,B", "cell,A,0.0,0.0,0.0,B\0", "neighbor id 'B\\x00' contains"),
+            (
+                "cell,A,0.0,0.0,0.0,B",
+                "cell,A,nan,0.0,0.0,B",
+                "cell 'A': site (nan, 0.0) and azimuth 0.0 must be finite",
+            ),
+            (
+                "cell,B,5.0,0.0,57.29577951308232,A",
+                "cell,B,5.0,0.0,inf,A",
+                "cell 'B': site (5.0, 0.0) and azimuth inf must be finite",
+            ),
         ],
     )
     def test_garbled_row_named_by_line(self, tmp_path, row, replacement, reason):
@@ -384,146 +446,18 @@ class TestGridFile:
         assert message.endswith(repr(replacement))
 
 
-def reference_rsrp(path) -> np.ndarray:
-    """The RSRP stack of a grid.csv read one data row at a time with
-    Python's own parsers: the reference for load_grid's bulk pass. A bad
-    row raises ValueError whose argument is its 1-based line number."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    marker = lines.index("rsrp")
-    ids, m = [], None
-    for line in lines[1:marker]:
-        key, _, rest = line.partition(",")
-        if key == "cell":
-            ids.append(rest.split(",")[0])
-        elif key == "m":
-            m = int(rest)
-    rsrp = np.full((len(ids), m, m), np.nan)
-    seen = set()
-    for line_no, line in enumerate(lines[marker + 1 :], marker + 2):
-        if not line:
-            continue
-        try:
-            cell_id, i, j, value = line.split(",")
-            key = (ids.index(cell_id), int(i), int(j))
-            good = 0 <= key[1] < m and 0 <= key[2] < m and not math.isinf(float(value))
-        except ValueError:
-            good = False
-        if not good or key in seen:
-            raise ValueError(line_no)
-        seen.add(key)
-        rsrp[key] = float(value)
-    return rsrp
-
-
-def random_grid_file(tmp_path, ids, m=4, seed=0):
-    """grid.csv of cells ``ids`` on an m x m grid, each layer of random
-    RSRP with about a fifth of its pixels uncovered."""
-    rng = np.random.default_rng(seed)
-    cells = []
-    for k, cell_id in enumerate(ids):
-        layer = rng.uniform(-120.0, -70.0, (m, m))
-        layer[rng.random((m, m)) < 0.2] = np.nan
-        cells.append((cell_id, (10.0 * k, 0.0), 0.0, layer, ()))
-    grid = constant_grid(cells, m=m)
-    path = tmp_path / "grid.csv"
-    save_grid(grid, path)
-    return path, grid
-
-
-def edit_data_rows(path, edit):
-    """Replace the data rows of grid.csv by ``edit(rows)``."""
-    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
-    start = lines.index("rsrp") + 1
-    lines[start:] = edit(lines[start:])
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-class TestBlockedReader:
-    """load_grid parses the data rows in blocks of ``_ROW_BLOCK``; with
-    blocks of four rows, every file below spans more than two of them.
-    The reader must agree with :func:`reference_rsrp` on every file."""
-
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(grid_module, "_ROW_BLOCK", 4)
-
-    @pytest.mark.parametrize(
-        "ids",
-        [
-            # One id a prefix of others, listed out of sorted order.
-            ("AB", "A", "ABC", "B"),
-            ("Zelle-\u00e4", "\u57fa\u7ad9-1", "A"),
-        ],
-    )
-    def test_matches_reference(self, tmp_path, ids):
-        path, grid = random_grid_file(tmp_path, ids)
-        loaded = load_grid(path)
-        assert [c.cell_id for c in loaded.cells] == list(ids)
-        np.testing.assert_array_equal(loaded.rsrp, reference_rsrp(path))
-        np.testing.assert_array_equal(loaded.rsrp, grid.rsrp)
-
-    def test_shuffled_rows_and_blank_lines(self, tmp_path):
-        path, grid = random_grid_file(tmp_path, ("A", "AB", "B"))
-        rng = np.random.default_rng(1)
-
-        def shuffle(rows):
-            # Layers interleaved, and blank lines in runs of up to three,
-            # at the start, inside and across blocks and at the end.
-            rows = [rows[k] for k in rng.permutation(len(rows))]
-            for at in sorted(rng.choice(len(rows) + 1, size=12), reverse=True):
-                rows[at:at] = [""] * int(rng.integers(1, 4))
-            return [""] + rows + [""]
-
-        edit_data_rows(path, shuffle)
-        loaded = load_grid(path)
-        np.testing.assert_array_equal(loaded.rsrp, reference_rsrp(path))
-        np.testing.assert_array_equal(loaded.rsrp, grid.rsrp)
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            # The first row again in the last block.
-            lambda rows: rows + ["", rows[0]],
-            # A garbled value, unknown ids one and three characters
-            # longer than the longest id, and one that is a prefix of a
-            # known id, in the third block and later.
-            lambda rows: rows[:10] + [rows[10].rsplit(",", 1)[0] + ",x"] + rows[11:],
-            lambda rows: rows[:9] + ["ABZ" + rows[9][rows[9].index(",") :]] + rows[10:],
-            lambda rows: rows[:9] + ["ABZZZ" + rows[9][rows[9].index(",") :]] + rows[10:],
-            lambda rows: rows[:13] + ["A" + rows[13][rows[13].index(",") :]] + rows[14:],
-            # A pixel outside the grid after the first block.
-            lambda rows: rows[:5] + [rows[5].split(",")[0] + ",4,0,-90.0"] + rows[6:],
-        ],
-        ids=["duplicate", "garbled", "longer-id", "much-longer-id", "prefix-id", "outside"],
-    )
-    def test_bad_row_in_a_later_block_named_by_line(self, tmp_path, edit):
-        path, _ = random_grid_file(tmp_path, ("AB", "BC", "CD"))
-        edit_data_rows(path, edit)
-        with pytest.raises(ValueError) as reference:
-            reference_rsrp(path)
-        (line_no,) = reference.value.args
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line_no}: "):
-            load_grid(path)
-
-    def test_weight_map_over_blocks(self, tmp_path):
-        values = np.random.default_rng(2).random((5, 5))
-        values[1, 2] = 0.0
-        path = tmp_path / "map.csv"
-        save_weight_map(WeightMap(values, 25.0, "q1"), path)
-        np.testing.assert_array_equal(load_weight_map(path).values, values)
-
-
 def test_load_grid_memory_is_bounded_by_the_block(tmp_path):
-    # Nine full layers of 128 x 128 pixels: nine blocks of rows. Only the
-    # stack, one bool per entry and one block's rows may be alive at once.
+    # Nine layers of 128 x 128 random values. Beyond the stack, only the
+    # text and the parse of a few layers may be alive at once; parsing
+    # every layer in one call would hold another stack and all the text.
     m, cells = 128, 9
+    rng = np.random.default_rng(0)
     grid = constant_grid(
-        [(f"C{k}", (10.0 * k, 0.0), 0.0, -70.0 - k, ()) for k in range(cells)], m=m
+        [(f"C{k}", (10.0 * k, 0.0), 0.0, rng.uniform(-120.0, -70.0, (m, m)), ()) for k in range(cells)],
+        m=m,
     )
     path = tmp_path / "grid.csv"
     save_grid(grid, path)
-    assert cells * m * m >= 8 * grid_module._ROW_BLOCK
     tracemalloc.start()
     try:
         loaded = load_grid(path)
@@ -531,5 +465,17 @@ def test_load_grid_memory_is_bounded_by_the_block(tmp_path):
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(loaded.rsrp, grid.rsrp)
-    allowance = loaded.rsrp.size + 200 * grid_module._ROW_BLOCK
-    assert peak < loaded.rsrp.nbytes + allowance
+    layer = loaded.rsrp.nbytes // cells
+    assert peak < loaded.rsrp.nbytes + 8 * layer
+
+
+def test_every_nan_is_written_nan(tmp_path):
+    # NaNs with the sign bit set or another payload read back as NaN.
+    layer = np.full((3, 3), -90.0)
+    payload = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)[0]
+    layer[0] = (-np.nan, payload, np.nan)
+    grid = constant_grid([("A", (0.0, 0.0), 0.0, layer, ())], m=3)
+    path = tmp_path / "grid.csv"
+    save_grid(grid, path)
+    assert path.read_text().splitlines()[-3] == "nan,nan,nan"
+    np.testing.assert_array_equal(load_grid(path).rsrp, grid.rsrp)

@@ -31,9 +31,15 @@ GRID_POOL = np.random.default_rng(1234).uniform(-130.0, -60.0, size=8)
 MAP_POOL = np.random.default_rng(5678).random(8)
 
 
+def reference_rows(raster: np.ndarray) -> list[str]:
+    """The m rows of an (m, m) raster: row i holds the reprs of pixels
+    (i, 0) .. (i, m-1)."""
+    return [",".join(map(repr, row)) for row in raster.tolist()]
+
+
 def reference_grid_text(grid: CoverageGrid) -> str:
     spec = grid.spec
-    lines = ["hotloc-grid,1"]
+    lines = ["hotloc-grid,2"]
     lines.append(f"m,{spec.m}")
     lines.append(f"pixel_size,{spec.pixel_size!r}")
     lines.append(f"origin,{spec.origin[0]!r},{spec.origin[1]!r}")
@@ -47,25 +53,19 @@ def reference_grid_text(grid: CoverageGrid) -> str:
             f"{cell.site_position[1]!r},{az_deg!r},{nbs}"
         )
     lines.append("rsrp")
-    for k, cell in enumerate(grid.cells):
-        layer = grid.rsrp[k]
-        ii, jj = np.nonzero(~np.isnan(layer))
-        for i, j, value in zip(ii.tolist(), jj.tolist(), layer[ii, jj].tolist()):
-            lines.append(f"{cell.cell_id},{i},{j},{value!r}")
+    for layer in grid.rsrp:
+        lines += reference_rows(layer)
     return "\n".join(lines) + "\n"
 
 
 def reference_map_text(wmap: WeightMap) -> str:
-    lines = ["hotloc-weightmap,1"]
+    lines = ["hotloc-weightmap,2"]
     lines.append(f"m,{wmap.m}")
     lines.append(f"pixel_size,{wmap.pixel_size!r}")
     lines.append(f"label,{wmap.label}")
     lines.append(f"origin,{wmap.origin[0]!r},{wmap.origin[1]!r}")
     lines.append("i,j,weight")
-    for i in range(wmap.m):
-        row = wmap.values[i].tolist()
-        for j in range(wmap.m):
-            lines.append(f"{i},{j},{row[j]!r}")
+    lines += reference_rows(wmap.values)
     return "\n".join(lines) + "\n"
 
 
@@ -155,7 +155,7 @@ class TestDeskArtifacts:
         for path in sorted(desk_run.out_dir.glob("*.csv")):
             if path.name == "grid.csv":
                 load, save = load_grid, save_grid
-            elif path.read_text().startswith("hotloc-weightmap,1\n"):
+            elif path.read_text().startswith("hotloc-weightmap,2\n"):
                 load, save = load_weight_map, save_weight_map
             else:
                 continue

@@ -234,12 +234,12 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Raster file formats
+# File formats
 #
-# grid.csv and the weight maps (see hotloc.kpi) are plain text: a magic row
-# with the format version, header rows, a marker row, then each (m, m)
-# raster as m rows, row i holding the reprs of pixels (i, 0) .. (i, m-1).
-# Row i is world x, so the text is the map on its side, not north-up.
+# grid.csv is plain text: a magic row with the format version, header rows,
+# a marker row, then each cell's (m, m) RSRP layer as m rows, row i holding
+# the reprs of pixels (i, 0) .. (i, m-1). Row i is world x, so the text is
+# the layer on its side, not a north-up picture.
 #
 # grid.csv, after the magic row "hotloc-grid,2":
 #   header rows: m,<int> / pixel_size,<float> / origin,<x>,<y> /
@@ -261,7 +261,7 @@ _REPR_WIDTH = 24
 _REPR_CHUNK = 1 << 12
 
 
-def repr_lookup(values: np.ndarray) -> Callable[[np.ndarray], list[bytes]]:
+def repr_lookup(values: np.ndarray) -> Callable[[np.ndarray], list]:
     """A function that gives the ASCII ``repr`` of each float64 of an
     array whose values all occur in ``values``, as bytes nested like ``tolist``.
 
@@ -282,7 +282,7 @@ def repr_lookup(values: np.ndarray) -> Callable[[np.ndarray], list[bytes]]:
         chunk = distinct[lo : lo + _REPR_CHUNK].view(np.float64).tolist()
         texts[lo : lo + len(chunk)] = np.fromiter(map(repr, chunk), texts.dtype, len(chunk))
 
-    def lookup(part: np.ndarray) -> list[bytes]:
+    def lookup(part: np.ndarray) -> list:
         keys = np.asarray(part, np.float64).view(np.uint64)
         return texts[np.searchsorted(distinct, keys)].tolist()
 
@@ -299,13 +299,11 @@ def reject_separators(what: str, name: str, separators: str) -> None:
         raise ValueError(f"{what} {name!r} contains {found!r}, which the file format cannot hold")
 
 
-def write_raster(fh: BinaryIO, rasters: np.ndarray) -> None:
-    """Write an (m, m) raster, or each layer of an (n, m, m) stack, to the
-    binary file ``fh`` as m rows of m comma-separated reprs."""
-    m = rasters.shape[-1]
-    layers = rasters.reshape(-1, m, m)
+def write_raster(fh: BinaryIO, layers: np.ndarray) -> None:
+    """Write each layer of an (n, m, m) stack to the binary file ``fh`` as
+    m rows of m comma-separated reprs."""
     # Only the covered values and one NaN are keyed, so the lookup's
-    # tables do not grow with the uncovered part of a stack.
+    # tables do not grow with the uncovered part of the stack.
     reprs = repr_lookup(np.append(layers[~np.isnan(layers)], np.nan))
     for layer in layers:
         # Every NaN is keyed on the bits of np.nan; repr writes all "nan".
@@ -313,10 +311,9 @@ def write_raster(fh: BinaryIO, rasters: np.ndarray) -> None:
         fh.write(b"\n".join(map(b",".join, rows)) + b"\n")
 
 
-def _first_bad_line(lines: list[str], m: int, weights: bool) -> tuple[int, str] | None:
+def _first_bad_line(lines: list[str], m: int) -> tuple[int, str] | None:
     """The index of the first bad line of a layer and the reason, found by
     Python's parser; None when all m lines are good."""
-    allowed = "finite and non-negative" if weights else "finite or NaN"
     for k, line in enumerate(lines):
         fields = line.rstrip("\n").split(",") if line.strip() else []
         if len(fields) != m:
@@ -326,14 +323,14 @@ def _first_bad_line(lines: list[str], m: int, weights: bool) -> tuple[int, str] 
                 value = float(field)
             except ValueError:
                 return k, f"value {column} {field!r} is not a number"
-            if math.isinf(value) or (weights and not value >= 0):
-                return k, f"value {column} {field!r} is not {allowed}"
+            if math.isinf(value):
+                return k, f"value {column} {field!r} is not finite or NaN"
     if len(lines) < m:
         return len(lines), f"the file ends after {len(lines)} of {m} rows"
     return None
 
 
-def _read_layer(path: str | Path, fh: TextIO, start: int, m: int, what: str, weights: bool):
+def _read_layer(path: str | Path, fh: TextIO, start: int, m: int, cell_id: str) -> np.ndarray:
     """The next m rows of ``fh`` as an (m, m) array, parsed by one
     ``np.loadtxt`` call; ``start`` is the 0-based line of the first."""
     lines = list(itertools.islice(fh, m))
@@ -346,37 +343,29 @@ def _read_layer(path: str | Path, fh: TextIO, start: int, m: int, what: str, wei
     except ValueError as exc:
         error = exc
     else:
-        # NaN compares false, so ">= 0" also refuses a NaN weight.
         if values.shape == (m, m) and not np.isinf(values).any():
-            if not weights or (values >= 0).all():
-                return values
+            return values
     # numpy refuses a few spellings Python reads, such as "1_0".
-    offset, reason = _first_bad_line(lines, m, weights) or (0, f"garbled rows from here: {error}")
-    raise ValueError(f"{path}: line {start + offset + 1}: {what}{reason}")
+    offset, reason = _first_bad_line(lines, m) or (0, f"garbled rows from here: {error}")
+    raise ValueError(f"{path}: line {start + offset + 1}: cell {cell_id!r}: {reason}")
 
 
 def read_raster(
-    path: str | Path,
-    fh: TextIO,
-    first_line: int,
-    out: np.ndarray,
-    cell_ids: list[str] | None = None,
-    weights: bool = False,
+    path: str | Path, fh: TextIO, first_line: int, layers: np.ndarray, cell_ids: list[str]
 ) -> None:
-    """Fill ``out``, an (m, m) raster or the (n, m, m) stack whose layer k
-    belongs to ``cell_ids[k]``, from the m rows per layer left in the text
-    file ``fh``, the first on 0-based line ``first_line``. A row without m
-    values finite or NaN (finite and non-negative with ``weights``), a
-    missing row and a row after the last raise ValueError naming the file,
-    the line and, in a stack, the cell."""
-    m = out.shape[-1]
-    layers = out.reshape(-1, m, m)
+    """Fill ``layers``, the (n, m, m) stack whose layer k belongs to
+    ``cell_ids[k]``, from the m rows per layer left in the text file
+    ``fh``, the first on 0-based line ``first_line``. A row without m
+    values finite or NaN, a missing row and a row after the last raise
+    ValueError naming the file, the line and the cell; blank lines after
+    the last row are skipped."""
+    m = layers.shape[-1]
     for k, layer in enumerate(layers):
-        what = "" if cell_ids is None else f"cell {cell_ids[k]!r}: "
-        layer[...] = _read_layer(path, fh, first_line + k * m, m, what, weights)
+        layer[...] = _read_layer(path, fh, first_line + k * m, m, cell_ids[k])
     rows = len(layers) * m
-    if fh.readline():
-        raise ValueError(f"{path}: line {first_line + rows + 1}: more than {rows} rows")
+    for line_no, line in enumerate(fh, first_line + rows + 1):
+        if line.strip():
+            raise ValueError(f"{path}: line {line_no}: more than {rows} rows")
 
 
 def save_grid(grid: CoverageGrid, path: str | Path) -> None:

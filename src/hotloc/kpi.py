@@ -10,10 +10,13 @@ invert.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -24,12 +27,12 @@ from hotloc.grid import (
     TA_ZONE_COUNT,
     UNCOVERED,
     aoa_zone_layer,
+    garbled_line,
     header_row,
     read_header_lines,
-    read_raster,
     reject_separators,
+    repr_lookup,
     ta_zone_layer,
-    write_raster,
 )
 
 DIST_TOL = 1e-9
@@ -408,23 +411,26 @@ def oracle_kpis(
 # ---------------------------------------------------------------------------
 # File formats
 #
-# A weight map is plain text in the raster layout of hotloc.grid:
-#   line 1: "hotloc-weightmap,2"                 (magic, format version)
+# A weight map is plain text:
+#   line 1: "hotloc-weightmap,1"                 (magic, format version)
 #   header rows: m,<int> / pixel_size,<float> / label,<text> /
 #                origin,<x>,<y>                  (origin may be left out)
 #   marker row:  i,j,weight
-#   map rows:    m rows of m weights; row i holds pixels (i, 0) .. (i, m-1)
+#   data rows:   one i,j,<weight> row per pixel, in row-major order
 #
-# Row i is world x, so the text is the map turned on its side, not a
-# north-up picture. Weights are finite and non-negative.
+# Row order is i-major and i is world x, so the rows walk the map column
+# by column of a north-up picture. Weights are finite and non-negative;
+# empty lines among the data rows are skipped.
 # ---------------------------------------------------------------------------
 
-_WMAP_MAGIC = "hotloc-weightmap,2"
+_WMAP_MAGIC = "hotloc-weightmap,1"
+_MAP_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("weight", np.float64)])
 
 
 def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
-    """Write a weight map as CSV: header rows, then m rows of m weights. A
-    label holding ``,`` or a line break raises ValueError."""
+    """Write a weight map as CSV: header rows, then one ``i,j,weight`` row
+    per pixel in row-major order. A label holding ``,`` or a line break
+    raises ValueError."""
     reject_separators("weight map label", wmap.label, ",")
     lines = [_WMAP_MAGIC]
     lines.append(f"m,{wmap.m}")
@@ -432,17 +438,76 @@ def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
     lines.append(f"label,{wmap.label}")
     lines.append(f"origin,{wmap.origin[0]!r},{wmap.origin[1]!r}")
     lines.append("i,j,weight")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode())
-        write_raster(fh, wmap.values)
+    coords = [b"%d," % n for n in range(wmap.m)]
+    prefixes = map(b"".join, itertools.product(coords, repeat=2))
+    weights = repr_lookup(wmap.values)(wmap.values.reshape(-1))
+    rows = map(bytes.__add__, prefixes, weights)
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode() + b"\n".join(rows) + b"\n")
+
+
+def _bad_map_row(path: str | Path, lines: list[str], first_line: int, m: int) -> ValueError | None:
+    """The error for the first bad data row of a map, found by Python's
+    parser; None when the rows are good. ``first_line`` is the 0-based
+    line of ``lines[0]``."""
+    given: list[int] = []  # the 1-based line of each pixel's row so far
+    for line_no, line in enumerate(lines, first_line + 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        try:
+            i, j, weight = line.split(",")
+            i, j, weight = int(i), int(j), float(weight)
+            if not (0 <= i < m and 0 <= j < m):
+                raise ValueError(f"pixel ({i}, {j}) outside the {m}x{m} grid")
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError("weight must be finite and non-negative")
+            pixel = i * m + j
+            if pixel < len(given):
+                raise ValueError(f"pixel ({i}, {j}) already given on line {given[pixel]}")
+            if pixel > len(given):
+                raise ValueError(f"pixel {divmod(len(given), m)} missing before pixel ({i}, {j})")
+        except ValueError as exc:
+            return garbled_line(path, line_no, line, str(exc))
+        given.append(line_no)
+    if len(given) < m * m:
+        line_no = first_line + len(lines) + 1
+        return ValueError(f"{path}: line {line_no}: the file ends after {len(given)} of {m * m} rows")
+    return None
+
+
+def _read_map_rows(path: str | Path, fh: TextIO, first_line: int, m: int) -> np.ndarray:
+    """The (m, m) weights of the data rows left in ``fh``, parsed by one
+    ``np.loadtxt`` call; ``first_line`` is the 0-based line of the first.
+    A row that is garbled, out of order, repeated or outside the map, a
+    negative or non-finite weight and a missing row raise ValueError
+    naming the file and the line."""
+    lines = fh.readlines()
+    error = None
+    try:
+        with warnings.catch_warnings():
+            # A file without data rows gives none, which the check refuses.
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(lines, _MAP_ROW, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        error = exc
+    else:
+        pixels, weights = rows["i"] * m + rows["j"], rows["weight"]
+        # NaN compares false, so ">= 0" also refuses a NaN weight.
+        in_order = np.array_equal(pixels, np.arange(m * m))
+        if in_order and (weights >= 0).all() and not np.isinf(weights).any():
+            return weights.reshape(m, m)
+    # numpy refuses a few spellings Python reads, such as "1_0".
+    raise _bad_map_row(path, lines, first_line, m) or ValueError(
+        f"{path}: line {first_line + 1}: garbled rows from here: {error}"
+    )
 
 
 def load_weight_map(path: str | Path) -> WeightMap:
     """Read a weight map written by :func:`save_weight_map`. A file of
     another format version, a file cut off before its ``i,j,weight`` row,
-    a garbled or non-finite header value and the rows :func:`read_raster`
-    rejects raise ValueError naming the file, and the line for a bad
-    row."""
+    a garbled or non-finite header value and the rows
+    :func:`_read_map_rows` rejects raise ValueError naming the file, and
+    the line for a bad row."""
     with open(path, encoding="utf-8") as fh:
         lines = read_header_lines(fh, "i,j,weight")
         if lines[:1] != [_WMAP_MAGIC]:
@@ -463,12 +528,10 @@ def load_weight_map(path: str | Path) -> WeightMap:
         if "origin" in header:
             origin = tuple(header_row(header, "origin", path, count=2))
         try:
-            # The rows fill the map in place, held to its rules by
-            # read_raster.
             wmap = WeightMap(np.zeros((m, m)), pixel_size, label, origin)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        read_raster(path, fh, row + 1, wmap.values, weights=True)
+        wmap.values[...] = _read_map_rows(path, fh, row + 1, m)
     return wmap
 
 

@@ -254,6 +254,24 @@ class TestGridFile:
             assert abs(back.azimuth - orig.azimuth) < 1e-12
         np.testing.assert_array_equal(loaded.rsrp, grid.rsrp)
 
+    def test_round_trip_of_non_ascii_ids(self, tmp_path):
+        layer = np.full((2, 2), -90.0)
+        grid = constant_grid(
+            [
+                ("Zelle-\u00e4", (10.0, 20.0), 0.5, layer, ("\u00d8st",)),
+                ("\u00d8st", (10.0, 20.0), 2.6, layer, ("Zelle-\u00e4",)),
+            ],
+            m=2,
+        )
+        path = tmp_path / "grid.csv"
+        save_grid(grid, path)
+        assert "cell,Zelle-\u00e4,".encode() in path.read_bytes()
+        loaded = load_grid(path)
+        assert [(c.cell_id, c.neighbors) for c in loaded.cells] == [
+            ("Zelle-\u00e4", ("\u00d8st",)),
+            ("\u00d8st", ("Zelle-\u00e4",)),
+        ]
+
     @pytest.mark.parametrize(
         "cell_id, neighbor, name",
         [
@@ -338,6 +356,12 @@ class TestGridFile:
         with pytest.raises(ValueError) as excinfo:
             load_grid(path)
         assert str(excinfo.value) == f"{path}: line {len(lines) + 1}: more than 6 rows"
+
+    def test_blank_lines_after_the_last_row_are_skipped(self, tmp_path):
+        path = self.two_cell_file(tmp_path)
+        grid = load_grid(path)
+        path.write_text(path.read_text() + "\n \n")
+        np.testing.assert_array_equal(load_grid(path).rsrp, grid.rsrp)
 
     def test_file_cut_off_in_a_layer_named_by_line(self, tmp_path):
         path = self.two_cell_file(tmp_path)

@@ -148,28 +148,35 @@ class TestWeightMap:
             load_weight_map(path)
 
     @pytest.mark.parametrize(
-        "offset, replacement, reason",
+        "row, replacement, reason",
         [
-            (1, "1.0,1.0", "expected 3 values, got 2"),
-            (1, "1.0,1.0,1.0,1.0", "expected 3 values, got 4"),
-            (2, "1.0,1.0,1.0#5", "value 3 '1.0#5' is not a number"),
-            (0, "-1.0,1.0,1.0", "value 1 '-1.0' is not finite and non-negative"),
-            (1, "1.0,1.0,nan", "value 3 'nan' is not finite and non-negative"),
-            (2, "1.0,inf,1.0", "value 2 'inf' is not finite and non-negative"),
+            ("1,2,1.0", "1,2", "not enough values to unpack (expected 3, got 2)"),
+            ("1,2,1.0", "1,2,1.0,5", "too many values to unpack (expected 3"),
+            ("1,2,1.0", "1,2,1.0#5", "could not convert string to float: '1.0#5'"),
+            ("1,2,1.0", "1e0,2,1.0", "invalid literal for int() with base 10: '1e0'"),
+            ("1,2,1.0", "1,1.5,1.0", "invalid literal for int() with base 10: '1.5'"),
+            ("1,2,1.0", "-1,2,1.0", "pixel (-1, 2) outside the 3x3 grid"),
+            ("1,2,1.0", "1,-1,1.0", "pixel (1, -1) outside the 3x3 grid"),
+            ("1,2,1.0", "3,2,1.0", "pixel (3, 2) outside the 3x3 grid"),
+            ("1,2,1.0", "1,3,1.0", "pixel (1, 3) outside the 3x3 grid"),
+            ("0,0,1.0", "0,0,-1.0", "weight must be finite and non-negative"),
+            ("1,2,1.0", "1,2,nan", "weight must be finite and non-negative"),
+            ("1,2,1.0", "1,2,inf", "weight must be finite and non-negative"),
         ],
-        ids=["short", "long", "garbled", "negative", "nan", "inf"],
     )
-    def test_garbled_row_named_by_line(self, tmp_path, offset, replacement, reason):
+    def test_garbled_row_named_by_line(self, tmp_path, row, replacement, reason):
         wmap = WeightMap(np.ones((3, 3)), 12.5, "tag")
         path = tmp_path / "map.csv"
         save_weight_map(wmap, path)
         lines = path.read_text().splitlines()
-        line_no = lines.index("i,j,weight") + 2 + offset
+        line_no = lines.index(row) + 1
         lines[line_no - 1] = replacement
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as excinfo:
             load_weight_map(path)
-        assert str(excinfo.value) == f"{path}: line {line_no}: {reason}"
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: line {line_no}: {reason}")
+        assert message.endswith(repr(replacement))
 
     @pytest.mark.parametrize("cut_before", ["i,j,weight", "pixel_size,12.5"])
     def test_map_cut_off_before_its_rows_rejected(self, tmp_path, cut_before):
@@ -188,28 +195,42 @@ class TestWeightMap:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError) as excinfo:
             load_weight_map(path)
-        assert str(excinfo.value) == f"{path}: line {len(lines)}: the file ends after 2 of 3 rows"
+        assert str(excinfo.value) == f"{path}: line {len(lines)}: the file ends after 8 of 9 rows"
 
     def test_duplicate_row_named_by_line(self, tmp_path):
-        # A row given twice is one row too many; the extra one is named.
         wmap = WeightMap(np.ones((3, 3)), 12.5, "tag")
         path = tmp_path / "map.csv"
         save_weight_map(wmap, path)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines + [lines[-1]]) + "\n")
-        with pytest.raises(ValueError) as excinfo:
-            load_weight_map(path)
-        assert str(excinfo.value) == f"{path}: line {len(lines) + 1}: more than 3 rows"
-
-    def test_version_one_file_refused_with_its_version(self, tmp_path):
-        path = tmp_path / "map.csv"
-        save_weight_map(WeightMap(np.ones((3, 3)), 12.5, "tag"), path)
-        path.write_text(path.read_text().replace("hotloc-weightmap,2\n", "hotloc-weightmap,1\n"))
+        first = lines.index("1,2,1.0") + 1
+        path.write_text("\n".join(lines + ["1,2,7.0"]) + "\n")
         with pytest.raises(ValueError) as excinfo:
             load_weight_map(path)
         assert str(excinfo.value) == (
-            f"{path}: not a hotloc weight map file (hotloc-weightmap,2): 'hotloc-weightmap,1'"
+            f"{path}: line {len(lines) + 1}: pixel (1, 2) already given on line {first}: '1,2,7.0'"
         )
+
+    def test_row_out_of_order_named_by_line(self, tmp_path):
+        path = tmp_path / "map.csv"
+        save_weight_map(WeightMap(np.arange(9.0).reshape(3, 3), 12.5, "tag"), path)
+        lines = path.read_text().splitlines()
+        k = lines.index("1,1,4.0")
+        lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_weight_map(path)
+        assert str(excinfo.value) == (
+            f"{path}: line {k + 1}: pixel (1, 1) missing before pixel (1, 2): '1,2,5.0'"
+        )
+
+    def test_empty_lines_among_the_rows_are_skipped(self, tmp_path):
+        values = np.arange(9.0).reshape(3, 3)
+        path = tmp_path / "map.csv"
+        save_weight_map(WeightMap(values, 12.5, "tag"), path)
+        lines = path.read_text().splitlines()
+        k = lines.index("1,1,4.0")
+        path.write_text("\n".join(lines[:k] + [""] + lines[k:]) + "\n\n\n")
+        np.testing.assert_array_equal(load_weight_map(path).values, values)
 
     @pytest.mark.parametrize(
         "row, replacement, reason",

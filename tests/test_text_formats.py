@@ -31,12 +31,6 @@ GRID_POOL = np.random.default_rng(1234).uniform(-130.0, -60.0, size=8)
 MAP_POOL = np.random.default_rng(5678).random(8)
 
 
-def reference_rows(raster: np.ndarray) -> list[str]:
-    """The m rows of an (m, m) raster: row i holds the reprs of pixels
-    (i, 0) .. (i, m-1)."""
-    return [",".join(map(repr, row)) for row in raster.tolist()]
-
-
 def reference_grid_text(grid: CoverageGrid) -> str:
     spec = grid.spec
     lines = ["hotloc-grid,2"]
@@ -54,18 +48,21 @@ def reference_grid_text(grid: CoverageGrid) -> str:
         )
     lines.append("rsrp")
     for layer in grid.rsrp:
-        lines += reference_rows(layer)
+        lines += [",".join(map(repr, row)) for row in layer.tolist()]
     return "\n".join(lines) + "\n"
 
 
 def reference_map_text(wmap: WeightMap) -> str:
-    lines = ["hotloc-weightmap,2"]
+    lines = ["hotloc-weightmap,1"]
     lines.append(f"m,{wmap.m}")
     lines.append(f"pixel_size,{wmap.pixel_size!r}")
     lines.append(f"label,{wmap.label}")
     lines.append(f"origin,{wmap.origin[0]!r},{wmap.origin[1]!r}")
     lines.append("i,j,weight")
-    lines += reference_rows(wmap.values)
+    for i in range(wmap.m):
+        row = wmap.values[i].tolist()
+        for j in range(wmap.m):
+            lines.append(f"{i},{j},{row[j]!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -155,7 +152,7 @@ class TestDeskArtifacts:
         for path in sorted(desk_run.out_dir.glob("*.csv")):
             if path.name == "grid.csv":
                 load, save = load_grid, save_grid
-            elif path.read_text().startswith("hotloc-weightmap,2\n"):
+            elif path.read_text().startswith("hotloc-weightmap,1\n"):
                 load, save = load_weight_map, save_weight_map
             else:
                 continue

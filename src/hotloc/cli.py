@@ -1,21 +1,22 @@
 """Command-line entry points.
 
 ``hotloc pipeline`` runs every stage of :mod:`hotloc.pipeline` from one
-config file. The other subcommands run single stages on the artifacts in
+config file. The other subcommands run their stages on the artifacts in
 ``--in`` (default: the output directory) and write to ``--out``, so one
 working directory accumulates the full artifact set:
 
     gen-scenario            scenario
     oracle-kpis, simulate   kpis
     optimize                maps, then optimize
-    localize                maps, then localize
+    localize                localize
     evaluate                evaluate
 
-A subcommand parses its options, loads its inputs through the public
-loaders, calls the stage functions and echoes a summary; what a stage
-computes and writes lives in the pipeline. Every failure, loading the
-inputs included, ends the command with ``hotloc: stage <name>: <message>``
-on stderr and exit status 1.
+A subcommand parses its options, hands its stages to
+:func:`hotloc.pipeline.run_stages` and echoes a summary; what a stage
+reads, computes and writes lives in the pipeline. Every failure, reading
+the inputs included, ends the command with ``hotloc: stage <name>:
+<message>`` on stderr and exit status 1; a read fails under the
+subcommand's name.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from pathlib import Path
 
 import click
 
-from hotloc import pipeline
-from hotloc.grid import compute_server_maps, load_grid
-from hotloc.kpi import KPI_LABELS, load_kpi_set, load_weight_map
 from hotloc.localize import ImportanceVector
 from hotloc.pipeline import (
     ALL_VARIANTS,
@@ -36,6 +34,7 @@ from hotloc.pipeline import (
     KPI_SOURCE_SIM,
     StageError,
     run_pipeline,
+    run_stages,
 )
 from hotloc.scenario import ConfigError, load_scenario_config
 
@@ -72,19 +71,6 @@ def _load_config(path: str, seed: int | None):
         return load_scenario_config(path, seed_override=seed)
     except ConfigError as exc:
         raise StageError("config", str(exc)) from exc
-
-
-def _dirs(out_dir: str, in_dir: str | None) -> tuple[Path, Path]:
-    """The output directory, created if needed, and the input directory
-    (default: the output directory)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out, Path(in_dir or out_dir)
-
-
-def _load_grid(art: Path):
-    grid = load_grid(art / "grid.csv")
-    return grid, compute_server_maps(grid)
 
 
 def _format_x(x: ImportanceVector) -> str:
@@ -137,19 +123,15 @@ def gen_scenario_cmd(config_path: str, seed: int | None, out_dir: str) -> None:
     """Build the synthetic scenario: coverage grid, ground truth and
     potential-hotspot prior."""
     config = _load_config(config_path, seed)
-    out, _ = _dirs(out_dir, None)
-    scenario, _ = pipeline._run_scenario(config, out)
-    click.echo(f"scenario written to {out} ({len(scenario.grid.cells)} cells, m={config.spec.m})")
+    run = run_stages(("scenario",), config, out_dir)
+    click.echo(f"scenario written to {run.out_dir} ({len(run.grid.cells)} cells, m={config.spec.m})")
 
 
 def _kpis(kpi_source: str, config_path: str, seed: int | None, out_dir: str, in_dir: str | None, events: bool) -> None:
     config = _load_config(config_path, seed)
-    out, art = _dirs(out_dir, in_dir)
-    grid, servers = _load_grid(art)
-    truth = load_weight_map(art / "truth.csv")
-    kpis = pipeline._run_kpis(grid, servers, truth, config, kpi_source, out, events)
+    run = run_stages(("kpis",), config, out_dir, in_dir, kpi_source, event_log=events)
     source = "oracle" if kpi_source == KPI_SOURCE_ORACLE else "simulated"
-    click.echo(f"{source} KPIs for {len(kpis.cells)} cells written to {out / 'kpis.json'}")
+    click.echo(f"{source} KPIs for {len(run.kpis.cells)} cells written to {run.out_dir / 'kpis.json'}")
 
 
 @main.command("oracle-kpis")
@@ -175,13 +157,6 @@ def simulate_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str |
     _kpis(KPI_SOURCE_SIM, config_path, seed, out_dir, in_dir, events)
 
 
-def _load_maps_inputs(art: Path):
-    grid, servers = _load_grid(art)
-    kpis = load_kpi_set(art / "kpis.json")
-    potential_map = load_weight_map(art / "potential.csv")
-    return grid, servers, kpis, potential_map
-
-
 @main.command("optimize")
 @config_opt
 @seed_opt
@@ -192,11 +167,8 @@ def optimize_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str |
     """Build the per-KPI maps and fit the importance factors to the
     potential-hotspot prior."""
     config = _load_config(config_path, seed)
-    out, art = _dirs(out_dir, in_dir)
-    grid, servers, kpis, potential_map = _load_maps_inputs(art)
-    kpi_maps = pipeline._run_maps(grid, servers, kpis, config.localizer, out)
-    x, residual = pipeline._run_optimize(kpi_maps, potential_map, None, out)
-    click.echo(f"x = ({_format_x(x)}), residual {residual:.6g}")
+    run = run_stages(("maps", "optimize"), config, out_dir, in_dir)
+    click.echo(f"x = ({_format_x(run.x)}), residual {run.fit_residual:.6g}")
 
 
 @main.command("localize")
@@ -213,14 +185,11 @@ def localize_cmd(
     in_dir: str | None,
     x_override: ImportanceVector | None,
 ) -> None:
-    """Build the per-KPI maps and the fused and smoothed estimates."""
+    """Fuse the per-KPI maps with the importance factors and smooth the
+    result."""
     config = _load_config(config_path, seed)
-    out, art = _dirs(out_dir, in_dir)
-    grid, servers, kpis, potential_map = _load_maps_inputs(art)
-    x = x_override or pipeline.load_importance(art / "importance.json")
-    kpi_maps = pipeline._run_maps(grid, servers, kpis, config.localizer, out)
-    pipeline._run_localize(servers, kpi_maps, potential_map, x, config.localizer, out)
-    click.echo(f"fused and smoothed maps written to {out} (x = {_format_x(x)})")
+    run = run_stages(("localize",), config, out_dir, in_dir, x_override=x_override)
+    click.echo(f"fused and smoothed maps written to {run.out_dir} (x = {_format_x(run.x)})")
 
 
 @main.command("evaluate")
@@ -233,15 +202,9 @@ def evaluate_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str |
     """Fit the restricted variants and score every variant against the
     ground truth."""
     config = _load_config(config_path, seed)
-    out, art = _dirs(out_dir, in_dir)
-    truth, potential_map, fused, smoothed = (
-        load_weight_map(art / f"{name}.csv") for name in ("truth", "potential", "fused", "smoothed")
-    )
-    kpi_maps = tuple(load_weight_map(art / f"{label}.csv") for label in KPI_LABELS)
-    maps = pipeline.variant_maps(kpi_maps, potential_map, fused, smoothed)
-    report = pipeline._run_evaluate(truth, maps, config.evaluation, out)
-    means = ", ".join(f"{k}: {v.mean_distance_m:.1f} m" for k, v in sorted(report.variants.items()))
-    click.echo(f"report written to {out / 'report.json'} ({means})")
+    run = run_stages(("evaluate",), config, out_dir, in_dir)
+    means = ", ".join(f"{k}: {v.mean_distance_m:.1f} m" for k, v in sorted(run.report.variants.items()))
+    click.echo(f"report written to {run.out_dir / 'report.json'} ({means})")
 
 
 @main.command("pipeline")
@@ -265,7 +228,7 @@ def pipeline_cmd(
     """Run every stage from scenario generation to the evaluation report."""
     if seed is not None and seeds is not None:
         raise click.UsageError("--seed and --seeds exclude each other")
-    out, _ = _dirs(out_dir, None)
+    out = Path(out_dir)
 
     if seeds is not None:
         rows = []

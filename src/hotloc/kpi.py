@@ -414,7 +414,7 @@ def oracle_kpis(
 # A weight map is plain text:
 #   line 1: "hotloc-weightmap,1"                 (magic, format version)
 #   header rows: m,<int> / pixel_size,<float> / label,<text> /
-#                origin,<x>,<y>                  (origin may be left out)
+#                origin,<x>,<y>
 #   marker row:  i,j,weight
 #   data rows:   one i,j,<weight> row per pixel, in row-major order
 #
@@ -524,9 +524,7 @@ def load_weight_map(path: str | Path) -> WeightMap:
         m = header_row(header, "m", path, int)[0]
         pixel_size = header_row(header, "pixel_size", path)[0]
         label = header_row(header, "label", path, str)[0]
-        origin = (0.0, 0.0)
-        if "origin" in header:
-            origin = tuple(header_row(header, "origin", path, count=2))
+        origin = tuple(header_row(header, "origin", path, count=2))
         try:
             wmap = WeightMap(np.zeros((m, m)), pixel_size, label, origin)
         except ValueError as exc:
@@ -581,10 +579,11 @@ def _cell_entry(entry) -> tuple[str, CellKpis]:
     return cell_id, CellKpis(ta, aoa, neighbor_level, *scalars)
 
 
-def load_kpi_set(path: str | Path) -> KpiSet:
-    """Read a KPI set written by :func:`save_kpi_set` and validate it.
-    Text that is not JSON, a document or cell of the wrong shape, a missing
-    field and a bad value raise ValueError naming the file."""
+def load_kpi_set(path: str | Path, grid: CoverageGrid | None = None) -> KpiSet:
+    """Read a KPI set written by :func:`save_kpi_set` and validate it, with
+    ``grid`` against that grid. Text that is not JSON, a document or cell
+    of the wrong shape, a missing field, a bad value and a cell set that
+    does not fit ``grid`` raise ValueError naming the file."""
     try:
         doc = json.loads(Path(path).read_text())
         if not isinstance(doc, dict):
@@ -597,7 +596,7 @@ def load_kpi_set(path: str | Path) -> KpiSet:
                 raise ValueError(f"duplicate cell_id {cell_id!r}")
             cells[cell_id] = cell
         kpis = KpiSet(cells=cells, source=doc["source"], window_s=doc["window_s"])
-        kpis.validate()
+        kpis.validate(grid)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not JSON: {exc}") from exc
     except KeyError as exc:

@@ -41,13 +41,19 @@ class DesignSystem:
 
 
 def build_system(maps: tuple[WeightMap, ...], potential: WeightMap) -> DesignSystem:
-    """Flatten the five KPI maps and the potential map into A and b."""
+    """Flatten the five KPI maps and the potential map into A and b. A map
+    whose squared norm overflows, which would make ``A^T A`` or ``A^T b``
+    infinite, is refused by its label."""
     if len(maps) != KPI_COUNT:
         raise ValueError(f"expected {KPI_COUNT} KPI maps")
     ref = maps[0]
-    for wmap in (*maps[1:], potential):
-        if wmap.values.shape != ref.values.shape or wmap.pixel_size != ref.pixel_size:
-            raise ValueError("all maps must share one grid")
+    with np.errstate(over="ignore"):
+        for wmap in (*maps, potential):
+            if wmap.values.shape != ref.values.shape or wmap.pixel_size != ref.pixel_size:
+                raise ValueError("all maps must share one grid")
+            flat = wmap.values.reshape(-1)
+            if not np.isfinite(flat @ flat):
+                raise ValueError(f"map {wmap.label!r}: the squared norm of its weights overflows")
     A = np.column_stack([wmap.values.reshape(-1) for wmap in maps])
     b = potential.values.reshape(-1).copy()
     return DesignSystem(A=A, b=b)

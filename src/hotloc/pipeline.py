@@ -3,23 +3,27 @@ fitting, localization and evaluation, with every intermediate written to
 the output directory.
 
 Each stage is one ``_run_<stage>`` function that takes the artifacts it
-consumes (grid, server maps, truth, KPIs, maps, config blocks) and writes
-the artifacts it produces. :func:`run_pipeline` feeds them from memory;
-the CLI's stage subcommands feed them from files. Stages run in a fixed
-order and failures carry the stage name, so a caller (the CLI in
+consumes (grid, server maps, truth, KPIs, maps) and the settings from a
+:class:`Run`, writes the artifacts it produces and puts them on the run.
+:func:`run_stages` runs any ordered subset of the stages: what an earlier
+stage of the same call made is passed on in memory, and every other input
+is read through :data:`READERS` before the first stage runs.
+:func:`run_pipeline` runs them all, from memory alone; the CLI's stage
+subcommands run their own stages on an artifact directory. Stages run in
+a fixed order and failures carry the stage name, so a caller (the CLI in
 particular) can report exactly where a run died.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from hotloc.evaluate import (
-    EvalConfig,
     EvalReport,
     compare_variants,
     save_report,
@@ -29,17 +33,18 @@ from hotloc.kpi import (
     KPI_LABELS,
     KpiSet,
     WeightMap,
+    load_kpi_set,
+    load_weight_map,
     oracle_kpis,
     rasterize_potential_map,
     save_kpi_set,
     save_potential_spec,
     save_weight_map,
 )
-from hotloc.grid import CoverageGrid, ServerMaps, save_grid
+from hotloc.grid import compute_server_maps, load_grid, save_grid
 from hotloc.localize import (
     ImportanceVector,
     LocalizationResult,
-    LocalizerParams,
     compute_kpi_maps,
     localize,
     step6_combine,
@@ -85,24 +90,6 @@ class PipelineResult:
     out_dir: Path
 
 
-def stage(name: str):
-    """Decorator: any failure of the wrapped call that does not already
-    name a stage is raised as a :class:`StageError` of stage ``name``."""
-
-    def wrap(fn):
-        def run(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except StageError:
-                raise
-            except Exception as exc:
-                raise StageError(name, str(exc)) from exc
-
-        return run
-
-    return wrap
-
-
 def restricted_fit(system: DesignSystem, columns: tuple[int, ...]) -> ImportanceVector:
     """Importance fit on only the given columns of ``system``; the other
     KPI maps are forced out of the model and get factor zero."""
@@ -112,73 +99,57 @@ def restricted_fit(system: DesignSystem, columns: tuple[int, ...]) -> Importance
     return ImportanceVector(tuple(float(v) for v in full))
 
 
-@stage("scenario")
-def _run_scenario(config: ScenarioConfig, out: Path) -> tuple[Scenario, WeightMap]:
-    scenario = build_scenario(config)
-    potential_map = rasterize_potential_map(scenario.potential, config.spec)
+class Run(SimpleNamespace):
+    """One call of :func:`run_stages`: its settings (``config``,
+    ``out_dir``, ``kpi_source``, ``x_override``, ``event_log``) and the
+    artifacts its stages take and make, named as in :data:`STAGE_INPUTS`
+    and :class:`PipelineResult`."""
+
+
+def _run_scenario(run: Run) -> None:
+    scenario = build_scenario(run.config)
+    potential_map = rasterize_potential_map(scenario.potential, run.config.spec)
     if potential_map.total() <= 0:
         raise ValueError("potential-hotspot spec paints no importance anywhere")
-    save_grid(scenario.grid, out / "grid.csv")
-    save_weight_map(scenario.truth, out / "truth.csv")
-    save_potential_spec(scenario.potential, out / "potential.json")
-    save_weight_map(potential_map, out / "potential.csv")
-    return scenario, potential_map
+    save_grid(scenario.grid, run.out_dir / "grid.csv")
+    save_weight_map(scenario.truth, run.out_dir / "truth.csv")
+    save_potential_spec(scenario.potential, run.out_dir / "potential.json")
+    save_weight_map(potential_map, run.out_dir / "potential.csv")
+    run.scenario, run.potential_map = scenario, potential_map
+    run.grid, run.servers, run.truth = scenario.grid, scenario.servers, scenario.truth
 
 
-@stage("kpis")
-def _run_kpis(
-    grid: CoverageGrid,
-    servers: ServerMaps,
-    truth: WeightMap,
-    config: ScenarioConfig,
-    kpi_source: str,
-    out: Path,
-    event_log: bool = False,
-) -> KpiSet:
+def _run_kpis(run: Run) -> None:
     """Per-cell KPIs from the oracle (``config.oracle``) or the simulator
     (``config.sim``)."""
-    if kpi_source == KPI_SOURCE_ORACLE:
-        kpis = oracle_kpis(truth, grid, servers, config.oracle)
-    elif kpi_source == KPI_SOURCE_SIM:
-        log_path = str(out / "events.csv") if event_log else None
-        kpis = run_simulation(config.sim, truth, grid, servers, log_path)
+    if run.kpi_source == KPI_SOURCE_ORACLE:
+        kpis = oracle_kpis(run.truth, run.grid, run.servers, run.config.oracle)
+    elif run.kpi_source == KPI_SOURCE_SIM:
+        log_path = str(run.out_dir / "events.csv") if run.event_log else None
+        kpis = run_simulation(run.config.sim, run.truth, run.grid, run.servers, log_path)
     else:
-        raise ValueError(f"unknown KPI source {kpi_source!r}")
+        raise ValueError(f"unknown KPI source {run.kpi_source!r}")
     if kpis.all_empty():
         raise ValueError(
             "empty system: no cell accumulated any KPI mass "
             "(zero traffic or nothing admitted)"
         )
-    save_kpi_set(kpis, out / "kpis.json")
-    return kpis
+    save_kpi_set(kpis, run.out_dir / "kpis.json")
+    run.kpis = kpis
 
 
-@stage("maps")
-def _run_maps(
-    grid: CoverageGrid,
-    servers: ServerMaps,
-    kpis: KpiSet,
-    params: LocalizerParams,
-    out: Path,
-) -> tuple[WeightMap, ...]:
-    maps = compute_kpi_maps(kpis, grid, servers, params)
-    for label, wmap in zip(KPI_LABELS, maps):
-        save_weight_map(wmap, out / f"{label}.csv")
-    return maps
+def _run_maps(run: Run) -> None:
+    run.kpi_maps = compute_kpi_maps(run.kpis, run.grid, run.servers, run.config.localizer)
+    for label, wmap in zip(KPI_LABELS, run.kpi_maps):
+        save_weight_map(wmap, run.out_dir / f"{label}.csv")
 
 
-@stage("optimize")
-def _run_optimize(
-    kpi_maps: tuple[WeightMap, ...],
-    potential_map: WeightMap,
-    x_override: ImportanceVector | None,
-    out: Path,
-) -> tuple[ImportanceVector, float | None]:
+def _run_optimize(run: Run) -> None:
     """The fitted importance vector, or ``x_override`` when given, written
     to ``importance.json``; an all-zero fit is refused before the write."""
-    x, residual = x_override, None
+    x, residual = run.x_override, None
     if x is None:
-        result = solve_nnls(build_system(tuple(kpi_maps), potential_map))
+        result = solve_nnls(build_system(tuple(run.kpi_maps), run.potential_map))
         if not result.x.any():
             raise ValueError(
                 "importance fit: every factor is zero; "
@@ -190,19 +161,17 @@ def _run_optimize(
         "x": list(x.values),
         "residual": residual,
         "x_normalized": [v / total for v in x.values],
-        "fitted": x_override is None,
+        "fitted": run.x_override is None,
     }
-    with open(out / "importance.json", "w") as fh:
+    with open(run.out_dir / "importance.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    return x, residual
+    run.x, run.fit_residual = x, residual
 
 
 def load_importance(path: Path) -> ImportanceVector:
     """The importance vector of an ``importance.json`` written by the
     optimize stage."""
-    if not path.exists():
-        raise ValueError(f"no importance vector: {path} not found, run optimize first")
     try:
         doc = json.loads(path.read_text())
         x = doc.get("x") if isinstance(doc, dict) else None
@@ -240,34 +209,108 @@ def variant_maps(
     return maps
 
 
-@stage("localize")
-def _run_localize(
-    servers: ServerMaps,
-    kpi_maps: tuple[WeightMap, ...],
-    potential_map: WeightMap,
-    x: ImportanceVector,
-    params: LocalizerParams,
-    out: Path,
-) -> tuple[LocalizationResult, dict[str, WeightMap]]:
+def _run_localize(run: Run) -> None:
     """Fused and smoothed estimates with the importance vector ``x``, and
     every variant's map."""
-    result = localize(kpi_maps, x, params, servers.uncovered_mask())
-    save_weight_map(result.fused, out / "fused.csv")
-    save_weight_map(result.smoothed, out / "smoothed.csv")
-    return result, variant_maps(kpi_maps, potential_map, result.fused, result.smoothed)
+    result = localize(run.kpi_maps, run.x, run.config.localizer, run.servers.uncovered_mask())
+    save_weight_map(result.fused, run.out_dir / "fused.csv")
+    save_weight_map(result.smoothed, run.out_dir / "smoothed.csv")
+    run.localization = result
+    run.variant_maps = variant_maps(run.kpi_maps, run.potential_map, result.fused, result.smoothed)
 
 
-@stage("evaluate")
-def _run_evaluate(
-    truth: WeightMap, maps: dict[str, WeightMap], config: EvalConfig, out: Path
-) -> EvalReport:
-    """Score every variant in ``maps`` against the ground truth."""
-    report = compare_variants(truth, maps, config)
-    save_report(report, out / "report.json")
+def _run_evaluate(run: Run) -> None:
+    """Score every variant in ``variant_maps`` against the ground truth."""
+    run.report = compare_variants(run.truth, run.variant_maps, run.config.evaluation)
+    save_report(run.report, run.out_dir / "report.json")
     write_report_csvs(
-        report, out / "peaks.csv", out / "detection.csv", out / "cdf.csv"
+        run.report, run.out_dir / "peaks.csv", run.out_dir / "detection.csv", run.out_dir / "cdf.csv"
     )
-    return report
+
+
+# The artifacts each stage takes, by name, in the order they are read.
+STAGE_INPUTS = {
+    "scenario": (),
+    "kpis": ("grid", "servers", "truth"),
+    "maps": ("grid", "servers", "kpis"),
+    "optimize": ("kpi_maps", "potential_map"),
+    "localize": ("servers", "kpi_maps", "potential_map", "x"),
+    "evaluate": ("truth", "variant_maps"),
+}
+
+# How a stage input is read when no stage of the call makes it: (the stage
+# that writes it, its files, the loader, the inputs the loader takes after
+# the files' paths). An input without files is derived from inputs read
+# the same way.
+READERS = {
+    "grid": ("scenario", ("grid.csv",), load_grid, ()),
+    "servers": ("scenario", (), compute_server_maps, ("grid",)),
+    "truth": ("scenario", ("truth.csv",), load_weight_map, ()),
+    "potential_map": ("scenario", ("potential.csv",), load_weight_map, ()),
+    "kpis": ("kpis", ("kpis.json",), load_kpi_set, ("grid",)),
+    "kpi_maps": (
+        "maps",
+        tuple(f"{label}.csv" for label in KPI_LABELS),
+        lambda *paths: tuple(map(load_weight_map, paths)),
+        (),
+    ),
+    "x": ("optimize", ("importance.json",), load_importance, ()),
+    "fused": ("localize", ("fused.csv",), load_weight_map, ()),
+    "smoothed": ("localize", ("smoothed.csv",), load_weight_map, ()),
+    "variant_maps": (
+        "localize", (), variant_maps, ("kpi_maps", "potential_map", "fused", "smoothed")
+    ),
+}
+
+
+def _read(name: str, source: Path, run: Run) -> None:
+    """Read input ``name`` from ``source`` onto ``run``, after the inputs
+    its loader takes. A missing file raises ValueError naming the file and
+    the stage that writes it."""
+    writer, files, load, needs = READERS[name]
+    for need in needs:
+        if not hasattr(run, need):
+            _read(need, source, run)
+    paths = [source / file for file in files]
+    for path in paths:
+        if not path.exists():
+            raise ValueError(f"{path} not found, run {writer} first")
+    setattr(run, name, load(*paths, *(getattr(run, need) for need in needs)))
+
+
+def run_stages(
+    stages: tuple[str, ...],
+    config: ScenarioConfig,
+    out_dir: str | Path,
+    in_dir: str | Path | None = None,
+    kpi_source: str = KPI_SOURCE_ORACLE,
+    x_override: ImportanceVector | None = None,
+    event_log: bool = False,
+) -> Run:
+    """Run ``stages`` (names of :data:`STAGE_INPUTS`, run in pipeline
+    order) and leave their artifacts in ``out_dir``. Every input that none
+    of them makes is read from ``in_dir`` (default: ``out_dir``) before
+    the first stage runs, so a bad file fails the call, not a stage; a
+    stage's failure is raised as a :class:`StageError` of that stage.
+    ``x_override`` stands in for the fitted importance vector."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    run = Run(
+        config=config, out_dir=out, kpi_source=kpi_source, x_override=x_override, event_log=event_log
+    )
+    if x_override is not None:
+        run.x = x_override
+    source = out if in_dir is None else Path(in_dir)
+    for name in (name for s in stages for name in STAGE_INPUTS[s]):
+        if not hasattr(run, name) and READERS[name][0] not in stages:
+            _read(name, source, run)
+    for s in STAGE_INPUTS:
+        if s in stages:
+            try:
+                globals()[f"_run_{s}"](run)
+            except Exception as exc:
+                raise StageError(s, str(exc)) from exc
+    return run
 
 
 def run_pipeline(
@@ -277,29 +320,9 @@ def run_pipeline(
     x_override: ImportanceVector | None = None,
     event_log: bool = False,
 ) -> PipelineResult:
-    """Run every stage and leave all artifacts in ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    scenario, potential_map = _run_scenario(config, out)
-    grid, servers = scenario.grid, scenario.servers
-    kpis = _run_kpis(grid, servers, scenario.truth, config, kpi_source, out, event_log)
-    kpi_maps = _run_maps(grid, servers, kpis, config.localizer, out)
-    x, residual = _run_optimize(kpi_maps, potential_map, x_override, out)
-    localization, maps = _run_localize(
-        servers, kpi_maps, potential_map, x, config.localizer, out
+    """Run every stage and leave all artifacts in ``out_dir``; no artifact
+    is read back."""
+    run = run_stages(
+        tuple(STAGE_INPUTS), config, out_dir, None, kpi_source, x_override, event_log
     )
-    report = _run_evaluate(scenario.truth, maps, config.evaluation, out)
-
-    return PipelineResult(
-        scenario=scenario,
-        kpis=kpis,
-        kpi_maps=kpi_maps,
-        potential_map=potential_map,
-        x=x,
-        fit_residual=residual,
-        localization=localization,
-        variant_maps=maps,
-        report=report,
-        out_dir=out,
-    )
+    return PipelineResult(**{f.name: getattr(run, f.name) for f in fields(PipelineResult)})

@@ -1,12 +1,15 @@
 import csv
 import json
+import os
+import re
 import shutil
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import DESK_CONFIG, SIM_CONFIG
+from conftest import DESK_CONFIG, REPO_ROOT, SIM_CONFIG
 from hotloc.cli import main
+from hotloc.pipeline import READERS
 
 CONFIG = str(SIM_CONFIG)
 
@@ -83,8 +86,15 @@ class TestStageCommands:
         assert "oracle KPIs for 3 cells" in result.output
         assert (tmp_path / "art" / "kpis.json").exists()
 
-        # First localize pass with explicit factors: writes the KPI maps
-        # the optimizer needs.
+        # optimize writes the KPI maps that localize fuses.
+        result = invoke(runner, "optimize", "--config", CONFIG, "--out", art)
+        assert result.exit_code == 0
+        assert "residual" in result.output
+        doc = json.loads((tmp_path / "art" / "importance.json").read_text())
+        assert doc["fitted"] is True
+        assert len(doc["x"]) == 5
+
+        # First localize pass with explicit factors.
         result = invoke(
             runner,
             "localize",
@@ -95,13 +105,6 @@ class TestStageCommands:
         assert result.exit_code == 0
         for name in ("q1.csv", "q2.csv", "q3.csv", "q4.csv", "q5.csv", "fused.csv", "smoothed.csv"):
             assert (tmp_path / "art" / name).exists()
-
-        result = invoke(runner, "optimize", "--config", CONFIG, "--out", art)
-        assert result.exit_code == 0
-        assert "residual" in result.output
-        doc = json.loads((tmp_path / "art" / "importance.json").read_text())
-        assert doc["fitted"] is True
-        assert len(doc["x"]) == 5
 
         # Second localize pass picks the fitted vector up from disk.
         result = invoke(runner, "localize", "--config", CONFIG, "--out", art)
@@ -138,14 +141,15 @@ class TestStageCommands:
 
     def test_localize_without_importance_vector(self, runner, tmp_path):
         art = str(tmp_path / "art")
-        invoke(runner, "gen-scenario", "--config", CONFIG, "--out", art)
-        invoke(runner, "oracle-kpis", "--config", CONFIG, "--out", art)
+        for command in ("gen-scenario", "oracle-kpis", "optimize"):
+            invoke(runner, command, "--config", CONFIG, "--out", art)
+        (tmp_path / "art" / "importance.json").unlink()
         result = runner.invoke(
             main, ["localize", "--config", CONFIG, "--out", art]
         )
         assert result.exit_code == 1
         assert "hotloc: stage localize:" in result.stderr
-        assert "no importance vector" in result.stderr
+        assert f"{tmp_path / 'art' / 'importance.json'} not found, run optimize first" in result.stderr
 
 
 STAGEWISE_ARTIFACTS = (
@@ -198,12 +202,88 @@ class TestStagewiseEqualsPipeline:
 
 
 @pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    """Every artifact of one oracle ``hotloc pipeline`` run on sim-small."""
+    art = tmp_path_factory.mktemp("pipeline")
+    assert invoke(CliRunner(), "pipeline", "--config", CONFIG, "--out", str(art)).exit_code == 0
+    return art
+
+
+def readme_stage_table():
+    """(subcommand, files read, files written) for each subcommand of the
+    README's stage table."""
+    text = (REPO_ROOT / "README.md").read_text()
+    section = text[text.index("## Stage by stage") : text.index("## Configuration")]
+
+    def files(cell):
+        cell = cell.replace("`q1.csv` .. `q5.csv`", ", ".join(f"`q{k}.csv`" for k in range(1, 6)))
+        return frozenset(re.findall(r"`([\w.]+\.(?:csv|json))`", cell))
+
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            commands, _stages, reads, writes = line.strip("|").split("|")
+            for command in re.findall(r"`([\w-]+)`", commands):
+                rows.append((command, files(reads), files(writes)))
+    return rows
+
+
+README_STAGE_TABLE = readme_stage_table()
+
+
+def test_readme_stage_table_lists_every_stage_subcommand():
+    assert sorted(row[0] for row in README_STAGE_TABLE) == sorted(set(main.commands) - {"pipeline"})
+
+
+@pytest.mark.parametrize(
+    "command, reads, writes", README_STAGE_TABLE, ids=[row[0] for row in README_STAGE_TABLE]
+)
+def test_readme_stage_table_is_true(runner, pipeline_dir, tmp_path, command, reads, writes):
+    """Given only the files of its ``reads`` column and the config, a
+    subcommand succeeds, writes exactly the files of its ``writes`` column
+    and leaves the files it read as they were. Without any one of them it
+    fails, naming the file and the stage that writes it."""
+    writer = {file: stage for stage, files, _, _ in READERS.values() for file in files}
+    for missing in sorted(reads):
+        art = tmp_path / f"without-{missing}"
+        art.mkdir()
+        for name in reads - {missing}:
+            shutil.copy(pipeline_dir / name, art / name)
+        config = shutil.copy(SIM_CONFIG, art / "config.json")
+        result = runner.invoke(main, [command, "--config", str(config), "--out", str(art)])
+        assert result.exit_code == 1, result.output
+        assert f"{art / missing} not found, run {writer[missing]} first" in result.stderr
+
+    art = tmp_path / "art"
+    art.mkdir()
+    for name in reads:
+        shutil.copy(pipeline_dir / name, art / name)
+        os.utime(art / name, ns=(10**9, 10**9))
+    config = shutil.copy(SIM_CONFIG, art / "config.json")
+    result = invoke(runner, command, "--config", str(config), "--out", str(art))
+    assert result.exit_code == 0, result.output
+    assert {path.name for path in art.iterdir()} == reads | writes | {"config.json"}
+    for name in reads:
+        assert (art / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+        assert (art / name).stat().st_mtime_ns == 10**9, name
+
+
+@pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
     """Artifacts of ``gen-scenario`` and ``oracle-kpis`` on sim-small."""
     art = tmp_path_factory.mktemp("scenario")
     runner = CliRunner()
     for command in ("gen-scenario", "oracle-kpis"):
         assert invoke(runner, command, "--config", CONFIG, "--out", str(art)).exit_code == 0
+    return art
+
+
+@pytest.fixture(scope="module")
+def optimized_dir(scenario_dir, tmp_path_factory):
+    """``scenario_dir`` after ``optimize``: everything ``localize`` reads."""
+    art = tmp_path_factory.mktemp("optimized") / "art"
+    shutil.copytree(scenario_dir, art)
+    assert invoke(CliRunner(), "optimize", "--config", CONFIG, "--out", str(art)).exit_code == 0
     return art
 
 
@@ -221,8 +301,8 @@ class TestBadInputs:
         assert f"\n{row}\n" in text
         path.write_text(text.replace(f"\n{row}\n", "\n", 1))
 
-    def test_grid_without_m_row(self, runner, scenario_dir, tmp_path):
-        art = self.copy(scenario_dir, tmp_path)
+    def test_grid_without_m_row(self, runner, optimized_dir, tmp_path):
+        art = self.copy(optimized_dir, tmp_path)
         self.drop_row(art / "grid.csv", "m,32")
         err = fails(
             runner, "localize",
@@ -264,8 +344,20 @@ class TestBadInputs:
         err = fails(runner, "optimize", "optimize", "--config", CONFIG, "--out", str(art))
         assert "potential.csv: missing i,j,weight section" in err
 
-    def test_truth_without_m_row(self, runner, scenario_dir, tmp_path):
-        art = self.copy(scenario_dir, tmp_path)
+    def test_overflowing_map_named_by_label(self, runner, pipeline_dir, tmp_path):
+        # 1e308 is a finite weight, so the loader takes it, but its square
+        # overflows the design system's A^T A.
+        art = self.copy(pipeline_dir, tmp_path)
+        path = art / "q3.csv"
+        lines = path.read_text().splitlines()
+        row = lines.index("i,j,weight") + 1
+        lines[row] = "0,0,1e308"
+        path.write_text("\n".join(lines) + "\n")
+        err = fails(runner, "evaluate", "evaluate", "--config", CONFIG, "--out", str(art))
+        assert "map 'q3': the squared norm of its weights overflows" in err
+
+    def test_truth_without_m_row(self, runner, optimized_dir, tmp_path):
+        art = self.copy(optimized_dir, tmp_path)
         invoke(runner, "localize", "--config", CONFIG, "--out", str(art), "--x-override", "1,1,1,1,1")
         self.drop_row(art / "truth.csv", "m,32")
         err = fails(runner, "evaluate", "evaluate", "--config", CONFIG, "--out", str(art))
@@ -304,11 +396,10 @@ class TestBadInputs:
             cell["neighbor_level"] = {"NOPE": 1.0}
 
         cell_id = self.edit_kpis(art, edit)
-        err = fails(
-            runner, "maps",
-            "localize", "--config", CONFIG, "--out", str(art), "--x-override", "1,1,1,1,1",
-        )
-        assert f"cell '{cell_id}': neighbor_level names cells not on the grid: ['NOPE']" in err
+        err = fails(runner, "optimize", "optimize", "--config", CONFIG, "--out", str(art))
+        assert (
+            f"{art / 'kpis.json'}: cell '{cell_id}': neighbor_level names cells not on the grid: ['NOPE']"
+        ) in err
 
     def test_level_for_a_cell_that_is_not_a_neighbor(self, runner, tmp_path):
         # On the desk grid BS05A is second best on one of BS02B's pixels,
@@ -321,11 +412,10 @@ class TestBadInputs:
         (cell,) = [c for c in doc["cells"] if c["cell_id"] == "BS02B"]
         cell["neighbor_level"] = {"BS05A": 1.0}
         path.write_text(json.dumps(doc))
-        err = fails(
-            runner, "maps",
-            "localize", "--config", str(DESK_CONFIG), "--out", str(art), "--x-override", "1,1,1,1,1",
-        )
-        assert "cell 'BS02B': neighbor_level names cells that are not its configured neighbors: ['BS05A']" in err
+        err = fails(runner, "optimize", "optimize", "--config", str(DESK_CONFIG), "--out", str(art))
+        assert (
+            f"{path}: cell 'BS02B': neighbor_level names cells that are not its configured neighbors: ['BS05A']"
+        ) in err
         assert not (art / "q3.csv").exists()
 
     @pytest.mark.parametrize(
@@ -421,11 +511,12 @@ class TestBadInputs:
         ],
     )
     def test_malformed_json_names_the_file(
-        self, runner, scenario_dir, tmp_path, name, text, message
+        self, runner, optimized_dir, tmp_path, name, text, message
     ):
-        art = self.copy(scenario_dir, tmp_path)
+        art = self.copy(optimized_dir, tmp_path)
         (art / name).write_text(text)
-        err = fails(runner, "localize", "localize", "--config", CONFIG, "--out", str(art))
+        command = "localize" if name == "importance.json" else "optimize"
+        err = fails(runner, command, command, "--config", CONFIG, "--out", str(art))
         assert f"{art / name}: {message}" in err
         assert not (art / "fused.csv").exists()
 
@@ -441,8 +532,8 @@ class TestBadInputs:
             ({"x": [0, 0, 0, 0, 0.0]}, "importance factors must not all be zero"),
         ],
     )
-    def test_bad_importance_vector(self, runner, scenario_dir, tmp_path, doc, message):
-        art = self.copy(scenario_dir, tmp_path)
+    def test_bad_importance_vector(self, runner, optimized_dir, tmp_path, doc, message):
+        art = self.copy(optimized_dir, tmp_path)
         (art / "importance.json").write_text(json.dumps(doc))
         err = fails(runner, "localize", "localize", "--config", CONFIG, "--out", str(art))
         assert message in err

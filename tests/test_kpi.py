@@ -134,6 +134,7 @@ class TestWeightMap:
             ("pixel_size,12.5", "pixel_size,twelve"),
             ("label,tag", ""),
             ("origin,3.25,-7.5", "origin,3.25"),
+            ("origin,3.25,-7.5", ""),
         ],
     )
     def test_missing_or_garbled_header_row_named(self, tmp_path, row, replacement):

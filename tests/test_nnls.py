@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from hotloc.kpi import WeightMap
+from hotloc.kpi import WeightMap, save_weight_map
 from hotloc.localize import ImportanceVector, step6_combine
 from hotloc.nnls import DesignSystem, build_system, solve_nnls
-from hotloc.pipeline import StageError, _run_optimize
+from hotloc.pipeline import Run, StageError, _run_optimize, run_stages
 
 
 def assert_kkt(system, x, tol=1e-8):
@@ -165,7 +165,9 @@ class TestOptimizeImportance:
             WeightMap(rng.random((6, 6)), 25.0, f"q{k + 1}") for k in range(5)
         )
         potential = step6_combine(maps, ImportanceVector((0.2,) * 5)).normalized()
-        x, residual = _run_optimize(maps, potential, None, tmp_path)
+        run = Run(kpi_maps=maps, potential_map=potential, x_override=None, out_dir=tmp_path)
+        _run_optimize(run)
+        x, residual = run.x, run.fit_residual
         doc = json.loads((tmp_path / "importance.json").read_text())
         assert doc["x"] == list(x.values)
         assert doc["residual"] == residual
@@ -173,12 +175,14 @@ class TestOptimizeImportance:
         assert normalized is not None
         assert abs(sum(normalized) - 1.0) <= 1e-12
 
-    def test_zero_fit_rejected_before_writing(self, tmp_path):
+    def test_zero_fit_rejected_before_writing(self, sim_config, tmp_path):
         maps = tuple(
             WeightMap(np.ones((4, 4)), 25.0, f"q{k + 1}") for k in range(5)
         )
         potential = WeightMap(np.zeros((4, 4)), 25.0, "potential")
+        for wmap in (*maps, potential):
+            save_weight_map(wmap, tmp_path / f"{wmap.label}.csv")
         with pytest.raises(StageError, match="every factor is zero") as excinfo:
-            _run_optimize(maps, potential, None, tmp_path)
+            run_stages(("optimize",), sim_config, tmp_path)
         assert excinfo.value.stage == "optimize"
         assert not (tmp_path / "importance.json").exists()

@@ -8,6 +8,7 @@ import pytest
 from conftest import GOLDEN_REPORT, SIM_CONFIG
 from hotloc.kpi import WeightMap
 from hotloc.localize import ImportanceVector
+from hotloc import pipeline
 from hotloc.nnls import build_system
 from hotloc.pipeline import (
     ALL_VARIANTS,
@@ -84,6 +85,19 @@ class TestDeskRun:
     def test_smoothed_beats_fused_on_peak_distance(self, desk_run):
         means = {k: v.mean_distance_m for k, v in desk_run.report.variants.items()}
         assert means["step7"] <= means["step6"]
+
+
+def test_run_pipeline_reads_no_artifact(monkeypatch, tmp_path):
+    """Every stage input of a full run comes from memory: with every
+    reader refusing, the run still completes."""
+
+    def refuse(*args):
+        raise AssertionError("run_pipeline read an artifact back")
+
+    readers = {name: (stage, files, refuse, needs) for name, (stage, files, _, needs) in pipeline.READERS.items()}
+    monkeypatch.setattr(pipeline, "READERS", readers)
+    result = run_pipeline(load_scenario_config(SIM_CONFIG), tmp_path / "run")
+    assert set(result.report.variants) == set(ALL_VARIANTS)
 
 
 class TestRestrictedFit:

@@ -249,7 +249,9 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 #   layer rows:  each cell's layer in cell-row order; "nan" is no coverage
 #
 # Cell ids are distinct, every neighbor id names a cell row, and no id holds
-# ",", ";", a NUL or a line break.
+# ",", ";", a NUL or a line break. Every header row but the cell rows is
+# given once. The layer rows hold m values each, finite or "nan", with no
+# blank line among them; only blank lines follow the last.
 # ---------------------------------------------------------------------------
 
 _GRID_MAGIC = "hotloc-grid,2"
@@ -311,59 +313,66 @@ def write_raster(fh: BinaryIO, layers: np.ndarray) -> None:
         fh.write(b"\n".join(map(b",".join, rows)) + b"\n")
 
 
-def _first_bad_line(lines: list[str], m: int) -> tuple[int, str] | None:
-    """The index of the first bad line of a layer and the reason, found by
-    Python's parser; None when all m lines are good."""
+def _first_bad_line(lines: list[str], count: int, converters: list[type]) -> tuple[int, str] | None:
+    """The index of the first bad line of ``count`` rows and the reason,
+    found by Python's parsers, one of ``int`` or ``float`` per column;
+    None when all rows are good."""
     for k, line in enumerate(lines):
         fields = line.rstrip("\n").split(",") if line.strip() else []
-        if len(fields) != m:
-            return k, f"expected {m} values, got {len(fields)}"
-        for column, field in enumerate(fields, 1):
+        if len(fields) != len(converters):
+            return k, f"expected {len(converters)} values, got {len(fields)}"
+        for column, (convert, field) in enumerate(zip(converters, fields), 1):
             try:
-                value = float(field)
+                value = convert(field)
             except ValueError:
-                return k, f"value {column} {field!r} is not a number"
+                what = "an integer" if convert is int else "a number"
+                return k, f"value {column} {field!r} is not {what}"
             if math.isinf(value):
                 return k, f"value {column} {field!r} is not finite or NaN"
-    if len(lines) < m:
-        return len(lines), f"the file ends after {len(lines)} of {m} rows"
+    if len(lines) < count:
+        return len(lines), f"the file ends after {len(lines)} of {count} rows"
     return None
 
 
-def _read_layer(path: str | Path, fh: TextIO, start: int, m: int, cell_id: str) -> np.ndarray:
-    """The next m rows of ``fh`` as an (m, m) array, parsed by one
-    ``np.loadtxt`` call; ``start`` is the 0-based line of the first."""
-    lines = list(itertools.islice(fh, m))
+def read_rows(
+    path: str | Path, fh: TextIO, start: int, count: int, dtype: np.dtype, where: str
+) -> np.ndarray:
+    """The next ``count`` lines of the text file ``fh`` as an array of
+    ``count`` rows of the structured ``dtype``, one int64 or float64
+    field per column, parsed by one ``np.loadtxt`` call; ``start`` is the
+    0-based line of the first. A row without one value of its field's
+    type per column, an infinite float, a blank line and a missing row
+    raise ValueError naming the file, the line and ``where``."""
+    lines = list(itertools.islice(fh, count))
     error = None
     try:
         with warnings.catch_warnings():
-            # Blank or missing lines give fewer rows, which the shape check refuses.
+            # Blank or missing lines give fewer rows, which the count check refuses.
             warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
+            # numpy before 2.0 reads "1.5" into an int column with this warning.
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning) as exc:
         error = exc
     else:
-        if values.shape == (m, m) and not np.isinf(values).any():
-            return values
+        # Every field is 8 bytes wide, so one float view covers the rows;
+        # an int that reads as infinite there is cleared below.
+        if len(rows) == count and not np.isinf(rows.view(np.float64)).any():
+            return rows
+    converters = [int if dtype[k].kind == "i" else float for k in range(len(dtype))]
+    found = _first_bad_line(lines, count, converters)
+    if found is None and error is None:
+        return rows
     # numpy refuses a few spellings Python reads, such as "1_0".
-    offset, reason = _first_bad_line(lines, m) or (0, f"garbled rows from here: {error}")
-    raise ValueError(f"{path}: line {start + offset + 1}: cell {cell_id!r}: {reason}")
+    offset, reason = found or (0, f"garbled rows from here: {error}")
+    raise ValueError(f"{path}: line {start + offset + 1}: {where}{reason}")
 
 
-def read_raster(
-    path: str | Path, fh: TextIO, first_line: int, layers: np.ndarray, cell_ids: list[str]
-) -> None:
-    """Fill ``layers``, the (n, m, m) stack whose layer k belongs to
-    ``cell_ids[k]``, from the m rows per layer left in the text file
-    ``fh``, the first on 0-based line ``first_line``. A row without m
-    values finite or NaN, a missing row and a row after the last raise
-    ValueError naming the file, the line and the cell; blank lines after
-    the last row are skipped."""
-    m = layers.shape[-1]
-    for k, layer in enumerate(layers):
-        layer[...] = _read_layer(path, fh, first_line + k * m, m, cell_ids[k])
-    rows = len(layers) * m
-    for line_no, line in enumerate(fh, first_line + rows + 1):
+def read_end(path: str | Path, fh: TextIO, start: int, rows: int) -> None:
+    """Raise ValueError naming the file and the line when a non-blank line
+    is left in ``fh`` after the last of ``rows`` rows; ``start`` is the
+    0-based line after that row."""
+    for line_no, line in enumerate(fh, start + 1):
         if line.strip():
             raise ValueError(f"{path}: line {line_no}: more than {rows} rows")
 
@@ -396,77 +405,87 @@ def save_grid(grid: CoverageGrid, path: str | Path) -> None:
         write_raster(fh, grid.rsrp)
 
 
-def header_row(
-    header: dict[str, list[str]], key: str, path: str | Path, convert=float, count: int = 1
-) -> list:
-    """The ``count`` values of header row ``key`` of a text artifact, each
-    passed through ``convert``. Raises ValueError naming the file and the
-    row when the row is missing or garbled."""
-    values = header.get(key)
-    try:
-        if values is None or len(values) != count:
-            raise ValueError
-        return [convert(v) for v in values]
-    except ValueError:
-        raise ValueError(f"{path}: missing or garbled {key!r} header row") from None
-
-
 def garbled_line(path: str | Path, line_no: int, line: str, reason: str) -> ValueError:
     """The error for a garbled row of a text artifact, naming the file and
     the 1-based line."""
     return ValueError(f"{path}: line {line_no}: {reason}: {line!r}")
 
 
-def read_header_lines(fh: TextIO, marker: str) -> list[str]:
-    """The lines of the open text file ``fh`` up to and including the first
-    one equal to ``marker``, or to the end of the file, without their line
-    ends. ``fh`` is left at the line after the marker."""
-    lines = []
-    for line in iter(fh.readline, ""):
-        lines.append(line.rstrip("\n"))
-        if lines[-1] == marker:
-            break
-    return lines
+Header = dict[str, list[tuple[int, list[str]]]]
+
+
+def read_header(
+    path: str | Path, fh: TextIO, kind: str, magic: str, marker: str, keys: dict[str, bool]
+) -> tuple[Header, int]:
+    """The (1-based line, fields) of the rows of each key of ``keys`` in
+    the header of the text artifact ``fh``, and the 0-based line after
+    its ``marker`` row, where ``fh`` is left. ``keys`` maps each key to
+    whether its row may repeat. A first row other than ``magic``, an
+    unknown key, a repeat of a row that may not repeat and a missing
+    marker raise ValueError naming the file, and the line for a row."""
+    first = fh.readline().rstrip("\n")
+    if first != magic:
+        raise ValueError(f"{path}: not a hotloc {kind} file ({magic}): {first!r}")
+    header: Header = {key: [] for key in keys}
+    for line_no, line in enumerate(iter(fh.readline, ""), 2):
+        line = line.rstrip("\n")
+        if line == marker:
+            return header, line_no
+        fields = line.split(",")
+        rows = header.get(fields[0])
+        if rows is None:
+            raise garbled_line(path, line_no, line, "unknown header row")
+        if rows and not keys[fields[0]]:
+            reason = f"header row already given on line {rows[0][0]}"
+            raise garbled_line(path, line_no, line, reason)
+        rows.append((line_no, fields))
+    raise ValueError(f"{path}: missing {marker} section")
+
+
+def header_row(header: Header, key: str, path: str | Path, convert=float, count: int = 1) -> list:
+    """The ``count`` values of header row ``key`` of a text artifact, each
+    passed through ``convert``. Raises ValueError naming the file and the
+    row when the row is missing or garbled."""
+    try:
+        ((_, fields),) = header[key]
+        if len(fields) != count + 1:
+            raise ValueError
+        return [convert(v) for v in fields[1:]]
+    except ValueError:
+        raise ValueError(f"{path}: missing or garbled {key!r} header row") from None
+
+
+_GRID_KEYS = {
+    **dict.fromkeys(("m", "pixel_size", "origin", "q_rxlevmin", "cells"), False), "cell": True
+}
 
 
 def load_grid(path: str | Path) -> CoverageGrid:
     """Read a coverage grid written by :func:`save_grid`. A file of another
-    format version, a garbled header row, a non-finite header value, a
-    repeated cell id, a neighbor that names no cell, an id that holds a NUL
-    and a non-finite site or azimuth raise ValueError naming the file, and
-    the line for a cell row; so do the rows :func:`read_raster` rejects."""
+    format version, a garbled, unknown or repeated header row, a
+    non-finite header value, a repeated cell id, a neighbor that names no
+    cell, an id that holds a NUL and a non-finite site or azimuth raise
+    ValueError naming the file, and the line for a row; so do the layer
+    rows :func:`read_rows` and :func:`read_end` reject."""
     with open(path, encoding="utf-8") as fh:
-        lines = read_header_lines(fh, "rsrp")
-        if lines[:1] != [_GRID_MAGIC]:
-            first = "".join(lines[:1])
-            raise ValueError(f"{path}: not a hotloc coverage grid file ({_GRID_MAGIC}): {first!r}")
-
-        header: dict[str, list[str]] = {}
+        header, start = read_header(path, fh, "coverage grid", _GRID_MAGIC, "rsrp", _GRID_KEYS)
         cells: list[CellInfo] = []
-        # The 0-based line of each cell row, by cell id.
+        # The 1-based line of each cell row, by cell id.
         cell_rows: dict[str, int] = {}
-        row = 1
-        try:
-            while row < len(lines) and lines[row] != "rsrp":
-                parts = lines[row].split(",")
-                if parts[0] == "cell":
-                    _, cell_id, x, y, az_deg, nbs = parts
-                    neighbors = tuple(n for n in nbs.split(";") if n)
-                    reject_separators("cell id", cell_id, "\0")
-                    for nb_id in neighbors:
-                        reject_separators("neighbor id", nb_id, "\0")
-                    first = cell_rows.setdefault(cell_id, row)
-                    if first != row:
-                        raise ValueError(f"cell id {cell_id!r} already given on line {first + 1}")
-                    site, azimuth = (float(x), float(y)), math.radians(float(az_deg))
-                    cells.append(CellInfo(cell_id, site, azimuth, neighbors))
-                else:
-                    header[parts[0]] = parts[1:]
-                row += 1
-        except ValueError as exc:
-            raise garbled_line(path, row + 1, lines[row], str(exc)) from None
-        if row == len(lines):
-            raise ValueError(f"{path}: missing rsrp section")
+        for line_no, fields in header["cell"]:
+            try:
+                _, cell_id, x, y, az_deg, nbs = fields
+                neighbors = tuple(n for n in nbs.split(";") if n)
+                reject_separators("cell id", cell_id, "\0")
+                for nb_id in neighbors:
+                    reject_separators("neighbor id", nb_id, "\0")
+                first = cell_rows.setdefault(cell_id, line_no)
+                if first != line_no:
+                    raise ValueError(f"cell id {cell_id!r} already given on line {first}")
+                site, azimuth = (float(x), float(y)), math.radians(float(az_deg))
+                cells.append(CellInfo(cell_id, site, azimuth, neighbors))
+            except ValueError as exc:
+                raise garbled_line(path, line_no, ",".join(fields), str(exc)) from None
 
         m = header_row(header, "m", path, int)[0]
         pixel_size = header_row(header, "pixel_size", path)[0]
@@ -475,19 +494,21 @@ def load_grid(path: str | Path) -> CoverageGrid:
         declared = header_row(header, "cells", path, int)[0]
         if declared != len(cells):
             raise ValueError(f"{path}: header declares {declared} cells, found {len(cells)}")
-        for cell in cells:
+        for cell, (line_no, fields) in zip(cells, header["cell"]):
             unknown = [nb_id for nb_id in cell.neighbors if nb_id not in cell_rows]
             if unknown:
-                line = cell_rows[cell.cell_id]
-                raise garbled_line(
-                    path, line + 1, lines[line], f"neighbors {unknown} are not cells of the grid"
-                )
+                reason = f"neighbors {unknown} are not cells of the grid"
+                raise garbled_line(path, line_no, ",".join(fields), reason)
         try:
             spec = GridSpec(m=m, pixel_size=pixel_size, origin=origin)
-            # The rows fill the stack in place; read_raster holds them to
-            # the grid's rule of finite or NaN values.
+            # The rows fill the stack in place; read_rows holds them to the
+            # grid's rule of finite or NaN values.
             grid = CoverageGrid(spec, cells, np.zeros((len(cells), m, m)), q_rxlevmin)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        read_raster(path, fh, row + 1, grid.rsrp, list(cell_rows))
+        layer_row = np.dtype([("", np.float64)] * m)
+        for k, cell in enumerate(cells):
+            rows = read_rows(path, fh, start + k * m, m, layer_row, f"cell {cell.cell_id!r}: ")
+            grid.rsrp[k] = rows.view(np.float64).reshape(m, m)
+        read_end(path, fh, start + len(cells) * m, len(cells) * m)
     return grid

@@ -13,10 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -27,9 +25,10 @@ from hotloc.grid import (
     TA_ZONE_COUNT,
     UNCOVERED,
     aoa_zone_layer,
-    garbled_line,
     header_row,
-    read_header_lines,
+    read_end,
+    read_header,
+    read_rows,
     reject_separators,
     repr_lookup,
     ta_zone_layer,
@@ -419,11 +418,13 @@ def oracle_kpis(
 #   data rows:   one i,j,<weight> row per pixel, in row-major order
 #
 # Row order is i-major and i is world x, so the rows walk the map column
-# by column of a north-up picture. Weights are finite and non-negative;
-# empty lines among the data rows are skipped.
+# by column of a north-up picture. Weights are finite and non-negative.
+# The header and data rows follow the rules of grid.csv (hotloc.grid),
+# whose reader this one shares.
 # ---------------------------------------------------------------------------
 
 _WMAP_MAGIC = "hotloc-weightmap,1"
+_WMAP_KEYS = dict.fromkeys(("m", "pixel_size", "label", "origin"), False)
 _MAP_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("weight", np.float64)])
 
 
@@ -445,82 +446,14 @@ def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode() + b"\n".join(rows) + b"\n")
 
 
-def _bad_map_row(path: str | Path, lines: list[str], first_line: int, m: int) -> ValueError | None:
-    """The error for the first bad data row of a map, found by Python's
-    parser; None when the rows are good. ``first_line`` is the 0-based
-    line of ``lines[0]``."""
-    given: list[int] = []  # the 1-based line of each pixel's row so far
-    for line_no, line in enumerate(lines, first_line + 1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        try:
-            i, j, weight = line.split(",")
-            i, j, weight = int(i), int(j), float(weight)
-            if not (0 <= i < m and 0 <= j < m):
-                raise ValueError(f"pixel ({i}, {j}) outside the {m}x{m} grid")
-            if not (math.isfinite(weight) and weight >= 0):
-                raise ValueError("weight must be finite and non-negative")
-            pixel = i * m + j
-            if pixel < len(given):
-                raise ValueError(f"pixel ({i}, {j}) already given on line {given[pixel]}")
-            if pixel > len(given):
-                raise ValueError(f"pixel {divmod(len(given), m)} missing before pixel ({i}, {j})")
-        except ValueError as exc:
-            return garbled_line(path, line_no, line, str(exc))
-        given.append(line_no)
-    if len(given) < m * m:
-        line_no = first_line + len(lines) + 1
-        return ValueError(f"{path}: line {line_no}: the file ends after {len(given)} of {m * m} rows")
-    return None
-
-
-def _read_map_rows(path: str | Path, fh: TextIO, first_line: int, m: int) -> np.ndarray:
-    """The (m, m) weights of the data rows left in ``fh``, parsed by one
-    ``np.loadtxt`` call; ``first_line`` is the 0-based line of the first.
-    A row that is garbled, out of order, repeated or outside the map, a
-    negative or non-finite weight and a missing row raise ValueError
-    naming the file and the line."""
-    lines = fh.readlines()
-    error = None
-    try:
-        with warnings.catch_warnings():
-            # A file without data rows gives none, which the check refuses.
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(lines, _MAP_ROW, delimiter=",", comments=None, ndmin=1)
-    except ValueError as exc:
-        error = exc
-    else:
-        pixels, weights = rows["i"] * m + rows["j"], rows["weight"]
-        # NaN compares false, so ">= 0" also refuses a NaN weight.
-        in_order = np.array_equal(pixels, np.arange(m * m))
-        if in_order and (weights >= 0).all() and not np.isinf(weights).any():
-            return weights.reshape(m, m)
-    # numpy refuses a few spellings Python reads, such as "1_0".
-    raise _bad_map_row(path, lines, first_line, m) or ValueError(
-        f"{path}: line {first_line + 1}: garbled rows from here: {error}"
-    )
-
-
 def load_weight_map(path: str | Path) -> WeightMap:
-    """Read a weight map written by :func:`save_weight_map`. A file of
-    another format version, a file cut off before its ``i,j,weight`` row,
-    a garbled or non-finite header value and the rows
-    :func:`_read_map_rows` rejects raise ValueError naming the file, and
-    the line for a bad row."""
+    """Read a weight map written by :func:`save_weight_map`. The header
+    rows :func:`read_header` rejects, a garbled or non-finite header value,
+    a pixel out of row-major order, a negative or NaN weight and the rows
+    :func:`read_rows` and :func:`read_end` reject raise ValueError naming
+    the file, and the line for a row."""
     with open(path, encoding="utf-8") as fh:
-        lines = read_header_lines(fh, "i,j,weight")
-        if lines[:1] != [_WMAP_MAGIC]:
-            first = "".join(lines[:1])
-            raise ValueError(f"{path}: not a hotloc weight map file ({_WMAP_MAGIC}): {first!r}")
-        header: dict[str, list[str]] = {}
-        row = 1
-        while row < len(lines) and lines[row] != "i,j,weight":
-            parts = lines[row].split(",")
-            header[parts[0]] = parts[1:]
-            row += 1
-        if row == len(lines):
-            raise ValueError(f"{path}: missing i,j,weight section")
+        header, start = read_header(path, fh, "weight map", _WMAP_MAGIC, "i,j,weight", _WMAP_KEYS)
         m = header_row(header, "m", path, int)[0]
         pixel_size = header_row(header, "pixel_size", path)[0]
         label = header_row(header, "label", path, str)[0]
@@ -529,7 +462,21 @@ def load_weight_map(path: str | Path) -> WeightMap:
             wmap = WeightMap(np.zeros((m, m)), pixel_size, label, origin)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        wmap.values[...] = _read_map_rows(path, fh, row + 1, m)
+        rows = read_rows(path, fh, start, m * m, _MAP_ROW, "")
+        i, j, weights = rows["i"], rows["j"], rows["weight"]
+        # i and j are compared apart: i * m + j could wrap around int64.
+        pixel = np.arange(m * m)
+        # NaN compares false, so "< 0" alone would let a NaN weight through.
+        bad = (i != pixel // m) | (j != pixel % m) | ~(weights >= 0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if (i[k], j[k]) != divmod(k, m):
+                reason = f"expected pixel {divmod(k, m)}, got ({i[k]}, {j[k]})"
+            else:
+                reason = f"weight {float(weights[k])!r} is negative or NaN"
+            raise ValueError(f"{path}: line {start + k + 1}: {reason}")
+        read_end(path, fh, start + m * m, m * m)
+    wmap.values[...] = weights.reshape(m, m)
     return wmap
 
 

@@ -19,7 +19,10 @@ import numpy as np
 from hotloc.kpi import WeightMap
 from hotloc.localize import KPI_COUNT, ImportanceVector
 
-DEFAULT_TOL = 1e-9
+# Both optimality tests compare against RTOL * max|A^T b|, so the fit does
+# not depend on the units of the maps: scaling A and b together by any
+# factor leaves the support unchanged and scales x as the math says.
+RTOL = 1e-12
 
 
 @dataclass
@@ -75,13 +78,15 @@ def solve_nnls(system: DesignSystem) -> NnlsResult:
     Supports are tried in order of size, then of column index. On each one
     the minimum-norm least-squares solution is taken; the first that is
     strictly positive and whose negative gradient ``A^T (b - A x)`` is at
-    most ``DEFAULT_TOL`` off the support satisfies the optimality
-    conditions, which suffice for this convex problem. ``x = 0`` when
-    ``A^T b <= DEFAULT_TOL``.
+    most ``tol = RTOL * max|A^T b|`` off the support satisfies the
+    optimality conditions, which suffice for this convex problem.
+    ``x = 0`` when ``A^T b <= tol``.
     """
     A, b = system.A, system.b
     n = A.shape[1]
-    if (A.T @ b <= DEFAULT_TOL).all():
+    gradient = A.T @ b
+    tol = RTOL * np.abs(gradient).max()
+    if (gradient <= tol).all():
         return NnlsResult(np.zeros(n), float(np.linalg.norm(b)), 0)
     solves = 0
     for size in range(1, n + 1):
@@ -94,9 +99,9 @@ def solve_nnls(system: DesignSystem) -> NnlsResult:
             x = np.zeros(n)
             x[columns] = z
             residual = b - A @ x
-            if (np.delete(A.T @ residual, columns) <= DEFAULT_TOL).all():
+            if (np.delete(A.T @ residual, columns) <= tol).all():
                 return NnlsResult(x, float(np.linalg.norm(residual)), solves)
     raise ValueError(
         f"importance fit: none of the {solves} column supports satisfies "
-        f"the NNLS optimality conditions within {DEFAULT_TOL:g}"
+        f"the NNLS optimality conditions within {tol:g}"
     )

@@ -44,10 +44,11 @@ _SHADOWING_SEED_OFFSET = 7_919
 
 
 class ConfigError(ValueError):
-    """Invalid scenario configuration; ``field`` holds the dotted path."""
+    """Invalid scenario configuration; ``field`` holds the dotted path,
+    empty for the document as a whole."""
 
     def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
+        super().__init__(f"{field}: {message}" if field else message)
         self.field = field
 
 
@@ -417,5 +418,5 @@ def load_scenario_config(path: str | Path, seed_override: int | None = None) -> 
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError("", f"not valid JSON: {exc}") from exc
+            raise ConfigError("", f"{path}: not valid JSON: {exc}") from exc
     return parse_scenario_config(data, seed_override)

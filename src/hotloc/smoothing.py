@@ -38,7 +38,8 @@ def _kernel_factor(m: int, h: float, tail: float) -> np.ndarray:
     delta = 1.0 / (m - 1)
     # exp(-(delta*r)^2 / (2h)) >= tail  <=>  r^2 <= -2h*ln(tail)/delta^2
     rmax = math.sqrt(-2.0 * h * math.log(tail)) / delta
-    radius = min(int(rmax), m - 1)
+    # rmax is infinite when h is so large that 2h overflows.
+    radius = int(min(rmax, m - 1))
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-((offsets * delta) ** 2) / (2.0 * h))
     g[g < tail] = 0.0

@@ -342,6 +342,24 @@ class TestGridFile:
         save_grid(grid, path)
         return path
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("q_rxlevmin,-60.0", "header row already given on line 5"),
+            ("m,3", "header row already given on line 2"),
+            ("foo,bar", "unknown header row"),
+        ],
+    )
+    def test_repeated_or_unknown_header_row_named_by_line(self, tmp_path, row, reason):
+        # Cell rows repeat, one per cell; every other header row is given once.
+        path = self.two_cell_file(tmp_path)
+        text = path.read_text()
+        line_no = text.splitlines().index("rsrp") + 1
+        path.write_text(text.replace("\nrsrp\n", f"\n{row}\nrsrp\n"))
+        with pytest.raises(ValueError) as excinfo:
+            load_grid(path)
+        assert str(excinfo.value) == f"{path}: line {line_no}: {reason}: {row!r}"
+
     def test_row_only_python_reads_is_rejected(self, tmp_path):
         path = self.two_cell_file(tmp_path)
         path.write_text(path.read_text().replace("\n-90.0,-90.0,-90.0\n", "\n-90.0,-9_0.0,-90.0\n", 1))

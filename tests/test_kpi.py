@@ -151,18 +151,46 @@ class TestWeightMap:
     @pytest.mark.parametrize(
         "row, replacement, reason",
         [
-            ("1,2,1.0", "1,2", "not enough values to unpack (expected 3, got 2)"),
-            ("1,2,1.0", "1,2,1.0,5", "too many values to unpack (expected 3"),
-            ("1,2,1.0", "1,2,1.0#5", "could not convert string to float: '1.0#5'"),
-            ("1,2,1.0", "1e0,2,1.0", "invalid literal for int() with base 10: '1e0'"),
-            ("1,2,1.0", "1,1.5,1.0", "invalid literal for int() with base 10: '1.5'"),
-            ("1,2,1.0", "-1,2,1.0", "pixel (-1, 2) outside the 3x3 grid"),
-            ("1,2,1.0", "1,-1,1.0", "pixel (1, -1) outside the 3x3 grid"),
-            ("1,2,1.0", "3,2,1.0", "pixel (3, 2) outside the 3x3 grid"),
-            ("1,2,1.0", "1,3,1.0", "pixel (1, 3) outside the 3x3 grid"),
-            ("0,0,1.0", "0,0,-1.0", "weight must be finite and non-negative"),
-            ("1,2,1.0", "1,2,nan", "weight must be finite and non-negative"),
-            ("1,2,1.0", "1,2,inf", "weight must be finite and non-negative"),
+            ("1,2,1.0", "1,2", "expected 3 values, got 2"),
+            ("1,2,1.0", "1,2,1.0,5", "expected 3 values, got 4"),
+            ("1,2,1.0", "1,2,1.0#5", "value 3 '1.0#5' is not a number"),
+            ("1,2,1.0", "1e0,2,1.0", "value 1 '1e0' is not an integer"),
+            ("1,2,1.0", "1,1.5,1.0", "value 2 '1.5' is not an integer"),
+            ("1,2,1.0", "-1,2,1.0", "expected pixel (1, 2), got (-1, 2)"),
+            ("1,2,1.0", "1,-1,1.0", "expected pixel (1, 2), got (1, -1)"),
+            ("1,2,1.0", "3,2,1.0", "expected pixel (1, 2), got (3, 2)"),
+            ("1,2,1.0", "1,3,1.0", "expected pixel (1, 2), got (1, 3)"),
+            # 3 * 2**62 + (2**62 + 5) wraps around int64 to pixel 5, (1, 2).
+            (
+                "1,2,1.0",
+                "4611686018427387904,4611686018427387909,1.0",
+                "expected pixel (1, 2), got (4611686018427387904, 4611686018427387909)",
+            ),
+            # The bits of +inf read as an int64.
+            (
+                "1,2,1.0",
+                "9218868437227405312,2,1.0",
+                "expected pixel (1, 2), got (9218868437227405312, 2)",
+            ),
+            ("0,0,1.0", "0,0,-1.0", "weight -1.0 is negative or NaN"),
+            ("1,2,1.0", "1,2,nan", "weight nan is negative or NaN"),
+            ("1,2,1.0", "1,2,inf", "value 3 'inf' is not finite or NaN"),
+        ],
+        ids=[
+            "short",
+            "long",
+            "hash",
+            "exponent-index",
+            "fraction-index",
+            "negative-i",
+            "negative-j",
+            "i-past-edge",
+            "j-past-edge",
+            "int64-wrap",
+            "inf-bits-index",
+            "negative-weight",
+            "nan-weight",
+            "inf-weight",
         ],
     )
     def test_garbled_row_named_by_line(self, tmp_path, row, replacement, reason):
@@ -175,9 +203,25 @@ class TestWeightMap:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as excinfo:
             load_weight_map(path)
-        message = str(excinfo.value)
-        assert message.startswith(f"{path}: line {line_no}: {reason}")
-        assert message.endswith(repr(replacement))
+        assert str(excinfo.value) == f"{path}: line {line_no}: {reason}"
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("pixel_size,99.0", "header row already given on line 3"),
+            ("label,tag", "header row already given on line 4"),
+            ("foo,bar", "unknown header row"),
+            ("", "unknown header row"),
+        ],
+    )
+    def test_repeated_or_unknown_header_row_named_by_line(self, tmp_path, row, reason):
+        path = tmp_path / "map.csv"
+        save_weight_map(WeightMap(np.ones((3, 3)), 12.5, "tag"), path)
+        text = path.read_text()
+        path.write_text(text.replace("\ni,j,weight\n", f"\n{row}\ni,j,weight\n"))
+        with pytest.raises(ValueError) as excinfo:
+            load_weight_map(path)
+        assert str(excinfo.value) == f"{path}: line 6: {reason}: {row!r}"
 
     @pytest.mark.parametrize("cut_before", ["i,j,weight", "pixel_size,12.5"])
     def test_map_cut_off_before_its_rows_rejected(self, tmp_path, cut_before):
@@ -199,17 +243,15 @@ class TestWeightMap:
         assert str(excinfo.value) == f"{path}: line {len(lines)}: the file ends after 8 of 9 rows"
 
     def test_duplicate_row_named_by_line(self, tmp_path):
+        # A row given twice is one row too many; the extra one is named.
         wmap = WeightMap(np.ones((3, 3)), 12.5, "tag")
         path = tmp_path / "map.csv"
         save_weight_map(wmap, path)
         lines = path.read_text().splitlines()
-        first = lines.index("1,2,1.0") + 1
         path.write_text("\n".join(lines + ["1,2,7.0"]) + "\n")
         with pytest.raises(ValueError) as excinfo:
             load_weight_map(path)
-        assert str(excinfo.value) == (
-            f"{path}: line {len(lines) + 1}: pixel (1, 2) already given on line {first}: '1,2,7.0'"
-        )
+        assert str(excinfo.value) == f"{path}: line {len(lines) + 1}: more than 9 rows"
 
     def test_row_out_of_order_named_by_line(self, tmp_path):
         path = tmp_path / "map.csv"
@@ -220,18 +262,33 @@ class TestWeightMap:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as excinfo:
             load_weight_map(path)
-        assert str(excinfo.value) == (
-            f"{path}: line {k + 1}: pixel (1, 1) missing before pixel (1, 2): '1,2,5.0'"
-        )
+        assert str(excinfo.value) == f"{path}: line {k + 1}: expected pixel (1, 1), got (1, 2)"
 
-    def test_empty_lines_among_the_rows_are_skipped(self, tmp_path):
+    def test_blank_line_among_the_rows_named_by_line(self, tmp_path):
+        path = tmp_path / "map.csv"
+        save_weight_map(WeightMap(np.arange(9.0).reshape(3, 3), 12.5, "tag"), path)
+        lines = path.read_text().splitlines()
+        k = lines.index("1,1,4.0")
+        path.write_text("\n".join(lines[:k] + [""] + lines[k:]) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_weight_map(path)
+        assert str(excinfo.value) == f"{path}: line {k + 1}: expected 3 values, got 0"
+
+    def test_blank_lines_after_the_last_row_are_skipped(self, tmp_path):
         values = np.arange(9.0).reshape(3, 3)
         path = tmp_path / "map.csv"
         save_weight_map(WeightMap(values, 12.5, "tag"), path)
-        lines = path.read_text().splitlines()
-        k = lines.index("1,1,4.0")
-        path.write_text("\n".join(lines[:k] + [""] + lines[k:]) + "\n\n\n")
+        path.write_text(path.read_text() + "\n \n")
         np.testing.assert_array_equal(load_weight_map(path).values, values)
+
+    def test_row_after_the_last_row_named_by_line(self, tmp_path):
+        path = tmp_path / "map.csv"
+        save_weight_map(WeightMap(np.ones((3, 3)), 12.5, "tag"), path)
+        lines = path.read_text().splitlines() + ["", "0,0,1.0"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_weight_map(path)
+        assert str(excinfo.value) == f"{path}: line {len(lines)}: more than 9 rows"
 
     @pytest.mark.parametrize(
         "row, replacement, reason",

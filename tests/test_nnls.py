@@ -134,6 +134,23 @@ class TestSolveNnls:
         assert result.residual <= 1e-9
         assert_kkt(system, result.x)
 
+    @pytest.mark.parametrize("factor", [1e-6, 1e-3, 1e3, 1e9])
+    def test_scaled_system_keeps_its_support(self, factor):
+        # The fit of normalized maps has support [0, 1, 2, 4]; column 3's
+        # gradient is -2.1e-3 against a largest |A^T b| of 0.0196. Scaling
+        # A by a and b by c keeps the support and scales x by c / a.
+        rng = np.random.default_rng(19)
+        A = rng.random((64, 5)) ** 3
+        A /= A.sum(axis=0)
+        b = rng.random(64) ** 3
+        b /= b.sum()
+        base = solve_nnls(DesignSystem(A=A, b=b)).x
+        assert (base > 0).tolist() == [True, True, True, False, True]
+        for a, c in ((factor, factor), (factor, 1.0), (1.0, factor)):
+            x = solve_nnls(DesignSystem(A=a * A, b=c * b)).x
+            assert (x > 0).tolist() == (base > 0).tolist(), (a, c)
+            np.testing.assert_allclose(x, base * c / a, rtol=1e-12, atol=0)
+
     def test_importance_conversion(self):
         system = DesignSystem(A=np.eye(5), b=np.array([0.4, 0.3, 0.0, 0.2, 0.1]))
         vec = solve_nnls(system).importance()

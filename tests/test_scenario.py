@@ -302,8 +302,9 @@ class TestParseConfig:
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{")
-        with pytest.raises(ConfigError, match="not valid JSON"):
+        with pytest.raises(ConfigError) as excinfo:
             load_scenario_config(path)
+        assert str(excinfo.value).startswith(f"{path}: not valid JSON: ")
 
 
 DISK_ZONE = {"shape": "disk", "center": [700.0, 700.0], "radius_m": 150.0, "importance": 1.0}

@@ -41,6 +41,8 @@ class TestKernel:
         # A huge bandwidth cannot produce a window larger than the map.
         kernel = truncated_kernel(10, 1e6)
         assert kernel.shape[0] == 2 * 9 + 1
+        # At 1e308 the uncapped radius overflows to infinity.
+        assert truncated_kernel(10, 1e308).shape[0] == 2 * 9 + 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="m >= 2"):

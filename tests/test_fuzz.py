@@ -24,7 +24,7 @@ CASES = 300
 # The stage commands that read each file. ``simulate`` and
 # ``gen-scenario`` are left out: they read only the config, and a mutated
 # duration or extent can make them run or allocate without bound.
-READERS = {
+COMMANDS = {
     "config.json": ("optimize", "localize", "evaluate"),
     "grid.csv": ("oracle-kpis", "optimize", "localize"),
     "truth.csv": ("oracle-kpis", "evaluate"),
@@ -50,9 +50,9 @@ def json_paths(value, path=()):
     """The path of every value inside the JSON document ``value``."""
     if path:
         yield path
-    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
-    for key, item in items:
-        yield from json_paths(item, (*path, key))
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from json_paths(item, (*path, key))
 
 
 def dotted(path) -> str:
@@ -122,8 +122,8 @@ def run_dir(tmp_path_factory):
 @pytest.mark.parametrize("case", range(CASES))
 def test_mutated_input_is_read_or_named(run_dir, tmp_path, case):
     rng = random.Random(SEED * CASES + case)
-    name = rng.choice(sorted(READERS))
-    command = rng.choice(READERS[name])
+    name = rng.choice(sorted(COMMANDS))
+    command = rng.choice(COMMANDS[name])
     art = shutil.copytree(run_dir, tmp_path / "art")
     path = art / name
     kind, text, field = mutate(rng, name, path.read_text(encoding="utf-8"))

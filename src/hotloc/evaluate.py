@@ -18,10 +18,10 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
+from hotloc.grid import reject_separators, repr_lookup, text_rows
 from hotloc.kpi import LABEL_TRUTH, WeightMap
 
 NORMALIZATION_TOL = 1e-6
@@ -271,7 +271,15 @@ def save_report(report: EvalReport, path: str) -> None:
 
 def write_report_csvs(report: EvalReport, peaks_path: str, detection_path: str, cdf_path: str) -> None:
     """Plot-ready CSV emission: peak pairs, detection rows, CDF series
-    (ground truth included in the CDF file)."""
+    (ground truth included in the CDF file). A variant label holding
+    ``,``, ``"`` or a line break, which csv.writer would quote, or a NUL
+    raises ValueError before any file is written."""
+    series = [(LABEL_TRUTH, report.truth_cdf)]
+    series += [
+        (label, (v.cdf_weights, v.cdf_fractions)) for label, v in sorted(report.variants.items())
+    ]
+    for label, _ in series:
+        reject_separators("variant label", label, ',"\0')
     with open(peaks_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "gen_x", "gen_y", "est_x", "est_y", "dist_m"])
@@ -293,15 +301,10 @@ def write_report_csvs(report: EvalReport, peaks_path: str, detection_path: str, 
         for label, variant in sorted(report.variants.items()):
             for p, detected in sorted(variant.detection.items()):
                 writer.writerow([label, repr(p), repr(detected)])
-    with open(cdf_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "weight", "fraction"])
-        series = [(LABEL_TRUTH, report.truth_cdf)]
-        series += [
-            (label, (v.cdf_weights, v.cdf_fractions))
-            for label, v in sorted(report.variants.items())
-        ]
+    with open(cdf_path, "wb") as fh:
+        # csv.writer's line ending.
+        fh.write(b"variant,weight,fraction\r\n")
         for label, (weights, fractions) in series:
-            writer.writerows(
-                zip(repeat(label), map(repr, weights.tolist()), map(repr, fractions.tolist()))
-            )
+            labels = np.full(len(weights), label.encode())
+            texts = [repr_lookup(v)(v) for v in (weights, fractions)]
+            fh.write(text_rows([labels, *texts], end=b"\r\n"))

@@ -17,9 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, NamedTuple, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -177,21 +178,30 @@ def compute_server_maps(grid: CoverageGrid) -> ServerMaps:
     cell index); a pixel is uncovered when its best RSRP is below
     ``q_rxlevmin`` or no cell has signal there. The runner-up is the argmax
     over the remaining cells, without the admission threshold.
+
+    One pass over the layers keeps the running best and runner-up values
+    and indices, so no temporary is larger than a layer. A cell takes a
+    place only with a strictly greater value, so the lowest index wins a
+    tie, as with ``argmax``; a NaN compares false and takes none.
     """
-    filled = np.where(np.isnan(grid.rsrp), -np.inf, grid.rsrp)
-    best = np.argmax(filled, axis=0).astype(np.int32)
-    best_val = np.take_along_axis(filled, best[None].astype(np.intp), axis=0)[0]
+    shape = grid.rsrp.shape[1:]
+    best = np.zeros(shape, np.int32)
+    second = np.zeros(shape, np.int32)
+    best_val = np.full(shape, -np.inf)
+    second_val = np.full(shape, -np.inf)
+    for k, layer in enumerate(grid.rsrp):
+        beats_best = layer > best_val
+        # best_val >= second_val, so a layer that beats the best beats both.
+        beats_second = (layer > second_val) & ~beats_best
+        np.copyto(second, best, where=beats_best)
+        np.copyto(second_val, best_val, where=beats_best)
+        np.copyto(second, k, where=beats_second)
+        np.copyto(second_val, layer, where=beats_second)
+        np.copyto(best, k, where=beats_best)
+        np.copyto(best_val, layer, where=beats_best)
     uncovered = ~np.isfinite(best_val) | (best_val < grid.q_rxlevmin)
-
-    runner = filled.copy()
-    ii, jj = np.meshgrid(np.arange(grid.spec.m), np.arange(grid.spec.m), indexing="ij")
-    runner[best, ii, jj] = -np.inf
-    second = np.argmax(runner, axis=0).astype(np.int32)
-    second_val = np.take_along_axis(runner, second[None].astype(np.intp), axis=0)[0]
-    second[~np.isfinite(second_val)] = NO_SECOND
-
     best[uncovered] = UNCOVERED
-    second[uncovered] = NO_SECOND
+    second[uncovered | ~np.isfinite(second_val)] = NO_SECOND
     return ServerMaps(best=best, second=second)
 
 
@@ -252,6 +262,10 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 # ",", ";", a NUL or a line break. Every header row but the cell rows is
 # given once. The layer rows hold m values each, finite or "nan", with no
 # blank line among them; only blank lines follow the last.
+#
+# The writers format each distinct value once (repr_lookup) into a
+# fixed-width bytes array shaped like the values, and text_rows assembles
+# the rows of one layer, map or CDF series from such arrays in numpy.
 # ---------------------------------------------------------------------------
 
 _GRID_MAGIC = "hotloc-grid,2"
@@ -263,9 +277,10 @@ _REPR_WIDTH = 24
 _REPR_CHUNK = 1 << 12
 
 
-def repr_lookup(values: np.ndarray) -> Callable[[np.ndarray], list]:
+def repr_lookup(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """A function that gives the ASCII ``repr`` of each float64 of an
-    array whose values all occur in ``values``, as bytes nested like ``tolist``.
+    array whose values all occur in ``values``, as an ``S24`` array of the
+    same shape, each text NUL-padded to the width.
 
     ``repr`` runs once per distinct value: the text writers' layers and
     maps repeat most of their values. Values are keyed on their bit
@@ -284,11 +299,38 @@ def repr_lookup(values: np.ndarray) -> Callable[[np.ndarray], list]:
         chunk = distinct[lo : lo + _REPR_CHUNK].view(np.float64).tolist()
         texts[lo : lo + len(chunk)] = np.fromiter(map(repr, chunk), texts.dtype, len(chunk))
 
-    def lookup(part: np.ndarray) -> list:
+    def lookup(part: np.ndarray) -> np.ndarray:
         keys = np.asarray(part, np.float64).view(np.uint64)
-        return texts[np.searchsorted(distinct, keys)].tolist()
+        return texts[np.searchsorted(distinct, keys)]
 
     return lookup
+
+
+def text_rows(fields: Sequence[np.ndarray], end: bytes = b"\n") -> bytes:
+    """The rows of a text table: row r holds the texts of row r of each
+    field, joined by ``,`` and followed by ``end``. Each field is an (n,)
+    or (n, k) array of fixed-width bytes (dtype ``S``), whose k texts a
+    row takes in order; their NUL padding is dropped, so no text may hold
+    a NUL of its own.
+
+    The fields are copied into one (n, row width) byte buffer, each text
+    in a slot one byte wider than its dtype that the separator closes;
+    one mask then drops the padding."""
+    n = len(fields[0])
+    fields = [f if f.ndim == 2 else f[:, None] for f in map(np.asarray, fields)]
+    slots = [f.dtype.itemsize + 1 for f in fields]
+    width = sum(f.shape[1] * slot for f, slot in zip(fields, slots)) - 1 + len(end)
+    buf = np.zeros((n, width), np.uint8)
+    at = 0
+    for f, slot in zip(fields, slots):
+        span = f.shape[1] * slot
+        texts = buf[:, at : at + span]
+        texts.view(f"S{slot}")[...] = f
+        texts[:, slot - 1 :: slot] = ord(",")
+        at += span
+    # The last field's last separator slot starts the row's end.
+    buf[:, width - len(end) :] = np.frombuffer(end, np.uint8)
+    return buf[buf != 0].tobytes()
 
 
 def reject_separators(what: str, name: str, separators: str) -> None:
@@ -299,18 +341,6 @@ def reject_separators(what: str, name: str, separators: str) -> None:
     found = "".join(sorted(set(name) & set(separators + "\n\r")))
     if found:
         raise ValueError(f"{what} {name!r} contains {found!r}, which the file format cannot hold")
-
-
-def write_raster(fh: BinaryIO, layers: np.ndarray) -> None:
-    """Write each layer of an (n, m, m) stack to the binary file ``fh`` as
-    m rows of m comma-separated reprs."""
-    # Only the covered values and one NaN are keyed, so the lookup's
-    # tables do not grow with the uncovered part of the stack.
-    reprs = repr_lookup(np.append(layers[~np.isnan(layers)], np.nan))
-    for layer in layers:
-        # Every NaN is keyed on the bits of np.nan; repr writes all "nan".
-        rows = reprs(np.where(np.isnan(layer), np.nan, layer))
-        fh.write(b"\n".join(map(b",".join, rows)) + b"\n")
 
 
 def _first_bad_line(lines: list[str], count: int, converters: list[type]) -> tuple[int, str] | None:
@@ -400,9 +430,42 @@ def save_grid(grid: CoverageGrid, path: str | Path) -> None:
             f"{cell.site_position[1]!r},{az_deg!r},{nbs}"
         )
     lines.append("rsrp")
+    # Only the covered values and one NaN are keyed, so the lookup's
+    # tables do not grow with the uncovered part of the stack.
+    reprs = repr_lookup(np.append(grid.rsrp[~np.isnan(grid.rsrp)], np.nan))
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
-        write_raster(fh, grid.rsrp)
+        for layer in grid.rsrp:
+            # Every NaN is keyed on the bits of np.nan; repr writes all "nan".
+            fh.write(text_rows([reprs(np.where(np.isnan(layer), np.nan, layer))]))
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """The UTF-8 text file ``path``, open for reading. A byte that is not
+    UTF-8, met anywhere in the ``with`` block, raises ValueError naming
+    the file, the 1-based line and the byte, in place of the bare
+    UnicodeDecodeError. The line is found by decoding the file again
+    line by line, which fails on the same byte: a line break is never
+    part of a multi-byte sequence."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    reason = f"byte {line[exc.start]:#04x} is not UTF-8"
+                    raise ValueError(f"{path}: line {line_no}: {reason}") from None
+        raise
+
+
+def read_text(path: str | Path) -> str:
+    """The whole text of the UTF-8 file ``path`` (:func:`open_text`)."""
+    with open_text(path) as fh:
+        return fh.read()
 
 
 def garbled_line(path: str | Path, line_no: int, line: str, reason: str) -> ValueError:
@@ -466,8 +529,9 @@ def load_grid(path: str | Path) -> CoverageGrid:
     non-finite header value, a repeated cell id, a neighbor that names no
     cell, an id that holds a NUL and a non-finite site or azimuth raise
     ValueError naming the file, and the line for a row; so do the layer
-    rows :func:`read_rows` and :func:`read_end` reject."""
-    with open(path, encoding="utf-8") as fh:
+    rows :func:`read_rows` and :func:`read_end` reject, and a byte that is
+    not UTF-8 (:func:`open_text`)."""
+    with open_text(path) as fh:
         header, start = read_header(path, fh, "coverage grid", _GRID_MAGIC, "rsrp", _GRID_KEYS)
         cells: list[CellInfo] = []
         # The 1-based line of each cell row, by cell id.

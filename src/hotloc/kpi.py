@@ -10,7 +10,6 @@ invert.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,12 +25,15 @@ from hotloc.grid import (
     UNCOVERED,
     aoa_zone_layer,
     header_row,
+    open_text,
     read_end,
     read_header,
     read_rows,
+    read_text,
     reject_separators,
     repr_lookup,
     ta_zone_layer,
+    text_rows,
 )
 
 DIST_TOL = 1e-9
@@ -439,20 +441,21 @@ def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
     lines.append(f"label,{wmap.label}")
     lines.append(f"origin,{wmap.origin[0]!r},{wmap.origin[1]!r}")
     lines.append("i,j,weight")
-    coords = [b"%d," % n for n in range(wmap.m)]
-    prefixes = map(b"".join, itertools.product(coords, repeat=2))
+    m = wmap.m
+    coords = np.arange(m).astype(f"S{len(str(m - 1))}")
     weights = repr_lookup(wmap.values)(wmap.values.reshape(-1))
-    rows = map(bytes.__add__, prefixes, weights)
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode() + b"\n".join(rows) + b"\n")
+    rows = text_rows([np.repeat(coords, m), np.tile(coords, m), weights])
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode() + rows)
 
 
 def load_weight_map(path: str | Path) -> WeightMap:
     """Read a weight map written by :func:`save_weight_map`. The header
     rows :func:`read_header` rejects, a garbled or non-finite header value,
     a pixel out of row-major order, a negative or NaN weight and the rows
-    :func:`read_rows` and :func:`read_end` reject raise ValueError naming
-    the file, and the line for a row."""
-    with open(path, encoding="utf-8") as fh:
+    :func:`read_rows` and :func:`read_end` reject and a byte that is not
+    UTF-8 (:func:`open_text`) raise ValueError naming the file, and the
+    line for a row."""
+    with open_text(path) as fh:
         header, start = read_header(path, fh, "weight map", _WMAP_MAGIC, "i,j,weight", _WMAP_KEYS)
         m = header_row(header, "m", path, int)[0]
         pixel_size = header_row(header, "pixel_size", path)[0]
@@ -530,9 +533,11 @@ def load_kpi_set(path: str | Path, grid: CoverageGrid | None = None) -> KpiSet:
     """Read a KPI set written by :func:`save_kpi_set` and validate it, with
     ``grid`` against that grid. Text that is not JSON, a document or cell
     of the wrong shape, a missing field, a bad value and a cell set that
-    does not fit ``grid`` raise ValueError naming the file."""
+    does not fit ``grid`` raise ValueError naming the file, and the line
+    for a byte that is not UTF-8."""
+    text = read_text(path)
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
         if not isinstance(doc["cells"], list):
@@ -572,8 +577,9 @@ def load_potential_spec(path: str | Path) -> PotentialHotspotSpec:
     config reader; every error names the file."""
     from hotloc.scenario import read_section  # scenario imports this module
 
+    text = read_text(path)
     try:
-        return read_section(json.loads(Path(path).read_text()), PotentialHotspotSpec, "potential")
+        return read_section(json.loads(text), PotentialHotspotSpec, "potential")
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not JSON: {exc}") from exc
     except ValueError as exc:

@@ -41,7 +41,7 @@ from hotloc.kpi import (
     save_potential_spec,
     save_weight_map,
 )
-from hotloc.grid import compute_server_maps, load_grid, save_grid
+from hotloc.grid import compute_server_maps, load_grid, read_text, save_grid
 from hotloc.localize import (
     ImportanceVector,
     LocalizationResult,
@@ -171,9 +171,11 @@ def _run_optimize(run: Run) -> None:
 
 def load_importance(path: Path) -> ImportanceVector:
     """The importance vector of an ``importance.json`` written by the
-    optimize stage."""
+    optimize stage. Every error names the file, and the line for a byte
+    that is not UTF-8."""
+    text = read_text(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(text)
         x = doc.get("x") if isinstance(doc, dict) else None
         if not (
             isinstance(x, list)

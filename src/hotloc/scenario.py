@@ -22,7 +22,14 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 
 from hotloc.evaluate import EvalConfig
-from hotloc.grid import CellInfo, CoverageGrid, GridSpec, ServerMaps, compute_server_maps
+from hotloc.grid import (
+    CellInfo,
+    CoverageGrid,
+    GridSpec,
+    ServerMaps,
+    compute_server_maps,
+    read_text,
+)
 from hotloc.kpi import (
     HotspotZone,
     OracleParams,
@@ -325,14 +332,13 @@ def _read(value, tp, path: str):
         return [_read(item, args[0], f"{path}[{k}]") for k, item in enumerate(value)]
     if origin is tuple:
         size = None if args[-1] is Ellipsis else len(args)
-        if (
-            not isinstance(value, (list, tuple))
-            or not value
-            or (size is not None and len(value) != size)
-            or not all(_is_finite_number(v) for v in value)
-        ):
-            what = f"a list of {size}" if size else "a non-empty list of"
-            raise ConfigError(path, f"expected {what} finite numbers, got {value!r}")
+        what = f"a list of {size}" if size else "a non-empty list of"
+        expected = f"expected {what} finite numbers, got {value!r}"
+        if not isinstance(value, (list, tuple)) or not value or (size and len(value) != size):
+            raise ConfigError(path, expected)
+        for k, item in enumerate(value):
+            if not _is_finite_number(item):
+                raise ConfigError(path, f"{expected}: {path}[{k}] is {item!r}")
         return tuple(float(v) for v in value)
     if tp is str:
         if not isinstance(value, str):
@@ -414,9 +420,10 @@ def parse_scenario_config(data: dict, seed_override: int | None = None) -> Scena
 
 
 def load_scenario_config(path: str | Path, seed_override: int | None = None) -> ScenarioConfig:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("", f"{path}: not valid JSON: {exc}") from exc
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError("", f"{path}: not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a byte that is not UTF-8, named by its line
+        raise ConfigError("", str(exc)) from None
     return parse_scenario_config(data, seed_override)

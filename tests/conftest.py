@@ -58,6 +58,15 @@ def random_truth(spec: GridSpec, rng, sparse=False):
     return WeightMap(values / values.sum(), spec.pixel_size, LABEL_TRUTH, spec.origin)
 
 
+def put_byte(path: Path, line_no: int, byte: bytes = b"\xff") -> str:
+    """Put ``byte`` at the start of the 1-based line ``line_no`` of the
+    file ``path``; the message a loader must give for it, after the path."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line_no - 1] = byte + lines[line_no - 1]
+    path.write_bytes(b"\n".join(lines))
+    return f"line {line_no}: byte {byte[0]:#04x} is not UTF-8"
+
+
 @pytest.fixture()
 def desk_config():
     return load_scenario_config(DESK_CONFIG)

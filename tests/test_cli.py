@@ -7,7 +7,7 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
-from conftest import DESK_CONFIG, REPO_ROOT, SIM_CONFIG
+from conftest import DESK_CONFIG, REPO_ROOT, SIM_CONFIG, put_byte
 from hotloc.cli import main
 from hotloc.pipeline import READERS
 
@@ -518,6 +518,17 @@ class TestBadInputs:
         command = "localize" if name == "importance.json" else "optimize"
         err = fails(runner, command, command, "--config", CONFIG, "--out", str(art))
         assert f"{art / name}: {message}" in err
+        assert not (art / "fused.csv").exists()
+
+    @pytest.mark.parametrize("name, stage", [("grid.csv", "localize"), ("config.json", "config")])
+    def test_byte_not_utf8_names_the_file(self, runner, optimized_dir, tmp_path, name, stage):
+        art = self.copy(optimized_dir, tmp_path)
+        shutil.copy(CONFIG, art / "config.json")
+        path = art / name
+        message = put_byte(path, 2)
+        config = str(art / "config.json")
+        err = fails(runner, stage, "localize", "--config", config, "--out", str(art))
+        assert f"hotloc: stage {stage}: {path}: {message}" in err
         assert not (art / "fused.csv").exists()
 
     @pytest.mark.parametrize(

@@ -300,3 +300,12 @@ class TestReportOutputs:
             rows = list(csv.reader(fh))
         assert rows[0] == ["variant", "weight", "fraction"]
         assert rows[1][0] == LABEL_TRUTH
+
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\nb", "a\0b"])
+    def test_label_csv_would_quote_refused_before_writing(self, tmp_path, label):
+        report = self.build_report()
+        report.variants[label] = report.variants.pop("est")
+        paths = [tmp_path / name for name in ("peaks.csv", "detection.csv", "cdf.csv")]
+        with pytest.raises(ValueError, match="variant label"):
+            write_report_csvs(report, *map(str, paths))
+        assert not any(path.exists() for path in paths)

@@ -41,6 +41,10 @@ COMMANDS = {
 NUMBERS = ("nan", "inf", "1e308", "1e-320", "-1", "", "text")
 JSON_VALUES = (None, [], {}, "text", float("nan"), float("inf"), 1e308, 1e-320, -1)
 STRAY = (",", ";", "\0", "é")
+# Bytes that are not UTF-8 on their own: a continuation byte, the lead
+# byte of a two-byte sequence and a byte UTF-8 never uses. The mutated
+# text holds each as the surrogate escape of the byte.
+NOT_UTF8 = tuple(bytes([b]).decode("utf-8", "surrogateescape") for b in (0x80, 0xC3, 0xFF))
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?|nan|inf")
 # The row that ends the header of each CSV format.
 MARKERS = ("rsrp", "i,j,weight")
@@ -68,7 +72,7 @@ def mutate(rng: random.Random, name: str, text: str) -> tuple[str, str, str | No
     dotted path of the config value it replaced, or None)."""
     lines = text.split("\n")[:-1]
     marker = next((k for k, line in enumerate(lines) if line in MARKERS), None)
-    kinds = ["number", "drop", "duplicate", "swap", "truncate", "stray"]
+    kinds = ["number", "drop", "duplicate", "swap", "truncate", "stray", "byte"]
     if name.endswith(".json"):
         kinds.append("json")
     if marker is not None:
@@ -87,9 +91,10 @@ def mutate(rng: random.Random, name: str, text: str) -> tuple[str, str, str | No
         return kind, json.dumps(doc), dotted(path)
     if kind == "truncate":
         return kind, text[: rng.randrange(len(text))], None
-    if kind == "stray":
+    if kind in ("stray", "byte"):
         at = rng.randrange(len(text) + 1)
-        return kind, text[:at] + rng.choice(STRAY) + text[at:], None
+        insert = rng.choice(STRAY if kind == "stray" else NOT_UTF8)
+        return kind, text[:at] + insert + text[at:], None
     k = rng.randrange(len(lines))
     if kind == "drop":
         del lines[k]
@@ -127,7 +132,7 @@ def test_mutated_input_is_read_or_named(run_dir, tmp_path, case):
     art = shutil.copytree(run_dir, tmp_path / "art")
     path = art / name
     kind, text, field = mutate(rng, name, path.read_text(encoding="utf-8"))
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
     result = CliRunner().invoke(
         main, [command, "--config", str(art / "config.json"), "--out", str(art)]
     )

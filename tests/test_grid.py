@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import constant_grid
+from conftest import constant_grid, put_byte
 from hotloc.grid import (
     NO_SECOND,
     TA_GRANULARITY_M,
@@ -25,6 +25,25 @@ from test_serving_tables import aoa_zone, ta_zone
 
 def cell_at(site, azimuth=0.0):
     return CellInfo(cell_id="C", site_position=site, azimuth=azimuth)
+
+
+def argmax_server_maps(grid):
+    """The two-``argmax`` form of ``compute_server_maps``: the best server
+    over a copy of the cube with NaN as -inf, then the runner-up over a
+    second copy with the best masked out."""
+    filled = np.where(np.isnan(grid.rsrp), -np.inf, grid.rsrp)
+    best = np.argmax(filled, axis=0).astype(np.int32)
+    best_val = np.take_along_axis(filled, best[None].astype(np.intp), axis=0)[0]
+    uncovered = ~np.isfinite(best_val) | (best_val < grid.q_rxlevmin)
+    runner = filled.copy()
+    ii, jj = np.meshgrid(np.arange(grid.spec.m), np.arange(grid.spec.m), indexing="ij")
+    runner[best, ii, jj] = -np.inf
+    second = np.argmax(runner, axis=0).astype(np.int32)
+    second_val = np.take_along_axis(runner, second[None].astype(np.intp), axis=0)[0]
+    second[~np.isfinite(second_val)] = NO_SECOND
+    best[uncovered] = UNCOVERED
+    second[uncovered] = NO_SECOND
+    return best, second
 
 
 class TestZones:
@@ -177,6 +196,30 @@ class TestServerMaps:
         assert (servers.best[2:] == 1).all()
         assert (servers.second[2:] == NO_SECOND).all()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_two_argmax_form(self, seed):
+        # Levels from a short list, so pixels tie for the best, for the
+        # runner-up and for both; NaN holes, all-NaN pixels, pixels one
+        # cell alone reaches and levels below the threshold.
+        rng = np.random.default_rng(seed)
+        n, m = 7, 12
+        rsrp = rng.choice([-130.0, -115.0, -100.0, -90.0, -85.0], size=(n, m, m))
+        rsrp[rng.random((n, m, m)) < 0.4] = np.nan
+        rsrp[:, 0, :] = np.nan
+        rsrp[:, 1, :] = np.nan
+        rsrp[rng.integers(n, size=m), 1, np.arange(m)] = -95.0
+        rsrp[:, 2, :] = -85.0
+        grid = constant_grid([(f"C{k}", (0.0, 0.0), 0.0, rsrp[k], ()) for k in range(n)], m=m)
+        servers = compute_server_maps(grid)
+        best, second = argmax_server_maps(grid)
+        np.testing.assert_array_equal(servers.best, best)
+        np.testing.assert_array_equal(servers.second, second)
+        assert servers.best.dtype == servers.second.dtype == np.int32
+        # The fixture reaches each case the comparison must cover.
+        assert (best[0] == UNCOVERED).all() and (second[1] == NO_SECOND).all()
+        assert (best[2] == 0).all() and (second[2] == 1).all()
+        assert (second[3:] >= 0).any() and (best[3:] == UNCOVERED).any()
+
 
 class TestGridContainer:
     def test_shape_mismatch_rejected(self):
@@ -292,6 +335,21 @@ class TestGridFile:
         with pytest.raises(ValueError, match=re.escape(repr(name))):
             save_grid(grid, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("line_no", [1, 2, -1])
+    def test_byte_not_utf8_named_by_line(self, tmp_path, line_no):
+        # The last line of a 40x40 grid lies past the first block a text
+        # file decodes at a time.
+        cells = [("A", (0.0, 0.0), 0.0, -90.0, ()), ("B", (0.0, 0.0), 0.0, -95.5, ())]
+        grid = constant_grid(cells, m=40)
+        path = tmp_path / "grid.csv"
+        save_grid(grid, path)
+        if line_no < 0:
+            line_no += path.read_bytes().count(b"\n") + 1
+        message = put_byte(path, line_no)
+        with pytest.raises(ValueError) as excinfo:
+            load_grid(path)
+        assert str(excinfo.value) == f"{path}: {message}"
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "not-a-grid.csv"

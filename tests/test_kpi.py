@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import constant_grid, random_truth, single_cell_grid
+from conftest import constant_grid, put_byte, random_truth, single_cell_grid
 from hotloc.grid import GridSpec, compute_server_maps, ta_zone_layer, aoa_zone_layer
 from hotloc.kpi import (
     CellKpis,
@@ -274,6 +274,15 @@ class TestWeightMap:
             load_weight_map(path)
         assert str(excinfo.value) == f"{path}: line {k + 1}: expected 3 values, got 0"
 
+    @pytest.mark.parametrize("line_no", [2, 9])
+    def test_byte_not_utf8_named_by_line(self, tmp_path, line_no):
+        path = tmp_path / "q1.csv"
+        save_weight_map(WeightMap(np.ones((3, 3)), 12.5, "q1"), path)
+        message = put_byte(path, line_no)
+        with pytest.raises(ValueError) as excinfo:
+            load_weight_map(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
     def test_blank_lines_after_the_last_row_are_skipped(self, tmp_path):
         values = np.arange(9.0).reshape(3, 3)
         path = tmp_path / "map.csv"
@@ -404,6 +413,15 @@ class TestPotentialMap:
         path = tmp_path / "zones.json"
         save_potential_spec(zones, path)
         assert load_potential_spec(path) == zones
+
+    def test_byte_not_utf8_named_by_line(self, tmp_path):
+        path = tmp_path / "potential.json"
+        zone = HotspotZone(shape="disk", importance=1.0, center=(1.0, 2.0), radius=5.0)
+        save_potential_spec(PotentialHotspotSpec([zone]), path)
+        message = put_byte(path, 3)
+        with pytest.raises(ValueError) as excinfo:
+            load_potential_spec(path)
+        assert str(excinfo.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -620,6 +638,17 @@ class TestOracle:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"cell 'A': throughputs must be finite"):
             load_kpi_set(path)
+
+    def test_load_names_byte_not_utf8_by_line(self, tmp_path):
+        grid, servers = self.two_cell_setup()
+        truth = random_truth(grid.spec, np.random.default_rng(16))
+        kpis = oracle_kpis(truth, grid, servers, self.params)
+        path = tmp_path / "kpis.json"
+        save_kpi_set(kpis, path)
+        message = put_byte(path, 5, b"\xc3")
+        with pytest.raises(ValueError) as excinfo:
+            load_kpi_set(path)
+        assert str(excinfo.value) == f"{path}: {message}"
 
     def test_load_names_missing_field(self, tmp_path):
         path = tmp_path / "kpis.json"

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_REPORT, SIM_CONFIG
+from conftest import GOLDEN_REPORT, SIM_CONFIG, put_byte
 from hotloc.kpi import WeightMap
 from hotloc.localize import ImportanceVector
 from hotloc import pipeline
@@ -14,6 +14,7 @@ from hotloc.pipeline import (
     ALL_VARIANTS,
     VARIANT_COLUMNS,
     StageError,
+    load_importance,
     restricted_fit,
     run_pipeline,
     variant_maps,
@@ -145,6 +146,14 @@ class TestPipelineErrors:
         with pytest.raises(StageError, match="unknown KPI source") as excinfo:
             run_pipeline(config, tmp_path / "x", kpi_source="guesswork")
         assert excinfo.value.stage == "kpis"
+
+    def test_importance_byte_not_utf8_named_by_line(self, tmp_path):
+        path = tmp_path / "importance.json"
+        path.write_text(json.dumps({"x": [0.2] * 5}, indent=2) + "\n")
+        message = put_byte(path, 3)
+        with pytest.raises(ValueError) as excinfo:
+            load_importance(path)
+        assert str(excinfo.value) == f"{path}: {message}"
 
     def test_empty_potential_fails_in_scenario_stage(self, tmp_path):
         config = load_scenario_config(SIM_CONFIG)

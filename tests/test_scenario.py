@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import DESK_CONFIG, SIM_CONFIG
+from conftest import DESK_CONFIG, SIM_CONFIG, put_byte
 from hotloc.evaluate import EvalConfig
 from hotloc.grid import GridSpec
 from hotloc.kpi import OracleParams
@@ -262,6 +262,13 @@ class TestParseConfig:
             parse_scenario_config(minimal_config(evaluation={"p_list": [0.01, math.nan]}))
         assert excinfo.value.field == "evaluation.p_list"
 
+    def test_bad_item_of_a_number_list_named_by_its_path(self):
+        component = {"center": [700.0, "text"], "sigma_m": 100.0, "amplitude": 2.0}
+        with pytest.raises(ConfigError) as excinfo:
+            parse_scenario_config(minimal_config(traffic={"components": [component]}))
+        assert excinfo.value.field == "traffic.components[0].center"
+        assert str(excinfo.value).endswith(": traffic.components[0].center[1] is 'text'")
+
     def test_nan_literal_in_config_file(self, tmp_path):
         # Python's json module reads the non-standard NaN literal.
         path = tmp_path / "nan.json"
@@ -298,6 +305,14 @@ class TestParseConfig:
         data = json.loads(DESK_CONFIG.read_text())
         data["potential"] = json.loads((desk_run.out_dir / "potential.json").read_text())
         assert parse_scenario_config(data).potential == desk_run.scenario.potential
+
+    def test_config_byte_not_utf8_named_by_line(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(SIM_CONFIG.read_bytes())
+        message = put_byte(path, 4)
+        with pytest.raises(ConfigError) as excinfo:
+            load_scenario_config(path)
+        assert str(excinfo.value) == f"{path}: {message}"
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -17,7 +17,15 @@ import pytest
 
 from hotloc.evaluate import write_report_csvs
 from hotloc import grid as grid_module
-from hotloc.grid import CellInfo, CoverageGrid, GridSpec, load_grid, repr_lookup, save_grid
+from hotloc.grid import (
+    CellInfo,
+    CoverageGrid,
+    GridSpec,
+    load_grid,
+    repr_lookup,
+    save_grid,
+    text_rows,
+)
 from hotloc.kpi import LABEL_TRUTH, WeightMap, load_weight_map, save_weight_map
 
 EDGE_VALUES = (-0.0, 5e-324, 1e16, 1e-5, 1e-4)
@@ -105,14 +113,14 @@ def edge_grid(seed: int) -> CoverageGrid:
     )
 
 
-def edge_map(seed: int) -> WeightMap:
-    """A 9x9 weight map of random weights, half of them drawn from
+def edge_map(seed: int, m: int = 9) -> WeightMap:
+    """An m x m weight map of random weights, half of them drawn from
     ``MAP_POOL``, zeros, the edge values and the 23-character reprs."""
     rng = np.random.default_rng(seed)
-    values = rng.random((9, 9)) * 10.0 ** rng.integers(-8, 8, size=(9, 9))
-    repeated = rng.random((9, 9)) < 0.5
+    values = rng.random((m, m)) * 10.0 ** rng.integers(-8, 8, size=(m, m))
+    repeated = rng.random((m, m)) < 0.5
     values[repeated] = rng.choice(MAP_POOL, size=np.count_nonzero(repeated))
-    values[rng.random((9, 9)) < 0.2] = 0.0
+    values[rng.random((m, m)) < 0.2] = 0.0
     values.flat[: len(EDGE_VALUES)] = EDGE_VALUES
     values.flat[-len(LONGEST_POSITIVE) :] = LONGEST_POSITIVE
     return WeightMap(values, 12.5, "1e3", origin=(3.25, -7.5))
@@ -185,6 +193,16 @@ class TestEdgeValues:
         np.testing.assert_array_equal(np.signbit(loaded.values), np.signbit(wmap.values))
         assert_round_trip(path, load_weight_map, save_weight_map)
 
+    @pytest.mark.parametrize("m", (11, 101))
+    def test_map_bytes_with_multi_digit_indices(self, tmp_path, m):
+        # Two- and three-digit pixel indices: the i and j texts are padded
+        # to the widest index, and none of the padding may reach the file.
+        wmap = edge_map(m, m)
+        path = tmp_path / "map.csv"
+        save_weight_map(wmap, path)
+        assert path.read_bytes() == reference_map_text(wmap).encode()
+        assert_round_trip(path, load_weight_map, save_weight_map)
+
     def test_cdf_bytes_with_edge_weights(self, tmp_path, desk_run):
         weights = np.array(sorted({0.0, *EDGE_VALUES[1:], 0.5}))
         fractions = np.linspace(0.0, 1.0, weights.size)
@@ -212,6 +230,37 @@ class TestReprLookup:
         # Every value again, in another order, so most of them repeat.
         values = np.concatenate((values, rng.permutation(values)))
         lookup = repr_lookup(values)
-        assert lookup(values) == [repr(v).encode() for v in values.tolist()]
+        texts = lookup(values)
+        assert texts.dtype == np.dtype("S24")
+        assert texts.tolist() == [repr(v).encode() for v in values.tolist()]
         part = values[::-7]
-        assert lookup(part) == [repr(v).encode() for v in part.tolist()]
+        assert lookup(part).tolist() == [repr(v).encode() for v in part.tolist()]
+
+    def test_keeps_the_shape_of_its_input(self):
+        values = np.array([[1.5, -0.0], [0.0, 1.5]])
+        texts = repr_lookup(values)(values)
+        assert texts.shape == (2, 2)
+        assert texts.tolist() == [[b"1.5", b"-0.0"], [b"0.0", b"1.5"]]
+
+
+class TestTextRows:
+    def test_texts_that_fill_their_width(self):
+        # No NUL pads a 24-character repr, and the padding of the shorter
+        # ones goes.
+        values = np.array([[*LONGEST_NEGATIVE], [0.5, LONGEST_NEGATIVE[0]]])
+        texts = repr_lookup(values)(values)
+        expected = "\n".join(",".join(map(repr, row)) for row in values.tolist()) + "\n"
+        assert text_rows([texts]) == expected.encode()
+
+    def test_crlf_ending(self):
+        fields = [np.array([b"a", b"bc"]), np.array([b"1.5", b"-0.0"])]
+        assert text_rows(fields, end=b"\r\n") == b"a,1.5\r\nbc,-0.0\r\n"
+
+    def test_wide_field_between_columns(self):
+        first = np.array([b"0", b"10"])
+        wide = np.array([[b"x", b"yy", b"z"], [b"", b"q", b"rrr"]])
+        last = np.array([b"1e-05", b"nan"])
+        assert text_rows([first, wide, last]) == b"0,x,yy,z,1e-05\n10,,q,rrr,nan\n"
+
+    def test_single_row(self):
+        assert text_rows([np.array([b"7"]), np.array([[b"1.0", b"2.0"]])]) == b"7,1.0,2.0\n"

@@ -74,19 +74,17 @@ def extract_peaks(wmap: WeightMap, count: int, suppression_radius_m: float) -> l
     if suppression_radius_m < 0:
         raise ValueError("suppression radius must be non-negative")
     values = wmap.values.copy()
-    m = wmap.m
-    ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    cx, cy = wmap.spec.center_coords()
+    ii, jj = np.indices(values.shape)
     peaks: list[HotspotPeak] = []
     while len(peaks) < count:
-        flat = int(np.argmax(values))
-        i, j = divmod(flat, m)
+        i, j = np.unravel_index(np.argmax(values), values.shape)
         weight = float(values[i, j])
         if weight <= 0:
             break
-        x, y = wmap.pixel_center(i, j)
-        peaks.append(HotspotPeak(x=x, y=y, weight=weight))
+        peaks.append(HotspotPeak(x=float(cx[i, j]), y=float(cy[i, j]), weight=weight))
         # Suppression in world meters; pixel centers within the radius.
-        d2 = ((ii - i) ** 2 + (jj - j) ** 2) * wmap.pixel_size**2
+        d2 = ((ii - i) ** 2 + (jj - j) ** 2) * wmap.spec.pixel_size**2
         values[d2 <= suppression_radius_m**2] = 0.0
     return peaks
 
@@ -147,7 +145,7 @@ def detection_percentage(real: WeightMap, estimated: WeightMap, p: float) -> flo
     """
     if not 0 < p <= 1:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    if real.values.shape != estimated.values.shape:
+    if real.spec != estimated.spec:
         raise ValueError("real and estimated maps must share one grid")
     _check_normalized(real, "real")
     _check_normalized(estimated, "estimated")
@@ -187,10 +185,17 @@ class EvalReport:
     variants: dict[str, VariantEval] = field(default_factory=dict)
 
 
+def _normalized(wmap: WeightMap, what: str) -> WeightMap:
+    try:
+        return wmap.normalized()
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def _evaluate_one(
     label: str, wmap: WeightMap, truth: WeightMap, truth_peaks: list[HotspotPeak], config: EvalConfig
 ) -> VariantEval:
-    normalized = wmap.normalized()
+    normalized = _normalized(wmap, f"variant {label!r}")
     peaks = extract_peaks(normalized, config.peak_count, config.suppression_radius_m)
     match = match_and_measure(truth_peaks, peaks)
     detection = {p: detection_percentage(truth, normalized, p) for p in config.p_list}
@@ -210,13 +215,11 @@ def compare_variants(
     truth: WeightMap, runs: dict[str, WeightMap], config: EvalConfig
 ) -> EvalReport:
     """Run all three instruments for every estimated variant against the
-    ground truth and assemble the report."""
+    ground truth and assemble the report; an all-zero map is named."""
     if not runs:
         raise ValueError("need at least one variant to evaluate")
-    truth_n = truth.normalized(LABEL_TRUTH)
+    truth_n = _normalized(truth, "ground truth")
     truth_peaks = extract_peaks(truth_n, config.peak_count, config.suppression_radius_m)
-    if not truth_peaks:
-        raise ValueError("ground truth has no positive weight")
     evals = [
         _evaluate_one(label, wmap, truth_n, truth_peaks, config) for label, wmap in runs.items()
     ]

@@ -518,6 +518,24 @@ def header_row(header: Header, key: str, path: str | Path, convert=float, count:
         raise ValueError(f"{path}: missing or garbled {key!r} header row") from None
 
 
+def read_spec(header: Header, path: str | Path, values_per_pixel: int) -> GridSpec:
+    """The grid in the ``m``, ``pixel_size`` and ``origin`` header rows. A
+    garbled row, a bad :class:`GridSpec` and an ``m`` whose rows of
+    ``values_per_pixel`` values, two bytes each or more, would overrun
+    the file raise ValueError naming the file."""
+    m = header_row(header, "m", path, int)[0]
+    pixel_size = header_row(header, "pixel_size", path)[0]
+    origin = tuple(header_row(header, "origin", path, count=2))
+    try:
+        spec = GridSpec(m=m, pixel_size=pixel_size, origin=origin)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    need, size = 2 * values_per_pixel * m * m, Path(path).stat().st_size
+    if need > size:
+        raise ValueError(f"{path}: m={m} needs {need} bytes of rows or more, the file holds {size}")
+    return spec
+
+
 _GRID_KEYS = {
     **dict.fromkeys(("m", "pixel_size", "origin", "q_rxlevmin", "cells"), False), "cell": True
 }
@@ -528,9 +546,9 @@ def load_grid(path: str | Path) -> CoverageGrid:
     format version, a garbled, unknown or repeated header row, a
     non-finite header value, a repeated cell id, a neighbor that names no
     cell, an id that holds a NUL and a non-finite site or azimuth raise
-    ValueError naming the file, and the line for a row; so do the layer
-    rows :func:`read_rows` and :func:`read_end` reject, and a byte that is
-    not UTF-8 (:func:`open_text`)."""
+    ValueError naming the file, and the line for a row; so do the grid
+    :func:`read_spec` refuses, the layer rows :func:`read_rows` and
+    :func:`read_end` reject, and a byte that is not UTF-8."""
     with open_text(path) as fh:
         header, start = read_header(path, fh, "coverage grid", _GRID_MAGIC, "rsrp", _GRID_KEYS)
         cells: list[CellInfo] = []
@@ -551,9 +569,6 @@ def load_grid(path: str | Path) -> CoverageGrid:
             except ValueError as exc:
                 raise garbled_line(path, line_no, ",".join(fields), str(exc)) from None
 
-        m = header_row(header, "m", path, int)[0]
-        pixel_size = header_row(header, "pixel_size", path)[0]
-        origin = tuple(header_row(header, "origin", path, count=2))
         q_rxlevmin = header_row(header, "q_rxlevmin", path)[0]
         declared = header_row(header, "cells", path, int)[0]
         if declared != len(cells):
@@ -563,8 +578,9 @@ def load_grid(path: str | Path) -> CoverageGrid:
             if unknown:
                 reason = f"neighbors {unknown} are not cells of the grid"
                 raise garbled_line(path, line_no, ",".join(fields), reason)
+        spec = read_spec(header, path, len(cells))
+        m = spec.m
         try:
-            spec = GridSpec(m=m, pixel_size=pixel_size, origin=origin)
             # The rows fill the stack in place; read_rows holds them to the
             # grid's rule of finite or NaN values.
             grid = CoverageGrid(spec, cells, np.zeros((len(cells), m, m)), q_rxlevmin)

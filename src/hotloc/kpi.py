@@ -11,7 +11,6 @@ invert.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from hotloc.grid import (
     read_end,
     read_header,
     read_rows,
+    read_spec,
     read_text,
     reject_separators,
     repr_lookup,
@@ -153,29 +153,25 @@ class KpiSet:
 
 @dataclass
 class WeightMap:
-    """A non-negative m x m traffic weight raster with a stage label."""
+    """Non-negative (m, m) traffic weights on the grid ``spec``, with a stage label."""
 
     values: np.ndarray
-    pixel_size: float
+    spec: GridSpec
     label: str
-    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
-            raise ValueError(f"weight map must be square, got shape {self.values.shape}")
+        if self.values.shape != (self.m, self.m):
+            raise ValueError(f"weight map must be square, {self.m}x{self.m} as its grid, got {self.values.shape}")
         if not np.isfinite(self.values).all():
             raise ValueError("weight map entries must be finite")
         if self.values.min() < 0:
             raise ValueError("weight map entries must be non-negative")
-        if not (math.isfinite(self.pixel_size) and self.pixel_size > 0):
-            raise ValueError(f"pixel_size must be finite and positive, got {self.pixel_size}")
-        if not all(map(math.isfinite, self.origin)):
-            raise ValueError(f"origin must be finite, got {self.origin}")
 
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
+    m = property(lambda self: self.spec.m)
+    # Read by perfbench/gate.py; they go once the gate compares ``spec``.
+    pixel_size = property(lambda self: self.spec.pixel_size)
+    origin = property(lambda self: self.spec.origin)
 
     def total(self) -> float:
         return float(self.values.sum())
@@ -185,11 +181,7 @@ class WeightMap:
         total = self.total()
         if total <= 0:
             raise ValueError("cannot normalize an all-zero weight map")
-        return WeightMap(self.values / total, self.pixel_size, label or self.label, self.origin)
-
-    def pixel_center(self, i: int, j: int) -> tuple[float, float]:
-        x0, y0 = self.origin
-        return (x0 + (i + 0.5) * self.pixel_size, y0 + (j + 0.5) * self.pixel_size)
+        return WeightMap(self.values / total, self.spec, label or self.label)
 
 
 @dataclass(frozen=True)
@@ -271,7 +263,7 @@ def generate_ground_truth(model: TrafficModel, spec: GridSpec, seed: int) -> Wei
     total = weights.sum()
     if total <= 0:
         raise ValueError("degenerate traffic model: generated map is all zero")
-    return WeightMap(weights / total, spec.pixel_size, LABEL_TRUTH, spec.origin)
+    return WeightMap(weights / total, spec, LABEL_TRUTH)
 
 
 def rasterize_potential_map(spec_zones: PotentialHotspotSpec, spec: GridSpec) -> WeightMap:
@@ -286,7 +278,7 @@ def rasterize_potential_map(spec_zones: PotentialHotspotSpec, spec: GridSpec) ->
             xmin, ymin, xmax, ymax = zone.corners
             inside = (cx >= xmin) & (cx <= xmax) & (cy >= ymin) & (cy <= ymax)
         values[inside] = np.maximum(values[inside], zone.importance)
-    return WeightMap(values, spec.pixel_size, LABEL_POTENTIAL, spec.origin)
+    return WeightMap(values, spec, LABEL_POTENTIAL)
 
 
 @dataclass(frozen=True)
@@ -346,8 +338,7 @@ def oracle_kpis(
     values in that order. The results are bitwise those of a per-cell
     loop.
     """
-    m = grid.spec.m
-    if truth.values.shape != (m, m) or servers.best.shape != (m, m):
+    if truth.spec != grid.spec or servers.best.shape != truth.values.shape:
         raise ValueError("truth map, grid and server maps must share one grid")
 
     n = grid.n_cells
@@ -419,6 +410,7 @@ def oracle_kpis(
 #   marker row:  i,j,weight
 #   data rows:   one i,j,<weight> row per pixel, in row-major order
 #
+# The m, pixel_size and origin rows are the map's grid, as in grid.csv.
 # Row order is i-major and i is world x, so the rows walk the map column
 # by column of a north-up picture. Weights are finite and non-negative.
 # The header and data rows follow the rules of grid.csv (hotloc.grid),
@@ -437,9 +429,9 @@ def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
     reject_separators("weight map label", wmap.label, ",")
     lines = [_WMAP_MAGIC]
     lines.append(f"m,{wmap.m}")
-    lines.append(f"pixel_size,{wmap.pixel_size!r}")
+    lines.append(f"pixel_size,{wmap.spec.pixel_size!r}")
     lines.append(f"label,{wmap.label}")
-    lines.append(f"origin,{wmap.origin[0]!r},{wmap.origin[1]!r}")
+    lines.append(f"origin,{wmap.spec.origin[0]!r},{wmap.spec.origin[1]!r}")
     lines.append("i,j,weight")
     m = wmap.m
     coords = np.arange(m).astype(f"S{len(str(m - 1))}")
@@ -450,21 +442,16 @@ def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
 
 def load_weight_map(path: str | Path) -> WeightMap:
     """Read a weight map written by :func:`save_weight_map`. The header
-    rows :func:`read_header` rejects, a garbled or non-finite header value,
-    a pixel out of row-major order, a negative or NaN weight and the rows
-    :func:`read_rows` and :func:`read_end` reject and a byte that is not
-    UTF-8 (:func:`open_text`) raise ValueError naming the file, and the
-    line for a row."""
+    rows :func:`read_header` rejects, a garbled label, the grid
+    :func:`read_spec` refuses, a pixel out of row-major order, a negative
+    or NaN weight, the rows :func:`read_rows` and :func:`read_end` reject
+    and a byte that is not UTF-8 raise ValueError naming the file, and
+    the line for a row. The weights are copied out of the parsed rows."""
     with open_text(path) as fh:
         header, start = read_header(path, fh, "weight map", _WMAP_MAGIC, "i,j,weight", _WMAP_KEYS)
-        m = header_row(header, "m", path, int)[0]
-        pixel_size = header_row(header, "pixel_size", path)[0]
         label = header_row(header, "label", path, str)[0]
-        origin = tuple(header_row(header, "origin", path, count=2))
-        try:
-            wmap = WeightMap(np.zeros((m, m)), pixel_size, label, origin)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        spec = read_spec(header, path, 3)
+        m = spec.m
         rows = read_rows(path, fh, start, m * m, _MAP_ROW, "")
         i, j, weights = rows["i"], rows["j"], rows["weight"]
         # i and j are compared apart: i * m + j could wrap around int64.
@@ -479,8 +466,7 @@ def load_weight_map(path: str | Path) -> WeightMap:
                 reason = f"weight {float(weights[k])!r} is negative or NaN"
             raise ValueError(f"{path}: line {start + k + 1}: {reason}")
         read_end(path, fh, start + m * m, m * m)
-    wmap.values[...] = weights.reshape(m, m)
-    return wmap
+    return WeightMap(np.ascontiguousarray(weights.reshape(m, m)), spec, label)
 
 
 def save_kpi_set(kpis: KpiSet, path: str | Path) -> None:

@@ -74,10 +74,6 @@ class LocalizerParams:
             raise ValueError("smoothing bandwidth h must be positive")
 
 
-def _kpi_map(values: np.ndarray, grid: CoverageGrid, label: str) -> WeightMap:
-    return WeightMap(values, grid.spec.pixel_size, label, grid.spec.origin)
-
-
 def _cell_rows(kpis: KpiSet, grid: CoverageGrid, field: str) -> np.ndarray:
     """One row per cell of a per-cell KPI array, in grid order, plus a
     zero row that UNCOVERED (-1) indices pick."""
@@ -91,7 +87,7 @@ def step1_ta(kpis: KpiSet, grid: CoverageGrid, servers: ServerMaps) -> WeightMap
     at (serving cell, ring)."""
     zones = ta_zone_layer(grid.spec, grid.sites(servers.best))
     out = _cell_rows(kpis, grid, "ta")[servers.best, zones]
-    return _kpi_map(out, grid, KPI_LABELS[0])
+    return WeightMap(out, grid.spec, KPI_LABELS[0])
 
 
 def step2_aoa(kpis: KpiSet, grid: CoverageGrid, servers: ServerMaps) -> WeightMap:
@@ -99,7 +95,7 @@ def step2_aoa(kpis: KpiSet, grid: CoverageGrid, servers: ServerMaps) -> WeightMa
     bearing sector the pixel lies in, looked up like step 1."""
     zones = aoa_zone_layer(grid.spec, grid.sites(servers.best)) + 1
     out = _cell_rows(kpis, grid, "aoa")[servers.best, zones]
-    return _kpi_map(out, grid, KPI_LABELS[1])
+    return WeightMap(out, grid.spec, KPI_LABELS[1])
 
 
 def step3_neighbor(kpis: KpiSet, grid: CoverageGrid, servers: ServerMaps) -> WeightMap:
@@ -112,7 +108,7 @@ def step3_neighbor(kpis: KpiSet, grid: CoverageGrid, servers: ServerMaps) -> Wei
     for k, cell in enumerate(grid.cells):
         for nb_id, frac in kpis.cells[cell.cell_id].neighbor_level.items():
             table[k, grid.cell_index(nb_id)] = frac
-    return _kpi_map(table[servers.best, servers.second], grid, KPI_LABELS[2])
+    return WeightMap(table[servers.best, servers.second], grid.spec, KPI_LABELS[2])
 
 
 def step4_load(
@@ -146,7 +142,7 @@ def step4_load(
         count[rows] += near
     out = np.zeros(best.size)
     out[pixels] = rho_sum / count
-    return _kpi_map(out.reshape(grid.spec.m, grid.spec.m), grid, KPI_LABELS[3])
+    return WeightMap(out.reshape(grid.spec.m, grid.spec.m), grid.spec, KPI_LABELS[3])
 
 
 def _rsrp0_per_cell(grid: CoverageGrid, servers: ServerMaps, params: LocalizerParams) -> np.ndarray:
@@ -191,7 +187,7 @@ def step5_throughput(
     gap = gaps[best]
     center = grid.serving_rsrp(servers) >= rsrp0[best]
     out = np.where(best == UNCOVERED, 0.0, np.where(center, gap, 1.0 - gap))
-    return _kpi_map(out, grid, KPI_LABELS[4])
+    return WeightMap(out, grid.spec, KPI_LABELS[4])
 
 
 def step6_combine(
@@ -206,7 +202,7 @@ def step6_combine(
     first = maps[0]
     fused = np.zeros_like(first.values)
     for weight, wmap in zip(x.values, maps):
-        if wmap.values.shape != first.values.shape or wmap.pixel_size != first.pixel_size:
+        if wmap.spec != first.spec:
             raise ValueError("KPI maps must share one grid")
         fused = fused + weight * wmap.values
     if not fused.any():
@@ -215,7 +211,7 @@ def step6_combine(
             f"the fused map is zero everywhere: importance factors {list(x.values)}, "
             f"all-zero KPI maps {zero}"
         )
-    return WeightMap(fused, first.pixel_size, LABEL_FUSED, first.origin)
+    return WeightMap(fused, first.spec, LABEL_FUSED)
 
 
 def step7_smooth(
@@ -232,7 +228,7 @@ def step7_smooth(
     # The kernel average of non-negative data can pick up sign noise at the
     # float epsilon level; clip to keep the weight-map contract.
     smoothed = np.where(uncovered_mask, 0.0, np.clip(smoothed, 0.0, None))
-    return WeightMap(smoothed, fused.pixel_size, LABEL_SMOOTHED, fused.origin)
+    return WeightMap(smoothed, fused.spec, LABEL_SMOOTHED)
 
 
 def compute_kpi_maps(

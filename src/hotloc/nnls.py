@@ -52,7 +52,7 @@ def build_system(maps: tuple[WeightMap, ...], potential: WeightMap) -> DesignSys
     ref = maps[0]
     with np.errstate(over="ignore"):
         for wmap in (*maps, potential):
-            if wmap.values.shape != ref.values.shape or wmap.pixel_size != ref.pixel_size:
+            if wmap.spec != ref.spec:
                 raise ValueError("all maps must share one grid")
             flat = wmap.values.reshape(-1)
             if not np.isfinite(flat @ flat):

@@ -41,7 +41,7 @@ from hotloc.kpi import (
     save_potential_spec,
     save_weight_map,
 )
-from hotloc.grid import compute_server_maps, load_grid, read_text, save_grid
+from hotloc.grid import CoverageGrid, compute_server_maps, load_grid, read_text, save_grid
 from hotloc.localize import (
     ImportanceVector,
     LocalizationResult,
@@ -101,7 +101,8 @@ def restricted_fit(system: DesignSystem, columns: tuple[int, ...]) -> Importance
 
 class Run(SimpleNamespace):
     """One call of :func:`run_stages`: its settings (``config``,
-    ``out_dir``, ``kpi_source``, ``x_override``, ``event_log``) and the
+    ``out_dir``, ``kpi_source``, ``x_override``, ``event_log``), the path
+    and spec of the first grid or map read (``first_spec``) and the
     artifacts its stages take and make, named as in :data:`STAGE_INPUTS`
     and :class:`PipelineResult`."""
 
@@ -268,7 +269,8 @@ READERS = {
 def _read(name: str, source: Path, run: Run) -> None:
     """Read input ``name`` from ``source`` onto ``run``, after the inputs
     its loader takes. A missing file raises ValueError naming the file and
-    the stage that writes it."""
+    the stage that writes it, and a grid or map on another grid than the
+    first one read raises ValueError naming both files and both specs."""
     writer, files, load, needs = READERS[name]
     for need in needs:
         if not hasattr(run, need):
@@ -277,7 +279,14 @@ def _read(name: str, source: Path, run: Run) -> None:
     for path in paths:
         if not path.exists():
             raise ValueError(f"{path} not found, run {writer} first")
-    setattr(run, name, load(*paths, *(getattr(run, need) for need in needs)))
+    value = load(*paths, *(getattr(run, need) for need in needs))
+    for path, item in zip(paths, value if isinstance(value, tuple) else (value,)):
+        if isinstance(item, (CoverageGrid, WeightMap)):
+            run.first_spec = run.first_spec or (path, item.spec)
+            first, spec = run.first_spec
+            if item.spec != spec:
+                raise ValueError(f"{path}: {item.spec} is not the grid of {first}, {spec}")
+    setattr(run, name, value)
 
 
 def run_stages(
@@ -298,7 +307,8 @@ def run_stages(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run = Run(
-        config=config, out_dir=out, kpi_source=kpi_source, x_override=x_override, event_log=event_log
+        config=config, out_dir=out, kpi_source=kpi_source, x_override=x_override,
+        event_log=event_log, first_spec=None,
     )
     if x_override is not None:
         run.x = x_override

@@ -174,6 +174,8 @@ def build_cells(config: ScenarioConfig) -> list[CellInfo]:
     sites within neighbor_radius_factor * ISD, other sectors of the same
     site included)."""
     layout = config.layout
+    if layout.sectors_per_site > 26:
+        raise ConfigError("layout.sectors_per_site", "at most 26: a sector id ends in a letter A to Z")
     sites = hex_site_positions(layout.site_count, layout.isd_m, config.spec)
 
     sector_step = 2.0 * math.pi / layout.sectors_per_site

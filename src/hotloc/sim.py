@@ -245,7 +245,7 @@ def run_simulation(
     """Run the discrete-event loop and aggregate per-cell counters into a
     KpiSet (source ``"sim"``)."""
     spec = grid.spec
-    if truth.values.shape != (spec.m, spec.m):
+    if truth.spec != spec:
         raise ValueError("truth map does not match the grid")
     total_weight = truth.total()
     if total_weight <= 0:
@@ -284,8 +284,8 @@ def run_simulation(
     next_ue = 0
     step = config.speed_kmh / 3.6 * config.tick_s
     xmin, ymin = spec.origin
-    xmax = xmin + m * spec.pixel_size
-    ymax = ymin + m * spec.pixel_size
+    center_x, center_y = (c.reshape(-1) for c in spec.center_coords())
+    xmax, ymax = xmin + spec.extent, ymin + spec.extent
     log = _EventLog(event_log_path, [c.cell_id for c in grid.cells])
 
     try:
@@ -307,12 +307,11 @@ def run_simulation(
                 if np.count_nonzero(admitted):
                     cells = best[admitted]
                     attached += np.bincount(cells, minlength=n_cells)
-                    i, j = np.divmod(pix[admitted], m)
                     ues = ues.extend(
                         _ActiveUes(
                             ue_id=ue_ids[admitted],
-                            x=xmin + (i + 0.5) * spec.pixel_size,
-                            y=ymin + (j + 0.5) * spec.pixel_size,
+                            x=center_x[pix[admitted]],
+                            y=center_y[pix[admitted]],
                             pixel=pix[admitted],
                             serving=cells,
                             remaining_bits=np.full(cells.size, config.file_size_bits),

@@ -55,7 +55,7 @@ def random_truth(spec: GridSpec, rng, sparse=False):
         values[rng.random((spec.m, spec.m)) < 0.5] = 0.0
         if values.sum() == 0:
             values[0, 0] = 1.0
-    return WeightMap(values / values.sum(), spec.pixel_size, LABEL_TRUTH, spec.origin)
+    return WeightMap(values / values.sum(), spec, LABEL_TRUTH)
 
 
 def put_byte(path: Path, line_no: int, byte: bytes = b"\xff") -> str:

@@ -363,6 +363,48 @@ class TestBadInputs:
         err = fails(runner, "evaluate", "evaluate", "--config", CONFIG, "--out", str(art))
         assert "truth.csv: missing or garbled 'm' header row" in err
 
+    @pytest.mark.parametrize(
+        "name, row, command, stage, other",
+        [
+            ("truth.csv", "pixel_size,50.0", "oracle-kpis", "kpis", "grid.csv"),
+            ("truth.csv", "pixel_size,50.0", "evaluate", "evaluate", "q1.csv"),
+            ("fused.csv", "origin,100.0,0.0", "evaluate", "evaluate", "truth.csv"),
+            ("q3.csv", "origin,100.0,0.0", "localize", "localize", "grid.csv"),
+            ("q1.csv", "origin,100.0,0.0", "localize", "localize", "grid.csv"),
+            ("potential.csv", "pixel_size,50.0", "optimize", "optimize", "grid.csv"),
+        ],
+    )
+    def test_map_on_another_grid_names_both_files(
+        self, runner, pipeline_dir, tmp_path, name, row, command, stage, other
+    ):
+        art = self.copy(pipeline_dir, tmp_path)
+        path = art / name
+        key = row.split(",")[0]
+        path.write_text(re.sub(f"^{key},.*$", row, path.read_text(), count=1, flags=re.M))
+        report = (art / "report.json").read_bytes()
+        err = fails(runner, stage, command, "--config", CONFIG, "--out", str(art))
+        assert "is not the grid of" in err
+        assert str(path) in err and str(art / other) in err
+        assert (art / "report.json").read_bytes() == report
+
+    @pytest.mark.parametrize(
+        "name, m, command, stage",
+        [("q3.csv", 100000000, "localize", "localize"), ("grid.csv", 3000000, "oracle-kpis", "kpis")],
+    )
+    def test_m_too_large_for_the_file_named(self, runner, pipeline_dir, tmp_path, name, m, command, stage):
+        art = self.copy(pipeline_dir, tmp_path)
+        path = art / name
+        path.write_text(path.read_text().replace("\nm,32\n", f"\nm,{m}\n", 1))
+        err = fails(runner, stage, command, "--config", CONFIG, "--out", str(art))
+        assert f"{path}: m={m} needs" in err
+
+    def test_all_zero_smoothed_map_named_by_its_variant(self, runner, pipeline_dir, tmp_path):
+        art = self.copy(pipeline_dir, tmp_path)
+        path = art / "smoothed.csv"
+        path.write_text(re.sub(r"^(\d+,\d+),.*$", r"\1,0.0", path.read_text(), flags=re.M))
+        err = fails(runner, "evaluate", "evaluate", "--config", CONFIG, "--out", str(art))
+        assert "variant 'step7': cannot normalize an all-zero weight map" in err
+
     def edit_kpis(self, art, edit):
         path = art / "kpis.json"
         doc = json.loads(path.read_text())

@@ -17,6 +17,7 @@ from hotloc.evaluate import (
     weight_cdf,
     write_report_csvs,
 )
+from hotloc.grid import GridSpec
 from hotloc.kpi import LABEL_TRUTH, WeightMap
 
 
@@ -26,7 +27,7 @@ def peak(x, y, weight=1.0):
 
 def normalized_map(values, pixel=25.0, label="estimate"):
     values = np.asarray(values, dtype=np.float64)
-    return WeightMap(values / values.sum(), pixel, label)
+    return WeightMap(values / values.sum(), GridSpec(len(values), pixel), label)
 
 
 class TestHotspotPeak:
@@ -52,7 +53,7 @@ class TestExtractPeaks:
         values = np.zeros((8, 8))
         values[1, 1] = 0.5
         values[6, 6] = 0.9
-        wmap = WeightMap(values, 25.0, "estimate")
+        wmap = WeightMap(values, GridSpec(8, 25.0), "estimate")
         peaks = extract_peaks(wmap, count=2, suppression_radius_m=50.0)
         assert len(peaks) == 2
         # Strongest first, coordinates are pixel centers.
@@ -64,7 +65,7 @@ class TestExtractPeaks:
         values[4, 4] = 1.0
         values[4, 5] = 0.8  # 25 m away
         values[0, 0] = 0.1  # far away
-        wmap = WeightMap(values, 25.0, "estimate")
+        wmap = WeightMap(values, GridSpec(8, 25.0), "estimate")
         peaks = extract_peaks(wmap, count=3, suppression_radius_m=60.0)
         assert [p.weight for p in peaks] == [1.0, 0.1]
 
@@ -72,25 +73,25 @@ class TestExtractPeaks:
         values = np.zeros((4, 4))
         values[2, 2] = 1.0
         values[2, 3] = 0.8
-        wmap = WeightMap(values, 25.0, "estimate")
+        wmap = WeightMap(values, GridSpec(4, 25.0), "estimate")
         peaks = extract_peaks(wmap, count=2, suppression_radius_m=0.0)
         assert [p.weight for p in peaks] == [1.0, 0.8]
 
     def test_stops_when_no_positive_weight_remains(self):
         values = np.zeros((4, 4))
         values[1, 1] = 1.0
-        wmap = WeightMap(values, 25.0, "estimate")
+        wmap = WeightMap(values, GridSpec(4, 25.0), "estimate")
         peaks = extract_peaks(wmap, count=5, suppression_radius_m=0.0)
         assert len(peaks) == 1
 
     def test_count_cap(self):
         rng = np.random.default_rng(3)
-        wmap = WeightMap(rng.random((8, 8)) + 0.1, 25.0, "estimate")
+        wmap = WeightMap(rng.random((8, 8)) + 0.1, GridSpec(8, 25.0), "estimate")
         peaks = extract_peaks(wmap, count=4, suppression_radius_m=0.0)
         assert len(peaks) == 4
 
     def test_validation(self):
-        wmap = WeightMap(np.ones((4, 4)), 25.0, "estimate")
+        wmap = WeightMap(np.ones((4, 4)), GridSpec(4, 25.0), "estimate")
         with pytest.raises(ValueError, match="count"):
             extract_peaks(wmap, count=0, suppression_radius_m=10.0)
         with pytest.raises(ValueError, match="radius"):
@@ -190,7 +191,7 @@ class TestDetectionPercentage:
         real = normalized_map(real, label=LABEL_TRUTH)
         estimated = np.zeros((4, 4))
         estimated[2, 1] = 1.0
-        estimated = WeightMap(estimated, 25.0, "estimate")
+        estimated = WeightMap(estimated, GridSpec(4, 25.0), "estimate")
         assert detection_percentage(real, estimated, 0.05) == 1.0
 
     def test_validation(self):
@@ -200,7 +201,7 @@ class TestDetectionPercentage:
             detection_percentage(real, estimated, 0.0)
         with pytest.raises(ValueError, match="share one grid"):
             detection_percentage(real, normalized_map(np.ones((5, 5))), 0.05)
-        unnormalized = WeightMap(np.ones((4, 4)), 25.0, "estimate")
+        unnormalized = WeightMap(np.ones((4, 4)), GridSpec(4, 25.0), "estimate")
         with pytest.raises(ValueError, match="real map must be normalized"):
             detection_percentage(unnormalized, estimated, 0.05)
         with pytest.raises(ValueError, match="estimated map must be normalized"):
@@ -209,14 +210,14 @@ class TestDetectionPercentage:
 
 class TestWeightCdf:
     def test_hand_example(self):
-        wmap = WeightMap(np.array([[0.0, 1.0], [1.0, 3.0]]), 25.0, "estimate")
+        wmap = WeightMap(np.array([[0.0, 1.0], [1.0, 3.0]]), GridSpec(2, 25.0), "estimate")
         weights, fractions = weight_cdf(wmap)
         np.testing.assert_array_equal(weights, [0.0, 1.0, 3.0])
         np.testing.assert_array_equal(fractions, [0.25, 0.75, 1.0])
 
     def test_shape_properties(self):
         rng = np.random.default_rng(25)
-        wmap = WeightMap(rng.integers(0, 5, (9, 9)).astype(float), 25.0, "estimate")
+        wmap = WeightMap(rng.integers(0, 5, (9, 9)).astype(float), GridSpec(9, 25.0), "estimate")
         weights, fractions = weight_cdf(wmap)
         assert (np.diff(weights) > 0).all()
         assert (np.diff(fractions) > 0).all()
@@ -227,10 +228,10 @@ class TestWeightCdf:
 class TestCompareVariants:
     def setup_report(self):
         rng = np.random.default_rng(26)
-        truth = WeightMap(rng.random((12, 12)), 25.0, LABEL_TRUTH)
+        truth = WeightMap(rng.random((12, 12)), GridSpec(12, 25.0), LABEL_TRUTH)
         runs = {
-            "copy": WeightMap(truth.values * 3.0, 25.0, "copy"),
-            "other": WeightMap(rng.random((12, 12)), 25.0, "other"),
+            "copy": WeightMap(truth.values * 3.0, GridSpec(12, 25.0), "copy"),
+            "other": WeightMap(rng.random((12, 12)), GridSpec(12, 25.0), "other"),
         }
         config = EvalConfig(peak_count=4, suppression_radius_m=50.0, p_list=(0.01, 0.05))
         return truth, runs, config
@@ -252,12 +253,27 @@ class TestCompareVariants:
         with pytest.raises(ValueError, match="at least one variant"):
             compare_variants(truth, {}, config)
 
+    def test_all_zero_map_named(self):
+        truth, runs, config = self.setup_report()
+        zero = WeightMap(np.zeros((12, 12)), truth.spec, "zero")
+        with pytest.raises(ValueError, match="^ground truth: cannot normalize an all-zero weight map$"):
+            compare_variants(zero, runs, config)
+        with pytest.raises(ValueError, match="^variant 'step7': cannot normalize an all-zero weight map$"):
+            compare_variants(truth, {**runs, "step7": zero}, config)
+
+    def test_peaks_sit_on_pixel_centers_with_the_origin(self):
+        values = np.zeros((4, 4))
+        values[0, 1] = 1.0
+        wmap = WeightMap(values, GridSpec(4, 10.0, (100.0, 200.0)), "estimate")
+        (found,) = extract_peaks(wmap, count=1, suppression_radius_m=0.0)
+        assert (found.x, found.y) == (105.0, 215.0)
+
 
 class TestReportOutputs:
     def build_report(self):
         rng = np.random.default_rng(27)
-        truth = WeightMap(rng.random((10, 10)), 25.0, LABEL_TRUTH)
-        runs = {"est": WeightMap(rng.random((10, 10)), 25.0, "est")}
+        truth = WeightMap(rng.random((10, 10)), GridSpec(10, 25.0), LABEL_TRUTH)
+        runs = {"est": WeightMap(rng.random((10, 10)), GridSpec(10, 25.0), "est")}
         config = EvalConfig(peak_count=3, suppression_radius_m=50.0, p_list=(0.01, 0.05))
         return compare_variants(truth, runs, config)
 

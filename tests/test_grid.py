@@ -500,6 +500,19 @@ class TestGridFile:
             load_grid(path)
         assert str(excinfo.value).startswith(f"{path}: {reason}")
 
+    def test_m_too_large_for_the_file_refused_before_allocating(self, tmp_path):
+        # Two cells of m x m values take 2 * 2 * m^2 bytes or more; the
+        # stack alone would be 144 TB.
+        path = self.two_cell_file(tmp_path)
+        size = path.stat().st_size
+        path.write_text(path.read_text().replace("\nm,3\n", "\nm,3000000\n", 1))
+        with pytest.raises(ValueError) as excinfo:
+            load_grid(path)
+        assert str(excinfo.value) == (
+            f"{path}: m=3000000 needs 36000000000000 bytes of rows or more, "
+            f"the file holds {size + 6}"
+        )
+
     @pytest.mark.parametrize(
         "row, replacement, reason",
         [

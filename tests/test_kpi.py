@@ -91,27 +91,28 @@ class TestCellKpis:
 class TestWeightMap:
     def test_rejects_negative_and_non_square(self):
         with pytest.raises(ValueError, match="non-negative"):
-            WeightMap(np.array([[1.0, -0.5], [0.0, 0.0]]), 25.0, "w")
+            WeightMap(np.array([[1.0, -0.5], [0.0, 0.0]]), GridSpec(2, 25.0), "w")
         with pytest.raises(ValueError, match="square"):
-            WeightMap(np.zeros((2, 3)), 25.0, "w")
+            WeightMap(np.zeros((2, 3)), GridSpec(2, 25.0), "w")
         with pytest.raises(ValueError, match="finite"):
-            WeightMap(np.array([[1.0, np.nan], [0.0, 0.0]]), 25.0, "w")
+            WeightMap(np.array([[1.0, np.nan], [0.0, 0.0]]), GridSpec(2, 25.0), "w")
 
     def test_normalized(self):
-        wmap = WeightMap(np.array([[1.0, 3.0], [0.0, 0.0]]), 25.0, "w")
+        wmap = WeightMap(np.array([[1.0, 3.0], [0.0, 0.0]]), GridSpec(2, 25.0), "w")
         normalized = wmap.normalized("n")
         assert normalized.total() == 1.0
         assert normalized.label == "n"
         with pytest.raises(ValueError, match="all-zero"):
-            WeightMap(np.zeros((2, 2)), 25.0, "w").normalized()
+            WeightMap(np.zeros((2, 2)), GridSpec(2, 25.0), "w").normalized()
 
     def test_pixel_center_uses_origin(self):
-        wmap = WeightMap(np.zeros((2, 2)), 10.0, "w", origin=(100.0, 200.0))
-        assert wmap.pixel_center(0, 1) == (105.0, 215.0)
+        wmap = WeightMap(np.zeros((2, 2)), GridSpec(2, 10.0, (100.0, 200.0)), "w")
+        cx, cy = wmap.spec.center_coords()
+        assert (cx[0, 1], cy[0, 1]) == (105.0, 215.0)
 
     def test_file_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(3)
-        wmap = WeightMap(rng.random((6, 6)), 12.5, "tag", origin=(3.25, -7.5))
+        wmap = WeightMap(rng.random((6, 6)), GridSpec(6, 12.5, (3.25, -7.5)), "tag")
         path = tmp_path / "map.csv"
         save_weight_map(wmap, path)
         loaded = load_weight_map(path)
@@ -124,7 +125,7 @@ class TestWeightMap:
     def test_separator_in_label_rejected_before_writing(self, tmp_path, label):
         path = tmp_path / "map.csv"
         with pytest.raises(ValueError, match=re.escape(repr(label))):
-            save_weight_map(WeightMap(np.ones((3, 3)), 12.5, label), path)
+            save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), label), path)
         assert not path.exists()
 
     @pytest.mark.parametrize(
@@ -138,7 +139,7 @@ class TestWeightMap:
         ],
     )
     def test_missing_or_garbled_header_row_named(self, tmp_path, row, replacement):
-        wmap = WeightMap(np.ones((6, 6)), 12.5, "tag", origin=(3.25, -7.5))
+        wmap = WeightMap(np.ones((6, 6)), GridSpec(6, 12.5, (3.25, -7.5)), "tag")
         path = tmp_path / "map.csv"
         save_weight_map(wmap, path)
         text = path.read_text()
@@ -194,7 +195,7 @@ class TestWeightMap:
         ],
     )
     def test_garbled_row_named_by_line(self, tmp_path, row, replacement, reason):
-        wmap = WeightMap(np.ones((3, 3)), 12.5, "tag")
+        wmap = WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "tag")
         path = tmp_path / "map.csv"
         save_weight_map(wmap, path)
         lines = path.read_text().splitlines()
@@ -216,7 +217,7 @@ class TestWeightMap:
     )
     def test_repeated_or_unknown_header_row_named_by_line(self, tmp_path, row, reason):
         path = tmp_path / "map.csv"
-        save_weight_map(WeightMap(np.ones((3, 3)), 12.5, "tag"), path)
+        save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "tag"), path)
         text = path.read_text()
         path.write_text(text.replace("\ni,j,weight\n", f"\n{row}\ni,j,weight\n"))
         with pytest.raises(ValueError) as excinfo:
@@ -225,7 +226,7 @@ class TestWeightMap:
 
     @pytest.mark.parametrize("cut_before", ["i,j,weight", "pixel_size,12.5"])
     def test_map_cut_off_before_its_rows_rejected(self, tmp_path, cut_before):
-        wmap = WeightMap(np.ones((3, 3)), 12.5, "tag")
+        wmap = WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "tag")
         path = tmp_path / "map.csv"
         save_weight_map(wmap, path)
         text = path.read_text()
@@ -235,7 +236,7 @@ class TestWeightMap:
 
     def test_map_cut_off_in_its_rows_named_by_line(self, tmp_path):
         path = tmp_path / "map.csv"
-        save_weight_map(WeightMap(np.ones((3, 3)), 12.5, "tag"), path)
+        save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "tag"), path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError) as excinfo:
@@ -244,7 +245,7 @@ class TestWeightMap:
 
     def test_duplicate_row_named_by_line(self, tmp_path):
         # A row given twice is one row too many; the extra one is named.
-        wmap = WeightMap(np.ones((3, 3)), 12.5, "tag")
+        wmap = WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "tag")
         path = tmp_path / "map.csv"
         save_weight_map(wmap, path)
         lines = path.read_text().splitlines()
@@ -255,7 +256,7 @@ class TestWeightMap:
 
     def test_row_out_of_order_named_by_line(self, tmp_path):
         path = tmp_path / "map.csv"
-        save_weight_map(WeightMap(np.arange(9.0).reshape(3, 3), 12.5, "tag"), path)
+        save_weight_map(WeightMap(np.arange(9.0).reshape(3, 3), GridSpec(3, 12.5), "tag"), path)
         lines = path.read_text().splitlines()
         k = lines.index("1,1,4.0")
         lines[k], lines[k + 1] = lines[k + 1], lines[k]
@@ -266,7 +267,7 @@ class TestWeightMap:
 
     def test_blank_line_among_the_rows_named_by_line(self, tmp_path):
         path = tmp_path / "map.csv"
-        save_weight_map(WeightMap(np.arange(9.0).reshape(3, 3), 12.5, "tag"), path)
+        save_weight_map(WeightMap(np.arange(9.0).reshape(3, 3), GridSpec(3, 12.5), "tag"), path)
         lines = path.read_text().splitlines()
         k = lines.index("1,1,4.0")
         path.write_text("\n".join(lines[:k] + [""] + lines[k:]) + "\n")
@@ -277,7 +278,7 @@ class TestWeightMap:
     @pytest.mark.parametrize("line_no", [2, 9])
     def test_byte_not_utf8_named_by_line(self, tmp_path, line_no):
         path = tmp_path / "q1.csv"
-        save_weight_map(WeightMap(np.ones((3, 3)), 12.5, "q1"), path)
+        save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "q1"), path)
         message = put_byte(path, line_no)
         with pytest.raises(ValueError) as excinfo:
             load_weight_map(path)
@@ -286,13 +287,13 @@ class TestWeightMap:
     def test_blank_lines_after_the_last_row_are_skipped(self, tmp_path):
         values = np.arange(9.0).reshape(3, 3)
         path = tmp_path / "map.csv"
-        save_weight_map(WeightMap(values, 12.5, "tag"), path)
+        save_weight_map(WeightMap(values, GridSpec(3, 12.5), "tag"), path)
         path.write_text(path.read_text() + "\n \n")
         np.testing.assert_array_equal(load_weight_map(path).values, values)
 
     def test_row_after_the_last_row_named_by_line(self, tmp_path):
         path = tmp_path / "map.csv"
-        save_weight_map(WeightMap(np.ones((3, 3)), 12.5, "tag"), path)
+        save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "tag"), path)
         lines = path.read_text().splitlines() + ["", "0,0,1.0"]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as excinfo:
@@ -310,7 +311,7 @@ class TestWeightMap:
     )
     def test_bad_geometry_header_names_the_file(self, tmp_path, row, replacement, reason):
         path = tmp_path / "map.csv"
-        save_weight_map(WeightMap(np.ones((3, 3)), 12.5, "tag", origin=(3.25, -7.5)), path)
+        save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5, (3.25, -7.5)), "tag"), path)
         text = path.read_text()
         assert f"\n{row}\n" in text
         path.write_text(text.replace(f"\n{row}\n", f"\n{replacement}\n"))
@@ -318,12 +319,34 @@ class TestWeightMap:
             load_weight_map(path)
         assert str(excinfo.value).startswith(f"{path}: {reason}")
 
+    def test_m_too_large_for_the_file_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "q3.csv"
+        save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "q3"), path)
+        size = path.stat().st_size
+        path.write_text(path.read_text().replace("\nm,3\n", "\nm,100000000\n", 1))
+        with pytest.raises(ValueError) as excinfo:
+            load_weight_map(path)
+        assert str(excinfo.value) == (
+            f"{path}: m=100000000 needs 60000000000000000 bytes of rows or more, "
+            f"the file holds {size + 8}"
+        )
+
+    def test_loaded_values_are_a_contiguous_copy(self, tmp_path):
+        path = tmp_path / "map.csv"
+        save_weight_map(WeightMap(np.arange(9.0).reshape(3, 3), GridSpec(3, 12.5), "tag"), path)
+        values = load_weight_map(path).values
+        assert values.flags.c_contiguous and values.base is None
+
+    def test_values_must_match_the_grid(self):
+        with pytest.raises(ValueError, match=r"square, 3x3 as its grid, got \(2, 2\)"):
+            WeightMap(np.ones((2, 2)), GridSpec(3, 25.0), "w")
+
     @pytest.mark.parametrize(
         "pixel_size, origin", [(math.nan, (0.0, 0.0)), (0.0, (0.0, 0.0)), (25.0, (0.0, math.inf))]
     )
     def test_geometry_must_be_finite(self, pixel_size, origin):
         with pytest.raises(ValueError, match="must be finite"):
-            WeightMap(np.ones((2, 2)), pixel_size, "w", origin)
+            WeightMap(np.ones((2, 2)), GridSpec(2, pixel_size, origin), "w")
 
 
 class TestGroundTruth:
@@ -558,7 +581,7 @@ class TestOracle:
         grid, servers = self.two_cell_setup()
         values = np.zeros((8, 8))
         values[5, 5] = 1.0
-        truth = WeightMap(values, grid.spec.pixel_size, "ground_truth")
+        truth = WeightMap(values, grid.spec, "ground_truth")
         kpis = oracle_kpis(truth, grid, servers, self.params)
         # Pixel (5, 5) lies in B's half; A serves no traffic at all.
         assert kpis.cells["A"].is_empty()

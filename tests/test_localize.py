@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_grid, single_cell_grid
-from hotloc.grid import compute_server_maps
+from hotloc.grid import GridSpec, compute_server_maps
 from hotloc.kpi import KPI_LABELS, CellKpis, KpiSet, WeightMap
 from hotloc.localize import (
     ImportanceVector,
@@ -259,7 +259,7 @@ class TestStep5Throughput:
 class TestStep6Combine:
     def maps_of(self, arrays, pixel=25.0):
         return tuple(
-            WeightMap(np.asarray(a, dtype=np.float64), pixel, f"q{k + 1}")
+            WeightMap(np.asarray(a, dtype=np.float64), GridSpec(len(a), pixel), f"q{k + 1}")
             for k, a in enumerate(arrays)
         )
 
@@ -298,14 +298,20 @@ class TestStep6Combine:
 
     def test_grid_mismatch_rejected(self):
         maps = list(self.maps_of([np.zeros((4, 4))] * 5))
-        maps[3] = WeightMap(np.zeros((5, 5)), 25.0, "q4")
+        maps[3] = WeightMap(np.zeros((5, 5)), GridSpec(5, 25.0), "q4")
+        with pytest.raises(ValueError, match="share one grid"):
+            step6_combine(tuple(maps), UNIFORM)
+
+    def test_origin_mismatch_rejected(self):
+        maps = list(self.maps_of([np.zeros((4, 4))] * 5))
+        maps[3] = WeightMap(np.zeros((4, 4)), GridSpec(4, 25.0, (100.0, 0.0)), "q4")
         with pytest.raises(ValueError, match="share one grid"):
             step6_combine(tuple(maps), UNIFORM)
 
 
 class TestStep7Smooth:
     def test_uncovered_pixels_zeroed(self):
-        fused = WeightMap(np.ones((6, 6)), 25.0, "fused")
+        fused = WeightMap(np.ones((6, 6)), GridSpec(6, 25.0), "fused")
         mask = np.zeros((6, 6), dtype=bool)
         mask[0, 0] = True
         out = step7_smooth(fused, PARAMS, uncovered_mask=mask)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from hotloc.grid import GridSpec
 from hotloc.kpi import WeightMap, save_weight_map
 from hotloc.localize import ImportanceVector, step6_combine
 from hotloc.nnls import DesignSystem, build_system, solve_nnls
@@ -40,12 +41,12 @@ class TestBuildSystem:
     def maps(self, m=4):
         rng = np.random.default_rng(5)
         return tuple(
-            WeightMap(rng.random((m, m)), 25.0, f"q{k + 1}") for k in range(5)
+            WeightMap(rng.random((m, m)), GridSpec(m, 25.0), f"q{k + 1}") for k in range(5)
         )
 
     def test_flattening_is_row_major(self):
         maps = self.maps()
-        potential = WeightMap(np.arange(16.0).reshape(4, 4), 25.0, "potential")
+        potential = WeightMap(np.arange(16.0).reshape(4, 4), GridSpec(4, 25.0), "potential")
         system = build_system(maps, potential)
         assert system.A.shape == (16, 5)
         np.testing.assert_array_equal(system.b, np.arange(16.0))
@@ -53,13 +54,19 @@ class TestBuildSystem:
 
     def test_map_count_checked(self):
         maps = self.maps()
-        potential = WeightMap(np.zeros((4, 4)), 25.0, "potential")
+        potential = WeightMap(np.zeros((4, 4)), GridSpec(4, 25.0), "potential")
         with pytest.raises(ValueError, match="expected 5"):
             build_system(maps[:4], potential)
 
     def test_grid_mismatch_checked(self):
         maps = self.maps()
-        potential = WeightMap(np.zeros((5, 5)), 25.0, "potential")
+        potential = WeightMap(np.zeros((5, 5)), GridSpec(5, 25.0), "potential")
+        with pytest.raises(ValueError, match="share one grid"):
+            build_system(maps, potential)
+
+    def test_origin_mismatch_checked(self):
+        maps = self.maps()
+        potential = WeightMap(np.ones((4, 4)), GridSpec(4, 25.0, (0.0, -100.0)), "potential")
         with pytest.raises(ValueError, match="share one grid"):
             build_system(maps, potential)
 
@@ -165,7 +172,7 @@ class TestOptimizeImportance:
     def test_recovers_known_mixture(self):
         rng = np.random.default_rng(17)
         maps = tuple(
-            WeightMap(rng.random((8, 8)), 25.0, f"q{k + 1}") for k in range(5)
+            WeightMap(rng.random((8, 8)), GridSpec(8, 25.0), f"q{k + 1}") for k in range(5)
         )
         x_true = ImportanceVector((0.5, 0.0, 0.3, 0.1, 0.0))
         potential = step6_combine(maps, x_true).normalized()
@@ -179,7 +186,7 @@ class TestOptimizeImportance:
     def test_normalized_x(self, tmp_path):
         rng = np.random.default_rng(18)
         maps = tuple(
-            WeightMap(rng.random((6, 6)), 25.0, f"q{k + 1}") for k in range(5)
+            WeightMap(rng.random((6, 6)), GridSpec(6, 25.0), f"q{k + 1}") for k in range(5)
         )
         potential = step6_combine(maps, ImportanceVector((0.2,) * 5)).normalized()
         run = Run(kpi_maps=maps, potential_map=potential, x_override=None, out_dir=tmp_path)
@@ -194,9 +201,9 @@ class TestOptimizeImportance:
 
     def test_zero_fit_rejected_before_writing(self, sim_config, tmp_path):
         maps = tuple(
-            WeightMap(np.ones((4, 4)), 25.0, f"q{k + 1}") for k in range(5)
+            WeightMap(np.ones((4, 4)), GridSpec(4, 25.0), f"q{k + 1}") for k in range(5)
         )
-        potential = WeightMap(np.zeros((4, 4)), 25.0, "potential")
+        potential = WeightMap(np.zeros((4, 4)), GridSpec(4, 25.0), "potential")
         for wmap in (*maps, potential):
             save_weight_map(wmap, tmp_path / f"{wmap.label}.csv")
         with pytest.raises(StageError, match="every factor is zero") as excinfo:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN_REPORT, SIM_CONFIG, put_byte
+from hotloc.grid import GridSpec
 from hotloc.kpi import WeightMap
 from hotloc.localize import ImportanceVector
 from hotloc import pipeline
@@ -105,9 +106,9 @@ class TestRestrictedFit:
     def test_inactive_columns_forced_to_zero(self):
         rng = np.random.default_rng(41)
         maps = tuple(
-            WeightMap(rng.random((6, 6)), 25.0, f"q{k + 1}") for k in range(5)
+            WeightMap(rng.random((6, 6)), GridSpec(6, 25.0), f"q{k + 1}") for k in range(5)
         )
-        potential = WeightMap(rng.random((6, 6)), 25.0, "potential")
+        potential = WeightMap(rng.random((6, 6)), GridSpec(6, 25.0), "potential")
         for columns in VARIANT_COLUMNS.values():
             x = restricted_fit(build_system(maps, potential), columns)
             for idx, value in enumerate(x.values):
@@ -117,8 +118,8 @@ class TestRestrictedFit:
     def test_single_column_fit_is_projection(self):
         rng = np.random.default_rng(42)
         base = rng.random((6, 6))
-        maps = tuple(WeightMap(base, 25.0, f"q{k + 1}") for k in range(5))
-        potential = WeightMap(base * 2.5, 25.0, "potential")
+        maps = tuple(WeightMap(base, GridSpec(6, 25.0), f"q{k + 1}") for k in range(5))
+        potential = WeightMap(base * 2.5, GridSpec(6, 25.0), "potential")
         x = restricted_fit(build_system(maps, potential), (0,))
         assert x.values[0] == pytest.approx(2.5, abs=1e-12)
 
@@ -127,8 +128,8 @@ class TestRestrictedFit:
         # ta_neighbor, on q1 and q3, does not.
         half = np.zeros((6, 6))
         half[:3] = 1.0
-        maps = tuple(WeightMap(half if k else 1.0 - half, 25.0, f"q{k + 1}") for k in range(5))
-        potential = WeightMap(half, 25.0, "potential")
+        maps = tuple(WeightMap(half if k else 1.0 - half, GridSpec(6, 25.0), f"q{k + 1}") for k in range(5))
+        potential = WeightMap(half, GridSpec(6, 25.0), "potential")
         with pytest.raises(ValueError, match="^ta_only fit: importance factors must not all be zero$"):
             variant_maps(maps, potential, maps[0], maps[0])
 

@@ -120,6 +120,20 @@ class TestBuildCells:
         assert time.perf_counter() - start < 1.0
         assert excinfo.value.field == "layout.site_count"
 
+    @pytest.mark.parametrize("count", [27, 1e308])
+    def test_more_sectors_than_id_letters_rejected(self, count):
+        data = minimal_config(layout={"site_count": 1, "sectors_per_site": count})
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="at most 26") as excinfo:
+            parse_scenario_config(data)
+        assert time.perf_counter() - start < 1.0
+        assert excinfo.value.field == "layout.sectors_per_site"
+
+    def test_26_sectors_run_from_a_to_z(self):
+        data = minimal_config(layout={"site_count": 1, "sectors_per_site": 26})
+        ids = [c.cell_id for c in build_cells(parse_scenario_config(data))]
+        assert ids == [f"BS01{chr(c)}" for c in range(ord("A"), ord("Z") + 1)]
+
 
 class TestSynthesizeRsrp:
     def build(self, **layout_overrides):

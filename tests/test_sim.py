@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import SIM_CONFIG, constant_grid, single_cell_grid
-from hotloc.grid import compute_server_maps
+from hotloc.grid import GridSpec, compute_server_maps
 from hotloc.kpi import LABEL_TRUTH, WeightMap, save_kpi_set
 from hotloc.pipeline import run_pipeline
 from hotloc.scenario import load_scenario_config
@@ -20,11 +20,11 @@ def delta_truth(m, pixel, hot_pixels):
     values = np.zeros((m, m))
     for i, j in hot_pixels:
         values[i, j] = 1.0
-    return WeightMap(values / values.sum(), pixel, LABEL_TRUTH)
+    return WeightMap(values / values.sum(), GridSpec(m, pixel), LABEL_TRUTH)
 
 
 def uniform_truth(m, pixel):
-    return WeightMap(np.full((m, m), 1.0 / (m * m)), pixel, LABEL_TRUTH)
+    return WeightMap(np.full((m, m), 1.0 / (m * m)), GridSpec(m, pixel), LABEL_TRUTH)
 
 
 def read_events(path):
@@ -233,10 +233,10 @@ class TestRunSimulation:
     def test_truth_validation(self):
         grid, servers = self.small_setup()
         config = SimConfig(arrival_rate=1.0, duration_s=5.0)
-        zero = WeightMap(np.zeros((8, 8)), 25.0, LABEL_TRUTH)
+        zero = WeightMap(np.zeros((8, 8)), GridSpec(8, 25.0), LABEL_TRUTH)
         with pytest.raises(ValueError, match="all zero"):
             run_simulation(config, zero, grid, servers)
-        doubled = WeightMap(np.full((8, 8), 2.0 / 64.0), 25.0, LABEL_TRUTH)
+        doubled = WeightMap(np.full((8, 8), 2.0 / 64.0), GridSpec(8, 25.0), LABEL_TRUTH)
         with pytest.raises(ValueError, match="normalized"):
             run_simulation(config, doubled, grid, servers)
         wrong = uniform_truth(10, 25.0)

@@ -123,7 +123,7 @@ def edge_map(seed: int, m: int = 9) -> WeightMap:
     values[rng.random((m, m)) < 0.2] = 0.0
     values.flat[: len(EDGE_VALUES)] = EDGE_VALUES
     values.flat[-len(LONGEST_POSITIVE) :] = LONGEST_POSITIVE
-    return WeightMap(values, 12.5, "1e3", origin=(3.25, -7.5))
+    return WeightMap(values, GridSpec(m, 12.5, (3.25, -7.5)), "1e3")
 
 
 def assert_round_trip(path, load, save):

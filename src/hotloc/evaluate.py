@@ -60,9 +60,9 @@ class EvalConfig:
         if self.peak_count < 1:
             raise ValueError("peak_count must be at least 1")
         if self.suppression_radius_m < 0:
-            raise ValueError("suppression radius must be non-negative")
+            raise ValueError("suppression_radius_m must be non-negative")
         if not self.p_list or any(not 0 < p <= 1 for p in self.p_list):
-            raise ValueError("p values must lie in (0, 1]")
+            raise ValueError("p_list must hold p values in (0, 1]")
 
 
 def extract_peaks(wmap: WeightMap, count: int, suppression_radius_m: float) -> list[HotspotPeak]:

@@ -46,6 +46,20 @@ class GridSpec:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        # Held as plain int, float and tuple: the writers print the fields
+        # by repr, and specs compare by value.
+        try:
+            m = int(self.m)
+        except (OverflowError, ValueError):
+            m = None
+        if m != self.m:
+            raise ValueError(f"m must be an integer, got {self.m!r}")
+        origin = tuple(map(float, self.origin))
+        if len(origin) != 2:
+            raise ValueError(f"origin must be two coordinates, got {self.origin}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "pixel_size", float(self.pixel_size))
+        object.__setattr__(self, "origin", origin)
         if self.m < 2:
             raise ValueError(f"grid needs at least 2x2 pixels, got m={self.m}")
         if not (math.isfinite(self.pixel_size) and self.pixel_size > 0):
@@ -147,32 +161,27 @@ class CoverageGrid:
         azimuth = np.array([c.azimuth for c in self.cells])
         return CellSites((x[index], y[index]), azimuth[index])
 
-    def serving_rsrp(self, servers: ServerMaps) -> np.ndarray:
-        """The best server's RSRP at every pixel, shape (m, m), NaN where
-        the pixel is uncovered."""
-        best = servers.best
-        level = np.take_along_axis(self.rsrp, best[None].astype(np.intp), axis=0)[0]
-        return np.where(best == UNCOVERED, np.nan, level)
-
 
 @dataclass(frozen=True)
 class ServerMaps:
-    """Per-pixel best and second-best serving cell indices.
+    """Per-pixel best and second-best serving cells and serving level.
 
     ``best`` is UNCOVERED (-1) where no cell reaches the admission threshold;
     ``second`` is NO_SECOND (-1) where fewer than two cells have any signal
-    or where the pixel itself is uncovered.
+    or where the pixel itself is uncovered. ``level`` is the best server's
+    RSRP, a copy of its layer's value, and NaN where the pixel is uncovered.
     """
 
     best: np.ndarray
     second: np.ndarray
+    level: np.ndarray
 
     def uncovered_mask(self) -> np.ndarray:
         return self.best == UNCOVERED
 
 
 def compute_server_maps(grid: CoverageGrid) -> ServerMaps:
-    """Derive best/second-best server maps from the RSRP layers.
+    """Derive the server maps and the serving level from the RSRP layers.
 
     The best server is the argmax of RSRP over cells (ties broken by lowest
     cell index); a pixel is uncovered when its best RSRP is below
@@ -202,7 +211,8 @@ def compute_server_maps(grid: CoverageGrid) -> ServerMaps:
     uncovered = ~np.isfinite(best_val) | (best_val < grid.q_rxlevmin)
     best[uncovered] = UNCOVERED
     second[uncovered | ~np.isfinite(second_val)] = NO_SECOND
-    return ServerMaps(best=best, second=second)
+    best_val[uncovered] = np.nan
+    return ServerMaps(best=best, second=second, level=best_val)
 
 
 def ta_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:

@@ -197,16 +197,21 @@ class HotspotZone:
 
     def __post_init__(self):
         if self.importance < 0:
-            raise ValueError("zone importance must be non-negative")
+            raise ValueError("importance must be non-negative")
         if self.shape == "disk":
-            if self.center is None or self.radius is None or self.radius <= 0:
-                raise ValueError("disk zone needs a center and a positive radius")
+            if self.center is None:
+                raise ValueError("center is required for a disk zone")
+            if self.radius is None or self.radius <= 0:
+                raise ValueError("radius must be positive for a disk zone")
+            # rasterize_potential_map squares it.
+            if not np.isfinite(self.radius * self.radius):
+                raise ValueError(f"radius must be small enough that its square is finite, got {self.radius!r}")
         elif self.shape == "rect":
             if self.corners is None:
-                raise ValueError("rect zone needs corners (xmin, ymin, xmax, ymax)")
+                raise ValueError("corners (xmin, ymin, xmax, ymax) are required for a rect zone")
             xmin, ymin, xmax, ymax = self.corners
             if xmin >= xmax or ymin >= ymax:
-                raise ValueError("rect zone corners are degenerate")
+                raise ValueError("corners are degenerate: need xmin < xmax and ymin < ymax")
         else:
             raise ValueError(f"unknown zone shape {self.shape!r}")
 
@@ -227,8 +232,13 @@ class TrafficComponent:
     amplitude: float
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.amplitude <= 0:
-            raise ValueError("component sigma and amplitude must be positive")
+        if self.sigma <= 0:
+            raise ValueError("sigma must be positive")
+        # generate_ground_truth divides by 2 sigma^2.
+        if not np.isfinite(2.0 * self.sigma * self.sigma):
+            raise ValueError(f"sigma must be small enough that 2 sigma^2 is finite, got {self.sigma!r}")
+        if self.amplitude <= 0:
+            raise ValueError("amplitude must be positive")
 
 
 @dataclass
@@ -246,7 +256,7 @@ class TrafficModel:
 
     def __post_init__(self):
         if not self.components and self.floor <= 0:
-            raise ValueError("traffic model needs at least one component or a positive floor")
+            raise ValueError("floor must be positive when there are no components")
 
 
 def generate_ground_truth(model: TrafficModel, spec: GridSpec, seed: int) -> WeightMap:
@@ -297,10 +307,11 @@ class OracleParams:
     rsrp_hi_dbm: float = -80.0
 
     def __post_init__(self):
-        if self.rho_cap <= 0 or self.mu0_bps <= 0:
-            raise ValueError("rho_cap and mu0_bps must be positive")
+        for name in ("rho_cap", "mu0_bps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not 0 < self.r_min_bps <= self.mu0_bps:
-            raise ValueError("need 0 < r_min_bps <= mu0_bps")
+            raise ValueError("r_min_bps must lie in (0, mu0_bps]")
 
 
 def throughput_curve(rsrp_dbm: np.ndarray, q_rxlevmin: float, params: OracleParams) -> np.ndarray:
@@ -363,7 +374,7 @@ def oracle_kpis(
     by_pair = np.argsort(pair, kind="stable")
     pair, w_by_pair = pair[by_pair], w[by_pair]
 
-    level = grid.serving_rsrp(servers).reshape(-1)[pixels]
+    level = servers.level.reshape(-1)[pixels]
     rates = throughput_curve(level, grid.q_rxlevmin, params)
     w_times_rate = w * rates
     w_over_rate = w / rates

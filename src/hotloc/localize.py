@@ -71,7 +71,7 @@ class LocalizerParams:
         if self.mu0_bps <= 0:
             raise ValueError("mu0_bps must be positive")
         if self.h <= 0:
-            raise ValueError("smoothing bandwidth h must be positive")
+            raise ValueError("h must be positive (the smoothing bandwidth)")
 
 
 def _cell_rows(kpis: KpiSet, grid: CoverageGrid, field: str) -> np.ndarray:
@@ -131,7 +131,7 @@ def step4_load(
     serving = best[pixels]
     similar = np.abs(rho[:, None] - rho) < params.epsilon
     rsrp = grid.rsrp.reshape(grid.n_cells, -1)
-    own = rsrp[serving, pixels]
+    own = servers.level.reshape(-1)[pixels]
     rho_sum = np.zeros(pixels.size)
     count = np.zeros(pixels.size)
     for other in np.flatnonzero(similar[congested].any(axis=0)):
@@ -154,7 +154,7 @@ def _rsrp0_per_cell(grid: CoverageGrid, servers: ServerMaps, params: LocalizerPa
     best = servers.best.reshape(-1)
     covered = best != UNCOVERED
     cell_of = best[covered]
-    level = grid.serving_rsrp(servers).reshape(-1)[covered]
+    level = servers.level.reshape(-1)[covered]
     order = np.lexsort((level, cell_of))
     level = level[order]
     count = np.bincount(cell_of, minlength=grid.n_cells)
@@ -185,7 +185,7 @@ def step5_throughput(
     rsrp0 = _rsrp0_per_cell(grid, servers, params)
     best = servers.best
     gap = gaps[best]
-    center = grid.serving_rsrp(servers) >= rsrp0[best]
+    center = servers.level >= rsrp0[best]
     out = np.where(best == UNCOVERED, 0.0, np.where(center, gap, 1.0 - gap))
     return WeightMap(out, grid.spec, KPI_LABELS[4])
 

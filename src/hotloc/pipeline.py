@@ -101,8 +101,7 @@ def restricted_fit(system: DesignSystem, columns: tuple[int, ...]) -> Importance
 
 class Run(SimpleNamespace):
     """One call of :func:`run_stages`: its settings (``config``,
-    ``out_dir``, ``kpi_source``, ``x_override``, ``event_log``), the path
-    and spec of the first grid or map read (``first_spec``) and the
+    ``out_dir``, ``kpi_source``, ``x_override``, ``event_log``) and the
     artifacts its stages take and make, named as in :data:`STAGE_INPUTS`
     and :class:`PipelineResult`."""
 
@@ -127,7 +126,9 @@ def _run_kpis(run: Run) -> None:
         kpis = oracle_kpis(run.truth, run.grid, run.servers, run.config.oracle)
     elif run.kpi_source == KPI_SOURCE_SIM:
         log_path = str(run.out_dir / "events.csv") if run.event_log else None
-        kpis = run_simulation(run.config.sim, run.truth, run.grid, run.servers, log_path)
+        kpis = run_simulation(
+            run.config.sim, run.config.seed, run.truth, run.grid, run.servers, log_path
+        )
     else:
         raise ValueError(f"unknown KPI source {run.kpi_source!r}")
     if kpis.all_empty():
@@ -269,8 +270,9 @@ READERS = {
 def _read(name: str, source: Path, run: Run) -> None:
     """Read input ``name`` from ``source`` onto ``run``, after the inputs
     its loader takes. A missing file raises ValueError naming the file and
-    the stage that writes it, and a grid or map on another grid than the
-    first one read raises ValueError naming both files and both specs."""
+    the stage that writes it; a grid or map on another grid than the
+    config's, or a grid with another ``q_rxlevmin``, raises ValueError
+    naming the file and both values."""
     writer, files, load, needs = READERS[name]
     for need in needs:
         if not hasattr(run, need):
@@ -280,12 +282,15 @@ def _read(name: str, source: Path, run: Run) -> None:
         if not path.exists():
             raise ValueError(f"{path} not found, run {writer} first")
     value = load(*paths, *(getattr(run, need) for need in needs))
+    config = run.config
     for path, item in zip(paths, value if isinstance(value, tuple) else (value,)):
-        if isinstance(item, (CoverageGrid, WeightMap)):
-            run.first_spec = run.first_spec or (path, item.spec)
-            first, spec = run.first_spec
-            if item.spec != spec:
-                raise ValueError(f"{path}: {item.spec} is not the grid of {first}, {spec}")
+        if isinstance(item, (CoverageGrid, WeightMap)) and item.spec != config.spec:
+            raise ValueError(f"{path}: {item.spec} is not the config's grid, {config.spec}")
+        if isinstance(item, CoverageGrid) and item.q_rxlevmin != config.q_rxlevmin_dbm:
+            raise ValueError(
+                f"{path}: q_rxlevmin {item.q_rxlevmin!r} is not the config's "
+                f"grid.q_rxlevmin_dbm, {config.q_rxlevmin_dbm!r}"
+            )
     setattr(run, name, value)
 
 
@@ -301,14 +306,15 @@ def run_stages(
     """Run ``stages`` (names of :data:`STAGE_INPUTS`, run in pipeline
     order) and leave their artifacts in ``out_dir``. Every input that none
     of them makes is read from ``in_dir`` (default: ``out_dir``) before
-    the first stage runs, so a bad file fails the call, not a stage; a
-    stage's failure is raised as a :class:`StageError` of that stage.
+    the first stage runs, so a bad file or one off the config's grid
+    fails the call, not a stage; a stage's failure is raised as a
+    :class:`StageError` of that stage.
     ``x_override`` stands in for the fitted importance vector."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run = Run(
         config=config, out_dir=out, kpi_source=kpi_source, x_override=x_override,
-        event_log=event_log, first_spec=None,
+        event_log=event_log,
     )
     if x_override is not None:
         run.x = x_override

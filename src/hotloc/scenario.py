@@ -14,7 +14,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -40,7 +40,7 @@ from hotloc.kpi import (
     generate_ground_truth,
 )
 from hotloc.localize import LocalizerParams
-from hotloc.sim import SimConfig
+from hotloc.sim import SimConfig, check_step
 
 SCHEMA_VERSION = 1
 DEFAULT_Q_RXLEVMIN_DBM = -115.0
@@ -48,6 +48,11 @@ DEFAULT_Q_RXLEVMIN_DBM = -115.0
 # Decouples the shadowing draw from the traffic-noise draw under one
 # master seed.
 _SHADOWING_SEED_OFFSET = 7_919
+
+# The dense float64 RSRP cube, cells * m^2 * 8 bytes, that synthesis,
+# the server maps and the grid writer hold whole: 2 GiB admits the metro
+# layout (183 cells) at m=1024, 1.5 GB, on a host of a few GB.
+MAX_CUBE_BYTES = 2 * 1024**3
 
 
 class ConfigError(ValueError):
@@ -79,10 +84,12 @@ class PathlossParams:
     prune_below_dbm: float = -140.0
 
     def __post_init__(self):
-        if self.exponent <= 0 or self.d0_m <= 0 or self.beamwidth_deg <= 0:
-            raise ValueError("exponent, d0_m and beamwidth_deg must be positive")
-        if self.max_attenuation_db < 0 or self.shadowing_sigma_db < 0:
-            raise ValueError("attenuations must be non-negative")
+        for name in ("exponent", "d0_m", "beamwidth_deg"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("max_attenuation_db", "shadowing_sigma_db"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -115,11 +122,8 @@ class ScenarioConfig:
     sim: SimConfig
     localizer: LocalizerParams
     evaluation: EvalConfig
+    # The one seed of a run: shadowing, the truth's noise and the simulator.
     seed: int = 0
-
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        """Copy with the master seed (and the simulator seed) replaced."""
-        return replace(self, seed=seed, sim=replace(self.sim, seed=seed))
 
 
 @dataclass
@@ -303,8 +307,7 @@ def _is_finite_number(value) -> bool:
 @functools.cache
 def _fields(cls) -> dict[str, tuple[str, object, bool]]:
     """JSON key -> (field name, type, required) for each field of the
-    dataclass ``cls``. ``seed`` is a root key and reaches the simulator
-    through :meth:`ScenarioConfig.with_seed`."""
+    dataclass ``cls``."""
     hints = get_type_hints(cls)
     return {
         _JSON_KEYS.get((cls, f.name), f.name): (
@@ -313,8 +316,16 @@ def _fields(cls) -> dict[str, tuple[str, object, bool]]:
             f.default is MISSING and f.default_factory is MISSING,
         )
         for f in fields(cls)
-        if f.name != "seed"
     }
+
+
+def _range_error(exc: ValueError, cls, path: str) -> ConfigError:
+    """The ConfigError for a value that the dataclass ``cls``, read at the
+    dotted ``path``, refuses. The checks of the config dataclasses start
+    each message with the field's name, which names the key."""
+    name, _, rest = str(exc).partition(" ")
+    keys = [key for key, (field, _, _) in _fields(cls).items() if field == name]
+    return ConfigError(_field(path, keys[0]), rest) if keys else ConfigError(path, str(exc))
 
 
 def _read(value, tp, path: str):
@@ -381,7 +392,17 @@ def read_section(value, cls, path: str):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        raise _range_error(exc, cls, path) from exc
+
+
+def _check_cube(key: str, cells: int, m: float) -> None:
+    """Raise ConfigError naming ``key`` when the RSRP cube of ``cells``
+    layers of m x m pixels would take more than :data:`MAX_CUBE_BYTES`."""
+    if 8.0 * cells * m * m > MAX_CUBE_BYTES:
+        raise ConfigError(
+            key, f"an RSRP cube of {cells} x {m:g} x {m:g} float64 values "
+            f"(m = grid.extent_m / grid.pixel_size_m) takes more than {MAX_CUBE_BYTES} bytes"
+        )
 
 
 def _parse_grid(data) -> tuple[GridSpec, float]:
@@ -392,9 +413,12 @@ def _parse_grid(data) -> tuple[GridSpec, float]:
     if pixel <= 0:
         raise ConfigError("grid.pixel_size_m", "must be positive")
     m = extent / pixel
+    # One layer, before the rounding below, which an infinite m overflows.
+    _check_cube("grid.extent_m", 1, m)
     if abs(m - round(m)) > 1e-9 or round(m) < 2:
         raise ConfigError(
-            "grid.extent_m", f"extent {extent} is not an integer multiple (>= 2) of {pixel}"
+            "grid.extent_m",
+            f"extent {extent} is not an integer multiple (>= 2) of grid.pixel_size_m {pixel}",
         )
     spec = GridSpec(m=int(round(m)), pixel_size=pixel, origin=grid["origin"])
     return spec, grid["q_rxlevmin_dbm"]
@@ -415,9 +439,15 @@ def parse_scenario_config(data: dict, seed_override: int | None = None) -> Scena
     config = ScenarioConfig(
         spec=spec,
         q_rxlevmin_dbm=q_rxlevmin,
+        seed=seed if seed_override is None else seed_override,
         **{key: read_section(data.get(key, {}), sections[key][1], key) for key in _SECTIONS},
-    ).with_seed(seed if seed_override is None else seed_override)
-    build_cells(config)  # surface layout/map inconsistencies at load time
+    )
+    try:
+        check_step(config.sim, spec)
+    except ValueError as exc:
+        raise _range_error(exc, SimConfig, "sim") from exc
+    # Surface layout/map inconsistencies at load time.
+    _check_cube("layout.site_count", len(build_cells(config)), spec.m)
     return config
 
 

@@ -39,6 +39,7 @@ from hotloc.grid import (
     TA_ZONE_COUNT,
     UNCOVERED,
     CoverageGrid,
+    GridSpec,
     ServerMaps,
     aoa_zone_layer,
     ta_zone_layer,
@@ -46,6 +47,13 @@ from hotloc.grid import (
 from hotloc.kpi import CellKpis, KpiSet, WeightMap
 
 KPI_SOURCE_SIM = "sim"
+
+# The tick loop costs about 0.3 ms a tick on desk (its busy hour of 3,600
+# ticks takes about 1 s), so a run of this many ticks takes minutes.
+MAX_TICKS = 10**6
+# Each arrival of a tick takes about 100 bytes in the tick's draw and
+# admission arrays, so a tick of this many arrivals takes about 100 MB.
+MAX_ARRIVALS_PER_TICK = 10**6
 
 
 @dataclass(frozen=True)
@@ -55,7 +63,9 @@ class SimConfig:
     ``arrival_rate`` may be zero (an idle network is a valid, if dull,
     run); everything else defining capacity or time must be positive.
     ``max_ue_per_cell`` is the resource-slot cap used both for admission
-    and for declaring a tick fully loaded.
+    and for declaring a tick fully loaded. A run takes at most
+    :data:`MAX_TICKS` ticks and :data:`MAX_ARRIVALS_PER_TICK` arrivals in
+    the mean per tick. Each error message starts with the field's name.
     """
 
     arrival_rate: float = 2.0
@@ -68,7 +78,6 @@ class SimConfig:
     capacity_per_cell_bps: float = 2e7
     mu0_bps: float = 2e6
     max_ue_per_cell: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         for name in (
@@ -84,10 +93,20 @@ class SimConfig:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.mobile_fraction <= 1.0:
             raise ValueError("mobile_fraction must lie in [0, 1]")
-        if self.speed_kmh < 0 or self.handover_margin_db < 0:
-            raise ValueError("speed and handover margin must be non-negative")
+        for name in ("speed_kmh", "handover_margin_db"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.max_ue_per_cell < 1:
             raise ValueError("max_ue_per_cell must be at least 1")
+        ticks = self.duration_s / self.tick_s
+        if ticks > MAX_TICKS:
+            raise ValueError(f"duration_s must be at most {MAX_TICKS} ticks of tick_s, got {ticks:g}")
+        arrivals = self.arrival_rate * self.tick_s
+        if arrivals > MAX_ARRIVALS_PER_TICK:
+            raise ValueError(
+                f"arrival_rate must give at most {MAX_ARRIVALS_PER_TICK} arrivals per tick "
+                f"of tick_s, got {arrivals:g}"
+            )
 
     @property
     def n_ticks(self) -> int:
@@ -185,6 +204,19 @@ def _reflect(pos: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndar
         flipped ^= out
 
 
+def check_step(config: SimConfig, spec: GridSpec) -> None:
+    """Raise ValueError, its message starting with ``speed_kmh``, when a
+    UE moves more than twice the map's extent in one tick. A shorter move
+    folds at most twice in :func:`_reflect`; a step near the float range
+    never settles there."""
+    step = config.speed_kmh / 3.6 * config.tick_s
+    if step > 2.0 * spec.extent:
+        raise ValueError(
+            f"speed_kmh moves a UE {step:g} m per tick of tick_s, "
+            f"more than twice the map's extent of {spec.extent:g} m"
+        )
+
+
 def _neighbor_matrix(grid: CoverageGrid) -> np.ndarray:
     """Configured neighbor indices per cell in configured order, padded
     with -1 to the longest list."""
@@ -237,14 +269,18 @@ def _zone_stacks(grid: CoverageGrid) -> tuple[np.ndarray, np.ndarray]:
 
 def run_simulation(
     config: SimConfig,
+    seed: int,
     truth: WeightMap,
     grid: CoverageGrid,
     servers: ServerMaps,
     event_log_path: str | None = None,
 ) -> KpiSet:
-    """Run the discrete-event loop and aggregate per-cell counters into a
-    KpiSet (source ``"sim"``)."""
+    """Run the discrete-event loop, all of its randomness drawn from
+    ``seed``, and aggregate per-cell counters into a KpiSet (source
+    ``"sim"``). A step the map cannot hold (:func:`check_step`) raises
+    ValueError."""
     spec = grid.spec
+    check_step(config, spec)
     if truth.spec != spec:
         raise ValueError("truth map does not match the grid")
     total_weight = truth.total()
@@ -255,7 +291,7 @@ def run_simulation(
 
     m = spec.m
     n_cells = len(grid.cells)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     position_cdf = np.cumsum(truth.values.reshape(-1))
     position_cdf /= position_cdf[-1]
 

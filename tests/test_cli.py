@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 from conftest import DESK_CONFIG, REPO_ROOT, SIM_CONFIG, put_byte
 from hotloc.cli import main
 from hotloc.pipeline import READERS
+from hotloc.scenario import load_scenario_config
 
 CONFIG = str(SIM_CONFIG)
 
@@ -383,9 +385,24 @@ class TestBadInputs:
         path.write_text(re.sub(f"^{key},.*$", row, path.read_text(), count=1, flags=re.M))
         report = (art / "report.json").read_bytes()
         err = fails(runner, stage, command, "--config", CONFIG, "--out", str(art))
-        assert "is not the grid of" in err
-        assert str(path) in err and str(art / other) in err
+        # The stray file is named against the config's grid; ``other``, read
+        # with it and on the config's grid, is not blamed.
+        spec = load_scenario_config(CONFIG).spec
+        assert f"{path}: " in err and f"is not the config's grid, {spec}" in err
+        assert str(art / other) not in err
         assert (art / "report.json").read_bytes() == report
+
+    def test_grid_on_another_q_rxlevmin_named(self, runner, scenario_dir, tmp_path):
+        art = self.copy(scenario_dir, tmp_path)
+        doc = json.loads(SIM_CONFIG.read_text())
+        doc["grid"]["q_rxlevmin_dbm"] = -110.0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        kpis = (art / "kpis.json").read_bytes()
+        err = fails(runner, "kpis", "oracle-kpis", "--config", str(config), "--out", str(art))
+        path = art / "grid.csv"
+        assert f"{path}: q_rxlevmin -115.0 is not the config's grid.q_rxlevmin_dbm, -110.0" in err
+        assert (art / "kpis.json").read_bytes() == kpis
 
     @pytest.mark.parametrize(
         "name, m, command, stage",
@@ -701,6 +718,35 @@ class TestPipelineCommand:
         err = fails(runner, "config", "pipeline", "--config", str(bad), "--out", str(tmp_path / "out"))
         assert message in err
         assert not (tmp_path / "out" / "grid.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, keys, value",
+        [
+            (("pipeline", "--kpi-source", "sim"), ("sim", "duration_s"), 1e308),
+            (("pipeline", "--kpi-source", "sim"), ("sim", "speed_kmh"), 1e308),
+            (("simulate",), ("sim", "speed_kmh"), 1e308),
+            (("pipeline", "--kpi-source", "sim"), ("sim", "arrival_rate"), 1e308),
+            (("gen-scenario",), ("grid", "extent_m"), 1e12),
+            (("gen-scenario",), ("traffic", "components", 0, "sigma_m"), 1e308),
+        ],
+    )
+    def test_oversized_config_value_named_at_load(self, runner, tmp_path, command, keys, value):
+        # Each of these once ran without end, or died in numpy or at the
+        # allocator without naming the key.
+        doc = json.loads(SIM_CONFIG.read_text())
+        doc["sim"]["mobile_fraction"] = 0.5
+        section = doc
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        field = ".".join(map(str, keys)).replace(".0.", "[0].")
+        start = time.perf_counter()
+        err = fails(runner, "config", *command, "--config", str(bad), "--out", str(tmp_path / "out"))
+        assert err.startswith(f"hotloc: stage config: {field}: ")
+        assert time.perf_counter() - start < 5.0
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("option, value", [("--seed", "-3"), ("--seeds", "0,-3")])
     def test_negative_seed_option_rejected(self, runner, tmp_path, option, value):

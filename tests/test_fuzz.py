@@ -21,11 +21,9 @@ from hotloc.cli import main
 SEED = 7
 CASES = 300
 
-# The stage commands that read each file. ``simulate`` and
-# ``gen-scenario`` are left out: they read only the config, and a mutated
-# duration or extent can make them run or allocate without bound.
+# The stage commands that read each file.
 COMMANDS = {
-    "config.json": ("optimize", "localize", "evaluate"),
+    "config.json": ("optimize", "localize", "evaluate", "simulate", "gen-scenario"),
     "grid.csv": ("oracle-kpis", "optimize", "localize"),
     "truth.csv": ("oracle-kpis", "evaluate"),
     "kpis.json": ("optimize",),

@@ -20,6 +20,7 @@ from hotloc.grid import (
     save_grid,
     ta_zone_layer,
 )
+from hotloc.kpi import WeightMap, load_weight_map, save_weight_map
 from test_serving_tables import aoa_zone, ta_zone
 
 
@@ -157,6 +158,21 @@ class TestServerMaps:
         assert (servers.best == UNCOVERED).all()
         assert (servers.second == NO_SECOND).all()
         assert servers.uncovered_mask().all()
+        assert np.isnan(servers.level).all()
+
+    def test_level_is_the_best_servers_rsrp(self):
+        a = np.full((4, 4), -80.0)
+        a[0] = np.nan
+        b = np.full((4, 4), -70.0)
+        b[:, 0] = -120.0
+        b[3, 3] = np.nan
+        grid = constant_grid(
+            [("A", (0.0, 0.0), 0.0, a, ()), ("B", (0.0, 0.0), 0.0, b, ())], m=4
+        )
+        servers = compute_server_maps(grid)
+        want = np.where(servers.best == 1, b, a)
+        want[0, 0] = np.nan  # A has no signal there and B is below the threshold
+        np.testing.assert_array_equal(servers.level, want)
 
     def test_threshold_is_inclusive(self):
         grid = constant_grid([("A", (0.0, 0.0), 0.0, -115.0, ())], m=4)
@@ -265,6 +281,31 @@ class TestGridContainer:
     def test_cell_site_and_azimuth_must_be_finite(self, site, azimuth):
         with pytest.raises(ValueError, match="cell 'A': .* must be finite"):
             CellInfo(cell_id="A", site_position=site, azimuth=azimuth)
+
+    def test_spec_holds_plain_types(self):
+        spec = GridSpec(np.int64(4), np.float64(25.0), [np.float64(0.0), 0])
+        assert spec == GridSpec(4, 25.0) and hash(spec) == hash(GridSpec(4, 25.0))
+        assert type(spec.m) is int and type(spec.pixel_size) is float
+        assert type(spec.origin) is tuple and all(type(v) is float for v in spec.origin)
+        assert GridSpec(4, 25.0, [0.0, 0.0]) == GridSpec(4, 25.0)
+        assert GridSpec(4.0, 25.0).m == 4
+
+    @pytest.mark.parametrize("m", [4.5, math.nan, math.inf, "4"])
+    def test_non_integral_m_rejected(self, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            GridSpec(m, 25.0)
+
+    def test_origin_needs_two_coordinates(self):
+        with pytest.raises(ValueError, match="origin must be two coordinates"):
+            GridSpec(4, 25.0, (0.0, 0.0, 0.0))
+
+    def test_numpy_spec_map_survives_the_file(self, tmp_path):
+        wmap = WeightMap(np.arange(9.0).reshape(3, 3), GridSpec(3, np.float64(25.0)), "w")
+        save_weight_map(wmap, tmp_path / "map.csv")
+        assert b"pixel_size,25.0\n" in (tmp_path / "map.csv").read_bytes()
+        back = load_weight_map(tmp_path / "map.csv")
+        assert back.spec == wmap.spec
+        np.testing.assert_array_equal(back.values, wmap.values)
 
     def test_q_rxlevmin_must_be_finite(self):
         with pytest.raises(ValueError, match="q_rxlevmin must be finite, got nan"):

@@ -384,7 +384,7 @@ class TestGroundTruth:
         assert (truth.values > 0).any()
 
     def test_degenerate_model_rejected(self):
-        with pytest.raises(ValueError, match="needs at least one component"):
+        with pytest.raises(ValueError, match="floor must be positive when there are no components"):
             TrafficModel(components=[], floor=0.0)
         model = TrafficModel(
             components=[TrafficComponent((250.0, 250.0), 10.0, 0.001)], floor=-5.0
@@ -417,7 +417,7 @@ class TestPotentialMap:
         assert wmap.values[3, 3] == 0.9
 
     def test_zone_validation(self):
-        with pytest.raises(ValueError, match="positive radius"):
+        with pytest.raises(ValueError, match="radius must be positive"):
             HotspotZone(shape="disk", importance=1.0, center=(0.0, 0.0), radius=0.0)
         with pytest.raises(ValueError, match="degenerate"):
             HotspotZone(shape="rect", importance=1.0, corners=(10.0, 0.0, 0.0, 10.0))

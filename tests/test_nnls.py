@@ -200,10 +200,11 @@ class TestOptimizeImportance:
         assert abs(sum(normalized) - 1.0) <= 1e-12
 
     def test_zero_fit_rejected_before_writing(self, sim_config, tmp_path):
-        maps = tuple(
-            WeightMap(np.ones((4, 4)), GridSpec(4, 25.0), f"q{k + 1}") for k in range(5)
-        )
-        potential = WeightMap(np.zeros((4, 4)), GridSpec(4, 25.0), "potential")
+        # The maps are read on the config's grid.
+        spec = sim_config.spec
+        shape = (spec.m, spec.m)
+        maps = tuple(WeightMap(np.ones(shape), spec, f"q{k + 1}") for k in range(5))
+        potential = WeightMap(np.zeros(shape), spec, "potential")
         for wmap in (*maps, potential):
             save_weight_map(wmap, tmp_path / f"{wmap.label}.csv")
         with pytest.raises(StageError, match="every factor is zero") as excinfo:

@@ -1,7 +1,7 @@
 import json
 import math
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,8 +11,10 @@ from hotloc.evaluate import EvalConfig
 from hotloc.grid import GridSpec
 from hotloc.kpi import OracleParams
 from hotloc.localize import LocalizerParams
+from hotloc.pipeline import run_stages
 from hotloc.scenario import (
     ConfigError,
+    MAX_CUBE_BYTES,
     LayoutParams,
     PathlossParams,
     build_cells,
@@ -199,7 +201,7 @@ class TestSynthesizeRsrp:
         a = build_scenario(config).grid.rsrp
         b = build_scenario(config).grid.rsrp
         np.testing.assert_array_equal(a, b)
-        other = build_scenario(config.with_seed(99)).grid.rsrp
+        other = build_scenario(replace(config, seed=99)).grid.rsrp
         assert not np.array_equal(a, other, equal_nan=True)
 
 
@@ -296,22 +298,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sim"):
             parse_scenario_config(data)
 
-    def test_seed_flows_into_sim(self):
+    def test_seed_flows_into_sim(self, tmp_path):
         config = parse_scenario_config(minimal_config(seed=5))
         assert config.seed == 5
-        assert config.sim.seed == 5
+        assert not hasattr(config.sim, "seed")
         overridden = parse_scenario_config(minimal_config(seed=5), seed_override=9)
         assert overridden.seed == 9
-        assert overridden.sim.seed == 9
-        reseeded = config.with_seed(3)
-        assert reseeded.seed == 3
-        assert reseeded.sim.seed == 3
-        assert config.seed == 5  # original untouched
+        # The root seed is the simulator's: a config reseeded by replace
+        # simulates as one read with that seed.
+        loaded = load_scenario_config(SIM_CONFIG, seed_override=3)
+        reseeded = replace(load_scenario_config(SIM_CONFIG), seed=3)
+        kpis = []
+        for name, run_config in (("loaded", loaded), ("reseeded", reseeded)):
+            out = tmp_path / name
+            run_stages(("scenario", "kpis"), run_config, out, kpi_source="sim", event_log=True)
+            kpis.append(((out / "kpis.json").read_bytes(), (out / "events.csv").read_bytes()))
+        assert kpis[0] == kpis[1]
+        assert load_scenario_config(SIM_CONFIG).seed != 3
 
     def test_empty_blocks_take_dataclass_defaults(self):
         config = parse_scenario_config(minimal_config(seed=4, layout={}, sim={}))
         assert config.layout == LayoutParams()
-        assert config.sim == SimConfig(seed=4)
+        assert config.seed == 4
+        assert config.sim == SimConfig()
 
     def test_potential_file_is_the_config_section(self, desk_run):
         # potential.json of a run, read as a config's potential section,
@@ -420,7 +429,6 @@ class TestStrictConfig:
             minimal_config(seed=4.0, layout={"sectors_per_site": 3.0}, evaluation={"peak_count": 2.0})
         )
         assert config.seed == 4 and type(config.seed) is int
-        assert type(config.sim.seed) is int
         assert type(config.layout.sectors_per_site) is int
         assert config.evaluation.peak_count == 2
 
@@ -445,17 +453,102 @@ class TestStrictConfig:
         blocks = {
             "layout": LayoutParams(),
             "oracle": OracleParams(),
+            "sim": SimConfig(),
             "localizer": LocalizerParams(),
             "evaluation": EvalConfig(),
         }
         data = minimal_config(
-            sim={k: v for k, v in asdict(SimConfig()).items() if k != "seed"},
             **{k: {f: v for f, v in asdict(b).items() if v is not None} for k, b in blocks.items()},
         )
         config = parse_scenario_config(data)
-        assert config.sim == SimConfig()
         for key, block in blocks.items():
             assert getattr(config, key) == block
+
+
+RECT_ZONE = {"shape": "rect", "importance": 1.0, "corners": [100.0, 0.0, 0.0, 100.0]}
+
+# One case per range check of the config dataclasses, and per size bound
+# of the config reader: (dotted key, value set there, the key named).
+RANGE_CASES = [
+    ("layout.site_count", 0, None),
+    ("layout.isd_m", 0.0, None),
+    ("layout.sectors_per_site", 0, None),
+    ("layout.neighbor_radius_factor", 0.0, None),
+    ("layout.pathloss.exponent", 0.0, None),
+    ("layout.pathloss.d0_m", 0.0, None),
+    ("layout.pathloss.beamwidth_deg", 0.0, None),
+    ("layout.pathloss.max_attenuation_db", -1.0, None),
+    ("layout.pathloss.shadowing_sigma_db", -1.0, None),
+    ("traffic.components", [], "traffic.floor"),
+    ("traffic.components[0].sigma_m", 0.0, None),
+    ("traffic.components[0].sigma_m", 1e308, None),
+    ("traffic.components[0].amplitude", 0.0, None),
+    ("potential.zones[0].importance", -1.0, None),
+    ("potential.zones[0].radius_m", 0.0, None),
+    ("potential.zones[0].radius_m", 1e308, None),
+    ("potential.zones[0]", RECT_ZONE, "potential.zones[0].corners"),
+    ("oracle.rho_cap", 0.0, None),
+    ("oracle.mu0_bps", 0.0, None),
+    ("oracle.r_min_bps", 0.0, None),
+    ("sim.arrival_rate", -1.0, None),
+    ("sim.arrival_rate", 1e308, None),
+    ("sim.file_size_bits", 0.0, None),
+    ("sim.mobile_fraction", 1.5, None),
+    ("sim.speed_kmh", -1.0, None),
+    ("sim.speed_kmh", 1e308, None),
+    ("sim.handover_margin_db", -1.0, None),
+    ("sim.duration_s", 0.0, None),
+    ("sim.duration_s", 1e308, None),
+    ("sim.tick_s", 0.0, None),
+    ("sim.capacity_per_cell_bps", 0.0, None),
+    ("sim.mu0_bps", 0.0, None),
+    ("sim.max_ue_per_cell", 0, None),
+    ("localizer.epsilon", 0.0, None),
+    ("localizer.rho_threshold", 1.0, None),
+    ("localizer.mu0_bps", 0.0, None),
+    ("localizer.h", 0.0, None),
+    ("evaluation.peak_count", 0, None),
+    ("evaluation.suppression_radius_m", -1.0, None),
+    ("evaluation.p_list", [0.0], None),
+    ("grid.pixel_size_m", 0.0, None),
+    ("grid.extent_m", 1e12, None),
+    ("grid.extent_m", 1510.0, None),
+]
+
+
+def config_with(key, value):
+    """``minimal_config`` with one disk zone and ``value`` at the dotted
+    ``key``."""
+    data = minimal_config(potential={"zones": [dict(DISK_ZONE)]})
+    *parents, last = key.replace("[", ".").replace("]", "").split(".")
+    section = data
+    for part in parents:
+        section = section[int(part)] if part.isdigit() else section.setdefault(part, {})
+    section[int(last) if last.isdigit() else last] = value
+    return data
+
+
+class TestRangeErrors:
+    """A value that a section's dataclass or the grid reader refuses is
+    named by its own dotted key, not by its section's."""
+
+    @pytest.mark.parametrize("key, value, field", RANGE_CASES, ids=lambda v: repr(v)[:40])
+    def test_range_error_names_the_key(self, key, value, field):
+        field = field or key
+        error = rejected(config_with(key, value))
+        assert error.field == field
+        assert str(error).startswith(f"{field}: ")
+
+    def test_cube_bound_admits_metro_at_m_1024(self):
+        # 61 sites of 3 sectors at m=1024: a 1.5 GB cube, under the bound.
+        grid = {"extent_m": 25600.0, "pixel_size_m": 25.0}
+        config = parse_scenario_config(minimal_config(grid=grid, layout={"site_count": 61}))
+        assert config.spec.m == 1024
+        cube = 8 * 183 * 1024**2
+        assert cube < MAX_CUBE_BYTES < 8 * 86 * 3 * 1024**2
+        error = rejected(minimal_config(grid=grid, layout={"site_count": 86}))
+        assert error.field == "layout.site_count"
+        assert "258 x 1024 x 1024 float64 values" in str(error)
 
 
 class TestBuildScenario:
@@ -486,5 +579,5 @@ class TestBuildScenario:
         data["traffic"]["noise_sigma"] = 0.3
         config = parse_scenario_config(data)
         a = build_scenario(config).truth.values
-        b = build_scenario(config.with_seed(11)).truth.values
+        b = build_scenario(replace(config, seed=11)).truth.values
         assert not np.array_equal(a, b)

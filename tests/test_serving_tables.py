@@ -454,7 +454,7 @@ def test_grid_sites_and_serving_rsrp(case):
         assert_same_bits(sites.site_position[0], want.site_position[0])
         assert_same_bits(sites.site_position[1], want.site_position[1])
         assert_same_bits(sites.azimuth, want.azimuth)
-    serving = grid.serving_rsrp(servers)
+    serving = servers.level
     covered = servers.best != UNCOVERED
     assert np.isnan(serving[~covered]).all()
     ii, jj = np.nonzero(covered)

@@ -16,7 +16,8 @@ A subcommand parses its options, hands its stages to
 reads, computes and writes lives in the pipeline. Every failure, reading
 the inputs included, ends the command with ``hotloc: stage <name>:
 <message>`` on stderr and exit status 1; a read fails under the
-subcommand's name.
+subcommand's name, and an input that does not match the config under
+``config``, with the config's key named.
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ def _fail(stage: str, message: str) -> None:
 
 def _reported(name: str):
     """Run a subcommand so that every failure leaves through ``_fail``:
-    a stage's failure under that stage's name, anything else (loading the
-    inputs, say) under ``name``. Click reports usage errors itself."""
+    a stage's failure under that stage's name, a ConfigError (a bad
+    config, or an input that does not match it) under ``config``, anything
+    else (loading the inputs, say) under ``name``. Click reports usage
+    errors itself."""
 
     def wrap(fn):
         def command(**kwargs):
@@ -57,6 +60,8 @@ def _reported(name: str):
                 _fail(exc.stage, str(exc))
             except click.UsageError:
                 raise
+            except ConfigError as exc:
+                _fail("config", str(exc))
             except Exception as exc:
                 _fail(name, str(exc))
 
@@ -64,13 +69,6 @@ def _reported(name: str):
         return command
 
     return wrap
-
-
-def _load_config(path: str, seed: int | None):
-    try:
-        return load_scenario_config(path, seed_override=seed)
-    except ConfigError as exc:
-        raise StageError("config", str(exc)) from exc
 
 
 def _format_x(x: ImportanceVector) -> str:
@@ -122,13 +120,13 @@ def main() -> None:
 def gen_scenario_cmd(config_path: str, seed: int | None, out_dir: str) -> None:
     """Build the synthetic scenario: coverage grid, ground truth and
     potential-hotspot prior."""
-    config = _load_config(config_path, seed)
+    config = load_scenario_config(config_path, seed)
     run = run_stages(("scenario",), config, out_dir)
     click.echo(f"scenario written to {run.out_dir} ({len(run.grid.cells)} cells, m={config.spec.m})")
 
 
 def _kpis(kpi_source: str, config_path: str, seed: int | None, out_dir: str, in_dir: str | None, events: bool) -> None:
-    config = _load_config(config_path, seed)
+    config = load_scenario_config(config_path, seed)
     run = run_stages(("kpis",), config, out_dir, in_dir, kpi_source, event_log=events)
     source = "oracle" if kpi_source == KPI_SOURCE_ORACLE else "simulated"
     click.echo(f"{source} KPIs for {len(run.kpis.cells)} cells written to {run.out_dir / 'kpis.json'}")
@@ -166,7 +164,7 @@ def simulate_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str |
 def optimize_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str | None) -> None:
     """Build the per-KPI maps and fit the importance factors to the
     potential-hotspot prior."""
-    config = _load_config(config_path, seed)
+    config = load_scenario_config(config_path, seed)
     run = run_stages(("maps", "optimize"), config, out_dir, in_dir)
     click.echo(f"x = ({_format_x(run.x)}), residual {run.fit_residual:.6g}")
 
@@ -187,7 +185,7 @@ def localize_cmd(
 ) -> None:
     """Fuse the per-KPI maps with the importance factors and smooth the
     result."""
-    config = _load_config(config_path, seed)
+    config = load_scenario_config(config_path, seed)
     run = run_stages(("localize",), config, out_dir, in_dir, x_override=x_override)
     click.echo(f"fused and smoothed maps written to {run.out_dir} (x = {_format_x(run.x)})")
 
@@ -201,7 +199,7 @@ def localize_cmd(
 def evaluate_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str | None) -> None:
     """Fit the restricted variants and score every variant against the
     ground truth."""
-    config = _load_config(config_path, seed)
+    config = load_scenario_config(config_path, seed)
     run = run_stages(("evaluate",), config, out_dir, in_dir)
     means = ", ".join(f"{k}: {v.mean_distance_m:.1f} m" for k, v in sorted(run.report.variants.items()))
     click.echo(f"report written to {run.out_dir / 'report.json'} ({means})")
@@ -233,7 +231,7 @@ def pipeline_cmd(
     if seeds is not None:
         rows = []
         for s in seeds:
-            config = _load_config(config_path, s)
+            config = load_scenario_config(config_path, s)
             try:
                 result = run_pipeline(
                     config, out / f"seed-{s}", kpi_source=kpi_source,
@@ -252,7 +250,7 @@ def pipeline_cmd(
         click.echo(f"{len(seeds)} runs under {out}, per-seed rows in {out / 'seeds.csv'}")
         return
 
-    config = _load_config(config_path, seed)
+    config = load_scenario_config(config_path, seed)
     result = run_pipeline(
         config, out, kpi_source=kpi_source, x_override=x_override, event_log=events
     )

@@ -57,6 +57,7 @@ class EvalConfig:
     p_list: tuple[float, ...] = DEF_P_LIST
 
     def __post_init__(self):
+        # Each message starts with the field's name (see scenario._range_error).
         if self.peak_count < 1:
             raise ValueError("peak_count must be at least 1")
         if self.suppression_radius_m < 0:

@@ -196,6 +196,7 @@ class HotspotZone:
     corners: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
+        # Each message starts with the field's name (see scenario._range_error).
         if self.importance < 0:
             raise ValueError("importance must be non-negative")
         if self.shape == "disk":
@@ -232,6 +233,7 @@ class TrafficComponent:
     amplitude: float
 
     def __post_init__(self):
+        # Each message starts with the field's name (see scenario._range_error).
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         # generate_ground_truth divides by 2 sigma^2.
@@ -255,6 +257,7 @@ class TrafficModel:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        # Each message starts with the field's name (see scenario._range_error).
         if not self.components and self.floor <= 0:
             raise ValueError("floor must be positive when there are no components")
 
@@ -307,6 +310,7 @@ class OracleParams:
     rsrp_hi_dbm: float = -80.0
 
     def __post_init__(self):
+        # Each message starts with the field's name (see scenario._range_error).
         for name in ("rho_cap", "mu0_bps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

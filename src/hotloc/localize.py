@@ -64,6 +64,7 @@ class LocalizerParams:
     kernel_tail: float = DEFAULT_TAIL
 
     def __post_init__(self):
+        # Each message starts with the field's name (see scenario._range_error).
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0 < self.rho_threshold < 1:

@@ -50,7 +50,7 @@ from hotloc.localize import (
     step6_combine,
 )
 from hotloc.nnls import DesignSystem, build_system, solve_nnls
-from hotloc.scenario import Scenario, ScenarioConfig, build_scenario
+from hotloc.scenario import ConfigError, Scenario, ScenarioConfig, build_scenario
 from hotloc.sim import KPI_SOURCE_SIM, run_simulation
 
 KPI_SOURCE_ORACLE = "oracle"
@@ -126,9 +126,7 @@ def _run_kpis(run: Run) -> None:
         kpis = oracle_kpis(run.truth, run.grid, run.servers, run.config.oracle)
     elif run.kpi_source == KPI_SOURCE_SIM:
         log_path = str(run.out_dir / "events.csv") if run.event_log else None
-        kpis = run_simulation(
-            run.config.sim, run.config.seed, run.truth, run.grid, run.servers, log_path
-        )
+        kpis = run_simulation(run.config.sim, run.truth, run.grid, run.servers, log_path)
     else:
         raise ValueError(f"unknown KPI source {run.kpi_source!r}")
     if kpis.all_empty():
@@ -267,12 +265,28 @@ READERS = {
 }
 
 
+def _check_against_config(path: Path, item, config: ScenarioConfig) -> None:
+    """Raise ConfigError naming the config key, ``path`` and both values
+    where the grid or map ``item`` read from ``path`` is off the config's
+    grid, or a grid has another ``q_rxlevmin``."""
+    spec, ref = item.spec, config.spec
+    pairs = [
+        ("grid.pixel_size_m", spec.pixel_size, ref.pixel_size),
+        ("grid.extent_m", spec.extent, ref.extent),
+        *((f"grid.origin[{k}]", spec.origin[k], ref.origin[k]) for k in range(2)),
+    ]
+    if isinstance(item, CoverageGrid):
+        pairs.append(("grid.q_rxlevmin_dbm", item.q_rxlevmin, config.q_rxlevmin_dbm))
+    for key, got, want in pairs:
+        if got != want:
+            raise ConfigError(key, f"{want!r} does not match {path}, which has {got!r}")
+
+
 def _read(name: str, source: Path, run: Run) -> None:
     """Read input ``name`` from ``source`` onto ``run``, after the inputs
     its loader takes. A missing file raises ValueError naming the file and
-    the stage that writes it; a grid or map on another grid than the
-    config's, or a grid with another ``q_rxlevmin``, raises ValueError
-    naming the file and both values."""
+    the stage that writes it; a grid or map that does not match the config
+    raises ConfigError (:func:`_check_against_config`)."""
     writer, files, load, needs = READERS[name]
     for need in needs:
         if not hasattr(run, need):
@@ -282,15 +296,9 @@ def _read(name: str, source: Path, run: Run) -> None:
         if not path.exists():
             raise ValueError(f"{path} not found, run {writer} first")
     value = load(*paths, *(getattr(run, need) for need in needs))
-    config = run.config
     for path, item in zip(paths, value if isinstance(value, tuple) else (value,)):
-        if isinstance(item, (CoverageGrid, WeightMap)) and item.spec != config.spec:
-            raise ValueError(f"{path}: {item.spec} is not the config's grid, {config.spec}")
-        if isinstance(item, CoverageGrid) and item.q_rxlevmin != config.q_rxlevmin_dbm:
-            raise ValueError(
-                f"{path}: q_rxlevmin {item.q_rxlevmin!r} is not the config's "
-                f"grid.q_rxlevmin_dbm, {config.q_rxlevmin_dbm!r}"
-            )
+        if isinstance(item, (CoverageGrid, WeightMap)):
+            _check_against_config(path, item, run.config)
     setattr(run, name, value)
 
 

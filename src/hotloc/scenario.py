@@ -14,7 +14,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -84,6 +84,7 @@ class PathlossParams:
     prune_below_dbm: float = -140.0
 
     def __post_init__(self):
+        # Each message starts with the field's name (see scenario._range_error).
         for name in ("exponent", "d0_m", "beamwidth_deg"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -101,12 +102,15 @@ class LayoutParams:
     pathloss: PathlossParams = PathlossParams()
 
     def __post_init__(self):
+        # Each message starts with the field's name (see scenario._range_error).
         if self.site_count < 1:
             raise ValueError("site_count must be at least 1")
         if self.isd_m <= 0:
             raise ValueError("isd_m must be positive")
         if self.sectors_per_site < 1:
             raise ValueError("sectors_per_site must be at least 1")
+        if self.sectors_per_site > 26:
+            raise ValueError("sectors_per_site must be at most 26: a sector id ends in a letter A to Z")
         if self.neighbor_radius_factor <= 0:
             raise ValueError("neighbor_radius_factor must be positive")
 
@@ -122,8 +126,11 @@ class ScenarioConfig:
     sim: SimConfig
     localizer: LocalizerParams
     evaluation: EvalConfig
-    # The one seed of a run: shadowing, the truth's noise and the simulator.
     seed: int = 0
+
+    def with_seed(self, seed: int) -> "ScenarioConfig":
+        """Copy with the master seed (and the simulator seed) replaced."""
+        return replace(self, seed=seed, sim=replace(self.sim, seed=seed))
 
 
 @dataclass
@@ -178,8 +185,6 @@ def build_cells(config: ScenarioConfig) -> list[CellInfo]:
     sites within neighbor_radius_factor * ISD, other sectors of the same
     site included)."""
     layout = config.layout
-    if layout.sectors_per_site > 26:
-        raise ConfigError("layout.sectors_per_site", "at most 26: a sector id ends in a letter A to Z")
     sites = hex_site_positions(layout.site_count, layout.isd_m, config.spec)
 
     sector_step = 2.0 * math.pi / layout.sectors_per_site
@@ -190,11 +195,9 @@ def build_cells(config: ScenarioConfig) -> list[CellInfo]:
     radius = layout.neighbor_radius_factor * layout.isd_m
     cells: list[CellInfo] = []
     for s in range(layout.site_count):
-        near = [
-            o
-            for o in range(layout.site_count)
-            if math.dist(sites[s], sites[o]) <= radius + 1e-9
-        ]
+        # One vector pass per site: a pairwise loop in Python takes
+        # minutes at the thousands of sites the cube bound admits.
+        near = np.flatnonzero(np.hypot(*(sites - sites[s]).T) <= radius + 1e-9)
         for sec in range(layout.sectors_per_site):
             me = ids[s][sec]
             neighbors = tuple(
@@ -307,7 +310,8 @@ def _is_finite_number(value) -> bool:
 @functools.cache
 def _fields(cls) -> dict[str, tuple[str, object, bool]]:
     """JSON key -> (field name, type, required) for each field of the
-    dataclass ``cls``."""
+    dataclass ``cls``. ``seed`` is a root key and reaches the simulator
+    through :meth:`ScenarioConfig.with_seed`."""
     hints = get_type_hints(cls)
     return {
         _JSON_KEYS.get((cls, f.name), f.name): (
@@ -316,13 +320,15 @@ def _fields(cls) -> dict[str, tuple[str, object, bool]]:
             f.default is MISSING and f.default_factory is MISSING,
         )
         for f in fields(cls)
+        if f.name != "seed"
     }
 
 
 def _range_error(exc: ValueError, cls, path: str) -> ConfigError:
     """The ConfigError for a value that the dataclass ``cls``, read at the
-    dotted ``path``, refuses. The checks of the config dataclasses start
-    each message with the field's name, which names the key."""
+    dotted ``path``, refuses. The check's message starts with the field's
+    name, as each config dataclass's ``__post_init__`` says; a message
+    that does not is named by ``path``."""
     name, _, rest = str(exc).partition(" ")
     keys = [key for key, (field, _, _) in _fields(cls).items() if field == name]
     return ConfigError(_field(path, keys[0]), rest) if keys else ConfigError(path, str(exc))
@@ -439,15 +445,15 @@ def parse_scenario_config(data: dict, seed_override: int | None = None) -> Scena
     config = ScenarioConfig(
         spec=spec,
         q_rxlevmin_dbm=q_rxlevmin,
-        seed=seed if seed_override is None else seed_override,
         **{key: read_section(data.get(key, {}), sections[key][1], key) for key in _SECTIONS},
-    )
+    ).with_seed(seed if seed_override is None else seed_override)
     try:
         check_step(config.sim, spec)
     except ValueError as exc:
         raise _range_error(exc, SimConfig, "sim") from exc
-    # Surface layout/map inconsistencies at load time.
-    _check_cube("layout.site_count", len(build_cells(config)), spec.m)
+    layout = config.layout
+    _check_cube("layout.site_count", layout.site_count * layout.sectors_per_site, spec.m)
+    build_cells(config)  # surface layout/map inconsistencies at load time
     return config
 
 

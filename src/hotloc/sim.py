@@ -65,7 +65,7 @@ class SimConfig:
     ``max_ue_per_cell`` is the resource-slot cap used both for admission
     and for declaring a tick fully loaded. A run takes at most
     :data:`MAX_TICKS` ticks and :data:`MAX_ARRIVALS_PER_TICK` arrivals in
-    the mean per tick. Each error message starts with the field's name.
+    the mean per tick.
     """
 
     arrival_rate: float = 2.0
@@ -78,8 +78,10 @@ class SimConfig:
     capacity_per_cell_bps: float = 2e7
     mu0_bps: float = 2e6
     max_ue_per_cell: int = 50
+    seed: int = 0
 
     def __post_init__(self):
+        # Each message starts with the field's name (see scenario._range_error).
         for name in (
             "arrival_rate", "file_size_bits", "mobile_fraction", "speed_kmh",
             "handover_margin_db", "duration_s", "tick_s", "capacity_per_cell_bps", "mu0_bps",
@@ -269,16 +271,14 @@ def _zone_stacks(grid: CoverageGrid) -> tuple[np.ndarray, np.ndarray]:
 
 def run_simulation(
     config: SimConfig,
-    seed: int,
     truth: WeightMap,
     grid: CoverageGrid,
     servers: ServerMaps,
     event_log_path: str | None = None,
 ) -> KpiSet:
-    """Run the discrete-event loop, all of its randomness drawn from
-    ``seed``, and aggregate per-cell counters into a KpiSet (source
-    ``"sim"``). A step the map cannot hold (:func:`check_step`) raises
-    ValueError."""
+    """Run the discrete-event loop and aggregate per-cell counters into a
+    KpiSet (source ``"sim"``). A step the map cannot hold
+    (:func:`check_step`) raises ValueError."""
     spec = grid.spec
     check_step(config, spec)
     if truth.spec != spec:
@@ -291,7 +291,7 @@ def run_simulation(
 
     m = spec.m
     n_cells = len(grid.cells)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     position_cdf = np.cumsum(truth.values.reshape(-1))
     position_cdf /= position_cdf[-1]
 

@@ -327,7 +327,7 @@ class TestCriterion7SimulatorMatchesOracle:
         for run in ("a", "b"):
             log = tmp_path / f"events-{run}.csv"
             kpis = run_simulation(
-                config.sim, config.seed, scenario.truth, scenario.grid, scenario.servers, str(log)
+                config.sim, scenario.truth, scenario.grid, scenario.servers, str(log)
             )
             path = tmp_path / f"kpis-{run}.json"
             save_kpi_set(kpis, path)

@@ -11,7 +11,6 @@ from click.testing import CliRunner
 from conftest import DESK_CONFIG, REPO_ROOT, SIM_CONFIG, put_byte
 from hotloc.cli import main
 from hotloc.pipeline import READERS
-from hotloc.scenario import load_scenario_config
 
 CONFIG = str(SIM_CONFIG)
 
@@ -365,6 +364,9 @@ class TestBadInputs:
         err = fails(runner, "evaluate", "evaluate", "--config", CONFIG, "--out", str(art))
         assert "truth.csv: missing or garbled 'm' header row" in err
 
+    # The config's key and value, and the stray file's value, per row.
+    STRAY = {"pixel_size": ("grid.pixel_size_m: 25.0", "50.0"), "origin": ("grid.origin[0]: 0.0", "100.0")}
+
     @pytest.mark.parametrize(
         "name, row, command, stage, other",
         [
@@ -384,13 +386,25 @@ class TestBadInputs:
         key = row.split(",")[0]
         path.write_text(re.sub(f"^{key},.*$", row, path.read_text(), count=1, flags=re.M))
         report = (art / "report.json").read_bytes()
-        err = fails(runner, stage, command, "--config", CONFIG, "--out", str(art))
-        # The stray file is named against the config's grid; ``other``, read
-        # with it and on the config's grid, is not blamed.
-        spec = load_scenario_config(CONFIG).spec
-        assert f"{path}: " in err and f"is not the config's grid, {spec}" in err
-        assert str(art / other) not in err
+        err = fails(runner, "config", command, "--config", CONFIG, "--out", str(art))
+        # The stray file is named against the config's key and value, before
+        # ``stage`` runs; ``other``, read with it and on the config's grid,
+        # is not blamed.
+        expected, found = self.STRAY[key]
+        assert err == f"hotloc: stage config: {expected} does not match {path}, which has {found}\n"
+        assert f"stage {stage}:" not in err and str(art / other) not in err
         assert (art / "report.json").read_bytes() == report
+
+    def test_config_moved_off_the_artifacts_grid_names_its_key(self, runner, pipeline_dir, tmp_path):
+        # A config whose origin moved to another valid value: the key that
+        # moved is named, as the config reader names a key it refuses.
+        art = self.copy(pipeline_dir, tmp_path)
+        doc = json.loads(SIM_CONFIG.read_text())
+        doc["grid"]["origin"] = [0.0, -1.0]
+        config = art / "config.json"
+        config.write_text(json.dumps(doc))
+        err = fails(runner, "config", "localize", "--config", str(config), "--out", str(art))
+        assert f"hotloc: stage config: grid.origin[1]: -1.0 does not match {art / 'grid.csv'}, which has 0.0\n" == err
 
     def test_grid_on_another_q_rxlevmin_named(self, runner, scenario_dir, tmp_path):
         art = self.copy(scenario_dir, tmp_path)
@@ -399,9 +413,9 @@ class TestBadInputs:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         kpis = (art / "kpis.json").read_bytes()
-        err = fails(runner, "kpis", "oracle-kpis", "--config", str(config), "--out", str(art))
+        err = fails(runner, "config", "oracle-kpis", "--config", str(config), "--out", str(art))
         path = art / "grid.csv"
-        assert f"{path}: q_rxlevmin -115.0 is not the config's grid.q_rxlevmin_dbm, -110.0" in err
+        assert f"grid.q_rxlevmin_dbm: -110.0 does not match {path}, which has -115.0" in err
         assert (art / "kpis.json").read_bytes() == kpis
 
     @pytest.mark.parametrize(

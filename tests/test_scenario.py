@@ -1,7 +1,7 @@
 import json
 import math
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from hotloc.evaluate import EvalConfig
 from hotloc.grid import GridSpec
 from hotloc.kpi import OracleParams
 from hotloc.localize import LocalizerParams
-from hotloc.pipeline import run_stages
 from hotloc.scenario import (
     ConfigError,
     MAX_CUBE_BYTES,
@@ -115,12 +114,34 @@ class TestBuildCells:
 
     def test_huge_site_count_stops_at_the_first_site_off_the_map(self):
         # Seven sites fit; the lattice is built no further than site 7.
-        data = minimal_config(layout={"site_count": 10**8})
         start = time.perf_counter()
         with pytest.raises(ConfigError, match=r"site 7 at \(.*\) falls outside the map") as excinfo:
+            hex_site_positions(10**8, 500.0, GridSpec(m=60, pixel_size=25.0))
+        assert time.perf_counter() - start < 1.0
+        assert excinfo.value.field == "layout.site_count"
+
+    @pytest.mark.parametrize("extent, count", [(1500.0, 10**8), (400_000.0, 50_000)])
+    def test_huge_site_count_refused_before_the_cells_are_built(self, extent, count):
+        # The cell count bounds the RSRP cube before any site is laid out:
+        # on a 400 km map 50,000 sites fit, and comparing every pair of
+        # them would take hours.
+        data = minimal_config(grid={"extent_m": extent, "pixel_size_m": 25.0}, layout={"site_count": count})
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=f"an RSRP cube of {3 * count} x") as excinfo:
             parse_scenario_config(data)
         assert time.perf_counter() - start < 1.0
         assert excinfo.value.field == "layout.site_count"
+
+    def test_dense_layout_loads_in_seconds(self):
+        # 3,000 sites 1 m apart: a pairwise neighbor loop in Python took
+        # 32 s on a 2-vCPU host.
+        data = minimal_config(layout={"site_count": 3000, "isd_m": 1.0})
+        start = time.perf_counter()
+        cells = build_cells(parse_scenario_config(data))
+        assert time.perf_counter() - start < 5.0
+        assert len(cells) == 9000
+        # A site in the lattice's interior has six sites within 1.5 isd.
+        assert set(cells[0].neighbors) == {f"BS{s:02d}{x}" for s in range(1, 8) for x in "ABC"} - {"BS01A"}
 
     @pytest.mark.parametrize("count", [27, 1e308])
     def test_more_sectors_than_id_letters_rejected(self, count):
@@ -201,7 +222,7 @@ class TestSynthesizeRsrp:
         a = build_scenario(config).grid.rsrp
         b = build_scenario(config).grid.rsrp
         np.testing.assert_array_equal(a, b)
-        other = build_scenario(replace(config, seed=99)).grid.rsrp
+        other = build_scenario(config.with_seed(99)).grid.rsrp
         assert not np.array_equal(a, other, equal_nan=True)
 
 
@@ -298,29 +319,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sim"):
             parse_scenario_config(data)
 
-    def test_seed_flows_into_sim(self, tmp_path):
+    def test_seed_flows_into_sim(self):
         config = parse_scenario_config(minimal_config(seed=5))
         assert config.seed == 5
-        assert not hasattr(config.sim, "seed")
+        assert config.sim.seed == 5
         overridden = parse_scenario_config(minimal_config(seed=5), seed_override=9)
         assert overridden.seed == 9
-        # The root seed is the simulator's: a config reseeded by replace
-        # simulates as one read with that seed.
-        loaded = load_scenario_config(SIM_CONFIG, seed_override=3)
-        reseeded = replace(load_scenario_config(SIM_CONFIG), seed=3)
-        kpis = []
-        for name, run_config in (("loaded", loaded), ("reseeded", reseeded)):
-            out = tmp_path / name
-            run_stages(("scenario", "kpis"), run_config, out, kpi_source="sim", event_log=True)
-            kpis.append(((out / "kpis.json").read_bytes(), (out / "events.csv").read_bytes()))
-        assert kpis[0] == kpis[1]
-        assert load_scenario_config(SIM_CONFIG).seed != 3
+        assert overridden.sim.seed == 9
+        reseeded = config.with_seed(3)
+        assert reseeded.seed == 3
+        assert reseeded.sim.seed == 3
+        assert config.seed == 5  # original untouched
 
     def test_empty_blocks_take_dataclass_defaults(self):
         config = parse_scenario_config(minimal_config(seed=4, layout={}, sim={}))
         assert config.layout == LayoutParams()
-        assert config.seed == 4
-        assert config.sim == SimConfig()
+        assert config.sim == SimConfig(seed=4)
 
     def test_potential_file_is_the_config_section(self, desk_run):
         # potential.json of a run, read as a config's potential section,
@@ -429,6 +443,7 @@ class TestStrictConfig:
             minimal_config(seed=4.0, layout={"sectors_per_site": 3.0}, evaluation={"peak_count": 2.0})
         )
         assert config.seed == 4 and type(config.seed) is int
+        assert type(config.sim.seed) is int
         assert type(config.layout.sectors_per_site) is int
         assert config.evaluation.peak_count == 2
 
@@ -453,14 +468,15 @@ class TestStrictConfig:
         blocks = {
             "layout": LayoutParams(),
             "oracle": OracleParams(),
-            "sim": SimConfig(),
             "localizer": LocalizerParams(),
             "evaluation": EvalConfig(),
         }
         data = minimal_config(
+            sim={k: v for k, v in asdict(SimConfig()).items() if k != "seed"},
             **{k: {f: v for f, v in asdict(b).items() if v is not None} for k, b in blocks.items()},
         )
         config = parse_scenario_config(data)
+        assert config.sim == SimConfig()
         for key, block in blocks.items():
             assert getattr(config, key) == block
 
@@ -473,6 +489,7 @@ RANGE_CASES = [
     ("layout.site_count", 0, None),
     ("layout.isd_m", 0.0, None),
     ("layout.sectors_per_site", 0, None),
+    ("layout.sectors_per_site", 27, None),
     ("layout.neighbor_radius_factor", 0.0, None),
     ("layout.pathloss.exponent", 0.0, None),
     ("layout.pathloss.d0_m", 0.0, None),
@@ -579,5 +596,5 @@ class TestBuildScenario:
         data["traffic"]["noise_sigma"] = 0.3
         config = parse_scenario_config(data)
         a = build_scenario(config).truth.values
-        b = build_scenario(replace(config, seed=11)).truth.values
+        b = build_scenario(config.with_seed(11)).truth.values
         assert not np.array_equal(a, b)

@@ -106,14 +106,14 @@ def _corridor_case(speed_kmh, cap, seed):
         handover_margin_db=6.0,
         file_size_bits=2e7,
         max_ue_per_cell=cap,
+        seed=seed,
     )
-    return (config, seed, *two_cell_corridor())
+    return (config, *two_cell_corridor())
 
 
 def sim_digest_cases():
     """Seeded simulator runs whose outputs are pinned by sha256, as
-    ``name -> (config, seed, grid, servers)``; every run uses a uniform
-    truth."""
+    ``name -> (config, grid, servers)``; every run uses a uniform truth."""
     cases = {}
     for speed in (30.0, 400.0):
         for cap in (6, 3):
@@ -123,25 +123,22 @@ def sim_digest_cases():
     cases["patchy"] = (
         SimConfig(
             arrival_rate=3.0, duration_s=200.0, mobile_fraction=0.8,
-            speed_kmh=60.0, file_size_bits=1e7, max_ue_per_cell=8,
+            speed_kmh=60.0, file_size_bits=1e7, max_ue_per_cell=8, seed=5,
         ),
-        5,
         *patchy_grid(),
     )
     cases["tied-neighbors"] = (
         SimConfig(
             arrival_rate=3.0, duration_s=200.0, mobile_fraction=0.6,
-            speed_kmh=90.0, file_size_bits=1e7, max_ue_per_cell=5,
+            speed_kmh=90.0, file_size_bits=1e7, max_ue_per_cell=5, seed=2,
         ),
-        2,
         *tied_neighbors_grid(),
     )
     cases["contended-single-cell"] = (
         SimConfig(
             arrival_rate=8.0, duration_s=120.0, mobile_fraction=0.5,
-            speed_kmh=50.0, capacity_per_cell_bps=3e6, max_ue_per_cell=10,
+            speed_kmh=50.0, capacity_per_cell_bps=3e6, max_ue_per_cell=10, seed=9,
         ),
-        9,
         *single_cell_grid(m=8, site=(12.5, 12.5), level=-80.0),
     )
     return cases
@@ -158,10 +155,10 @@ def sim_digests(workdir):
     pipeline run."""
     workdir = Path(workdir)
     digests = {}
-    for name, (config, seed, grid, servers) in sim_digest_cases().items():
+    for name, (config, grid, servers) in sim_digest_cases().items():
         events = workdir / f"{name}-events.csv"
         kpis = run_simulation(
-            config, seed, uniform_truth(grid.spec.m, grid.spec.pixel_size), grid, servers,
+            config, uniform_truth(grid.spec.m, grid.spec.pixel_size), grid, servers,
             event_log_path=str(events),
         )
         kpis_path = workdir / f"{name}-kpis.json"
@@ -217,7 +214,7 @@ class TestSimConfig:
                 check_step(config, spec)
         grid, servers = single_cell_grid(m=8, site=(12.5, 12.5), level=-80.0)
         with pytest.raises(ValueError, match="^speed_kmh moves a UE"):
-            run_simulation(SimConfig(speed_kmh=1e308), 0, uniform_truth(8, 25.0), grid, servers)
+            run_simulation(SimConfig(speed_kmh=1e308), uniform_truth(8, 25.0), grid, servers)
 
     def test_tick_count(self):
         assert SimConfig(arrival_rate=1.0, duration_s=10.0, tick_s=1.0).n_ticks == 10
@@ -262,30 +259,32 @@ class TestRunSimulation:
         config = SimConfig(arrival_rate=1.0, duration_s=5.0)
         zero = WeightMap(np.zeros((8, 8)), GridSpec(8, 25.0), LABEL_TRUTH)
         with pytest.raises(ValueError, match="all zero"):
-            run_simulation(config, 0, zero, grid, servers)
+            run_simulation(config, zero, grid, servers)
         doubled = WeightMap(np.full((8, 8), 2.0 / 64.0), GridSpec(8, 25.0), LABEL_TRUTH)
         with pytest.raises(ValueError, match="normalized"):
-            run_simulation(config, 0, doubled, grid, servers)
+            run_simulation(config, doubled, grid, servers)
         wrong = uniform_truth(10, 25.0)
         with pytest.raises(ValueError, match="does not match"):
-            run_simulation(config, 0, wrong, grid, servers)
+            run_simulation(config, wrong, grid, servers)
 
     def test_idle_network_emits_empty_kpis(self):
         grid, servers = self.small_setup()
         config = SimConfig(arrival_rate=0.0, duration_s=10.0)
-        kpis = run_simulation(config, 0, uniform_truth(8, 25.0), grid, servers)
+        kpis = run_simulation(config, uniform_truth(8, 25.0), grid, servers)
         assert kpis.source == KPI_SOURCE_SIM
         assert kpis.window_s == 10.0
         assert all(ck.is_empty() for ck in kpis.cells.values())
 
     def test_reruns_are_byte_identical(self, tmp_path):
         grid, servers = self.small_setup()
-        config = SimConfig(arrival_rate=3.0, duration_s=60.0, mobile_fraction=0.5)
+        config = SimConfig(
+            arrival_rate=3.0, duration_s=60.0, mobile_fraction=0.5, seed=42
+        )
         truth = uniform_truth(8, 25.0)
         outputs = []
         for run in ("a", "b"):
             log = tmp_path / f"events-{run}.csv"
-            kpis = run_simulation(config, 42, truth, grid, servers, event_log_path=str(log))
+            kpis = run_simulation(config, truth, grid, servers, event_log_path=str(log))
             out = tmp_path / f"kpis-{run}.json"
             save_kpi_set(kpis, out)
             outputs.append((out.read_bytes(), log.read_bytes()))
@@ -295,10 +294,10 @@ class TestRunSimulation:
         grid, servers = self.small_setup()
         truth = uniform_truth(8, 25.0)
         logs = []
-        config = SimConfig(arrival_rate=3.0, duration_s=60.0)
         for seed in (1, 2):
+            config = SimConfig(arrival_rate=3.0, duration_s=60.0, seed=seed)
             log = tmp_path / f"events-{seed}.csv"
-            run_simulation(config, seed, truth, grid, servers, event_log_path=str(log))
+            run_simulation(config, truth, grid, servers, event_log_path=str(log))
             logs.append(log.read_bytes())
         assert logs[0] != logs[1]
 
@@ -308,7 +307,7 @@ class TestRunSimulation:
         # and AoA zone +1 for the north-facing sector.
         truth = delta_truth(8, 25.0, [(4, 0)])
         config = SimConfig(arrival_rate=2.0, duration_s=30.0, mobile_fraction=0.0)
-        kpis = run_simulation(config, 0, truth, grid, servers)
+        kpis = run_simulation(config, truth, grid, servers)
         ck = kpis.cells["BS01A"]
         np.testing.assert_array_equal(ck.ta, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(ck.aoa, [0.0, 0.0, 1.0])
@@ -326,7 +325,7 @@ class TestRunSimulation:
             capacity_per_cell_bps=2e7,
             mu0_bps=2e6,
         )
-        kpis = run_simulation(config, 0, truth, grid, servers)
+        kpis = run_simulation(config, truth, grid, servers)
         ck = kpis.cells["BS01A"]
         assert ck.amt_bps == 1e6
         assert ck.hmt_bps == 1e6
@@ -336,7 +335,7 @@ class TestRunSimulation:
         config = SimConfig(
             arrival_rate=8.0, duration_s=120.0, capacity_per_cell_bps=3e6, max_ue_per_cell=10
         )
-        kpis = run_simulation(config, 0, uniform_truth(8, 25.0), grid, servers)
+        kpis = run_simulation(config, uniform_truth(8, 25.0), grid, servers)
         ck = kpis.cells["BS01A"]
         assert 0.0 < ck.hmt_bps <= ck.amt_bps
 
@@ -344,7 +343,7 @@ class TestRunSimulation:
         grid, servers = self.small_setup()
         config = SimConfig(arrival_rate=5.0, duration_s=60.0, max_ue_per_cell=4)
         log = tmp_path / "events.csv"
-        run_simulation(config, 0, uniform_truth(8, 25.0), grid, servers, str(log))
+        run_simulation(config, uniform_truth(8, 25.0), grid, servers, str(log))
         header, rows = read_events(str(log))
         assert header == ["t", "event", "cell_id", "ue_id"]
         by_kind = {}
@@ -369,7 +368,7 @@ class TestRunSimulation:
         truth = delta_truth(8, 25.0, [(4, 6), (2, 7)])
         config = SimConfig(arrival_rate=2.0, duration_s=20.0)
         log = tmp_path / "events.csv"
-        kpis = run_simulation(config, 0, truth, grid, servers, str(log))
+        kpis = run_simulation(config, truth, grid, servers, str(log))
         _, rows = read_events(str(log))
         assert rows, "expected at least one event"
         assert all(r[1] == "block" and r[2] == "" for r in rows)
@@ -385,9 +384,10 @@ class TestRunSimulation:
             speed_kmh=30.0,
             handover_margin_db=6.0,
             file_size_bits=5e7,
+            seed=3,
         )
         log = tmp_path / "events.csv"
-        kpis = run_simulation(config, 3, truth, grid, servers, str(log))
+        kpis = run_simulation(config, truth, grid, servers, str(log))
         _, rows = read_events(str(log))
         handovers = [r for r in rows if r[1] == "handover"]
         assert handovers, "mobile UEs crossing the midline must hand over"
@@ -409,9 +409,10 @@ class TestRunSimulation:
             speed_kmh=200.0,
             file_size_bits=1e12,
             max_ue_per_cell=1,
+            seed=1,
         )
         log = tmp_path / "events.csv"
-        kpis = run_simulation(config, 1, uniform_truth(8, 25.0), grid, servers, str(log))
+        kpis = run_simulation(config, uniform_truth(8, 25.0), grid, servers, str(log))
         _, rows = read_events(str(log))
         arrivals = sorted(r[2] for r in rows if r[1] == "arrive")
         assert arrivals == ["A", "B"]
@@ -423,7 +424,7 @@ class TestRunSimulation:
         grid, servers = two_cell_corridor()
         config = SimConfig(arrival_rate=4.0, duration_s=60.0, mobile_fraction=0.0)
         log = tmp_path / "events.csv"
-        run_simulation(config, 0, uniform_truth(8, 25.0), grid, servers, str(log))
+        run_simulation(config, uniform_truth(8, 25.0), grid, servers, str(log))
         _, rows = read_events(str(log))
         assert all(r[1] != "handover" for r in rows)
 

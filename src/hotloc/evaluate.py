@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from hotloc.bounds import MAX_METERS, Bounded, bounded
 from hotloc.grid import reject_separators, repr_lookup, text_rows
 from hotloc.kpi import LABEL_TRUTH, WeightMap
 
@@ -51,19 +52,10 @@ class PeakPair:
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    peak_count: int = 9
-    suppression_radius_m: float = DEF_SUPPRESSION_RADIUS_M
-    p_list: tuple[float, ...] = DEF_P_LIST
-
-    def __post_init__(self):
-        # Each message starts with the field's name (see scenario._range_error).
-        if self.peak_count < 1:
-            raise ValueError("peak_count must be at least 1")
-        if self.suppression_radius_m < 0:
-            raise ValueError("suppression_radius_m must be non-negative")
-        if not self.p_list or any(not 0 < p <= 1 for p in self.p_list):
-            raise ValueError("p_list must hold p values in (0, 1]")
+class EvalConfig(Bounded):
+    peak_count: int = bounded(9, ge=1)
+    suppression_radius_m: float = bounded(DEF_SUPPRESSION_RADIUS_M, ge=0, le=MAX_METERS)
+    p_list: tuple[float, ...] = bounded(DEF_P_LIST, gt=0, le=1)
 
 
 def extract_peaks(wmap: WeightMap, count: int, suppression_radius_m: float) -> list[HotspotPeak]:

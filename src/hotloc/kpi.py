@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from hotloc.bounds import MAX_DB, MAX_MAGNITUDE, MAX_METERS, Bounded, ConfigError, bounded
 from hotloc.grid import (
     CoverageGrid,
     GridSpec,
@@ -37,6 +38,9 @@ from hotloc.grid import (
 )
 
 DIST_TOL = 1e-9
+# The largest sum of traffic bumps: exp(600) is about 4e260, so even the
+# 2^28 pixels the cube bound admits sum to a finite total.
+MAX_BUMP = 600.0
 
 # WeightMap label vocabulary used by the pipeline stages.
 LABEL_TRUTH = "ground_truth"
@@ -185,36 +189,29 @@ class WeightMap:
 
 
 @dataclass(frozen=True)
-class HotspotZone:
+class HotspotZone(Bounded):
     """One potential hotspot region: a disk or an axis-aligned rectangle
     with a non-negative importance weight."""
 
+    SHAPES = {"disk": ("center", "radius"), "rect": ("corners",)}  # the fields each takes
+
     shape: str
-    importance: float
-    center: tuple[float, float] | None = None
-    radius: float | None = None
-    corners: tuple[float, float, float, float] | None = None
+    importance: float = bounded(ge=0, le=MAX_MAGNITUDE)
+    center: tuple[float, float] | None = bounded(None, ge=-MAX_METERS, le=MAX_METERS)
+    radius: float | None = bounded(None, gt=0, le=MAX_METERS)
+    corners: tuple[float, float, float, float] | None = bounded(None, ge=-MAX_METERS, le=MAX_METERS)
 
     def __post_init__(self):
-        # Each message starts with the field's name (see scenario._range_error).
-        if self.importance < 0:
-            raise ValueError("importance must be non-negative")
-        if self.shape == "disk":
-            if self.center is None:
-                raise ValueError("center is required for a disk zone")
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("radius must be positive for a disk zone")
-            # rasterize_potential_map squares it.
-            if not np.isfinite(self.radius * self.radius):
-                raise ValueError(f"radius must be small enough that its square is finite, got {self.radius!r}")
-        elif self.shape == "rect":
-            if self.corners is None:
-                raise ValueError("corners (xmin, ymin, xmax, ymax) are required for a rect zone")
+        super().__post_init__()
+        if self.shape not in self.SHAPES:
+            raise ConfigError("shape", f"unknown zone shape {self.shape!r}")
+        for name in self.SHAPES[self.shape]:
+            if getattr(self, name) is None:
+                raise ConfigError(name, f"is required for a {self.shape} zone")
+        if self.corners is not None:
             xmin, ymin, xmax, ymax = self.corners
             if xmin >= xmax or ymin >= ymax:
-                raise ValueError("corners are degenerate: need xmin < xmax and ymin < ymax")
-        else:
-            raise ValueError(f"unknown zone shape {self.shape!r}")
+                raise ConfigError("corners", "are degenerate: need xmin < xmax and ymin < ymax")
 
 
 @dataclass
@@ -225,26 +222,18 @@ class PotentialHotspotSpec:
 
 
 @dataclass(frozen=True)
-class TrafficComponent:
+class TrafficComponent(Bounded):
     """One traffic concentration: Gaussian bump center, spread and amplitude."""
 
-    center: tuple[float, float]
-    sigma: float
-    amplitude: float
-
-    def __post_init__(self):
-        # Each message starts with the field's name (see scenario._range_error).
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        # generate_ground_truth divides by 2 sigma^2.
-        if not np.isfinite(2.0 * self.sigma * self.sigma):
-            raise ValueError(f"sigma must be small enough that 2 sigma^2 is finite, got {self.sigma!r}")
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
+    center: tuple[float, float] = bounded(ge=-MAX_METERS, le=MAX_METERS)
+    # generate_ground_truth divides by 2 sigma^2.
+    sigma: float = bounded(ge=1e-3, le=MAX_METERS)
+    # exp of the summed bumps must stay finite (see TrafficModel).
+    amplitude: float = bounded(gt=0, le=MAX_BUMP)
 
 
 @dataclass
-class TrafficModel:
+class TrafficModel(Bounded):
     """Mixture model for synthetic ground-truth traffic.
 
     The generated weight per pixel is ``exp(sum of Gaussian bumps + noise)
@@ -253,13 +242,16 @@ class TrafficModel:
     """
 
     components: list[TrafficComponent] = field(default_factory=list)
-    floor: float = 0.0
-    noise_sigma: float = 0.0
+    floor: float = bounded(0.0, ge=-MAX_MAGNITUDE, le=MAX_MAGNITUDE)
+    noise_sigma: float = bounded(0.0, ge=0)
 
     def __post_init__(self):
-        # Each message starts with the field's name (see scenario._range_error).
+        super().__post_init__()
         if not self.components and self.floor <= 0:
-            raise ValueError("floor must be positive when there are no components")
+            raise ConfigError(("floor", "components"), "must be positive when there are no components")
+        # 8 noise_sigma bounds every noise draw of 2^28 pixels but for odds below 1e-6.
+        if sum(c.amplitude for c in self.components) + 8 * self.noise_sigma > MAX_BUMP:
+            raise ConfigError(("components", "noise_sigma"), f"amplitudes plus 8 noise_sigma exceed {MAX_BUMP:g}")
 
 
 def generate_ground_truth(model: TrafficModel, spec: GridSpec, seed: int) -> WeightMap:
@@ -275,7 +267,7 @@ def generate_ground_truth(model: TrafficModel, spec: GridSpec, seed: int) -> Wei
     weights = np.clip(np.exp(bumps) - 1.0 + model.floor, 0.0, None)
     total = weights.sum()
     if total <= 0:
-        raise ValueError("degenerate traffic model: generated map is all zero")
+        raise ConfigError(("traffic.components", "traffic.floor"), "the generated truth map is all zero")
     return WeightMap(weights / total, spec, LABEL_TRUTH)
 
 
@@ -295,7 +287,7 @@ def rasterize_potential_map(spec_zones: PotentialHotspotSpec, spec: GridSpec) ->
 
 
 @dataclass(frozen=True)
-class OracleParams:
+class OracleParams(Bounded):
     """Knobs for the analytic KPI oracle.
 
     ``rho_cap`` converts a cell's traffic mass into a load time via
@@ -304,25 +296,23 @@ class OracleParams:
     ``rsrp_hi_dbm`` and flat outside that span.
     """
 
-    rho_cap: float = 0.1
-    mu0_bps: float = 2e6
-    r_min_bps: float = 1e5
-    rsrp_hi_dbm: float = -80.0
+    rho_cap: float = bounded(0.1, gt=0, le=MAX_MAGNITUDE)
+    mu0_bps: float = bounded(2e6, gt=0, le=MAX_MAGNITUDE)
+    # The harmonic mean divides by rates down to r_min_bps.
+    r_min_bps: float = bounded(1e5, ge=1.0)
+    rsrp_hi_dbm: float = bounded(-80.0, ge=-MAX_DB, le=MAX_DB)
 
     def __post_init__(self):
-        # Each message starts with the field's name (see scenario._range_error).
-        for name in ("rho_cap", "mu0_bps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0 < self.r_min_bps <= self.mu0_bps:
-            raise ValueError("r_min_bps must lie in (0, mu0_bps]")
+        super().__post_init__()
+        if self.r_min_bps > self.mu0_bps:
+            raise ConfigError(("r_min_bps", "mu0_bps"), "must be at most mu0_bps")
 
 
 def throughput_curve(rsrp_dbm: np.ndarray, q_rxlevmin: float, params: OracleParams) -> np.ndarray:
     """Monotone RSRP to per-UE throughput mapping (bit/s)."""
     span = params.rsrp_hi_dbm - q_rxlevmin
     if span <= 0:
-        raise ValueError("rsrp_hi_dbm must exceed the admission threshold")
+        raise ConfigError(("oracle.rsrp_hi_dbm", "grid.q_rxlevmin_dbm"), "must exceed the admission threshold")
     frac = np.clip((np.asarray(rsrp_dbm, dtype=np.float64) - q_rxlevmin) / span, 0.0, 1.0)
     return params.r_min_bps + (params.mu0_bps - params.r_min_bps) * frac
 

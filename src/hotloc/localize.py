@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hotloc.bounds import MAX_DB, MAX_MAGNITUDE, Bounded, bounded
 from hotloc.grid import UNCOVERED, CoverageGrid, ServerMaps, aoa_zone_layer, ta_zone_layer
 from hotloc.kpi import KPI_LABELS, LABEL_FUSED, LABEL_SMOOTHED, KpiSet, WeightMap
 from hotloc.smoothing import DEFAULT_TAIL, smooth_grid
@@ -38,12 +39,14 @@ class ImportanceVector:
             raise ValueError(
                 f"importance factors must be finite and non-negative, got {self.values}"
             )
+        if max(self.values) > MAX_MAGNITUDE:
+            raise ValueError(f"importance factors must be at most {MAX_MAGNITUDE:g}, got {self.values}")
         if not any(self.values):
             raise ValueError("importance factors must not all be zero")
 
 
 @dataclass(frozen=True)
-class LocalizerParams:
+class LocalizerParams(Bounded):
     """Thresholds and bandwidths for the localization steps.
 
     ``epsilon`` bounds the load difference for two cells to count as
@@ -55,24 +58,15 @@ class LocalizerParams:
     bandwidth in squared normalized map units.
     """
 
-    epsilon: float = 0.1
-    lambda_ho_db: float = 6.0
-    rho_threshold: float = 0.7
-    rsrp0_dbm: float | None = None
-    mu0_bps: float = 2e6
-    h: float = 1e-3
-    kernel_tail: float = DEFAULT_TAIL
-
-    def __post_init__(self):
-        # Each message starts with the field's name (see scenario._range_error).
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if not 0 < self.rho_threshold < 1:
-            raise ValueError(f"rho_threshold must be in (0, 1), got {self.rho_threshold}")
-        if self.mu0_bps <= 0:
-            raise ValueError("mu0_bps must be positive")
-        if self.h <= 0:
-            raise ValueError("h must be positive (the smoothing bandwidth)")
+    epsilon: float = bounded(0.1, gt=0, lt=1)
+    # Step 4 divides by the candidates, the serving cell among them only
+    # for a positive margin.
+    lambda_ho_db: float = bounded(6.0, gt=0, le=MAX_DB)
+    rho_threshold: float = bounded(0.7, gt=0, lt=1)
+    rsrp0_dbm: float | None = bounded(None, ge=-MAX_DB, le=MAX_DB)
+    mu0_bps: float = bounded(2e6, gt=0, le=MAX_MAGNITUDE)
+    h: float = bounded(1e-3, gt=0)
+    kernel_tail: float = bounded(DEFAULT_TAIL, gt=0, lt=1)
 
 
 def _cell_rows(kpis: KpiSet, grid: CoverageGrid, field: str) -> np.ndarray:

@@ -23,6 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from hotloc.bounds import MAX_MAGNITUDE
 from hotloc.evaluate import (
     EvalReport,
     compare_variants,
@@ -110,7 +111,7 @@ def _run_scenario(run: Run) -> None:
     scenario = build_scenario(run.config)
     potential_map = rasterize_potential_map(scenario.potential, run.config.spec)
     if potential_map.total() <= 0:
-        raise ValueError("potential-hotspot spec paints no importance anywhere")
+        raise ConfigError("potential.zones", "potential-hotspot spec paints no importance anywhere")
     save_grid(scenario.grid, run.out_dir / "grid.csv")
     save_weight_map(scenario.truth, run.out_dir / "truth.csv")
     save_potential_spec(scenario.potential, run.out_dir / "potential.json")
@@ -130,9 +131,10 @@ def _run_kpis(run: Run) -> None:
     else:
         raise ValueError(f"unknown KPI source {run.kpi_source!r}")
     if kpis.all_empty():
-        raise ValueError(
-            "empty system: no cell accumulated any KPI mass "
-            "(zero traffic or nothing admitted)"
+        sim = run.kpi_source == KPI_SOURCE_SIM  # the simulator also needs arrivals
+        raise ConfigError(
+            ("sim.arrival_rate", "sim.duration_s") if sim else ("traffic", "layout"),
+            "empty system: no cell accumulated any KPI mass (zero traffic or nothing admitted)",
         )
     save_kpi_set(kpis, run.out_dir / "kpis.json")
     run.kpis = kpis
@@ -284,9 +286,10 @@ def _check_against_config(path: Path, item, config: ScenarioConfig) -> None:
 
 def _read(name: str, source: Path, run: Run) -> None:
     """Read input ``name`` from ``source`` onto ``run``, after the inputs
-    its loader takes. A missing file raises ValueError naming the file and
-    the stage that writes it; a grid or map that does not match the config
-    raises ConfigError (:func:`_check_against_config`)."""
+    its loader takes. A missing file, named with the stage that writes it,
+    and a map weight above :data:`MAX_MAGNITUDE` raise ValueError naming
+    the file; a grid or map that does not match the config raises
+    ConfigError (:func:`_check_against_config`)."""
     writer, files, load, needs = READERS[name]
     for need in needs:
         if not hasattr(run, need):
@@ -299,6 +302,8 @@ def _read(name: str, source: Path, run: Run) -> None:
     for path, item in zip(paths, value if isinstance(value, tuple) else (value,)):
         if isinstance(item, (CoverageGrid, WeightMap)):
             _check_against_config(path, item, run.config)
+        if isinstance(item, WeightMap) and item.values.max() > MAX_MAGNITUDE:
+            raise ValueError(f"{path}: weight {float(item.values.max())!r} is above {MAX_MAGNITUDE:g}")
     setattr(run, name, value)
 
 

@@ -21,6 +21,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from hotloc.bounds import MAX_DB, MAX_METERS, Bounded, ConfigError, bounded
 from hotloc.evaluate import EvalConfig
 from hotloc.grid import (
     CellInfo,
@@ -55,17 +56,8 @@ _SHADOWING_SEED_OFFSET = 7_919
 MAX_CUBE_BYTES = 2 * 1024**3
 
 
-class ConfigError(ValueError):
-    """Invalid scenario configuration; ``field`` holds the dotted path,
-    empty for the document as a whole."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}" if field else message)
-        self.field = field
-
-
 @dataclass(frozen=True)
-class PathlossParams:
+class PathlossParams(Bounded):
     """Log-distance path loss with a parabolic sector antenna pattern.
 
     RSRP = tx_power - ref_loss - 10 n log10(max(d, d0)/d0)
@@ -74,45 +66,28 @@ class PathlossParams:
     ``prune_below_dbm`` are treated as unmeasured (no coverage).
     """
 
-    tx_power_dbm: float = 46.0
-    ref_loss_db: float = 116.0
-    exponent: float = 3.0
-    d0_m: float = 25.0
-    beamwidth_deg: float = 65.0
-    max_attenuation_db: float = 25.0
-    shadowing_sigma_db: float = 0.0
-    prune_below_dbm: float = -140.0
-
-    def __post_init__(self):
-        # Each message starts with the field's name (see scenario._range_error).
-        for name in ("exponent", "d0_m", "beamwidth_deg"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("max_attenuation_db", "shadowing_sigma_db"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+    tx_power_dbm: float = bounded(46.0, ge=-MAX_DB, le=MAX_DB)
+    ref_loss_db: float = bounded(116.0, ge=-MAX_DB, le=MAX_DB)
+    # Measured exponents lie between about 1.6 and 6.5; at 10 the level
+    # already falls 100 dB per decade of distance.
+    exponent: float = bounded(3.0, gt=0, le=10.0)
+    # log10(distance / d0_m) overflows for a d0_m near zero.
+    d0_m: float = bounded(25.0, ge=1e-3, le=MAX_METERS)
+    # 12 (delta / beamwidth)^2 overflows for a beamwidth near zero.
+    beamwidth_deg: float = bounded(65.0, ge=1e-3)
+    max_attenuation_db: float = bounded(25.0, ge=0, le=MAX_DB)
+    shadowing_sigma_db: float = bounded(0.0, ge=0, le=MAX_DB)
+    prune_below_dbm: float = bounded(-140.0, ge=-MAX_DB, le=MAX_DB)
 
 
 @dataclass(frozen=True)
-class LayoutParams:
-    site_count: int = 7
-    isd_m: float = 500.0
-    sectors_per_site: int = 3
-    neighbor_radius_factor: float = 1.5
+class LayoutParams(Bounded):
+    site_count: int = bounded(7, ge=1)
+    isd_m: float = bounded(500.0, gt=0, le=MAX_METERS)
+    # A sector id ends in one letter, A to Z.
+    sectors_per_site: int = bounded(3, ge=1, le=26)
+    neighbor_radius_factor: float = bounded(1.5, gt=0)
     pathloss: PathlossParams = PathlossParams()
-
-    def __post_init__(self):
-        # Each message starts with the field's name (see scenario._range_error).
-        if self.site_count < 1:
-            raise ValueError("site_count must be at least 1")
-        if self.isd_m <= 0:
-            raise ValueError("isd_m must be positive")
-        if self.sectors_per_site < 1:
-            raise ValueError("sectors_per_site must be at least 1")
-        if self.sectors_per_site > 26:
-            raise ValueError("sectors_per_site must be at most 26: a sector id ends in a letter A to Z")
-        if self.neighbor_radius_factor <= 0:
-            raise ValueError("neighbor_radius_factor must be positive")
 
 
 @dataclass
@@ -264,19 +239,43 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 # -- JSON configuration ------------------------------------------------
 
 # Every section is read by :func:`read_section` from the fields of its
-# dataclass and their types. Listed by hand: the root keys, the grid keys
-# (the grid section turns ``extent_m`` into ``m``), the keys of each zone
-# shape and the two fields whose JSON key differs from their name.
+# dataclass and their types. Listed by hand: the root keys and the two
+# fields whose JSON key differs from their name.
 _SECTIONS = ("layout", "traffic", "potential", "oracle", "sim", "localizer", "evaluation")
 _ROOT_KEYS = ("schema", "seed", "grid", *_SECTIONS)
-_GRID_KEYS = {
-    "extent_m": float, "pixel_size_m": float, "origin": tuple[float, float], "q_rxlevmin_dbm": float,
-}
-_ZONE_KEYS = {
-    "disk": ("shape", "importance", "center", "radius_m"),
-    "rect": ("shape", "importance", "corners"),
-}
 _JSON_KEYS = {(TrafficComponent, "sigma"): "sigma_m", (HotspotZone, "radius"): "radius_m"}
+
+
+def _check_cube(names, cells: int, m) -> None:
+    """Raise ConfigError naming ``names`` when the RSRP cube of ``cells``
+    layers of m x m pixels takes more than :data:`MAX_CUBE_BYTES`. Integer
+    counts multiply exactly; a float product overflows on a huge count."""
+    if 8 * cells * m * m > MAX_CUBE_BYTES:
+        raise ConfigError(
+            names, f"an RSRP cube of {cells} x {m:g} x {m:g} float64 values "
+            f"(m = grid.extent_m / grid.pixel_size_m) takes more than {MAX_CUBE_BYTES} bytes"
+        )
+
+
+@dataclass(frozen=True)
+class GridParams(Bounded):
+    """The ``grid`` section, read into ``ScenarioConfig.spec``."""
+
+    extent_m: float = bounded(gt=0)
+    pixel_size_m: float = bounded(gt=0, le=MAX_METERS)
+    origin: tuple[float, float] = bounded((0.0, 0.0), ge=-MAX_METERS, le=MAX_METERS)
+    q_rxlevmin_dbm: float = bounded(DEFAULT_Q_RXLEVMIN_DBM, ge=-MAX_DB, le=MAX_DB)
+
+    def __post_init__(self):
+        super().__post_init__()
+        m = self.extent_m / self.pixel_size_m
+        # One layer, before the rounding below, which an infinite m overflows.
+        _check_cube(("extent_m", "pixel_size_m"), 1, m)
+        if abs(m - round(m)) > 1e-9 or round(m) < 2:
+            raise ConfigError(
+                ("extent_m", "pixel_size_m"),
+                f"{self.extent_m} is not an integer multiple (>= 2) of pixel_size_m {self.pixel_size_m}",
+            )
 
 
 def _field(path: str, key: str) -> str:
@@ -324,16 +323,6 @@ def _fields(cls) -> dict[str, tuple[str, object, bool]]:
     }
 
 
-def _range_error(exc: ValueError, cls, path: str) -> ConfigError:
-    """The ConfigError for a value that the dataclass ``cls``, read at the
-    dotted ``path``, refuses. The check's message starts with the field's
-    name, as each config dataclass's ``__post_init__`` says; a message
-    that does not is named by ``path``."""
-    name, _, rest = str(exc).partition(" ")
-    keys = [key for key, (field, _, _) in _fields(cls).items() if field == name]
-    return ConfigError(_field(path, keys[0]), rest) if keys else ConfigError(path, str(exc))
-
-
 def _read(value, tp, path: str):
     """``value`` read as the type ``tp``: a dataclass from an object, a
     ``list[X]`` from a list of X, a tuple of floats from a list of finite
@@ -379,14 +368,15 @@ def read_section(value, cls, path: str):
     dotted ``path``. Its keys are the fields of ``cls``, each read by
     :func:`_read`, and a field without a default is required; a zone
     takes the keys of its ``shape``, all of them required. Every error is
-    a ConfigError naming the offending key."""
+    a ConfigError naming the offending keys."""
     spec = _fields(cls)
     if cls is HotspotZone:
         # The shape decides the other keys, so it is checked first.
         shape = _object(value, path, value, ("shape",))["shape"]
-        if not isinstance(shape, str) or shape not in _ZONE_KEYS:
+        if not isinstance(shape, str) or shape not in HotspotZone.SHAPES:
             raise ConfigError(f"{path}.shape", f"unknown shape {shape!r}")
-        keys = required = _ZONE_KEYS[shape]
+        shaped = (_JSON_KEYS.get((cls, name), name) for name in HotspotZone.SHAPES[shape])
+        keys = required = ("shape", "importance", *shaped)
     else:
         keys, required = spec, [key for key, (_, _, req) in spec.items() if req]
     _object(value, path, keys, required)
@@ -397,37 +387,9 @@ def read_section(value, cls, path: str):
     }
     try:
         return cls(**kwargs)
-    except ValueError as exc:
-        raise _range_error(exc, cls, path) from exc
-
-
-def _check_cube(key: str, cells: int, m: float) -> None:
-    """Raise ConfigError naming ``key`` when the RSRP cube of ``cells``
-    layers of m x m pixels would take more than :data:`MAX_CUBE_BYTES`."""
-    if 8.0 * cells * m * m > MAX_CUBE_BYTES:
-        raise ConfigError(
-            key, f"an RSRP cube of {cells} x {m:g} x {m:g} float64 values "
-            f"(m = grid.extent_m / grid.pixel_size_m) takes more than {MAX_CUBE_BYTES} bytes"
-        )
-
-
-def _parse_grid(data) -> tuple[GridSpec, float]:
-    _object(data, "grid", _GRID_KEYS, ("extent_m", "pixel_size_m"))
-    grid = {"origin": (0.0, 0.0), "q_rxlevmin_dbm": DEFAULT_Q_RXLEVMIN_DBM}
-    grid.update((key, _read(value, _GRID_KEYS[key], f"grid.{key}")) for key, value in data.items())
-    extent, pixel = grid["extent_m"], grid["pixel_size_m"]
-    if pixel <= 0:
-        raise ConfigError("grid.pixel_size_m", "must be positive")
-    m = extent / pixel
-    # One layer, before the rounding below, which an infinite m overflows.
-    _check_cube("grid.extent_m", 1, m)
-    if abs(m - round(m)) > 1e-9 or round(m) < 2:
-        raise ConfigError(
-            "grid.extent_m",
-            f"extent {extent} is not an integer multiple (>= 2) of grid.pixel_size_m {pixel}",
-        )
-    spec = GridSpec(m=int(round(m)), pixel_size=pixel, origin=grid["origin"])
-    return spec, grid["q_rxlevmin_dbm"]
+    except ConfigError as exc:  # names fields of cls
+        key_of = {name: key for key, (name, _, _) in spec.items()}
+        raise ConfigError([_field(path, key_of[name]) for name in exc.fields], exc.message) from exc
 
 
 def parse_scenario_config(data: dict, seed_override: int | None = None) -> ScenarioConfig:
@@ -440,19 +402,25 @@ def parse_scenario_config(data: dict, seed_override: int | None = None) -> Scena
     seed = _read(data.get("seed", 0), int, "seed")
     if seed < 0:
         raise ConfigError("seed", f"must be non-negative, got {seed}")
-    spec, q_rxlevmin = _parse_grid(data["grid"])
+    grid = read_section(data["grid"], GridParams, "grid")
+    spec = GridSpec(round(grid.extent_m / grid.pixel_size_m), grid.pixel_size_m, grid.origin)
     sections = _fields(ScenarioConfig)
     config = ScenarioConfig(
         spec=spec,
-        q_rxlevmin_dbm=q_rxlevmin,
+        q_rxlevmin_dbm=grid.q_rxlevmin_dbm,
         **{key: read_section(data.get(key, {}), sections[key][1], key) for key in _SECTIONS},
     ).with_seed(seed if seed_override is None else seed_override)
-    try:
-        check_step(config.sim, spec)
-    except ValueError as exc:
-        raise _range_error(exc, SimConfig, "sim") from exc
-    layout = config.layout
-    _check_cube("layout.site_count", layout.site_count * layout.sectors_per_site, spec.m)
+    check_step(config.sim, spec)
+    layout, pathloss = config.layout, config.layout.pathloss
+    cells = layout.site_count * layout.sectors_per_site
+    _check_cube(("layout.site_count", "layout.sectors_per_site"), cells, spec.m)
+    # A cell's median level peaks at tx_power_dbm - ref_loss_db, on boresight.
+    if pathloss.tx_power_dbm - pathloss.ref_loss_db < max(grid.q_rxlevmin_dbm, pathloss.prune_below_dbm):
+        raise ConfigError(
+            [f"layout.pathloss.{k}" for k in ("tx_power_dbm", "ref_loss_db", "prune_below_dbm")]
+            + ["grid.q_rxlevmin_dbm"],
+            "less ref_loss_db is below the admission threshold or the prune floor: no pixel is covered",
+        )
     build_cells(config)  # surface layout/map inconsistencies at load time
     return config
 

@@ -35,6 +35,7 @@ from itertools import repeat
 
 import numpy as np
 
+from hotloc.bounds import MAX_DB, MAX_MAGNITUDE, Bounded, ConfigError, bounded
 from hotloc.grid import (
     TA_ZONE_COUNT,
     UNCOVERED,
@@ -57,7 +58,7 @@ MAX_ARRIVALS_PER_TICK = 10**6
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Bounded):
     """Simulation knobs.
 
     ``arrival_rate`` may be zero (an idle network is a valid, if dull,
@@ -68,46 +69,30 @@ class SimConfig:
     the mean per tick.
     """
 
-    arrival_rate: float = 2.0
-    file_size_bits: float = 1e6
-    mobile_fraction: float = 0.2
-    speed_kmh: float = 8.33
-    handover_margin_db: float = 6.0
-    duration_s: float = 600.0
-    tick_s: float = 1.0
-    capacity_per_cell_bps: float = 2e7
-    mu0_bps: float = 2e6
-    max_ue_per_cell: int = 50
+    arrival_rate: float = bounded(2.0, ge=0)
+    # The harmonic mean divides by file_size_bits over a download's time.
+    file_size_bits: float = bounded(1e6, ge=1.0, le=MAX_MAGNITUDE)
+    mobile_fraction: float = bounded(0.2, ge=0, le=1)
+    speed_kmh: float = bounded(8.33, ge=0)
+    handover_margin_db: float = bounded(6.0, ge=0, le=MAX_DB)
+    duration_s: float = bounded(600.0, gt=0)
+    tick_s: float = bounded(1.0, gt=0)
+    capacity_per_cell_bps: float = bounded(2e7, gt=0, le=MAX_MAGNITUDE)
+    mu0_bps: float = bounded(2e6, gt=0, le=MAX_MAGNITUDE)
+    # Slot counts are compared with int64 counters.
+    max_ue_per_cell: int = bounded(50, ge=1, le=np.iinfo(np.int64).max)
     seed: int = 0
 
     def __post_init__(self):
-        # Each message starts with the field's name (see scenario._range_error).
-        for name in (
-            "arrival_rate", "file_size_bits", "mobile_fraction", "speed_kmh",
-            "handover_margin_db", "duration_s", "tick_s", "capacity_per_cell_bps", "mu0_bps",
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.arrival_rate < 0:
-            raise ValueError("arrival_rate must be non-negative")
-        for name in ("file_size_bits", "duration_s", "tick_s", "capacity_per_cell_bps", "mu0_bps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.mobile_fraction <= 1.0:
-            raise ValueError("mobile_fraction must lie in [0, 1]")
-        for name in ("speed_kmh", "handover_margin_db"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.max_ue_per_cell < 1:
-            raise ValueError("max_ue_per_cell must be at least 1")
+        super().__post_init__()
         ticks = self.duration_s / self.tick_s
         if ticks > MAX_TICKS:
-            raise ValueError(f"duration_s must be at most {MAX_TICKS} ticks of tick_s, got {ticks:g}")
+            raise ConfigError(("duration_s", "tick_s"), f"must be at most {MAX_TICKS} ticks, got {ticks:g}")
         arrivals = self.arrival_rate * self.tick_s
         if arrivals > MAX_ARRIVALS_PER_TICK:
-            raise ValueError(
-                f"arrival_rate must give at most {MAX_ARRIVALS_PER_TICK} arrivals per tick "
-                f"of tick_s, got {arrivals:g}"
+            raise ConfigError(
+                ("arrival_rate", "tick_s"),
+                f"must give at most {MAX_ARRIVALS_PER_TICK} arrivals per tick, got {arrivals:g}",
             )
 
     @property
@@ -207,15 +192,15 @@ def _reflect(pos: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndar
 
 
 def check_step(config: SimConfig, spec: GridSpec) -> None:
-    """Raise ValueError, its message starting with ``speed_kmh``, when a
-    UE moves more than twice the map's extent in one tick. A shorter move
-    folds at most twice in :func:`_reflect`; a step near the float range
-    never settles there."""
+    """Raise ConfigError naming ``sim.speed_kmh``, ``sim.tick_s`` and
+    ``grid.extent_m`` when a UE moves more than twice the map's extent in
+    one tick. A shorter move folds at most twice in :func:`_reflect`; a
+    step near the float range never settles there."""
     step = config.speed_kmh / 3.6 * config.tick_s
     if step > 2.0 * spec.extent:
-        raise ValueError(
-            f"speed_kmh moves a UE {step:g} m per tick of tick_s, "
-            f"more than twice the map's extent of {spec.extent:g} m"
+        raise ConfigError(
+            ("sim.speed_kmh", "sim.tick_s", "grid.extent_m"),
+            f"moves a UE {step:g} m per tick, more than twice the map's extent of {spec.extent:g} m",
         )
 
 
@@ -278,7 +263,7 @@ def run_simulation(
 ) -> KpiSet:
     """Run the discrete-event loop and aggregate per-cell counters into a
     KpiSet (source ``"sim"``). A step the map cannot hold
-    (:func:`check_step`) raises ValueError."""
+    (:func:`check_step`) raises ConfigError."""
     spec = grid.spec
     check_step(config, spec)
     if truth.spec != spec:

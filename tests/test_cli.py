@@ -345,17 +345,20 @@ class TestBadInputs:
         err = fails(runner, "optimize", "optimize", "--config", CONFIG, "--out", str(art))
         assert "potential.csv: missing i,j,weight section" in err
 
-    def test_overflowing_map_named_by_label(self, runner, pipeline_dir, tmp_path):
-        # 1e308 is a finite weight, so the loader takes it, but its square
-        # overflows the design system's A^T A.
+    @pytest.mark.parametrize(
+        "name, command, stage", [("q3.csv", "evaluate", "evaluate"), ("truth.csv", "oracle-kpis", "kpis")]
+    )
+    def test_map_weight_above_bound_named_by_file(self, runner, pipeline_dir, tmp_path, name, command, stage):
+        # 1e308 is a finite weight, so the loader takes it, but it would
+        # overflow the design system's A^T A and the oracle's w * rate.
         art = self.copy(pipeline_dir, tmp_path)
-        path = art / "q3.csv"
+        path = art / name
         lines = path.read_text().splitlines()
         row = lines.index("i,j,weight") + 1
         lines[row] = "0,0,1e308"
         path.write_text("\n".join(lines) + "\n")
-        err = fails(runner, "evaluate", "evaluate", "--config", CONFIG, "--out", str(art))
-        assert "map 'q3': the squared norm of its weights overflows" in err
+        err = fails(runner, stage, command, "--config", CONFIG, "--out", str(art))
+        assert f"{path}: weight 1e+308 is above 1e+100" in err
 
     def test_truth_without_m_row(self, runner, optimized_dir, tmp_path):
         art = self.copy(optimized_dir, tmp_path)
@@ -614,6 +617,7 @@ class TestBadInputs:
             ({"x": [0.1, -0.1, 0, 0, 0]}, "must be finite and non-negative"),
             ({"x": [float("nan"), 0, 0, 0, 0]}, "must be finite and non-negative"),
             ({"x": [0, 0, 0, 0, 0.0]}, "importance factors must not all be zero"),
+            ({"x": [1e308, 0, 0, 0, 0]}, "importance.json: importance factors must be at most 1e+100"),
         ],
     )
     def test_bad_importance_vector(self, runner, optimized_dir, tmp_path, doc, message):

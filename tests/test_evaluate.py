@@ -42,9 +42,9 @@ class TestEvalConfig:
             EvalConfig(peak_count=0)
         with pytest.raises(ValueError, match="radius"):
             EvalConfig(suppression_radius_m=-1.0)
-        with pytest.raises(ValueError, match="p values"):
+        with pytest.raises(ValueError, match="^p_list: must hold values positive and at most 1"):
             EvalConfig(p_list=(0.0,))
-        with pytest.raises(ValueError, match="p values"):
+        with pytest.raises(ValueError, match="^p_list: must not be empty"):
             EvalConfig(p_list=())
 
 

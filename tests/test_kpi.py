@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_grid, put_byte, random_truth, single_cell_grid
+from hotloc.bounds import ConfigError
 from hotloc.grid import GridSpec, compute_server_maps, ta_zone_layer, aoa_zone_layer
 from hotloc.kpi import (
     CellKpis,
@@ -384,7 +385,7 @@ class TestGroundTruth:
         assert (truth.values > 0).any()
 
     def test_degenerate_model_rejected(self):
-        with pytest.raises(ValueError, match="floor must be positive when there are no components"):
+        with pytest.raises(ValueError, match="^floor: must be positive when there are no components"):
             TrafficModel(components=[], floor=0.0)
         model = TrafficModel(
             components=[TrafficComponent((250.0, 250.0), 10.0, 0.001)], floor=-5.0
@@ -417,7 +418,7 @@ class TestPotentialMap:
         assert wmap.values[3, 3] == 0.9
 
     def test_zone_validation(self):
-        with pytest.raises(ValueError, match="radius must be positive"):
+        with pytest.raises(ValueError, match="^radius: must be positive"):
             HotspotZone(shape="disk", importance=1.0, center=(0.0, 0.0), radius=0.0)
         with pytest.raises(ValueError, match="degenerate"):
             HotspotZone(shape="rect", importance=1.0, corners=(10.0, 0.0, 0.0, 10.0))
@@ -495,8 +496,9 @@ class TestThroughputCurve:
         assert (np.diff(rates) >= 0).all()
 
     def test_degenerate_span_rejected(self):
-        with pytest.raises(ValueError, match="exceed"):
+        with pytest.raises(ConfigError, match="exceed") as excinfo:
             throughput_curve(np.array(-90.0), -80.0, self.params)
+        assert excinfo.value.fields == ("oracle.rsrp_hi_dbm", "grid.q_rxlevmin_dbm")
 
 
 class TestOracle:

@@ -70,6 +70,14 @@ class TestBuildSystem:
         with pytest.raises(ValueError, match="share one grid"):
             build_system(maps, potential)
 
+    def test_overflowing_map_named_by_label(self):
+        # 1e308 is a finite weight, but its square overflows A^T A.
+        maps = self.maps()
+        maps[2].values[0, 0] = 1e308
+        potential = WeightMap(np.ones((4, 4)), GridSpec(4, 25.0), "potential")
+        with pytest.raises(ValueError, match="^map 'q3': the squared norm of its weights overflows$"):
+            build_system(maps, potential)
+
 
 class TestSolveNnls:
     def test_identity_clips_negative_targets(self):

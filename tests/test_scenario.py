@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import time
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import DESK_CONFIG, SIM_CONFIG, put_byte
-from hotloc.evaluate import EvalConfig
+from hotloc.evaluate import EvalConfig, report_to_dict
 from hotloc.grid import GridSpec
 from hotloc.kpi import OracleParams
 from hotloc.localize import LocalizerParams
@@ -22,6 +23,7 @@ from hotloc.scenario import (
     load_scenario_config,
     parse_scenario_config,
 )
+from hotloc.pipeline import StageError, run_pipeline
 from hotloc.sim import SimConfig
 
 
@@ -484,7 +486,8 @@ class TestStrictConfig:
 RECT_ZONE = {"shape": "rect", "importance": 1.0, "corners": [100.0, 0.0, 0.0, 100.0]}
 
 # One case per range check of the config dataclasses, and per size bound
-# of the config reader: (dotted key, value set there, the key named).
+# of the config reader: (dotted key, value set there, the key named, or
+# the keys named by a check over several).
 RANGE_CASES = [
     ("layout.site_count", 0, None),
     ("layout.isd_m", 0.0, None),
@@ -528,15 +531,41 @@ RANGE_CASES = [
     ("evaluation.suppression_radius_m", -1.0, None),
     ("evaluation.p_list", [0.0], None),
     ("grid.pixel_size_m", 0.0, None),
+    ("grid.pixel_size_m", 1e308, None),
+    ("grid.pixel_size_m", 1e-320, ("grid.extent_m", "grid.pixel_size_m")),
     ("grid.extent_m", 1e12, None),
     ("grid.extent_m", 1510.0, None),
+    ("grid.origin", [1e308, 0.0], None),
+    ("layout.site_count", 1e308, None),
+    ("layout.pathloss.d0_m", 1e-320, None),
+    ("layout.pathloss.exponent", 1e15, None),
+    ("traffic.floor", 1e308, None),
+    ("traffic.noise_sigma", 1e308, ("traffic.components", "traffic.noise_sigma")),
+    ("traffic.components[0].amplitude", 1e308, None),
+    ("traffic.components[0].center", [1e308, 0.0], None),
+    ("potential.zones[0].center", [1e308, 0.0], None),
+    ("oracle.mu0_bps", 1e-320, ("oracle.r_min_bps", "oracle.mu0_bps")),
+    ("sim.tick_s", 1e-320, ("sim.duration_s", "sim.tick_s")),
+    ("sim.tick_s", 1e308, ("sim.arrival_rate", "sim.tick_s")),
+    ("sim.max_ue_per_cell", 1e308, None),
+    ("evaluation.suppression_radius_m", 1e308, None),
+    (
+        "layout.pathloss.tx_power_dbm",
+        0.0,
+        (
+            "layout.pathloss.tx_power_dbm",
+            "layout.pathloss.ref_loss_db",
+            "layout.pathloss.prune_below_dbm",
+            "grid.q_rxlevmin_dbm",
+        ),
+    ),
 ]
 
 
-def config_with(key, value):
-    """``minimal_config`` with one disk zone and ``value`` at the dotted
-    ``key``."""
-    data = minimal_config(potential={"zones": [dict(DISK_ZONE)]})
+def config_with(key, value, data=None):
+    """A copy of ``data`` (by default ``minimal_config`` with one disk
+    zone) with ``value`` at the dotted ``key``."""
+    data = copy.deepcopy(data or minimal_config(potential={"zones": [dict(DISK_ZONE)]}))
     *parents, last = key.replace("[", ".").replace("]", "").split(".")
     section = data
     for part in parents:
@@ -551,10 +580,14 @@ class TestRangeErrors:
 
     @pytest.mark.parametrize("key, value, field", RANGE_CASES, ids=lambda v: repr(v)[:40])
     def test_range_error_names_the_key(self, key, value, field):
-        field = field or key
         error = rejected(config_with(key, value))
-        assert error.field == field
-        assert str(error).startswith(f"{field}: ")
+        if isinstance(field, tuple):
+            # A check over several keys names each of them.
+            assert set(error.fields) == set(field)
+            assert all(name in str(error) for name in field)
+        else:
+            assert error.field == (field or key)
+        assert str(error).startswith(f"{error.field}: ")
 
     def test_cube_bound_admits_metro_at_m_1024(self):
         # 61 sites of 3 sectors at m=1024: a 1.5 GB cube, under the bound.
@@ -566,6 +599,45 @@ class TestRangeErrors:
         error = rejected(minimal_config(grid=grid, layout={"site_count": 86}))
         assert error.field == "layout.site_count"
         assert "258 x 1024 x 1024 float64 values" in str(error)
+
+
+SIM_SMALL = json.loads(SIM_CONFIG.read_text())
+EXTREME_VALUES = (1e308, -1e308, 1e-320, 0, -1, 1e15)
+
+
+def numeric_leaves(value, path=""):
+    """The dotted key of every number in the JSON document ``value``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from numeric_leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from numeric_leaves(item, f"{path}[{k}]")
+    elif not isinstance(value, str):
+        yield path
+
+
+class TestExtremeValues:
+    """Each numeric leaf of sim-small, set to each extreme value, either
+    runs to finite outputs or is refused by a ConfigError that names it (a
+    list item by its list), from the reader or from a stage. Keys of the
+    sim section run with simulator KPIs, the others with the oracle's."""
+
+    @pytest.mark.parametrize("key", list(numeric_leaves(SIM_SMALL)))
+    def test_runs_or_names_the_key(self, key, tmp_path):
+        source = "sim" if key.startswith("sim.") else "oracle"
+        for value in EXTREME_VALUES:
+            try:
+                config = parse_scenario_config(config_with(key, value, SIM_SMALL))
+                result = run_pipeline(config, tmp_path / repr(value), kpi_source=source)
+            except (ConfigError, StageError) as exc:
+                error = exc.__cause__ if isinstance(exc, StageError) else exc
+                named = isinstance(error, ConfigError) and any(
+                    key == field or key.startswith(f"{field}[") for field in error.fields
+                )
+                assert named, f"{key} = {value!r}: {exc}"
+            else:
+                json.dumps(report_to_dict(result.report), allow_nan=False)
 
 
 class TestBuildScenario:

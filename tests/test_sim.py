@@ -12,7 +12,7 @@ from conftest import SIM_CONFIG, constant_grid, single_cell_grid
 from hotloc.grid import GridSpec, compute_server_maps
 from hotloc.kpi import LABEL_TRUTH, WeightMap, save_kpi_set
 from hotloc.pipeline import run_pipeline
-from hotloc.scenario import load_scenario_config
+from hotloc.scenario import ConfigError, load_scenario_config
 from hotloc.sim import KPI_SOURCE_SIM, SimConfig, _reflect, check_step, run_simulation
 
 
@@ -189,7 +189,7 @@ class TestSimConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, name, value):
         # An infinite speed would fold positions back into the map forever.
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name}: must be finite"):
             SimConfig(arrival_rate=1.0, **{name: value})
 
     @pytest.mark.parametrize(
@@ -202,7 +202,7 @@ class TestSimConfig:
         ],
     )
     def test_run_size_bounded(self, name, kwargs):
-        with pytest.raises(ValueError, match=f"^{name} must (be|give) at most"):
+        with pytest.raises(ValueError, match=f"^{name}: must (be|give) at most"):
             SimConfig(**kwargs)
 
     def test_step_bounded_by_twice_the_extent(self):
@@ -210,10 +210,10 @@ class TestSimConfig:
         # 720 km/h over 1 s is 200 m, the map's extent; 1440 km/h twice it.
         check_step(SimConfig(speed_kmh=1440.0), spec)
         for config in (SimConfig(speed_kmh=1441.0), SimConfig(speed_kmh=1e308)):
-            with pytest.raises(ValueError, match="^speed_kmh moves a UE .* more than twice"):
+            with pytest.raises(ConfigError, match="^sim.speed_kmh: moves a UE .* more than twice"):
                 check_step(config, spec)
         grid, servers = single_cell_grid(m=8, site=(12.5, 12.5), level=-80.0)
-        with pytest.raises(ValueError, match="^speed_kmh moves a UE"):
+        with pytest.raises(ConfigError, match="^sim.speed_kmh: moves a UE"):
             run_simulation(SimConfig(speed_kmh=1e308), uniform_truth(8, 25.0), grid, servers)
 
     def test_tick_count(self):

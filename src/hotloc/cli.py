@@ -15,9 +15,19 @@ A subcommand parses its options, hands its stages to
 :func:`hotloc.pipeline.run_stages` and echoes a summary; what a stage
 reads, computes and writes lives in the pipeline. Every failure, reading
 the inputs included, ends the command with ``hotloc: stage <name>:
-<message>`` on stderr and exit status 1; a read fails under the
-subcommand's name, and an input that does not match the config under
-``config``, with the config's key named.
+<message>`` on stderr and exit status 1, printed by :func:`_fail` alone;
+a read fails under the subcommand's name, and a bad config, or an input
+that does not match it, under ``config``.
+
+A refused input is a :class:`hotloc.bounds.InputError` whose ``source``
+is the file path or the dotted config key, ``where`` the line (``line
+12``) or cell (``cell 'BS01A'``) inside it, or None, and ``message`` the
+reason; its message reads ``<source>: <where>: <message>``, without a
+part that is None. A :class:`hotloc.bounds.ConfigError` is the config
+form: its source is the first key it names, and the other keys follow
+the reason as ``(with <key>, ...)``. A stage's failure reaches
+:func:`_fail` as a :class:`hotloc.pipeline.StageError` that keeps the
+error as ``cause``.
 """
 
 from __future__ import annotations
@@ -40,30 +50,29 @@ from hotloc.pipeline import (
 from hotloc.scenario import ConfigError, load_scenario_config
 
 
-def _fail(stage: str, message: str) -> None:
-    click.echo(f"hotloc: stage {stage}: {message}", err=True)
+def _fail(exc: Exception, name: str) -> None:
+    """Print ``exc`` as ``hotloc: stage <s>: <exc>`` and exit 1: under its
+    stage for a StageError, under ``config`` for a ConfigError (a bad
+    config, or an input that does not match it) and under ``name`` for
+    anything else (loading the inputs, say)."""
+    stage = exc.stage if isinstance(exc, StageError) else "config" if isinstance(exc, ConfigError) else name
+    click.echo(f"hotloc: stage {stage}: {exc}", err=True)
     sys.exit(1)
 
 
 def _reported(name: str):
-    """Run a subcommand so that every failure leaves through ``_fail``:
-    a stage's failure under that stage's name, a ConfigError (a bad
-    config, or an input that does not match it) under ``config``, anything
-    else (loading the inputs, say) under ``name``. Click reports usage
-    errors itself."""
+    """Run a subcommand so that every failure leaves through ``_fail``
+    with the subcommand's stage ``name``. Click reports usage errors
+    itself."""
 
     def wrap(fn):
         def command(**kwargs):
             try:
                 fn(**kwargs)
-            except StageError as exc:
-                _fail(exc.stage, str(exc))
             except click.UsageError:
                 raise
-            except ConfigError as exc:
-                _fail("config", str(exc))
             except Exception as exc:
-                _fail(name, str(exc))
+                _fail(exc, name)
 
         command.__doc__ = fn.__doc__
         return command
@@ -238,7 +247,7 @@ def pipeline_cmd(
                     x_override=x_override, event_log=events,
                 )
             except StageError as exc:
-                raise StageError(exc.stage, f"(seed {s}) {exc}") from exc
+                raise StageError(exc.stage, exc.cause, seed=s) from exc.cause
             for label, variant in sorted(result.report.variants.items()):
                 for p, detected in sorted(variant.detection.items()):
                     rows.append((s, label, variant.mean_distance_m, p, detected))

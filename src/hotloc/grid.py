@@ -24,6 +24,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
+from hotloc.bounds import InputError
+
 # Distance resolution of the timing-advance counter and the number of rings
 # it is binned into (the last ring is open-ended).
 TA_GRANULARITY_M = 78.25
@@ -375,14 +377,14 @@ def _first_bad_line(lines: list[str], count: int, converters: list[type]) -> tup
 
 
 def read_rows(
-    path: str | Path, fh: TextIO, start: int, count: int, dtype: np.dtype, where: str
+    path: str | Path, fh: TextIO, start: int, count: int, dtype: np.dtype, context: str
 ) -> np.ndarray:
     """The next ``count`` lines of the text file ``fh`` as an array of
     ``count`` rows of the structured ``dtype``, one int64 or float64
     field per column, parsed by one ``np.loadtxt`` call; ``start`` is the
     0-based line of the first. A row without one value of its field's
     type per column, an infinite float, a blank line and a missing row
-    raise ValueError naming the file, the line and ``where``."""
+    raise InputError at the line, its reason after ``context``."""
     lines = list(itertools.islice(fh, count))
     error = None
     try:
@@ -405,16 +407,16 @@ def read_rows(
         return rows
     # numpy refuses a few spellings Python reads, such as "1_0".
     offset, reason = found or (0, f"garbled rows from here: {error}")
-    raise ValueError(f"{path}: line {start + offset + 1}: {where}{reason}")
+    raise InputError(path, f"line {start + offset + 1}", context + reason)
 
 
 def read_end(path: str | Path, fh: TextIO, start: int, rows: int) -> None:
-    """Raise ValueError naming the file and the line when a non-blank line
-    is left in ``fh`` after the last of ``rows`` rows; ``start`` is the
-    0-based line after that row."""
+    """Raise InputError at the first non-blank line left in ``fh`` after
+    the last of ``rows`` rows; ``start`` is the 0-based line after that
+    row."""
     for line_no, line in enumerate(fh, start + 1):
         if line.strip():
-            raise ValueError(f"{path}: line {line_no}: more than {rows} rows")
+            raise InputError(path, f"line {line_no}", f"more than {rows} rows")
 
 
 def save_grid(grid: CoverageGrid, path: str | Path) -> None:
@@ -453,8 +455,8 @@ def save_grid(grid: CoverageGrid, path: str | Path) -> None:
 @contextmanager
 def open_text(path: str | Path) -> Iterator[TextIO]:
     """The UTF-8 text file ``path``, open for reading. A byte that is not
-    UTF-8, met anywhere in the ``with`` block, raises ValueError naming
-    the file, the 1-based line and the byte, in place of the bare
+    UTF-8, met anywhere in the ``with`` block, raises InputError at the
+    1-based line, naming the byte, in place of the bare
     UnicodeDecodeError. The line is found by decoding the file again
     line by line, which fails on the same byte: a line break is never
     part of a multi-byte sequence."""
@@ -468,7 +470,7 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
                     line.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     reason = f"byte {line[exc.start]:#04x} is not UTF-8"
-                    raise ValueError(f"{path}: line {line_no}: {reason}") from None
+                    raise InputError(path, f"line {line_no}", reason) from None
         raise
 
 
@@ -476,12 +478,6 @@ def read_text(path: str | Path) -> str:
     """The whole text of the UTF-8 file ``path`` (:func:`open_text`)."""
     with open_text(path) as fh:
         return fh.read()
-
-
-def garbled_line(path: str | Path, line_no: int, line: str, reason: str) -> ValueError:
-    """The error for a garbled row of a text artifact, naming the file and
-    the 1-based line."""
-    return ValueError(f"{path}: line {line_no}: {reason}: {line!r}")
 
 
 Header = dict[str, list[tuple[int, list[str]]]]
@@ -495,10 +491,10 @@ def read_header(
     its ``marker`` row, where ``fh`` is left. ``keys`` maps each key to
     whether its row may repeat. A first row other than ``magic``, an
     unknown key, a repeat of a row that may not repeat and a missing
-    marker raise ValueError naming the file, and the line for a row."""
+    marker raise InputError, at the line for a row."""
     first = fh.readline().rstrip("\n")
     if first != magic:
-        raise ValueError(f"{path}: not a hotloc {kind} file ({magic}): {first!r}")
+        raise InputError(path, None, f"not a hotloc {kind} file ({magic}): {first!r}")
     header: Header = {key: [] for key in keys}
     for line_no, line in enumerate(iter(fh.readline, ""), 2):
         line = line.rstrip("\n")
@@ -507,42 +503,42 @@ def read_header(
         fields = line.split(",")
         rows = header.get(fields[0])
         if rows is None:
-            raise garbled_line(path, line_no, line, "unknown header row")
+            raise InputError(path, f"line {line_no}", f"unknown header row: {line!r}")
         if rows and not keys[fields[0]]:
             reason = f"header row already given on line {rows[0][0]}"
-            raise garbled_line(path, line_no, line, reason)
+            raise InputError(path, f"line {line_no}", f"{reason}: {line!r}")
         rows.append((line_no, fields))
-    raise ValueError(f"{path}: missing {marker} section")
+    raise InputError(path, None, f"missing {marker} section")
 
 
 def header_row(header: Header, key: str, path: str | Path, convert=float, count: int = 1) -> list:
     """The ``count`` values of header row ``key`` of a text artifact, each
-    passed through ``convert``. Raises ValueError naming the file and the
-    row when the row is missing or garbled."""
+    passed through ``convert``. Raises InputError naming the row when it
+    is missing or garbled."""
     try:
         ((_, fields),) = header[key]
         if len(fields) != count + 1:
             raise ValueError
         return [convert(v) for v in fields[1:]]
     except ValueError:
-        raise ValueError(f"{path}: missing or garbled {key!r} header row") from None
+        raise InputError(path, None, f"missing or garbled {key!r} header row") from None
 
 
 def read_spec(header: Header, path: str | Path, values_per_pixel: int) -> GridSpec:
     """The grid in the ``m``, ``pixel_size`` and ``origin`` header rows. A
     garbled row, a bad :class:`GridSpec` and an ``m`` whose rows of
     ``values_per_pixel`` values, two bytes each or more, would overrun
-    the file raise ValueError naming the file."""
+    the file raise InputError."""
     m = header_row(header, "m", path, int)[0]
     pixel_size = header_row(header, "pixel_size", path)[0]
     origin = tuple(header_row(header, "origin", path, count=2))
     try:
         spec = GridSpec(m=m, pixel_size=pixel_size, origin=origin)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise InputError.of(path, exc) from None
     need, size = 2 * values_per_pixel * m * m, Path(path).stat().st_size
     if need > size:
-        raise ValueError(f"{path}: m={m} needs {need} bytes of rows or more, the file holds {size}")
+        raise InputError(path, None, f"m={m} needs {need} bytes of rows or more, the file holds {size}")
     return spec
 
 
@@ -556,7 +552,7 @@ def load_grid(path: str | Path) -> CoverageGrid:
     format version, a garbled, unknown or repeated header row, a
     non-finite header value, a repeated cell id, a neighbor that names no
     cell, an id that holds a NUL and a non-finite site or azimuth raise
-    ValueError naming the file, and the line for a row; so do the grid
+    InputError, at the line for a row; so do the grid
     :func:`read_spec` refuses, the layer rows :func:`read_rows` and
     :func:`read_end` reject, and a byte that is not UTF-8."""
     with open_text(path) as fh:
@@ -577,17 +573,17 @@ def load_grid(path: str | Path) -> CoverageGrid:
                 site, azimuth = (float(x), float(y)), math.radians(float(az_deg))
                 cells.append(CellInfo(cell_id, site, azimuth, neighbors))
             except ValueError as exc:
-                raise garbled_line(path, line_no, ",".join(fields), str(exc)) from None
+                raise InputError(path, f"line {line_no}", f"{exc}: {','.join(fields)!r}") from None
 
         q_rxlevmin = header_row(header, "q_rxlevmin", path)[0]
         declared = header_row(header, "cells", path, int)[0]
         if declared != len(cells):
-            raise ValueError(f"{path}: header declares {declared} cells, found {len(cells)}")
+            raise InputError(path, None, f"header declares {declared} cells, found {len(cells)}")
         for cell, (line_no, fields) in zip(cells, header["cell"]):
             unknown = [nb_id for nb_id in cell.neighbors if nb_id not in cell_rows]
             if unknown:
                 reason = f"neighbors {unknown} are not cells of the grid"
-                raise garbled_line(path, line_no, ",".join(fields), reason)
+                raise InputError(path, f"line {line_no}", f"{reason}: {','.join(fields)!r}")
         spec = read_spec(header, path, len(cells))
         m = spec.m
         try:
@@ -595,7 +591,7 @@ def load_grid(path: str | Path) -> CoverageGrid:
             # grid's rule of finite or NaN values.
             grid = CoverageGrid(spec, cells, np.zeros((len(cells), m, m)), q_rxlevmin)
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise InputError.of(path, exc) from None
         layer_row = np.dtype([("", np.float64)] * m)
         for k, cell in enumerate(cells):
             rows = read_rows(path, fh, start + k * m, m, layer_row, f"cell {cell.cell_id!r}: ")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hotloc.bounds import MAX_DB, MAX_MAGNITUDE, MAX_METERS, Bounded, ConfigError, bounded
+from hotloc.bounds import MAX_DB, MAX_MAGNITUDE, MAX_METERS, Bounded, ConfigError, InputError, bounded
 from hotloc.grid import (
     CoverageGrid,
     GridSpec,
@@ -128,7 +128,8 @@ class KpiSet:
 
     def validate(self, grid: CoverageGrid | None = None) -> None:
         """Check the header and every cell; with ``grid``, also that the cells
-        are the grid's and that neighbor levels name configured neighbors."""
+        are the grid's and that neighbor levels name configured neighbors.
+        A bad cell raises InputError at that cell, with no source."""
         if not isinstance(self.source, str):
             raise ValueError(f"source must be a string, got {self.source!r}")
         window = self.window_s
@@ -138,7 +139,7 @@ class KpiSet:
             try:
                 kpis.validate()
             except ValueError as exc:
-                raise ValueError(f"cell {cell_id!r}: {exc}") from exc
+                raise InputError("", f"cell {cell_id!r}", str(exc)) from exc
         if grid is not None:
             expected = {c.cell_id for c in grid.cells}
             if set(self.cells) != expected:
@@ -149,7 +150,8 @@ class KpiSet:
                 stray = sorted(named - set(cell.neighbors))
                 if unknown or stray:
                     what = "cells not on the grid" if unknown else "cells that are not its configured neighbors"
-                    raise ValueError(f"cell {cell.cell_id!r}: neighbor_level names {what}: {unknown or stray}")
+                    reason = f"neighbor_level names {what}: {unknown or stray}"
+                    raise InputError("", f"cell {cell.cell_id!r}", reason)
 
     def all_empty(self) -> bool:
         return all(k.is_empty() for k in self.cells.values())
@@ -450,8 +452,8 @@ def load_weight_map(path: str | Path) -> WeightMap:
     rows :func:`read_header` rejects, a garbled label, the grid
     :func:`read_spec` refuses, a pixel out of row-major order, a negative
     or NaN weight, the rows :func:`read_rows` and :func:`read_end` reject
-    and a byte that is not UTF-8 raise ValueError naming the file, and
-    the line for a row. The weights are copied out of the parsed rows."""
+    and a byte that is not UTF-8 raise InputError, at the line for a row.
+    The weights are copied out of the parsed rows."""
     with open_text(path) as fh:
         header, start = read_header(path, fh, "weight map", _WMAP_MAGIC, "i,j,weight", _WMAP_KEYS)
         label = header_row(header, "label", path, str)[0]
@@ -469,7 +471,7 @@ def load_weight_map(path: str | Path) -> WeightMap:
                 reason = f"expected pixel {divmod(k, m)}, got ({i[k]}, {j[k]})"
             else:
                 reason = f"weight {float(weights[k])!r} is negative or NaN"
-            raise ValueError(f"{path}: line {start + k + 1}: {reason}")
+            raise InputError(path, f"line {start + k + 1}", reason)
         read_end(path, fh, start + m * m, m * m)
     return WeightMap(np.ascontiguousarray(weights.reshape(m, m)), spec, label)
 
@@ -495,10 +497,11 @@ def save_kpi_set(kpis: KpiSet, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _json_float(value, what: str) -> float:
-    """``value`` as a float when it is a JSON number, else ValueError."""
+def _json_float(value, cell_id: str, key: str) -> float:
+    """``value`` as a float when it is a JSON number, else InputError at
+    the cell."""
     if type(value) not in (int, float):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise InputError("", f"cell {cell_id!r}", f"{key} must be a number, got {value!r}")
     return float(value)
 
 
@@ -509,14 +512,13 @@ def _cell_entry(entry) -> tuple[str, CellKpis]:
     cell_id = entry["cell_id"]
     if not isinstance(cell_id, str):
         raise ValueError(f"cell_id must be a string, got {cell_id!r}")
-    what = f"cell {cell_id!r}: "
     ta = np.array(entry["ta"], dtype=np.float64)
     aoa = np.array(entry["aoa"], dtype=np.float64)
     levels = entry["neighbor_level"]
     if not isinstance(levels, dict):
-        raise ValueError(f"{what}neighbor_level must be an object, got {levels!r}")
-    neighbor_level = {nb: _json_float(v, f"{what}neighbor_level[{nb!r}]") for nb, v in levels.items()}
-    scalars = [_json_float(entry[key], what + key) for key in ("load_time", "amt_bps", "hmt_bps")]
+        raise InputError("", f"cell {cell_id!r}", f"neighbor_level must be an object, got {levels!r}")
+    neighbor_level = {nb: _json_float(v, cell_id, f"neighbor_level[{nb!r}]") for nb, v in levels.items()}
+    scalars = [_json_float(entry[key], cell_id, key) for key in ("load_time", "amt_bps", "hmt_bps")]
     return cell_id, CellKpis(ta, aoa, neighbor_level, *scalars)
 
 
@@ -524,8 +526,8 @@ def load_kpi_set(path: str | Path, grid: CoverageGrid | None = None) -> KpiSet:
     """Read a KPI set written by :func:`save_kpi_set` and validate it, with
     ``grid`` against that grid. Text that is not JSON, a document or cell
     of the wrong shape, a missing field, a bad value and a cell set that
-    does not fit ``grid`` raise ValueError naming the file, and the line
-    for a byte that is not UTF-8."""
+    does not fit ``grid`` raise InputError, at the cell or, for a byte
+    that is not UTF-8, the line."""
     text = read_text(path)
     try:
         doc = json.loads(text)
@@ -541,11 +543,11 @@ def load_kpi_set(path: str | Path, grid: CoverageGrid | None = None) -> KpiSet:
         kpis = KpiSet(cells=cells, source=doc["source"], window_s=doc["window_s"])
         kpis.validate(grid)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not JSON: {exc}") from exc
+        raise InputError(path, None, f"not JSON: {exc}") from exc
     except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from exc
+        raise InputError(path, None, f"missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise InputError.of(path, exc) from exc
     return kpis
 
 
@@ -565,13 +567,14 @@ def save_potential_spec(spec_zones: PotentialHotspotSpec, path: str | Path) -> N
 
 def load_potential_spec(path: str | Path) -> PotentialHotspotSpec:
     """Read a prior written by :func:`save_potential_spec` through the
-    config reader; every error names the file."""
+    config reader; every error is an InputError of the file, at the
+    config key it is about."""
     from hotloc.scenario import read_section  # scenario imports this module
 
     text = read_text(path)
     try:
         return read_section(json.loads(text), PotentialHotspotSpec, "potential")
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not JSON: {exc}") from exc
+        raise InputError(path, None, f"not JSON: {exc}") from exc
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise InputError.of(path, exc) from exc

@@ -16,6 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
+from hotloc.bounds import InputError
 from hotloc.kpi import WeightMap
 from hotloc.localize import KPI_COUNT, ImportanceVector
 
@@ -46,7 +47,7 @@ class DesignSystem:
 def build_system(maps: tuple[WeightMap, ...], potential: WeightMap) -> DesignSystem:
     """Flatten the five KPI maps and the potential map into A and b. A map
     whose squared norm overflows, which would make ``A^T A`` or ``A^T b``
-    infinite, is refused by its label."""
+    infinite, is refused by an InputError whose source names its label."""
     if len(maps) != KPI_COUNT:
         raise ValueError(f"expected {KPI_COUNT} KPI maps")
     ref = maps[0]
@@ -56,7 +57,7 @@ def build_system(maps: tuple[WeightMap, ...], potential: WeightMap) -> DesignSys
                 raise ValueError("all maps must share one grid")
             flat = wmap.values.reshape(-1)
             if not np.isfinite(flat @ flat):
-                raise ValueError(f"map {wmap.label!r}: the squared norm of its weights overflows")
+                raise InputError(f"map {wmap.label!r}", None, "the squared norm of its weights overflows")
     A = np.column_stack([wmap.values.reshape(-1) for wmap in maps])
     b = potential.values.reshape(-1).copy()
     return DesignSystem(A=A, b=b)

@@ -10,8 +10,9 @@ stage of the same call made is passed on in memory, and every other input
 is read through :data:`READERS` before the first stage runs.
 :func:`run_pipeline` runs them all, from memory alone; the CLI's stage
 subcommands run their own stages on an artifact directory. Stages run in
-a fixed order and failures carry the stage name, so a caller (the CLI in
-particular) can report exactly where a run died.
+a fixed order and a failure is a :class:`StageError` that carries the
+stage name and the exception, so a caller (the CLI in particular) can
+report exactly where a run died and which input it refused.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from hotloc.bounds import MAX_MAGNITUDE
+from hotloc.bounds import MAX_MAGNITUDE, InputError
 from hotloc.evaluate import (
     EvalReport,
     compare_variants,
@@ -70,11 +71,13 @@ VARIANT_COLUMNS = {
 
 
 class StageError(RuntimeError):
-    """A pipeline stage failed; ``stage`` names it."""
+    """The pipeline stage ``stage`` failed with the exception ``cause``.
+    The text is the cause's, after ``(seed N)`` when ``seed`` names the
+    run of a seed sweep."""
 
-    def __init__(self, stage: str, message: str):
-        super().__init__(message)
-        self.stage = stage
+    def __init__(self, stage: str, cause: Exception, seed: int | None = None):
+        super().__init__(("" if seed is None else f"(seed {seed}) ") + str(cause))
+        self.stage, self.cause, self.seed = stage, cause, seed
 
 
 @dataclass
@@ -148,14 +151,16 @@ def _run_maps(run: Run) -> None:
 
 def _run_optimize(run: Run) -> None:
     """The fitted importance vector, or ``x_override`` when given, written
-    to ``importance.json``; an all-zero fit is refused before the write."""
+    to ``importance.json``. An all-zero fit is refused before the write,
+    naming the prior's zones, which overlap none of the KPI maps."""
     x, residual = run.x_override, None
     if x is None:
         result = solve_nnls(build_system(tuple(run.kpi_maps), run.potential_map))
         if not result.x.any():
-            raise ValueError(
+            raise ConfigError(
+                "potential.zones",
                 "importance fit: every factor is zero; "
-                "the potential-hotspot prior overlaps none of the KPI maps"
+                "the potential-hotspot prior overlaps none of the KPI maps",
             )
         x, residual = result.importance(), result.residual
     total = sum(x.values)
@@ -173,8 +178,8 @@ def _run_optimize(run: Run) -> None:
 
 def load_importance(path: Path) -> ImportanceVector:
     """The importance vector of an ``importance.json`` written by the
-    optimize stage. Every error names the file, and the line for a byte
-    that is not UTF-8."""
+    optimize stage. Every error is an InputError of the file, at the line
+    for a byte that is not UTF-8."""
     text = read_text(path)
     try:
         doc = json.loads(text)
@@ -187,9 +192,9 @@ def load_importance(path: Path) -> ImportanceVector:
             raise ValueError(f"'x' must be a list of {len(KPI_LABELS)} numbers")
         return ImportanceVector(tuple(float(v) for v in x))
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not JSON: {exc}") from exc
+        raise InputError(path, None, f"not JSON: {exc}") from exc
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise InputError.of(path, exc) from exc
 
 
 def variant_maps(
@@ -287,8 +292,8 @@ def _check_against_config(path: Path, item, config: ScenarioConfig) -> None:
 def _read(name: str, source: Path, run: Run) -> None:
     """Read input ``name`` from ``source`` onto ``run``, after the inputs
     its loader takes. A missing file, named with the stage that writes it,
-    and a map weight above :data:`MAX_MAGNITUDE` raise ValueError naming
-    the file; a grid or map that does not match the config raises
+    and a map weight above :data:`MAX_MAGNITUDE` raise InputError, as the
+    loaders do; a grid or map that does not match the config raises
     ConfigError (:func:`_check_against_config`)."""
     writer, files, load, needs = READERS[name]
     for need in needs:
@@ -297,13 +302,13 @@ def _read(name: str, source: Path, run: Run) -> None:
     paths = [source / file for file in files]
     for path in paths:
         if not path.exists():
-            raise ValueError(f"{path} not found, run {writer} first")
+            raise InputError(path, None, f"not found, run {writer} first")
     value = load(*paths, *(getattr(run, need) for need in needs))
     for path, item in zip(paths, value if isinstance(value, tuple) else (value,)):
         if isinstance(item, (CoverageGrid, WeightMap)):
             _check_against_config(path, item, run.config)
         if isinstance(item, WeightMap) and item.values.max() > MAX_MAGNITUDE:
-            raise ValueError(f"{path}: weight {float(item.values.max())!r} is above {MAX_MAGNITUDE:g}")
+            raise InputError(path, None, f"weight {float(item.values.max())!r} is above {MAX_MAGNITUDE:g}")
     setattr(run, name, value)
 
 
@@ -340,7 +345,7 @@ def run_stages(
             try:
                 globals()[f"_run_{s}"](run)
             except Exception as exc:
-                raise StageError(s, str(exc)) from exc
+                raise StageError(s, exc) from exc
     return run
 
 

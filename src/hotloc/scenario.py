@@ -21,7 +21,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from hotloc.bounds import MAX_DB, MAX_METERS, Bounded, ConfigError, bounded
+from hotloc.bounds import MAX_DB, MAX_METERS, Bounded, ConfigError, InputError, bounded, shown
 from hotloc.evaluate import EvalConfig
 from hotloc.grid import (
     CellInfo,
@@ -252,7 +252,7 @@ def _check_cube(names, cells: int, m) -> None:
     counts multiply exactly; a float product overflows on a huge count."""
     if 8 * cells * m * m > MAX_CUBE_BYTES:
         raise ConfigError(
-            names, f"an RSRP cube of {cells} x {m:g} x {m:g} float64 values "
+            names, f"an RSRP cube of {shown(cells)} x {m:g} x {m:g} float64 values "
             f"(m = grid.extent_m / grid.pixel_size_m) takes more than {MAX_CUBE_BYTES} bytes"
         )
 
@@ -278,21 +278,21 @@ class GridParams(Bounded):
             )
 
 
-def _field(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
+def _field(dotted: str, key: str) -> str:
+    return f"{dotted}.{key}" if dotted else key
 
 
-def _object(value, path: str, keys, required=()) -> dict:
+def _object(value, dotted: str, keys, required=()) -> dict:
     """``value``, which must be a JSON object with no key outside ``keys``
     and every key of ``required``."""
     if not isinstance(value, dict):
-        raise ConfigError(path, "expected an object")
+        raise ConfigError(dotted, "expected an object")
     for key in value:
         if key not in keys:
-            raise ConfigError(_field(path, key), "unknown key")
+            raise ConfigError(_field(dotted, key), "unknown key")
     for key in required:
         if key not in value:
-            raise ConfigError(_field(path, key), "missing required field")
+            raise ConfigError(_field(dotted, key), "missing required field")
     return value
 
 
@@ -323,7 +323,7 @@ def _fields(cls) -> dict[str, tuple[str, object, bool]]:
     }
 
 
-def _read(value, tp, path: str):
+def _read(value, tp, dotted: str):
     """``value`` read as the type ``tp``: a dataclass from an object, a
     ``list[X]`` from a list of X, a tuple of floats from a list of finite
     numbers (of the tuple's length, or non-empty for ``tuple[float,
@@ -333,55 +333,55 @@ def _read(value, tp, path: str):
         (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
     origin, args = get_origin(tp), get_args(tp)
     if is_dataclass(tp):
-        return read_section(value, tp, path)
+        return read_section(value, tp, dotted)
     if origin is list:
         if not isinstance(value, list):
-            raise ConfigError(path, f"expected a list, got {value!r}")
-        return [_read(item, args[0], f"{path}[{k}]") for k, item in enumerate(value)]
+            raise ConfigError(dotted, f"expected a list, got {value!r}")
+        return [_read(item, args[0], f"{dotted}[{k}]") for k, item in enumerate(value)]
     if origin is tuple:
         size = None if args[-1] is Ellipsis else len(args)
         what = f"a list of {size}" if size else "a non-empty list of"
         expected = f"expected {what} finite numbers, got {value!r}"
         if not isinstance(value, (list, tuple)) or not value or (size and len(value) != size):
-            raise ConfigError(path, expected)
+            raise ConfigError(dotted, expected)
         for k, item in enumerate(value):
             if not _is_finite_number(item):
-                raise ConfigError(path, f"{expected}: {path}[{k}] is {item!r}")
+                raise ConfigError(dotted, f"{expected}: {dotted}[{k}] is {item!r}")
         return tuple(float(v) for v in value)
     if tp is str:
         if not isinstance(value, str):
-            raise ConfigError(path, f"expected a string, got {value!r}")
+            raise ConfigError(dotted, f"expected a string, got {value!r}")
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
+        raise ConfigError(dotted, f"expected a number, got {value!r}")
     if not _is_finite_number(value):
-        raise ConfigError(path, f"must be finite, got {value!r}")
+        raise ConfigError(dotted, f"must be finite, got {shown(value)}")
     if tp is int:
         if value != int(value):
-            raise ConfigError(path, f"expected an integer, got {value!r}")
+            raise ConfigError(dotted, f"expected an integer, got {value!r}")
         return int(value)
     return float(value)
 
 
-def read_section(value, cls, path: str):
+def read_section(value, cls, dotted: str):
     """The dataclass ``cls`` read from the config section ``value`` at the
-    dotted ``path``. Its keys are the fields of ``cls``, each read by
+    dotted key ``dotted``. Its keys are the fields of ``cls``, each read by
     :func:`_read`, and a field without a default is required; a zone
     takes the keys of its ``shape``, all of them required. Every error is
     a ConfigError naming the offending keys."""
     spec = _fields(cls)
     if cls is HotspotZone:
         # The shape decides the other keys, so it is checked first.
-        shape = _object(value, path, value, ("shape",))["shape"]
+        shape = _object(value, dotted, value, ("shape",))["shape"]
         if not isinstance(shape, str) or shape not in HotspotZone.SHAPES:
-            raise ConfigError(f"{path}.shape", f"unknown shape {shape!r}")
+            raise ConfigError(f"{dotted}.shape", f"unknown shape {shape!r}")
         shaped = (_JSON_KEYS.get((cls, name), name) for name in HotspotZone.SHAPES[shape])
         keys = required = ("shape", "importance", *shaped)
     else:
         keys, required = spec, [key for key, (_, _, req) in spec.items() if req]
-    _object(value, path, keys, required)
+    _object(value, dotted, keys, required)
     kwargs = {
-        name: _read(value[key], tp, f"{path}.{key}")
+        name: _read(value[key], tp, f"{dotted}.{key}")
         for key, (name, tp, _) in spec.items()
         if key in value
     }
@@ -389,7 +389,7 @@ def read_section(value, cls, path: str):
         return cls(**kwargs)
     except ConfigError as exc:  # names fields of cls
         key_of = {name: key for key, (name, _, _) in spec.items()}
-        raise ConfigError([_field(path, key_of[name]) for name in exc.fields], exc.message) from exc
+        raise ConfigError([_field(dotted, key_of[name]) for name in exc.fields], exc.message) from exc
 
 
 def parse_scenario_config(data: dict, seed_override: int | None = None) -> ScenarioConfig:
@@ -426,10 +426,12 @@ def parse_scenario_config(data: dict, seed_override: int | None = None) -> Scena
 
 
 def load_scenario_config(path: str | Path, seed_override: int | None = None) -> ScenarioConfig:
+    """The config in the JSON file ``path``. A file that is not JSON, or
+    not UTF-8, raises ConfigError with the file as its source."""
     try:
         data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise ConfigError("", f"{path}: not valid JSON: {exc}") from exc
-    except ValueError as exc:  # a byte that is not UTF-8, named by its line
-        raise ConfigError("", str(exc)) from None
+        raise ConfigError(str(path), f"not valid JSON: {exc}") from exc
+    except InputError as exc:  # a byte that is not UTF-8, at its line
+        raise ConfigError(exc.source, exc.message, exc.where) from None
     return parse_scenario_config(data, seed_override)

@@ -149,8 +149,8 @@ class TestStageCommands:
             main, ["localize", "--config", CONFIG, "--out", art]
         )
         assert result.exit_code == 1
-        assert "hotloc: stage localize:" in result.stderr
-        assert f"{tmp_path / 'art' / 'importance.json'} not found, run optimize first" in result.stderr
+        path = tmp_path / "art" / "importance.json"
+        assert result.stderr == f"hotloc: stage localize: {path}: not found, run optimize first\n"
 
 
 STAGEWISE_ARTIFACTS = (
@@ -253,7 +253,7 @@ def test_readme_stage_table_is_true(runner, pipeline_dir, tmp_path, command, rea
         config = shutil.copy(SIM_CONFIG, art / "config.json")
         result = runner.invoke(main, [command, "--config", str(config), "--out", str(art)])
         assert result.exit_code == 1, result.output
-        assert f"{art / missing} not found, run {writer[missing]} first" in result.stderr
+        assert result.stderr.endswith(f": {art / missing}: not found, run {writer[missing]} first\n")
 
     art = tmp_path / "art"
     art.mkdir()
@@ -800,6 +800,32 @@ class TestPipelineCommand:
         ) in err
         assert (out / "q1.csv").exists()
         assert not (out / "importance.json").exists()
+
+    def test_zero_fit_names_the_prior(self, runner, tmp_path):
+        # At exponent 9 coverage shrinks to the site's surroundings, which
+        # the prior's disks miss. A seed sweep puts the seed before the
+        # same text, once.
+        doc = json.loads(SIM_CONFIG.read_text())
+        doc["layout"]["pathloss"]["exponent"] = 9
+        config = tmp_path / "steep.json"
+        config.write_text(json.dumps(doc))
+        text = "potential.zones: importance fit: every factor is zero; "
+        args = ("pipeline", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert fails(runner, "optimize", *args).startswith(f"hotloc: stage optimize: {text}")
+        err = fails(runner, "optimize", *args, "--seeds", "3,4")
+        assert err.startswith(f"hotloc: stage optimize: (seed 3) {text}")
+        assert err.count("\n") == 1 and err.count("(seed") == 1
+
+    @pytest.mark.parametrize("key", ["site_count", "sectors_per_site"])
+    def test_huge_count_printed_compactly(self, runner, tmp_path, key):
+        doc = json.loads(SIM_CONFIG.read_text())
+        doc["layout"][key] = 1e308
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(doc))
+        err = fails(runner, "config", "pipeline", "--config", str(config), "--out", str(tmp_path / "out"))
+        assert err.startswith(f"hotloc: stage config: layout.{key}: ")
+        assert "3e+308 x 32 x 32" in err if key == "site_count" else err.endswith("got 1e+308\n")
+        assert len(err.rstrip("\n")) < 200 and err.count("\n") == 1
 
     def test_all_zero_fuse_fails_in_localize_stage(self, runner, tmp_path):
         # Under rho_cap 10 no cell is congested, so q4 is zero everywhere

@@ -2,9 +2,11 @@
 
 Each case copies one sim-small run, applies one random mutation to one
 file that a stage command reads, or to the config file, and runs that
-command through ``CliRunner``. The command must exit 0, or exit 1 with
-``hotloc: stage <s>:`` on stderr and either the mutated file's name or,
-for a value of the config, its dotted path.
+command's stages in process, as the command does: the config through
+``load_scenario_config``, then ``pipeline.run_stages``. The run must
+finish, or raise an :class:`InputError` (bare, or as the ``cause`` of a
+``StageError``) whose ``source`` names what was mutated: the file, or
+for a value of the config its dotted key.
 """
 
 import json
@@ -16,10 +18,16 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import SIM_CONFIG
+from hotloc.bounds import ConfigError, InputError
 from hotloc.cli import main
+from hotloc.pipeline import KPI_SOURCE_ORACLE, KPI_SOURCE_SIM, StageError, run_stages
+from hotloc.scenario import load_scenario_config
 
 SEED = 7
 CASES = 300
+# Seeded cases for each (file, command) pair of COMMANDS, beside the
+# CASES drawn over all of them.
+PAIR_CASES = 4
 
 # The stage commands that read each file.
 COMMANDS = {
@@ -46,6 +54,15 @@ NOT_UTF8 = tuple(bytes([b]).decode("utf-8", "surrogateescape") for b in (0x80, 0
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?|nan|inf")
 # The row that ends the header of each CSV format.
 MARKERS = ("rsrp", "i,j,weight")
+# The stages each command runs (hotloc.cli).
+STAGES = {
+    "gen-scenario": ("scenario",),
+    "oracle-kpis": ("kpis",),
+    "simulate": ("kpis",),
+    "optimize": ("maps", "optimize"),
+    "localize": ("localize",),
+    "evaluate": ("evaluate",),
+}
 
 
 def json_paths(value, path=()):
@@ -110,6 +127,49 @@ def mutate(rng: random.Random, name: str, text: str) -> tuple[str, str, str | No
     return kind, "\n".join(lines) + "\n", None
 
 
+def run_command(command: str, art) -> Exception | None:
+    """Run ``command`` on the artifacts and config in ``art`` as the CLI
+    does, in process; the exception it raised, or None. Anything but an
+    InputError or a StageError is raised."""
+    try:
+        config = load_scenario_config(art / "config.json")
+        kpi_source = KPI_SOURCE_SIM if command == "simulate" else KPI_SOURCE_ORACLE
+        run_stages(STAGES[command], config, art, kpi_source=kpi_source)
+    except (InputError, StageError) as exc:
+        return exc
+    return None
+
+
+def related(key: str, field: str) -> bool:
+    """Whether the dotted config key ``key`` is ``field``, or a key above
+    or below it: ``potential.zones`` and ``potential.zones[0].center``."""
+    return any(
+        a == b or a.startswith((f"{b}.", f"{b}[")) for a, b in ((key, field), (field, key))
+    )
+
+
+def check_named(error: Exception | None, path, field: str | None, what: str) -> None:
+    """A finished run (``error`` None), or an error that names the mutation
+    of the file ``path``: a text mutation of the config is a ConfigError
+    raised before any stage; a replaced config value is named by its key
+    or one above or below it; any other file is the error's source, a
+    map too large for the fit is named by its label, and a file off the
+    config's grid is a ConfigError on a ``grid.*`` key."""
+    if error is None:
+        return
+    cause = error.cause if isinstance(error, StageError) else error
+    assert isinstance(cause, InputError), f"{what}: {type(cause).__name__}: {cause}"
+    if path.name == "config.json" and field is None:
+        named = isinstance(error, ConfigError) and bool(error.source)
+    elif path.name == "config.json":
+        named = isinstance(cause, ConfigError) and any(key and related(key, field) for key in cause.fields)
+    else:
+        label = f"map {path.stem!r}"
+        off_grid = isinstance(error, ConfigError) and error.source.startswith("grid.")
+        named = cause.source in (str(path), label) or (off_grid and str(path) in error.message)
+    assert named, f"{what}: {error}"
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     """Every artifact of one sim-small ``hotloc pipeline`` run, with its
@@ -122,29 +182,68 @@ def run_dir(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("case", range(CASES))
-def test_mutated_input_is_read_or_named(run_dir, tmp_path, case):
-    rng = random.Random(SEED * CASES + case)
-    name = rng.choice(sorted(COMMANDS))
-    command = rng.choice(COMMANDS[name])
+def mutated_run(run_dir, tmp_path, rng: random.Random, name: str, command: str) -> None:
+    """Mutate ``name`` in a copy of the run and run ``command`` on it."""
     art = shutil.copytree(run_dir, tmp_path / "art")
     path = art / name
     kind, text, field = mutate(rng, name, path.read_text(encoding="utf-8"))
     path.write_text(text, encoding="utf-8", errors="surrogateescape")
-    result = CliRunner().invoke(
-        main, [command, "--config", str(art / "config.json"), "--out", str(art)]
-    )
-    what = f"{kind} mutation of {name} under {command}: {result.output}"
-    assert result.exit_code in (0, 1), what
-    assert result.exception is None or isinstance(result.exception, SystemExit), what
-    if result.exit_code == 1:
-        assert re.match(r"hotloc: stage [\w-]+: ", result.stderr), what
-        if name == "config.json" and field is None:
-            # A text mutation of the config: any key path the reader names.
-            named = re.match(r"hotloc: stage config: [^:\s]+: ", result.stderr)
-        else:
-            # A weight too large for the fit is named by its map's label.
-            label = f"map {name.removesuffix('.csv')!r}: "
-            named = name in result.stderr or label in result.stderr
-            named = named or (field is not None and field in result.stderr)
-        assert named, what
+    error = run_command(command, art)
+    check_named(error, path, field, f"{kind} mutation of {name} under {command}")
+
+
+@pytest.mark.parametrize("case", range(CASES))
+def test_mutated_input_is_read_or_named(run_dir, tmp_path, case):
+    rng = random.Random(SEED * CASES + case)
+    name = rng.choice(sorted(COMMANDS))
+    mutated_run(run_dir, tmp_path, rng, name, rng.choice(COMMANDS[name]))
+
+
+@pytest.mark.parametrize(
+    "name, command, case",
+    [(name, command, case) for name in sorted(COMMANDS) for command in COMMANDS[name]
+     for case in range(PAIR_CASES)],
+)
+def test_every_command_reads_or_names(run_dir, tmp_path, name, command, case):
+    mutated_run(run_dir, tmp_path, random.Random(f"{SEED} {name} {command} {case}"), name, command)
+
+
+def test_printed_form(run_dir, tmp_path):
+    """The CLI prints a refusal once, as ``hotloc: stage <s>: <source>:
+    <where>: <message>``."""
+    art = shutil.copytree(run_dir, tmp_path / "art")
+    lines = (art / "q1.csv").read_text().split("\n")
+    lines[7] = "0,1,-1.0"
+    (art / "q1.csv").write_text("\n".join(lines))
+    result = CliRunner().invoke(main, ["localize", "--config", str(art / "config.json"), "--out", str(art)])
+    assert result.exit_code == 1
+    error = run_command("localize", art)
+    assert (error.source, error.where) == (str(art / "q1.csv"), "line 8")
+    assert result.stderr == f"hotloc: stage localize: {art / 'q1.csv'}: line 8: {error.message}\n"
+
+
+# The header rows of the sweep, by file, and the command that reads each.
+HEADER_ROWS = {
+    "grid.csv": (("m", "pixel_size", "origin", "q_rxlevmin", "cells"), "oracle-kpis"),
+    "q1.csv": (("m", "pixel_size", "origin"), "localize"),
+    "truth.csv": (("m", "pixel_size", "origin"), "oracle-kpis"),
+}
+EXTREMES = ("1e308", "-1e308", "1e-320", "0", "-1", "1e15", "nan", "inf")
+
+
+@pytest.mark.parametrize("value", EXTREMES)
+@pytest.mark.parametrize(
+    "name, key", [(name, key) for name, (keys, _) in HEADER_ROWS.items() for key in keys]
+)
+def test_extreme_header_value_is_read_or_named(run_dir, tmp_path, name, key, value):
+    """Each value of a header row set to an extreme: the run finishes, or
+    its error's source is the file, or a ``grid.*`` key of the config
+    whose message names the file."""
+    art = shutil.copytree(run_dir, tmp_path / "art")
+    path = art / name
+    lines = path.read_text().split("\n")
+    (k,) = [k for k, line in enumerate(lines) if line.startswith(f"{key},")]
+    lines[k] = ",".join([key] + [value] * (lines[k].count(",")))
+    path.write_text("\n".join(lines))
+    command = HEADER_ROWS[name][1]
+    check_named(run_command(command, art), path, None, f"{name} {key} {value} under {command}")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_grid, put_byte
+from hotloc.bounds import InputError
 from hotloc.grid import (
     NO_SECOND,
     TA_GRANULARITY_M,
@@ -470,9 +471,10 @@ class TestGridFile:
         path = self.two_cell_file(tmp_path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines + [lines[-1]]) + "\n")
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             load_grid(path)
         assert str(excinfo.value) == f"{path}: line {len(lines) + 1}: more than 6 rows"
+        assert (excinfo.value.source, excinfo.value.where) == (str(path), f"line {len(lines) + 1}")
 
     def test_blank_lines_after_the_last_row_are_skipped(self, tmp_path):
         path = self.two_cell_file(tmp_path)
@@ -537,9 +539,10 @@ class TestGridFile:
         text = path.read_text()
         assert f"\n{row}\n" in text
         path.write_text(text.replace(f"\n{row}\n", f"\n{replacement}\n"))
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             load_grid(path)
         assert str(excinfo.value).startswith(f"{path}: {reason}")
+        assert (excinfo.value.source, excinfo.value.where) == (str(path), None)
 
     def test_m_too_large_for_the_file_refused_before_allocating(self, tmp_path):
         # Two cells of m x m values take 2 * 2 * m^2 bytes or more; the

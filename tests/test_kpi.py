@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_grid, put_byte, random_truth, single_cell_grid
-from hotloc.bounds import ConfigError
+from hotloc.bounds import ConfigError, InputError
 from hotloc.grid import GridSpec, compute_server_maps, ta_zone_layer, aoa_zone_layer
 from hotloc.kpi import (
     CellKpis,
@@ -251,9 +251,10 @@ class TestWeightMap:
         save_weight_map(wmap, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines + ["1,2,7.0"]) + "\n")
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             load_weight_map(path)
         assert str(excinfo.value) == f"{path}: line {len(lines) + 1}: more than 9 rows"
+        assert (excinfo.value.source, excinfo.value.where) == (str(path), f"line {len(lines) + 1}")
 
     def test_row_out_of_order_named_by_line(self, tmp_path):
         path = tmp_path / "map.csv"
@@ -649,8 +650,10 @@ class TestOracle:
         doc["cells"][1]["load_time"] = float("nan")
         doc["cells"][1]["ta"][0] = -0.25
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=r"kpis.json: cell 'B': ta fractions must be finite and non-negative"):
+        message = r"kpis.json: cell 'B': ta fractions must be finite and non-negative"
+        with pytest.raises(InputError, match=message) as excinfo:
             load_kpi_set(path)
+        assert (excinfo.value.source, excinfo.value.where) == (str(path), "cell 'B'")
 
     def test_load_rejects_nan_throughput(self, tmp_path):
         grid, servers = self.two_cell_setup()
@@ -671,9 +674,10 @@ class TestOracle:
         path = tmp_path / "kpis.json"
         save_kpi_set(kpis, path)
         message = put_byte(path, 5, b"\xc3")
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             load_kpi_set(path)
         assert str(excinfo.value) == f"{path}: {message}"
+        assert (excinfo.value.source, excinfo.value.where) == (str(path), "line 5")
 
     def test_load_names_missing_field(self, tmp_path):
         path = tmp_path / "kpis.json"

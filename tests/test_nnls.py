@@ -218,4 +218,5 @@ class TestOptimizeImportance:
         with pytest.raises(StageError, match="every factor is zero") as excinfo:
             run_stages(("optimize",), sim_config, tmp_path)
         assert excinfo.value.stage == "optimize"
+        assert excinfo.value.cause.source == "potential.zones"
         assert not (tmp_path / "importance.json").exists()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN_REPORT, SIM_CONFIG, put_byte
+from hotloc.bounds import InputError
 from hotloc.grid import GridSpec
 from hotloc.kpi import WeightMap
 from hotloc.localize import ImportanceVector
@@ -152,9 +153,10 @@ class TestPipelineErrors:
         path = tmp_path / "importance.json"
         path.write_text(json.dumps({"x": [0.2] * 5}, indent=2) + "\n")
         message = put_byte(path, 3)
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(InputError) as excinfo:
             load_importance(path)
         assert str(excinfo.value) == f"{path}: {message}"
+        assert (excinfo.value.source, excinfo.value.where) == (str(path), "line 3")
 
     def test_empty_potential_fails_in_scenario_stage(self, tmp_path):
         config = load_scenario_config(SIM_CONFIG)

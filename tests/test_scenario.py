@@ -112,7 +112,7 @@ class TestBuildCells:
         data = minimal_config(grid={"extent_m": 800.0, "pixel_size_m": 25.0})
         with pytest.raises(ConfigError, match="falls outside the map") as excinfo:
             parse_scenario_config(data)
-        assert excinfo.value.field == "layout.site_count"
+        assert excinfo.value.source == "layout.site_count"
 
     def test_huge_site_count_stops_at_the_first_site_off_the_map(self):
         # Seven sites fit; the lattice is built no further than site 7.
@@ -120,7 +120,7 @@ class TestBuildCells:
         with pytest.raises(ConfigError, match=r"site 7 at \(.*\) falls outside the map") as excinfo:
             hex_site_positions(10**8, 500.0, GridSpec(m=60, pixel_size=25.0))
         assert time.perf_counter() - start < 1.0
-        assert excinfo.value.field == "layout.site_count"
+        assert excinfo.value.source == "layout.site_count"
 
     @pytest.mark.parametrize("extent, count", [(1500.0, 10**8), (400_000.0, 50_000)])
     def test_huge_site_count_refused_before_the_cells_are_built(self, extent, count):
@@ -132,7 +132,7 @@ class TestBuildCells:
         with pytest.raises(ConfigError, match=f"an RSRP cube of {3 * count} x") as excinfo:
             parse_scenario_config(data)
         assert time.perf_counter() - start < 1.0
-        assert excinfo.value.field == "layout.site_count"
+        assert excinfo.value.source == "layout.site_count"
 
     def test_dense_layout_loads_in_seconds(self):
         # 3,000 sites 1 m apart: a pairwise neighbor loop in Python took
@@ -152,7 +152,7 @@ class TestBuildCells:
         with pytest.raises(ConfigError, match="at most 26") as excinfo:
             parse_scenario_config(data)
         assert time.perf_counter() - start < 1.0
-        assert excinfo.value.field == "layout.sectors_per_site"
+        assert excinfo.value.source == "layout.sectors_per_site"
 
     def test_26_sectors_run_from_a_to_z(self):
         data = minimal_config(layout={"site_count": 1, "sectors_per_site": 26})
@@ -239,7 +239,7 @@ class TestParseConfig:
         data = minimal_config(grid={"extent_m": 100.0, "pixel_size_m": 0.0})
         with pytest.raises(ConfigError) as excinfo:
             parse_scenario_config(data)
-        assert excinfo.value.field == "grid.pixel_size_m"
+        assert excinfo.value.source == "grid.pixel_size_m"
         data = minimal_config(grid={"extent_m": 110.0, "pixel_size_m": 25.0})
         with pytest.raises(ConfigError, match="integer multiple"):
             parse_scenario_config(data)
@@ -250,7 +250,7 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError) as excinfo:
             parse_scenario_config(data)
-        assert excinfo.value.field == "traffic.components[0].sigma_m"
+        assert excinfo.value.source == "traffic.components[0].sigma_m"
 
     def test_zone_errors_are_indexed(self):
         data = minimal_config(
@@ -258,7 +258,7 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError, match="unknown shape") as excinfo:
             parse_scenario_config(data)
-        assert excinfo.value.field == "potential.zones[0].shape"
+        assert excinfo.value.source == "potential.zones[0].shape"
 
     def test_schema_version_checked(self):
         with pytest.raises(ConfigError, match="unsupported schema"):
@@ -268,7 +268,7 @@ class TestParseConfig:
         data = minimal_config(localizer={"epsilon": "small"})
         with pytest.raises(ConfigError, match="expected a number") as excinfo:
             parse_scenario_config(data)
-        assert excinfo.value.field == "localizer.epsilon"
+        assert excinfo.value.source == "localizer.epsilon"
 
     @pytest.mark.parametrize(
         "section, key",
@@ -284,28 +284,28 @@ class TestParseConfig:
         data = minimal_config(**{section: {key: value}})
         with pytest.raises(ConfigError, match="must be finite") as excinfo:
             parse_scenario_config(data)
-        assert excinfo.value.field == f"{section}.{key}"
+        assert excinfo.value.source == f"{section}.{key}"
 
     def test_non_finite_pair_rejected(self):
         data = minimal_config(grid={"extent_m": 100.0, "pixel_size_m": 25.0, "origin": [0.0, math.inf]})
         with pytest.raises(ConfigError, match="finite") as excinfo:
             parse_scenario_config(data)
-        assert excinfo.value.field == "grid.origin"
+        assert excinfo.value.source == "grid.origin"
 
     def test_non_finite_lists_rejected(self):
         zone = {"shape": "rect", "importance": 1.0, "corners": [0.0, 0.0, math.nan, 100.0]}
         with pytest.raises(ConfigError) as excinfo:
             parse_scenario_config(minimal_config(potential={"zones": [zone]}))
-        assert excinfo.value.field == "potential.zones[0].corners"
+        assert excinfo.value.source == "potential.zones[0].corners"
         with pytest.raises(ConfigError) as excinfo:
             parse_scenario_config(minimal_config(evaluation={"p_list": [0.01, math.nan]}))
-        assert excinfo.value.field == "evaluation.p_list"
+        assert excinfo.value.source == "evaluation.p_list"
 
     def test_bad_item_of_a_number_list_named_by_its_path(self):
         component = {"center": [700.0, "text"], "sigma_m": 100.0, "amplitude": 2.0}
         with pytest.raises(ConfigError) as excinfo:
             parse_scenario_config(minimal_config(traffic={"components": [component]}))
-        assert excinfo.value.field == "traffic.components[0].center"
+        assert excinfo.value.source == "traffic.components[0].center"
         assert str(excinfo.value).endswith(": traffic.components[0].center[1] is 'text'")
 
     def test_nan_literal_in_config_file(self, tmp_path):
@@ -399,29 +399,29 @@ class TestStrictConfig:
             section = section[int(part)] if part.isdigit() else section.setdefault(part, {})
         section["colour"] = 1.0
         error = rejected(data)
-        assert error.field == (f"{path}.colour" if path else "colour")
+        assert error.source == (f"{path}.colour" if path else "colour")
         assert str(error).endswith("unknown key")
 
     def test_sim_block_has_no_seed(self):
         # The seed is a root key; the simulator takes it from there.
-        assert rejected(minimal_config(sim={"seed": 3})).field == "sim.seed"
+        assert rejected(minimal_config(sim={"seed": 3})).source == "sim.seed"
 
     def test_zone_keys_follow_the_shape(self):
         zone = dict(DISK_ZONE, corners=[0.0, 0.0, 100.0, 100.0])
         error = rejected(minimal_config(potential={"zones": [zone]}))
-        assert error.field == "potential.zones[0].corners"
+        assert error.source == "potential.zones[0].corners"
 
     def test_disk_zone_without_radius_rejected(self):
         zone = {k: v for k, v in DISK_ZONE.items() if k != "radius_m"}
         error = rejected(minimal_config(potential={"zones": [zone]}))
-        assert error.field == "potential.zones[0].radius_m"
+        assert error.source == "potential.zones[0].radius_m"
         assert str(error).endswith("missing required field")
 
     @pytest.mark.parametrize("shape", [["disk"], {"disk": 1}, 3, None])
     def test_non_string_shape_rejected(self, shape):
         zone = dict(DISK_ZONE, shape=shape)
         error = rejected(minimal_config(potential={"zones": [zone]}))
-        assert error.field == "potential.zones[0].shape"
+        assert error.source == "potential.zones[0].shape"
         assert "unknown shape" in str(error)
 
     @pytest.mark.parametrize(
@@ -437,7 +437,7 @@ class TestStrictConfig:
     def test_fractional_count_rejected(self, section, key):
         data = minimal_config(**({section: {key: 2.5}} if section else {key: 2.5}))
         error = rejected(data)
-        assert error.field == (f"{section}.{key}" if section else key)
+        assert error.source == (f"{section}.{key}" if section else key)
         assert "expected an integer, got 2.5" in str(error)
 
     def test_integral_float_count_accepted(self):
@@ -462,7 +462,7 @@ class TestStrictConfig:
     )
     def test_wrong_container_rejected(self, overrides, path, expected):
         error = rejected(minimal_config(**overrides))
-        assert error.field == path
+        assert error.source == path
         assert f"expected {expected}" in str(error)
 
     def test_every_field_is_a_key(self):
@@ -586,8 +586,8 @@ class TestRangeErrors:
             assert set(error.fields) == set(field)
             assert all(name in str(error) for name in field)
         else:
-            assert error.field == (field or key)
-        assert str(error).startswith(f"{error.field}: ")
+            assert error.source == (field or key)
+        assert str(error).startswith(f"{error.source}: ")
 
     def test_cube_bound_admits_metro_at_m_1024(self):
         # 61 sites of 3 sectors at m=1024: a 1.5 GB cube, under the bound.
@@ -597,7 +597,7 @@ class TestRangeErrors:
         cube = 8 * 183 * 1024**2
         assert cube < MAX_CUBE_BYTES < 8 * 86 * 3 * 1024**2
         error = rejected(minimal_config(grid=grid, layout={"site_count": 86}))
-        assert error.field == "layout.site_count"
+        assert error.source == "layout.site_count"
         assert "258 x 1024 x 1024 float64 values" in str(error)
 
 
@@ -631,7 +631,7 @@ class TestExtremeValues:
                 config = parse_scenario_config(config_with(key, value, SIM_SMALL))
                 result = run_pipeline(config, tmp_path / repr(value), kpi_source=source)
             except (ConfigError, StageError) as exc:
-                error = exc.__cause__ if isinstance(exc, StageError) else exc
+                error = exc.cause if isinstance(exc, StageError) else exc
                 named = isinstance(error, ConfigError) and any(
                     key == field or key.startswith(f"{field}[") for field in error.fields
                 )

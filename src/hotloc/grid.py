@@ -15,6 +15,7 @@ Conventions
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import warnings
 from contextlib import contextmanager
@@ -480,6 +481,15 @@ def read_text(path: str | Path) -> str:
         return fh.read()
 
 
+def read_json(path: str | Path):
+    """The JSON document in the UTF-8 file ``path`` (:func:`read_text`).
+    Text that is not JSON raises InputError of the file."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(path, None, f"not JSON: {exc}") from exc
+
+
 Header = dict[str, list[tuple[int, list[str]]]]
 
 
@@ -494,7 +504,7 @@ def read_header(
     marker raise InputError, at the line for a row."""
     first = fh.readline().rstrip("\n")
     if first != magic:
-        raise InputError(path, None, f"not a hotloc {kind} file ({magic}): {first!r}")
+        raise InputError(path, "line 1", f"not a hotloc {kind} file ({magic}): {first!r}")
     header: Header = {key: [] for key in keys}
     for line_no, line in enumerate(iter(fh.readline, ""), 2):
         line = line.rstrip("\n")
@@ -514,14 +524,16 @@ def read_header(
 def header_row(header: Header, key: str, path: str | Path, convert=float, count: int = 1) -> list:
     """The ``count`` values of header row ``key`` of a text artifact, each
     passed through ``convert``. Raises InputError naming the row when it
-    is missing or garbled."""
+    is missing or garbled, at its line when it is there."""
+    rows = header[key]
     try:
-        ((_, fields),) = header[key]
+        ((_, fields),) = rows
         if len(fields) != count + 1:
             raise ValueError
         return [convert(v) for v in fields[1:]]
     except ValueError:
-        raise InputError(path, None, f"missing or garbled {key!r} header row") from None
+        where = f"line {rows[0][0]}" if rows else None
+        raise InputError(path, where, f"missing or garbled {key!r} header row") from None
 
 
 def read_spec(header: Header, path: str | Path, values_per_pixel: int) -> GridSpec:

@@ -28,9 +28,9 @@ from hotloc.grid import (
     open_text,
     read_end,
     read_header,
+    read_json,
     read_rows,
     read_spec,
-    read_text,
     reject_separators,
     repr_lookup,
     ta_zone_layer,
@@ -193,7 +193,8 @@ class WeightMap:
 @dataclass(frozen=True)
 class HotspotZone(Bounded):
     """One potential hotspot region: a disk or an axis-aligned rectangle
-    with a non-negative importance weight."""
+    with a non-negative importance weight. The shape, checked first,
+    requires its own fields and refuses the other shape's."""
 
     SHAPES = {"disk": ("center", "radius"), "rect": ("corners",)}  # the fields each takes
 
@@ -204,12 +205,14 @@ class HotspotZone(Bounded):
     corners: tuple[float, float, float, float] | None = bounded(None, ge=-MAX_METERS, le=MAX_METERS)
 
     def __post_init__(self):
-        super().__post_init__()
-        if self.shape not in self.SHAPES:
+        if not isinstance(self.shape, str) or self.shape not in self.SHAPES:
             raise ConfigError("shape", f"unknown zone shape {self.shape!r}")
-        for name in self.SHAPES[self.shape]:
-            if getattr(self, name) is None:
-                raise ConfigError(name, f"is required for a {self.shape} zone")
+        own = self.SHAPES[self.shape]
+        for name in (name for names in self.SHAPES.values() for name in names):
+            if (getattr(self, name) is None) == (name in own):
+                reason = "missing required field" if name in own else f"is not a field of a {self.shape} zone"
+                raise ConfigError(name, reason)
+        super().__post_init__()
         if self.corners is not None:
             xmin, ymin, xmax, ymax = self.corners
             if xmin >= xmax or ymin >= ymax:
@@ -528,9 +531,8 @@ def load_kpi_set(path: str | Path, grid: CoverageGrid | None = None) -> KpiSet:
     of the wrong shape, a missing field, a bad value and a cell set that
     does not fit ``grid`` raise InputError, at the cell or, for a byte
     that is not UTF-8, the line."""
-    text = read_text(path)
+    doc = read_json(path)
     try:
-        doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
         if not isinstance(doc["cells"], list):
@@ -542,8 +544,6 @@ def load_kpi_set(path: str | Path, grid: CoverageGrid | None = None) -> KpiSet:
             cells[cell_id] = cell
         kpis = KpiSet(cells=cells, source=doc["source"], window_s=doc["window_s"])
         kpis.validate(grid)
-    except json.JSONDecodeError as exc:
-        raise InputError(path, None, f"not JSON: {exc}") from exc
     except KeyError as exc:
         raise InputError(path, None, f"missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -553,16 +553,9 @@ def load_kpi_set(path: str | Path, grid: CoverageGrid | None = None) -> KpiSet:
 
 def save_potential_spec(spec_zones: PotentialHotspotSpec, path: str | Path) -> None:
     """Write the prior as the ``potential`` section of a scenario config."""
-    zones = []
-    for zone in spec_zones.zones:
-        entry: dict = {"shape": zone.shape, "importance": zone.importance}
-        if zone.shape == "disk":
-            entry["center"] = list(zone.center)
-            entry["radius_m"] = zone.radius
-        else:
-            entry["corners"] = list(zone.corners)
-        zones.append(entry)
-    Path(path).write_text(json.dumps({"zones": zones}, indent=2) + "\n")
+    from hotloc.scenario import section_doc  # scenario imports this module
+
+    Path(path).write_text(json.dumps(section_doc(spec_zones), indent=2) + "\n")
 
 
 def load_potential_spec(path: str | Path) -> PotentialHotspotSpec:
@@ -571,10 +564,8 @@ def load_potential_spec(path: str | Path) -> PotentialHotspotSpec:
     config key it is about."""
     from hotloc.scenario import read_section  # scenario imports this module
 
-    text = read_text(path)
+    doc = read_json(path)
     try:
-        return read_section(json.loads(text), PotentialHotspotSpec, "potential")
-    except json.JSONDecodeError as exc:
-        raise InputError(path, None, f"not JSON: {exc}") from exc
+        return read_section(doc, PotentialHotspotSpec, "potential")
     except ValueError as exc:
         raise InputError.of(path, exc) from exc

@@ -18,7 +18,7 @@ import numpy as np
 
 from hotloc.bounds import InputError
 from hotloc.kpi import WeightMap
-from hotloc.localize import KPI_COUNT, ImportanceVector
+from hotloc.localize import KPI_COUNT
 
 # Both optimality tests compare against RTOL * max|A^T b|, so the fit does
 # not depend on the units of the maps: scaling A and b together by any
@@ -68,9 +68,6 @@ class NnlsResult:
     x: np.ndarray
     residual: float
     iterations: int  # least-squares solves made
-
-    def importance(self) -> ImportanceVector:
-        return ImportanceVector(tuple(float(v) for v in self.x))
 
 
 def solve_nnls(system: DesignSystem) -> NnlsResult:

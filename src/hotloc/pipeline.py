@@ -43,7 +43,7 @@ from hotloc.kpi import (
     save_potential_spec,
     save_weight_map,
 )
-from hotloc.grid import CoverageGrid, compute_server_maps, load_grid, read_text, save_grid
+from hotloc.grid import CoverageGrid, compute_server_maps, load_grid, read_json, save_grid
 from hotloc.localize import (
     ImportanceVector,
     LocalizationResult,
@@ -94,13 +94,22 @@ class PipelineResult:
     out_dir: Path
 
 
-def restricted_fit(system: DesignSystem, columns: tuple[int, ...]) -> ImportanceVector:
-    """Importance fit on only the given columns of ``system``; the other
-    KPI maps are forced out of the model and get factor zero."""
-    result = solve_nnls(DesignSystem(A=system.A[:, list(columns)], b=system.b))
-    full = np.zeros(system.A.shape[1])
-    full[list(columns)] = result.x
-    return ImportanceVector(tuple(float(v) for v in full))
+def fit_importance(system: DesignSystem, name: str = "importance") -> tuple[ImportanceVector, float]:
+    """The NNLS importance vector of ``system`` and its residual. The fit
+    ``importance`` takes every KPI column; a restricted variant ``name``
+    takes its :data:`VARIANT_COLUMNS` alone, and the other KPI maps get
+    factor zero. An all-zero fit raises ConfigError naming the prior's
+    zones, which overlap none of the fitted KPI maps."""
+    columns = VARIANT_COLUMNS.get(name)
+    # The full fit solves on A itself: a copy of its columns costs memory
+    # and can change the BLAS bits.
+    result = solve_nnls(system if columns is None else DesignSystem(A=system.A[:, list(columns)], b=system.b))
+    if not result.x.any():
+        reason = f"{name} fit: every factor is zero; the potential-hotspot prior overlaps none of the KPI maps"
+        raise ConfigError("potential.zones", reason)
+    x = np.zeros(system.A.shape[1])
+    x[list(columns or range(len(x)))] = result.x
+    return ImportanceVector(tuple(float(v) for v in x)), result.residual
 
 
 class Run(SimpleNamespace):
@@ -150,19 +159,11 @@ def _run_maps(run: Run) -> None:
 
 
 def _run_optimize(run: Run) -> None:
-    """The fitted importance vector, or ``x_override`` when given, written
-    to ``importance.json``. An all-zero fit is refused before the write,
-    naming the prior's zones, which overlap none of the KPI maps."""
+    """The fitted importance vector (:func:`fit_importance`), or
+    ``x_override`` when given, written to ``importance.json``."""
     x, residual = run.x_override, None
     if x is None:
-        result = solve_nnls(build_system(tuple(run.kpi_maps), run.potential_map))
-        if not result.x.any():
-            raise ConfigError(
-                "potential.zones",
-                "importance fit: every factor is zero; "
-                "the potential-hotspot prior overlaps none of the KPI maps",
-            )
-        x, residual = result.importance(), result.residual
+        x, residual = fit_importance(build_system(tuple(run.kpi_maps), run.potential_map))
     total = sum(x.values)
     doc = {
         "x": list(x.values),
@@ -180,9 +181,8 @@ def load_importance(path: Path) -> ImportanceVector:
     """The importance vector of an ``importance.json`` written by the
     optimize stage. Every error is an InputError of the file, at the line
     for a byte that is not UTF-8."""
-    text = read_text(path)
+    doc = read_json(path)
     try:
-        doc = json.loads(text)
         x = doc.get("x") if isinstance(doc, dict) else None
         if not (
             isinstance(x, list)
@@ -191,8 +191,6 @@ def load_importance(path: Path) -> ImportanceVector:
         ):
             raise ValueError(f"'x' must be a list of {len(KPI_LABELS)} numbers")
         return ImportanceVector(tuple(float(v) for v in x))
-    except json.JSONDecodeError as exc:
-        raise InputError(path, None, f"not JSON: {exc}") from exc
     except ValueError as exc:
         raise InputError.of(path, exc) from exc
 
@@ -205,14 +203,10 @@ def variant_maps(
 ) -> dict[str, WeightMap]:
     """Every variant's map: the fused and smoothed estimates as ``step6``
     and ``step7``, and the fused maps of the restricted variants, each
-    fitted on its own KPI columns of one design system."""
+    fitted on its own KPI columns of one design system
+    (:func:`fit_importance`)."""
     system = build_system(tuple(kpi_maps), potential_map)
-    maps = {}
-    for name, columns in VARIANT_COLUMNS.items():
-        try:
-            maps[name] = step6_combine(kpi_maps, restricted_fit(system, columns))
-        except ValueError as exc:
-            raise ValueError(f"{name} fit: {exc}") from exc
+    maps = {name: step6_combine(kpi_maps, fit_importance(system, name)[0]) for name in VARIANT_COLUMNS}
     maps[VARIANT_STEP6] = fused
     maps[VARIANT_STEP7] = smoothed
     return maps

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -29,7 +28,7 @@ from hotloc.grid import (
     GridSpec,
     ServerMaps,
     compute_server_maps,
-    read_text,
+    read_json,
 )
 from hotloc.kpi import (
     HotspotZone,
@@ -90,8 +89,11 @@ class LayoutParams(Bounded):
     pathloss: PathlossParams = PathlossParams()
 
 
-@dataclass
-class ScenarioConfig:
+@dataclass(frozen=True)
+class ScenarioConfig(Bounded):
+    """Every parameter of a run, frozen: the master seed ``seed`` is copied
+    into ``sim.seed`` on construction, ``dataclasses.replace`` included."""
+
     spec: GridSpec
     q_rxlevmin_dbm: float
     layout: LayoutParams
@@ -101,11 +103,11 @@ class ScenarioConfig:
     sim: SimConfig
     localizer: LocalizerParams
     evaluation: EvalConfig
-    seed: int = 0
+    seed: int = bounded(0, ge=0)
 
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        """Copy with the master seed (and the simulator seed) replaced."""
-        return replace(self, seed=seed, sim=replace(self.sim, seed=seed))
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "sim", replace(self.sim, seed=self.seed))
 
 
 @dataclass
@@ -309,8 +311,8 @@ def _is_finite_number(value) -> bool:
 @functools.cache
 def _fields(cls) -> dict[str, tuple[str, object, bool]]:
     """JSON key -> (field name, type, required) for each field of the
-    dataclass ``cls``. ``seed`` is a root key and reaches the simulator
-    through :meth:`ScenarioConfig.with_seed`."""
+    dataclass ``cls`` but ``seed``: the master seed is a root key, and
+    :class:`ScenarioConfig` sets ``SimConfig.seed`` from it."""
     hints = get_type_hints(cls)
     return {
         _JSON_KEYS.get((cls, f.name), f.name): (
@@ -366,20 +368,12 @@ def _read(value, tp, dotted: str):
 def read_section(value, cls, dotted: str):
     """The dataclass ``cls`` read from the config section ``value`` at the
     dotted key ``dotted``. Its keys are the fields of ``cls``, each read by
-    :func:`_read`, and a field without a default is required; a zone
-    takes the keys of its ``shape``, all of them required. Every error is
-    a ConfigError naming the offending keys."""
+    :func:`_read`, and a field without a default is required. Checks
+    across fields, such as the keys a zone's ``shape`` takes, are the
+    dataclass's own. Every error is a ConfigError naming the offending
+    keys."""
     spec = _fields(cls)
-    if cls is HotspotZone:
-        # The shape decides the other keys, so it is checked first.
-        shape = _object(value, dotted, value, ("shape",))["shape"]
-        if not isinstance(shape, str) or shape not in HotspotZone.SHAPES:
-            raise ConfigError(f"{dotted}.shape", f"unknown shape {shape!r}")
-        shaped = (_JSON_KEYS.get((cls, name), name) for name in HotspotZone.SHAPES[shape])
-        keys = required = ("shape", "importance", *shaped)
-    else:
-        keys, required = spec, [key for key, (_, _, req) in spec.items() if req]
-    _object(value, dotted, keys, required)
+    _object(value, dotted, spec, [key for key, (_, _, required) in spec.items() if required])
     kwargs = {
         name: _read(value[key], tp, f"{dotted}.{key}")
         for key, (name, tp, _) in spec.items()
@@ -392,6 +386,18 @@ def read_section(value, cls, dotted: str):
         raise ConfigError([_field(dotted, key_of[name]) for name in exc.fields], exc.message) from exc
 
 
+def section_doc(value):
+    """The JSON value that :func:`read_section` reads back as ``value``: a
+    dataclass as an object of its fields that are not None, under their
+    JSON keys and in field order, a list or tuple as a list."""
+    if is_dataclass(value):
+        items = ((key, getattr(value, name)) for key, (name, _, _) in _fields(type(value)).items())
+        return {key: section_doc(item) for key, item in items if item is not None}
+    if isinstance(value, (list, tuple)):
+        return [section_doc(item) for item in value]
+    return value
+
+
 def parse_scenario_config(data: dict, seed_override: int | None = None) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("", "config root must be an object")
@@ -400,8 +406,6 @@ def parse_scenario_config(data: dict, seed_override: int | None = None) -> Scena
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema version {schema!r}")
     seed = _read(data.get("seed", 0), int, "seed")
-    if seed < 0:
-        raise ConfigError("seed", f"must be non-negative, got {seed}")
     grid = read_section(data["grid"], GridParams, "grid")
     spec = GridSpec(round(grid.extent_m / grid.pixel_size_m), grid.pixel_size_m, grid.origin)
     sections = _fields(ScenarioConfig)
@@ -409,7 +413,8 @@ def parse_scenario_config(data: dict, seed_override: int | None = None) -> Scena
         spec=spec,
         q_rxlevmin_dbm=grid.q_rxlevmin_dbm,
         **{key: read_section(data.get(key, {}), sections[key][1], key) for key in _SECTIONS},
-    ).with_seed(seed if seed_override is None else seed_override)
+        seed=seed if seed_override is None else seed_override,
+    )
     check_step(config.sim, spec)
     layout, pathloss = config.layout, config.layout.pathloss
     cells = layout.site_count * layout.sectors_per_site
@@ -426,12 +431,12 @@ def parse_scenario_config(data: dict, seed_override: int | None = None) -> Scena
 
 
 def load_scenario_config(path: str | Path, seed_override: int | None = None) -> ScenarioConfig:
-    """The config in the JSON file ``path``. A file that is not JSON, or
-    not UTF-8, raises ConfigError with the file as its source."""
+    """The config in the JSON file ``path``, with ``seed_override``, when
+    given, as its master seed. Every error is a ConfigError: of the file
+    for text that is not JSON or not UTF-8 (:func:`read_json`), else of
+    the dotted key, ``seed`` for a negative seed or seed override."""
     try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"not valid JSON: {exc}") from exc
-    except InputError as exc:  # a byte that is not UTF-8, at its line
+        data = read_json(path)
+    except InputError as exc:  # not JSON, or a byte that is not UTF-8 at its line
         raise ConfigError(exc.source, exc.message, exc.where) from None
     return parse_scenario_config(data, seed_override)

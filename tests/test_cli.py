@@ -367,6 +367,26 @@ class TestBadInputs:
         err = fails(runner, "evaluate", "evaluate", "--config", CONFIG, "--out", str(art))
         assert "truth.csv: missing or garbled 'm' header row" in err
 
+    def test_garbled_truth_row_named_by_line(self, runner, scenario_dir, tmp_path):
+        art = self.copy(scenario_dir, tmp_path)
+        path = art / "truth.csv"
+        path.write_text(path.read_text().replace("\nm,32\n", "\nm,nan\n", 1))
+        err = fails(runner, "kpis", "oracle-kpis", "--config", CONFIG, "--out", str(art))
+        assert err == f"hotloc: stage kpis: {path}: line 2: missing or garbled 'm' header row\n"
+
+    def test_all_zero_q1_refuses_the_ta_only_fit(self, runner, optimized_dir, tmp_path):
+        # evaluate fits the restricted variants before any stage runs; with
+        # q1 zero everywhere, ta_only has nothing to fit.
+        art = self.copy(optimized_dir, tmp_path)
+        invoke(runner, "localize", "--config", CONFIG, "--out", str(art))
+        path = art / "q1.csv"
+        lines = path.read_text().splitlines()
+        start = lines.index("i,j,weight") + 1
+        lines[start:] = [line.rsplit(",", 1)[0] + ",0.0" for line in lines[start:]]
+        path.write_text("\n".join(lines) + "\n")
+        err = fails(runner, "config", "evaluate", "--config", CONFIG, "--out", str(art))
+        assert err.startswith("hotloc: stage config: potential.zones: ta_only fit: every factor is zero; ")
+
     # The config's key and value, and the stray file's value, per row.
     STRAY = {"pixel_size": ("grid.pixel_size_m: 25.0", "50.0"), "origin": ("grid.origin[0]: 0.0", "100.0")}
 

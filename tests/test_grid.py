@@ -427,7 +427,9 @@ class TestGridFile:
         assert f"\n{row}\n" in text
         path.write_text(text.replace(f"\n{row}\n", f"\n{replacement}\n" if replacement else "\n"))
         key = row.split(",")[0]
-        with pytest.raises(ValueError, match=f"grid.csv: missing or garbled '{key}' header row"):
+        # A garbled row is named by its line, a missing one by the file alone.
+        where = f"line {text.splitlines().index(row) + 1}: " if replacement else ""
+        with pytest.raises(InputError, match=f"grid.csv: {where}missing or garbled '{key}' header row$"):
             load_grid(path)
 
     def two_cell_file(self, tmp_path):
@@ -522,7 +524,7 @@ class TestGridFile:
         with pytest.raises(ValueError) as excinfo:
             load_grid(path)
         assert str(excinfo.value) == (
-            f"{path}: not a hotloc coverage grid file (hotloc-grid,2): 'hotloc-grid,1'"
+            f"{path}: line 1: not a hotloc coverage grid file (hotloc-grid,2): 'hotloc-grid,1'"
         )
 
     @pytest.mark.parametrize(

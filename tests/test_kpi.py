@@ -147,7 +147,9 @@ class TestWeightMap:
         assert f"\n{row}\n" in text
         path.write_text(text.replace(f"\n{row}\n", f"\n{replacement}\n" if replacement else "\n"))
         key = row.split(",")[0]
-        with pytest.raises(ValueError, match=f"map.csv: missing or garbled '{key}' header row"):
+        # A garbled row is named by its line, a missing one by the file alone.
+        where = f"line {text.splitlines().index(row) + 1}: " if replacement else ""
+        with pytest.raises(InputError, match=f"map.csv: {where}missing or garbled '{key}' header row$"):
             load_weight_map(path)
 
     @pytest.mark.parametrize(
@@ -395,6 +397,32 @@ class TestGroundTruth:
             generate_ground_truth(model, self.spec, seed=0)
 
 
+POTENTIAL_JSON = b"""{
+  "zones": [
+    {
+      "shape": "disk",
+      "importance": 0.7,
+      "center": [
+        10.0,
+        20.0
+      ],
+      "radius_m": 5.0
+    },
+    {
+      "shape": "rect",
+      "importance": 1.0,
+      "corners": [
+        0.0,
+        0.0,
+        9.0,
+        9.0
+      ]
+    }
+  ]
+}
+"""
+
+
 class TestPotentialMap:
     spec = GridSpec(m=8, pixel_size=25.0)
 
@@ -428,6 +456,15 @@ class TestPotentialMap:
         with pytest.raises(ValueError, match="non-negative"):
             HotspotZone(shape="disk", importance=-1.0, center=(0.0, 0.0), radius=1.0)
 
+    def test_field_of_the_other_shape_refused(self):
+        with pytest.raises(ConfigError) as excinfo:
+            HotspotZone(shape="disk", importance=1.0, center=(0.0, 0.0), radius=1.0, corners=(0.0, 0.0, 1.0, 1.0))
+        assert str(excinfo.value) == "corners: is not a field of a disk zone"
+        with pytest.raises(ConfigError, match="^radius: is not a field of a rect zone$"):
+            HotspotZone(shape="rect", importance=1.0, radius=1.0, corners=(0.0, 0.0, 1.0, 1.0))
+        with pytest.raises(ConfigError, match="^center: missing required field$"):
+            HotspotZone(shape="disk", importance=1.0, radius=1.0)
+
     def test_spec_file_round_trip(self, tmp_path):
         zones = PotentialHotspotSpec(
             [
@@ -437,6 +474,20 @@ class TestPotentialMap:
         )
         path = tmp_path / "zones.json"
         save_potential_spec(zones, path)
+        assert load_potential_spec(path) == zones
+
+    def test_spec_file_bytes(self, tmp_path):
+        # The potential section of a config: each zone's keys in field
+        # order, the radius as radius_m, and no key of the other shape.
+        zones = PotentialHotspotSpec(
+            [
+                HotspotZone(shape="disk", importance=0.7, center=(10.0, 20.0), radius=5.0),
+                HotspotZone(shape="rect", importance=1.0, corners=(0.0, 0.0, 9.0, 9.0)),
+            ]
+        )
+        path = tmp_path / "potential.json"
+        save_potential_spec(zones, path)
+        assert path.read_bytes() == POTENTIAL_JSON
         assert load_potential_spec(path) == zones
 
     def test_byte_not_utf8_named_by_line(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN_REPORT, SIM_CONFIG, put_byte
-from hotloc.bounds import InputError
+from hotloc.bounds import ConfigError, InputError
 from hotloc.grid import GridSpec
 from hotloc.kpi import WeightMap
 from hotloc.localize import ImportanceVector
@@ -16,8 +16,8 @@ from hotloc.pipeline import (
     ALL_VARIANTS,
     VARIANT_COLUMNS,
     StageError,
+    fit_importance,
     load_importance,
-    restricted_fit,
     run_pipeline,
     variant_maps,
 )
@@ -103,15 +103,15 @@ def test_run_pipeline_reads_no_artifact(monkeypatch, tmp_path):
     assert set(result.report.variants) == set(ALL_VARIANTS)
 
 
-class TestRestrictedFit:
+class TestFitImportance:
     def test_inactive_columns_forced_to_zero(self):
         rng = np.random.default_rng(41)
         maps = tuple(
             WeightMap(rng.random((6, 6)), GridSpec(6, 25.0), f"q{k + 1}") for k in range(5)
         )
         potential = WeightMap(rng.random((6, 6)), GridSpec(6, 25.0), "potential")
-        for columns in VARIANT_COLUMNS.values():
-            x = restricted_fit(build_system(maps, potential), columns)
+        for name, columns in VARIANT_COLUMNS.items():
+            x, _ = fit_importance(build_system(maps, potential), name)
             for idx, value in enumerate(x.values):
                 if idx not in columns:
                     assert value == 0.0
@@ -121,8 +121,17 @@ class TestRestrictedFit:
         base = rng.random((6, 6))
         maps = tuple(WeightMap(base, GridSpec(6, 25.0), f"q{k + 1}") for k in range(5))
         potential = WeightMap(base * 2.5, GridSpec(6, 25.0), "potential")
-        x = restricted_fit(build_system(maps, potential), (0,))
+        x, residual = fit_importance(build_system(maps, potential), "ta_only")
         assert x.values[0] == pytest.approx(2.5, abs=1e-12)
+        assert residual == pytest.approx(0.0, abs=1e-12)
+
+    def test_full_fit_is_the_nnls_solution(self):
+        rng = np.random.default_rng(43)
+        maps = tuple(WeightMap(rng.random((6, 6)), GridSpec(6, 25.0), f"q{k + 1}") for k in range(5))
+        system = build_system(maps, WeightMap(rng.random((6, 6)), GridSpec(6, 25.0), "potential"))
+        x, residual = fit_importance(system)
+        result = pipeline.solve_nnls(system)
+        assert x.values == tuple(result.x.tolist()) and residual == result.residual
 
     def test_zero_restricted_fit_names_the_variant(self):
         # q1 lives where the prior is zero, so ta_only fits x = 0 while
@@ -131,8 +140,13 @@ class TestRestrictedFit:
         half[:3] = 1.0
         maps = tuple(WeightMap(half if k else 1.0 - half, GridSpec(6, 25.0), f"q{k + 1}") for k in range(5))
         potential = WeightMap(half, GridSpec(6, 25.0), "potential")
-        with pytest.raises(ValueError, match="^ta_only fit: importance factors must not all be zero$"):
+        with pytest.raises(ConfigError) as excinfo:
             variant_maps(maps, potential, maps[0], maps[0])
+        assert excinfo.value.source == "potential.zones"
+        assert excinfo.value.message == (
+            "ta_only fit: every factor is zero; "
+            "the potential-hotspot prior overlaps none of the KPI maps"
+        )
 
 
 class TestPipelineErrors:

@@ -2,7 +2,7 @@ import copy
 import json
 import math
 import time
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -224,7 +224,7 @@ class TestSynthesizeRsrp:
         a = build_scenario(config).grid.rsrp
         b = build_scenario(config).grid.rsrp
         np.testing.assert_array_equal(a, b)
-        other = build_scenario(config.with_seed(99)).grid.rsrp
+        other = build_scenario(replace(config, seed=99)).grid.rsrp
         assert not np.array_equal(a, other, equal_nan=True)
 
 
@@ -256,7 +256,7 @@ class TestParseConfig:
         data = minimal_config(
             potential={"zones": [{"shape": "hexagon", "importance": 1.0}]}
         )
-        with pytest.raises(ConfigError, match="unknown shape") as excinfo:
+        with pytest.raises(ConfigError, match="unknown zone shape") as excinfo:
             parse_scenario_config(data)
         assert excinfo.value.source == "potential.zones[0].shape"
 
@@ -328,10 +328,32 @@ class TestParseConfig:
         overridden = parse_scenario_config(minimal_config(seed=5), seed_override=9)
         assert overridden.seed == 9
         assert overridden.sim.seed == 9
-        reseeded = config.with_seed(3)
+        reseeded = replace(config, seed=3)
         assert reseeded.seed == 3
         assert reseeded.sim.seed == 3
         assert config.seed == 5  # original untouched
+
+    def test_replacing_the_seed_reseeds_the_simulator(self):
+        config = load_scenario_config(SIM_CONFIG)
+        assert config.sim.seed == 7
+        assert replace(config, seed=5).sim.seed == 5
+        # The master seed wins over a simulator seed set by hand, and no
+        # assignment can part the two.
+        assert replace(config, sim=replace(config.sim, seed=9)).sim.seed == 7
+        with pytest.raises(FrozenInstanceError):
+            config.seed = 5
+
+    @pytest.mark.parametrize("seed, override", [(-1, None), (0, -1)])
+    def test_negative_seed_rejected(self, tmp_path, seed, override):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(minimal_config(seed=seed)))
+        with pytest.raises(ConfigError) as excinfo:
+            load_scenario_config(path, override)
+        assert excinfo.value.source == "seed"
+        assert str(excinfo.value) == "seed: must be non-negative, got -1"
+        config = load_scenario_config(SIM_CONFIG)
+        with pytest.raises(ConfigError, match="^seed: must be non-negative, got -1$"):
+            replace(config, seed=-1)
 
     def test_empty_blocks_take_dataclass_defaults(self):
         config = parse_scenario_config(minimal_config(seed=4, layout={}, sim={}))
@@ -358,7 +380,7 @@ class TestParseConfig:
         path.write_text("{")
         with pytest.raises(ConfigError) as excinfo:
             load_scenario_config(path)
-        assert str(excinfo.value).startswith(f"{path}: not valid JSON: ")
+        assert str(excinfo.value).startswith(f"{path}: not JSON: ")
 
 
 DISK_ZONE = {"shape": "disk", "center": [700.0, 700.0], "radius_m": 150.0, "importance": 1.0}
@@ -410,6 +432,7 @@ class TestStrictConfig:
         zone = dict(DISK_ZONE, corners=[0.0, 0.0, 100.0, 100.0])
         error = rejected(minimal_config(potential={"zones": [zone]}))
         assert error.source == "potential.zones[0].corners"
+        assert str(error).endswith("is not a field of a disk zone")
 
     def test_disk_zone_without_radius_rejected(self):
         zone = {k: v for k, v in DISK_ZONE.items() if k != "radius_m"}
@@ -422,7 +445,7 @@ class TestStrictConfig:
         zone = dict(DISK_ZONE, shape=shape)
         error = rejected(minimal_config(potential={"zones": [zone]}))
         assert error.source == "potential.zones[0].shape"
-        assert "unknown shape" in str(error)
+        assert f"expected a string, got {shape!r}" in str(error)
 
     @pytest.mark.parametrize(
         "section, key",
@@ -668,5 +691,5 @@ class TestBuildScenario:
         data["traffic"]["noise_sigma"] = 0.3
         config = parse_scenario_config(data)
         a = build_scenario(config).truth.values
-        b = build_scenario(config.with_seed(11)).truth.values
+        b = build_scenario(replace(config, seed=11)).truth.values
         assert not np.array_equal(a, b)

@@ -68,7 +68,15 @@ def extract_peaks(wmap: WeightMap, count: int, suppression_radius_m: float) -> l
         raise ValueError("suppression radius must be non-negative")
     values = wmap.values.copy()
     cx, cy = wmap.spec.center_coords()
-    ii, jj = np.indices(values.shape)
+    # The suppression disk, as offsets from the peak within a window of
+    # half-width ``reach``: a pixel past the radius's last whole pixel is
+    # a full pixel beyond it, so the window holds every pixel the test
+    # takes on the full grid.
+    m, pixel = wmap.spec.m, wmap.spec.pixel_size
+    radius = suppression_radius_m
+    reach = m - 1 if radius >= (m - 1) * pixel else int(radius // pixel) + 1
+    offsets = np.arange(-reach, reach + 1)
+    disk = (offsets[:, None] ** 2 + offsets[None, :] ** 2) * pixel**2 <= radius**2
     peaks: list[HotspotPeak] = []
     while len(peaks) < count:
         i, j = np.unravel_index(np.argmax(values), values.shape)
@@ -76,9 +84,11 @@ def extract_peaks(wmap: WeightMap, count: int, suppression_radius_m: float) -> l
         if weight <= 0:
             break
         peaks.append(HotspotPeak(x=float(cx[i, j]), y=float(cy[i, j]), weight=weight))
-        # Suppression in world meters; pixel centers within the radius.
-        d2 = ((ii - i) ** 2 + (jj - j) ** 2) * wmap.spec.pixel_size**2
-        values[d2 <= suppression_radius_m**2] = 0.0
+        # Suppression in world meters: pixel centers within the radius.
+        top, left = max(i - reach, 0), max(j - reach, 0)
+        window = values[top : i + reach + 1, left : j + reach + 1]
+        r0, c0 = top - i + reach, left - j + reach
+        window[disk[r0 : r0 + window.shape[0], c0 : c0 + window.shape[1]]] = 0.0
     return peaks
 
 
@@ -128,35 +138,45 @@ def _check_normalized(wmap: WeightMap, name: str) -> None:
         raise ValueError(f"{name} map must be normalized to sum 1, got sum {total}")
 
 
-def detection_percentage(real: WeightMap, estimated: WeightMap, p: float) -> float:
-    """Estimated weight mass on the top-p real-traffic pixels.
+def _top_traffic_pixels(real: WeightMap, p_list) -> list[np.ndarray]:
+    """For each p, the flat indices of the top-p real-traffic pixels.
 
     The real weights are sorted decreasing (stable, so tie pixels keep
     flattened order) and cut at the shortest prefix whose sum reaches p;
-    the return value is the estimated weight summed over exactly that
-    prefix of pixels.
+    the sort and its cumulative sum are shared by every p.
     """
+    _check_normalized(real, "real")
+    flat_real = real.values.reshape(-1)
+    order = np.argsort(-flat_real, kind="stable")
+    cumulative = np.cumsum(flat_real[order])
+    cuts = np.searchsorted(cumulative, p_list, side="left")
+    return [order[: int(cut) + 1] for cut in cuts]
+
+
+def _detected_mass(estimated: WeightMap, pixels: np.ndarray) -> float:
+    """The estimated weight summed over the flat pixel indices ``pixels``."""
+    _check_normalized(estimated, "estimated")
+    return float(estimated.values.reshape(-1)[pixels].sum())
+
+
+def detection_percentage(real: WeightMap, estimated: WeightMap, p: float) -> float:
+    """Estimated weight mass on the top-p real-traffic pixels
+    (:func:`_top_traffic_pixels`)."""
     if not 0 < p <= 1:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     if real.spec != estimated.spec:
         raise ValueError("real and estimated maps must share one grid")
-    _check_normalized(real, "real")
-    _check_normalized(estimated, "estimated")
-    flat_real = real.values.reshape(-1)
-    order = np.argsort(-flat_real, kind="stable")
-    cumulative = np.cumsum(flat_real[order])
-    cut = int(np.searchsorted(cumulative, p, side="left"))
-    prefix = order[: cut + 1]
-    return float(estimated.values.reshape(-1)[prefix].sum())
+    (pixels,) = _top_traffic_pixels(real, (p,))
+    return _detected_mass(estimated, pixels)
 
 
 def weight_cdf(wmap: WeightMap) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel weight CDF: (sorted distinct weights, fraction of pixels
     with weight at most each)."""
     flat = np.sort(wmap.values.reshape(-1))
-    weights, first_index = np.unique(flat, return_index=True)
+    first_index = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
     counts_at_most = np.append(first_index[1:], flat.size)
-    return weights, counts_at_most / flat.size
+    return flat[first_index], counts_at_most / flat.size
 
 
 @dataclass
@@ -186,12 +206,19 @@ def _normalized(wmap: WeightMap, what: str) -> WeightMap:
 
 
 def _evaluate_one(
-    label: str, wmap: WeightMap, truth: WeightMap, truth_peaks: list[HotspotPeak], config: EvalConfig
+    label: str,
+    wmap: WeightMap,
+    truth: WeightMap,
+    truth_peaks: list[HotspotPeak],
+    top_pixels: list[np.ndarray],
+    config: EvalConfig,
 ) -> VariantEval:
     normalized = _normalized(wmap, f"variant {label!r}")
+    if normalized.spec != truth.spec:
+        raise ValueError("real and estimated maps must share one grid")
     peaks = extract_peaks(normalized, config.peak_count, config.suppression_radius_m)
     match = match_and_measure(truth_peaks, peaks)
-    detection = {p: detection_percentage(truth, normalized, p) for p in config.p_list}
+    detection = {p: _detected_mass(normalized, pixels) for p, pixels in zip(config.p_list, top_pixels)}
     weights, fractions = weight_cdf(normalized)
     return VariantEval(
         label=label,
@@ -213,8 +240,10 @@ def compare_variants(
         raise ValueError("need at least one variant to evaluate")
     truth_n = _normalized(truth, "ground truth")
     truth_peaks = extract_peaks(truth_n, config.peak_count, config.suppression_radius_m)
+    top_pixels = _top_traffic_pixels(truth_n, config.p_list)
     evals = [
-        _evaluate_one(label, wmap, truth_n, truth_peaks, config) for label, wmap in runs.items()
+        _evaluate_one(label, wmap, truth_n, truth_peaks, top_pixels, config)
+        for label, wmap in runs.items()
     ]
     report = EvalReport(
         config=config,

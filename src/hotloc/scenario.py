@@ -193,7 +193,13 @@ def build_cells(config: ScenarioConfig) -> list[CellInfo]:
 
 def synthesize_rsrp(config: ScenarioConfig, cells: list[CellInfo]) -> np.ndarray:
     """Per-cell RSRP layers from the path-loss model; NaN below the prune
-    floor."""
+    floor.
+
+    The bearing and the path-loss level ``tx_power - loss`` depend only on
+    the site, so they are computed once for each run of cells with one
+    ``site_position`` (a site's sectors, when cells are site-major) and
+    each cell subtracts only its antenna pattern. With shadowing, each
+    cell adds one full normal layer, drawn in cell order."""
     p = config.layout.pathloss
     cx, cy = config.spec.center_coords()
     beam = math.radians(p.beamwidth_deg)
@@ -203,21 +209,23 @@ def synthesize_rsrp(config: ScenarioConfig, cells: list[CellInfo]) -> np.ndarray
         if p.shadowing_sigma_db > 0
         else None
     )
-    for k, cell in enumerate(cells):
-        dx = cx - cell.site_position[0]
-        dy = cy - cell.site_position[1]
-        dist = np.hypot(dx, dy)
-        bearing = np.arctan2(dx, dy)
+    site = None
+    for level, cell in zip(layers, cells):
+        if cell.site_position != site:
+            site = cell.site_position
+            dx = cx - site[0]
+            dy = cy - site[1]
+            bearing = np.arctan2(dx, dy)
+            loss = p.ref_loss_db + 10.0 * p.exponent * np.log10(
+                np.maximum(np.hypot(dx, dy), p.d0_m) / p.d0_m
+            )
+            unpatterned = p.tx_power_dbm - loss
         delta = np.mod(bearing - cell.azimuth + math.pi, 2.0 * math.pi) - math.pi
         pattern = np.minimum(12.0 * (delta / beam) ** 2, p.max_attenuation_db)
-        loss = p.ref_loss_db + 10.0 * p.exponent * np.log10(
-            np.maximum(dist, p.d0_m) / p.d0_m
-        )
-        level = p.tx_power_dbm - loss - pattern
+        np.subtract(unpatterned, pattern, out=level)
         if rng is not None:
-            level = level + rng.normal(0.0, p.shadowing_sigma_db, size=level.shape)
+            level += rng.normal(0.0, p.shadowing_sigma_db, size=level.shape)
         level[level < p.prune_below_dbm] = np.nan
-        layers[k] = level
     return layers
 
 

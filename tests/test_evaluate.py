@@ -7,7 +7,9 @@ import pytest
 
 from hotloc.evaluate import (
     EvalConfig,
+    EvalReport,
     HotspotPeak,
+    VariantEval,
     compare_variants,
     detection_percentage,
     extract_peaks,
@@ -325,3 +327,112 @@ class TestReportOutputs:
         with pytest.raises(ValueError, match="variant label"):
             write_report_csvs(report, *map(str, paths))
         assert not any(path.exists() for path in paths)
+
+
+# Per-call references for ``compare_variants``: suppression by a distance
+# pass over the full grid, the truth sorted again for every (variant, p),
+# and the CDF's distinct weights from np.unique.
+def full_grid_peaks(wmap, count, suppression_radius_m):
+    values = wmap.values.copy()
+    cx, cy = wmap.spec.center_coords()
+    ii, jj = np.indices(values.shape)
+    peaks = []
+    while len(peaks) < count:
+        i, j = np.unravel_index(np.argmax(values), values.shape)
+        weight = float(values[i, j])
+        if weight <= 0:
+            break
+        peaks.append(HotspotPeak(x=float(cx[i, j]), y=float(cy[i, j]), weight=weight))
+        d2 = ((ii - i) ** 2 + (jj - j) ** 2) * wmap.spec.pixel_size**2
+        values[d2 <= suppression_radius_m**2] = 0.0
+    return peaks
+
+
+def sorted_detection(real, estimated, p):
+    flat_real = real.values.reshape(-1)
+    order = np.argsort(-flat_real, kind="stable")
+    cumulative = np.cumsum(flat_real[order])
+    cut = int(np.searchsorted(cumulative, p, side="left"))
+    return float(estimated.values.reshape(-1)[order[: cut + 1]].sum())
+
+
+def unique_cdf(wmap):
+    flat = np.sort(wmap.values.reshape(-1))
+    weights, first_index = np.unique(flat, return_index=True)
+    return weights, np.append(first_index[1:], flat.size) / flat.size
+
+
+def per_call_report(truth, runs, config):
+    truth_n = truth.normalized()
+    truth_peaks = full_grid_peaks(truth_n, config.peak_count, config.suppression_radius_m)
+    variants = {}
+    for label, wmap in runs.items():
+        normalized = wmap.normalized()
+        peaks = full_grid_peaks(normalized, config.peak_count, config.suppression_radius_m)
+        match = match_and_measure(truth_peaks, peaks)
+        weights, fractions = unique_cdf(normalized)
+        variants[label] = VariantEval(
+            label=label,
+            peaks=peaks,
+            pairs=match.pairs,
+            mean_distance_m=match.mean_distance_m,
+            detection={p: sorted_detection(truth_n, normalized, p) for p in config.p_list},
+            cdf_weights=weights,
+            cdf_fractions=fractions,
+        )
+    return EvalReport(config, truth_peaks, unique_cdf(truth_n), variants)
+
+
+class TestReportMatchesPerCallInstruments:
+    """``compare_variants`` sorts the truth once per report and suppresses
+    peaks in a window; its report must hold the bits of
+    :func:`per_call_report`."""
+
+    def maps(self, seed, spec):
+        rng = np.random.default_rng(seed)
+        shape = (spec.m, spec.m)
+        # Truth weights in four levels, so most pixels tie.
+        truth = WeightMap(rng.integers(0, 4, shape).astype(float), spec, LABEL_TRUTH)
+        sparse = rng.random(shape)
+        sparse[rng.random(shape) < 0.7] = 0.0
+        runs = {
+            "copy": WeightMap(truth.values * 3.0, spec, "copy"),
+            "levels": WeightMap(rng.integers(1, 3, shape).astype(float), spec, "levels"),
+            "random": WeightMap(rng.random(shape), spec, "random"),
+            "sparse": WeightMap(sparse, spec, "sparse"),
+        }
+        return truth, runs
+
+    @pytest.mark.parametrize(
+        "spec",
+        [GridSpec(12, 25.0), GridSpec(13, 7.3, (-40.0, 110.0)), GridSpec(2, 25.0)],
+        ids=["even", "odd-pixel", "two-pixel"],
+    )
+    @pytest.mark.parametrize("radius_px", [0.0, 1.0, 2.0, 3.0, 1e4], ids=lambda r: f"radius{r:g}px")
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_report_bits(self, spec, radius_px, seed):
+        truth, runs = self.maps(seed, spec)
+        config = EvalConfig(
+            peak_count=6,
+            suppression_radius_m=radius_px * spec.pixel_size,
+            p_list=(0.005, 0.05, 0.5, 1.0),
+        )
+        got = compare_variants(truth, runs, config)
+        want = per_call_report(truth, runs, config)
+        assert report_to_dict(got) == report_to_dict(want)
+        for got_cdf, want_cdf in [
+            (got.truth_cdf, want.truth_cdf),
+            *(
+                ((v.cdf_weights, v.cdf_fractions), (want.variants[k].cdf_weights, want.variants[k].cdf_fractions))
+                for k, v in got.variants.items()
+            ),
+        ]:
+            assert [a.tobytes() for a in got_cdf] == [a.tobytes() for a in want_cdf]
+
+    def test_detection_percentage_is_the_per_call_sort(self):
+        truth, runs = self.maps(33, GridSpec(12, 25.0))
+        truth_n = truth.normalized()
+        for wmap in runs.values():
+            estimated = wmap.normalized()
+            for p in (0.005, 0.05, 0.5, 1.0):
+                assert detection_percentage(truth_n, estimated, p) == sorted_detection(truth_n, estimated, p)

@@ -1,14 +1,17 @@
 import json
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+from hotloc import nnls, pipeline
 from hotloc.grid import GridSpec
 from hotloc.kpi import WeightMap, save_weight_map
 from hotloc.localize import ImportanceVector, step6_combine
 from hotloc.nnls import DesignSystem, build_system, solve_nnls
-from hotloc.pipeline import Run, StageError, _run_optimize, fit_importance, run_stages
+from hotloc.pipeline import Run, StageError, _run_optimize, fit_importance, run_pipeline, run_stages
 
 
 def assert_kkt(system, x, tol=1e-8):
@@ -218,3 +221,125 @@ class TestOptimizeImportance:
         assert excinfo.value.stage == "optimize"
         assert excinfo.value.cause.source == "potential.zones"
         assert not (tmp_path / "importance.json").exists()
+
+
+# The plain enumeration that ``solve_nnls`` screens: the exact test on
+# every support in order, with no Gram screen.
+def enumerate_nnls(A, b):
+    n = A.shape[1]
+    gradient = A.T @ b
+    tol = nnls.RTOL * np.abs(gradient).max()
+    if (gradient <= tol).all():
+        return np.zeros(n), float(np.linalg.norm(b)), 0
+    solves = 0
+    for size in range(1, n + 1):
+        for support in combinations(range(n), size):
+            columns = list(support)
+            z = np.linalg.lstsq(A[:, columns], b, rcond=None)[0]
+            solves += 1
+            if (z <= 0).any():
+                continue
+            x = np.zeros(n)
+            x[columns] = z
+            residual = b - A @ x
+            if (np.delete(A.T @ residual, columns) <= tol).all():
+                return x, float(np.linalg.norm(residual)), solves
+    raise AssertionError("no support satisfies the optimality conditions")
+
+
+def assert_same_fit(A, b):
+    """The screened fit has the bits of the plain enumeration; returns the
+    screened result."""
+    result = solve_nnls(DesignSystem(A=A, b=b))
+    x, residual, solves = enumerate_nnls(A, b)
+    assert result.x.tobytes() == x.tobytes()
+    assert result.residual == residual
+    assert result.iterations <= solves
+    return result
+
+
+def near_threshold_system(rng, component, gradient):
+    """A 40 x 5 system whose fit on columns 0-2 has ``component`` as its
+    last entry and leaves columns 3 and 4 an off-support gradient of
+    ``gradient`` times the tolerance."""
+    A = rng.random((40, 5))
+    support = A[:, :3]
+    b = support @ np.array([1.0, 0.5, component])
+    # Residual directions orthogonal to the support, one per off-support
+    # column: r_k with A_j^T r_k = [j == k] for j = 3, 4.
+    q, _ = np.linalg.qr(support, mode="complete")
+    free = q[:, 3:]
+    basis = free[:, :2] @ np.linalg.inv(A[:, 3:].T @ free[:, :2])
+    tol = nnls.RTOL * np.abs(A.T @ b).max()
+    return A, b + basis @ np.full(2, gradient * tol)
+
+
+class TestGramScreen:
+    """The Gram screen skips a support only when the exact test would
+    reject it, so x and the residual are those of :func:`enumerate_nnls`
+    byte for byte."""
+
+    @pytest.mark.parametrize("component", [1e-3, 1e-9, 1e-14, 1e-16, 0.0, -1e-16, -1e-14, -1e-9])
+    @pytest.mark.parametrize("gradient", [-2.0, 0.5, 0.999, 0.9999, 1.0, 1.0001, 1.001, 2.0, 1e3])
+    def test_near_both_thresholds(self, component, gradient):
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            assert_same_fit(*near_threshold_system(rng, component, gradient))
+
+    def test_seeded_random_systems(self):
+        rng = np.random.default_rng(22)
+        for _ in range(60):
+            A = rng.random((30, 5)) ** 2
+            b = rng.standard_normal(30) + A @ rng.standard_normal(5)
+            assert_same_fit(A, b)
+
+    def test_nearly_collinear_columns_take_the_exact_test(self):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            A = rng.random((50, 5))
+            A[:, 1] = A[:, 0] + 1e-7 * rng.random(50)
+            b = A @ np.array([0.3, 0.2, 0.1, -0.2, 0.4]) + 0.01 * rng.standard_normal(50)
+            gradient = A.T @ b
+            scale = np.abs(gradient).max()
+            skipped = nnls._clearly_failing(A.T @ A, gradient, nnls.RTOL * scale, nnls.SCREEN_RTOL * scale)
+            assert not any({0, 1} <= set(support) for support in skipped)
+            assert_same_fit(A, b)
+
+    def test_zero_column_makes_the_gram_matrix_singular(self):
+        rng = np.random.default_rng(24)
+        A = rng.random((30, 5))
+        A[:, 3] = 0.0
+        b = A @ np.array([0.5, 0.0, 0.7, 0.0, 0.2]) + 0.05 * rng.random(30)
+        assert np.linalg.matrix_rank(A.T @ A) == 4
+        result = assert_same_fit(A, b)
+        assert result.x[3] == 0.0
+
+    def test_sim_small_fit_without_congestion(self, sim_config, tmp_path):
+        # Under rho_cap 10 no cell is congested and q4 is zero everywhere.
+        config = replace(sim_config, oracle=replace(sim_config.oracle, rho_cap=10.0))
+        run = run_stages(("scenario", "kpis", "maps"), config, tmp_path)
+        system = build_system(tuple(run.kpi_maps), run.potential_map)
+        assert not system.A[:, 3].any()
+        assert_same_fit(system.A, system.b)
+
+    def test_one_exact_solve_per_desk_fit(self, desk_config, tmp_path, monkeypatch):
+        results = []
+
+        def recorded(system):
+            results.append(solve_nnls(system))
+            return results[-1]
+
+        monkeypatch.setattr(pipeline, "solve_nnls", recorded)
+        run_pipeline(desk_config, tmp_path)
+        # The importance fit and the two restricted variants' fits.
+        assert [r.iterations for r in results] == [1, 1, 1]
+
+    def test_error_names_supports_and_exact_solves(self, monkeypatch):
+        # A negative tolerance fails every support: the 16 supports that
+        # hold the zero column 4 are singular and take the exact test,
+        # and the screen rejects the other 15.
+        A = np.eye(5)
+        A[4, 4] = 0.0
+        monkeypatch.setattr(nnls, "RTOL", -2.0)
+        with pytest.raises(ValueError, match=r"^importance fit: none of the 31 column supports .* within -2 \(16 solved exactly\)$"):
+            solve_nnls(DesignSystem(A=A, b=np.array([1.0, -1.0, 1.0, -1.0, 0.0])))

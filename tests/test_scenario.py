@@ -9,12 +9,13 @@ import pytest
 
 from conftest import DESK_CONFIG, SIM_CONFIG, put_byte
 from hotloc.evaluate import EvalConfig, report_to_dict
-from hotloc.grid import GridSpec
+from hotloc.grid import CellInfo, GridSpec
 from hotloc.kpi import OracleParams
 from hotloc.localize import LocalizerParams
 from hotloc.scenario import (
     ConfigError,
     MAX_CUBE_BYTES,
+    _SHADOWING_SEED_OFFSET,
     LayoutParams,
     PathlossParams,
     build_cells,
@@ -22,6 +23,7 @@ from hotloc.scenario import (
     hex_site_positions,
     load_scenario_config,
     parse_scenario_config,
+    synthesize_rsrp,
 )
 from hotloc.pipeline import StageError, run_pipeline
 from hotloc.sim import SimConfig
@@ -226,6 +228,104 @@ class TestSynthesizeRsrp:
         np.testing.assert_array_equal(a, b)
         other = build_scenario(replace(config, seed=99)).grid.rsrp
         assert not np.array_equal(a, other, equal_nan=True)
+
+
+# The per-cell reference for ``synthesize_rsrp``: distance, bearing and
+# path loss for every cell, then its pattern and, with shadowing, one
+# normal layer per cell in cell order.
+def per_cell_rsrp(config, cells):
+    p = config.layout.pathloss
+    cx, cy = config.spec.center_coords()
+    beam = math.radians(p.beamwidth_deg)
+    layers = np.empty((len(cells), config.spec.m, config.spec.m))
+    rng = (
+        np.random.default_rng(config.seed + _SHADOWING_SEED_OFFSET)
+        if p.shadowing_sigma_db > 0
+        else None
+    )
+    for k, cell in enumerate(cells):
+        dx = cx - cell.site_position[0]
+        dy = cy - cell.site_position[1]
+        dist = np.hypot(dx, dy)
+        bearing = np.arctan2(dx, dy)
+        delta = np.mod(bearing - cell.azimuth + math.pi, 2.0 * math.pi) - math.pi
+        pattern = np.minimum(12.0 * (delta / beam) ** 2, p.max_attenuation_db)
+        loss = p.ref_loss_db + 10.0 * p.exponent * np.log10(
+            np.maximum(dist, p.d0_m) / p.d0_m
+        )
+        level = p.tx_power_dbm - loss - pattern
+        if rng is not None:
+            level = level + rng.normal(0.0, p.shadowing_sigma_db, size=level.shape)
+        level[level < p.prune_below_dbm] = np.nan
+        layers[k] = level
+    return layers
+
+
+class TestSynthesisMatchesPerCellLoop:
+    """``synthesize_rsrp`` shares each site's geometry among its cells; its
+    cube must hold the bits of :func:`per_cell_rsrp`."""
+
+    # A 600 m map of 24 pixels: the center, a pixel center, a corner, a
+    # point 1 cm inside the edge, a point on it and two sites beyond it.
+    SITES = [
+        (300.0, 300.0),
+        (312.5, 287.5),
+        (0.0, 0.0),
+        (599.99, 150.0),
+        (600.0, 600.0),
+        (-180.0, 420.0),
+        (350.0, 1250.0),
+    ]
+
+    def config(self, sigma, seed=3):
+        data = minimal_config(grid={"extent_m": 600.0, "pixel_size_m": 25.0})
+        # A prune floor inside the map's level range leaves NaNs.
+        data["layout"] = {
+            "site_count": 1,
+            "pathloss": {"shadowing_sigma_db": sigma, "prune_below_dbm": -118.0},
+        }
+        return replace(parse_scenario_config(data), seed=seed)
+
+    def cells(self, sectors, order):
+        rng = np.random.default_rng(sectors)
+        step = 2.0 * math.pi / sectors
+        offset = rng.uniform(0.0, step)
+        site_major = [
+            CellInfo(f"S{s}-{sec}", site, (offset + sec * step) % (2.0 * math.pi))
+            for s, site in enumerate(self.SITES)
+            for sec in range(sectors)
+        ]
+        if order == "site-major":
+            return site_major
+        if order == "sector-major":
+            return [site_major[s * sectors + sec] for sec in range(sectors) for s in range(len(self.SITES))]
+        return [site_major[k] for k in rng.permutation(len(site_major))]
+
+    @pytest.mark.parametrize("sigma", [0.0, 4.0])
+    @pytest.mark.parametrize("order", ["site-major", "sector-major", "shuffled"])
+    @pytest.mark.parametrize("sectors", [1, 3, 26])
+    def test_hand_built_layouts(self, sectors, order, sigma):
+        config = self.config(sigma)
+        cells = self.cells(sectors, order)
+        got = synthesize_rsrp(config, cells)
+        want = per_cell_rsrp(config, cells)
+        assert np.isnan(want).any() and np.isfinite(want).any()
+        assert got.tobytes() == want.tobytes()
+
+    def test_boresight_on_the_wrap(self):
+        # Azimuths at 0 and just under 2 pi put pixels at delta = -pi.
+        config = self.config(0.0)
+        cells = [CellInfo("A", (300.0, 300.0), 0.0), CellInfo("B", (300.0, 300.0), math.nextafter(2 * math.pi, 0))]
+        assert synthesize_rsrp(config, cells).tobytes() == per_cell_rsrp(config, cells).tobytes()
+
+    @pytest.mark.parametrize("path", [DESK_CONFIG, SIM_CONFIG])
+    @pytest.mark.parametrize("sigma", [0.0, 6.0])
+    def test_shipped_configs(self, path, sigma):
+        config = load_scenario_config(path)
+        pathloss = replace(config.layout.pathloss, shadowing_sigma_db=sigma)
+        config = replace(config, layout=replace(config.layout, pathloss=pathloss))
+        cells = build_cells(config)
+        assert synthesize_rsrp(config, cells).tobytes() == per_cell_rsrp(config, cells).tobytes()
 
 
 class TestParseConfig:

@@ -67,7 +67,6 @@ def extract_peaks(wmap: WeightMap, count: int, suppression_radius_m: float) -> l
     if suppression_radius_m < 0:
         raise ValueError("suppression radius must be non-negative")
     values = wmap.values.copy()
-    cx, cy = wmap.spec.center_coords()
     # The suppression disk, as offsets from the peak within a window of
     # half-width ``reach``: a pixel past the radius's last whole pixel is
     # a full pixel beyond it, so the window holds every pixel the test
@@ -83,7 +82,8 @@ def extract_peaks(wmap: WeightMap, count: int, suppression_radius_m: float) -> l
         weight = float(values[i, j])
         if weight <= 0:
             break
-        peaks.append(HotspotPeak(x=float(cx[i, j]), y=float(cy[i, j]), weight=weight))
+        x, y = wmap.spec.pixel_center(i, j)
+        peaks.append(HotspotPeak(x=float(x), y=float(y), weight=weight))
         # Suppression in world meters: pixel centers within the radius.
         top, left = max(i - reach, 0), max(j - reach, 0)
         window = values[top : i + reach + 1, left : j + reach + 1]

@@ -75,12 +75,18 @@ class GridSpec:
         """Side length of the map in meters."""
         return self.m * self.pixel_size
 
+    def pixel_center(self, i, j):
+        """World coordinates of the center of pixel (i, j); ``i`` and ``j``
+        may be index arrays."""
+        return (
+            self.origin[0] + (i + 0.5) * self.pixel_size,
+            self.origin[1] + (j + 0.5) * self.pixel_size,
+        )
+
     def center_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """World coordinates of all pixel centers as two (m, m) arrays."""
-        idx = np.arange(self.m, dtype=np.float64) + 0.5
-        x = self.origin[0] + idx * self.pixel_size
-        y = self.origin[1] + idx * self.pixel_size
-        return np.meshgrid(x, y, indexing="ij")
+        idx = np.arange(self.m, dtype=np.float64)
+        return np.meshgrid(*self.pixel_center(idx, idx), indexing="ij")
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,24 @@ Tick order: arrivals, scheduling (rate share, counter sampling), file
 completion, movement, handover checks. All randomness flows from one
 seeded generator, so identical inputs give identical output.
 
-The UEs in flight are held as parallel arrays (:class:`_ActiveUes`), one
-entry per UE in admission order, and every phase but one is whole-array
-work. Arrivals are admitted by their rank among the tick's arrivals for
-the same best cell; counters are sampled with ``np.add.at`` on (serving
-cell, zone); completions drop out by a boolean mask that keeps the order;
-movement reflects all mobile UEs at once. A handover trigger depends only
-on the serving cell and the pixel, so it is one lookup per UE in an int8
-(cell, pixel) table built before the first tick. The switches themselves
-resolve one triggering UE at a time in array order: whether a UE finds a
-free slot in its target depends on the handovers before it in the same
-tick. The result is the same, event for event, as a per-UE loop in that
-order.
+The UEs in flight are held as one int64 and one float64 block
+(:class:`_ActiveUes`), one column per UE in admission order, and every
+phase but one is whole-array work; a tick's cost is mostly its count of
+numpy calls, so each phase touches each block once. A tick's arrivals
+take one draw of 3n uniforms and are admitted by their rank among the
+tick's arrivals for the same best cell. The TA and AoA samples are one
+lookup per UE in an int8 (cell, pixel) table of zone codes and one
+``np.add.at`` on (serving cell, code); the TA and AoA histograms are the
+code counts' sums at the end of the run. The per-cell rate share is
+computed once per tick and drained from every UE; completions drop out
+of both blocks at once, in order; movement moves the (2, k) positions of
+the k mobile UEs together and reflects only when one has left the map.
+A handover trigger depends only on the serving cell and the pixel, so it
+is one lookup per UE in an int8 (cell, pixel) table built before the
+first tick. The switches themselves resolve one triggering UE at a time
+in array order: whether a UE finds a free slot in its target depends on
+the handovers before it in the same tick. The result is the same, event
+for event, as a per-UE loop in that order.
 """
 
 from __future__ import annotations
@@ -49,8 +55,9 @@ from hotloc.kpi import CellKpis, KpiSet, WeightMap
 
 KPI_SOURCE_SIM = "sim"
 
-# The tick loop costs about 0.3 ms a tick on desk (its busy hour of 3,600
-# ticks takes about 1 s), so a run of this many ticks takes minutes.
+# The tick loop costs about 0.15 ms a tick on desk (its busy hour of 3,600
+# ticks takes about 0.55 s of CPU on a Xeon vCPU), so a run of this many
+# ticks takes minutes.
 MAX_TICKS = 10**6
 # Each arrival of a tick takes about 100 bytes in the tick's draw and
 # admission arrays, so a tick of this many arrivals takes about 100 MB.
@@ -100,41 +107,37 @@ class SimConfig(Bounded):
         return max(1, int(round(self.duration_s / self.tick_s)))
 
 
+# Rows of the packed UE blocks of :class:`_ActiveUes`.
+UE_ID, PIXEL, SERVING, START_TICK = range(4)
+X, Y, HEADING, REMAINING_BITS = range(4)
+
+
 @dataclass
 class _ActiveUes:
-    """The UEs whose download is in flight, as parallel arrays in admission
-    order. ``pixel`` is the flat index ``i * m + j`` of the UE's pixel."""
+    """The UEs whose download is in flight, one column per UE in admission
+    order: ``ints`` holds the rows :data:`UE_ID`, :data:`PIXEL` (the flat
+    index ``i * m + j``), :data:`SERVING` and :data:`START_TICK`, ``floats``
+    the rows :data:`X`, :data:`Y`, :data:`HEADING` and
+    :data:`REMAINING_BITS`, and ``mobile`` marks the UEs that move."""
 
-    ue_id: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    pixel: np.ndarray
-    serving: np.ndarray
-    remaining_bits: np.ndarray
+    ints: np.ndarray
+    floats: np.ndarray
     mobile: np.ndarray
-    heading: np.ndarray
-    start_tick: np.ndarray
 
     @classmethod
     def empty(cls) -> _ActiveUes:
-        return cls(
-            ue_id=np.empty(0, dtype=np.int64),
-            x=np.empty(0),
-            y=np.empty(0),
-            pixel=np.empty(0, dtype=np.intp),
-            serving=np.empty(0, dtype=np.intp),
-            remaining_bits=np.empty(0),
-            mobile=np.empty(0, dtype=bool),
-            heading=np.empty(0),
-            start_tick=np.empty(0, dtype=np.int64),
-        )
+        return cls(np.empty((4, 0), dtype=np.int64), np.empty((4, 0)), np.empty(0, dtype=bool))
 
-    def keep(self, mask: np.ndarray) -> _ActiveUes:
-        return _ActiveUes(**{name: col[mask] for name, col in vars(self).items()})
+    def keep(self, index: np.ndarray) -> _ActiveUes:
+        return _ActiveUes(
+            self.ints.take(index, axis=1), self.floats.take(index, axis=1), self.mobile.take(index)
+        )
 
     def extend(self, new: _ActiveUes) -> _ActiveUes:
         return _ActiveUes(
-            **{name: np.concatenate((col, getattr(new, name))) for name, col in vars(self).items()}
+            np.concatenate((self.ints, new.ints), axis=1),
+            np.concatenate((self.floats, new.floats), axis=1),
+            np.concatenate((self.mobile, new.mobile)),
         )
 
 
@@ -177,10 +180,12 @@ def _admit(best: np.ndarray, attached: np.ndarray, max_ue: int) -> np.ndarray:
     return (best != UNCOVERED) & (rank < max_ue - attached[best])
 
 
-def _reflect(pos: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _reflect(
+    pos: np.ndarray, lo: float | np.ndarray, hi: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Fold coordinates back into [lo, hi] by specular reflection, as often
     as it takes; the mask reports an odd number of reflections (the
-    velocity component flips)."""
+    velocity component flips). The bounds broadcast against ``pos``."""
     flipped = np.zeros(pos.shape, dtype=bool)
     while True:
         below, above = pos < lo, pos > hi
@@ -237,21 +242,25 @@ def _handover_slots(rsrp: np.ndarray, neighbors: np.ndarray, margin_db: float) -
 # cells took 1.1 s and a 423 MB allocation peak, blocks of this size
 # 0.43 s and 30 MB.
 ZONE_BLOCK_ELEMENTS = 1 << 18
+# A (TA ring, AoA zone) pair has one of this many codes.
+ZONE_CODES = TA_ZONE_COUNT * 3
 
 
-def _zone_stacks(grid: CoverageGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The TA and AoA zone layers of every cell, flattened to (cell,
-    pixel), built a block of cells per zone-layer call."""
+def _zone_stacks(grid: CoverageGrid) -> np.ndarray:
+    """The zone code ``ta * 3 + aoa + 1`` of every (cell, flat pixel): the
+    column of a UE's sample in the (cell, :data:`ZONE_CODES`) counts. The
+    TA and AoA zone layers are built a block of cells per call."""
     n_cells, pixels = grid.n_cells, grid.spec.m**2
-    ta = np.empty((n_cells, pixels), dtype=np.int8)
-    aoa = np.empty((n_cells, pixels), dtype=np.int8)
+    codes = np.empty((n_cells, pixels), dtype=np.int8)
     step = max(1, ZONE_BLOCK_ELEMENTS // pixels)
     for first in range(0, n_cells, step):
         block = slice(first, first + step)
         sites = grid.sites(np.arange(n_cells)[block, None, None])
-        ta[block] = ta_zone_layer(grid.spec, sites).reshape(-1, pixels)
-        aoa[block] = aoa_zone_layer(grid.spec, sites).reshape(-1, pixels)
-    return ta, aoa
+        code = ta_zone_layer(grid.spec, sites) * np.int8(3)
+        code += aoa_zone_layer(grid.spec, sites)
+        code += np.int8(1)
+        codes[block] = code.reshape(-1, pixels)
+    return codes
 
 
 def run_simulation(
@@ -279,10 +288,11 @@ def run_simulation(
     rng = np.random.default_rng(config.seed)
     position_cdf = np.cumsum(truth.values.reshape(-1))
     position_cdf /= position_cdf[-1]
+    last_pixel = position_cdf.size - 1
 
     # After a handover the serving cell is not the pixel's best server,
     # so the zones come from every cell's layers, not the serving tables.
-    ta_layers, aoa_layers = _zone_stacks(grid)
+    zone_codes = _zone_stacks(grid)
     best_of = servers.best.reshape(-1).astype(np.intp)
     neighbors = _neighbor_matrix(grid)
     handover_slots = _handover_slots(
@@ -290,8 +300,7 @@ def run_simulation(
     )
     max_ue = config.max_ue_per_cell
 
-    ta_counts = np.zeros((n_cells, TA_ZONE_COUNT), dtype=np.int64)
-    aoa_counts = np.zeros((n_cells, 3), dtype=np.int64)
+    zone_counts = np.zeros((n_cells, ZONE_CODES), dtype=np.int64)
     reports = np.zeros((n_cells, n_cells), dtype=np.int64)
     full_ticks = np.zeros(n_cells, dtype=np.int64)
     # Cell and rate of every completed download, in completion order. Packed
@@ -304,87 +313,95 @@ def run_simulation(
     attached = np.zeros(n_cells, dtype=np.int64)
     next_ue = 0
     step = config.speed_kmh / 3.6 * config.tick_s
-    xmin, ymin = spec.origin
-    center_x, center_y = (c.reshape(-1) for c in spec.center_coords())
-    xmax, ymax = xmin + spec.extent, ymin + spec.extent
+    centers = np.stack([c.reshape(-1) for c in spec.center_coords()])
+    lo = np.array(spec.origin).reshape(2, 1)
+    hi = lo + spec.extent
     log = _EventLog(event_log_path, [c.cell_id for c in grid.cells])
 
     try:
         for t in range(config.n_ticks):
             # Arrivals: positions from the traffic weights, admission by
-            # coverage and slot availability.
+            # coverage and slot availability. One draw of 3n uniforms is
+            # the position, mobility and heading draws of n arrivals in
+            # turn (a heading is 2*pi*u, as uniform(0, 2*pi) makes it).
             n_arrivals = int(rng.poisson(config.arrival_rate * config.tick_s))
             if n_arrivals:
-                pix = np.searchsorted(position_cdf, rng.random(n_arrivals), side="right")
-                pix = np.minimum(pix, position_cdf.size - 1)
-                mobile = rng.random(n_arrivals) < config.mobile_fraction
-                headings = rng.uniform(0.0, 2.0 * math.pi, n_arrivals)
-                ue_ids = np.arange(next_ue, next_ue + n_arrivals)
-                next_ue += n_arrivals
+                draw = rng.random(3 * n_arrivals)
+                pix = np.minimum(
+                    np.searchsorted(position_cdf, draw[:n_arrivals], side="right"), last_pixel
+                )
                 best = best_of[pix]
                 admitted = _admit(best, attached, max_ue)
                 if log.enabled:
+                    ue_ids = np.arange(next_ue, next_ue + n_arrivals)
                     log.write(t, np.where(admitted, "arrive", "block"), best, ue_ids)
-                if np.count_nonzero(admitted):
-                    cells = best[admitted]
+                new = admitted.nonzero()[0]
+                if new.size:
+                    cells = best.take(new)
                     attached += np.bincount(cells, minlength=n_cells)
-                    ues = ues.extend(
-                        _ActiveUes(
-                            ue_id=ue_ids[admitted],
-                            x=center_x[pix[admitted]],
-                            y=center_y[pix[admitted]],
-                            pixel=pix[admitted],
-                            serving=cells,
-                            remaining_bits=np.full(cells.size, config.file_size_bits),
-                            mobile=mobile[admitted],
-                            heading=headings[admitted],
-                            start_tick=np.full(cells.size, t),
-                        )
-                    )
+                    ints = np.empty((4, new.size), dtype=np.int64)
+                    ints[UE_ID] = new + next_ue
+                    ints[PIXEL] = pix.take(new)
+                    ints[SERVING] = cells
+                    ints[START_TICK] = t
+                    floats = np.empty((4, new.size))
+                    floats[X : Y + 1] = centers.take(ints[PIXEL], axis=1)
+                    floats[HEADING] = draw.take(new + 2 * n_arrivals) * (2.0 * math.pi)
+                    floats[REMAINING_BITS] = config.file_size_bits
+                    mobile = draw.take(new + n_arrivals) < config.mobile_fraction
+                    ues = ues.extend(_ActiveUes(ints, floats, mobile))
+                next_ue += n_arrivals
 
             # Scheduling: equal capacity share capped at mu0; sample the
             # occupancy and load counters while the shares are known.
-            full_ticks[attached >= max_ue] += 1
-            serving, pixel = ues.serving, ues.pixel
-            np.add.at(ta_counts, (serving, ta_layers[serving, pixel]), 1)
-            np.add.at(aoa_counts, (serving, aoa_layers[serving, pixel] + 1), 1)
-            rate = np.minimum(config.mu0_bps, config.capacity_per_cell_bps / attached[serving])
-            ues.remaining_bits = np.maximum(0.0, ues.remaining_bits - rate * config.tick_s)
+            full_ticks += attached >= max_ue
+            serving, pixel = ues.ints[SERVING], ues.ints[PIXEL]
+            np.add.at(zone_counts, (serving, zone_codes[serving, pixel]), 1)
+            # The bits each cell drains from each of its UEs; an empty
+            # cell divides by one, not zero, and drains nothing.
+            drain = np.minimum(config.mu0_bps, config.capacity_per_cell_bps / np.maximum(attached, 1))
+            drain *= config.tick_s
+            remaining = ues.floats[REMAINING_BITS]
+            remaining -= drain[serving]
 
             # Completions.
-            done = ues.remaining_bits <= 0.0
+            done = remaining <= 0.0
             if np.count_nonzero(done):
-                cells = serving[done]
-                elapsed = (t - ues.start_tick[done] + 1) * config.tick_s
-                done_cells.extend(cells.tolist())
-                done_rates.extend((config.file_size_bits / elapsed).tolist())
+                gone = done.nonzero()[0]
+                cells = serving.take(gone)
+                elapsed = (t - ues.ints[START_TICK].take(gone) + 1) * config.tick_s
+                done_cells.frombytes(cells.tobytes())
+                done_rates.frombytes((config.file_size_bits / elapsed).tobytes())
                 attached -= np.bincount(cells, minlength=n_cells)
-                log.write(t, "complete", cells, ues.ue_id[done])
-                ues = ues.keep(~done)
+                if log.enabled:
+                    log.write(t, "complete", cells, ues.ints[UE_ID].take(gone))
+                ues = ues.keep((~done).nonzero()[0])
 
-            # Movement with specular reflection.
+            # Movement with specular reflection, on the (2, k) positions of
+            # the k mobile UEs.
             if step > 0 and np.count_nonzero(ues.mobile):
-                moving = ues.mobile
-                heading = ues.heading[moving]
-                x, flip_x = _reflect(ues.x[moving] + step * np.sin(heading), xmin, xmax)
-                y, flip_y = _reflect(ues.y[moving] + step * np.cos(heading), ymin, ymax)
-                heading = np.where(flip_x, -heading, heading)
-                heading = np.where(flip_y, math.pi - heading, heading)
-                ues.x[moving] = x
-                ues.y[moving] = y
-                ues.heading[moving] = np.mod(heading, 2.0 * math.pi)
+                moving = ues.mobile.nonzero()[0]
+                pos = ues.floats[X : Y + 1].take(moving, axis=1)
+                heading = ues.floats[HEADING].take(moving)
+                pos[0] += step * np.sin(heading)
+                pos[1] += step * np.cos(heading)
+                if np.count_nonzero((pos < lo) | (pos > hi)):
+                    pos, flipped = _reflect(pos, lo, hi)
+                    heading = np.where(flipped[0], -heading, heading)
+                    heading = np.where(flipped[1], math.pi - heading, heading)
+                ues.floats[X : Y + 1, moving] = pos
+                ues.floats[HEADING, moving] = np.mod(heading, 2.0 * math.pi)
                 # Reflected coordinates are inside the map, so only the
                 # far edge needs clamping into the last pixel.
-                i = np.minimum(((x - xmin) / spec.pixel_size).astype(np.intp), m - 1)
-                j = np.minimum(((y - ymin) / spec.pixel_size).astype(np.intp), m - 1)
-                ues.pixel[moving] = i * m + j
+                i, j = np.minimum(((pos - lo) / spec.pixel_size).astype(np.intp), m - 1)
+                ues.ints[PIXEL, moving] = i * m + j
 
             # Handover: the first strongest configured neighbor beating
             # serving by the margin files a report; the switch needs a free
             # slot, so switches resolve in array order.
-            serving = ues.serving
-            slot = handover_slots[serving, ues.pixel]
-            trigger = np.flatnonzero(slot >= 0)
+            serving = ues.ints[SERVING]
+            slot = handover_slots[serving, ues.ints[PIXEL]]
+            trigger = (slot >= 0).nonzero()[0]
             if trigger.size:
                 source = serving[trigger]
                 target = neighbors[source, slot[trigger]]
@@ -397,12 +414,15 @@ def run_simulation(
                     attached[dest] += 1
                     serving[k] = dest
                     switched.append(k)
-                log.write(t, "handover", serving[switched], ues.ue_id[switched])
+                if log.enabled:
+                    log.write(t, "handover", serving[switched], ues.ints[UE_ID, switched])
     finally:
         log.close()
 
     done_cells = np.frombuffer(done_cells, dtype=np.int64)
     done_rates = np.frombuffer(done_rates, dtype=np.float64)
+    zone_counts = zone_counts.reshape(n_cells, TA_ZONE_COUNT, 3)
+    ta_counts, aoa_counts = zone_counts.sum(axis=2), zone_counts.sum(axis=1)
     cells_out: dict[str, CellKpis] = {}
     for idx, cell in enumerate(grid.cells):
         occupancy = int(ta_counts[idx].sum())

@@ -291,6 +291,14 @@ class TestGridContainer:
         assert GridSpec(4, 25.0, [0.0, 0.0]) == GridSpec(4, 25.0)
         assert GridSpec(4.0, 25.0).m == 4
 
+    def test_pixel_center_is_the_center_coords_entry(self):
+        spec = GridSpec(13, 7.3, (-1234.5, 987.25))
+        cx, cy = spec.center_coords()
+        for i, j in np.ndindex(cx.shape):
+            # extract_peaks passes numpy indices from np.unravel_index.
+            for index in ((i, j), (np.intp(i), np.intp(j))):
+                assert spec.pixel_center(*index) == (cx[i, j], cy[i, j])
+
     @pytest.mark.parametrize("m", [4.5, math.nan, math.inf, "4"])
     def test_non_integral_m_rejected(self, m):
         with pytest.raises(ValueError, match="m must be an integer"):

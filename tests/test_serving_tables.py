@@ -463,9 +463,13 @@ def test_grid_sites_and_serving_rsrp(case):
 
 @pytest.mark.parametrize("cells_per_call", [1, 3, N_CELLS])
 def test_simulator_zone_stacks_equal_per_cell_calls(monkeypatch, cells_per_call):
+    # One int8 code per (cell, pixel), ta * 3 + aoa + 1, whatever the
+    # number of cells per zone-layer call.
     grid, _, _ = random_case(0)
     monkeypatch.setattr(sim, "ZONE_BLOCK_ELEMENTS", cells_per_call * M * M)
-    ta, aoa = sim._zone_stacks(grid)
-    for got, layer in ((ta, ta_zone_layer), (aoa, aoa_zone_layer)):
-        want = np.stack([layer(grid.spec, cell) for cell in grid.cells])
-        assert_same_bits(got, want.reshape(grid.n_cells, -1))
+    got = sim._zone_stacks(grid)
+    ta = np.stack([ta_zone_layer(grid.spec, cell) for cell in grid.cells]).astype(np.int64)
+    aoa = np.stack([aoa_zone_layer(grid.spec, cell) for cell in grid.cells]).astype(np.int64)
+    want = (ta * 3 + aoa + 1).reshape(grid.n_cells, -1).astype(np.int8)
+    assert_same_bits(got, want)
+    assert got.min() >= 0 and got.max() < sim.ZONE_CODES

@@ -1,19 +1,42 @@
+from __future__ import annotations
+
 import csv
 import hashlib
 import json
 import math
-
+from array import array
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import SIM_CONFIG, constant_grid, single_cell_grid
-from hotloc.grid import GridSpec, compute_server_maps
-from hotloc.kpi import LABEL_TRUTH, WeightMap, save_kpi_set
+from conftest import DESK_CONFIG, SIM_CONFIG, constant_grid, single_cell_grid
+from hotloc import sim
+from hotloc.grid import (
+    TA_ZONE_COUNT,
+    CoverageGrid,
+    GridSpec,
+    ServerMaps,
+    aoa_zone_layer,
+    compute_server_maps,
+    ta_zone_layer,
+)
+from hotloc.kpi import LABEL_TRUTH, CellKpis, KpiSet, WeightMap, save_kpi_set
 from hotloc.pipeline import run_pipeline
-from hotloc.scenario import ConfigError, load_scenario_config
-from hotloc.sim import KPI_SOURCE_SIM, SimConfig, _reflect, check_step, run_simulation
+from hotloc.scenario import ConfigError, build_scenario, load_scenario_config
+from hotloc.sim import (
+    KPI_SOURCE_SIM,
+    ZONE_BLOCK_ELEMENTS,
+    SimConfig,
+    _admit,
+    _EventLog,
+    _handover_slots,
+    _neighbor_matrix,
+    _reflect,
+    check_step,
+    run_simulation,
+)
 
 
 def delta_truth(m, pixel, hot_pixels):
@@ -433,3 +456,381 @@ class TestSimDigests:
     def test_outputs_match_the_recorded_digests(self, tmp_path):
         recorded = json.loads(SIM_DIGESTS.read_text())["digests"]
         assert sim_digests(tmp_path) == recorded
+
+
+# The reference tick loop: hotloc.sim.run_simulation before its UE state
+# was packed into blocks. It shares the helpers that did not change.
+
+
+@dataclass
+class _ReferenceUes:
+    """The UEs whose download is in flight, as parallel arrays in admission
+    order. ``pixel`` is the flat index ``i * m + j`` of the UE's pixel."""
+
+    ue_id: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    pixel: np.ndarray
+    serving: np.ndarray
+    remaining_bits: np.ndarray
+    mobile: np.ndarray
+    heading: np.ndarray
+    start_tick: np.ndarray
+
+    @classmethod
+    def empty(cls) -> _ReferenceUes:
+        return cls(
+            ue_id=np.empty(0, dtype=np.int64),
+            x=np.empty(0),
+            y=np.empty(0),
+            pixel=np.empty(0, dtype=np.intp),
+            serving=np.empty(0, dtype=np.intp),
+            remaining_bits=np.empty(0),
+            mobile=np.empty(0, dtype=bool),
+            heading=np.empty(0),
+            start_tick=np.empty(0, dtype=np.int64),
+        )
+
+    def keep(self, mask: np.ndarray) -> _ReferenceUes:
+        return _ReferenceUes(**{name: col[mask] for name, col in vars(self).items()})
+
+    def extend(self, new: _ReferenceUes) -> _ReferenceUes:
+        return _ReferenceUes(
+            **{name: np.concatenate((col, getattr(new, name))) for name, col in vars(self).items()}
+        )
+
+
+def _reference_zone_stacks(grid: CoverageGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The TA and AoA zone layers of every cell, flattened to (cell,
+    pixel), built a block of cells per zone-layer call."""
+    n_cells, pixels = grid.n_cells, grid.spec.m**2
+    ta = np.empty((n_cells, pixels), dtype=np.int8)
+    aoa = np.empty((n_cells, pixels), dtype=np.int8)
+    step = max(1, ZONE_BLOCK_ELEMENTS // pixels)
+    for first in range(0, n_cells, step):
+        block = slice(first, first + step)
+        sites = grid.sites(np.arange(n_cells)[block, None, None])
+        ta[block] = ta_zone_layer(grid.spec, sites).reshape(-1, pixels)
+        aoa[block] = aoa_zone_layer(grid.spec, sites).reshape(-1, pixels)
+    return ta, aoa
+
+
+def reference_simulation(
+    config: SimConfig,
+    truth: WeightMap,
+    grid: CoverageGrid,
+    servers: ServerMaps,
+    event_log_path: str | None = None,
+) -> KpiSet:
+    """The tick loop of :func:`hotloc.sim.run_simulation` as nine parallel
+    UE arrays, two zone stacks and three arrival draws per tick, kept as
+    the reference the packed loop must match byte for byte."""
+    spec = grid.spec
+    check_step(config, spec)
+    if truth.spec != spec:
+        raise ValueError("truth map does not match the grid")
+    total_weight = truth.total()
+    if total_weight <= 0:
+        raise ValueError("truth map is all zero, nowhere to place UEs")
+    if abs(total_weight - 1.0) > 1e-6:
+        raise ValueError("truth map must be normalized")
+
+    m = spec.m
+    n_cells = len(grid.cells)
+    rng = np.random.default_rng(config.seed)
+    position_cdf = np.cumsum(truth.values.reshape(-1))
+    position_cdf /= position_cdf[-1]
+
+    # After a handover the serving cell is not the pixel's best server,
+    # so the zones come from every cell's layers, not the serving tables.
+    ta_layers, aoa_layers = _reference_zone_stacks(grid)
+    best_of = servers.best.reshape(-1).astype(np.intp)
+    neighbors = _neighbor_matrix(grid)
+    handover_slots = _handover_slots(
+        grid.rsrp.reshape(n_cells, -1), neighbors, config.handover_margin_db
+    )
+    max_ue = config.max_ue_per_cell
+
+    ta_counts = np.zeros((n_cells, TA_ZONE_COUNT), dtype=np.int64)
+    aoa_counts = np.zeros((n_cells, 3), dtype=np.int64)
+    reports = np.zeros((n_cells, n_cells), dtype=np.int64)
+    full_ticks = np.zeros(n_cells, dtype=np.int64)
+    # Cell and rate of every completed download, in completion order. Packed
+    # at eight bytes each, they cost a busy desk hour's 138k completions
+    # about 2 MB less peak memory than per-tick numpy chunks.
+    done_cells = array("q")
+    done_rates = array("d")
+
+    ues = _ReferenceUes.empty()
+    attached = np.zeros(n_cells, dtype=np.int64)
+    next_ue = 0
+    step = config.speed_kmh / 3.6 * config.tick_s
+    xmin, ymin = spec.origin
+    center_x, center_y = (c.reshape(-1) for c in spec.center_coords())
+    xmax, ymax = xmin + spec.extent, ymin + spec.extent
+    log = _EventLog(event_log_path, [c.cell_id for c in grid.cells])
+
+    try:
+        for t in range(config.n_ticks):
+            # Arrivals: positions from the traffic weights, admission by
+            # coverage and slot availability.
+            n_arrivals = int(rng.poisson(config.arrival_rate * config.tick_s))
+            if n_arrivals:
+                pix = np.searchsorted(position_cdf, rng.random(n_arrivals), side="right")
+                pix = np.minimum(pix, position_cdf.size - 1)
+                mobile = rng.random(n_arrivals) < config.mobile_fraction
+                headings = rng.uniform(0.0, 2.0 * math.pi, n_arrivals)
+                ue_ids = np.arange(next_ue, next_ue + n_arrivals)
+                next_ue += n_arrivals
+                best = best_of[pix]
+                admitted = _admit(best, attached, max_ue)
+                if log.enabled:
+                    log.write(t, np.where(admitted, "arrive", "block"), best, ue_ids)
+                if np.count_nonzero(admitted):
+                    cells = best[admitted]
+                    attached += np.bincount(cells, minlength=n_cells)
+                    ues = ues.extend(
+                        _ReferenceUes(
+                            ue_id=ue_ids[admitted],
+                            x=center_x[pix[admitted]],
+                            y=center_y[pix[admitted]],
+                            pixel=pix[admitted],
+                            serving=cells,
+                            remaining_bits=np.full(cells.size, config.file_size_bits),
+                            mobile=mobile[admitted],
+                            heading=headings[admitted],
+                            start_tick=np.full(cells.size, t),
+                        )
+                    )
+
+            # Scheduling: equal capacity share capped at mu0; sample the
+            # occupancy and load counters while the shares are known.
+            full_ticks[attached >= max_ue] += 1
+            serving, pixel = ues.serving, ues.pixel
+            np.add.at(ta_counts, (serving, ta_layers[serving, pixel]), 1)
+            np.add.at(aoa_counts, (serving, aoa_layers[serving, pixel] + 1), 1)
+            rate = np.minimum(config.mu0_bps, config.capacity_per_cell_bps / attached[serving])
+            ues.remaining_bits = np.maximum(0.0, ues.remaining_bits - rate * config.tick_s)
+
+            # Completions.
+            done = ues.remaining_bits <= 0.0
+            if np.count_nonzero(done):
+                cells = serving[done]
+                elapsed = (t - ues.start_tick[done] + 1) * config.tick_s
+                done_cells.extend(cells.tolist())
+                done_rates.extend((config.file_size_bits / elapsed).tolist())
+                attached -= np.bincount(cells, minlength=n_cells)
+                log.write(t, "complete", cells, ues.ue_id[done])
+                ues = ues.keep(~done)
+
+            # Movement with specular reflection.
+            if step > 0 and np.count_nonzero(ues.mobile):
+                moving = ues.mobile
+                heading = ues.heading[moving]
+                x, flip_x = _reflect(ues.x[moving] + step * np.sin(heading), xmin, xmax)
+                y, flip_y = _reflect(ues.y[moving] + step * np.cos(heading), ymin, ymax)
+                heading = np.where(flip_x, -heading, heading)
+                heading = np.where(flip_y, math.pi - heading, heading)
+                ues.x[moving] = x
+                ues.y[moving] = y
+                ues.heading[moving] = np.mod(heading, 2.0 * math.pi)
+                # Reflected coordinates are inside the map, so only the
+                # far edge needs clamping into the last pixel.
+                i = np.minimum(((x - xmin) / spec.pixel_size).astype(np.intp), m - 1)
+                j = np.minimum(((y - ymin) / spec.pixel_size).astype(np.intp), m - 1)
+                ues.pixel[moving] = i * m + j
+
+            # Handover: the first strongest configured neighbor beating
+            # serving by the margin files a report; the switch needs a free
+            # slot, so switches resolve in array order.
+            serving = ues.serving
+            slot = handover_slots[serving, ues.pixel]
+            trigger = np.flatnonzero(slot >= 0)
+            if trigger.size:
+                source = serving[trigger]
+                target = neighbors[source, slot[trigger]]
+                np.add.at(reports, (source, target), 1)
+                switched = []
+                for k, cell, dest in zip(trigger.tolist(), source.tolist(), target.tolist()):
+                    if attached[dest] >= max_ue:
+                        continue
+                    attached[cell] -= 1
+                    attached[dest] += 1
+                    serving[k] = dest
+                    switched.append(k)
+                log.write(t, "handover", serving[switched], ues.ue_id[switched])
+    finally:
+        log.close()
+
+    done_cells = np.frombuffer(done_cells, dtype=np.int64)
+    done_rates = np.frombuffer(done_rates, dtype=np.float64)
+    cells_out: dict[str, CellKpis] = {}
+    for idx, cell in enumerate(grid.cells):
+        occupancy = int(ta_counts[idx].sum())
+        if occupancy:
+            ta = ta_counts[idx] / occupancy
+            aoa = aoa_counts[idx] / occupancy
+        else:
+            ta = np.zeros(TA_ZONE_COUNT)
+            aoa = np.zeros(3)
+        total_reports = int(reports[idx].sum())
+        neighbor_level = {
+            grid.cells[nb].cell_id: int(reports[idx, nb]) / total_reports
+            for nb in np.flatnonzero(reports[idx]).tolist()
+        }
+        rates = done_rates[done_cells == idx]
+        if rates.size:
+            amt = float(np.mean(rates))
+            hmt = float(rates.size / np.sum(1.0 / rates))
+            hmt = min(hmt, amt)
+        else:
+            amt = hmt = 0.0
+        cells_out[cell.cell_id] = CellKpis(
+            ta=ta,
+            aoa=aoa,
+            neighbor_level=neighbor_level,
+            load_time=float(full_ticks[idx] / config.n_ticks),
+            amt_bps=amt,
+            hmt_bps=hmt,
+        )
+
+    kpis = KpiSet(cells=cells_out, source=KPI_SOURCE_SIM, window_s=config.duration_s)
+    kpis.validate(grid)
+    return kpis
+
+
+def _reference_cases():
+    """Seeded runs, as ``name -> (config, truth, grid, servers, covers)``,
+    where ``covers(rows, folds)`` checks from the event rows and the
+    reflection record of :func:`_recording_reflect` that the run takes the
+    path it is named for."""
+    corridor = two_cell_corridor()
+    uniform = uniform_truth(8, 25.0)
+    events = lambda rows, kind: [r for r in rows if r[1] == kind]
+    desk = load_scenario_config(DESK_CONFIG)
+    desk_scenario = build_scenario(desk)
+    busy = replace(desk.sim, arrival_rate=40.0, file_size_bits=4e6, duration_s=300.0)
+    return {
+        # 12 arrivals a tick against 4 slots: the rank test blocks some.
+        "rank-blocking": (
+            SimConfig(
+                arrival_rate=12.0, duration_s=60.0, mobile_fraction=0.5, speed_kmh=20.0,
+                file_size_bits=1e7, max_ue_per_cell=4, seed=4,
+            ),
+            uniform, *single_cell_grid(m=8, site=(12.5, 12.5), level=-80.0),
+            lambda rows, folds: any(r[2] == "BS01A" for r in events(rows, "block")),
+        ),
+        "uncovered-arrivals": (
+            SimConfig(
+                arrival_rate=3.0, duration_s=200.0, mobile_fraction=0.8, speed_kmh=60.0,
+                file_size_bits=1e7, max_ue_per_cell=8, seed=7,
+            ),
+            uniform, *patchy_grid(),
+            lambda rows, folds: any(r[2] == "" for r in events(rows, "block")),
+        ),
+        # 400 km/h over a 2 s tick is 222 m on a 200 m map.
+        "corner-bounces": (
+            SimConfig(
+                arrival_rate=4.0, duration_s=300.0, tick_s=2.0, mobile_fraction=1.0,
+                speed_kmh=400.0, file_size_bits=2e7, max_ue_per_cell=6, seed=13,
+            ),
+            uniform, *corridor,
+            lambda rows, folds: folds["corner"] and folds["double"] and events(rows, "handover"),
+        ),
+        # One slot per cell and downloads that never end: reports, no switch.
+        "full-target": (
+            SimConfig(
+                arrival_rate=5.0, duration_s=200.0, mobile_fraction=1.0, speed_kmh=200.0,
+                file_size_bits=1e12, max_ue_per_cell=1, seed=1,
+            ),
+            uniform, *corridor,
+            lambda rows, folds: not events(rows, "handover"),
+        ),
+        "handover-contention": (
+            SimConfig(
+                arrival_rate=4.0, duration_s=300.0, mobile_fraction=0.7, speed_kmh=30.0,
+                file_size_bits=2e7, max_ue_per_cell=3, seed=6,
+            ),
+            uniform, *corridor,
+            lambda rows, folds: events(rows, "handover") and events(rows, "block"),
+        ),
+        # A lone UE gets mu0, two or more share the capacity.
+        "zero-arrival-ticks": (
+            SimConfig(
+                arrival_rate=0.2, duration_s=300.0, mobile_fraction=0.6, speed_kmh=90.0,
+                file_size_bits=1e7, capacity_per_cell_bps=3e6, max_ue_per_cell=5, seed=8,
+            ),
+            uniform, *tied_neighbors_grid(),
+            lambda rows, folds: len({r[0] for r in rows if r[1] in ("arrive", "block")}) < 200,
+        ),
+        "static": (
+            SimConfig(arrival_rate=4.0, duration_s=120.0, mobile_fraction=0.0, seed=2),
+            uniform, *corridor,
+            lambda rows, folds: folds["calls"] == 0,
+        ),
+        "parked": (
+            SimConfig(arrival_rate=4.0, duration_s=120.0, mobile_fraction=0.5, speed_kmh=0.0, seed=2),
+            uniform, *corridor,
+            lambda rows, folds: folds["calls"] == 0 and not events(rows, "handover"),
+        ),
+        "desk-busy-300s": (
+            busy, desk_scenario.truth, desk_scenario.grid, desk_scenario.servers,
+            lambda rows, folds: events(rows, "complete") and events(rows, "block"),
+        ),
+    }
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+def _recording_reflect(folds):
+    """:func:`hotloc.sim._reflect` that notes in ``folds`` whether a call
+    folded one UE on both axes (a corner) or one coordinate twice."""
+
+    def reflect(pos, lo, hi):
+        folds["calls"] += 1
+        out = (pos < lo) | (pos > hi)
+        folds["corner"] |= bool(np.any(out.all(axis=0)))
+        folds["double"] |= bool(np.any((pos < 2 * lo - hi) | (pos > 2 * hi - lo)))
+        return _reflect(pos, lo, hi)
+
+    return reflect
+
+
+class TestReferenceSimulation:
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_packed_loop_matches_the_reference(self, tmp_path, monkeypatch, name):
+        config, truth, grid, servers, covers = REFERENCE_CASES[name]
+        folds = {"calls": 0, "corner": False, "double": False}
+        monkeypatch.setattr(sim, "_reflect", _recording_reflect(folds))
+        outputs = {}
+        for label, simulate, log in (
+            ("reference", reference_simulation, True),
+            ("packed", run_simulation, True),
+            ("packed-quiet", run_simulation, False),
+        ):
+            events = tmp_path / f"{label}-events.csv"
+            kpis = simulate(config, truth, grid, servers, str(events) if log else None)
+            save_kpi_set(kpis, tmp_path / f"{label}-kpis.json")
+            outputs[label] = (tmp_path / f"{label}-kpis.json").read_bytes()
+            if log:
+                outputs[f"{label}-events"] = events.read_bytes()
+        assert outputs["packed"] == outputs["reference"]
+        assert outputs["packed-quiet"] == outputs["reference"]
+        assert outputs["packed-events"] == outputs["reference-events"]
+        _, rows = read_events(tmp_path / "packed-events.csv")
+        assert covers(rows, folds)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_arrival_draw_is_the_three_draws(self, seed):
+        # run_simulation draws random(3n) per tick where the reference
+        # draws random(n), random(n) and uniform(0, 2*pi, n).
+        merged, separate = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            n = int(merged.poisson(40.0))
+            assert n == int(separate.poisson(40.0))
+            draw = merged.random(3 * n)
+            assert draw[:n].tobytes() == separate.random(n).tobytes()
+            assert draw[n : 2 * n].tobytes() == separate.random(n).tobytes()
+            heading = draw[2 * n :] * (2.0 * math.pi)
+            assert heading.tobytes() == separate.uniform(0.0, 2.0 * math.pi, n).tobytes()

@@ -14,30 +14,41 @@ seeded generator, so identical inputs give identical output.
 The UEs in flight are held as one int64 and one float64 block
 (:class:`_ActiveUes`), one column per UE in admission order, and every
 phase but one is whole-array work; a tick's cost is mostly its count of
-numpy calls, so each phase touches each block once. A tick's arrivals
-take one draw of 3n uniforms and are admitted by their rank among the
-tick's arrivals for the same best cell. The TA and AoA samples are one
-lookup per UE in an int8 (cell, pixel) table of zone codes and one
-``np.add.at`` on (serving cell, code); the TA and AoA histograms are the
-code counts' sums at the end of the run. The per-cell rate share is
-computed once per tick and drained from every UE; completions drop out
-of both blocks at once, in order; movement moves the (2, k) positions of
-the k mobile UEs together and reflects only when one has left the map.
-A handover trigger depends only on the serving cell and the pixel, so it
-is one lookup per UE in an int8 (cell, pixel) table built before the
-first tick. The switches themselves resolve one triggering UE at a time
-in array order: whether a UE finds a free slot in its target depends on
-the handovers before it in the same tick. The result is the same, event
-for event, as a per-UE loop in that order.
+numpy calls, so each phase touches each block once.
+
+The generator is read only for arrivals, and an arrival's pixel, best
+cell, start position, heading, velocity and mobility follow from its
+draws alone, as does its rank among the arrivals of its tick with the
+same best cell. So the ticks run in blocks of about
+:data:`BLOCK_ARRIVALS` arrivals (:func:`_block_ticks`). A block first
+makes each of its ticks' draws in tick order, a Poisson count and then
+one draw of 3n uniforms (the position, mobility and heading draws of n
+arrivals in turn), and derives the columns and ranks of all its arrivals
+in whole-block calls (:class:`_Arrivals`). A tick then admits the
+arrivals whose rank is below their best cell's free slots and takes
+their columns in one go. The event log is written a block at a time.
+
+The TA and AoA samples are one lookup per UE in an int8 (cell, pixel)
+table of zone codes and one ``np.add.at`` on (serving cell, code); the
+TA and AoA histograms are the code counts' sums at the end of the run.
+The per-cell rate share is computed once per tick and drained from every
+UE; completions drop out of both blocks at once, in order. Movement adds
+each of the k mobile UEs' cached step velocity to their (2, k)
+positions, and reflects only when one has left the map; only a UE that
+reflects gets a new heading and velocity (:class:`_Mover`). A handover
+trigger depends only on the serving cell and the pixel, so it is one
+lookup per UE in an int8 (cell, pixel) table built before the first
+tick. The switches themselves resolve one triggering UE at a time in
+array order: whether a UE finds a free slot in its target depends on the
+handovers before it in the same tick. The result is the same, event for
+event, as a per-UE loop in that order.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate
 
 import numpy as np
 
@@ -50,18 +61,26 @@ from hotloc.grid import (
     ServerMaps,
     aoa_zone_layer,
     ta_zone_layer,
+    text_rows,
 )
 from hotloc.kpi import CellKpis, KpiSet, WeightMap
 
 KPI_SOURCE_SIM = "sim"
 
-# The tick loop costs about 0.15 ms a tick on desk (its busy hour of 3,600
-# ticks takes about 0.55 s of CPU on a Xeon vCPU), so a run of this many
+# The tick loop costs about 0.1 ms a tick on desk (its busy hour of 3,600
+# ticks takes about 0.36 s of CPU on a Xeon vCPU), so a run of this many
 # ticks takes minutes.
 MAX_TICKS = 10**6
-# Each arrival of a tick takes about 100 bytes in the tick's draw and
-# admission arrays, so a tick of this many arrivals takes about 100 MB.
+# A tick with more than BLOCK_ARRIVALS arrivals in the mean is a block of
+# its own. At the peak its arrivals take about 350 bytes each, in the
+# block's draws and columns and in their admitted copy in the UE blocks,
+# so a tick of this many arrivals takes about 350 MB.
 MAX_ARRIVALS_PER_TICK = 10**6
+# Arrivals a block of ticks holds in the mean. A block's draws and columns
+# take about 170 bytes an arrival while they are made. Blocks of 256 to
+# 16384 arrivals ran the desk busy hour (40 arrivals a tick) in the same
+# CPU time within the host's noise.
+BLOCK_ARRIVALS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -107,9 +126,18 @@ class SimConfig(Bounded):
         return max(1, int(round(self.duration_s / self.tick_s)))
 
 
+def _block_ticks(config: SimConfig) -> int:
+    """Ticks per block: as many as hold :data:`BLOCK_ARRIVALS` arrivals in
+    the mean, at least one and at most the run."""
+    mean = config.arrival_rate * config.tick_s
+    if mean * config.n_ticks <= BLOCK_ARRIVALS:
+        return config.n_ticks
+    return max(1, int(BLOCK_ARRIVALS / mean))
+
+
 # Rows of the packed UE blocks of :class:`_ActiveUes`.
 UE_ID, PIXEL, SERVING, START_TICK = range(4)
-X, Y, HEADING, REMAINING_BITS = range(4)
+X, Y, VX, VY, HEADING, REMAINING_BITS = range(6)
 
 
 @dataclass
@@ -117,7 +145,8 @@ class _ActiveUes:
     """The UEs whose download is in flight, one column per UE in admission
     order: ``ints`` holds the rows :data:`UE_ID`, :data:`PIXEL` (the flat
     index ``i * m + j``), :data:`SERVING` and :data:`START_TICK`, ``floats``
-    the rows :data:`X`, :data:`Y`, :data:`HEADING` and
+    the rows :data:`X`, :data:`Y`, :data:`VX`, :data:`VY` (the step
+    velocity, see :class:`_Mover`), :data:`HEADING` and
     :data:`REMAINING_BITS`, and ``mobile`` marks the UEs that move."""
 
     ints: np.ndarray
@@ -126,7 +155,14 @@ class _ActiveUes:
 
     @classmethod
     def empty(cls) -> _ActiveUes:
-        return cls(np.empty((4, 0), dtype=np.int64), np.empty((4, 0)), np.empty(0, dtype=bool))
+        return cls(
+            np.empty((START_TICK + 1, 0), dtype=np.int64),
+            np.empty((REMAINING_BITS + 1, 0)),
+            np.empty(0, dtype=bool),
+        )
+
+    def part(self, start: int, end: int) -> _ActiveUes:
+        return _ActiveUes(self.ints[:, start:end], self.floats[:, start:end], self.mobile[start:end])
 
     def keep(self, index: np.ndarray) -> _ActiveUes:
         return _ActiveUes(
@@ -141,43 +177,102 @@ class _ActiveUes:
         )
 
 
+class _Completions:
+    """Cell and rate of every completed download, in completion order.
+
+    They are written into chunks of at least :attr:`CHUNK` entries, a new
+    chunk whenever a tick's completions do not fit in the last, and are
+    never copied: a buffer grown a tick at a time is copied among a block
+    of ticks' arrays and leaves holes in the heap, which cost the desk
+    busy hour about 1.2 MB of peak RSS, and joining the chunks at the end
+    of the run would cost as much again."""
+
+    CHUNK = 1 << 14
+
+    def __init__(self):
+        self.parts: list[tuple[np.ndarray, np.ndarray]] = []
+        self.count = 0
+        self.cells = np.empty(0, dtype=np.int64)
+        self.rates = np.empty(0)
+
+    def add(self, cells: np.ndarray, rates: np.ndarray) -> None:
+        end = self.count + cells.size
+        if end > self.cells.size:
+            self.parts.append((self.cells[: self.count], self.rates[: self.count]))
+            size = max(cells.size, self.CHUNK)
+            self.count, end = 0, cells.size
+            self.cells = np.empty(size, dtype=np.int64)
+            self.rates = np.empty(size)
+        self.cells[self.count : end] = cells
+        self.rates[self.count : end] = rates
+        self.count = end
+
+    def rates_of(self, cell: int) -> np.ndarray:
+        """The rates of the cell's completions, in completion order."""
+        parts = [*self.parts, (self.cells[: self.count], self.rates[: self.count])]
+        return np.concatenate([rates[cells == cell] for cells, rates in parts])
+
+
+# Event codes of the event log; an arrival's code is BLOCK less its
+# admission flag.
+ARRIVE, BLOCK, COMPLETE, HANDOVER = range(4)
+_EVENT_NAMES = np.array([b"arrive", b"block", b"complete", b"handover"])
+
+
+def _csv_field(text: str) -> bytes:
+    """``text`` as csv.writer writes a field: quoted, with its quotes
+    doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text.encode()
+
+
 class _EventLog:
+    """The rows ``t,event,cell_id,ue_id`` of ``events.csv``, in the bytes
+    csv.writer writes them (``\\r\\n`` line ends). Rows are kept until
+    :meth:`flush` formats and writes them in one go."""
+
     def __init__(self, path: str | None, cell_ids: list[str]):
-        self._fh = open(path, "w", newline="") if path else None
-        self._writer = None
+        self._fh = open(path, "wb") if path else None
         # Cell index UNCOVERED (-1) picks the trailing empty name.
-        self._names = [*cell_ids, ""]
+        self._names = np.array([_csv_field(c) for c in [*cell_ids, ""]])
+        self._rows: list[tuple[int, int | np.ndarray, np.ndarray, np.ndarray]] = []
         if self._fh:
-            self._writer = csv.writer(self._fh)
-            self._writer.writerow(["t", "event", "cell_id", "ue_id"])
+            self._fh.write(b"t,event,cell_id,ue_id\r\n")
 
     @property
     def enabled(self) -> bool:
-        return self._writer is not None
+        return self._fh is not None
 
     def write(self, t: int, events, cells: np.ndarray, ue_ids: np.ndarray) -> None:
         """One row per entry of ``cells``/``ue_ids``; ``events`` is one event
-        name for all rows or an array of names."""
-        if self._writer is None:
+        code for all rows or an array of codes."""
+        if self._fh and cells.size:
+            self._rows.append((t, events, cells, ue_ids))
+
+    def flush(self) -> None:
+        if not self._rows:
             return
-        events = repeat(events) if isinstance(events, str) else events.tolist()
-        names = [self._names[c] for c in cells.tolist()]
-        self._writer.writerows(zip(repeat(t), events, names, ue_ids.tolist()))
+        ticks, events, cells, ue_ids = zip(*self._rows)
+        self._rows = []
+        counts = [c.size for c in cells]
+        events = np.concatenate(
+            [np.full(n, e) if isinstance(e, int) else e for e, n in zip(events, counts)]
+        )
+        fields = [
+            np.repeat(np.array(ticks).astype("S"), counts),
+            _EVENT_NAMES[events],
+            self._names[np.concatenate(cells)],
+            np.concatenate(ue_ids).astype("S"),
+        ]
+        self._fh.write(text_rows(fields, end=b"\r\n"))
 
     def close(self) -> None:
         if self._fh:
-            self._fh.close()
-
-
-def _admit(best: np.ndarray, attached: np.ndarray, max_ue: int) -> np.ndarray:
-    """Admission mask for one tick's arrivals, in draw order: an arrival
-    gets in when its best cell is covered and fewer earlier arrivals of the
-    tick chose that cell than it has free slots."""
-    order = np.argsort(best, kind="stable")
-    ranked = best[order]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size) - np.searchsorted(ranked, ranked, side="left")
-    return (best != UNCOVERED) & (rank < max_ue - attached[best])
+            try:
+                self.flush()
+            finally:
+                self._fh.close()
 
 
 def _reflect(
@@ -194,6 +289,133 @@ def _reflect(
             return pos, flipped
         pos = np.where(below, 2 * lo - pos, np.where(above, 2 * hi - pos, pos))
         flipped ^= out
+
+
+class _Mover:
+    """Moves the mobile UEs by their step velocity, with specular
+    reflection at the map edges. A UE's velocity (rows :data:`VX` and
+    :data:`VY`) is ``step * sin(heading)`` and ``step * cos(heading)``,
+    made once on arrival and again only when the UE reflects; its new
+    heading is folded by ``np.mod`` into [0, 2*pi].
+
+    ``np.mod`` can fold a heading to 2*pi itself: ``pi + 2**-51``
+    reflected off a y edge is ``-2**-51``, and ``np.mod(-2**-51, 2*pi)``
+    rounds to 2*pi. Such a UE moves one tick at the velocity of 2*pi
+    (``sin`` is -2.4e-16 there) and then at that of heading 0, as it did
+    when every heading was folded on every tick."""
+
+    def __init__(self, step: float, spec: GridSpec):
+        self.step = step
+        self.spec = spec
+        self.lo = np.array(spec.origin).reshape(2, 1)
+        self.hi = self.lo + spec.extent
+        # Some UE's heading was folded to 2*pi on the last move.
+        self.refold = False
+
+    def velocity(self, heading: np.ndarray) -> np.ndarray:
+        """The (2, n) step velocities of n headings."""
+        return self.step * np.stack((np.sin(heading), np.cos(heading)))
+
+    def move(self, ues: _ActiveUes) -> None:
+        moving = ues.mobile.nonzero()[0]
+        # Rows X, Y, VX and VY, in that order.
+        state = ues.floats[X : VY + 1].take(moving, axis=1)
+        pos = state[:2]
+        pos += state[2:]
+        if self.refold:
+            # Reflecting a heading of 0 gives the heading that reflecting
+            # one of 2*pi gives, so the fold may come first.
+            stale = moving[ues.floats[HEADING].take(moving) == 2.0 * math.pi]
+            ues.floats[HEADING, stale] = 0.0
+            ues.floats[VX : VY + 1, stale] = self.velocity(np.zeros(1))
+            self.refold = False
+        if np.count_nonzero((pos < self.lo) | (pos > self.hi)):
+            pos, flipped = _reflect(pos, self.lo, self.hi)
+            turned = (flipped[0] | flipped[1]).nonzero()[0]
+            if turned.size:
+                which = moving.take(turned)
+                heading = ues.floats[HEADING].take(which)
+                heading = np.where(flipped[0].take(turned), -heading, heading)
+                heading = np.where(flipped[1].take(turned), math.pi - heading, heading)
+                heading = np.mod(heading, 2.0 * math.pi)
+                ues.floats[HEADING, which] = heading
+                ues.floats[VX : VY + 1, which] = self.velocity(heading)
+                self.refold = bool(np.count_nonzero(heading == 2.0 * math.pi))
+        ues.floats[X : Y + 1, moving] = pos
+        # Reflected coordinates are inside the map, so only the far edge
+        # needs clamping into the last pixel.
+        m = self.spec.m
+        i, j = np.minimum(((pos - self.lo) / self.spec.pixel_size).astype(np.intp), m - 1)
+        ues.ints[PIXEL, moving] = i * m + j
+
+
+class _Arrivals:
+    """Draws the arrivals of a block of ticks and derives their columns.
+
+    Every tick makes the same calls on the generator in the same order,
+    a Poisson count and then one draw of 3n uniforms, whatever the block
+    size; the rest is whole-block work."""
+
+    # The rank of an arrival that no cell covers: no free-slot count
+    # exceeds it.
+    NEVER = np.iinfo(np.int64).max
+
+    def __init__(
+        self, config: SimConfig, truth: WeightMap, best_of: np.ndarray, n_cells: int, mover: _Mover
+    ):
+        self.mean = config.arrival_rate * config.tick_s
+        self.file_size_bits = config.file_size_bits
+        self.mobile_fraction = config.mobile_fraction
+        self.cdf = np.cumsum(truth.values.reshape(-1))
+        self.cdf /= self.cdf[-1]
+        self.best_of = best_of
+        self.n_cells = n_cells
+        self.centers = np.stack([c.reshape(-1) for c in truth.spec.center_coords()])
+        self.mover = mover
+
+    def block(
+        self, rng: np.random.Generator, ticks: range, first_ue: int
+    ) -> tuple[_ActiveUes, np.ndarray, list[int]]:
+        """The arrivals of ``ticks`` in draw order with their UE ids from
+        ``first_ue`` on, the rank of each among the arrivals of its tick
+        with the same best cell (:attr:`NEVER` when uncovered), and the
+        end of each tick's arrivals in them. The :data:`SERVING` row holds
+        the best cell."""
+        counts, draws = [], []
+        for _ in ticks:
+            n = int(rng.poisson(self.mean))
+            counts.append(n)
+            if n:
+                draws.append(rng.random(3 * n).reshape(3, n))
+        u = np.concatenate(draws, axis=1) if draws else np.empty((3, 0))
+        del draws
+        n = u.shape[1]
+        pix = np.minimum(np.searchsorted(self.cdf, u[0], side="right"), self.cdf.size - 1)
+        best = self.best_of[pix]
+        tick = np.repeat(np.arange(len(ticks)), counts)
+        # One key per (tick, best cell); UNCOVERED (-1) keys sit between
+        # the ticks' cells.
+        key = tick * (self.n_cells + 1) + best
+        order = np.argsort(key, kind="stable")
+        ranked = key.take(order)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n) - np.searchsorted(ranked, ranked, side="left")
+        rank[best == UNCOVERED] = self.NEVER
+        del key, order, ranked
+
+        ints = np.empty((START_TICK + 1, n), dtype=np.int64)
+        ints[UE_ID] = np.arange(first_ue, first_ue + n)
+        ints[PIXEL] = pix
+        ints[SERVING] = best
+        ints[START_TICK] = tick + ticks.start
+        floats = np.empty((REMAINING_BITS + 1, n))
+        floats[X : Y + 1] = self.centers.take(pix, axis=1)
+        # A heading is 2*pi*u, as uniform(0, 2*pi) makes it.
+        floats[HEADING] = u[2] * (2.0 * math.pi)
+        floats[VX : VY + 1] = self.mover.velocity(floats[HEADING])
+        floats[REMAINING_BITS] = self.file_size_bits
+        mobile = u[1] < self.mobile_fraction
+        return _ActiveUes(ints, floats, mobile), rank, list(accumulate(counts))
 
 
 def check_step(config: SimConfig, spec: GridSpec) -> None:
@@ -283,17 +505,12 @@ def run_simulation(
     if abs(total_weight - 1.0) > 1e-6:
         raise ValueError("truth map must be normalized")
 
-    m = spec.m
     n_cells = len(grid.cells)
     rng = np.random.default_rng(config.seed)
-    position_cdf = np.cumsum(truth.values.reshape(-1))
-    position_cdf /= position_cdf[-1]
-    last_pixel = position_cdf.size - 1
 
     # After a handover the serving cell is not the pixel's best server,
     # so the zones come from every cell's layers, not the serving tables.
     zone_codes = _zone_stacks(grid)
-    best_of = servers.best.reshape(-1).astype(np.intp)
     neighbors = _neighbor_matrix(grid)
     handover_slots = _handover_slots(
         grid.rsrp.reshape(n_cells, -1), neighbors, config.handover_margin_db
@@ -303,124 +520,96 @@ def run_simulation(
     zone_counts = np.zeros((n_cells, ZONE_CODES), dtype=np.int64)
     reports = np.zeros((n_cells, n_cells), dtype=np.int64)
     full_ticks = np.zeros(n_cells, dtype=np.int64)
-    # Cell and rate of every completed download, in completion order. Packed
-    # at eight bytes each, they cost a busy desk hour's 138k completions
-    # about 2 MB less peak memory than per-tick numpy chunks.
-    done_cells = array("q")
-    done_rates = array("d")
+    done = _Completions()
 
     ues = _ActiveUes.empty()
     attached = np.zeros(n_cells, dtype=np.int64)
     next_ue = 0
     step = config.speed_kmh / 3.6 * config.tick_s
-    centers = np.stack([c.reshape(-1) for c in spec.center_coords()])
-    lo = np.array(spec.origin).reshape(2, 1)
-    hi = lo + spec.extent
+    mover = _Mover(step, spec)
+    incoming = _Arrivals(config, truth, servers.best.reshape(-1).astype(np.intp), n_cells, mover)
+    per_block = _block_ticks(config)
     log = _EventLog(event_log_path, [c.cell_id for c in grid.cells])
 
     try:
-        for t in range(config.n_ticks):
-            # Arrivals: positions from the traffic weights, admission by
-            # coverage and slot availability. One draw of 3n uniforms is
-            # the position, mobility and heading draws of n arrivals in
-            # turn (a heading is 2*pi*u, as uniform(0, 2*pi) makes it).
-            n_arrivals = int(rng.poisson(config.arrival_rate * config.tick_s))
-            if n_arrivals:
-                draw = rng.random(3 * n_arrivals)
-                pix = np.minimum(
-                    np.searchsorted(position_cdf, draw[:n_arrivals], side="right"), last_pixel
+        for first in range(0, config.n_ticks, per_block):
+            ticks = range(first, min(first + per_block, config.n_ticks))
+            arrivals, rank, ends = incoming.block(rng, ticks, next_ue)
+            next_ue += ends[-1]
+            start = 0
+            for t, end in zip(ticks, ends):
+                # Arrivals: an arrival gets in when its best cell is
+                # covered and fewer earlier arrivals of the tick chose that
+                # cell than it has free slots.
+                if end > start:
+                    best = arrivals.ints[SERVING, start:end]
+                    admitted = rank[start:end] < max_ue - attached.take(best)
+                    if log.enabled:
+                        log.write(t, BLOCK - admitted, best, arrivals.ints[UE_ID, start:end])
+                    new = admitted.nonzero()[0]
+                    if new.size:
+                        if new.size < end - start:
+                            batch = arrivals.keep(new + start)
+                        else:
+                            batch = arrivals.part(start, end)
+                        attached += np.bincount(batch.ints[SERVING], minlength=n_cells)
+                        ues = ues.extend(batch)
+                    start = end
+
+                # Scheduling: equal capacity share capped at mu0; sample the
+                # occupancy and load counters while the shares are known.
+                full_ticks += attached >= max_ue
+                serving, pixel = ues.ints[SERVING], ues.ints[PIXEL]
+                np.add.at(zone_counts, (serving, zone_codes[serving, pixel]), 1)
+                # The bits each cell drains from each of its UEs; an empty
+                # cell divides by one, not zero, and drains nothing.
+                drain = np.minimum(
+                    config.mu0_bps, config.capacity_per_cell_bps / np.maximum(attached, 1)
                 )
-                best = best_of[pix]
-                admitted = _admit(best, attached, max_ue)
-                if log.enabled:
-                    ue_ids = np.arange(next_ue, next_ue + n_arrivals)
-                    log.write(t, np.where(admitted, "arrive", "block"), best, ue_ids)
-                new = admitted.nonzero()[0]
-                if new.size:
-                    cells = best.take(new)
-                    attached += np.bincount(cells, minlength=n_cells)
-                    ints = np.empty((4, new.size), dtype=np.int64)
-                    ints[UE_ID] = new + next_ue
-                    ints[PIXEL] = pix.take(new)
-                    ints[SERVING] = cells
-                    ints[START_TICK] = t
-                    floats = np.empty((4, new.size))
-                    floats[X : Y + 1] = centers.take(ints[PIXEL], axis=1)
-                    floats[HEADING] = draw.take(new + 2 * n_arrivals) * (2.0 * math.pi)
-                    floats[REMAINING_BITS] = config.file_size_bits
-                    mobile = draw.take(new + n_arrivals) < config.mobile_fraction
-                    ues = ues.extend(_ActiveUes(ints, floats, mobile))
-                next_ue += n_arrivals
+                drain *= config.tick_s
+                remaining = ues.floats[REMAINING_BITS]
+                remaining -= drain[serving]
 
-            # Scheduling: equal capacity share capped at mu0; sample the
-            # occupancy and load counters while the shares are known.
-            full_ticks += attached >= max_ue
-            serving, pixel = ues.ints[SERVING], ues.ints[PIXEL]
-            np.add.at(zone_counts, (serving, zone_codes[serving, pixel]), 1)
-            # The bits each cell drains from each of its UEs; an empty
-            # cell divides by one, not zero, and drains nothing.
-            drain = np.minimum(config.mu0_bps, config.capacity_per_cell_bps / np.maximum(attached, 1))
-            drain *= config.tick_s
-            remaining = ues.floats[REMAINING_BITS]
-            remaining -= drain[serving]
+                # Completions.
+                finished = remaining <= 0.0
+                if np.count_nonzero(finished):
+                    gone = finished.nonzero()[0]
+                    cells = serving.take(gone)
+                    elapsed = (t - ues.ints[START_TICK].take(gone) + 1) * config.tick_s
+                    done.add(cells, config.file_size_bits / elapsed)
+                    attached -= np.bincount(cells, minlength=n_cells)
+                    if log.enabled:
+                        log.write(t, COMPLETE, cells, ues.ints[UE_ID].take(gone))
+                    ues = ues.keep((~finished).nonzero()[0])
 
-            # Completions.
-            done = remaining <= 0.0
-            if np.count_nonzero(done):
-                gone = done.nonzero()[0]
-                cells = serving.take(gone)
-                elapsed = (t - ues.ints[START_TICK].take(gone) + 1) * config.tick_s
-                done_cells.frombytes(cells.tobytes())
-                done_rates.frombytes((config.file_size_bits / elapsed).tobytes())
-                attached -= np.bincount(cells, minlength=n_cells)
-                if log.enabled:
-                    log.write(t, "complete", cells, ues.ints[UE_ID].take(gone))
-                ues = ues.keep((~done).nonzero()[0])
+                # Movement with specular reflection at the map edges.
+                if step > 0 and np.count_nonzero(ues.mobile):
+                    mover.move(ues)
 
-            # Movement with specular reflection, on the (2, k) positions of
-            # the k mobile UEs.
-            if step > 0 and np.count_nonzero(ues.mobile):
-                moving = ues.mobile.nonzero()[0]
-                pos = ues.floats[X : Y + 1].take(moving, axis=1)
-                heading = ues.floats[HEADING].take(moving)
-                pos[0] += step * np.sin(heading)
-                pos[1] += step * np.cos(heading)
-                if np.count_nonzero((pos < lo) | (pos > hi)):
-                    pos, flipped = _reflect(pos, lo, hi)
-                    heading = np.where(flipped[0], -heading, heading)
-                    heading = np.where(flipped[1], math.pi - heading, heading)
-                ues.floats[X : Y + 1, moving] = pos
-                ues.floats[HEADING, moving] = np.mod(heading, 2.0 * math.pi)
-                # Reflected coordinates are inside the map, so only the
-                # far edge needs clamping into the last pixel.
-                i, j = np.minimum(((pos - lo) / spec.pixel_size).astype(np.intp), m - 1)
-                ues.ints[PIXEL, moving] = i * m + j
-
-            # Handover: the first strongest configured neighbor beating
-            # serving by the margin files a report; the switch needs a free
-            # slot, so switches resolve in array order.
-            serving = ues.ints[SERVING]
-            slot = handover_slots[serving, ues.ints[PIXEL]]
-            trigger = (slot >= 0).nonzero()[0]
-            if trigger.size:
-                source = serving[trigger]
-                target = neighbors[source, slot[trigger]]
-                np.add.at(reports, (source, target), 1)
-                switched = []
-                for k, cell, dest in zip(trigger.tolist(), source.tolist(), target.tolist()):
-                    if attached[dest] >= max_ue:
-                        continue
-                    attached[cell] -= 1
-                    attached[dest] += 1
-                    serving[k] = dest
-                    switched.append(k)
-                if log.enabled:
-                    log.write(t, "handover", serving[switched], ues.ints[UE_ID, switched])
+                # Handover: the first strongest configured neighbor beating
+                # serving by the margin files a report; the switch needs a
+                # free slot, so switches resolve in array order.
+                serving = ues.ints[SERVING]
+                slot = handover_slots[serving, ues.ints[PIXEL]]
+                trigger = (slot >= 0).nonzero()[0]
+                if trigger.size:
+                    source = serving[trigger]
+                    target = neighbors[source, slot[trigger]]
+                    np.add.at(reports, (source, target), 1)
+                    switched = []
+                    for k, cell, dest in zip(trigger.tolist(), source.tolist(), target.tolist()):
+                        if attached[dest] >= max_ue:
+                            continue
+                        attached[cell] -= 1
+                        attached[dest] += 1
+                        serving[k] = dest
+                        switched.append(k)
+                    if log.enabled:
+                        log.write(t, HANDOVER, serving[switched], ues.ints[UE_ID, switched])
+            log.flush()
     finally:
         log.close()
 
-    done_cells = np.frombuffer(done_cells, dtype=np.int64)
-    done_rates = np.frombuffer(done_rates, dtype=np.float64)
     zone_counts = zone_counts.reshape(n_cells, TA_ZONE_COUNT, 3)
     ta_counts, aoa_counts = zone_counts.sum(axis=2), zone_counts.sum(axis=1)
     cells_out: dict[str, CellKpis] = {}
@@ -437,7 +626,7 @@ def run_simulation(
             grid.cells[nb].cell_id: int(reports[idx, nb]) / total_reports
             for nb in np.flatnonzero(reports[idx]).tolist()
         }
-        rates = done_rates[done_cells == idx]
+        rates = done.rates_of(idx)
         if rates.size:
             amt = float(np.mean(rates))
             hmt = float(rates.size / np.sum(1.0 / rates))

@@ -192,6 +192,21 @@ class TestSimPipeline:
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_full_cells_feed_step4(self, tmp_path):
+        # One slot per cell keeps every sim-small cell full for more than
+        # rho_threshold of the ticks, and blocks arrivals on the way.
+        config = load_scenario_config(SIM_CONFIG)
+        config = replace(config, sim=replace(config.sim, max_ue_per_cell=1))
+        out = tmp_path / "full"
+        result = run_pipeline(config, out, kpi_source="sim", event_log=True)
+        loads = [ck.load_time for ck in result.kpis.cells.values()]
+        assert max(loads) > config.localizer.rho_threshold
+        assert b",block," in (out / "events.csv").read_bytes()
+        q4 = result.kpi_maps[3]
+        assert q4.label == "q4" and q4.values.any()
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["variants"]) == set(ALL_VARIANTS)
+
     def test_x_override_skips_fitting(self, tmp_path):
         config = load_scenario_config(SIM_CONFIG)
         result = run_pipeline(

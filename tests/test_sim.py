@@ -6,6 +6,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import DESK_CONFIG, SIM_CONFIG, constant_grid, single_cell_grid
 from hotloc import sim
 from hotloc.grid import (
     TA_ZONE_COUNT,
+    UNCOVERED,
     CoverageGrid,
     GridSpec,
     ServerMaps,
@@ -26,11 +28,11 @@ from hotloc.kpi import LABEL_TRUTH, CellKpis, KpiSet, WeightMap, save_kpi_set
 from hotloc.pipeline import run_pipeline
 from hotloc.scenario import ConfigError, build_scenario, load_scenario_config
 from hotloc.sim import (
+    BLOCK_ARRIVALS,
     KPI_SOURCE_SIM,
+    MAX_ARRIVALS_PER_TICK,
     ZONE_BLOCK_ELEMENTS,
     SimConfig,
-    _admit,
-    _EventLog,
     _handover_slots,
     _neighbor_matrix,
     _reflect,
@@ -272,6 +274,62 @@ class TestReflect:
         )
 
 
+def _reference_move(pos, heading, step, spec):
+    """One tick of movement as the loop made it before velocities were
+    cached: a step at the heading's sine and cosine, and every heading
+    folded by np.mod after every step. Returns the positions, the
+    reflection flips and the headings."""
+    lo = np.array(spec.origin).reshape(2, 1)
+    hi = lo + spec.extent
+    pos = pos.copy()
+    pos[0] += step * np.sin(heading)
+    pos[1] += step * np.cos(heading)
+    flipped = np.zeros(pos.shape, dtype=bool)
+    if np.count_nonzero((pos < lo) | (pos > hi)):
+        pos, flipped = _reflect(pos, lo, hi)
+        heading = np.where(flipped[0], -heading, heading)
+        heading = np.where(flipped[1], math.pi - heading, heading)
+    return pos, flipped, np.mod(heading, 2.0 * math.pi)
+
+
+class TestMover:
+    def test_heading_folded_to_two_pi(self):
+        # Every UE starts at heading pi + 2**-51, which a reflection off a
+        # y edge turns into -2**-51, and np.mod into 2*pi. On the next
+        # tick UE 0 moves at 2*pi without reflecting, UE 1 reflects off
+        # the top edge and UE 2 off the left one; UE 3 does not move.
+        spec, step = GridSpec(8, 25.0), 150.0
+        mover = sim._Mover(step, spec)
+        heading = np.full(4, np.nextafter(math.pi, 4.0))
+        floats = np.empty((sim.REMAINING_BITS + 1, 4))
+        floats[sim.X] = [1.0, 1.0, 5e-14, 60.0]
+        floats[sim.Y] = [100.0, 0.5, 100.0, 60.0]
+        floats[sim.HEADING] = heading
+        floats[sim.VX : sim.VY + 1] = mover.velocity(heading)
+        floats[sim.REMAINING_BITS] = 1.0
+        ints = np.zeros((sim.START_TICK + 1, 4), dtype=np.int64)
+        ues = sim._ActiveUes(ints, floats, np.array([True, True, True, False]))
+        parked = floats[:, 3].copy()
+
+        pos, heading = floats[sim.X : sim.Y + 1, :3].copy(), heading[:3]
+        flips = []
+        for _ in range(3):
+            mover.move(ues)
+            pos, flipped, heading = _reference_move(pos, heading, step, spec)
+            flips.append(flipped.tolist())
+            assert ues.floats[sim.X : sim.Y + 1, :3].tobytes() == pos.tobytes()
+            assert ues.floats[sim.HEADING, :3].tobytes() == heading.tobytes()
+            i, j = np.minimum((pos / spec.pixel_size).astype(int), spec.m - 1)
+            assert ues.ints[sim.PIXEL, :3].tolist() == (i * spec.m + j).tolist()
+            if len(flips) == 1:
+                assert (heading == 2.0 * math.pi).all()
+        assert flips[0] == [[False] * 3, [True] * 3]
+        assert flips[1] == [[False, False, True], [False, True, False]]
+        # The step at 2*pi moved UE 0 sideways; the one at 0 did not.
+        assert pos[0, 0] < 1.0 and ues.floats[sim.X, 0] == pos[0, 0]
+        assert ues.floats[:, 3].tobytes() == parked.tobytes()
+
+
 class TestRunSimulation:
     def small_setup(self, m=8):
         grid, servers = single_cell_grid(m=m, site=(12.5, 12.5), level=-80.0)
@@ -459,7 +517,49 @@ class TestSimDigests:
 
 
 # The reference tick loop: hotloc.sim.run_simulation before its UE state
-# was packed into blocks. It shares the helpers that did not change.
+# was packed into blocks and its arrivals derived a block of ticks at a
+# time. It shares the helpers that did not change since.
+
+
+class _ReferenceEventLog:
+    """The event log as csv.writer rows, written as they come."""
+
+    def __init__(self, path: str | None, cell_ids: list[str]):
+        self._fh = open(path, "w", newline="", encoding="utf-8") if path else None
+        self._writer = None
+        # Cell index UNCOVERED (-1) picks the trailing empty name.
+        self._names = [*cell_ids, ""]
+        if self._fh:
+            self._writer = csv.writer(self._fh)
+            self._writer.writerow(["t", "event", "cell_id", "ue_id"])
+
+    @property
+    def enabled(self) -> bool:
+        return self._writer is not None
+
+    def write(self, t: int, events, cells: np.ndarray, ue_ids: np.ndarray) -> None:
+        """One row per entry of ``cells``/``ue_ids``; ``events`` is one event
+        name for all rows or an array of names."""
+        if self._writer is None:
+            return
+        events = repeat(events) if isinstance(events, str) else events.tolist()
+        names = [self._names[c] for c in cells.tolist()]
+        self._writer.writerows(zip(repeat(t), events, names, ue_ids.tolist()))
+
+    def close(self) -> None:
+        if self._fh:
+            self._fh.close()
+
+
+def _reference_admit(best: np.ndarray, attached: np.ndarray, max_ue: int) -> np.ndarray:
+    """Admission mask for one tick's arrivals, in draw order: an arrival
+    gets in when its best cell is covered and fewer earlier arrivals of the
+    tick chose that cell than it has free slots."""
+    order = np.argsort(best, kind="stable")
+    ranked = best[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - np.searchsorted(ranked, ranked, side="left")
+    return (best != UNCOVERED) & (rank < max_ue - attached[best])
 
 
 @dataclass
@@ -568,7 +668,7 @@ def reference_simulation(
     xmin, ymin = spec.origin
     center_x, center_y = (c.reshape(-1) for c in spec.center_coords())
     xmax, ymax = xmin + spec.extent, ymin + spec.extent
-    log = _EventLog(event_log_path, [c.cell_id for c in grid.cells])
+    log = _ReferenceEventLog(event_log_path, [c.cell_id for c in grid.cells])
 
     try:
         for t in range(config.n_ticks):
@@ -583,7 +683,7 @@ def reference_simulation(
                 ue_ids = np.arange(next_ue, next_ue + n_arrivals)
                 next_ue += n_arrivals
                 best = best_of[pix]
-                admitted = _admit(best, attached, max_ue)
+                admitted = _reference_admit(best, attached, max_ue)
                 if log.enabled:
                     log.write(t, np.where(admitted, "arrive", "block"), best, ue_ids)
                 if np.count_nonzero(admitted):
@@ -797,34 +897,103 @@ def _recording_reflect(folds):
     return reflect
 
 
+def _case_outputs(simulate, name, workdir, log=True):
+    """``kpis.json`` and, with ``log``, ``events.csv`` of one reference
+    case run by ``simulate``."""
+    config, truth, grid, servers, _ = REFERENCE_CASES[name]
+    workdir.mkdir(exist_ok=True)
+    events = workdir / "events.csv"
+    kpis = simulate(config, truth, grid, servers, str(events) if log else None)
+    save_kpi_set(kpis, workdir / "kpis.json")
+    return (workdir / "kpis.json").read_bytes(), events.read_bytes() if log else None
+
+
+@pytest.fixture(scope="module")
+def reference_outputs(tmp_path_factory):
+    """The outputs of :func:`reference_simulation` per reference case,
+    each run once."""
+    outputs = {}
+
+    def get(name):
+        if name not in outputs:
+            workdir = tmp_path_factory.mktemp(name)
+            outputs[name] = _case_outputs(reference_simulation, name, workdir)
+        return outputs[name]
+
+    return get
+
+
 class TestReferenceSimulation:
     @pytest.mark.parametrize("name", REFERENCE_CASES)
-    def test_packed_loop_matches_the_reference(self, tmp_path, monkeypatch, name):
-        config, truth, grid, servers, covers = REFERENCE_CASES[name]
+    def test_packed_loop_matches_the_reference(
+        self, tmp_path, monkeypatch, reference_outputs, name
+    ):
         folds = {"calls": 0, "corner": False, "double": False}
         monkeypatch.setattr(sim, "_reflect", _recording_reflect(folds))
-        outputs = {}
-        for label, simulate, log in (
-            ("reference", reference_simulation, True),
-            ("packed", run_simulation, True),
-            ("packed-quiet", run_simulation, False),
-        ):
-            events = tmp_path / f"{label}-events.csv"
-            kpis = simulate(config, truth, grid, servers, str(events) if log else None)
-            save_kpi_set(kpis, tmp_path / f"{label}-kpis.json")
-            outputs[label] = (tmp_path / f"{label}-kpis.json").read_bytes()
-            if log:
-                outputs[f"{label}-events"] = events.read_bytes()
-        assert outputs["packed"] == outputs["reference"]
-        assert outputs["packed-quiet"] == outputs["reference"]
-        assert outputs["packed-events"] == outputs["reference-events"]
-        _, rows = read_events(tmp_path / "packed-events.csv")
-        assert covers(rows, folds)
+        kpis, events = reference_outputs(name)
+        assert _case_outputs(run_simulation, name, tmp_path / "packed") == (kpis, events)
+        assert _case_outputs(run_simulation, name, tmp_path / "quiet", log=False)[0] == kpis
+        _, rows = read_events(tmp_path / "packed" / "events.csv")
+        assert REFERENCE_CASES[name][-1](rows, folds)
+
+    # 7 divides no case's tick count; 10**9 ticks outlast every run.
+    @pytest.mark.parametrize("ticks", [1, 7, 10**9])
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_block_size_leaves_the_outputs(
+        self, tmp_path, monkeypatch, reference_outputs, name, ticks
+    ):
+        monkeypatch.setattr(sim, "_block_ticks", lambda config: ticks)
+        assert _case_outputs(run_simulation, name, tmp_path) == reference_outputs(name)
+        if name == "zero-arrival-ticks" and ticks == 7:
+            _, rows = read_events(tmp_path / "events.csv")
+            blocks = {int(r[0]) // 7 for r in rows if r[1] in ("arrive", "block")}
+            assert len(blocks) < REFERENCE_CASES[name][0].n_ticks // 7, "no block without arrivals"
+
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_completion_chunks_leave_the_outputs(
+        self, tmp_path, monkeypatch, reference_outputs, name
+    ):
+        # Three entries a chunk: most ticks start a chunk, and a tick's
+        # completions can outgrow one.
+        monkeypatch.setattr(sim._Completions, "CHUNK", 3)
+        assert _case_outputs(run_simulation, name, tmp_path) == reference_outputs(name)
+
+    def test_block_ticks(self):
+        # A block holds max(BLOCK_ARRIVALS, one tick's) arrivals in the
+        # mean, and at least one tick.
+        assert sim._block_ticks(SimConfig(arrival_rate=MAX_ARRIVALS_PER_TICK, duration_s=1e6)) == 1
+        assert sim._block_ticks(SimConfig(arrival_rate=2.0 * BLOCK_ARRIVALS, duration_s=9.0)) == 1
+        assert sim._block_ticks(SimConfig(arrival_rate=40.0, duration_s=3600.0)) == BLOCK_ARRIVALS // 40
+        assert sim._block_ticks(SimConfig(arrival_rate=1.0, tick_s=4.0, duration_s=1e6)) == BLOCK_ARRIVALS // 4
+        for rate, duration in ((0.0, 600.0), (1e-300, 1e6), (BLOCK_ARRIVALS / 10.0, 10.0)):
+            config = SimConfig(arrival_rate=rate, duration_s=duration)
+            assert sim._block_ticks(config) == config.n_ticks
+
+    def test_event_log_writes_cell_ids_as_csv_writer_does(self, tmp_path):
+        # csv.writer quotes an id holding a comma, a quote or a line
+        # break; the log writes text as UTF-8.
+        grid, servers = two_cell_corridor()
+        ids = {"A": 'A,"1"', "B": "B\r\né"}
+        cells = [
+            replace(c, cell_id=ids[c.cell_id], neighbors=tuple(ids[n] for n in c.neighbors))
+            for c in grid.cells
+        ]
+        grid = CoverageGrid(grid.spec, cells, grid.rsrp, grid.q_rxlevmin)
+        config = replace(_corridor_case(30.0, 3, 6)[0], duration_s=120.0)
+        logs = []
+        for simulate in (reference_simulation, run_simulation):
+            path = tmp_path / f"{simulate.__name__}.csv"
+            simulate(config, uniform_truth(8, 25.0), grid, servers, str(path))
+            logs.append(path.read_bytes())
+        assert logs[0] == logs[1]
+        assert b',"A,""1""",' in logs[1] and b',"B\r\n\xc3\xa9",' in logs[1]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_one_arrival_draw_is_the_three_draws(self, seed):
-        # run_simulation draws random(3n) per tick where the reference
-        # draws random(n), random(n) and uniform(0, 2*pi, n).
+        # run_simulation draws poisson() and then random(3n) per tick, all
+        # of a block's ticks before its first, where the reference draws
+        # poisson(), random(n), random(n) and uniform(0, 2*pi, n) at the
+        # start of each tick.
         merged, separate = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(200):
             n = int(merged.poisson(40.0))

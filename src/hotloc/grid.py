@@ -242,6 +242,14 @@ def ta_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
     return zones.astype(np.int8)
 
 
+def boresight_offset(bearing: np.ndarray, azimuth: float | np.ndarray) -> np.ndarray:
+    """The offsets of the bearings from the antenna azimuth, with -pi of
+    np.mod's [-pi, pi) folded onto +pi: in (-pi, pi]."""
+    delta = np.mod(bearing - azimuth + math.pi, 2.0 * math.pi) - math.pi
+    delta[delta == -math.pi] = math.pi
+    return delta
+
+
 def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
     """Bearing sector of every pixel relative to the cell boresight, dtype
     int8: 0 when the offset of the pixel's bearing from the azimuth lies in
@@ -251,11 +259,7 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
     cx, cy = spec.center_coords()
     dx = cx - cell.site_position[0]
     dy = cy - cell.site_position[1]
-    bearing = np.arctan2(dx, dy)
-    delta = (bearing - cell.azimuth + math.pi) % (2.0 * math.pi) - math.pi
-    # The modulo above yields [-pi, pi); fold -pi onto +pi, so the offsets
-    # lie in (-pi, pi].
-    delta = np.where(delta == -math.pi, math.pi, delta)
+    delta = boresight_offset(np.arctan2(dx, dy), cell.azimuth)
     zones = np.where(delta > AOA_BORESIGHT_HALF_WIDTH, 1, 0).astype(np.int8)
     zones = np.where(delta < -AOA_BORESIGHT_HALF_WIDTH, -1, zones).astype(np.int8)
     zones[(dx == 0.0) & (dy == 0.0)] = 0

@@ -27,6 +27,7 @@ from hotloc.grid import (
     CoverageGrid,
     GridSpec,
     ServerMaps,
+    boresight_offset,
     compute_server_maps,
     read_json,
 )
@@ -220,7 +221,7 @@ def synthesize_rsrp(config: ScenarioConfig, cells: list[CellInfo]) -> np.ndarray
                 np.maximum(np.hypot(dx, dy), p.d0_m) / p.d0_m
             )
             unpatterned = p.tx_power_dbm - loss
-        delta = np.mod(bearing - cell.azimuth + math.pi, 2.0 * math.pi) - math.pi
+        delta = boresight_offset(bearing, cell.azimuth)
         pattern = np.minimum(12.0 * (delta / beam) ** 2, p.max_attenuation_db)
         np.subtract(unpatterned, pattern, out=level)
         if rng is not None:

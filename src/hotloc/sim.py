@@ -37,11 +37,12 @@ each of the k mobile UEs' cached step velocity to their (2, k)
 positions, and reflects only when one has left the map; only a UE that
 reflects gets a new heading and velocity (:class:`_Mover`). A handover
 trigger depends only on the serving cell and the pixel, so it is one
-lookup per UE in an int8 (cell, pixel) table built before the first
-tick. The switches themselves resolve one triggering UE at a time in
-array order: whether a UE finds a free slot in its target depends on the
-handovers before it in the same tick. The result is the same, event for
-event, as a per-UE loop in that order.
+lookup per UE in a (cell, pixel) table of neighbor columns (int8 up to
+127 neighbors per cell). Both tables are built before the first tick,
+the TA rings once per site. The switches resolve one triggering UE at a
+time in array order: whether a UE finds a free slot in its target
+depends on the handovers before it in the same tick. The result is the
+same, event for event, as a per-UE loop in that order.
 """
 
 from __future__ import annotations
@@ -444,44 +445,37 @@ def _neighbor_matrix(grid: CoverageGrid) -> np.ndarray:
 def _handover_slots(rsrp: np.ndarray, neighbors: np.ndarray, margin_db: float) -> np.ndarray:
     """Per (cell, flat pixel): the column in ``neighbors`` of the neighbor a
     UE served by the cell at the pixel reports, or -1 when none beats the
-    serving level by the margin. NaN levels read as -inf, and the first of
-    equally strong neighbors wins. The table is as narrow as the zone
-    layers (int8 up to 127 neighbors per cell)."""
+    serving level by the margin; int8 up to 127 neighbors per cell. A
+    running maximum from the serving level plus the margin (-inf where that
+    is NaN) takes a neighbor only when strictly greater, so the first of
+    equal neighbors wins and a NaN one never does."""
     slots = np.full(rsrp.shape, -1, dtype=np.min_scalar_type(-1 - neighbors.shape[1]))
     for cell, nbrs in enumerate(neighbors):
-        nbrs = nbrs[nbrs >= 0]
-        if nbrs.size:
-            serving = np.where(np.isnan(rsrp[cell]), -math.inf, rsrp[cell])
-            candidates = np.where(np.isnan(rsrp[nbrs]), -math.inf, rsrp[nbrs])
-            trigger = candidates.max(axis=0) > serving + margin_db
-            slots[cell, trigger] = np.argmax(candidates[:, trigger], axis=0)
+        strongest = rsrp[cell] + margin_db
+        strongest[np.isnan(strongest)] = -math.inf
+        for column, nb in enumerate(nbrs[nbrs >= 0]):
+            beats = rsrp[nb] > strongest
+            np.copyto(strongest, rsrp[nb], where=beats)
+            np.copyto(slots[cell], column, where=beats)
     return slots
 
 
-# Cells per zone-layer call are chosen so that a call's float64
-# temporaries hold at most this many elements (2 MB each). The desk grid
-# takes one call per layer; at m=240 with 183 cells, one call for all
-# cells took 1.1 s and a 423 MB allocation peak, blocks of this size
-# 0.43 s and 30 MB.
-ZONE_BLOCK_ELEMENTS = 1 << 18
 # A (TA ring, AoA zone) pair has one of this many codes.
 ZONE_CODES = TA_ZONE_COUNT * 3
 
 
 def _zone_stacks(grid: CoverageGrid) -> np.ndarray:
     """The zone code ``ta * 3 + aoa + 1`` of every (cell, flat pixel): the
-    column of a UE's sample in the (cell, :data:`ZONE_CODES`) counts. The
-    TA and AoA zone layers are built a block of cells per call."""
-    n_cells, pixels = grid.n_cells, grid.spec.m**2
-    codes = np.empty((n_cells, pixels), dtype=np.int8)
-    step = max(1, ZONE_BLOCK_ELEMENTS // pixels)
-    for first in range(0, n_cells, step):
-        block = slice(first, first + step)
-        sites = grid.sites(np.arange(n_cells)[block, None, None])
-        code = ta_zone_layer(grid.spec, sites) * np.int8(3)
-        code += aoa_zone_layer(grid.spec, sites)
-        code += np.int8(1)
-        codes[block] = code.reshape(-1, pixels)
+    column of a UE's sample in the (cell, :data:`ZONE_CODES`) counts. Each
+    run of cells with one ``site_position`` (a site's sectors) shares its
+    TA rings, as in :func:`hotloc.scenario.synthesize_rsrp`."""
+    codes = np.empty((grid.n_cells, grid.spec.m**2), dtype=np.int8)
+    site = None
+    for code, cell in zip(codes, grid.cells):
+        if cell.site_position != site:
+            site = cell.site_position
+            rings = ta_zone_layer(grid.spec, cell).reshape(-1) * np.int8(3) + np.int8(1)
+        np.add(rings, aoa_zone_layer(grid.spec, cell).reshape(-1), out=code)
     return codes
 
 

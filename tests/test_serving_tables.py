@@ -17,6 +17,10 @@ zone-layer functions read ``site_position`` and ``azimuth`` off their
 second argument and broadcast them against the (m, m) pixel grid, so one
 call with stacked or per-pixel site arrays must equal the per-cell
 calls.
+
+Every (cell, pixel) table is a function of the pixel's center alone, so
+padding the map around the same center must leave its interior bit for
+bit as it was.
 """
 
 import math
@@ -26,7 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import DESK_CONFIG, random_truth
+from conftest import DESK_CONFIG, SIM_CONFIG, random_truth
 from hotloc import sim
 from hotloc.grid import (
     NO_SECOND,
@@ -57,7 +61,7 @@ from hotloc.localize import (
     step4_load,
     step5_throughput,
 )
-from hotloc.scenario import build_scenario, load_scenario_config
+from hotloc.scenario import build_cells, build_scenario, load_scenario_config, synthesize_rsrp
 
 # Reference implementations -------------------------------------------------
 
@@ -461,15 +465,103 @@ def test_grid_sites_and_serving_rsrp(case):
     assert_same_bits(serving[covered], grid.rsrp[servers.best[covered], ii, jj])
 
 
-@pytest.mark.parametrize("cells_per_call", [1, 3, N_CELLS])
-def test_simulator_zone_stacks_equal_per_cell_calls(monkeypatch, cells_per_call):
-    # One int8 code per (cell, pixel), ta * 3 + aoa + 1, whatever the
-    # number of cells per zone-layer call.
+def sectored_cells(sectors, order):
+    """``sectors`` cells at each site of :func:`random_case`, sector ``s``
+    turned ``s`` sectors' width from the case's azimuth, in site-major,
+    sector-major or a seeded shuffled order. Sector-major order splits
+    every run of one site's cells to a cell; the shuffled order mixes runs
+    of one cell and of several."""
     grid, _, _ = random_case(0)
-    monkeypatch.setattr(sim, "ZONE_BLOCK_ELEMENTS", cells_per_call * M * M)
+    step = 2.0 * math.pi / sectors
+    by_site = [
+        CellInfo(f"{c.cell_id}{s}", c.site_position, c.azimuth + s * step, ())
+        for c in grid.cells
+        for s in range(sectors)
+    ]
+    if order == "sector-major":
+        return [cell for s in range(sectors) for cell in by_site[s::sectors]]
+    if order == "shuffled":
+        return [by_site[k] for k in np.random.default_rng(sectors).permutation(len(by_site))]
+    return by_site
+
+
+@pytest.mark.parametrize("sectors", [1, 3, 26])
+@pytest.mark.parametrize("order", ["site-major", "sector-major", "shuffled"])
+def test_simulator_zone_stacks_equal_per_cell_calls(order, sectors):
+    # One int8 code per (cell, pixel), ta * 3 + aoa + 1, whatever the
+    # order of the cells.
+    cells = sectored_cells(sectors, order)
+    spec = GridSpec(m=M, pixel_size=PIXEL)
+    grid = CoverageGrid(spec, cells, np.full((len(cells), M, M), np.nan), Q_RXLEVMIN)
     got = sim._zone_stacks(grid)
-    ta = np.stack([ta_zone_layer(grid.spec, cell) for cell in grid.cells]).astype(np.int64)
-    aoa = np.stack([aoa_zone_layer(grid.spec, cell) for cell in grid.cells]).astype(np.int64)
-    want = (ta * 3 + aoa + 1).reshape(grid.n_cells, -1).astype(np.int8)
+    ta = np.stack([ta_zone_layer(spec, cell) for cell in cells]).astype(np.int64)
+    aoa = np.stack([aoa_zone_layer(spec, cell) for cell in cells]).astype(np.int64)
+    want = (ta * 3 + aoa + 1).reshape(len(cells), -1).astype(np.int8)
     assert_same_bits(got, want)
     assert got.min() >= 0 and got.max() < sim.ZONE_CODES
+
+
+# Padding ---------------------------------------------------------------------
+
+
+def setup_tables(config, cells):
+    """Every (cell, pixel) and per-pixel table a run builds from the cells'
+    layers, each with the map's (m, m) as its last two axes. The truth map
+    is left out: its floor and its normalisation cover the whole map, so
+    padding moves every one of its values."""
+    grid = CoverageGrid(config.spec, cells, synthesize_rsrp(config, cells), config.q_rxlevmin_dbm)
+    servers = compute_server_maps(grid)
+    shape = grid.rsrp.shape
+    slots = sim._handover_slots(
+        grid.rsrp.reshape(grid.n_cells, -1), sim._neighbor_matrix(grid), config.sim.handover_margin_db
+    )
+    return {
+        "cube": grid.rsrp,
+        "best": servers.best,
+        "second": servers.second,
+        "level": servers.level,
+        "zone codes": sim._zone_stacks(grid).reshape(shape),
+        "handover slots": slots.reshape(shape),
+    }
+
+
+def padded(config, k):
+    """``config`` on its map grown by ``k`` pixels on each side around the
+    same center."""
+    spec = config.spec
+    x0, y0 = spec.origin
+    step = k * spec.pixel_size
+    return replace(config, spec=GridSpec(spec.m + 2 * k, spec.pixel_size, (x0 - step, y0 - step)))
+
+
+def edge_site_case():
+    """Desk's radio model on a 16-pixel map with two three-sector sites one
+    pixel inside its West and North edges, every cell the others'
+    neighbor. The hex layout centers its sites, so the cells are built
+    here."""
+    config = replace(load_scenario_config(DESK_CONFIG), spec=GridSpec(m=16, pixel_size=25.0))
+    sites = [(25.0, 212.5), (187.5, 375.0)]
+    ids = [f"E{s}{sec}" for s in range(len(sites)) for sec in range(3)]
+    cells = [
+        CellInfo(ids[k], sites[k // 3], (k % 3) * 2.0 * math.pi / 3, tuple(c for c in ids if c != ids[k]))
+        for k in range(len(ids))
+    ]
+    return config, cells
+
+
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("case", ["desk", "sim-small", "edge-site"])
+def test_padding_keeps_every_table_inside_the_map(case, k):
+    if case == "edge-site":
+        config, cells = edge_site_case()
+        wide_cells = cells
+    else:
+        config = load_scenario_config(DESK_CONFIG if case == "desk" else SIM_CONFIG)
+        cells = build_cells(config)
+        wide_cells = build_cells(padded(config, k))
+        assert wide_cells == cells
+    want = setup_tables(config, cells)
+    got = setup_tables(padded(config, k), wide_cells)
+    assert got.keys() == want.keys()
+    for name, table in want.items():
+        assert_same_bits(got[name][..., k:-k, k:-k], table)

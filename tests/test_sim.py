@@ -24,14 +24,13 @@ from hotloc.grid import (
     compute_server_maps,
     ta_zone_layer,
 )
-from hotloc.kpi import LABEL_TRUTH, CellKpis, KpiSet, WeightMap, save_kpi_set
+from hotloc.kpi import LABEL_TRUTH, CellKpis, KpiSet, WeightMap, oracle_kpis, save_kpi_set
 from hotloc.pipeline import run_pipeline
-from hotloc.scenario import ConfigError, build_scenario, load_scenario_config
+from hotloc.scenario import ConfigError, build_cells, build_scenario, load_scenario_config
 from hotloc.sim import (
     BLOCK_ARRIVALS,
     KPI_SOURCE_SIM,
     MAX_ARRIVALS_PER_TICK,
-    ZONE_BLOCK_ELEMENTS,
     SimConfig,
     _handover_slots,
     _neighbor_matrix,
@@ -602,17 +601,28 @@ class _ReferenceUes:
 
 def _reference_zone_stacks(grid: CoverageGrid) -> tuple[np.ndarray, np.ndarray]:
     """The TA and AoA zone layers of every cell, flattened to (cell,
-    pixel), built a block of cells per zone-layer call."""
-    n_cells, pixels = grid.n_cells, grid.spec.m**2
-    ta = np.empty((n_cells, pixels), dtype=np.int8)
-    aoa = np.empty((n_cells, pixels), dtype=np.int8)
-    step = max(1, ZONE_BLOCK_ELEMENTS // pixels)
-    for first in range(0, n_cells, step):
-        block = slice(first, first + step)
-        sites = grid.sites(np.arange(n_cells)[block, None, None])
-        ta[block] = ta_zone_layer(grid.spec, sites).reshape(-1, pixels)
-        aoa[block] = aoa_zone_layer(grid.spec, sites).reshape(-1, pixels)
-    return ta, aoa
+    pixel), one zone-layer call per cell and layer."""
+    return tuple(
+        np.stack([layer(grid.spec, cell).reshape(-1) for cell in grid.cells])
+        for layer in (ta_zone_layer, aoa_zone_layer)
+    )
+
+
+def _reference_handover_slots(rsrp: np.ndarray, neighbors: np.ndarray, margin_db: float) -> np.ndarray:
+    """Per (cell, flat pixel): the column in ``neighbors`` of the neighbor a
+    UE served by the cell at the pixel reports, or -1 when none beats the
+    serving level by the margin. NaN levels read as -inf, and ``argmax``
+    picks the first of equally strong neighbors. The table is int8 up to
+    127 neighbors per cell."""
+    slots = np.full(rsrp.shape, -1, dtype=np.min_scalar_type(-1 - neighbors.shape[1]))
+    for cell, nbrs in enumerate(neighbors):
+        nbrs = nbrs[nbrs >= 0]
+        if nbrs.size:
+            serving = np.where(np.isnan(rsrp[cell]), -math.inf, rsrp[cell])
+            candidates = np.where(np.isnan(rsrp[nbrs]), -math.inf, rsrp[nbrs])
+            trigger = candidates.max(axis=0) > serving + margin_db
+            slots[cell, trigger] = np.argmax(candidates[:, trigger], axis=0)
+    return slots
 
 
 def reference_simulation(
@@ -646,7 +656,7 @@ def reference_simulation(
     ta_layers, aoa_layers = _reference_zone_stacks(grid)
     best_of = servers.best.reshape(-1).astype(np.intp)
     neighbors = _neighbor_matrix(grid)
-    handover_slots = _handover_slots(
+    handover_slots = _reference_handover_slots(
         grid.rsrp.reshape(n_cells, -1), neighbors, config.handover_margin_db
     )
     max_ue = config.max_ue_per_cell
@@ -1003,3 +1013,70 @@ class TestReferenceSimulation:
             assert draw[n : 2 * n].tobytes() == separate.random(n).tobytes()
             heading = draw[2 * n :] * (2.0 * math.pi)
             assert heading.tobytes() == separate.uniform(0.0, 2.0 * math.pi, n).tobytes()
+
+
+def _handover_case(sectors: int) -> CoverageGrid:
+    """Desk's seven sites with ``sectors`` sectors each on a 12-pixel map.
+    The levels lie on a 1 dB lattice, so neighbors tie; about one in five
+    is NaN, as is every level of cell 0, and the last cell has no
+    neighbors. With 26 sectors the middle site's cells have 181
+    neighbors each."""
+    desk = load_scenario_config(DESK_CONFIG)
+    config = replace(
+        desk, spec=GridSpec(12, 125.0), layout=replace(desk.layout, sectors_per_site=sectors)
+    )
+    cells = build_cells(config)
+    cells[-1] = replace(cells[-1], neighbors=())
+    rng = np.random.default_rng(sectors)
+    rsrp = rng.integers(-110, -80, size=(len(cells), 12, 12)).astype(float)
+    rsrp[rng.random(rsrp.shape) < 0.2] = np.nan
+    rsrp[0] = np.nan
+    return CoverageGrid(config.spec, cells, rsrp, config.q_rxlevmin_dbm)
+
+
+class TestHandoverSlots:
+    @pytest.mark.parametrize("margin", [0.0, 6.0])
+    @pytest.mark.parametrize("sectors", [1, 3, 26])
+    def test_table_matches_the_reference(self, sectors, margin):
+        grid = _handover_case(sectors)
+        neighbors = _neighbor_matrix(grid)
+        rsrp = grid.rsrp.reshape(grid.n_cells, -1)
+        got = _handover_slots(rsrp, neighbors, margin)
+        want = _reference_handover_slots(rsrp, neighbors, margin)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.dtype == (np.int16 if neighbors.shape[1] > 127 else np.int8)
+        assert (neighbors.shape[1] > 127) == (sectors == 26)
+        # A NaN serving level triggers on any neighbor level; a cell
+        # without neighbors never triggers.
+        assert (got[0] >= 0).any() and (got[-1] == -1).all()
+        # Some triggers pick the first of several equally strong neighbors.
+        ties = 0
+        for cell, nbrs in enumerate(neighbors):
+            levels = rsrp[nbrs[nbrs >= 0]]
+            top = np.max(np.where(np.isnan(levels), -math.inf, levels), axis=0, initial=-math.inf)
+            ties += np.count_nonzero(((levels == top).sum(axis=0) > 1) & (got[cell] >= 0))
+        assert ties > 0
+
+
+def test_static_desk_agrees_with_the_oracle():
+    """Without movement no UE hands over, and at 5 arrivals/s no desk cell
+    fills, so a cell's TA and AoA samples are draws from the truth mass of
+    its pixels, as the oracle's fractions are. Each fraction must lie
+    within 5 standard errors of the oracle's, for n = rate * duration *
+    the cell's truth mass samples and a variance floored at 1/n."""
+    desk = load_scenario_config(DESK_CONFIG)
+    scenario = build_scenario(desk)
+    config = replace(desk.sim, mobile_fraction=0.0, arrival_rate=5.0, duration_s=4 * 3600.0)
+    simulated = run_simulation(config, scenario.truth, scenario.grid, scenario.servers)
+    oracle = oracle_kpis(scenario.truth, scenario.grid, scenario.servers, desk.oracle)
+    worst = 0.0
+    for k, cell in enumerate(scenario.grid.cells):
+        sim_cell, oracle_cell = simulated.cells[cell.cell_id], oracle.cells[cell.cell_id]
+        assert sim_cell.load_time == 0.0
+        mass = scenario.truth.values[scenario.servers.best == k].sum()
+        n = config.arrival_rate * config.duration_s * mass
+        for got, want in ((sim_cell.ta, oracle_cell.ta), (sim_cell.aoa, oracle_cell.aoa)):
+            se = np.sqrt(np.maximum(want * (1.0 - want), 1.0 / n) / n)
+            worst = max(worst, float(np.max(np.abs(got - want) / se)))
+    assert worst <= 5.0

@@ -162,9 +162,9 @@ class CoverageGrid:
 
     def sites(self, index: np.ndarray) -> CellSites:
         """The sites and azimuths of ``cells[index]``, shaped like the
-        integer array ``index``. An (n, 1, 1) index gives per-cell stacks;
-        ``ServerMaps.best`` gives each pixel its serving cell's site, where
-        UNCOVERED (-1) picks the last cell and callers mask those pixels."""
+        integer array ``index``: ``ServerMaps.best`` gives each pixel its
+        serving cell's site, where UNCOVERED (-1) picks the last cell and
+        callers mask those pixels."""
         x = np.array([c.site_position[0] for c in self.cells])
         y = np.array([c.site_position[1] for c in self.cells])
         azimuth = np.array([c.azimuth for c in self.cells])
@@ -230,11 +230,10 @@ def ta_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
     last ring (index 5).
 
     The site coordinates broadcast against the (m, m) pixel centers: a
-    :class:`CellInfo` gives that cell's (m, m) layer, ``grid.sites`` of an
-    (n, 1, 1) index the (n, m, m) stack of every cell's layer, and
+    :class:`CellInfo` gives that cell's layer, and
     ``grid.sites(servers.best)`` each pixel's ring in its serving cell.
-    Every element goes through the same float operations whatever the
-    shapes, so the results agree bit for bit with the per-cell layers.
+    Every element goes through the same float operations either way, so
+    the serving rings agree bit for bit with the per-cell layers.
     """
     cx, cy = spec.center_coords()
     dist = np.hypot(cx - cell.site_position[0], cy - cell.site_position[1])

@@ -11,38 +11,55 @@ Tick order: arrivals, scheduling (rate share, counter sampling), file
 completion, movement, handover checks. All randomness flows from one
 seeded generator, so identical inputs give identical output.
 
-The UEs in flight are held as one int64 and one float64 block
-(:class:`_ActiveUes`), one column per UE in admission order, and every
-phase but one is whole-array work; a tick's cost is mostly its count of
-numpy calls, so each phase touches each block once.
+The UEs in flight are held as three blocks (:class:`_ActiveUes`), one
+column per UE in admission order, and every phase but one is whole-array
+work; a tick's cost is mostly its count of numpy calls, so each phase
+touches each block once.
+
+A UE's place is one flat key, ``serving * m**2 + pixel``, into two
+(cell, pixel) tables built before the first tick: the int8 code of the
+TA ring and AoA zone (the TA rings once per site), and the column of the
+neighbor the UE reports (int8 up to 127 neighbors per cell). A tick reads
+a table with one ``take`` on its flat view. The UE-ticks' keys are kept
+and their zone codes counted some thousands at a time, in one bincount
+over ``cell * ZONE_CODES + code`` (:class:`_ZoneSamples`); the TA and AoA
+histograms are the code counts' sums at the end of the run. A handover
+adds ``(dest - cell) * m**2`` to the switching UE's keys.
 
 The generator is read only for arrivals, and an arrival's pixel, best
-cell, start position, heading, velocity and mobility follow from its
-draws alone, as does its rank among the arrivals of its tick with the
-same best cell. So the ticks run in blocks of about
+cell, mobility and heading follow from its draws alone, as do its rank
+among the arrivals of its tick with the same best cell and the pixels it
+moves through. So the ticks run in blocks of about
 :data:`BLOCK_ARRIVALS` arrivals (:func:`_block_ticks`). A block first
 makes each of its ticks' draws in tick order, a Poisson count and then
 one draw of 3n uniforms (the position, mobility and heading draws of n
-arrivals in turn), and derives the columns and ranks of all its arrivals
-in whole-block calls (:class:`_Arrivals`). A tick then admits the
-arrivals whose rank is below their best cell's free slots and takes
+arrivals in turn), and derives the columns, ranks and keys of all its
+arrivals in whole-block calls (:class:`_Arrivals`). A tick then admits
+the arrivals whose rank is below their best cell's free slots and takes
 their columns in one go. The event log is written a block at a time.
 
-The TA and AoA samples are one lookup per UE in an int8 (cell, pixel)
-table of zone codes and one ``np.add.at`` on (serving cell, code); the
-TA and AoA histograms are the code counts' sums at the end of the run.
+A UE's keys are a queue: row 0 holds this tick's key and row r the key r
+ticks on. A mover's rows come from its track, made with its arrival
+block by moving it step by step at its velocity, with specular
+reflection at the map edges (:class:`_Tracks`); a UE that stays holds
+one key in every row. Movement is then one shift of the queue by a row.
+The queue holds a row for every tick a download can last
+(:func:`_lifetime`): no cell holds more than ``max_ue_per_cell`` UEs, so
+every tick drains at least ``min(mu0, capacity / max_ue_per_cell) *
+tick_s`` from each UE, and as rounding is monotone no download outlives
+the first k at which k such drains empty its file; on the desk busy hour
+that is 10 ticks. When the bound is above :data:`TRACK_CAP`, each UE
+holds one key, and every mover makes one move a tick, by the same
+builder, from the position, velocity and heading the last left it at
+(:data:`MOVER`).
+
 The per-cell rate share is computed once per tick and drained from every
-UE; completions drop out of both blocks at once, in order. Movement adds
-each of the k mobile UEs' cached step velocity to their (2, k)
-positions, and reflects only when one has left the map; only a UE that
-reflects gets a new heading and velocity (:class:`_Mover`). A handover
-trigger depends only on the serving cell and the pixel, so it is one
-lookup per UE in a (cell, pixel) table of neighbor columns (int8 up to
-127 neighbors per cell). Both tables are built before the first tick,
-the TA rings once per site. The switches resolve one triggering UE at a
-time in array order: whether a UE finds a free slot in its target
-depends on the handovers before it in the same tick. The result is the
-same, event for event, as a per-UE loop in that order.
+UE; completions drop out of the blocks at once, in order, with their
+elapsed ticks, and their rates are formed at the end of the run. A
+handover trigger depends only on the key. The switches resolve one
+triggering UE at a time in array order: whether a UE finds a free slot
+in its target depends on the handovers before it in the same tick. The
+result is the same, event for event, as a per-UE loop in that order.
 """
 
 from __future__ import annotations
@@ -68,20 +85,30 @@ from hotloc.kpi import CellKpis, KpiSet, WeightMap
 
 KPI_SOURCE_SIM = "sim"
 
-# The tick loop costs about 0.1 ms a tick on desk (its busy hour of 3,600
-# ticks takes about 0.36 s of CPU on a Xeon vCPU), so a run of this many
-# ticks takes minutes.
+# The tick loop costs about 0.05 ms a tick on desk (its busy hour of 3,600
+# ticks takes about 0.19 s of CPU on a Xeon vCPU), so a run of this many
+# ticks takes about a minute.
 MAX_TICKS = 10**6
 # A tick with more than BLOCK_ARRIVALS arrivals in the mean is a block of
-# its own. At the peak its arrivals take about 350 bytes each, in the
-# block's draws and columns and in their admitted copy in the UE blocks,
-# so a tick of this many arrivals takes about 350 MB.
+# its own. At the peak its arrivals take about 290 bytes each when every
+# one moves and holds TRACK_CAP keys, in the block's draws, columns, keys
+# and tracks or in their admitted copies in the UE blocks, so a tick of
+# this many arrivals takes about 290 MB.
 MAX_ARRIVALS_PER_TICK = 10**6
-# Arrivals a block of ticks holds in the mean. A block's draws and columns
-# take about 170 bytes an arrival while they are made. Blocks of 256 to
+# Arrivals a block of ticks holds in the mean. A block's draws, columns
+# and keys take about 160 bytes an arrival while they are made on the
+# desk busy hour (10 keys, a fifth of the arrivals move), and about 290
+# when every arrival moves and holds TRACK_CAP keys. Blocks of 1024 to
 # 16384 arrivals ran the desk busy hour (40 arrivals a tick) in the same
-# CPU time within the host's noise.
+# CPU time within the host's noise; blocks of 256, which make their
+# movers' tracks every 6 ticks, took about a fifth more.
 BLOCK_ARRIVALS = 1 << 10
+# Keys a UE's queue holds at most (see :func:`_lifetime`). Above it the
+# movers move tick by tick: a queue refilled when it runs out would make
+# each tick a build of TRACK_CAP moves for the movers of one admission
+# tick, and an hour of 250-tick downloads on desk (2 arrivals/s, a fifth
+# moving) took 0.50 s of CPU that way against 0.28 s tick by tick.
+TRACK_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -136,50 +163,46 @@ def _block_ticks(config: SimConfig) -> int:
     return max(1, int(BLOCK_ARRIVALS / mean))
 
 
-# Rows of the packed UE blocks of :class:`_ActiveUes`.
-UE_ID, PIXEL, SERVING, START_TICK = range(4)
-X, Y, VX, VY, HEADING, REMAINING_BITS = range(6)
+# Rows of the packed UE blocks of :class:`_ActiveUes`. MOVER and the float
+# rows from X on are held only in a run whose movers move tick by tick.
+UE_ID, SERVING, START_TICK, MOVER = range(4)
+REMAINING_BITS, X, Y, VX, VY, HEADING = range(6)
 
 
 @dataclass
 class _ActiveUes:
     """The UEs whose download is in flight, one column per UE in admission
-    order: ``ints`` holds the rows :data:`UE_ID`, :data:`PIXEL` (the flat
-    index ``i * m + j``), :data:`SERVING` and :data:`START_TICK`, ``floats``
-    the rows :data:`X`, :data:`Y`, :data:`VX`, :data:`VY` (the step
-    velocity, see :class:`_Mover`), :data:`HEADING` and
-    :data:`REMAINING_BITS`, and ``mobile`` marks the UEs that move."""
+    order. ``ints`` holds the rows :data:`UE_ID`, :data:`SERVING` and
+    :data:`START_TICK`; ``keys`` the UE's key ``serving * m**2 + pixel``
+    for this tick in row 0 and for the ticks after it in the rows below
+    (:class:`_Tracks`); ``floats`` the row :data:`REMAINING_BITS`. When
+    movers move tick by tick, :data:`MOVER` is 1 for a UE that moves, and
+    the rows :data:`X` to :data:`HEADING` hold the position, step velocity
+    and heading its key was made from."""
 
     ints: np.ndarray
+    keys: np.ndarray
     floats: np.ndarray
-    mobile: np.ndarray
-
-    @classmethod
-    def empty(cls) -> _ActiveUes:
-        return cls(
-            np.empty((START_TICK + 1, 0), dtype=np.int64),
-            np.empty((REMAINING_BITS + 1, 0)),
-            np.empty(0, dtype=bool),
-        )
 
     def part(self, start: int, end: int) -> _ActiveUes:
-        return _ActiveUes(self.ints[:, start:end], self.floats[:, start:end], self.mobile[start:end])
+        return _ActiveUes(self.ints[:, start:end], self.keys[:, start:end], self.floats[:, start:end])
 
     def keep(self, index: np.ndarray) -> _ActiveUes:
         return _ActiveUes(
-            self.ints.take(index, axis=1), self.floats.take(index, axis=1), self.mobile.take(index)
+            self.ints.take(index, axis=1), self.keys.take(index, axis=1), self.floats.take(index, axis=1)
         )
 
     def extend(self, new: _ActiveUes) -> _ActiveUes:
         return _ActiveUes(
             np.concatenate((self.ints, new.ints), axis=1),
+            np.concatenate((self.keys, new.keys), axis=1),
             np.concatenate((self.floats, new.floats), axis=1),
-            np.concatenate((self.mobile, new.mobile)),
         )
 
 
 class _Completions:
-    """Cell and rate of every completed download, in completion order.
+    """Cell and elapsed ticks of every completed download, in completion
+    order.
 
     They are written into chunks of at least :attr:`CHUNK` entries, a new
     chunk whenever a tick's completions do not fit in the last, and are
@@ -194,24 +217,59 @@ class _Completions:
         self.parts: list[tuple[np.ndarray, np.ndarray]] = []
         self.count = 0
         self.cells = np.empty(0, dtype=np.int64)
-        self.rates = np.empty(0)
+        self.elapsed = np.empty(0, dtype=np.int64)
 
-    def add(self, cells: np.ndarray, rates: np.ndarray) -> None:
+    def add(self, cells: np.ndarray, elapsed: np.ndarray) -> None:
         end = self.count + cells.size
         if end > self.cells.size:
-            self.parts.append((self.cells[: self.count], self.rates[: self.count]))
+            self.parts.append((self.cells[: self.count], self.elapsed[: self.count]))
             size = max(cells.size, self.CHUNK)
             self.count, end = 0, cells.size
             self.cells = np.empty(size, dtype=np.int64)
-            self.rates = np.empty(size)
+            self.elapsed = np.empty(size, dtype=np.int64)
         self.cells[self.count : end] = cells
-        self.rates[self.count : end] = rates
+        self.elapsed[self.count : end] = elapsed
         self.count = end
 
-    def rates_of(self, cell: int) -> np.ndarray:
-        """The rates of the cell's completions, in completion order."""
-        parts = [*self.parts, (self.cells[: self.count], self.rates[: self.count])]
-        return np.concatenate([rates[cells == cell] for cells, rates in parts])
+    def rates_of(self, cell: int, file_size_bits: float, tick_s: float) -> np.ndarray:
+        """The rates ``file_size_bits / (elapsed * tick_s)`` of the cell's
+        completions, in completion order."""
+        parts = [*self.parts, (self.cells[: self.count], self.elapsed[: self.count])]
+        return np.concatenate(
+            [file_size_bits / (elapsed[cells == cell] * tick_s) for cells, elapsed in parts]
+        )
+
+
+class _ZoneSamples:
+    """The (serving cell, zone code) counts of every UE-tick. A tick hands
+    in a copy of its UEs' keys; once they pass :attr:`LIMIT` entries, and
+    at the end of the run, the code of each is read from the flat
+    (cell, pixel) zone-code table and all are counted in one bincount
+    over ``cell * ZONE_CODES + code``."""
+
+    LIMIT = 1 << 14
+
+    def __init__(self, zone_codes: np.ndarray):
+        n_cells, self.m2 = zone_codes.shape
+        self.codes = zone_codes.reshape(-1)
+        self.counts = np.zeros((n_cells, ZONE_CODES), dtype=np.int64)
+        self.keys: list[np.ndarray] = []
+        self.size = 0
+
+    def add(self, keys: np.ndarray) -> None:
+        self.keys.append(keys.copy())
+        self.size += keys.size
+        if self.size > self.LIMIT:
+            self.count()
+
+    def count(self) -> np.ndarray:
+        """The counts so far, (cell, :data:`ZONE_CODES`)."""
+        if self.keys:
+            keys = np.concatenate(self.keys, dtype=np.intp)
+            self.keys, self.size = [], 0
+            bins = keys // self.m2 * ZONE_CODES + self.codes.take(keys)
+            self.counts += np.bincount(bins, minlength=self.counts.size).reshape(self.counts.shape)
+        return self.counts
 
 
 # Event codes of the event log; an arrival's code is BLOCK less its
@@ -292,62 +350,92 @@ def _reflect(
         flipped ^= out
 
 
-class _Mover:
-    """Moves the mobile UEs by their step velocity, with specular
-    reflection at the map edges. A UE's velocity (rows :data:`VX` and
-    :data:`VY`) is ``step * sin(heading)`` and ``step * cos(heading)``,
+class _Tracks:
+    """Moves UEs by their step velocity, with specular reflection at the
+    map edges, and gives the flat pixel ``i * m + j`` after each move. A
+    UE's velocity is ``step * sin(heading)`` and ``step * cos(heading)``,
     made once on arrival and again only when the UE reflects; its new
     heading is folded by ``np.mod`` into [0, 2*pi].
 
     ``np.mod`` can fold a heading to 2*pi itself: ``pi + 2**-51``
     reflected off a y edge is ``-2**-51``, and ``np.mod(-2**-51, 2*pi)``
-    rounds to 2*pi. Such a UE moves one tick at the velocity of 2*pi
-    (``sin`` is -2.4e-16 there) and then at that of heading 0, as it did
-    when every heading was folded on every tick."""
+    rounds to 2*pi. Such a UE moves once at the velocity of 2*pi (``sin``
+    is -2.4e-16 there) and then at that of heading 0, as it did when
+    every heading was folded on every move. A heading is 2*pi only after
+    such a fold, so the state a track ends in carries the fold into the
+    next track of the UE."""
 
     def __init__(self, step: float, spec: GridSpec):
         self.step = step
         self.spec = spec
         self.lo = np.array(spec.origin).reshape(2, 1)
         self.hi = self.lo + spec.extent
-        # Some UE's heading was folded to 2*pi on the last move.
-        self.refold = False
 
     def velocity(self, heading: np.ndarray) -> np.ndarray:
         """The (2, n) step velocities of n headings."""
         return self.step * np.stack((np.sin(heading), np.cos(heading)))
 
-    def move(self, ues: _ActiveUes) -> None:
-        moving = ues.mobile.nonzero()[0]
-        # Rows X, Y, VX and VY, in that order.
-        state = ues.floats[X : VY + 1].take(moving, axis=1)
-        pos = state[:2]
-        pos += state[2:]
-        if self.refold:
-            # Reflecting a heading of 0 gives the heading that reflecting
-            # one of 2*pi gives, so the fold may come first.
-            stale = moving[ues.floats[HEADING].take(moving) == 2.0 * math.pi]
-            ues.floats[HEADING, stale] = 0.0
-            ues.floats[VX : VY + 1, stale] = self.velocity(np.zeros(1))
-            self.refold = False
-        if np.count_nonzero((pos < self.lo) | (pos > self.hi)):
-            pos, flipped = _reflect(pos, self.lo, self.hi)
-            turned = (flipped[0] | flipped[1]).nonzero()[0]
-            if turned.size:
-                which = moving.take(turned)
-                heading = ues.floats[HEADING].take(which)
-                heading = np.where(flipped[0].take(turned), -heading, heading)
-                heading = np.where(flipped[1].take(turned), math.pi - heading, heading)
-                heading = np.mod(heading, 2.0 * math.pi)
-                ues.floats[HEADING, which] = heading
-                ues.floats[VX : VY + 1, which] = self.velocity(heading)
-                self.refold = bool(np.count_nonzero(heading == 2.0 * math.pi))
-        ues.floats[X : Y + 1, moving] = pos
+    def build(self, state: np.ndarray, out: np.ndarray) -> None:
+        """Write the flat pixels of n UEs after each of ``len(out)`` moves
+        into ``out``, (moves, n). ``state`` holds their rows :data:`X` to
+        :data:`HEADING`, (5, n), and is left as the last move leaves it.
+        The tracks are made :data:`BLOCK_ARRIVALS` UEs at a time, which
+        bounds their positions' memory when one tick brings more."""
+        if state.shape[1] > BLOCK_ARRIVALS:
+            for i in range(0, state.shape[1], BLOCK_ARRIVALS):
+                self.build(state[:, i : i + BLOCK_ARRIVALS], out[:, i : i + BLOCK_ARRIVALS])
+            return
+        pos, velocity, heading = state[:2], state[2:4], state[4]
+        track = np.empty((len(out), *pos.shape))
+        refold = bool(np.count_nonzero(heading == 2.0 * math.pi))
+        for move in range(len(out)):
+            pos += velocity
+            if refold:
+                # Reflecting a heading of 0 gives the heading that
+                # reflecting one of 2*pi gives, so the fold may come first.
+                stale = heading == 2.0 * math.pi
+                heading[stale] = 0.0
+                velocity[:, stale] = self.velocity(np.zeros(1))
+                refold = False
+            if np.count_nonzero((pos < self.lo) | (pos > self.hi)):
+                pos[...], flipped = _reflect(pos, self.lo, self.hi)
+                turned = (flipped[0] | flipped[1]).nonzero()[0]
+                if turned.size:
+                    turn = heading.take(turned)
+                    turn = np.where(flipped[0].take(turned), -turn, turn)
+                    turn = np.where(flipped[1].take(turned), math.pi - turn, turn)
+                    turn = np.mod(turn, 2.0 * math.pi)
+                    heading[turned] = turn
+                    velocity[:, turned] = self.velocity(turn)
+                    refold = bool(np.count_nonzero(turn == 2.0 * math.pi))
+            track[move] = pos
         # Reflected coordinates are inside the map, so only the far edge
         # needs clamping into the last pixel.
+        track -= self.lo
+        track /= self.spec.pixel_size
         m = self.spec.m
-        i, j = np.minimum(((pos - self.lo) / self.spec.pixel_size).astype(np.intp), m - 1)
-        ues.ints[PIXEL, moving] = i * m + j
+        index = np.minimum(track.astype(np.intp), m - 1)
+        np.multiply(index[:, 0], m, out=out)
+        out += index[:, 1]
+
+
+def _lifetime(config: SimConfig, cap: int) -> int:
+    """The most ticks a download can last, or ``cap`` when that is fewer.
+
+    A cell never holds more than ``max_ue_per_cell`` UEs, so every tick
+    drains at least ``d = min(mu0, capacity / max_ue_per_cell) * tick_s``
+    from each UE, and rounding is monotone in each operand of the loop's
+    division, minimum, product and difference. So a download's bits left
+    are never above those of ``k`` repeated ``bits -= d`` steps, and it
+    ends by the first ``k`` at which those reach zero. ``bits - d`` can
+    equal ``bits``, so the steps stop at ``cap``."""
+    drain = min(config.mu0_bps, config.capacity_per_cell_bps / config.max_ue_per_cell) * config.tick_s
+    bits = config.file_size_bits
+    for ticks in range(1, cap):
+        bits -= drain
+        if bits <= 0.0:
+            return ticks
+    return cap
 
 
 class _Arrivals:
@@ -355,14 +443,26 @@ class _Arrivals:
 
     Every tick makes the same calls on the generator in the same order,
     a Poisson count and then one draw of 3n uniforms, whatever the block
-    size; the rest is whole-block work."""
+    size; the rest is whole-block work. Each arrival gets :attr:`rows`
+    keys, one for every tick its download can last: the tick it arrives
+    in and the ``rows - 1`` after it; a UE that does not move has the same
+    key in every row. When a download can last more than
+    :data:`TRACK_CAP` ticks, the run is :attr:`stepwise`: each arrival
+    has one key, every mover makes one move a tick from where the last
+    left it, and the columns also hold :data:`MOVER` and each mover's
+    start state."""
 
     # The rank of an arrival that no cell covers: no free-slot count
     # exceeds it.
     NEVER = np.iinfo(np.int64).max
 
     def __init__(
-        self, config: SimConfig, truth: WeightMap, best_of: np.ndarray, n_cells: int, mover: _Mover
+        self,
+        config: SimConfig,
+        truth: WeightMap,
+        best_of: np.ndarray,
+        n_cells: int,
+        tracks: _Tracks,
     ):
         self.mean = config.arrival_rate * config.tick_s
         self.file_size_bits = config.file_size_bits
@@ -371,8 +471,26 @@ class _Arrivals:
         self.cdf /= self.cdf[-1]
         self.best_of = best_of
         self.n_cells = n_cells
+        self.m2 = truth.spec.m**2
+        # The narrowest type that holds every key, and the negative ones
+        # of uncovered arrivals.
+        self.key_type = np.min_scalar_type(-n_cells * self.m2)
         self.centers = np.stack([c.reshape(-1) for c in truth.spec.center_coords()])
-        self.mover = mover
+        self.tracks = tracks
+        moving = tracks.step > 0 and config.mobile_fraction > 0
+        lifetime = _lifetime(config, TRACK_CAP + 1) if moving else 1
+        self.stepwise = lifetime > TRACK_CAP
+        self.rows = 1 if self.stepwise else lifetime
+        self.int_rows = MOVER + 1 if self.stepwise else START_TICK + 1
+        self.float_rows = HEADING + 1 if self.stepwise else REMAINING_BITS + 1
+
+    def none(self) -> _ActiveUes:
+        """No UEs, in the shape of this run's blocks."""
+        return _ActiveUes(
+            np.empty((self.int_rows, 0), dtype=np.int64),
+            np.empty((self.rows, 0), dtype=self.key_type),
+            np.empty((self.float_rows, 0)),
+        )
 
     def block(
         self, rng: np.random.Generator, ticks: range, first_ue: int
@@ -394,29 +512,43 @@ class _Arrivals:
         pix = np.minimum(np.searchsorted(self.cdf, u[0], side="right"), self.cdf.size - 1)
         best = self.best_of[pix]
         tick = np.repeat(np.arange(len(ticks)), counts)
-        # One key per (tick, best cell); UNCOVERED (-1) keys sit between
-        # the ticks' cells.
-        key = tick * (self.n_cells + 1) + best
-        order = np.argsort(key, kind="stable")
-        ranked = key.take(order)
+        # One group per (tick, best cell); UNCOVERED (-1) groups sit
+        # between the ticks' cells.
+        group = tick * (self.n_cells + 1) + best
+        order = np.argsort(group, kind="stable")
+        ranked = group.take(order)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n) - np.searchsorted(ranked, ranked, side="left")
         rank[best == UNCOVERED] = self.NEVER
-        del key, order, ranked
+        del group, order, ranked
 
-        ints = np.empty((START_TICK + 1, n), dtype=np.int64)
+        ints = np.empty((self.int_rows, n), dtype=np.int64)
         ints[UE_ID] = np.arange(first_ue, first_ue + n)
-        ints[PIXEL] = pix
         ints[SERVING] = best
         ints[START_TICK] = tick + ticks.start
-        floats = np.empty((REMAINING_BITS + 1, n))
-        floats[X : Y + 1] = self.centers.take(pix, axis=1)
-        # A heading is 2*pi*u, as uniform(0, 2*pi) makes it.
-        floats[HEADING] = u[2] * (2.0 * math.pi)
-        floats[VX : VY + 1] = self.mover.velocity(floats[HEADING])
+        base = best * self.m2
+        keys = np.empty((self.rows, n), dtype=self.key_type)
+        keys[:] = base + pix
+        floats = np.empty((self.float_rows, n))
         floats[REMAINING_BITS] = self.file_size_bits
-        mobile = u[1] < self.mobile_fraction
-        return _ActiveUes(ints, floats, mobile), rank, list(accumulate(counts))
+        moving = (u[1] < self.mobile_fraction).nonzero()[0]
+        if self.stepwise:
+            ints[MOVER] = 0
+            ints[MOVER, moving] = 1
+        if moving.size and (self.rows > 1 or self.stepwise):
+            state = np.empty((HEADING + 1, moving.size))
+            state[X : Y + 1] = self.centers.take(pix.take(moving), axis=1)
+            # A heading is 2*pi*u, as uniform(0, 2*pi) makes it.
+            np.multiply(u[2].take(moving), 2.0 * math.pi, out=state[HEADING])
+            state[VX : VY + 1] = self.tracks.velocity(state[HEADING])
+            if self.stepwise:
+                floats[X:, moving] = state[X:]
+            else:
+                track = np.empty((self.rows - 1, moving.size), dtype=self.key_type)
+                self.tracks.build(state[X:], track)
+                track += base.take(moving)
+                keys[1:, moving] = track
+        return _ActiveUes(ints, keys, floats), rank, list(accumulate(counts))
 
 
 def check_step(config: SimConfig, spec: GridSpec) -> None:
@@ -504,24 +636,23 @@ def run_simulation(
 
     # After a handover the serving cell is not the pixel's best server,
     # so the zones come from every cell's layers, not the serving tables.
-    zone_codes = _zone_stacks(grid)
+    samples = _ZoneSamples(_zone_stacks(grid))
     neighbors = _neighbor_matrix(grid)
-    handover_slots = _handover_slots(
-        grid.rsrp.reshape(n_cells, -1), neighbors, config.handover_margin_db
-    )
+    rsrp = grid.rsrp.reshape(n_cells, -1)
+    slots = _handover_slots(rsrp, neighbors, config.handover_margin_db).reshape(-1)
+    m2 = spec.m**2
     max_ue = config.max_ue_per_cell
 
-    zone_counts = np.zeros((n_cells, ZONE_CODES), dtype=np.int64)
     reports = np.zeros((n_cells, n_cells), dtype=np.int64)
     full_ticks = np.zeros(n_cells, dtype=np.int64)
     done = _Completions()
 
-    ues = _ActiveUes.empty()
     attached = np.zeros(n_cells, dtype=np.int64)
     next_ue = 0
-    step = config.speed_kmh / 3.6 * config.tick_s
-    mover = _Mover(step, spec)
-    incoming = _Arrivals(config, truth, servers.best.reshape(-1).astype(np.intp), n_cells, mover)
+    tracks = _Tracks(config.speed_kmh / 3.6 * config.tick_s, spec)
+    incoming = _Arrivals(config, truth, servers.best.reshape(-1).astype(np.intp), n_cells, tracks)
+    rows, stepwise = incoming.rows, incoming.stepwise
+    ues = incoming.none()
     per_block = _block_ticks(config)
     log = _EventLog(event_log_path, [c.cell_id for c in grid.cells])
 
@@ -553,44 +684,53 @@ def run_simulation(
                 # Scheduling: equal capacity share capped at mu0; sample the
                 # occupancy and load counters while the shares are known.
                 full_ticks += attached >= max_ue
-                serving, pixel = ues.ints[SERVING], ues.ints[PIXEL]
-                np.add.at(zone_counts, (serving, zone_codes[serving, pixel]), 1)
+                samples.add(ues.keys[0])
                 # The bits each cell drains from each of its UEs; an empty
                 # cell divides by one, not zero, and drains nothing.
                 drain = np.minimum(
                     config.mu0_bps, config.capacity_per_cell_bps / np.maximum(attached, 1)
                 )
                 drain *= config.tick_s
+                serving = ues.ints[SERVING]
                 remaining = ues.floats[REMAINING_BITS]
-                remaining -= drain[serving]
+                remaining -= drain.take(serving)
 
                 # Completions.
                 finished = remaining <= 0.0
                 if np.count_nonzero(finished):
                     gone = finished.nonzero()[0]
                     cells = serving.take(gone)
-                    elapsed = (t - ues.ints[START_TICK].take(gone) + 1) * config.tick_s
-                    done.add(cells, config.file_size_bits / elapsed)
+                    done.add(cells, t + 1 - ues.ints[START_TICK].take(gone))
                     attached -= np.bincount(cells, minlength=n_cells)
                     if log.enabled:
                         log.write(t, COMPLETE, cells, ues.ints[UE_ID].take(gone))
                     ues = ues.keep((~finished).nonzero()[0])
 
-                # Movement with specular reflection at the map edges.
-                if step > 0 and np.count_nonzero(ues.mobile):
-                    mover.move(ues)
+                # Movement: the next tick's keys move up to row 0, or each
+                # mover makes its move from where the last left it.
+                if rows > 1:
+                    ues.keys[:-1] = ues.keys[1:]
+                if stepwise:
+                    movers = ues.ints[MOVER].nonzero()[0]
+                    if movers.size:
+                        state = ues.floats[X:].take(movers, axis=1)
+                        track = np.empty((1, movers.size), dtype=ues.keys.dtype)
+                        tracks.build(state, track)
+                        track += ues.ints[SERVING].take(movers) * m2
+                        ues.keys[:, movers] = track
+                        ues.floats[X:, movers] = state
 
                 # Handover: the first strongest configured neighbor beating
                 # serving by the margin files a report; the switch needs a
                 # free slot, so switches resolve in array order.
-                serving = ues.ints[SERVING]
-                slot = handover_slots[serving, ues.ints[PIXEL]]
+                slot = slots.take(ues.keys[0])
                 trigger = (slot >= 0).nonzero()[0]
                 if trigger.size:
+                    serving = ues.ints[SERVING]
                     source = serving[trigger]
                     target = neighbors[source, slot[trigger]]
                     np.add.at(reports, (source, target), 1)
-                    switched = []
+                    switched, moved = [], []
                     for k, cell, dest in zip(trigger.tolist(), source.tolist(), target.tolist()):
                         if attached[dest] >= max_ue:
                             continue
@@ -598,13 +738,16 @@ def run_simulation(
                         attached[dest] += 1
                         serving[k] = dest
                         switched.append(k)
+                        moved.append((dest - cell) * m2)
+                    if switched:
+                        ues.keys[:, switched] += np.array(moved)
                     if log.enabled:
                         log.write(t, HANDOVER, serving[switched], ues.ints[UE_ID, switched])
             log.flush()
     finally:
         log.close()
 
-    zone_counts = zone_counts.reshape(n_cells, TA_ZONE_COUNT, 3)
+    zone_counts = samples.count().reshape(n_cells, TA_ZONE_COUNT, 3)
     ta_counts, aoa_counts = zone_counts.sum(axis=2), zone_counts.sum(axis=1)
     cells_out: dict[str, CellKpis] = {}
     for idx, cell in enumerate(grid.cells):
@@ -620,7 +763,7 @@ def run_simulation(
             grid.cells[nb].cell_id: int(reports[idx, nb]) / total_reports
             for nb in np.flatnonzero(reports[idx]).tolist()
         }
-        rates = done.rates_of(idx)
+        rates = done.rates_of(idx, config.file_size_bits, config.tick_s)
         if rates.size:
             amt = float(np.mean(rates))
             hmt = float(rates.size / np.sum(1.0 / rates))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from array import array
@@ -295,38 +296,42 @@ class TestMover:
     def test_heading_folded_to_two_pi(self):
         # Every UE starts at heading pi + 2**-51, which a reflection off a
         # y edge turns into -2**-51, and np.mod into 2*pi. On the next
-        # tick UE 0 moves at 2*pi without reflecting, UE 1 reflects off
-        # the top edge and UE 2 off the left one; UE 3 does not move.
+        # move UE 0 moves at 2*pi without reflecting, UE 1 reflects off
+        # the top edge and UE 2 off the left one. The moves are built
+        # ``chunk`` at a time, each build from the state the last left:
+        # one at a time as a run whose movers move tick by tick makes
+        # them, so the fold lands between builds; three, so it lands
+        # inside one; and all eight as one arrival's track.
         spec, step = GridSpec(8, 25.0), 150.0
-        mover = sim._Mover(step, spec)
-        heading = np.full(4, np.nextafter(math.pi, 4.0))
-        floats = np.empty((sim.REMAINING_BITS + 1, 4))
-        floats[sim.X] = [1.0, 1.0, 5e-14, 60.0]
-        floats[sim.Y] = [100.0, 0.5, 100.0, 60.0]
-        floats[sim.HEADING] = heading
-        floats[sim.VX : sim.VY + 1] = mover.velocity(heading)
-        floats[sim.REMAINING_BITS] = 1.0
-        ints = np.zeros((sim.START_TICK + 1, 4), dtype=np.int64)
-        ues = sim._ActiveUes(ints, floats, np.array([True, True, True, False]))
-        parked = floats[:, 3].copy()
-
-        pos, heading = floats[sim.X : sim.Y + 1, :3].copy(), heading[:3]
-        flips = []
-        for _ in range(3):
-            mover.move(ues)
-            pos, flipped, heading = _reference_move(pos, heading, step, spec)
+        moves = 8
+        ref_pos = np.array([[1.0, 1.0, 5e-14], [100.0, 0.5, 100.0]])
+        ref_heading = np.full(3, np.nextafter(math.pi, 4.0))
+        want, flips = [], []
+        for _ in range(moves):
+            ref_pos, flipped, ref_heading = _reference_move(ref_pos, ref_heading, step, spec)
+            want.append((ref_pos, ref_heading))
             flips.append(flipped.tolist())
-            assert ues.floats[sim.X : sim.Y + 1, :3].tobytes() == pos.tobytes()
-            assert ues.floats[sim.HEADING, :3].tobytes() == heading.tobytes()
-            i, j = np.minimum((pos / spec.pixel_size).astype(int), spec.m - 1)
-            assert ues.ints[sim.PIXEL, :3].tolist() == (i * spec.m + j).tolist()
-            if len(flips) == 1:
-                assert (heading == 2.0 * math.pi).all()
         assert flips[0] == [[False] * 3, [True] * 3]
         assert flips[1] == [[False, False, True], [False, True, False]]
-        # The step at 2*pi moved UE 0 sideways; the one at 0 did not.
-        assert pos[0, 0] < 1.0 and ues.floats[sim.X, 0] == pos[0, 0]
-        assert ues.floats[:, 3].tobytes() == parked.tobytes()
+        assert (want[0][1] == 2.0 * math.pi).all()
+        # The move at 2*pi took UE 0 sideways; the one at 0 did not.
+        assert want[1][0][0, 0] < 1.0 and want[2][0][0, 0] == want[1][0][0, 0]
+
+        for chunk in (1, 3, 8):
+            tracks = sim._Tracks(step, spec)
+            state = np.empty((5, 3))
+            state[:2] = [[1.0, 1.0, 5e-14], [100.0, 0.5, 100.0]]
+            state[4] = np.nextafter(math.pi, 4.0)
+            state[2:4] = tracks.velocity(state[4])
+            for made in range(0, moves, chunk):
+                pixels = np.empty((min(chunk, moves - made), 3), dtype=np.int64)
+                tracks.build(state, pixels)
+                for move, pixel in enumerate(pixels, made):
+                    i, j = np.minimum((want[move][0] / spec.pixel_size).astype(int), spec.m - 1)
+                    assert pixel.tolist() == (i * spec.m + j).tolist(), (chunk, move)
+                pos, heading = want[made + len(pixels) - 1]
+                assert state[:2].tobytes() == pos.tobytes(), (chunk, made)
+                assert state[4].tobytes() == heading.tobytes(), (chunk, made)
 
 
 class TestRunSimulation:
@@ -968,6 +973,49 @@ class TestReferenceSimulation:
         monkeypatch.setattr(sim._Completions, "CHUNK", 3)
         assert _case_outputs(run_simulation, name, tmp_path) == reference_outputs(name)
 
+    # At caps of 1, 2, 3 and 7 keys some moving cases hold a key for every
+    # tick a download can last and the rest move tick by tick; the corner
+    # bounces, full targets and handover contention also run in blocks of
+    # 1 and 7 ticks, so tracks and moves meet block ends.
+    @pytest.mark.parametrize(
+        "name, cap, ticks",
+        [(name, cap, None) for name in REFERENCE_CASES for cap in (1, 2, 3, 7)]
+        + [
+            (name, cap, ticks)
+            for name in ("corner-bounces", "full-target", "handover-contention")
+            for cap in (1, 2, 3, 7)
+            for ticks in (1, 7)
+        ],
+    )
+    def test_track_cap_leaves_the_outputs(
+        self, tmp_path, monkeypatch, reference_outputs, name, cap, ticks
+    ):
+        monkeypatch.setattr(sim, "TRACK_CAP", cap)
+        if ticks is not None:
+            monkeypatch.setattr(sim, "_block_ticks", lambda config: ticks)
+        assert _case_outputs(run_simulation, name, tmp_path) == reference_outputs(name)
+
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_no_download_outlives_the_lifetime_bound(self, reference_outputs, name):
+        config = REFERENCE_CASES[name][0]
+        bound = sim._lifetime(config, config.n_ticks + 1)
+        arrived, longest = {}, 0
+        for t, event, _, ue in csv.reader(io.StringIO(reference_outputs(name)[1].decode())):
+            if event == "arrive":
+                arrived[ue] = int(t)
+            elif event == "complete":
+                longest = max(longest, int(t) - arrived.pop(ue) + 1)
+        assert longest <= bound
+        if name == "desk-busy-300s":
+            assert bound == longest == 10
+
+    def test_lifetime_stops_at_the_cap(self):
+        # 1e15 - 1e-300 is 1e15, so the drain never empties the file.
+        config = SimConfig(mu0_bps=1e-300, file_size_bits=1e15)
+        assert config.file_size_bits - config.mu0_bps == config.file_size_bits
+        assert sim._lifetime(config, sim.TRACK_CAP) == sim.TRACK_CAP
+        assert sim._lifetime(SimConfig(file_size_bits=1.0), sim.TRACK_CAP) == 1
+
     def test_block_ticks(self):
         # A block holds max(BLOCK_ARRIVALS, one tick's) arrivals in the
         # mean, and at least one tick.
@@ -1064,19 +1112,34 @@ def test_static_desk_agrees_with_the_oracle():
     fills, so a cell's TA and AoA samples are draws from the truth mass of
     its pixels, as the oracle's fractions are. Each fraction must lie
     within 5 standard errors of the oracle's, for n = rate * duration *
-    the cell's truth mass samples and a variance floored at 1/n."""
+    the cell's truth mass samples and a variance floored at 1/n.
+
+    Where the models differ, the run shows it: the simulator's neighbor
+    level counts handover reports, so it is empty; its load time is the
+    share of full ticks, so it is zero; and its rates follow the load
+    alone, so a 1e6-bit file under mu0 = 2e6 bit/s takes one tick in
+    every cell, where the oracle's AMT follows RSRP and varies."""
     desk = load_scenario_config(DESK_CONFIG)
     scenario = build_scenario(desk)
     config = replace(desk.sim, mobile_fraction=0.0, arrival_rate=5.0, duration_s=4 * 3600.0)
     simulated = run_simulation(config, scenario.truth, scenario.grid, scenario.servers)
     oracle = oracle_kpis(scenario.truth, scenario.grid, scenario.servers, desk.oracle)
     worst = 0.0
+    completing = 0
     for k, cell in enumerate(scenario.grid.cells):
         sim_cell, oracle_cell = simulated.cells[cell.cell_id], oracle.cells[cell.cell_id]
         assert sim_cell.load_time == 0.0
+        assert sim_cell.neighbor_level == {}
+        if sim_cell.amt_bps:
+            completing += 1
+            # The harmonic mean sums n reciprocals, so it is 1e6 to rounding.
+            assert sim_cell.amt_bps == 1e6
+            assert sim_cell.hmt_bps == pytest.approx(1e6, rel=1e-12)
         mass = scenario.truth.values[scenario.servers.best == k].sum()
         n = config.arrival_rate * config.duration_s * mass
         for got, want in ((sim_cell.ta, oracle_cell.ta), (sim_cell.aoa, oracle_cell.aoa)):
             se = np.sqrt(np.maximum(want * (1.0 - want), 1.0 / n) / n)
             worst = max(worst, float(np.max(np.abs(got - want) / se)))
     assert worst <= 5.0
+    assert completing == len(scenario.grid.cells)
+    assert len({oracle.cells[c.cell_id].amt_bps for c in scenario.grid.cells}) > 1

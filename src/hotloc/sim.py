@@ -11,10 +11,11 @@ Tick order: arrivals, scheduling (rate share, counter sampling), file
 completion, movement, handover checks. All randomness flows from one
 seeded generator, so identical inputs give identical output.
 
-The UEs in flight are held as three blocks (:class:`_ActiveUes`), one
-column per UE in admission order, and every phase but one is whole-array
-work; a tick's cost is mostly its count of numpy calls, so each phase
-touches each block once.
+The UEs in flight are one packed int64 block, one column per UE in
+admission order, its float rows read through a float64 view. A tick's
+cost is mostly its count of numpy calls, so a tick admits with one
+``concatenate`` and drops its completions with one ``compress``, and its
+full cells and zone samples are buffered and counted many ticks at once.
 
 A UE's place is one flat key, ``serving * m**2 + pixel``, into two
 (cell, pixel) tables built before the first tick: the int8 code of the
@@ -49,17 +50,24 @@ every tick drains at least ``min(mu0, capacity / max_ue_per_cell) *
 tick_s`` from each UE, and as rounding is monotone no download outlives
 the first k at which k such drains empty its file; on the desk busy hour
 that is 10 ticks. When the bound is above :data:`TRACK_CAP`, each UE
-holds one key, and every mover makes one move a tick, by the same
-builder, from the position, velocity and heading the last left it at
-(:data:`MOVER`).
+holds one key, and every UE makes one move a tick in place, by the same
+builder, from the position, velocity and heading the last left it at; a
+UE that stays has zero velocity, and only a mover (:data:`MOVER`) takes
+the new key, as a pixel's center can map to another pixel when the
+origin dwarfs the pixel size.
 
 The per-cell rate share is computed once per tick and drained from every
-UE; completions drop out of the blocks at once, in order, with their
+UE; completions drop out of the block at once, in order, with their
 elapsed ticks, and their rates are formed at the end of the run. A
-handover trigger depends only on the key. The switches resolve one
-triggering UE at a time in array order: whether a UE finds a free slot
-in its target depends on the handovers before it in the same tick. The
-result is the same, event for event, as a per-UE loop in that order.
+handover trigger depends only on the key, and a key changes only along
+its queue or by its UE's switch, so the check runs only inside a window:
+a block's arrivals open it up to the last tick on which one of their keys
+can trigger (:meth:`_Arrivals.block`), a switch holds it open until the
+switching UE's download has ended, and a run whose movers move tick by
+tick checks every tick. The switches resolve one triggering UE at a time
+in array order: whether a UE finds a free slot in its target depends on
+the handovers before it in the same tick. The result is the same, event
+for event, as a per-UE loop in that order.
 """
 
 from __future__ import annotations
@@ -85,23 +93,25 @@ from hotloc.kpi import CellKpis, KpiSet, WeightMap
 
 KPI_SOURCE_SIM = "sim"
 
-# The tick loop costs about 0.05 ms a tick on desk (its busy hour of 3,600
-# ticks takes about 0.19 s of CPU on a Xeon vCPU), so a run of this many
-# ticks takes about a minute.
+# The tick loop costs about 0.07 ms a tick on desk (its busy hour of 3,600
+# ticks takes about 0.24 s of CPU on a shared Xeon vCPU), so a run of this
+# many ticks takes about a minute.
 MAX_TICKS = 10**6
 # A tick with more than BLOCK_ARRIVALS arrivals in the mean is a block of
-# its own. At the peak its arrivals take about 290 bytes each when every
-# one moves and holds TRACK_CAP keys, in the block's draws, columns, keys
-# and tracks or in their admitted copies in the UE blocks, so a tick of
-# this many arrivals takes about 290 MB.
+# its own. At the peak its arrivals take about 400 bytes each when every
+# one moves and holds TRACK_CAP keys: 168 in the block's packed columns
+# (21 int64 rows), as many again in their admitted copies in the UE block,
+# and the rank and zone-count temporaries besides, so a tick of
+# this many arrivals takes about 400 MB.
 MAX_ARRIVALS_PER_TICK = 10**6
 # Arrivals a block of ticks holds in the mean. A block's draws, columns
-# and keys take about 160 bytes an arrival while they are made on the
-# desk busy hour (10 keys, a fifth of the arrivals move), and about 290
-# when every arrival moves and holds TRACK_CAP keys. Blocks of 1024 to
-# 16384 arrivals ran the desk busy hour (40 arrivals a tick) in the same
-# CPU time within the host's noise; blocks of 256, which make their
-# movers' tracks every 6 ticks, took about a fifth more.
+# and keys take about 220 bytes an arrival while they are made on the
+# desk busy hour (15 int64 rows with 10 keys, a fifth of the arrivals
+# move), and about 320 when every arrival moves and holds TRACK_CAP keys
+# (21 rows); the tracks are made BLOCK_ARRIVALS movers at a time. Blocks
+# of 1024 to 16384 arrivals ran the desk busy hour (40 arrivals a tick)
+# in the same CPU time within the host's noise; blocks of 256, which make
+# their movers' tracks every 6 ticks, took about a fifth more.
 BLOCK_ARRIVALS = 1 << 10
 # Keys a UE's queue holds at most (see :func:`_lifetime`). Above it the
 # movers move tick by tick: a queue refilled when it runs out would make
@@ -163,41 +173,11 @@ def _block_ticks(config: SimConfig) -> int:
     return max(1, int(BLOCK_ARRIVALS / mean))
 
 
-# Rows of the packed UE blocks of :class:`_ActiveUes`. MOVER and the float
-# rows from X on are held only in a run whose movers move tick by tick.
-UE_ID, SERVING, START_TICK, MOVER = range(4)
-REMAINING_BITS, X, Y, VX, VY, HEADING = range(6)
-
-
-@dataclass
-class _ActiveUes:
-    """The UEs whose download is in flight, one column per UE in admission
-    order. ``ints`` holds the rows :data:`UE_ID`, :data:`SERVING` and
-    :data:`START_TICK`; ``keys`` the UE's key ``serving * m**2 + pixel``
-    for this tick in row 0 and for the ticks after it in the rows below
-    (:class:`_Tracks`); ``floats`` the row :data:`REMAINING_BITS`. When
-    movers move tick by tick, :data:`MOVER` is 1 for a UE that moves, and
-    the rows :data:`X` to :data:`HEADING` hold the position, step velocity
-    and heading its key was made from."""
-
-    ints: np.ndarray
-    keys: np.ndarray
-    floats: np.ndarray
-
-    def part(self, start: int, end: int) -> _ActiveUes:
-        return _ActiveUes(self.ints[:, start:end], self.keys[:, start:end], self.floats[:, start:end])
-
-    def keep(self, index: np.ndarray) -> _ActiveUes:
-        return _ActiveUes(
-            self.ints.take(index, axis=1), self.keys.take(index, axis=1), self.floats.take(index, axis=1)
-        )
-
-    def extend(self, new: _ActiveUes) -> _ActiveUes:
-        return _ActiveUes(
-            np.concatenate((self.ints, new.ints), axis=1),
-            np.concatenate((self.keys, new.keys), axis=1),
-            np.concatenate((self.floats, new.floats), axis=1),
-        )
+# Rows of the packed UE block, one int64 column per UE. REMAINING_BITS and
+# the rows from X to HEADING hold float64 bits, read through
+# ``.view(np.float64)``; those from X on are held only in a run whose
+# movers move tick by tick. The key rows follow (:class:`_Arrivals`).
+UE_ID, SERVING, START_TICK, MOVER, REMAINING_BITS, X, Y, VX, VY, HEADING = range(10)
 
 
 class _Completions:
@@ -241,11 +221,12 @@ class _Completions:
 
 
 class _ZoneSamples:
-    """The (serving cell, zone code) counts of every UE-tick. A tick hands
-    in a copy of its UEs' keys; once they pass :attr:`LIMIT` entries, and
-    at the end of the run, the code of each is read from the flat
-    (cell, pixel) zone-code table and all are counted in one bincount
-    over ``cell * ZONE_CODES + code``."""
+    """The (serving cell, zone code) counts of every UE-tick. A tick's
+    UEs' keys are copied into a buffer of :attr:`LIMIT` entries; when the
+    next tick's would not fit, and at the end of the run, the code of each
+    is read from the flat (cell, pixel) zone-code table and all are counted
+    in one bincount over ``cell * ZONE_CODES + code``. A tick of more than
+    :attr:`LIMIT` UEs is counted at once."""
 
     LIMIT = 1 << 14
 
@@ -253,22 +234,29 @@ class _ZoneSamples:
         n_cells, self.m2 = zone_codes.shape
         self.codes = zone_codes.reshape(-1)
         self.counts = np.zeros((n_cells, ZONE_CODES), dtype=np.int64)
-        self.keys: list[np.ndarray] = []
+        self.keys = np.empty(self.LIMIT, dtype=np.int64)
         self.size = 0
 
     def add(self, keys: np.ndarray) -> None:
-        self.keys.append(keys.copy())
-        self.size += keys.size
-        if self.size > self.LIMIT:
+        end = self.size + keys.size
+        if end > self.LIMIT:
             self.count()
+            if keys.size > self.LIMIT:
+                self._tally(keys)
+                return
+            end = keys.size
+        self.keys[self.size : end] = keys
+        self.size = end
+
+    def _tally(self, keys: np.ndarray) -> None:
+        bins = keys // self.m2 * ZONE_CODES + self.codes.take(keys)
+        self.counts += np.bincount(bins, minlength=self.counts.size).reshape(self.counts.shape)
 
     def count(self) -> np.ndarray:
         """The counts so far, (cell, :data:`ZONE_CODES`)."""
-        if self.keys:
-            keys = np.concatenate(self.keys, dtype=np.intp)
-            self.keys, self.size = [], 0
-            bins = keys // self.m2 * ZONE_CODES + self.codes.take(keys)
-            self.counts += np.bincount(bins, minlength=self.counts.size).reshape(self.counts.shape)
+        if self.size:
+            self._tally(self.keys[: self.size])
+            self.size = 0
         return self.counts
 
 
@@ -377,14 +365,9 @@ class _Tracks:
 
     def build(self, state: np.ndarray, out: np.ndarray) -> None:
         """Write the flat pixels of n UEs after each of ``len(out)`` moves
-        into ``out``, (moves, n). ``state`` holds their rows :data:`X` to
-        :data:`HEADING`, (5, n), and is left as the last move leaves it.
-        The tracks are made :data:`BLOCK_ARRIVALS` UEs at a time, which
-        bounds their positions' memory when one tick brings more."""
-        if state.shape[1] > BLOCK_ARRIVALS:
-            for i in range(0, state.shape[1], BLOCK_ARRIVALS):
-                self.build(state[:, i : i + BLOCK_ARRIVALS], out[:, i : i + BLOCK_ARRIVALS])
-            return
+        into ``out``, (moves, n). ``state`` holds their position, step
+        velocity and heading, the rows :data:`X` to :data:`HEADING` as
+        floats (5, n), and is left as the last move leaves it."""
         pos, velocity, heading = state[:2], state[2:4], state[4]
         track = np.empty((len(out), *pos.shape))
         refold = bool(np.count_nonzero(heading == 2.0 * math.pi))
@@ -449,11 +432,12 @@ class _Arrivals:
     key in every row. When a download can last more than
     :data:`TRACK_CAP` ticks, the run is :attr:`stepwise`: each arrival
     has one key, every mover makes one move a tick from where the last
-    left it, and the columns also hold :data:`MOVER` and each mover's
-    start state."""
+    left it, and the columns also hold each arrival's start state, at zero
+    velocity on its pixel's center for one that stays. :data:`MOVER` is 1
+    for a mover."""
 
     # The rank of an arrival that no cell covers: no free-slot count
-    # exceeds it.
+    # exceeds it. Also the end of a handover window that never closes.
     NEVER = np.iinfo(np.int64).max
 
     def __init__(
@@ -461,6 +445,7 @@ class _Arrivals:
         config: SimConfig,
         truth: WeightMap,
         best_of: np.ndarray,
+        slots: np.ndarray,
         n_cells: int,
         tracks: _Tracks,
     ):
@@ -470,36 +455,40 @@ class _Arrivals:
         self.cdf = np.cumsum(truth.values.reshape(-1))
         self.cdf /= self.cdf[-1]
         self.best_of = best_of
+        self.slots = slots
         self.n_cells = n_cells
         self.m2 = truth.spec.m**2
-        # The narrowest type that holds every key, and the negative ones
-        # of uncovered arrivals.
-        self.key_type = np.min_scalar_type(-n_cells * self.m2)
         self.centers = np.stack([c.reshape(-1) for c in truth.spec.center_coords()])
         self.tracks = tracks
         moving = tracks.step > 0 and config.mobile_fraction > 0
         lifetime = _lifetime(config, TRACK_CAP + 1) if moving else 1
         self.stepwise = lifetime > TRACK_CAP
         self.rows = 1 if self.stepwise else lifetime
-        self.int_rows = MOVER + 1 if self.stepwise else START_TICK + 1
-        self.float_rows = HEADING + 1 if self.stepwise else REMAINING_BITS + 1
+        # The first key row of the packed block.
+        self.key_row = HEADING + 1 if self.stepwise else REMAINING_BITS + 1
 
-    def none(self) -> _ActiveUes:
-        """No UEs, in the shape of this run's blocks."""
-        return _ActiveUes(
-            np.empty((self.int_rows, 0), dtype=np.int64),
-            np.empty((self.rows, 0), dtype=self.key_type),
-            np.empty((self.float_rows, 0)),
-        )
+    def none(self) -> np.ndarray:
+        """No UEs, in the shape of this run's packed block."""
+        return np.empty((self.key_row + self.rows, 0), dtype=np.int64)
 
     def block(
         self, rng: np.random.Generator, ticks: range, first_ue: int
-    ) -> tuple[_ActiveUes, np.ndarray, list[int]]:
-        """The arrivals of ``ticks`` in draw order with their UE ids from
-        ``first_ue`` on, the rank of each among the arrivals of its tick
-        with the same best cell (:attr:`NEVER` when uncovered), and the
-        end of each tick's arrivals in them. The :data:`SERVING` row holds
-        the best cell."""
+    ) -> tuple[np.ndarray, np.ndarray, list[int], int]:
+        """The arrivals of ``ticks`` as packed columns in draw order with
+        their UE ids from ``first_ue`` on, the rank of each among the
+        arrivals of its tick with the same best cell (:attr:`NEVER` when
+        uncovered), the end of each tick's arrivals in them, and the end of
+        their handover window. The :data:`SERVING` row holds the best cell.
+
+        A UE's handover trigger depends only on its key. An arrival of tick
+        ``s`` is checked on its key row ``r`` on tick ``s + r - 1`` (the
+        tick's move shifts row 1 up before the check) and on its last row
+        after that, but its download ends by tick ``s + rows - 1``, before
+        that tick's check. With one key row, a UE that never moves is
+        checked on that row on every tick of a download of any length. So
+        the window ends after the last tick on which a covered arrival's
+        key can trigger: at :attr:`NEVER` in a stepwise run or when a
+        lone key row triggers, and at ``ticks.start`` when none does."""
         counts, draws = [], []
         for _ in ticks:
             n = int(rng.poisson(self.mean))
@@ -509,7 +498,12 @@ class _Arrivals:
         u = np.concatenate(draws, axis=1) if draws else np.empty((3, 0))
         del draws
         n = u.shape[1]
-        pix = np.minimum(np.searchsorted(self.cdf, u[0], side="right"), self.cdf.size - 1)
+        # The uniforms are looked up in increasing order, which narrows
+        # each binary search to the rest of the cdf.
+        ascending = np.argsort(u[0])
+        pix = np.empty(n, dtype=np.intp)
+        pix[ascending] = np.searchsorted(self.cdf, u[0].take(ascending), side="right")
+        np.minimum(pix, self.cdf.size - 1, out=pix)
         best = self.best_of[pix]
         tick = np.repeat(np.arange(len(ticks)), counts)
         # One group per (tick, best cell); UNCOVERED (-1) groups sit
@@ -519,36 +513,60 @@ class _Arrivals:
         ranked = group.take(order)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n) - np.searchsorted(ranked, ranked, side="left")
-        rank[best == UNCOVERED] = self.NEVER
+        uncovered = best == UNCOVERED
+        rank[uncovered] = self.NEVER
         del group, order, ranked
 
-        ints = np.empty((self.int_rows, n), dtype=np.int64)
-        ints[UE_ID] = np.arange(first_ue, first_ue + n)
-        ints[SERVING] = best
-        ints[START_TICK] = tick + ticks.start
+        ues = np.empty((self.key_row + self.rows, n), dtype=np.int64)
+        ues[UE_ID] = np.arange(first_ue, first_ue + n)
+        ues[SERVING] = best
+        ues[START_TICK] = tick + ticks.start
+        ues[REMAINING_BITS].view(np.float64)[:] = self.file_size_bits
         base = best * self.m2
-        keys = np.empty((self.rows, n), dtype=self.key_type)
+        keys = ues[self.key_row :]
         keys[:] = base + pix
-        floats = np.empty((self.float_rows, n))
-        floats[REMAINING_BITS] = self.file_size_bits
         moving = (u[1] < self.mobile_fraction).nonzero()[0]
+        ues[MOVER] = 0
+        ues[MOVER, moving] = 1
         if self.stepwise:
-            ints[MOVER] = 0
-            ints[MOVER, moving] = 1
+            # A UE that stays rests on its pixel's center at zero velocity.
+            rest = ues[X : HEADING + 1].view(np.float64)
+            rest[:2] = self.centers.take(pix, axis=1)
+            rest[2:] = 0.0
         if moving.size and (self.rows > 1 or self.stepwise):
-            state = np.empty((HEADING + 1, moving.size))
-            state[X : Y + 1] = self.centers.take(pix.take(moving), axis=1)
+            # The rows X to HEADING.
+            state = np.empty((5, moving.size))
+            state[:2] = self.centers.take(pix.take(moving), axis=1)
             # A heading is 2*pi*u, as uniform(0, 2*pi) makes it.
-            np.multiply(u[2].take(moving), 2.0 * math.pi, out=state[HEADING])
-            state[VX : VY + 1] = self.tracks.velocity(state[HEADING])
+            np.multiply(u[2].take(moving), 2.0 * math.pi, out=state[4])
+            state[2:4] = self.tracks.velocity(state[4])
             if self.stepwise:
-                floats[X:, moving] = state[X:]
+                rest[:, moving] = state
             else:
-                track = np.empty((self.rows - 1, moving.size), dtype=self.key_type)
-                self.tracks.build(state[X:], track)
-                track += base.take(moving)
-                keys[1:, moving] = track
-        return _ActiveUes(ints, keys, floats), rank, list(accumulate(counts))
+                # The tracks are made BLOCK_ARRIVALS movers at a time,
+                # which bounds their memory when one tick brings more.
+                for i in range(0, moving.size, BLOCK_ARRIVALS):
+                    part = moving[i : i + BLOCK_ARRIVALS]
+                    track = np.empty((self.rows - 1, part.size), dtype=np.int64)
+                    self.tracks.build(state[:, i : i + BLOCK_ARRIVALS], track)
+                    track += base.take(part)
+                    keys[1:, part] = track
+        return ues, rank, list(accumulate(counts)), self._window(keys, uncovered, tick, ticks.start)
+
+    def _window(self, keys: np.ndarray, uncovered: np.ndarray, tick: np.ndarray, start: int) -> int:
+        """The end of a block's handover window (:meth:`block`). An
+        uncovered arrival's key is negative; ``take`` wraps it into the last
+        cell's rows."""
+        if self.stepwise:
+            return self.NEVER
+        hits = self.slots.take(keys) >= 0
+        hits &= ~uncovered
+        row, col = np.divmod(np.flatnonzero(hits), hits.shape[1])
+        if not row.size:
+            return start
+        if self.rows == 1:
+            return self.NEVER
+        return start + int((tick.take(col) + np.maximum(row, 1)).max())
 
 
 def check_step(config: SimConfig, spec: GridSpec) -> None:
@@ -650,83 +668,95 @@ def run_simulation(
     attached = np.zeros(n_cells, dtype=np.int64)
     next_ue = 0
     tracks = _Tracks(config.speed_kmh / 3.6 * config.tick_s, spec)
-    incoming = _Arrivals(config, truth, servers.best.reshape(-1).astype(np.intp), n_cells, tracks)
-    rows, stepwise = incoming.rows, incoming.stepwise
+    incoming = _Arrivals(config, truth, servers.best.reshape(-1).astype(np.intp), slots, n_cells, tracks)
+    rows, stepwise, key_row = incoming.rows, incoming.stepwise, incoming.key_row
     ues = incoming.none()
     per_block = _block_ticks(config)
+    # The cells' loads, one row a tick, counted against max_ue when the
+    # rows run out and at the end of the run: a block's ticks, or as many
+    # as hold _ZoneSamples.LIMIT loads.
+    loads = np.empty(
+        (max(1, min(per_block, config.n_ticks, _ZoneSamples.LIMIT // n_cells)), n_cells), dtype=np.int64
+    )
+    load_row = 0
+    # The handover check runs while t < watch_until (see _Arrivals.block).
+    watch_until = 0
+    mu0, capacity, tick_s = config.mu0_bps, config.capacity_per_cell_bps, config.tick_s
     log = _EventLog(event_log_path, [c.cell_id for c in grid.cells])
+    logged = log.enabled
 
     try:
         for first in range(0, config.n_ticks, per_block):
             ticks = range(first, min(first + per_block, config.n_ticks))
-            arrivals, rank, ends = incoming.block(rng, ticks, next_ue)
+            arrivals, rank, ends, window = incoming.block(rng, ticks, next_ue)
             next_ue += ends[-1]
+            watch_until = max(watch_until, window)
             start = 0
             for t, end in zip(ticks, ends):
                 # Arrivals: an arrival gets in when its best cell is
                 # covered and fewer earlier arrivals of the tick chose that
                 # cell than it has free slots.
                 if end > start:
-                    best = arrivals.ints[SERVING, start:end]
+                    best = arrivals[SERVING, start:end]
                     admitted = rank[start:end] < max_ue - attached.take(best)
-                    if log.enabled:
-                        log.write(t, BLOCK - admitted, best, arrivals.ints[UE_ID, start:end])
+                    if logged:
+                        log.write(t, BLOCK - admitted, best, arrivals[UE_ID, start:end])
                     new = admitted.nonzero()[0]
                     if new.size:
                         if new.size < end - start:
-                            batch = arrivals.keep(new + start)
+                            batch = arrivals.take(new + start, axis=1)
                         else:
-                            batch = arrivals.part(start, end)
-                        attached += np.bincount(batch.ints[SERVING], minlength=n_cells)
-                        ues = ues.extend(batch)
+                            batch = arrivals[:, start:end]
+                        attached += np.bincount(batch[SERVING], minlength=n_cells)
+                        ues = np.concatenate((ues, batch), axis=1)
                     start = end
 
                 # Scheduling: equal capacity share capped at mu0; sample the
                 # occupancy and load counters while the shares are known.
-                full_ticks += attached >= max_ue
-                samples.add(ues.keys[0])
+                loads[load_row] = attached
+                load_row += 1
+                if load_row == len(loads):
+                    full_ticks += np.count_nonzero(loads >= max_ue, axis=0)
+                    load_row = 0
+                samples.add(ues[key_row])
                 # The bits each cell drains from each of its UEs; an empty
                 # cell divides by one, not zero, and drains nothing.
-                drain = np.minimum(
-                    config.mu0_bps, config.capacity_per_cell_bps / np.maximum(attached, 1)
-                )
-                drain *= config.tick_s
-                serving = ues.ints[SERVING]
-                remaining = ues.floats[REMAINING_BITS]
-                remaining -= drain.take(serving)
+                drain = np.minimum(mu0, capacity / np.maximum(attached, 1))
+                drain *= tick_s
+                remaining = ues[REMAINING_BITS].view(np.float64)
+                remaining -= drain.take(ues[SERVING])
 
                 # Completions.
                 finished = remaining <= 0.0
                 if np.count_nonzero(finished):
-                    gone = finished.nonzero()[0]
-                    cells = serving.take(gone)
-                    done.add(cells, t + 1 - ues.ints[START_TICK].take(gone))
+                    ue_id, cells, start_tick = ues[: START_TICK + 1].take(finished.nonzero()[0], axis=1)
+                    done.add(cells, t + 1 - start_tick)
                     attached -= np.bincount(cells, minlength=n_cells)
-                    if log.enabled:
-                        log.write(t, COMPLETE, cells, ues.ints[UE_ID].take(gone))
-                    ues = ues.keep((~finished).nonzero()[0])
+                    if logged:
+                        log.write(t, COMPLETE, cells, ue_id)
+                    ues = ues.compress(remaining > 0.0, axis=1)
 
                 # Movement: the next tick's keys move up to row 0, or each
                 # mover makes its move from where the last left it.
                 if rows > 1:
-                    ues.keys[:-1] = ues.keys[1:]
+                    ues[key_row:-1] = ues[key_row + 1 :]
                 if stepwise:
-                    movers = ues.ints[MOVER].nonzero()[0]
-                    if movers.size:
-                        state = ues.floats[X:].take(movers, axis=1)
-                        track = np.empty((1, movers.size), dtype=ues.keys.dtype)
-                        tracks.build(state, track)
-                        track += ues.ints[SERVING].take(movers) * m2
-                        ues.keys[:, movers] = track
-                        ues.floats[X:, movers] = state
+                    # Every UE moves in place; one that stays has zero
+                    # velocity and keeps its key.
+                    track = np.empty((1, ues.shape[1]), dtype=np.int64)
+                    tracks.build(ues[X : HEADING + 1].view(np.float64), track)
+                    track += ues[SERVING] * m2
+                    np.copyto(ues[key_row], track[0], where=ues[MOVER] != 0)
 
                 # Handover: the first strongest configured neighbor beating
                 # serving by the margin files a report; the switch needs a
                 # free slot, so switches resolve in array order.
-                slot = slots.take(ues.keys[0])
+                if t >= watch_until:
+                    continue
+                slot = slots.take(ues[key_row])
                 trigger = (slot >= 0).nonzero()[0]
                 if trigger.size:
-                    serving = ues.ints[SERVING]
+                    serving = ues[SERVING]
                     source = serving[trigger]
                     target = neighbors[source, slot[trigger]]
                     np.add.at(reports, (source, target), 1)
@@ -740,12 +770,17 @@ def run_simulation(
                         switched.append(k)
                         moved.append((dest - cell) * m2)
                     if switched:
-                        ues.keys[:, switched] += np.array(moved)
-                    if log.enabled:
-                        log.write(t, HANDOVER, serving[switched], ues.ints[UE_ID, switched])
+                        ues[key_row:, switched] += np.array(moved)
+                        # A switched UE's new keys can trigger until its
+                        # download ends: its last check is on tick
+                        # t + rows - 2 at the latest.
+                        watch_until = max(watch_until, t + rows - 1)
+                    if logged:
+                        log.write(t, HANDOVER, serving[switched], ues[UE_ID, switched])
             log.flush()
     finally:
         log.close()
+    full_ticks += np.count_nonzero(loads[:load_row] >= max_ue, axis=0)
 
     zone_counts = samples.count().reshape(n_cells, TA_ZONE_COUNT, 3)
     ta_counts, aoa_counts = zone_counts.sum(axis=2), zone_counts.sum(axis=1)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -76,6 +77,26 @@ def two_cell_corridor():
             ("B", (200.0, 100.0), 3 * math.pi / 2, right, ("A",)),
         ],
         m=8,
+    )
+    return grid, compute_server_maps(grid)
+
+
+def far_corridor():
+    """Cells A (x below 6 pixels) and B, each the other's neighbor, 25 dB
+    apart on either side, on 1e-7 m pixels 1e9 m from the origin. There
+    adjacent floats lie 1.2e-7 m apart, and the center of pixel 6 maps
+    back to pixel 5, where a UE served by B triggers."""
+    left = np.full((8, 8), -95.0)
+    left[:6] = -70.0
+    right = np.full((8, 8), -95.0)
+    right[6:] = -70.0
+    grid = constant_grid(
+        [
+            ("A", (1e9, 1e9 + 4e-7), math.pi / 2, left, ("B",)),
+            ("B", (1e9 + 8e-7, 1e9 + 4e-7), 3 * math.pi / 2, right, ("A",)),
+        ],
+        pixel=1e-7,
+        origin=(1e9, 1e9),
     )
     return grid, compute_server_maps(grid)
 
@@ -820,6 +841,8 @@ def _reference_cases():
     reflection record of :func:`_recording_reflect` that the run takes the
     path it is named for."""
     corridor = two_cell_corridor()
+    tied = tied_neighbors_grid()
+    far = far_corridor()
     uniform = uniform_truth(8, 25.0)
     events = lambda rows, kind: [r for r in rows if r[1] == kind]
     desk = load_scenario_config(DESK_CONFIG)
@@ -875,7 +898,7 @@ def _reference_cases():
                 arrival_rate=0.2, duration_s=300.0, mobile_fraction=0.6, speed_kmh=90.0,
                 file_size_bits=1e7, capacity_per_cell_bps=3e6, max_ue_per_cell=5, seed=8,
             ),
-            uniform, *tied_neighbors_grid(),
+            uniform, *tied,
             lambda rows, folds: len({r[0] for r in rows if r[1] in ("arrive", "block")}) < 200,
         ),
         "static": (
@@ -888,9 +911,62 @@ def _reference_cases():
             uniform, *corridor,
             lambda rows, folds: folds["calls"] == 0 and not events(rows, "handover"),
         ),
+        # Server maps that hand each pixel to the next of three cells: a UE
+        # that stays triggers from its first tick, and while its target is
+        # full, on every tick until its download ends.
+        "static-shifted-servers": (
+            SimConfig(
+                arrival_rate=0.5, duration_s=120.0, mobile_fraction=0.0, file_size_bits=2e7,
+                max_ue_per_cell=1, seed=1,
+            ),
+            uniform, tied[0], replace(tied[1], best=(tied[1].best + 1) % 3),
+            lambda rows, folds: events(rows, "handover") and events(rows, "block"),
+        ),
+        # Downloads outlast TRACK_CAP ticks, so every UE moves tick by tick;
+        # one that stays moves at zero velocity from its pixel's center,
+        # which can map to another pixel (see far_corridor).
+        "far-origin": (
+            SimConfig(
+                arrival_rate=2.0, duration_s=120.0, mobile_fraction=0.5, speed_kmh=1e-6,
+                file_size_bits=5e7, seed=2,
+            ),
+            WeightMap(np.full((8, 8), 1.0 / 64), far[0].spec, LABEL_TRUTH), *far,
+            lambda rows, folds: sim._lifetime(REFERENCE_CASES["far-origin"][0], sim.TRACK_CAP + 1)
+            > sim.TRACK_CAP,
+        ),
         "desk-busy-300s": (
             busy, desk_scenario.truth, desk_scenario.grid, desk_scenario.servers,
             lambda rows, folds: events(rows, "complete") and events(rows, "block"),
+        ),
+        # Every download drains mu0 and lasts 4 ticks, the lifetime bound,
+        # so a UE's check reads its key rows 1 to 3. At 5 m a tick only a
+        # UE that starts 12.5 m from the midline crosses it, on its third
+        # move: every trigger falls on a last key row, on the arrival tick
+        # plus 2.
+        "last-row-triggers": (
+            SimConfig(
+                arrival_rate=1.0, duration_s=300.0, mobile_fraction=1.0, speed_kmh=18.0,
+                file_size_bits=7e6, max_ue_per_cell=10, seed=3,
+            ),
+            uniform, *corridor,
+            lambda rows, folds: events(rows, "handover") and all(
+                int(t) == int(arrived[0]) + 2
+                for t, _, _, ue in events(rows, "handover")
+                for arrived in events(rows, "arrive") if arrived[3] == ue
+            ),
+        ),
+        # 75 m a tick and 4-tick downloads, one UE every three ticks: a UE
+        # that hands over can bounce off the far wall and hand back, on a
+        # key its arrival block did not see trigger, as late as its last.
+        "ping-pong": (
+            SimConfig(
+                arrival_rate=0.3, duration_s=600.0, mobile_fraction=1.0, speed_kmh=270.0,
+                file_size_bits=7e6, max_ue_per_cell=10, seed=0,
+            ),
+            uniform, *corridor,
+            lambda rows, folds: any(
+                n > 1 for n in Counter(ue for _, _, _, ue in events(rows, "handover")).values()
+            ),
         ),
     }
 
@@ -973,6 +1049,17 @@ class TestReferenceSimulation:
         monkeypatch.setattr(sim._Completions, "CHUNK", 3)
         assert _case_outputs(run_simulation, name, tmp_path) == reference_outputs(name)
 
+    # A buffer of 3 zone samples is counted on most ticks and a tick's keys
+    # often outgrow it; at 64, samples of many ticks are counted together.
+    # Either way the loads buffer holds fewer ticks than a block.
+    @pytest.mark.parametrize("limit", [3, 64])
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_sample_buffers_leave_the_outputs(
+        self, tmp_path, monkeypatch, reference_outputs, name, limit
+    ):
+        monkeypatch.setattr(sim._ZoneSamples, "LIMIT", limit)
+        assert _case_outputs(run_simulation, name, tmp_path) == reference_outputs(name)
+
     # At caps of 1, 2, 3 and 7 keys some moving cases hold a key for every
     # tick a download can last and the rest move tick by tick; the corner
     # bounces, full targets and handover contention also run in blocks of
@@ -1026,6 +1113,34 @@ class TestReferenceSimulation:
         for rate, duration in ((0.0, 600.0), (1e-300, 1e6), (BLOCK_ARRIVALS / 10.0, 10.0)):
             config = SimConfig(arrival_rate=rate, duration_s=duration)
             assert sim._block_ticks(config) == config.n_ticks
+
+    def test_uncovered_arrivals_open_no_handover_window(self):
+        # A lies below q_rxlevmin everywhere, so no arrival is covered; B
+        # has no signal, so its every key triggers toward A. An uncovered
+        # arrival's key is negative and would wrap into B's rows.
+        grid = constant_grid(
+            [
+                ("A", (0.0, 100.0), math.pi / 2, -130.0, ("B",)),
+                ("B", (200.0, 100.0), 3 * math.pi / 2, np.nan, ("A",)),
+            ]
+        )
+        servers = compute_server_maps(grid)
+        config = SimConfig(
+            arrival_rate=5.0, duration_s=60.0, mobile_fraction=0.5, speed_kmh=20.0, file_size_bits=4e6
+        )
+        slots = _handover_slots(grid.rsrp.reshape(2, -1), _neighbor_matrix(grid), config.handover_margin_db)
+        assert (servers.best == UNCOVERED).all() and (slots[-1] >= 0).all()
+        arrivals = sim._Arrivals(
+            config,
+            uniform_truth(8, 25.0),
+            servers.best.reshape(-1).astype(np.intp),
+            slots.reshape(-1),
+            grid.n_cells,
+            sim._Tracks(config.speed_kmh / 3.6 * config.tick_s, grid.spec),
+        )
+        assert arrivals.rows == 10 and not arrivals.stepwise
+        _, _, ends, window = arrivals.block(np.random.default_rng(0), range(3, 23), 0)
+        assert ends[-1] > 50 and window == 3
 
     def test_event_log_writes_cell_ids_as_csv_writer_does(self, tmp_path):
         # csv.writer quotes an id holding a comma, a quote or a line

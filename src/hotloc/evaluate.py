@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hotloc.bounds import MAX_METERS, Bounded, bounded
-from hotloc.grid import reject_separators, repr_lookup, text_rows
+from hotloc.grid import reject_separators, repr_table, text_rows
 from hotloc.kpi import LABEL_TRUTH, WeightMap
 
 NORMALIZATION_TOL = 1e-6
@@ -329,7 +329,15 @@ def write_report_csvs(report: EvalReport, peaks_path: str, detection_path: str, 
     with open(cdf_path, "wb") as fh:
         # csv.writer's line ending.
         fh.write(b"variant,weight,fraction\r\n")
-        for label, (weights, fractions) in series:
-            labels = np.full(len(weights), label.encode())
-            texts = [repr_lookup(v)(v) for v in (weights, fractions)]
-            fh.write(text_rows([labels, *texts], end=b"\r\n"))
+        # One table formats every series: the fractions are k/N, which
+        # repeat from series to series. The rows go a series at a time,
+        # so their buffers are those of the longest series, not of all.
+        values = np.concatenate([part for _, cdf in series for part in cdf])
+        texts, index = repr_table(values)
+        at = 0
+        for label, (weights, _) in series:
+            n = len(weights)
+            rows = index[at : at + 2 * n].reshape(2, n)
+            at += 2 * n
+            labels = np.full(n, label.encode())
+            fh.write(text_rows([labels, *texts.take(rows)], end=b"\r\n"))

@@ -21,7 +21,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -285,47 +285,61 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 # given once. The layer rows hold m values each, finite or "nan", with no
 # blank line among them; only blank lines follow the last.
 #
-# The writers format each distinct value once (repr_lookup) into a
-# fixed-width bytes array shaped like the values, and text_rows assembles
-# the rows of one layer, map or CDF series from such arrays in numpy.
+# The writers format each distinct value of a file once (repr_table) and
+# take each value's text by its index into that table; text_rows then
+# assembles the rows of one layer, map or set of CDF series from such
+# fixed-width bytes arrays in numpy.
 # ---------------------------------------------------------------------------
 
 _GRID_MAGIC = "hotloc-grid,2"
 
-# The longest repr of a double, e.g. "-2.2250738585072014e-308".
-_REPR_WIDTH = 24
-# Distinct values formatted per batch, which bounds the Python strings
-# alive at once.
+# Sorted values taken per batch, which bounds the Python strings and the
+# batch temporaries alive at once.
 _REPR_CHUNK = 1 << 12
 
 
-def repr_lookup(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """A function that gives the ASCII ``repr`` of each float64 of an
-    array whose values all occur in ``values``, as an ``S24`` array of the
-    same shape, each text NUL-padded to the width.
+def repr_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII ``repr`` of each distinct float64 of ``values``, in the
+    order of their bit patterns, and an int32 index into them of the
+    shape of ``values``: ``texts[index]`` gives each value's text. The
+    texts are fixed-width bytes (dtype ``S``) as wide as the longest,
+    each NUL-padded to the width.
 
-    ``repr`` runs once per distinct value: the text writers' layers and
-    maps repeat most of their values. Values are keyed on their bit
-    patterns, which keeps ``-0.0`` apart from ``0.0``, so the bytes are
-    those of ``repr`` by construction. One sorted copy of the bits, the
-    distinct ones and their texts in a fixed-width array are the only
-    tables built: ``np.unique``, an object array of texts or a table of
-    Python strings per value each raised a desk run's peak memory."""
-    bits = np.sort(np.asarray(values, np.float64).view(np.uint64), axis=None)
-    first = np.ones(bits.size, dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=first[1:])
-    distinct = bits[first]
-    del bits, first
-    texts = np.empty(distinct.size, dtype=f"S{_REPR_WIDTH}")
-    for lo in range(0, distinct.size, _REPR_CHUNK):
-        chunk = distinct[lo : lo + _REPR_CHUNK].view(np.float64).tolist()
-        texts[lo : lo + len(chunk)] = np.fromiter(map(repr, chunk), texts.dtype, len(chunk))
-
-    def lookup(part: np.ndarray) -> np.ndarray:
-        keys = np.asarray(part, np.float64).view(np.uint64)
-        return texts[np.searchsorted(distinct, keys)]
-
-    return lookup
+    Values are keyed on their bit patterns, which keeps ``-0.0`` apart
+    from ``0.0``, so the bytes are those of ``repr`` by construction; a
+    NaN of any sign or payload is written ``nan``. One ``argsort`` of the
+    bits orders them, and the sorted values are then taken a batch of
+    :data:`_REPR_CHUNK` at a time: ``repr`` runs once on each value that
+    differs from the one before it, and each value's index is the count
+    of such values up to it, less one. Besides ``values``, the argsort's
+    int64 result and its int32 copy, then that copy and the index, are
+    the only arrays of their size alive at once. Fewer than 2**31 values
+    fit; the config's cube bound (``MAX_CUBE_BYTES``) admits 2**28."""
+    bits = np.asarray(values, np.float64).reshape(-1).view(np.uint64)
+    order = np.argsort(bits).astype(np.int32)
+    index = np.empty(bits.size, dtype=np.int32)
+    chunks = [np.empty(0, dtype="S1")]
+    count = 0
+    for lo in range(0, bits.size, _REPR_CHUNK):
+        at = order[lo : lo + _REPR_CHUNK]
+        ranked = bits.take(at)
+        first = np.empty(ranked.size, dtype=bool)
+        first[0] = lo == 0 or ranked[0] != bits[order[lo - 1]]
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        new = ranked.compress(first).view(np.float64).tolist()
+        if new:
+            texts = np.fromiter(map(repr, new), "S24", len(new))
+            # A double's repr is at most 24 characters; the batch keeps
+            # the width of its longest.
+            width = np.count_nonzero(texts.view(np.uint8).reshape(-1, 24).any(axis=0))
+            chunks.append(texts.astype(f"S{width}"))
+        rank = np.cumsum(first, dtype=np.int32)
+        rank += count - 1
+        index[at] = rank
+        count += len(new)
+    del order
+    # The batches' widths differ; the table takes the widest.
+    return np.concatenate(chunks), index.reshape(np.shape(values))
 
 
 def text_rows(fields: Sequence[np.ndarray], end: bytes = b"\n") -> bytes:
@@ -452,14 +466,20 @@ def save_grid(grid: CoverageGrid, path: str | Path) -> None:
             f"{cell.site_position[1]!r},{az_deg!r},{nbs}"
         )
     lines.append("rsrp")
-    # Only the covered values and one NaN are keyed, so the lookup's
-    # tables do not grow with the uncovered part of the stack.
-    reprs = repr_lookup(np.append(grid.rsrp[~np.isnan(grid.rsrp)], np.nan))
+    # Only the covered values are keyed, so the table and index do not
+    # grow with the uncovered part of the stack; every NaN pixel takes
+    # the slot after the table's last text.
+    covered = ~np.isnan(grid.rsrp)
+    texts, index = repr_table(grid.rsrp[covered])
+    texts = np.append(texts, b"nan")
+    ends = np.cumsum(np.count_nonzero(covered.reshape(grid.n_cells, -1), axis=1))
+    layer = np.empty((spec.m, spec.m), dtype=np.int32)
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
-        for layer in grid.rsrp:
-            # Every NaN is keyed on the bits of np.nan; repr writes all "nan".
-            fh.write(text_rows([reprs(np.where(np.isnan(layer), np.nan, layer))]))
+        for mask, part in zip(covered, np.split(index, ends[:-1])):
+            layer.fill(texts.size - 1)
+            layer[mask] = part
+            fh.write(text_rows([texts.take(layer)]))
 
 
 @contextmanager

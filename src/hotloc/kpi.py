@@ -32,7 +32,7 @@ from hotloc.grid import (
     read_rows,
     read_spec,
     reject_separators,
-    repr_lookup,
+    repr_table,
     ta_zone_layer,
     text_rows,
 )
@@ -445,8 +445,8 @@ def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
     lines.append("i,j,weight")
     m = wmap.m
     coords = np.arange(m).astype(f"S{len(str(m - 1))}")
-    weights = repr_lookup(wmap.values)(wmap.values.reshape(-1))
-    rows = text_rows([np.repeat(coords, m), np.tile(coords, m), weights])
+    texts, index = repr_table(wmap.values.reshape(-1))
+    rows = text_rows([np.repeat(coords, m), np.tile(coords, m), texts.take(index)])
     Path(path).write_bytes(("\n".join(lines) + "\n").encode() + rows)
 
 

@@ -14,8 +14,9 @@ seeded generator, so identical inputs give identical output.
 The UEs in flight are one packed int64 block, one column per UE in
 admission order, its float rows read through a float64 view. A tick's
 cost is mostly its count of numpy calls, so a tick admits with one
-``concatenate`` and drops its completions with one ``compress``, and its
-full cells and zone samples are buffered and counted many ticks at once.
+``concatenate`` (none when no UE is in flight) and drops its completions
+with one ``compress``, and its full cells and zone samples are buffered
+and counted many ticks at once.
 
 A UE's place is one flat key, ``serving * m**2 + pixel``, into two
 (cell, pixel) tables built before the first tick: the int8 code of the
@@ -98,11 +99,11 @@ KPI_SOURCE_SIM = "sim"
 # many ticks takes about a minute.
 MAX_TICKS = 10**6
 # A tick with more than BLOCK_ARRIVALS arrivals in the mean is a block of
-# its own. At the peak its arrivals take about 400 bytes each when every
-# one moves and holds TRACK_CAP keys: 168 in the block's packed columns
-# (21 int64 rows), as many again in their admitted copies in the UE block,
-# and the rank and zone-count temporaries besides, so a tick of
-# this many arrivals takes about 400 MB.
+# its own. At the peak its arrivals take about 330 bytes each when every
+# one moves and holds TRACK_CAP keys, while the block is made: 168 in its
+# packed columns (21 int64 rows), their rank, and the draws, pixels and
+# tracks they are made from. Admitted into an empty UE block they are
+# not copied, so a tick of this many arrivals takes about 330 MB.
 MAX_ARRIVALS_PER_TICK = 10**6
 # Arrivals a block of ticks holds in the mean. A block's draws, columns
 # and keys take about 220 bytes an arrival while they are made on the
@@ -700,7 +701,10 @@ def run_simulation(
                     best = arrivals[SERVING, start:end]
                     admitted = rank[start:end] < max_ue - attached.take(best)
                     if logged:
-                        log.write(t, BLOCK - admitted, best, arrivals[UE_ID, start:end])
+                        # A copy: the admitted UEs' serving row may be
+                        # their columns of the block, which a handover
+                        # changes before the log is written.
+                        log.write(t, BLOCK - admitted, best.copy(), arrivals[UE_ID, start:end])
                     new = admitted.nonzero()[0]
                     if new.size:
                         if new.size < end - start:
@@ -708,8 +712,14 @@ def run_simulation(
                         else:
                             batch = arrivals[:, start:end]
                         attached += np.bincount(batch[SERVING], minlength=n_cells)
-                        ues = np.concatenate((ues, batch), axis=1)
+                        # With no UE in flight the batch is the UE block,
+                        # with no copy when every arrival got in.
+                        ues = np.concatenate((ues, batch), axis=1) if ues.shape[1] else batch
                     start = end
+                    if end == ends[-1]:
+                        # The block's last arrivals are in; a UE block
+                        # that is a view of their columns keeps them.
+                        arrivals = rank = best = batch = None
 
                 # Scheduling: equal capacity share capped at mu0; sample the
                 # occupancy and load counters while the shares are known.

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -33,8 +34,10 @@ from hotloc.sim import (
     BLOCK_ARRIVALS,
     KPI_SOURCE_SIM,
     MAX_ARRIVALS_PER_TICK,
+    TRACK_CAP,
     SimConfig,
     _handover_slots,
+    _lifetime,
     _neighbor_matrix,
     _reflect,
     check_step,
@@ -359,6 +362,28 @@ class TestRunSimulation:
     def small_setup(self, m=8):
         grid, servers = single_cell_grid(m=m, site=(12.5, 12.5), level=-80.0)
         return grid, servers
+
+    def test_one_tick_flood_is_admitted_without_a_copy(self):
+        # 100k arrivals in one tick on desk, every one moving, holding
+        # TRACK_CAP keys and admitted. Their block holds 182 bytes an
+        # arrival (21 int64 rows and the rank) and peaks at about 340
+        # while it is made; with no UE in flight the tick takes it as the
+        # UE block. Copied into the UE block, the tick peaked at about 415.
+        scenario = build_scenario(load_scenario_config(DESK_CONFIG))
+        n = 100_000
+        config = SimConfig(
+            arrival_rate=float(n), duration_s=1.0, mobile_fraction=1.0, speed_kmh=30.0,
+            capacity_per_cell_bps=2e7, max_ue_per_cell=10**6, file_size_bits=319.0,
+        )
+        assert _lifetime(config, TRACK_CAP + 1) == TRACK_CAP
+        tracemalloc.start()
+        try:
+            kpis = run_simulation(config, scenario.truth, scenario.grid, scenario.servers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert any(ck.amt_bps > 0 for ck in kpis.cells.values())
+        assert peak / n < 380
 
     def test_truth_validation(self):
         grid, servers = self.small_setup()

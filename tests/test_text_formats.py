@@ -1,7 +1,7 @@
-"""Byte pins of the text artifacts: ``grid.csv``, the weight-map CSVs and
-``cdf.csv``.
+"""Byte pins of the text artifacts: ``grid.csv``, the weight-map CSVs,
+``cdf.csv``, ``peaks.csv`` and ``detection.csv``.
 
-The per-row writers below are the reference implementations of the three
+The per-row writers below are the reference implementations of the
 formats. The production writers must produce the same bytes on every
 artifact of a desk run and on seeded grids and maps with edge values, and
 ``save(load(f))`` must give ``f`` back.
@@ -10,6 +10,7 @@ artifact of a desk run and on seeded grids and maps with edge values, and
 import csv
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from hotloc.grid import (
     CoverageGrid,
     GridSpec,
     load_grid,
-    repr_lookup,
+    repr_table,
     save_grid,
     text_rows,
 )
@@ -83,6 +84,28 @@ def reference_cdf_text(report) -> str:
     for label, (weights, fractions) in series:
         for w, f in zip(weights, fractions):
             writer.writerow([label, repr(float(w)), repr(float(f))])
+    return fh.getvalue()
+
+
+def reference_peaks_text(report) -> str:
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["variant", "gen_x", "gen_y", "est_x", "est_y", "dist_m"])
+    for label, variant in sorted(report.variants.items()):
+        for pair in variant.pairs:
+            gen, est = pair.generated, pair.estimated
+            coords = [repr(gen.x), repr(gen.y), repr(est.x), repr(est.y)]
+            writer.writerow([label, *coords, repr(pair.distance_m)])
+    return fh.getvalue()
+
+
+def reference_detection_text(report) -> str:
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["variant", "p", "detected"])
+    for label, variant in sorted(report.variants.items()):
+        for p, detected in sorted(variant.detection.items()):
+            writer.writerow([label, repr(p), repr(detected)])
     return fh.getvalue()
 
 
@@ -156,6 +179,14 @@ class TestDeskArtifacts:
         path = desk_run.out_dir / "cdf.csv"
         assert path.read_bytes() == reference_cdf_text(desk_run.report).encode()
 
+    def test_peaks_and_detection_csvs_match_reference(self, desk_run):
+        report = desk_run.report
+        assert report.variants and all(v.pairs and v.detection for v in report.variants.values())
+        peaks = desk_run.out_dir / "peaks.csv"
+        assert peaks.read_bytes() == reference_peaks_text(report).encode()
+        detection = desk_run.out_dir / "detection.csv"
+        assert detection.read_bytes() == reference_detection_text(report).encode()
+
     def test_save_of_load_is_identity(self, desk_run, tmp_path):
         for path in sorted(desk_run.out_dir.glob("*.csv")):
             if path.name == "grid.csv":
@@ -181,6 +212,17 @@ class TestEdgeValues:
         np.testing.assert_array_equal(np.signbit(loaded.rsrp), np.signbit(grid.rsrp))
         assert [c.cell_id for c in loaded.cells] == [c.cell_id for c in grid.cells]
         assert_round_trip(path, load_grid, save_grid)
+
+    def test_grid_nan_of_any_sign_or_payload(self, tmp_path):
+        grid = edge_grid(0)
+        negative = np.copysign(np.nan, -1.0)
+        payload = np.array([0x7FF0_0000_0000_0ABC, 0xFFF8_0000_0000_0001], np.uint64).view(np.float64)
+        grid.rsrp[0].flat[3:6] = (negative, *payload)
+        grid.rsrp[2, -1, :3] = (payload[1], negative, payload[0])
+        path = tmp_path / "grid.csv"
+        save_grid(grid, path)
+        assert path.read_bytes() == reference_grid_text(grid).encode()
+        assert np.isnan(load_grid(path).rsrp[2, -1, :3]).all()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_map_bytes_and_round_trip(self, tmp_path, seed):
@@ -211,8 +253,22 @@ class TestEdgeValues:
         write_report_csvs(edge_report, *map(str, paths))
         assert paths[2].read_bytes() == reference_cdf_text(edge_report).encode()
 
+    def test_cdf_bytes_with_shared_weights_and_fractions(self, tmp_path, desk_run):
+        # Every series draws its weights and fractions from one set of
+        # values, and some values are both a weight and a fraction.
+        shared = np.array([0.0, 1e-05, 0.125, 0.25, 0.5, 0.75, 1.0])
+        report = desk_run.report
+        variants = {
+            label: replace(v, cdf_weights=shared[k % 3 :], cdf_fractions=shared[k % 3 :][::-1])
+            for k, (label, v) in enumerate(sorted(report.variants.items()))
+        }
+        shared_report = replace(report, truth_cdf=(shared[1:], shared[1:]), variants=variants)
+        paths = [tmp_path / name for name in ("peaks.csv", "detection.csv", "cdf.csv")]
+        write_report_csvs(shared_report, *map(str, paths))
+        assert paths[2].read_bytes() == reference_cdf_text(shared_report).encode()
 
-class TestReprLookup:
+
+class TestReprTable:
     def test_matches_repr_on_random_bit_patterns(self, monkeypatch):
         # Batches smaller than the input, with a ragged last one.
         monkeypatch.setattr(grid_module, "_REPR_CHUNK", 999)
@@ -221,26 +277,42 @@ class TestReprLookup:
         bits = rng.integers(0, top, size=10_000, dtype=np.uint64, endpoint=True)
         # Subnormals: a zero exponent field under either sign.
         bits[:200] &= np.uint64((1 << 63) | ((1 << 52) - 1))
+        # NaNs of both signs with random payloads.
+        bits[200:300] |= np.uint64(0x7FF0_0000_0000_0001)
         # The smallest and largest subnormals and normals, signed zeros
         # and infinities.
         special = [5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308]
         special += [*LONGEST_NEGATIVE, *LONGEST_POSITIVE, 0.0, -0.0, math.inf, -math.inf]
         values = np.concatenate((bits.view(np.float64), special))
-        values = values[~np.isnan(values)]
-        # Every value again, in another order, so most of them repeat.
-        values = np.concatenate((values, rng.permutation(values)))
-        lookup = repr_lookup(values)
-        texts = lookup(values)
+        # Every value again, in another order, so most of them repeat, and
+        # a run of one value across batch boundaries.
+        values = np.concatenate((values, rng.permutation(values), np.full(2500, 0.5)))
+        texts, index = repr_table(values)
+        assert index.dtype == np.int32
+        assert index.shape == values.shape
+        assert 0 <= index.min() and index.max() < texts.size
+        # One text per bit pattern, as wide as the longest.
+        assert texts.size == np.unique(values.view(np.uint64)).size
         assert texts.dtype == np.dtype("S24")
-        assert texts.tolist() == [repr(v).encode() for v in values.tolist()]
-        part = values[::-7]
-        assert lookup(part).tolist() == [repr(v).encode() for v in part.tolist()]
+        assert texts.take(index).tolist() == [repr(v).encode() for v in values.tolist()]
+
+    def test_signed_zeros_in_one_call(self):
+        values = np.array([0.0, -0.0, 0.0, -0.0])
+        texts, index = repr_table(values)
+        assert texts.tolist() == [b"0.0", b"-0.0"]
+        assert index.tolist() == [0, 1, 0, 1]
 
     def test_keeps_the_shape_of_its_input(self):
         values = np.array([[1.5, -0.0], [0.0, 1.5]])
-        texts = repr_lookup(values)(values)
-        assert texts.shape == (2, 2)
-        assert texts.tolist() == [[b"1.5", b"-0.0"], [b"0.0", b"1.5"]]
+        texts, index = repr_table(values)
+        assert index.shape == (2, 2)
+        assert texts.dtype == np.dtype("S4")
+        assert texts.take(index).tolist() == [[b"1.5", b"-0.0"], [b"0.0", b"1.5"]]
+
+    def test_no_values(self):
+        texts, index = repr_table(np.empty((0, 3)))
+        assert texts.size == 0
+        assert index.shape == (0, 3) and index.dtype == np.int32
 
 
 class TestTextRows:
@@ -248,7 +320,8 @@ class TestTextRows:
         # No NUL pads a 24-character repr, and the padding of the shorter
         # ones goes.
         values = np.array([[*LONGEST_NEGATIVE], [0.5, LONGEST_NEGATIVE[0]]])
-        texts = repr_lookup(values)(values)
+        texts, index = repr_table(values)
+        texts = texts.take(index)
         expected = "\n".join(",".join(map(repr, row)) for row in values.tolist()) + "\n"
         assert text_rows([texts]) == expected.encode()
 
@@ -264,3 +337,51 @@ class TestTextRows:
 
     def test_single_row(self):
         assert text_rows([np.array([b"7"]), np.array([[b"1.0", b"2.0"]])]) == b"7,1.0,2.0\n"
+
+
+class TestWriterMemory:
+    def test_save_grid_memory_per_covered_value(self, tmp_path, monkeypatch):
+        # About 40% of the stack is NaN, and the covered values come from a
+        # pool, so the texts are few and the memory is the arrays that
+        # scale with the stack. The peak, while the table is made: the
+        # covered values (8 bytes each), the argsort's int64 order and
+        # its int32 copy (12) and the cube's NaN mask (1 a pixel, 1.7 a
+        # covered value), about 23 bytes a covered value. Held while the
+        # layers are written: the int32 index and the mask, about 6.5. An
+        # int32 index over the whole cube adds 6.7 to either, and an
+        # object array of texts 8 and its strings; a table over the whole
+        # cube instead of the covered values indexes more values than are
+        # covered.
+        rng = np.random.default_rng(40)
+        n_cells, m = 100, 40
+        rsrp = rng.choice(rng.uniform(-130.0, -60.0, size=256), size=(n_cells, m, m))
+        rsrp[rng.random(rsrp.shape) < 0.4] = np.nan
+        covered = np.count_nonzero(~np.isnan(rsrp))
+        assert 0.55 < covered / rsrp.size < 0.65
+        cells = [CellInfo(f"C{k}", (25.0 * k, 0.0), 0.0) for k in range(n_cells)]
+        grid = CoverageGrid(GridSpec(m, 12.5, (0.0, 0.0)), cells, rsrp, -115.0)
+        indexed, held = [], []
+
+        def table(values):
+            texts, index = repr_table(values)
+            indexed.append(index.size)
+            return texts, index
+
+        def rows(fields, end=b"\n"):
+            held.append(tracemalloc.get_traced_memory()[0] - start)
+            return text_rows(fields, end)
+
+        monkeypatch.setattr(grid_module, "repr_table", table)
+        monkeypatch.setattr(grid_module, "text_rows", rows)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            save_grid(grid, tmp_path / "grid.csv")
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "grid.csv").read_bytes() == reference_grid_text(grid).encode()
+        assert indexed == [covered]
+        assert len(held) == n_cells
+        assert peak / covered < 26.0
+        assert max(held) / covered < 9.0

@@ -15,8 +15,8 @@ The UEs in flight are one packed int64 block, one column per UE in
 admission order, its float rows read through a float64 view. A tick's
 cost is mostly its count of numpy calls, so a tick admits with one
 ``concatenate`` (none when no UE is in flight) and drops its completions
-with one ``compress``, and its full cells and zone samples are buffered
-and counted many ticks at once.
+with one ``compress``, and its zone samples are buffered and counted
+many ticks at once.
 
 A UE's place is one flat key, ``serving * m**2 + pixel``, into two
 (cell, pixel) tables built before the first tick: the int8 code of the
@@ -59,16 +59,12 @@ origin dwarfs the pixel size.
 
 The per-cell rate share is computed once per tick and drained from every
 UE; completions drop out of the block at once, in order, with their
-elapsed ticks, and their rates are formed at the end of the run. A
-handover trigger depends only on the key, and a key changes only along
-its queue or by its UE's switch, so the check runs only inside a window:
-a block's arrivals open it up to the last tick on which one of their keys
-can trigger (:meth:`_Arrivals.block`), a switch holds it open until the
-switching UE's download has ended, and a run whose movers move tick by
-tick checks every tick. The switches resolve one triggering UE at a time
-in array order: whether a UE finds a free slot in its target depends on
-the handovers before it in the same tick. The result is the same, event
-for event, as a per-UE loop in that order.
+elapsed ticks, and their rates are formed at the end of the run. Every
+tick checks every UE's key for a handover trigger, and the switches
+resolve one triggering UE at a time in array order: whether a UE finds a
+free slot in its target depends on the handovers before it in the same
+tick. The result is the same, event for event, as a per-UE loop in that
+order.
 """
 
 from __future__ import annotations
@@ -99,20 +95,20 @@ KPI_SOURCE_SIM = "sim"
 # many ticks takes about a minute.
 MAX_TICKS = 10**6
 # A tick with more than BLOCK_ARRIVALS arrivals in the mean is a block of
-# its own. At the peak its arrivals take about 330 bytes each when every
+# its own. At the peak its arrivals take about 310 bytes each when every
 # one moves and holds TRACK_CAP keys, while the block is made: 168 in its
-# packed columns (21 int64 rows), their rank, and the draws, pixels and
-# tracks they are made from. Admitted into an empty UE block they are
-# not copied, so a tick of this many arrivals takes about 330 MB.
+# packed columns (21 int64 rows), their rank, and the pixels, states and
+# tracks they are made from (not the draws, dropped first). Admitted into
+# an empty UE block they are not copied: a tick of this many takes 310 MB.
 MAX_ARRIVALS_PER_TICK = 10**6
-# Arrivals a block of ticks holds in the mean. A block's draws, columns
-# and keys take about 220 bytes an arrival while they are made on the
-# desk busy hour (15 int64 rows with 10 keys, a fifth of the arrivals
-# move), and about 320 when every arrival moves and holds TRACK_CAP keys
-# (21 rows); the tracks are made BLOCK_ARRIVALS movers at a time. Blocks
-# of 1024 to 16384 arrivals ran the desk busy hour (40 arrivals a tick)
-# in the same CPU time within the host's noise; blocks of 256, which make
-# their movers' tracks every 6 ticks, took about a fifth more.
+# Arrivals a block of ticks holds in the mean. Making a block peaks at
+# about 295 bytes an arrival on the desk busy hour (15 int64 rows with 10
+# keys, a fifth of the arrivals move), and about 310 when every arrival
+# moves and holds TRACK_CAP keys (21 rows); the tracks are made
+# BLOCK_ARRIVALS movers at a time. Blocks of 1024 to 16384 arrivals ran
+# the desk busy hour (40 arrivals a tick) in the same CPU time within the
+# host's noise; blocks of 256, which make their movers' tracks every 6
+# ticks, took about a fifth more.
 BLOCK_ARRIVALS = 1 << 10
 # Keys a UE's queue holds at most (see :func:`_lifetime`). Above it the
 # movers move tick by tick: a queue refilled when it runs out would make
@@ -120,6 +116,9 @@ BLOCK_ARRIVALS = 1 << 10
 # tick, and an hour of 250-tick downloads on desk (2 arrivals/s, a fifth
 # moving) took 0.50 s of CPU that way against 0.28 s tick by tick.
 TRACK_CAP = 16
+# Entries of the zone-sample buffer (:class:`_ZoneSamples`) and of each
+# chunk of completions (:class:`_Completions`).
+BUFFER_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -185,14 +184,12 @@ class _Completions:
     """Cell and elapsed ticks of every completed download, in completion
     order.
 
-    They are written into chunks of at least :attr:`CHUNK` entries, a new
-    chunk whenever a tick's completions do not fit in the last, and are
-    never copied: a buffer grown a tick at a time is copied among a block
-    of ticks' arrays and leaves holes in the heap, which cost the desk
-    busy hour about 1.2 MB of peak RSS, and joining the chunks at the end
-    of the run would cost as much again."""
-
-    CHUNK = 1 << 14
+    They are written into chunks of at least :data:`BUFFER_ENTRIES`
+    entries, a new chunk whenever a tick's completions do not fit in the
+    last, and are never copied: a buffer grown a tick at a time is copied
+    among a block of ticks' arrays and leaves holes in the heap, which cost
+    the desk busy hour about 1.2 MB of peak RSS, and joining the chunks at
+    the end of the run would cost as much again."""
 
     def __init__(self):
         self.parts: list[tuple[np.ndarray, np.ndarray]] = []
@@ -204,7 +201,7 @@ class _Completions:
         end = self.count + cells.size
         if end > self.cells.size:
             self.parts.append((self.cells[: self.count], self.elapsed[: self.count]))
-            size = max(cells.size, self.CHUNK)
+            size = max(cells.size, BUFFER_ENTRIES)
             self.count, end = 0, cells.size
             self.cells = np.empty(size, dtype=np.int64)
             self.elapsed = np.empty(size, dtype=np.int64)
@@ -223,26 +220,24 @@ class _Completions:
 
 class _ZoneSamples:
     """The (serving cell, zone code) counts of every UE-tick. A tick's
-    UEs' keys are copied into a buffer of :attr:`LIMIT` entries; when the
-    next tick's would not fit, and at the end of the run, the code of each
-    is read from the flat (cell, pixel) zone-code table and all are counted
-    in one bincount over ``cell * ZONE_CODES + code``. A tick of more than
-    :attr:`LIMIT` UEs is counted at once."""
-
-    LIMIT = 1 << 14
+    UEs' keys are copied into a buffer of :data:`BUFFER_ENTRIES` entries;
+    when the next tick's would not fit, and at the end of the run, the code
+    of each is read from the flat (cell, pixel) zone-code table and all are
+    counted in one bincount over ``cell * ZONE_CODES + code``. A tick of
+    more UEs than the buffer holds is counted at once."""
 
     def __init__(self, zone_codes: np.ndarray):
         n_cells, self.m2 = zone_codes.shape
         self.codes = zone_codes.reshape(-1)
         self.counts = np.zeros((n_cells, ZONE_CODES), dtype=np.int64)
-        self.keys = np.empty(self.LIMIT, dtype=np.int64)
+        self.keys = np.empty(BUFFER_ENTRIES, dtype=np.int64)
         self.size = 0
 
     def add(self, keys: np.ndarray) -> None:
         end = self.size + keys.size
-        if end > self.LIMIT:
+        if end > self.keys.size:
             self.count()
-            if keys.size > self.LIMIT:
+            if keys.size > self.keys.size:
                 self._tally(keys)
                 return
             end = keys.size
@@ -438,7 +433,7 @@ class _Arrivals:
     for a mover."""
 
     # The rank of an arrival that no cell covers: no free-slot count
-    # exceeds it. Also the end of a handover window that never closes.
+    # exceeds it.
     NEVER = np.iinfo(np.int64).max
 
     def __init__(
@@ -446,7 +441,6 @@ class _Arrivals:
         config: SimConfig,
         truth: WeightMap,
         best_of: np.ndarray,
-        slots: np.ndarray,
         n_cells: int,
         tracks: _Tracks,
     ):
@@ -456,7 +450,6 @@ class _Arrivals:
         self.cdf = np.cumsum(truth.values.reshape(-1))
         self.cdf /= self.cdf[-1]
         self.best_of = best_of
-        self.slots = slots
         self.n_cells = n_cells
         self.m2 = truth.spec.m**2
         self.centers = np.stack([c.reshape(-1) for c in truth.spec.center_coords()])
@@ -474,22 +467,12 @@ class _Arrivals:
 
     def block(
         self, rng: np.random.Generator, ticks: range, first_ue: int
-    ) -> tuple[np.ndarray, np.ndarray, list[int], int]:
+    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """The arrivals of ``ticks`` as packed columns in draw order with
         their UE ids from ``first_ue`` on, the rank of each among the
         arrivals of its tick with the same best cell (:attr:`NEVER` when
-        uncovered), the end of each tick's arrivals in them, and the end of
-        their handover window. The :data:`SERVING` row holds the best cell.
-
-        A UE's handover trigger depends only on its key. An arrival of tick
-        ``s`` is checked on its key row ``r`` on tick ``s + r - 1`` (the
-        tick's move shifts row 1 up before the check) and on its last row
-        after that, but its download ends by tick ``s + rows - 1``, before
-        that tick's check. With one key row, a UE that never moves is
-        checked on that row on every tick of a download of any length. So
-        the window ends after the last tick on which a covered arrival's
-        key can trigger: at :attr:`NEVER` in a stepwise run or when a
-        lone key row triggers, and at ``ticks.start`` when none does."""
+        uncovered), and the end of each tick's arrivals in them. The
+        :data:`SERVING` row holds the best cell."""
         counts, draws = [], []
         for _ in ticks:
             n = int(rng.poisson(self.mean))
@@ -505,6 +488,12 @@ class _Arrivals:
         pix = np.empty(n, dtype=np.intp)
         pix[ascending] = np.searchsorted(self.cdf, u[0].take(ascending), side="right")
         np.minimum(pix, self.cdf.size - 1, out=pix)
+        moving = (u[1] < self.mobile_fraction).nonzero()[0]
+        # A heading is 2*pi*u, as uniform(0, 2*pi) makes it.
+        heading = u[2].take(moving)
+        heading *= 2.0 * math.pi
+        # The draws are spent; the packed block is made without them.
+        del u, ascending
         best = self.best_of[pix]
         tick = np.repeat(np.arange(len(ticks)), counts)
         # One group per (tick, best cell); UNCOVERED (-1) groups sit
@@ -514,8 +503,7 @@ class _Arrivals:
         ranked = group.take(order)
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n) - np.searchsorted(ranked, ranked, side="left")
-        uncovered = best == UNCOVERED
-        rank[uncovered] = self.NEVER
+        rank[best == UNCOVERED] = self.NEVER
         del group, order, ranked
 
         ues = np.empty((self.key_row + self.rows, n), dtype=np.int64)
@@ -526,7 +514,6 @@ class _Arrivals:
         base = best * self.m2
         keys = ues[self.key_row :]
         keys[:] = base + pix
-        moving = (u[1] < self.mobile_fraction).nonzero()[0]
         ues[MOVER] = 0
         ues[MOVER, moving] = 1
         if self.stepwise:
@@ -538,8 +525,7 @@ class _Arrivals:
             # The rows X to HEADING.
             state = np.empty((5, moving.size))
             state[:2] = self.centers.take(pix.take(moving), axis=1)
-            # A heading is 2*pi*u, as uniform(0, 2*pi) makes it.
-            np.multiply(u[2].take(moving), 2.0 * math.pi, out=state[4])
+            state[4] = heading
             state[2:4] = self.tracks.velocity(state[4])
             if self.stepwise:
                 rest[:, moving] = state
@@ -552,22 +538,7 @@ class _Arrivals:
                     self.tracks.build(state[:, i : i + BLOCK_ARRIVALS], track)
                     track += base.take(part)
                     keys[1:, part] = track
-        return ues, rank, list(accumulate(counts)), self._window(keys, uncovered, tick, ticks.start)
-
-    def _window(self, keys: np.ndarray, uncovered: np.ndarray, tick: np.ndarray, start: int) -> int:
-        """The end of a block's handover window (:meth:`block`). An
-        uncovered arrival's key is negative; ``take`` wraps it into the last
-        cell's rows."""
-        if self.stepwise:
-            return self.NEVER
-        hits = self.slots.take(keys) >= 0
-        hits &= ~uncovered
-        row, col = np.divmod(np.flatnonzero(hits), hits.shape[1])
-        if not row.size:
-            return start
-        if self.rows == 1:
-            return self.NEVER
-        return start + int((tick.take(col) + np.maximum(row, 1)).max())
+        return ues, rank, list(accumulate(counts))
 
 
 def check_step(config: SimConfig, spec: GridSpec) -> None:
@@ -669,19 +640,10 @@ def run_simulation(
     attached = np.zeros(n_cells, dtype=np.int64)
     next_ue = 0
     tracks = _Tracks(config.speed_kmh / 3.6 * config.tick_s, spec)
-    incoming = _Arrivals(config, truth, servers.best.reshape(-1).astype(np.intp), slots, n_cells, tracks)
+    incoming = _Arrivals(config, truth, servers.best.reshape(-1).astype(np.intp), n_cells, tracks)
     rows, stepwise, key_row = incoming.rows, incoming.stepwise, incoming.key_row
     ues = incoming.none()
     per_block = _block_ticks(config)
-    # The cells' loads, one row a tick, counted against max_ue when the
-    # rows run out and at the end of the run: a block's ticks, or as many
-    # as hold _ZoneSamples.LIMIT loads.
-    loads = np.empty(
-        (max(1, min(per_block, config.n_ticks, _ZoneSamples.LIMIT // n_cells)), n_cells), dtype=np.int64
-    )
-    load_row = 0
-    # The handover check runs while t < watch_until (see _Arrivals.block).
-    watch_until = 0
     mu0, capacity, tick_s = config.mu0_bps, config.capacity_per_cell_bps, config.tick_s
     log = _EventLog(event_log_path, [c.cell_id for c in grid.cells])
     logged = log.enabled
@@ -689,9 +651,8 @@ def run_simulation(
     try:
         for first in range(0, config.n_ticks, per_block):
             ticks = range(first, min(first + per_block, config.n_ticks))
-            arrivals, rank, ends, window = incoming.block(rng, ticks, next_ue)
+            arrivals, rank, ends = incoming.block(rng, ticks, next_ue)
             next_ue += ends[-1]
-            watch_until = max(watch_until, window)
             start = 0
             for t, end in zip(ticks, ends):
                 # Arrivals: an arrival gets in when its best cell is
@@ -723,11 +684,7 @@ def run_simulation(
 
                 # Scheduling: equal capacity share capped at mu0; sample the
                 # occupancy and load counters while the shares are known.
-                loads[load_row] = attached
-                load_row += 1
-                if load_row == len(loads):
-                    full_ticks += np.count_nonzero(loads >= max_ue, axis=0)
-                    load_row = 0
+                full_ticks += attached >= max_ue
                 samples.add(ues[key_row])
                 # The bits each cell drains from each of its UEs; an empty
                 # cell divides by one, not zero, and drains nothing.
@@ -761,8 +718,6 @@ def run_simulation(
                 # Handover: the first strongest configured neighbor beating
                 # serving by the margin files a report; the switch needs a
                 # free slot, so switches resolve in array order.
-                if t >= watch_until:
-                    continue
                 slot = slots.take(ues[key_row])
                 trigger = (slot >= 0).nonzero()[0]
                 if trigger.size:
@@ -781,16 +736,11 @@ def run_simulation(
                         moved.append((dest - cell) * m2)
                     if switched:
                         ues[key_row:, switched] += np.array(moved)
-                        # A switched UE's new keys can trigger until its
-                        # download ends: its last check is on tick
-                        # t + rows - 2 at the latest.
-                        watch_until = max(watch_until, t + rows - 1)
                     if logged:
                         log.write(t, HANDOVER, serving[switched], ues[UE_ID, switched])
             log.flush()
     finally:
         log.close()
-    full_ticks += np.count_nonzero(loads[:load_row] >= max_ue, axis=0)
 
     zone_counts = samples.count().reshape(n_cells, TA_ZONE_COUNT, 3)
     ta_counts, aoa_counts = zone_counts.sum(axis=2), zone_counts.sum(axis=1)

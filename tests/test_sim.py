@@ -366,7 +366,7 @@ class TestRunSimulation:
     def test_one_tick_flood_is_admitted_without_a_copy(self):
         # 100k arrivals in one tick on desk, every one moving, holding
         # TRACK_CAP keys and admitted. Their block holds 182 bytes an
-        # arrival (21 int64 rows and the rank) and peaks at about 340
+        # arrival (21 int64 rows and the rank) and peaks at about 307
         # while it is made; with no UE in flight the tick takes it as the
         # UE block. Copied into the UE block, the tick peaked at about 415.
         scenario = build_scenario(load_scenario_config(DESK_CONFIG))
@@ -383,7 +383,7 @@ class TestRunSimulation:
         finally:
             tracemalloc.stop()
         assert any(ck.amt_bps > 0 for ck in kpis.cells.values())
-        assert peak / n < 380
+        assert peak / n < 340
 
     def test_truth_validation(self):
         grid, servers = self.small_setup()
@@ -1065,24 +1065,16 @@ class TestReferenceSimulation:
             blocks = {int(r[0]) // 7 for r in rows if r[1] in ("arrive", "block")}
             assert len(blocks) < REFERENCE_CASES[name][0].n_ticks // 7, "no block without arrivals"
 
-    @pytest.mark.parametrize("name", REFERENCE_CASES)
-    def test_completion_chunks_leave_the_outputs(
-        self, tmp_path, monkeypatch, reference_outputs, name
-    ):
-        # Three entries a chunk: most ticks start a chunk, and a tick's
-        # completions can outgrow one.
-        monkeypatch.setattr(sim._Completions, "CHUNK", 3)
-        assert _case_outputs(run_simulation, name, tmp_path) == reference_outputs(name)
-
-    # A buffer of 3 zone samples is counted on most ticks and a tick's keys
-    # often outgrow it; at 64, samples of many ticks are counted together.
-    # Either way the loads buffer holds fewer ticks than a block.
+    # At 3 entries, zone samples are counted on most ticks and a tick's
+    # keys often outgrow the buffer; most ticks start a completion chunk,
+    # and a tick's completions can outgrow one. At 64, samples of many
+    # ticks are counted together.
     @pytest.mark.parametrize("limit", [3, 64])
     @pytest.mark.parametrize("name", REFERENCE_CASES)
     def test_sample_buffers_leave_the_outputs(
         self, tmp_path, monkeypatch, reference_outputs, name, limit
     ):
-        monkeypatch.setattr(sim._ZoneSamples, "LIMIT", limit)
+        monkeypatch.setattr(sim, "BUFFER_ENTRIES", limit)
         assert _case_outputs(run_simulation, name, tmp_path) == reference_outputs(name)
 
     # At caps of 1, 2, 3 and 7 keys some moving cases hold a key for every
@@ -1138,34 +1130,6 @@ class TestReferenceSimulation:
         for rate, duration in ((0.0, 600.0), (1e-300, 1e6), (BLOCK_ARRIVALS / 10.0, 10.0)):
             config = SimConfig(arrival_rate=rate, duration_s=duration)
             assert sim._block_ticks(config) == config.n_ticks
-
-    def test_uncovered_arrivals_open_no_handover_window(self):
-        # A lies below q_rxlevmin everywhere, so no arrival is covered; B
-        # has no signal, so its every key triggers toward A. An uncovered
-        # arrival's key is negative and would wrap into B's rows.
-        grid = constant_grid(
-            [
-                ("A", (0.0, 100.0), math.pi / 2, -130.0, ("B",)),
-                ("B", (200.0, 100.0), 3 * math.pi / 2, np.nan, ("A",)),
-            ]
-        )
-        servers = compute_server_maps(grid)
-        config = SimConfig(
-            arrival_rate=5.0, duration_s=60.0, mobile_fraction=0.5, speed_kmh=20.0, file_size_bits=4e6
-        )
-        slots = _handover_slots(grid.rsrp.reshape(2, -1), _neighbor_matrix(grid), config.handover_margin_db)
-        assert (servers.best == UNCOVERED).all() and (slots[-1] >= 0).all()
-        arrivals = sim._Arrivals(
-            config,
-            uniform_truth(8, 25.0),
-            servers.best.reshape(-1).astype(np.intp),
-            slots.reshape(-1),
-            grid.n_cells,
-            sim._Tracks(config.speed_kmh / 3.6 * config.tick_s, grid.spec),
-        )
-        assert arrivals.rows == 10 and not arrivals.stepwise
-        _, _, ends, window = arrivals.block(np.random.default_rng(0), range(3, 23), 0)
-        assert ends[-1] > 50 and window == 3
 
     def test_event_log_writes_cell_ids_as_csv_writer_does(self, tmp_path):
         # csv.writer quotes an id holding a comma, a quote or a line

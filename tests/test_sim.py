@@ -1065,6 +1065,16 @@ class TestReferenceSimulation:
             blocks = {int(r[0]) // 7 for r in rows if r[1] in ("arrive", "block")}
             assert len(blocks) < REFERENCE_CASES[name][0].n_ticks // 7, "no block without arrivals"
 
+    @pytest.mark.parametrize("name", REFERENCE_CASES)
+    def test_completion_chunks_leave_the_outputs(
+        self, tmp_path, monkeypatch, reference_outputs, name
+    ):
+        # One entry: every tick that completes downloads starts a chunk of
+        # just its completions, and every tick of more than one UE counts
+        # its zone samples at once.
+        monkeypatch.setattr(sim, "BUFFER_ENTRIES", 1)
+        assert _case_outputs(run_simulation, name, tmp_path) == reference_outputs(name)
+
     # At 3 entries, zone samples are counted on most ticks and a tick's
     # keys often outgrow the buffer; most ticks start a completion chunk,
     # and a tick's completions can outgrow one. At 64, samples of many

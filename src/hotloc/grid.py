@@ -289,6 +289,16 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 # take each value's text by its index into that table; text_rows then
 # assembles the rows of one layer, map or set of CDF series from such
 # fixed-width bytes arrays in numpy.
+#
+# The texts are Python's repr, the shortest decimal that reads back as the
+# value and, of those, the nearest. Most values of a run need 16 or 17
+# significant digits, and for them _repr_bytes writes repr's bytes in
+# whole-array numpy: finite normal values of 1e-6 <= |x| < 1e17 whose
+# significand is not a power of two. Every other value, and every value
+# for which one of _repr_bytes's rounding decisions falls within its
+# error bound, is formatted by repr itself (_repr_each): zeros, NaNs,
+# infinities, subnormals, powers of two, magnitudes out of that range, and
+# values that 15 digits or fewer already round-trip.
 # ---------------------------------------------------------------------------
 
 _GRID_MAGIC = "hotloc-grid,2"
@@ -296,6 +306,166 @@ _GRID_MAGIC = "hotloc-grid,2"
 # Sorted values taken per batch, which bounds the Python strings and the
 # batch temporaries alive at once.
 _REPR_CHUNK = 1 << 12
+
+# 10**k for k = 0 .. 22, each exact in a double (5**22 < 2**53), and the
+# halves of Veltkamp's split of each (see _repr_bytes).
+_POW10 = np.array([float(10**k) for k in range(23)])
+_SPLIT = float((1 << 27) + 1)
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# The two ASCII digits of 0 .. 99, each pair one uint16, so one take
+# writes two digits.
+_DIGIT_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint16)
+# The bound on the error of each distance _repr_bytes decides on. Each is
+# D*c - (rem + l) for D in (1, 10, 100), an integer c and rem in [0, D),
+# with |l| <= 8: rem + l is one rounding of a number below 108, at most
+# half an ulp of [64, 128), 2**-47, and the difference one more of a number
+# below 64 (c is the nearest integer to (rem + l) / D, within rounding),
+# at most 2**-48. D*c and the conversions of rem and c are exact. The
+# bound is above the sum, 3 * 2**-48, by more than the rounding of the
+# thresholds it is added to or taken from (at most 2**-50 below 16).
+_SLACK = 2.0**-46
+_FRACTION_BITS = np.uint64((1 << 52) - 1)
+
+
+def _repr_each(values: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each float64 of ``values`` as ``S24`` bytes, one
+    Python call a value."""
+    return np.fromiter(map(repr, values.tolist()), "S24", values.size)
+
+
+def _layout(negative: bool, q: int, count: int) -> list:
+    """The pieces of the repr of a value of sign ``negative``, decimal
+    exponent ``q`` (``10**q <= |x| < 10**(q + 1)``) and ``count``
+    significant digits, in order: bytes, or the (start, stop) slice of
+    its digits. Python writes 1e16 and above and below 1e-4 with an
+    exponent of at least two digits."""
+    sign = b"-" if negative else b""
+    if q < -4 or q > 15:
+        return [sign, (0, 1), b".", (1, count), b"e%+03d" % q]
+    if q < 0:
+        return [sign + b"0." + b"0" * (-1 - q), (0, count)]
+    return [sign, (0, q + 1), b".", (q + 1, count) if q + 1 < count else b"0"]
+
+
+def _repr_bytes(values: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each float64 of ``values`` as ``S24`` bytes, in
+    whole-array numpy for the values :func:`_layout` covers and by
+    :func:`_repr_each` for the rest. Sorted values fall into few layout
+    groups, and each array is dropped once used, so a call holds few
+    arrays of the size of ``values`` at once.
+
+    When no decimal of 15 significant digits or fewer reads back as x,
+    repr is the 16-digit decimal nearest x if that one reads back, and
+    the 17-digit one nearest x otherwise. With a significand that is not
+    a power of two, x's neighbours are x - ulp and x + ulp, so a decimal
+    reads back as x when it lies within half an ulp of it, and of the
+    decimals of one step the nearest is the one to check. With x's
+    decimal exponent q and k = 16 - q, the scaled value X = x * 10**k
+    lies in [1e16, 1e17), and the decimals of 15, 16 and 17 digits are
+    the multiples of 100, 10 and 1. Dekker's product gives X exactly as
+    h + l: h rounds X, so it is an integer above 2**53, and |l| <= 8.
+    Half an ulp scales to u = ulp(x) * 10**k / 2, exact as the product of
+    a power of two and 10**k, and u > 0.55, so the nearest integer always
+    reads back. A value takes the numpy path when no decision lies
+    within :data:`_SLACK` of its edge: the nearest multiple of 100 is
+    more than u away; the nearest multiple of 10 is less than u away
+    (16 digits) or more (17), and X is not that near a tie between two
+    of them, nor, for 17 digits, between two integers. Its digits are X
+    rounded to that step, written two by two."""
+    magnitude = np.abs(values)
+    fraction = values.view(np.uint64) & _FRACTION_BITS
+    # Candidates; the exponent check below is the exact test.
+    at = ((magnitude >= 1e-6) & (magnitude < 1e17) & (fraction != 0)).nonzero()[0]
+    x = magnitude.take(at)
+    del magnitude, fraction
+    k = 16 - np.floor(np.log10(x)).astype(np.int64)
+    # log10 may round across a power of ten; one step either way mends
+    # it. A k out of 0 .. 22 takes the nearest power and fails ``exact``.
+    h = x * _POW10.take(k, mode="clip")
+    k += h < 1e16
+    k -= h >= 1e17
+    exact = (k >= 0) & (k <= 22)
+    # Dekker's product x * 10**k = h + l, with Veltkamp's split of x.
+    hi, lo = _POW10_HI.take(k, mode="clip"), _POW10_LO.take(k, mode="clip")
+    h = x * _POW10.take(k, mode="clip")
+    x_hi = x * _SPLIT
+    x_hi -= x_hi - x
+    x_lo = x - x_hi
+    # ((x_hi * hi - h) + x_hi * lo + x_lo * hi) + x_lo * lo, in place.
+    l = x_hi * hi
+    l -= h
+    x_hi *= lo
+    l += x_hi
+    hi *= x_lo
+    l += hi
+    x_lo *= lo
+    l += x_lo
+    del hi, lo, x_hi, x_lo
+    exact &= (h > 1e16) & (h < 1e17)
+    half = np.spacing(x) * _POW10.take(k, mode="clip") * 0.5
+    del x
+    whole = h.astype(np.int64)
+    del h
+    # Distances from X to the nearest multiple of 100, of 10 and of 1.
+    # Floor division by a constant is several times faster than % on
+    # int64.
+    t = (whole - whole // 100 * 100) + l
+    fast = exact & (np.abs(100.0 * np.rint(t / 100.0) - t) > half + _SLACK)
+    tens = whole // 10
+    t = (whole - tens * 10) + l
+    c16 = np.rint(t / 10.0)
+    t = np.abs(10.0 * c16 - t)
+    sixteen = t < half - _SLACK
+    fast &= (t < 5.0 - _SLACK) & (sixteen | (t > half + _SLACK))
+    c17 = np.rint(l)
+    fast &= sixteen | (np.abs(c17 - l) < 0.5 - _SLACK)
+    del exact, t, half, l
+    # Every value's digits as a 17-digit integer, a 16-digit one with a
+    # trailing zero, and its layout group: decimal exponent, sign and
+    # whether it has 16 digits.
+    tens += c16.astype(np.int64)
+    tens *= 10
+    whole += c17.astype(np.int64)
+    digits = np.where(sixteen, tens, whole)
+    del tens, whole, c16, c17
+    key = ((16 - k) * 4 + (values.take(at) < 0) * 2 + sixteen).astype(np.int8)
+    del k, sixteen
+    fast = fast.nonzero()[0]
+    # A stable sort of 8-bit keys is a radix sort.
+    order = fast.take(np.argsort(key.take(fast), kind="stable"))
+    texts = np.zeros(values.size, "S24")
+    slow = np.ones(values.size, dtype=bool)
+    slow[at.take(fast)] = False
+    slow = slow.nonzero()[0]
+    texts[slow] = _repr_each(values.take(slow))
+    del fast, slow
+    digits, key, at = digits.take(order), key.take(order), at.take(order)
+    del order
+    chars = np.empty((digits.size, 9), dtype=np.uint16)
+    for column in range(8, -1, -1):
+        rest = digits // 100
+        chars[:, column] = _DIGIT_PAIRS.take(digits - rest * 100)
+        digits = rest
+    del digits, rest
+    # The 17 digits, after the leading zero of 18.
+    chars = chars.view(np.uint8)[:, 1:]
+    out = np.zeros((key.size, 24), dtype=np.uint8)
+    starts = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
+    for start, end in zip(starts.tolist(), [*starts[1:].tolist(), key.size]):
+        q, group = divmod(int(key[start]), 4)
+        pos = 0
+        for piece in _layout(group >= 2, q, 17 - group % 2):
+            if isinstance(piece, bytes):
+                piece = np.frombuffer(piece, np.uint8)
+            else:
+                piece = chars[start:end, piece[0] : piece[1]]
+            width = piece.shape[-1]
+            out[start:end, pos : pos + width] = piece
+            pos += width
+    del chars
+    texts[at] = out.view("S24").reshape(-1)
+    return texts
 
 
 def repr_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,19 +476,26 @@ def repr_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each NUL-padded to the width.
 
     Values are keyed on their bit patterns, which keeps ``-0.0`` apart
-    from ``0.0``, so the bytes are those of ``repr`` by construction; a
-    NaN of any sign or payload is written ``nan``. One ``argsort`` of the
-    bits orders them, and the sorted values are then taken a batch of
-    :data:`_REPR_CHUNK` at a time: ``repr`` runs once on each value that
-    differs from the one before it, and each value's index is the count
-    of such values up to it, less one. Besides ``values``, the argsort's
-    int64 result and its int32 copy, then that copy and the index, are
-    the only arrays of their size alive at once. Fewer than 2**31 values
-    fit; the config's cube bound (``MAX_CUBE_BYTES``) admits 2**28."""
+    from ``0.0``; a NaN of any sign or payload is written ``nan``. One
+    ``argsort`` of the bits orders them, and the sorted values are then
+    taken a batch of :data:`_REPR_CHUNK` at a time: each value's index
+    is the count of values up to it that differ from the one before
+    them, less one. The distinct values, each put at its index, are then
+    formatted :data:`_REPR_CHUNK` at a time by :func:`_repr_bytes`:
+    those of 1e-6 to 1e17 that need 16 or 17 significant digits, most of
+    a run's, in whole-array numpy, with the bytes ``repr`` gives because
+    they are the nearest decimal that reads back, found in exact
+    arithmetic; the rest, and any whose rounding comes too close to
+    call, by ``repr`` itself. Full batches of distinct values keep the
+    kernel's fixed cost per call small where values repeat, and its
+    temporaries are bounded by the batch. Besides ``values``, the
+    argsort's int64 result and its int32 copy, then that copy and the
+    index, are the only arrays of their size alive at once. Fewer than
+    2**31 values fit; the config's cube bound (``MAX_CUBE_BYTES``)
+    admits 2**28."""
     bits = np.asarray(values, np.float64).reshape(-1).view(np.uint64)
     order = np.argsort(bits).astype(np.int32)
     index = np.empty(bits.size, dtype=np.int32)
-    chunks = [np.empty(0, dtype="S1")]
     count = 0
     for lo in range(0, bits.size, _REPR_CHUNK):
         at = order[lo : lo + _REPR_CHUNK]
@@ -326,18 +503,24 @@ def repr_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         first = np.empty(ranked.size, dtype=bool)
         first[0] = lo == 0 or ranked[0] != bits[order[lo - 1]]
         np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-        new = ranked.compress(first).view(np.float64).tolist()
-        if new:
-            texts = np.fromiter(map(repr, new), "S24", len(new))
-            # A double's repr is at most 24 characters; the batch keeps
-            # the width of its longest.
-            width = np.count_nonzero(texts.view(np.uint8).reshape(-1, 24).any(axis=0))
-            chunks.append(texts.astype(f"S{width}"))
         rank = np.cumsum(first, dtype=np.int32)
         rank += count - 1
         index[at] = rank
-        count += len(new)
+        count = int(rank[-1]) + 1
     del order
+    # Each value lands on its own index, and repeats write the same bits;
+    # a batch at a time, as the int32 index is taken as intp.
+    distinct = np.empty(count, dtype=np.uint64)
+    for lo in range(0, bits.size, _REPR_CHUNK):
+        distinct[index[lo : lo + _REPR_CHUNK]] = bits[lo : lo + _REPR_CHUNK]
+    distinct = distinct.view(np.float64)
+    chunks = [np.empty(0, dtype="S1")]
+    for lo in range(0, distinct.size, _REPR_CHUNK):
+        texts = _repr_bytes(distinct[lo : lo + _REPR_CHUNK])
+        # A double's repr is at most 24 characters; the batch keeps the
+        # width of its longest.
+        width = np.count_nonzero(texts.view(np.uint8).reshape(-1, 24).any(axis=0))
+        chunks.append(texts.astype(f"S{width}"))
     # The batches' widths differ; the table takes the widest.
     return np.concatenate(chunks), index.reshape(np.shape(values))
 

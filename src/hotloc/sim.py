@@ -95,15 +95,16 @@ KPI_SOURCE_SIM = "sim"
 # many ticks takes about a minute.
 MAX_TICKS = 10**6
 # A tick with more than BLOCK_ARRIVALS arrivals in the mean is a block of
-# its own. At the peak its arrivals take about 310 bytes each when every
+# its own. At the peak its arrivals take about 250 bytes each when every
 # one moves and holds TRACK_CAP keys, while the block is made: 168 in its
-# packed columns (21 int64 rows), their rank, and the pixels, states and
-# tracks they are made from (not the draws, dropped first). Admitted into
-# an empty UE block they are not copied: a tick of this many takes 310 MB.
+# packed columns (21 int64 rows), their rank, the movers' index and the
+# states their tracks are made from (not the draws, pixels, best cells
+# and ticks, each dropped once used). Admitted into an empty UE block
+# they are not copied: a tick of this many takes 250 MB.
 MAX_ARRIVALS_PER_TICK = 10**6
 # Arrivals a block of ticks holds in the mean. Making a block peaks at
-# about 295 bytes an arrival on the desk busy hour (15 int64 rows with 10
-# keys, a fifth of the arrivals move), and about 310 when every arrival
+# about 245 bytes an arrival on the desk busy hour (15 int64 rows with 10
+# keys, a fifth of the arrivals move), and about 250 when every arrival
 # moves and holds TRACK_CAP keys (21 rows); the tracks are made
 # BLOCK_ARRIVALS movers at a time. Blocks of 1024 to 16384 arrivals ran
 # the desk busy hour (40 arrivals a tick) in the same CPU time within the
@@ -355,9 +356,15 @@ class _Tracks:
         self.lo = np.array(spec.origin).reshape(2, 1)
         self.hi = self.lo + spec.extent
 
-    def velocity(self, heading: np.ndarray) -> np.ndarray:
-        """The (2, n) step velocities of n headings."""
-        return self.step * np.stack((np.sin(heading), np.cos(heading)))
+    def velocity(self, heading: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (2, n) step velocities of n headings, made in ``out`` when
+        it is given."""
+        if out is None:
+            out = np.empty((2, heading.size))
+        np.sin(heading, out=out[0])
+        np.cos(heading, out=out[1])
+        out *= self.step
+        return out
 
     def build(self, state: np.ndarray, out: np.ndarray) -> None:
         """Write the flat pixels of n UEs after each of ``len(out)`` moves
@@ -393,7 +400,8 @@ class _Tracks:
         track -= self.lo
         track /= self.spec.pixel_size
         m = self.spec.m
-        index = np.minimum(track.astype(np.intp), m - 1)
+        index = track.astype(np.intp)
+        np.minimum(index, m - 1, out=index)
         np.multiply(index[:, 0], m, out=out)
         out += index[:, 1]
 
@@ -506,14 +514,19 @@ class _Arrivals:
         rank[best == UNCOVERED] = self.NEVER
         del group, order, ranked
 
+        # Each column is dropped once the block holds it; a mover's base
+        # key is then taken from its SERVING row.
         ues = np.empty((self.key_row + self.rows, n), dtype=np.int64)
         ues[UE_ID] = np.arange(first_ue, first_ue + n)
         ues[SERVING] = best
-        ues[START_TICK] = tick + ticks.start
+        del best
+        np.add(tick, ticks.start, out=ues[START_TICK])
+        del tick
         ues[REMAINING_BITS].view(np.float64)[:] = self.file_size_bits
-        base = best * self.m2
         keys = ues[self.key_row :]
-        keys[:] = base + pix
+        np.multiply(ues[SERVING], self.m2, out=keys[0])
+        keys[0] += pix
+        keys[1:] = keys[0]
         ues[MOVER] = 0
         ues[MOVER, moving] = 1
         if self.stepwise:
@@ -524,9 +537,12 @@ class _Arrivals:
         if moving.size and (self.rows > 1 or self.stepwise):
             # The rows X to HEADING.
             state = np.empty((5, moving.size))
-            state[:2] = self.centers.take(pix.take(moving), axis=1)
+            # "clip" takes into state with no buffer; every pixel is on the map.
+            self.centers.take(pix.take(moving), axis=1, out=state[:2], mode="clip")
+            del pix
             state[4] = heading
-            state[2:4] = self.tracks.velocity(state[4])
+            del heading
+            self.tracks.velocity(state[4], out=state[2:4])
             if self.stepwise:
                 rest[:, moving] = state
             else:
@@ -536,7 +552,7 @@ class _Arrivals:
                     part = moving[i : i + BLOCK_ARRIVALS]
                     track = np.empty((self.rows - 1, part.size), dtype=np.int64)
                     self.tracks.build(state[:, i : i + BLOCK_ARRIVALS], track)
-                    track += base.take(part)
+                    track += ues[SERVING].take(part) * self.m2
                     keys[1:, part] = track
         return ues, rank, list(accumulate(counts))
 

@@ -268,7 +268,64 @@ class TestEdgeValues:
         assert paths[2].read_bytes() == reference_cdf_text(shared_report).encode()
 
 
+def repr_sample() -> np.ndarray:
+    """Over a million doubles built to hit each decision of the numpy
+    repr path, in a fixed order: log-uniform magnitudes over its range
+    and past each end, the 4096 doubles on either side of
+    every power of ten from 1e-8 to 1e17 (its nextafter neighbours, the
+    1e-4 and 1e16 layout switches and the carries of 9.99..., such as
+    99.99999999999999), then the values it leaves to ``repr``: powers of
+    two, subnormals, signed zeros, infinities and NaN payloads. Every
+    value appears under both signs."""
+    rng = np.random.default_rng(32)
+    parts = [10.0 ** rng.uniform(-7.5, 17.5, size=300_000)]
+    steps = np.arange(-4096, 4097, dtype=np.int64)
+    powers = np.array([float(f"1e{e}") for e in range(-8, 18)])
+    parts.append((powers.view(np.int64)[:, None] + steps).view(np.float64).reshape(-1))
+    parts.append(np.ldexp(1.0, np.arange(-1074, 1024, dtype=np.int32)))
+    subnormal = rng.integers(1, 1 << 52, size=20_000, dtype=np.uint64)
+    parts.append(subnormal.view(np.float64))
+    payload = rng.integers(1, 1 << 52, size=1000, dtype=np.uint64) | np.uint64(0x7FF0_0000_0000_0000)
+    parts += [payload.view(np.float64), np.array([0.0, math.inf, math.nan])]
+    values = np.concatenate(parts)
+    return np.concatenate((values, -values))
+
+
 class TestReprTable:
+    def test_numpy_path_matches_repr_on_its_decisions(self):
+        values = repr_sample()
+        assert values.size > 1_000_000
+        texts, index = repr_table(values)
+        texts = texts.astype("S24").take(index)
+        expected = np.fromiter(map(repr, values.tolist()), "S24", values.size)
+        wrong = np.flatnonzero(texts != expected)
+        assert [(values[i], texts[i]) for i in wrong[:5]] == []
+
+    def test_numpy_path_in_any_order(self):
+        # repr_table gives the kernel values sorted by bit pattern, in few
+        # layout groups; shuffled, every value is a group of its own.
+        values = np.random.default_rng(7).permutation(repr_sample())[:20_000]
+        expected = np.fromiter(map(repr, values.tolist()), "S24", values.size)
+        assert grid_module._repr_bytes(values).tolist() == expected.tolist()
+
+    def test_desk_grid_values_mostly_take_the_numpy_path(self, desk_run, tmp_path, monkeypatch):
+        # Only repr_table's fallback calls repr; a regression that sends
+        # every value there keeps the bytes and loses the speed.
+        fallback = []
+        repr_each = grid_module._repr_each
+
+        def each(values):
+            fallback.append(values.size)
+            return repr_each(values)
+
+        monkeypatch.setattr(grid_module, "_repr_each", each)
+        grid = desk_run.scenario.grid
+        save_grid(grid, tmp_path / "grid.csv")
+        assert (tmp_path / "grid.csv").read_bytes() == (desk_run.out_dir / "grid.csv").read_bytes()
+        distinct = np.unique(grid.rsrp[~np.isnan(grid.rsrp)]).size
+        assert distinct > 10_000
+        assert sum(fallback) <= 0.1 * distinct
+
     def test_matches_repr_on_random_bit_patterns(self, monkeypatch):
         # Batches smaller than the input, with a ragged last one.
         monkeypatch.setattr(grid_module, "_REPR_CHUNK", 999)

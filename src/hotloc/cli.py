@@ -3,21 +3,15 @@
 ``hotloc pipeline`` runs every stage of :mod:`hotloc.pipeline` from one
 config file. The other subcommands run their stages on the artifacts in
 ``--in`` (default: the output directory) and write to ``--out``, so one
-working directory accumulates the full artifact set:
-
-    gen-scenario            scenario
-    oracle-kpis, simulate   kpis
-    optimize                maps, then optimize
-    localize                localize
-    evaluate                evaluate
-
-A subcommand parses its options, hands its stages to
-:func:`hotloc.pipeline.run_stages` and echoes a summary; what a stage
-reads, computes and writes lives in the pipeline. Every failure, reading
-the inputs included, ends the command with ``hotloc: stage <name>:
-<message>`` on stderr and exit status 1, printed by :func:`_fail` alone;
-a read fails under the subcommand's name, and a bad config, or an input
-that does not match it, under ``config``.
+working directory accumulates the full artifact set. Each is one entry of
+:data:`STAGE_COMMANDS`: its stages, help, summary, options and KPI
+source. It hands its stages to :func:`hotloc.pipeline.run_stages` and
+echoes the summary; what a stage reads, computes and writes lives in the
+pipeline. Every failure, reading the inputs included, ends the command
+with ``hotloc: stage <name>: <message>`` on stderr and exit status 1,
+printed by :func:`_fail` alone; a read fails under the subcommand's
+name, and a bad config, or an input that does not match it, under
+``config``.
 
 A refused input is a :class:`hotloc.bounds.InputError` whose ``source``
 is the file path or the dotted config key, ``where`` the line (``line
@@ -35,6 +29,7 @@ from __future__ import annotations
 import csv
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import click
 
@@ -43,6 +38,7 @@ from hotloc.pipeline import (
     ALL_VARIANTS,
     KPI_SOURCE_ORACLE,
     KPI_SOURCE_SIM,
+    Run,
     StageError,
     run_pipeline,
     run_stages,
@@ -110,10 +106,15 @@ def _parse_seeds(_ctx, _param, value):
     return seeds
 
 
-config_opt = click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Scenario configuration (JSON).")
-seed_opt = click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed override.")
-out_opt = click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False), help="Output directory.")
-in_opt = click.option("--in", "in_dir", type=click.Path(exists=True, file_okay=False), default=None, help="Input artifact directory (default: the output directory).")
+# Every option of a stage subcommand, by parameter name.
+OPTIONS = {
+    "config_path": click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Scenario configuration (JSON)."),
+    "seed": click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed override."),
+    "out_dir": click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False), help="Output directory."),
+    "in_dir": click.option("--in", "in_dir", type=click.Path(exists=True, file_okay=False), default=None, help="Input artifact directory (default: the output directory)."),
+    "events": click.option("--events/--no-events", default=False, help="Also write the simulator's per-tick event log."),
+    "x_override": click.option("--x-override", callback=_parse_x_override, default=None, help="Importance factors a,b,c,d,e (skips the fit)."),
+}
 
 
 @click.group()
@@ -121,106 +122,88 @@ def main() -> None:
     """KPI-driven traffic hotspot localization toolkit."""
 
 
-@main.command("gen-scenario")
-@config_opt
-@seed_opt
-@out_opt
-@_reported("scenario")
-def gen_scenario_cmd(config_path: str, seed: int | None, out_dir: str) -> None:
-    """Build the synthetic scenario: coverage grid, ground truth and
-    potential-hotspot prior."""
-    config = load_scenario_config(config_path, seed)
-    run = run_stages(("scenario",), config, out_dir)
-    click.echo(f"scenario written to {run.out_dir} ({len(run.grid.cells)} cells, m={config.spec.m})")
+class StageCommand(NamedTuple):
+    """A stage subcommand: the stages it runs, in pipeline order; its help
+    text; the summary it echoes from the finished run; the options it
+    takes beside ``--config``, ``--seed`` and ``--out``, by parameter
+    name (:data:`OPTIONS`); and where its KPIs come from."""
+
+    stages: tuple[str, ...]
+    help: str
+    summary: Callable[[Run], str]
+    options: tuple[str, ...] = ("in_dir",)
+    kpi_source: str = KPI_SOURCE_ORACLE
 
 
-def _kpis(kpi_source: str, config_path: str, seed: int | None, out_dir: str, in_dir: str | None, events: bool) -> None:
-    config = load_scenario_config(config_path, seed)
-    run = run_stages(("kpis",), config, out_dir, in_dir, kpi_source, event_log=events)
-    source = "oracle" if kpi_source == KPI_SOURCE_ORACLE else "simulated"
-    click.echo(f"{source} KPIs for {len(run.kpis.cells)} cells written to {run.out_dir / 'kpis.json'}")
+def _means(run: Run) -> str:
+    return ", ".join(f"{k}: {v.mean_distance_m:.1f} m" for k, v in sorted(run.report.variants.items()))
 
 
-@main.command("oracle-kpis")
-@config_opt
-@seed_opt
-@out_opt
-@in_opt
-@_reported("kpis")
-def oracle_kpis_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str | None) -> None:
-    """Derive per-cell KPIs analytically from the ground-truth map."""
-    _kpis(KPI_SOURCE_ORACLE, config_path, seed, out_dir, in_dir, events=False)
+STAGE_COMMANDS = {
+    "gen-scenario": StageCommand(
+        ("scenario",),
+        "Build the synthetic scenario: coverage grid, ground truth and potential-hotspot prior.",
+        lambda run: f"scenario written to {run.out_dir} ({len(run.grid.cells)} cells, m={run.config.spec.m})",
+        options=(),
+    ),
+    "oracle-kpis": StageCommand(
+        ("kpis",),
+        "Derive per-cell KPIs analytically from the ground-truth map.",
+        lambda run: f"oracle KPIs for {len(run.kpis.cells)} cells written to {run.out_dir / 'kpis.json'}",
+    ),
+    "simulate": StageCommand(
+        ("kpis",),
+        "Run the discrete-event simulator and emit its KPI set.",
+        lambda run: f"simulated KPIs for {len(run.kpis.cells)} cells written to {run.out_dir / 'kpis.json'}",
+        options=("in_dir", "events"),
+        kpi_source=KPI_SOURCE_SIM,
+    ),
+    "optimize": StageCommand(
+        ("maps", "optimize"),
+        "Build the per-KPI maps and fit the importance factors to the potential-hotspot prior.",
+        lambda run: f"x = ({_format_x(run.x)}), residual {run.fit_residual:.6g}",
+    ),
+    "localize": StageCommand(
+        ("localize",),
+        "Fuse the per-KPI maps with the importance factors and smooth the result.",
+        lambda run: f"fused and smoothed maps written to {run.out_dir} (x = {_format_x(run.x)})",
+        options=("in_dir", "x_override"),
+    ),
+    "evaluate": StageCommand(
+        ("evaluate",),
+        "Fit the restricted variants and score every variant against the ground truth.",
+        lambda run: f"report written to {run.out_dir / 'report.json'} ({_means(run)})",
+    ),
+}
 
 
-@main.command("simulate")
-@config_opt
-@seed_opt
-@out_opt
-@in_opt
-@click.option("--events/--no-events", default=False, help="Also write the per-tick event log.")
-@_reported("kpis")
-def simulate_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str | None, events: bool) -> None:
-    """Run the discrete-event simulator and emit its KPI set."""
-    _kpis(KPI_SOURCE_SIM, config_path, seed, out_dir, in_dir, events)
+def _register(name: str, entry: StageCommand) -> None:
+    """Add the subcommand ``name`` to :func:`main`: it reads the config,
+    runs the entry's stages and echoes its summary."""
+
+    def command(config_path, seed, out_dir, in_dir=None, events=False, x_override=None) -> None:
+        config = load_scenario_config(config_path, seed)
+        run = run_stages(entry.stages, config, out_dir, in_dir, entry.kpi_source, x_override, events)
+        click.echo(entry.summary(run))
+
+    command.__doc__ = entry.help
+    command = _reported(entry.stages[-1])(command)
+    for option in reversed(("config_path", "seed", "out_dir", *entry.options)):
+        command = OPTIONS[option](command)
+    main.command(name)(command)
 
 
-@main.command("optimize")
-@config_opt
-@seed_opt
-@out_opt
-@in_opt
-@_reported("optimize")
-def optimize_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str | None) -> None:
-    """Build the per-KPI maps and fit the importance factors to the
-    potential-hotspot prior."""
-    config = load_scenario_config(config_path, seed)
-    run = run_stages(("maps", "optimize"), config, out_dir, in_dir)
-    click.echo(f"x = ({_format_x(run.x)}), residual {run.fit_residual:.6g}")
-
-
-@main.command("localize")
-@config_opt
-@seed_opt
-@out_opt
-@in_opt
-@click.option("--x-override", callback=_parse_x_override, default=None, help="Importance factors a,b,c,d,e (skips the fitted vector).")
-@_reported("localize")
-def localize_cmd(
-    config_path: str,
-    seed: int | None,
-    out_dir: str,
-    in_dir: str | None,
-    x_override: ImportanceVector | None,
-) -> None:
-    """Fuse the per-KPI maps with the importance factors and smooth the
-    result."""
-    config = load_scenario_config(config_path, seed)
-    run = run_stages(("localize",), config, out_dir, in_dir, x_override=x_override)
-    click.echo(f"fused and smoothed maps written to {run.out_dir} (x = {_format_x(run.x)})")
-
-
-@main.command("evaluate")
-@config_opt
-@seed_opt
-@out_opt
-@in_opt
-@_reported("evaluate")
-def evaluate_cmd(config_path: str, seed: int | None, out_dir: str, in_dir: str | None) -> None:
-    """Fit the restricted variants and score every variant against the
-    ground truth."""
-    config = load_scenario_config(config_path, seed)
-    run = run_stages(("evaluate",), config, out_dir, in_dir)
-    means = ", ".join(f"{k}: {v.mean_distance_m:.1f} m" for k, v in sorted(run.report.variants.items()))
-    click.echo(f"report written to {run.out_dir / 'report.json'} ({means})")
+for _name, _entry in STAGE_COMMANDS.items():
+    _register(_name, _entry)
 
 
 @main.command("pipeline")
-@config_opt
-@seed_opt
-@out_opt
+@OPTIONS["config_path"]
+@OPTIONS["seed"]
+@OPTIONS["out_dir"]
 @click.option("--kpi-source", type=click.Choice([KPI_SOURCE_ORACLE, KPI_SOURCE_SIM]), default=KPI_SOURCE_ORACLE, help="Where the per-cell KPIs come from.")
-@click.option("--x-override", callback=_parse_x_override, default=None, help="Importance factors a,b,c,d,e (skips optimization).")
-@click.option("--events/--no-events", default=False, help="Write the simulator event log.")
+@OPTIONS["x_override"]
+@OPTIONS["events"]
 @click.option("--seeds", callback=_parse_seeds, default=None, help="Comma-separated seed list: run once per seed into seed-N subdirectories and collect seeds.csv.")
 @_reported("pipeline")
 def pipeline_cmd(

@@ -15,14 +15,13 @@ All three are pure and deterministic.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from hotloc.bounds import MAX_METERS, Bounded, bounded
-from hotloc.grid import reject_separators, repr_table, text_rows
+from hotloc.grid import reject_separators, repr_table, text_rows, write_json
 from hotloc.kpi import LABEL_TRUTH, WeightMap
 
 NORMALIZATION_TOL = 1e-6
@@ -289,9 +288,7 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def save_report(report: EvalReport, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report_to_dict(report), sort_keys=True)
 
 
 def write_report_csvs(report: EvalReport, peaks_path: str, detection_path: str, cdf_path: str) -> None:

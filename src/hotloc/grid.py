@@ -480,8 +480,9 @@ def repr_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``argsort`` of the bits orders them, and the sorted values are then
     taken a batch of :data:`_REPR_CHUNK` at a time: each value's index
     is the count of values up to it that differ from the one before
-    them, less one. The distinct values, each put at its index, are then
-    formatted :data:`_REPR_CHUNK` at a time by :func:`_repr_bytes`:
+    them, less one, and the first of them joins the distinct values. The
+    distinct values are then formatted :data:`_REPR_CHUNK` at a time by
+    :func:`_repr_bytes`:
     those of 1e-6 to 1e17 that need 16 or 17 significant digits, most of
     a run's, in whole-array numpy, with the bytes ``repr`` gives because
     they are the nearest decimal that reads back, found in exact
@@ -497,6 +498,7 @@ def repr_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(bits).astype(np.int32)
     index = np.empty(bits.size, dtype=np.int32)
     count = 0
+    distinct = [np.empty(0, dtype=np.uint64)]
     for lo in range(0, bits.size, _REPR_CHUNK):
         at = order[lo : lo + _REPR_CHUNK]
         ranked = bits.take(at)
@@ -507,13 +509,9 @@ def repr_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rank += count - 1
         index[at] = rank
         count = int(rank[-1]) + 1
+        distinct.append(ranked[first])
     del order
-    # Each value lands on its own index, and repeats write the same bits;
-    # a batch at a time, as the int32 index is taken as intp.
-    distinct = np.empty(count, dtype=np.uint64)
-    for lo in range(0, bits.size, _REPR_CHUNK):
-        distinct[index[lo : lo + _REPR_CHUNK]] = bits[lo : lo + _REPR_CHUNK]
-    distinct = distinct.view(np.float64)
+    distinct = np.concatenate(distinct).view(np.float64)
     chunks = [np.empty(0, dtype="S1")]
     for lo in range(0, distinct.size, _REPR_CHUNK):
         texts = _repr_bytes(distinct[lo : lo + _REPR_CHUNK])
@@ -651,18 +649,20 @@ def save_grid(grid: CoverageGrid, path: str | Path) -> None:
     lines.append("rsrp")
     # Only the covered values are keyed, so the table and index do not
     # grow with the uncovered part of the stack; every NaN pixel takes
-    # the slot after the table's last text.
-    covered = ~np.isnan(grid.rsrp)
-    texts, index = repr_table(grid.rsrp[covered])
+    # the slot after the table's last text. Each layer is masked on its
+    # own, to gather its values and again to write them.
+    texts, index = repr_table(np.concatenate([layer[~np.isnan(layer)] for layer in grid.rsrp]))
     texts = np.append(texts, b"nan")
-    ends = np.cumsum(np.count_nonzero(covered.reshape(grid.n_cells, -1), axis=1))
-    layer = np.empty((spec.m, spec.m), dtype=np.int32)
+    slot = np.empty((spec.m, spec.m), dtype=np.int32)
+    end = 0
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
-        for mask, part in zip(covered, np.split(index, ends[:-1])):
-            layer.fill(texts.size - 1)
-            layer[mask] = part
-            fh.write(text_rows([texts.take(layer)]))
+        for layer in grid.rsrp:
+            covered = ~np.isnan(layer)
+            start, end = end, end + np.count_nonzero(covered)
+            slot.fill(texts.size - 1)
+            slot[covered] = index[start:end]
+            fh.write(text_rows([texts.take(slot)]))
 
 
 @contextmanager
@@ -700,6 +700,12 @@ def read_json(path: str | Path):
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(path, None, f"not JSON: {exc}") from exc
+
+
+def write_json(path: str | Path, doc, sort_keys: bool = False) -> None:
+    """Write the JSON document ``doc`` to ``path``, indented by two spaces
+    and ended by a newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
 
 
 Header = dict[str, list[tuple[int, list[str]]]]

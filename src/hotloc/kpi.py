@@ -10,7 +10,6 @@ invert.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from hotloc.grid import (
     repr_table,
     ta_zone_layer,
     text_rows,
+    write_json,
 )
 
 DIST_TOL = 1e-9
@@ -497,7 +497,7 @@ def save_kpi_set(kpis: KpiSet, path: str | Path) -> None:
             for cell_id, k in kpis.cells.items()
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(path, doc)
 
 
 def _json_float(value, cell_id: str, key: str) -> float:
@@ -555,7 +555,7 @@ def save_potential_spec(spec_zones: PotentialHotspotSpec, path: str | Path) -> N
     """Write the prior as the ``potential`` section of a scenario config."""
     from hotloc.scenario import section_doc  # scenario imports this module
 
-    Path(path).write_text(json.dumps(section_doc(spec_zones), indent=2) + "\n")
+    write_json(path, section_doc(spec_zones))
 
 
 def load_potential_spec(path: str | Path) -> PotentialHotspotSpec:

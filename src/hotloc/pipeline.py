@@ -17,7 +17,6 @@ report exactly where a run died and which input it refused.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -43,7 +42,7 @@ from hotloc.kpi import (
     save_potential_spec,
     save_weight_map,
 )
-from hotloc.grid import CoverageGrid, compute_server_maps, load_grid, read_json, save_grid
+from hotloc.grid import CoverageGrid, compute_server_maps, load_grid, read_json, save_grid, write_json
 from hotloc.localize import (
     ImportanceVector,
     LocalizationResult,
@@ -171,9 +170,7 @@ def _run_optimize(run: Run) -> None:
         "x_normalized": [v / total for v in x.values],
         "fitted": run.x_override is None,
     }
-    with open(run.out_dir / "importance.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(run.out_dir / "importance.json", doc)
     run.x, run.fit_residual = x, residual
 
 

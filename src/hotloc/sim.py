@@ -103,13 +103,14 @@ MAX_TICKS = 10**6
 # they are not copied: a tick of this many takes 250 MB.
 MAX_ARRIVALS_PER_TICK = 10**6
 # Arrivals a block of ticks holds in the mean. Making a block peaks at
-# about 245 bytes an arrival on the desk busy hour (15 int64 rows with 10
+# about 180 bytes an arrival on the desk busy hour (15 int64 rows with 10
 # keys, a fifth of the arrivals move), and about 250 when every arrival
 # moves and holds TRACK_CAP keys (21 rows); the tracks are made
-# BLOCK_ARRIVALS movers at a time. Blocks of 1024 to 16384 arrivals ran
-# the desk busy hour (40 arrivals a tick) in the same CPU time within the
-# host's noise; blocks of 256, which make their movers' tracks every 6
-# ticks, took about a fifth more.
+# BLOCK_ARRIVALS movers at a time, each move's pixels written as it is
+# made. Blocks of 1024 to 16384 arrivals ran the desk busy hour (40
+# arrivals a tick) in the same CPU time within the host's noise; blocks
+# of 256, which make their movers' tracks every 6 ticks, took about a
+# fifth more.
 BLOCK_ARRIVALS = 1 << 10
 # Keys a UE's queue holds at most (see :func:`_lifetime`). Above it the
 # movers move tick by tick: a queue refilled when it runs out would make
@@ -372,7 +373,9 @@ class _Tracks:
         velocity and heading, the rows :data:`X` to :data:`HEADING` as
         floats (5, n), and is left as the last move leaves it."""
         pos, velocity, heading = state[:2], state[2:4], state[4]
-        track = np.empty((len(out), *pos.shape))
+        m = self.spec.m
+        scaled = np.empty(pos.shape)
+        index = np.empty(pos.shape, dtype=np.intp)
         refold = bool(np.count_nonzero(heading == 2.0 * math.pi))
         for move in range(len(out)):
             pos += velocity
@@ -394,16 +397,14 @@ class _Tracks:
                     heading[turned] = turn
                     velocity[:, turned] = self.velocity(turn)
                     refold = bool(np.count_nonzero(turn == 2.0 * math.pi))
-            track[move] = pos
-        # Reflected coordinates are inside the map, so only the far edge
-        # needs clamping into the last pixel.
-        track -= self.lo
-        track /= self.spec.pixel_size
-        m = self.spec.m
-        index = track.astype(np.intp)
-        np.minimum(index, m - 1, out=index)
-        np.multiply(index[:, 0], m, out=out)
-        out += index[:, 1]
+            # Reflected coordinates are inside the map, so only the far
+            # edge needs clamping into the last pixel.
+            np.subtract(pos, self.lo, out=scaled)
+            scaled /= self.spec.pixel_size
+            np.copyto(index, scaled, casting="unsafe")
+            np.minimum(index, m - 1, out=index)
+            np.multiply(index[0], m, out=out[move])
+            out[move] += index[1]
 
 
 def _lifetime(config: SimConfig, cap: int) -> int:

@@ -9,8 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import DESK_CONFIG, REPO_ROOT, SIM_CONFIG, put_byte
-from hotloc.cli import main
-from hotloc.pipeline import READERS
+from hotloc.cli import STAGE_COMMANDS, main
+from hotloc.pipeline import READERS, STAGE_INPUTS
+from test_fuzz import COMMANDS
 
 CONFIG = str(SIM_CONFIG)
 
@@ -267,6 +268,47 @@ def test_readme_stage_table_is_true(runner, pipeline_dir, tmp_path, command, rea
     for name in reads:
         assert (art / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
         assert (art / name).stat().st_mtime_ns == 10**9, name
+
+
+def files_read(stages):
+    """The files that ``stages`` read from an artifact directory: those of
+    every input that no stage of them makes, and of the inputs its loader
+    takes (``pipeline.run_stages``)."""
+    files, names = set(), [name for s in stages for name in STAGE_INPUTS[s]]
+    while names:
+        writer, paths, _, needs = READERS[names.pop()]
+        if writer not in stages:
+            files.update(paths)
+            names.extend(needs)
+    return files
+
+
+class TestStageCommandTable:
+    @pytest.mark.parametrize("name", sorted(STAGE_COMMANDS))
+    def test_entry_is_a_command(self, name):
+        """Each entry is a subcommand of ``main`` that takes ``--config``,
+        ``--seed`` and ``--out``, then its own options, and runs its
+        stages in pipeline order."""
+        entry = STAGE_COMMANDS[name]
+        params = [param.name for param in main.commands[name].params]
+        assert params == ["config_path", "seed", "out_dir", *entry.options]
+        assert list(entry.stages) == [s for s in STAGE_INPUTS if s in entry.stages]
+
+    def test_gen_scenario_reads_no_directory(self):
+        assert "in_dir" not in [param.name for param in main.commands["gen-scenario"].params]
+
+    def test_every_stage_has_a_command(self):
+        assert {s for entry in STAGE_COMMANDS.values() for s in entry.stages} == set(STAGE_INPUTS)
+
+    @pytest.mark.parametrize(
+        "name, command",
+        [(name, command) for name, commands in COMMANDS.items() if name != "config.json"
+         for command in commands],
+    )
+    def test_fuzzed_file_is_read_by_its_command(self, name, command):
+        """Each (file, command) pair the fuzz test mutates is a file the
+        command's stages read."""
+        assert name in files_read(STAGE_COMMANDS[command].stages)
 
 
 @pytest.fixture(scope="module")

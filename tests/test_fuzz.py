@@ -2,11 +2,12 @@
 
 Each case copies one sim-small run, applies one random mutation to one
 file that a stage command reads, or to the config file, and runs that
-command's stages in process, as the command does: the config through
-``load_scenario_config``, then ``pipeline.run_stages``. The run must
-finish, or raise an :class:`InputError` (bare, or as the ``cause`` of a
-``StageError``) whose ``source`` names what was mutated: the file, or
-for a value of the config its dotted key.
+command's stages (its ``hotloc.cli.STAGE_COMMANDS`` entry) in process,
+as the command does: the config through ``load_scenario_config``, then
+``pipeline.run_stages``. The run must finish, or raise an
+:class:`InputError` (bare, or as the ``cause`` of a ``StageError``)
+whose ``source`` names what was mutated: the file, or for a value of the
+config its dotted key.
 """
 
 import json
@@ -19,8 +20,8 @@ from click.testing import CliRunner
 
 from conftest import SIM_CONFIG
 from hotloc.bounds import ConfigError, InputError
-from hotloc.cli import main
-from hotloc.pipeline import KPI_SOURCE_ORACLE, KPI_SOURCE_SIM, StageError, run_stages
+from hotloc.cli import STAGE_COMMANDS, main
+from hotloc.pipeline import StageError, run_stages
 from hotloc.scenario import load_scenario_config
 
 SEED = 7
@@ -54,15 +55,6 @@ NOT_UTF8 = tuple(bytes([b]).decode("utf-8", "surrogateescape") for b in (0x80, 0
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?|nan|inf")
 # The row that ends the header of each CSV format.
 MARKERS = ("rsrp", "i,j,weight")
-# The stages each command runs (hotloc.cli).
-STAGES = {
-    "gen-scenario": ("scenario",),
-    "oracle-kpis": ("kpis",),
-    "simulate": ("kpis",),
-    "optimize": ("maps", "optimize"),
-    "localize": ("localize",),
-    "evaluate": ("evaluate",),
-}
 
 
 def json_paths(value, path=()):
@@ -133,8 +125,8 @@ def run_command(command: str, art) -> Exception | None:
     InputError or a StageError is raised."""
     try:
         config = load_scenario_config(art / "config.json")
-        kpi_source = KPI_SOURCE_SIM if command == "simulate" else KPI_SOURCE_ORACLE
-        run_stages(STAGES[command], config, art, kpi_source=kpi_source)
+        entry = STAGE_COMMANDS[command]
+        run_stages(entry.stages, config, art, kpi_source=entry.kpi_source)
     except (InputError, StageError) as exc:
         return exc
     return None

@@ -387,6 +387,33 @@ class TestRunSimulation:
         assert any(ck.amt_bps > 0 for ck in kpis.cells.values())
         assert peak / n < 273
 
+    def test_busy_hour_block_peak(self, monkeypatch):
+        # The desk busy hour (seed 0, 40 arrivals/s of 4 Mbit for an hour):
+        # the worst traced peak of making an arrival block, above what was
+        # held on entering it, per arrival of the block. It reads about
+        # 178 bytes; with each track kept as a float (moves, 2, n) array
+        # and an intp copy of it, about 245.
+        config = load_scenario_config(DESK_CONFIG, 0)
+        scenario = build_scenario(config)
+        busy = replace(config.sim, arrival_rate=40.0, file_size_bits=4e6, duration_s=3600.0)
+        block, worst = sim._Arrivals.block, []
+
+        def traced(self, *args):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = block(self, *args)
+            worst.append((tracemalloc.get_traced_memory()[1] - held) / max(1, result[0].shape[1]))
+            return result
+
+        monkeypatch.setattr(sim._Arrivals, "block", traced)
+        tracemalloc.start()
+        try:
+            run_simulation(busy, scenario.truth, scenario.grid, scenario.servers)
+        finally:
+            tracemalloc.stop()
+        assert len(worst) > 100
+        assert max(worst) < 200
+
     def test_truth_validation(self):
         grid, servers = self.small_setup()
         config = SimConfig(arrival_rate=1.0, duration_s=5.0)

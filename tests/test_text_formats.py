@@ -397,24 +397,18 @@ class TestTextRows:
 
 
 class TestWriterMemory:
-    def test_save_grid_memory_per_covered_value(self, tmp_path, monkeypatch):
-        # About 40% of the stack is NaN, and the covered values come from a
-        # pool, so the texts are few and the memory is the arrays that
-        # scale with the stack. The peak, while the table is made: the
-        # covered values (8 bytes each), the argsort's int64 order and
-        # its int32 copy (12) and the cube's NaN mask (1 a pixel, 1.7 a
-        # covered value), about 23 bytes a covered value. Held while the
-        # layers are written: the int32 index and the mask, about 6.5. An
-        # int32 index over the whole cube adds 6.7 to either, and an
-        # object array of texts 8 and its strings; a table over the whole
-        # cube instead of the covered values indexes more values than are
-        # covered.
+    def save_grid_memory(self, tmp_path, monkeypatch, uncovered):
+        """The traced peak of ``save_grid`` on 100 cells at m=40 with a
+        share ``uncovered`` of NaN, and the most held while the layers are
+        written, each per covered value. The covered values come from a
+        pool, so the texts are few and the memory is the arrays that
+        scale with the stack."""
         rng = np.random.default_rng(40)
         n_cells, m = 100, 40
         rsrp = rng.choice(rng.uniform(-130.0, -60.0, size=256), size=(n_cells, m, m))
-        rsrp[rng.random(rsrp.shape) < 0.4] = np.nan
+        rsrp[rng.random(rsrp.shape) < uncovered] = np.nan
         covered = np.count_nonzero(~np.isnan(rsrp))
-        assert 0.55 < covered / rsrp.size < 0.65
+        assert abs(covered / rsrp.size - (1.0 - uncovered)) < 0.01
         cells = [CellInfo(f"C{k}", (25.0 * k, 0.0), 0.0) for k in range(n_cells)]
         grid = CoverageGrid(GridSpec(m, 12.5, (0.0, 0.0)), cells, rsrp, -115.0)
         indexed, held = [], []
@@ -440,5 +434,28 @@ class TestWriterMemory:
         assert (tmp_path / "grid.csv").read_bytes() == reference_grid_text(grid).encode()
         assert indexed == [covered]
         assert len(held) == n_cells
-        assert peak / covered < 26.0
-        assert max(held) / covered < 9.0
+        return peak / covered, max(held) / covered
+
+    def test_save_grid_memory_per_covered_value(self, tmp_path, monkeypatch):
+        # About 40% of the stack is NaN. The peak, while the table is made:
+        # the covered values (8 bytes each), the argsort's int64 order and
+        # its int32 copy (12), about 20 bytes a covered value. Held while
+        # the layers are written: the int32 index, about 5. A NaN mask of
+        # the whole cube adds 1.7 to either, and its inverted copy as
+        # much again; an int32 index over the whole cube adds 6.7, and an
+        # object array of texts 8 and its strings; a table over the whole
+        # cube instead of the covered values indexes more values than are
+        # covered.
+        peak, held = self.save_grid_memory(tmp_path, monkeypatch, 0.4)
+        assert peak < 23.0
+        assert held < 6.0
+
+    def test_save_grid_memory_at_low_coverage(self, tmp_path, monkeypatch):
+        # 5% of the stack is covered, about as much as at m=1024 with 183
+        # cells. The peak is about 32 bytes a covered value and the most
+        # held about 12; a NaN mask of the whole cube and its inverted
+        # copy, 2 bytes a pixel, add 40 a covered value while the table is
+        # made, and the mask 20 while the layers are written.
+        peak, held = self.save_grid_memory(tmp_path, monkeypatch, 0.95)
+        assert peak < 36.0
+        assert held < 14.0

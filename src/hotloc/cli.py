@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import click
 
-from hotloc.localize import ImportanceVector
+from hotloc.localize import KPI_COUNT, ImportanceVector
 from hotloc.pipeline import (
     ALL_VARIANTS,
     KPI_SOURCE_ORACLE,
@@ -84,7 +84,7 @@ def _parse_x_override(_ctx, _param, value):
     if value is None:
         return None
     parts = value.split(",")
-    if len(parts) != 5:
+    if len(parts) != KPI_COUNT:
         raise click.BadParameter("expected five comma-separated values, e.g. 0.2,0.2,0.2,0.2,0.2")
     try:
         return ImportanceVector(tuple(float(p) for p in parts))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hotloc.bounds import MAX_METERS, Bounded, bounded
+from hotloc.bounds import MAX_METERS, Bounded, bounded, section_doc
 from hotloc.grid import reject_separators, repr_table, text_rows, write_json
 from hotloc.kpi import LABEL_TRUTH, WeightMap
 
@@ -260,11 +260,7 @@ def report_to_dict(report: EvalReport) -> dict:
         return {"x": p.x, "y": p.y, "weight": p.weight}
 
     return {
-        "config": {
-            "peak_count": report.config.peak_count,
-            "suppression_radius_m": report.config.suppression_radius_m,
-            "p_list": list(report.config.p_list),
-        },
+        "config": section_doc(report.config),
         "truth_peaks": [peak_row(p) for p in report.truth_peaks],
         "variants": {
             label: {

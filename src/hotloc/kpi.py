@@ -15,7 +15,19 @@ from pathlib import Path
 
 import numpy as np
 
-from hotloc.bounds import MAX_DB, MAX_MAGNITUDE, MAX_METERS, Bounded, ConfigError, InputError, bounded
+from hotloc.bounds import (
+    MAX_DB,
+    MAX_MAGNITUDE,
+    MAX_METERS,
+    Bounded,
+    ConfigError,
+    InputError,
+    bounded,
+    json_float,
+    read_section,
+    section_doc,
+    shown,
+)
 from hotloc.grid import (
     CoverageGrid,
     GridSpec,
@@ -133,8 +145,12 @@ class KpiSet:
         if not isinstance(self.source, str):
             raise ValueError(f"source must be a string, got {self.source!r}")
         window = self.window_s
-        if window is not None and not (type(window) in (int, float) and 0 <= window < np.inf):
-            raise ValueError(f"window_s must be null or a finite non-negative number, got {window!r}")
+        try:
+            valid = window is None or 0 <= json_float(window) < np.inf
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValueError(f"window_s must be null or a finite non-negative number, got {shown(window)}")
         for cell_id, kpis in self.cells.items():
             try:
                 kpis.validate()
@@ -201,7 +217,7 @@ class HotspotZone(Bounded):
     shape: str
     importance: float = bounded(ge=0, le=MAX_MAGNITUDE)
     center: tuple[float, float] | None = bounded(None, ge=-MAX_METERS, le=MAX_METERS)
-    radius: float | None = bounded(None, gt=0, le=MAX_METERS)
+    radius: float | None = bounded(None, key="radius_m", gt=0, le=MAX_METERS)
     corners: tuple[float, float, float, float] | None = bounded(None, ge=-MAX_METERS, le=MAX_METERS)
 
     def __post_init__(self):
@@ -232,7 +248,7 @@ class TrafficComponent(Bounded):
 
     center: tuple[float, float] = bounded(ge=-MAX_METERS, le=MAX_METERS)
     # generate_ground_truth divides by 2 sigma^2.
-    sigma: float = bounded(ge=1e-3, le=MAX_METERS)
+    sigma: float = bounded(key="sigma_m", ge=1e-3, le=MAX_METERS)
     # exp of the summed bumps must stay finite (see TrafficModel).
     amplitude: float = bounded(gt=0, le=MAX_BUMP)
 
@@ -500,29 +516,30 @@ def save_kpi_set(kpis: KpiSet, path: str | Path) -> None:
     write_json(path, doc)
 
 
-def _json_float(value, cell_id: str, key: str) -> float:
-    """``value`` as a float when it is a JSON number, else InputError at
-    the cell."""
-    if type(value) not in (int, float):
-        raise InputError("", f"cell {cell_id!r}", f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _cell_entry(entry) -> tuple[str, CellKpis]:
-    """One entry of the ``cells`` list of a KPI file as (cell id, KPIs)."""
+    """One entry of the ``cells`` list of a KPI file as (cell id, KPIs),
+    every number read by :func:`json_float`."""
     if not isinstance(entry, dict):
         raise ValueError(f"each cell must be an object, got {entry!r}")
     cell_id = entry["cell_id"]
     if not isinstance(cell_id, str):
         raise ValueError(f"cell_id must be a string, got {cell_id!r}")
-    ta = np.array(entry["ta"], dtype=np.float64)
-    aoa = np.array(entry["aoa"], dtype=np.float64)
-    levels = entry["neighbor_level"]
-    if not isinstance(levels, dict):
-        raise InputError("", f"cell {cell_id!r}", f"neighbor_level must be an object, got {levels!r}")
-    neighbor_level = {nb: _json_float(v, cell_id, f"neighbor_level[{nb!r}]") for nb, v in levels.items()}
-    scalars = [_json_float(entry[key], cell_id, key) for key in ("load_time", "amt_bps", "hmt_bps")]
-    return cell_id, CellKpis(ta, aoa, neighbor_level, *scalars)
+    where = f"cell {cell_id!r}"
+    for key, kind in (("ta", list), ("aoa", list), ("neighbor_level", dict)):
+        if not isinstance(entry[key], kind):
+            what = "an object" if kind is dict else "a list"
+            raise InputError("", where, f"{key} must be {what}, got {entry[key]!r}")
+
+    def number(value, key: str) -> float:
+        try:
+            return json_float(value)
+        except ValueError as exc:
+            raise InputError("", where, f"{key} {exc}") from None
+
+    ta, aoa = ([number(v, f"{key}[{k}]") for k, v in enumerate(entry[key])] for key in ("ta", "aoa"))
+    levels = {nb: number(v, f"neighbor_level[{nb!r}]") for nb, v in entry["neighbor_level"].items()}
+    scalars = [number(entry[key], key) for key in ("load_time", "amt_bps", "hmt_bps")]
+    return cell_id, CellKpis(ta, aoa, levels, *scalars)
 
 
 def load_kpi_set(path: str | Path, grid: CoverageGrid | None = None) -> KpiSet:
@@ -553,8 +570,6 @@ def load_kpi_set(path: str | Path, grid: CoverageGrid | None = None) -> KpiSet:
 
 def save_potential_spec(spec_zones: PotentialHotspotSpec, path: str | Path) -> None:
     """Write the prior as the ``potential`` section of a scenario config."""
-    from hotloc.scenario import section_doc  # scenario imports this module
-
     write_json(path, section_doc(spec_zones))
 
 
@@ -562,8 +577,6 @@ def load_potential_spec(path: str | Path) -> PotentialHotspotSpec:
     """Read a prior written by :func:`save_potential_spec` through the
     config reader; every error is an InputError of the file, at the
     config key it is about."""
-    from hotloc.scenario import read_section  # scenario imports this module
-
     doc = read_json(path)
     try:
         return read_section(doc, PotentialHotspotSpec, "potential")

@@ -21,7 +21,7 @@ from hotloc.grid import UNCOVERED, CoverageGrid, ServerMaps, aoa_zone_layer, ta_
 from hotloc.kpi import KPI_LABELS, LABEL_FUSED, LABEL_SMOOTHED, KpiSet, WeightMap
 from hotloc.smoothing import DEFAULT_TAIL, smooth_grid
 
-KPI_COUNT = 5
+KPI_COUNT = len(KPI_LABELS)
 
 
 @dataclass(frozen=True)

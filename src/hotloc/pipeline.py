@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from hotloc.bounds import MAX_MAGNITUDE, InputError
+from hotloc.bounds import MAX_MAGNITUDE, InputError, json_float
 from hotloc.evaluate import (
     EvalReport,
     compare_variants,
@@ -44,6 +44,7 @@ from hotloc.kpi import (
 )
 from hotloc.grid import CoverageGrid, compute_server_maps, load_grid, read_json, save_grid, write_json
 from hotloc.localize import (
+    KPI_COUNT,
     ImportanceVector,
     LocalizationResult,
     compute_kpi_maps,
@@ -179,15 +180,18 @@ def load_importance(path: Path) -> ImportanceVector:
     optimize stage. Every error is an InputError of the file, at the line
     for a byte that is not UTF-8."""
     doc = read_json(path)
+    x = doc.get("x") if isinstance(doc, dict) else None
+    shape = f"'x' must be a list of {KPI_COUNT} numbers"
+    if not (isinstance(x, list) and len(x) == KPI_COUNT):
+        raise InputError(path, None, shape)
+    values = []
+    for k, v in enumerate(x):
+        try:
+            values.append(json_float(v))
+        except ValueError as exc:
+            raise InputError(path, None, f"{shape}: x[{k}] {exc}") from None
     try:
-        x = doc.get("x") if isinstance(doc, dict) else None
-        if not (
-            isinstance(x, list)
-            and len(x) == len(KPI_LABELS)
-            and all(type(v) in (int, float) for v in x)
-        ):
-            raise ValueError(f"'x' must be a list of {len(KPI_LABELS)} numbers")
-        return ImportanceVector(tuple(float(v) for v in x))
+        return ImportanceVector(tuple(values))
     except ValueError as exc:
         raise InputError.of(path, exc) from exc
 

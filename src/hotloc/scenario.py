@@ -10,17 +10,26 @@ seed.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from types import UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
-from hotloc.bounds import MAX_DB, MAX_METERS, Bounded, ConfigError, InputError, bounded, shown
+from hotloc.bounds import (
+    MAX_DB,
+    MAX_METERS,
+    Bounded,
+    ConfigError,
+    InputError,
+    bounded,
+    read_object,
+    read_section,
+    read_value,
+    shown,
+)
 from hotloc.evaluate import EvalConfig
 from hotloc.grid import (
     CellInfo,
@@ -32,10 +41,8 @@ from hotloc.grid import (
     read_json,
 )
 from hotloc.kpi import (
-    HotspotZone,
     OracleParams,
     PotentialHotspotSpec,
-    TrafficComponent,
     TrafficModel,
     WeightMap,
     generate_ground_truth,
@@ -249,12 +256,10 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
 
 # -- JSON configuration ------------------------------------------------
 
-# Every section is read by :func:`read_section` from the fields of its
-# dataclass and their types. Listed by hand: the root keys and the two
-# fields whose JSON key differs from their name.
+# Every section is read by :func:`read_section` into the type of its
+# field of ScenarioConfig, and ``grid`` into :class:`GridParams`.
 _SECTIONS = ("layout", "traffic", "potential", "oracle", "sim", "localizer", "evaluation")
 _ROOT_KEYS = ("schema", "seed", "grid", *_SECTIONS)
-_JSON_KEYS = {(TrafficComponent, "sigma"): "sigma_m", (HotspotZone, "radius"): "radius_m"}
 
 
 def _check_cube(names, cells: int, m) -> None:
@@ -289,139 +294,21 @@ class GridParams(Bounded):
             )
 
 
-def _field(dotted: str, key: str) -> str:
-    return f"{dotted}.{key}" if dotted else key
-
-
-def _object(value, dotted: str, keys, required=()) -> dict:
-    """``value``, which must be a JSON object with no key outside ``keys``
-    and every key of ``required``."""
-    if not isinstance(value, dict):
-        raise ConfigError(dotted, "expected an object")
-    for key in value:
-        if key not in keys:
-            raise ConfigError(_field(dotted, key), "unknown key")
-    for key in required:
-        if key not in value:
-            raise ConfigError(_field(dotted, key), "missing required field")
-    return value
-
-
-def _is_finite_number(value) -> bool:
-    """False for booleans, NaN and +-Infinity (which Python's json module
-    accepts) and integers beyond the float range."""
-    try:
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        return number and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-@functools.cache
-def _fields(cls) -> dict[str, tuple[str, object, bool]]:
-    """JSON key -> (field name, type, required) for each field of the
-    dataclass ``cls`` but ``seed``: the master seed is a root key, and
-    :class:`ScenarioConfig` sets ``SimConfig.seed`` from it."""
-    hints = get_type_hints(cls)
-    return {
-        _JSON_KEYS.get((cls, f.name), f.name): (
-            f.name,
-            hints[f.name],
-            f.default is MISSING and f.default_factory is MISSING,
-        )
-        for f in fields(cls)
-        if f.name != "seed"
-    }
-
-
-def _read(value, tp, dotted: str):
-    """``value`` read as the type ``tp``: a dataclass from an object, a
-    ``list[X]`` from a list of X, a tuple of floats from a list of finite
-    numbers (of the tuple's length, or non-empty for ``tuple[float,
-    ...]``), an int from an integral number, a str from a string and a
-    float from a finite number. ``X | None`` is read as X."""
-    if get_origin(tp) in (Union, UnionType):
-        (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
-    origin, args = get_origin(tp), get_args(tp)
-    if is_dataclass(tp):
-        return read_section(value, tp, dotted)
-    if origin is list:
-        if not isinstance(value, list):
-            raise ConfigError(dotted, f"expected a list, got {value!r}")
-        return [_read(item, args[0], f"{dotted}[{k}]") for k, item in enumerate(value)]
-    if origin is tuple:
-        size = None if args[-1] is Ellipsis else len(args)
-        what = f"a list of {size}" if size else "a non-empty list of"
-        expected = f"expected {what} finite numbers, got {value!r}"
-        if not isinstance(value, (list, tuple)) or not value or (size and len(value) != size):
-            raise ConfigError(dotted, expected)
-        for k, item in enumerate(value):
-            if not _is_finite_number(item):
-                raise ConfigError(dotted, f"{expected}: {dotted}[{k}] is {item!r}")
-        return tuple(float(v) for v in value)
-    if tp is str:
-        if not isinstance(value, str):
-            raise ConfigError(dotted, f"expected a string, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(dotted, f"expected a number, got {value!r}")
-    if not _is_finite_number(value):
-        raise ConfigError(dotted, f"must be finite, got {shown(value)}")
-    if tp is int:
-        if value != int(value):
-            raise ConfigError(dotted, f"expected an integer, got {value!r}")
-        return int(value)
-    return float(value)
-
-
-def read_section(value, cls, dotted: str):
-    """The dataclass ``cls`` read from the config section ``value`` at the
-    dotted key ``dotted``. Its keys are the fields of ``cls``, each read by
-    :func:`_read`, and a field without a default is required. Checks
-    across fields, such as the keys a zone's ``shape`` takes, are the
-    dataclass's own. Every error is a ConfigError naming the offending
-    keys."""
-    spec = _fields(cls)
-    _object(value, dotted, spec, [key for key, (_, _, required) in spec.items() if required])
-    kwargs = {
-        name: _read(value[key], tp, f"{dotted}.{key}")
-        for key, (name, tp, _) in spec.items()
-        if key in value
-    }
-    try:
-        return cls(**kwargs)
-    except ConfigError as exc:  # names fields of cls
-        key_of = {name: key for key, (name, _, _) in spec.items()}
-        raise ConfigError([_field(dotted, key_of[name]) for name in exc.fields], exc.message) from exc
-
-
-def section_doc(value):
-    """The JSON value that :func:`read_section` reads back as ``value``: a
-    dataclass as an object of its fields that are not None, under their
-    JSON keys and in field order, a list or tuple as a list."""
-    if is_dataclass(value):
-        items = ((key, getattr(value, name)) for key, (name, _, _) in _fields(type(value)).items())
-        return {key: section_doc(item) for key, item in items if item is not None}
-    if isinstance(value, (list, tuple)):
-        return [section_doc(item) for item in value]
-    return value
-
-
 def parse_scenario_config(data: dict, seed_override: int | None = None) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("", "config root must be an object")
-    _object(data, "", _ROOT_KEYS, ("grid", "traffic"))
+    read_object(data, "", _ROOT_KEYS, ("grid", "traffic"))
     schema = data.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"unsupported schema version {schema!r}")
-    seed = _read(data.get("seed", 0), int, "seed")
+    seed = read_value(data.get("seed", 0), int, "seed")
     grid = read_section(data["grid"], GridParams, "grid")
     spec = GridSpec(round(grid.extent_m / grid.pixel_size_m), grid.pixel_size_m, grid.origin)
-    sections = _fields(ScenarioConfig)
+    types = get_type_hints(ScenarioConfig)
     config = ScenarioConfig(
         spec=spec,
         q_rxlevmin_dbm=grid.q_rxlevmin_dbm,
-        **{key: read_section(data.get(key, {}), sections[key][1], key) for key in _SECTIONS},
+        **{key: read_section(data.get(key, {}), types[key], key) for key in _SECTIONS},
         seed=seed if seed_override is None else seed_override,
     )
     check_step(config.sim, spec)

@@ -70,7 +70,7 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -147,7 +147,9 @@ class SimConfig(Bounded):
     mu0_bps: float = bounded(2e6, gt=0, le=MAX_MAGNITUDE)
     # Slot counts are compared with int64 counters.
     max_ue_per_cell: int = bounded(50, ge=1, le=np.iinfo(np.int64).max)
-    seed: int = 0
+    # Not a key of the ``sim`` section: ScenarioConfig copies its root
+    # ``seed`` here.
+    seed: int = field(default=0, metadata={"key": None})
 
     def __post_init__(self):
         super().__post_init__()

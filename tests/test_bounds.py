@@ -1,10 +1,15 @@
 """The errors that refuse an input: their fields, their text and how a
-loader or a stage carries them."""
+loader or a stage carries them; and the JSON codec."""
+
+import json
+import math
 
 import pytest
 
-from hotloc.bounds import ConfigError, InputError, shown
+from conftest import DESK_CONFIG, SIM_CONFIG
+from hotloc.bounds import ConfigError, InputError, json_float, read_section, section_doc, shown
 from hotloc.pipeline import StageError
+from hotloc.scenario import _SECTIONS, GridParams, load_scenario_config
 
 
 class TestInputError:
@@ -63,3 +68,38 @@ class TestInputError:
 )
 def test_huge_integers_shown_compactly(value, text):
     assert shown(value) == text
+
+
+class TestCodec:
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            (True, "must be a number, got True"),
+            ("0.5", "must be a number, got '0.5'"),
+            (None, "must be a number, got None"),
+            ([0.5], "must be a number, got [0.5]"),
+            (10**400, "must be finite, got 1e+400"),
+            (-(10**400), "must be finite, got -1e+400"),
+        ],
+    )
+    def test_json_float_refuses(self, value, reason):
+        with pytest.raises(ValueError) as excinfo:
+            json_float(value)
+        assert str(excinfo.value) == reason
+
+    def test_json_float_reads_numbers(self):
+        assert json_float(3) == 3.0 and type(json_float(3)) is float
+        assert json_float(0.25) == 0.25
+        # Left to the reader's own bounds.
+        assert math.isnan(json_float(math.nan)) and json_float(-math.inf) == -math.inf
+
+    @pytest.mark.parametrize("path", [DESK_CONFIG, SIM_CONFIG], ids=lambda p: p.name)
+    def test_every_section_round_trips(self, path):
+        """Each section of a shipped config, written by section_doc as
+        JSON text, reads back equal."""
+        data, config = json.loads(path.read_text()), load_scenario_config(path)
+        for key in ("grid", *_SECTIONS):
+            cls = GridParams if key == "grid" else type(getattr(config, key))
+            section = read_section(data.get(key, {}), cls, key)
+            doc = json.loads(json.dumps(section_doc(section)))
+            assert read_section(doc, cls, key) == section, key

@@ -527,6 +527,13 @@ class TestBadInputs:
         err = fails(runner, "optimize", "optimize", "--config", CONFIG, "--out", str(art))
         assert f"cell '{cell_id}': throughputs must be finite" in err
 
+    def test_huge_kpi_number_names_the_cell(self, runner, scenario_dir, tmp_path):
+        art = self.copy(scenario_dir, tmp_path)
+        cell_id = self.edit_kpis(art, lambda cell: cell.update(load_time=10**400))
+        err = fails(runner, "optimize", "optimize", "--config", CONFIG, "--out", str(art))
+        assert err == f"hotloc: stage optimize: {art / 'kpis.json'}: cell '{cell_id}': load_time must be finite, got 1e+400\n"
+        assert cell_id == "BS01A"
+
     def test_unknown_neighbor_id(self, runner, scenario_dir, tmp_path):
         art = self.copy(scenario_dir, tmp_path)
 

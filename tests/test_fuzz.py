@@ -46,7 +46,7 @@ COMMANDS = {
 }
 
 NUMBERS = ("nan", "inf", "1e308", "1e-320", "-1", "", "text")
-JSON_VALUES = (None, [], {}, "text", float("nan"), float("inf"), 1e308, 1e-320, -1)
+JSON_VALUES = (None, [], {}, "text", float("nan"), float("inf"), 1e308, 1e-320, -1, True, "0.5", 10**400)
 STRAY = (",", ";", "\0", "é")
 # Bytes that are not UTF-8 on their own: a continuation byte, the lead
 # byte of a two-byte sequence and a byte UTF-8 never uses. The mutated

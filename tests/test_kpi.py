@@ -736,3 +736,43 @@ class TestOracle:
         with pytest.raises(ValueError, match="kpis.json: missing field 'ta'"):
             load_kpi_set(path)
 
+    # Every number of kpis.json is read by one rule (bounds.json_float): a
+    # string or a bool is refused where it stands, and so is an integer
+    # beyond the float range, shown in %g form, not as its 401 digits.
+    @pytest.mark.parametrize(
+        "keys, value, reason",
+        [
+            pytest.param(("ta", 0), "0.5", "ta[0] must be a number, got '0.5'", id="ta-string"),
+            pytest.param(("aoa", 1), True, "aoa[1] must be a number, got True", id="aoa-bool"),
+            pytest.param(("ta", 2), 10**400, "ta[2] must be finite, got 1e+400", id="ta-huge"),
+            pytest.param(
+                ("neighbor_level", "B"), 10**400, "neighbor_level['B'] must be finite, got 1e+400", id="level-huge"
+            ),
+            pytest.param(("load_time",), 10**400, "load_time must be finite, got 1e+400", id="load_time-huge"),
+            pytest.param(("amt_bps",), -(10**400), "amt_bps must be finite, got -1e+400", id="amt_bps-huge"),
+        ],
+    )
+    def test_load_reads_cell_numbers_by_one_rule(self, tmp_path, keys, value, reason):
+        grid, servers = self.two_cell_setup()
+        kpis = oracle_kpis(random_truth(grid.spec, np.random.default_rng(16)), grid, servers, self.params)
+        path = tmp_path / "kpis.json"
+        save_kpi_set(kpis, path)
+        doc = json.loads(path.read_text())
+        target = doc["cells"][0]  # cell A, whose one neighbor is B
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError) as excinfo:
+            load_kpi_set(path)
+        error = excinfo.value
+        assert (error.source, error.where, error.message) == (str(path), "cell 'A'", reason)
+
+    def test_load_refuses_huge_window(self, tmp_path):
+        path = tmp_path / "kpis.json"
+        path.write_text(json.dumps({"source": "sim", "window_s": 10**400, "cells": []}))
+        with pytest.raises(InputError) as excinfo:
+            load_kpi_set(path)
+        reason = "window_s must be null or a finite non-negative number, got 1e+400"
+        assert (excinfo.value.source, excinfo.value.where, excinfo.value.message) == (str(path), None, reason)
+

@@ -172,6 +172,16 @@ class TestPipelineErrors:
         assert str(excinfo.value) == f"{path}: {message}"
         assert (excinfo.value.source, excinfo.value.where) == (str(path), "line 3")
 
+    def test_importance_huge_factor_is_named(self, tmp_path):
+        """A factor beyond the float range is refused by the number rule of
+        every JSON input, shown in %g form."""
+        path = tmp_path / "importance.json"
+        path.write_text(json.dumps({"x": [0.2, 10**400, 0.2, 0.2, 0.2]}))
+        with pytest.raises(InputError) as excinfo:
+            load_importance(path)
+        reason = "'x' must be a list of 5 numbers: x[1] must be finite, got 1e+400"
+        assert (excinfo.value.source, excinfo.value.where, excinfo.value.message) == (str(path), None, reason)
+
     def test_empty_potential_fails_in_scenario_stage(self, tmp_path):
         config = load_scenario_config(SIM_CONFIG)
         bare = replace(config, potential=replace(config.potential, zones=[]))

@@ -366,7 +366,7 @@ class TestParseConfig:
 
     def test_non_numeric_parameter_rejected(self):
         data = minimal_config(localizer={"epsilon": "small"})
-        with pytest.raises(ConfigError, match="expected a number") as excinfo:
+        with pytest.raises(ConfigError, match="must be a number") as excinfo:
             parse_scenario_config(data)
         assert excinfo.value.source == "localizer.epsilon"
 

@@ -76,9 +76,14 @@ class ConfigError(InputError):
 
 def shown(value) -> str:
     """``repr(value)``, but an integer above 10^15 in ``%.6g`` form, which
-    float formatting cannot give beyond the float range."""
+    float formatting cannot give beyond the float range, and a list or
+    tuple item by item."""
     if isinstance(value, int) and abs(value) > 10**15:
         return f"{Context(prec=6).create_decimal(value).normalize():g}"
+    if isinstance(value, list):
+        return f"[{', '.join(map(shown, value))}]"
+    if isinstance(value, tuple):
+        return f"({', '.join(map(shown, value))}{',' if len(value) == 1 else ''})"
     return repr(value)
 
 
@@ -122,7 +127,7 @@ def json_float(value) -> float:
     +-Infinity, which Python's json module reads, are returned for the
     reader's own bounds to refuse."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"must be a number, got {value!r}")
+        raise ValueError(f"must be a number, got {shown(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -175,12 +180,12 @@ def read_value(value, tp, dotted: str):
         return read_section(value, tp, dotted)
     if origin is list:
         if not isinstance(value, list):
-            raise ConfigError(dotted, f"expected a list, got {value!r}")
+            raise ConfigError(dotted, f"expected a list, got {shown(value)}")
         return [read_value(item, args[0], f"{dotted}[{k}]") for k, item in enumerate(value)]
     if origin is tuple:
         size = None if args[-1] is Ellipsis else len(args)
         what = f"a list of {size}" if size else "a non-empty list of"
-        expected = f"expected {what} finite numbers, got {value!r}"
+        expected = f"expected {what} finite numbers, got {shown(value)}"
         if not isinstance(value, (list, tuple)) or not value or (size and len(value) != size):
             raise ConfigError(dotted, expected)
         items = []
@@ -188,11 +193,11 @@ def read_value(value, tp, dotted: str):
             try:
                 items.append(read_value(item, float, dotted))
             except ConfigError:
-                raise ConfigError(dotted, f"{expected}: {dotted}[{k}] is {item!r}") from None
+                raise ConfigError(dotted, f"{expected}: {dotted}[{k}] is {shown(item)}") from None
         return tuple(items)
     if tp is str:
         if not isinstance(value, str):
-            raise ConfigError(dotted, f"expected a string, got {value!r}")
+            raise ConfigError(dotted, f"expected a string, got {shown(value)}")
         return value
     try:
         number = json_float(value)

@@ -1,12 +1,14 @@
 """Evaluation instruments for localization quality.
 
-Three instruments, each comparing an estimated weight map against the
-generated ground truth:
+:func:`compare_variants` scales the generated ground truth and each
+estimated weight map to unit total, then runs three instruments on each
+estimate against the truth:
 
 * peak extraction and one-to-one peak matching, reported as per-pair
   Euclidean distances in meters plus their mean;
 * detection percentage: the estimated weight mass falling on the pixels
-  that hold the top p of the real traffic;
+  that hold the top p of the real traffic, the truth sorted once for
+  every variant and p;
 * the CDF of per-pixel weights, for distribution-shape comparison.
 
 All three are pure and deterministic.
@@ -24,7 +26,6 @@ from hotloc.bounds import MAX_METERS, Bounded, bounded, section_doc
 from hotloc.grid import reject_separators, repr_table, text_rows, write_json
 from hotloc.kpi import LABEL_TRUTH, WeightMap
 
-NORMALIZATION_TOL = 1e-6
 DEF_SUPPRESSION_RADIUS_M = 150.0
 DEF_P_LIST = (0.005, 0.01, 0.02, 0.05)
 
@@ -131,20 +132,14 @@ def match_and_measure(
     return MatchResult(pairs=pairs, mean_distance_m=mean)
 
 
-def _check_normalized(wmap: WeightMap, name: str) -> None:
-    total = wmap.total()
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"{name} map must be normalized to sum 1, got sum {total}")
-
-
 def _top_traffic_pixels(real: WeightMap, p_list) -> list[np.ndarray]:
-    """For each p, the flat indices of the top-p real-traffic pixels.
+    """For each p, the flat indices of the top-p pixels of the normalized
+    real traffic map.
 
     The real weights are sorted decreasing (stable, so tie pixels keep
     flattened order) and cut at the shortest prefix whose sum reaches p;
     the sort and its cumulative sum are shared by every p.
     """
-    _check_normalized(real, "real")
     flat_real = real.values.reshape(-1)
     order = np.argsort(-flat_real, kind="stable")
     cumulative = np.cumsum(flat_real[order])
@@ -152,30 +147,11 @@ def _top_traffic_pixels(real: WeightMap, p_list) -> list[np.ndarray]:
     return [order[: int(cut) + 1] for cut in cuts]
 
 
-def _detected_mass(estimated: WeightMap, pixels: np.ndarray) -> float:
-    """The estimated weight summed over the flat pixel indices ``pixels``."""
-    _check_normalized(estimated, "estimated")
-    return float(estimated.values.reshape(-1)[pixels].sum())
-
-
-def detection_percentage(real: WeightMap, estimated: WeightMap, p: float) -> float:
-    """Estimated weight mass on the top-p real-traffic pixels
-    (:func:`_top_traffic_pixels`)."""
-    if not 0 < p <= 1:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    if real.spec != estimated.spec:
-        raise ValueError("real and estimated maps must share one grid")
-    (pixels,) = _top_traffic_pixels(real, (p,))
-    return _detected_mass(estimated, pixels)
-
-
 def weight_cdf(wmap: WeightMap) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel weight CDF: (sorted distinct weights, fraction of pixels
     with weight at most each)."""
-    flat = np.sort(wmap.values.reshape(-1))
-    first_index = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-    counts_at_most = np.append(first_index[1:], flat.size)
-    return flat[first_index], counts_at_most / flat.size
+    weights, counts = np.unique(wmap.values, return_counts=True)
+    return weights, np.cumsum(counts) / wmap.values.size
 
 
 @dataclass
@@ -217,7 +193,8 @@ def _evaluate_one(
         raise ValueError("real and estimated maps must share one grid")
     peaks = extract_peaks(normalized, config.peak_count, config.suppression_radius_m)
     match = match_and_measure(truth_peaks, peaks)
-    detection = {p: _detected_mass(normalized, pixels) for p, pixels in zip(config.p_list, top_pixels)}
+    flat = normalized.values.reshape(-1)
+    detection = {p: float(flat[pixels].sum()) for p, pixels in zip(config.p_list, top_pixels)}
     weights, fractions = weight_cdf(normalized)
     return VariantEval(
         label=label,

@@ -695,11 +695,18 @@ def read_text(path: str | Path) -> str:
 
 def read_json(path: str | Path):
     """The JSON document in the UTF-8 file ``path`` (:func:`read_text`).
-    Text that is not JSON raises InputError of the file."""
+    Text that is not JSON, an integer of more digits than the interpreter
+    converts and nesting past its recursion limit raise InputError of the
+    file."""
+    text = read_text(path)
     try:
-        return json.loads(read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(path, None, f"not JSON: {exc}") from exc
+    except ValueError as exc:  # sys.get_int_max_str_digits(), 4300 by default
+        raise InputError(path, None, f"an integer too long to read: {str(exc).split(';')[0]}") from exc
+    except RecursionError:
+        raise InputError(path, None, "arrays or objects nested too deeply to read") from None
 
 
 def write_json(path: str | Path, doc, sort_keys: bool = False) -> None:

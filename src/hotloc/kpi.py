@@ -143,7 +143,7 @@ class KpiSet:
         are the grid's and that neighbor levels name configured neighbors.
         A bad cell raises InputError at that cell, with no source."""
         if not isinstance(self.source, str):
-            raise ValueError(f"source must be a string, got {self.source!r}")
+            raise ValueError(f"source must be a string, got {shown(self.source)}")
         window = self.window_s
         try:
             valid = window is None or 0 <= json_float(window) < np.inf
@@ -158,8 +158,12 @@ class KpiSet:
                 raise InputError("", f"cell {cell_id!r}", str(exc)) from exc
         if grid is not None:
             expected = {c.cell_id for c in grid.cells}
-            if set(self.cells) != expected:
-                raise ValueError("KPI set does not cover exactly the grid's cells")
+            missing = [c.cell_id for c in grid.cells if c.cell_id not in self.cells]
+            extra = [cell_id for cell_id in self.cells if cell_id not in expected]
+            if missing or extra:
+                counts = (("grid cells missing", missing), ("cells not on the grid", extra))
+                listed = "; ".join(f"{what}: {len(ids)}, the first {ids[0]!r}" for what, ids in counts if ids)
+                raise ValueError(f"KPI set does not cover exactly the grid's cells: {listed}")
             for cell in grid.cells:
                 named = set(self.cells[cell.cell_id].neighbor_level)
                 unknown = sorted(named - expected)
@@ -198,12 +202,12 @@ class WeightMap:
     def total(self) -> float:
         return float(self.values.sum())
 
-    def normalized(self, label: str | None = None) -> "WeightMap":
+    def normalized(self) -> "WeightMap":
         """Copy scaled to unit total; raises on an all-zero map."""
         total = self.total()
         if total <= 0:
             raise ValueError("cannot normalize an all-zero weight map")
-        return WeightMap(self.values / total, self.spec, label or self.label)
+        return WeightMap(self.values / total, self.spec, self.label)
 
 
 @dataclass(frozen=True)
@@ -520,15 +524,18 @@ def _cell_entry(entry) -> tuple[str, CellKpis]:
     """One entry of the ``cells`` list of a KPI file as (cell id, KPIs),
     every number read by :func:`json_float`."""
     if not isinstance(entry, dict):
-        raise ValueError(f"each cell must be an object, got {entry!r}")
+        raise ValueError(f"each cell must be an object, got {shown(entry)}")
     cell_id = entry["cell_id"]
     if not isinstance(cell_id, str):
-        raise ValueError(f"cell_id must be a string, got {cell_id!r}")
+        raise ValueError(f"cell_id must be a string, got {shown(cell_id)}")
     where = f"cell {cell_id!r}"
+    for key in ("ta", "aoa", "neighbor_level", "load_time", "amt_bps", "hmt_bps"):
+        if key not in entry:
+            raise InputError("", where, f"missing field {key!r}")
     for key, kind in (("ta", list), ("aoa", list), ("neighbor_level", dict)):
         if not isinstance(entry[key], kind):
             what = "an object" if kind is dict else "a list"
-            raise InputError("", where, f"{key} must be {what}, got {entry[key]!r}")
+            raise InputError("", where, f"{key} must be {what}, got {shown(entry[key])}")
 
     def number(value, key: str) -> float:
         try:

@@ -300,7 +300,7 @@ def parse_scenario_config(data: dict, seed_override: int | None = None) -> Scena
     read_object(data, "", _ROOT_KEYS, ("grid", "traffic"))
     schema = data.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
-        raise ConfigError("schema", f"unsupported schema version {schema!r}")
+        raise ConfigError("schema", f"unsupported schema version {shown(schema)}")
     seed = read_value(data.get("seed", 0), int, "seed")
     grid = read_section(data["grid"], GridParams, "grid")
     spec = GridSpec(round(grid.extent_m / grid.pixel_size_m), grid.pixel_size_m, grid.origin)

@@ -8,8 +8,9 @@ import pytest
 
 from conftest import DESK_CONFIG, SIM_CONFIG
 from hotloc.bounds import ConfigError, InputError, json_float, read_section, section_doc, shown
+from hotloc.kpi import HotspotZone, PotentialHotspotSpec
 from hotloc.pipeline import StageError
-from hotloc.scenario import _SECTIONS, GridParams, load_scenario_config
+from hotloc.scenario import _SECTIONS, GridParams, load_scenario_config, parse_scenario_config
 
 
 class TestInputError:
@@ -64,6 +65,11 @@ class TestInputError:
         (1e308, "1e+308"),
         (2.5, "2.5"),
         ((1.0, 2.0), "(1.0, 2.0)"),
+        ([0, 10**400], "[0, 1e+400]"),
+        ((10**400,), "(1e+400,)"),
+        ([[1, -(10**20)], "a", None], "[[1, -1e+20], 'a', None]"),
+        ([], "[]"),
+        ((), "()"),
     ],
 )
 def test_huge_integers_shown_compactly(value, text):
@@ -80,6 +86,7 @@ class TestCodec:
             ([0.5], "must be a number, got [0.5]"),
             (10**400, "must be finite, got 1e+400"),
             (-(10**400), "must be finite, got -1e+400"),
+            ([1, 10**400], "must be a number, got [1, 1e+400]"),
         ],
     )
     def test_json_float_refuses(self, value, reason):
@@ -92,6 +99,37 @@ class TestCodec:
         assert json_float(0.25) == 0.25
         # Left to the reader's own bounds.
         assert math.isnan(json_float(math.nan)) and json_float(-math.inf) == -math.inf
+
+    def test_tuple_refusal_shows_a_huge_item_compactly(self):
+        zone = {"shape": "disk", "center": [0, 10**400], "radius_m": 50.0, "importance": 1.0}
+        with pytest.raises(ConfigError) as excinfo:
+            read_section(zone, HotspotZone, "potential.zones[0]")
+        text = str(excinfo.value)
+        assert text.startswith("potential.zones[0].center: expected a list of 2 finite numbers, got [0, 1e+400]")
+        assert text.endswith("potential.zones[0].center[1] is 1e+400") and len(text) < 200
+
+    @pytest.mark.parametrize(
+        "read, text",
+        [
+            (
+                lambda: read_section({"zones": 10**400}, PotentialHotspotSpec, "potential"),
+                "potential.zones: expected a list, got 1e+400",
+            ),
+            (
+                lambda: read_section({"shape": [10**400], "importance": 1.0}, HotspotZone, "potential.zones[0]"),
+                "potential.zones[0].shape: expected a string, got [1e+400]",
+            ),
+            (
+                lambda: parse_scenario_config({"schema": 10**400, "grid": {}, "traffic": {}}),
+                "schema: unsupported schema version 1e+400",
+            ),
+        ],
+        ids=["list", "string", "schema"],
+    )
+    def test_refusals_show_a_huge_integer_compactly(self, read, text):
+        with pytest.raises(ConfigError) as excinfo:
+            read()
+        assert str(excinfo.value) == text
 
     @pytest.mark.parametrize("path", [DESK_CONFIG, SIM_CONFIG], ids=lambda p: p.name)
     def test_every_section_round_trips(self, path):

@@ -665,6 +665,33 @@ class TestBadInputs:
         assert f"{art / name}: {message}" in err
         assert not (art / "fused.csv").exists()
 
+    # JSON that Python's json module cannot read though it parses: an
+    # integer past the interpreter's digit limit (4300 by default) or
+    # nesting past its recursion limit. The file is named, in the stage
+    # that reads it.
+    @pytest.mark.parametrize("name, stage", [("config.json", "config"), ("kpis.json", "optimize")])
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("digits", "an integer too long to read: "), ("nesting", "arrays or objects nested too deeply to read\n")],
+        ids=["digits", "nesting"],
+    )
+    def test_unreadable_json_names_the_file(self, runner, scenario_dir, tmp_path, name, stage, kind, message):
+        art = self.copy(scenario_dir, tmp_path)
+        shutil.copy(CONFIG, art / "config.json")
+        path = art / name
+        if kind == "digits":
+            doc = json.loads(path.read_text())
+            if name == "kpis.json":
+                doc["cells"][0]["load_time"] = "N"
+            else:
+                doc["seed"] = "N"
+            path.write_text(json.dumps(doc).replace('"N"', "1" * 5000))
+        else:
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        err = fails(runner, stage, "optimize", "--config", str(art / "config.json"), "--out", str(art))
+        assert err.startswith(f"hotloc: stage {stage}: {path}: {message}")
+        assert err.count("\n") == 1 and len(err) < 300
+
     @pytest.mark.parametrize("name, stage", [("grid.csv", "localize"), ("config.json", "config")])
     def test_byte_not_utf8_names_the_file(self, runner, optimized_dir, tmp_path, name, stage):
         art = self.copy(optimized_dir, tmp_path)

@@ -11,7 +11,6 @@ from hotloc.evaluate import (
     HotspotPeak,
     VariantEval,
     compare_variants,
-    detection_percentage,
     extract_peaks,
     match_and_measure,
     report_to_dict,
@@ -144,6 +143,13 @@ class TestMatchAndMeasure:
             match_and_measure([peak(0.0, 0.0)], [])
 
 
+def detected(real, estimated, p_list):
+    """The detection ``compare_variants`` reports for ``estimated`` against
+    ``real`` at each p of ``p_list``."""
+    config = EvalConfig(peak_count=1, p_list=tuple(p_list))
+    return compare_variants(real, {"estimate": estimated}, config).variants["estimate"].detection
+
+
 class TestDetectionPercentage:
     def brute_force(self, real, estimated, p):
         flat = real.values.reshape(-1)
@@ -155,37 +161,32 @@ class TestDetectionPercentage:
 
     def test_matches_brute_force_prefix(self):
         rng = np.random.default_rng(21)
+        p_list = (0.005, 0.01, 0.02, 0.05, 0.25, 0.8)
         for _ in range(10):
             real = normalized_map(rng.random((12, 12)), label=LABEL_TRUTH)
             estimated = normalized_map(rng.random((12, 12)))
-            for p in (0.005, 0.01, 0.02, 0.05, 0.25, 0.8):
-                expected = self.brute_force(real, estimated, p)
-                assert detection_percentage(real, estimated, p) == pytest.approx(
-                    expected, abs=1e-12
-                )
+            detection = detected(real, estimated, p_list)
+            for p in p_list:
+                assert detection[p] == pytest.approx(self.brute_force(real, estimated, p), abs=1e-12)
 
     def test_self_detection_brackets_p(self):
         rng = np.random.default_rng(22)
         real = normalized_map(rng.random((16, 16)), label=LABEL_TRUTH)
-        for p in (0.005, 0.05, 0.5):
-            detected = detection_percentage(real, real, p)
-            assert p <= detected <= p + real.values.max() + 1e-12
+        for p, detection in detected(real, real, (0.005, 0.05, 0.5)).items():
+            assert p <= detection <= p + real.values.max() + 1e-12
 
     def test_monotone_in_p(self):
         rng = np.random.default_rng(23)
         real = normalized_map(rng.random((10, 10)), label=LABEL_TRUTH)
         estimated = normalized_map(rng.random((10, 10)))
-        values = [
-            detection_percentage(real, estimated, p)
-            for p in (0.01, 0.05, 0.2, 0.5, 0.9)
-        ]
-        assert (np.diff(values) >= -1e-12).all()
+        detection = detected(real, estimated, (0.01, 0.05, 0.2, 0.5, 0.9))
+        assert (np.diff(list(detection.values())) >= -1e-12).all()
 
     def test_full_mass_at_p_one(self):
         rng = np.random.default_rng(24)
         real = normalized_map(rng.random((8, 8)), label=LABEL_TRUTH)
         estimated = normalized_map(rng.random((8, 8)))
-        assert detection_percentage(real, estimated, 1.0) == pytest.approx(1.0)
+        assert detected(real, estimated, (1.0,))[1.0] == pytest.approx(1.0)
 
     def test_concentrated_estimate_on_top_pixel(self):
         real = np.full((4, 4), 0.01)
@@ -194,20 +195,21 @@ class TestDetectionPercentage:
         estimated = np.zeros((4, 4))
         estimated[2, 1] = 1.0
         estimated = WeightMap(estimated, GridSpec(4, 25.0), "estimate")
-        assert detection_percentage(real, estimated, 0.05) == 1.0
+        assert detected(real, estimated, (0.05,))[0.05] == 1.0
 
     def test_validation(self):
         real = normalized_map(np.ones((4, 4)), label=LABEL_TRUTH)
-        estimated = normalized_map(np.ones((4, 4)))
-        with pytest.raises(ValueError, match="p must lie"):
-            detection_percentage(real, estimated, 0.0)
+        with pytest.raises(ValueError, match="^p_list: must hold values positive and at most 1"):
+            EvalConfig(p_list=(1.5,))
         with pytest.raises(ValueError, match="share one grid"):
-            detection_percentage(real, normalized_map(np.ones((5, 5))), 0.05)
-        unnormalized = WeightMap(np.ones((4, 4)), GridSpec(4, 25.0), "estimate")
-        with pytest.raises(ValueError, match="real map must be normalized"):
-            detection_percentage(unnormalized, estimated, 0.05)
-        with pytest.raises(ValueError, match="estimated map must be normalized"):
-            detection_percentage(real, unnormalized, 0.05)
+            detected(real, normalized_map(np.ones((5, 5))), (0.05,))
+        # Both maps are scaled to unit total before they are compared.
+        rng = np.random.default_rng(28)
+        values = rng.random((4, 4))
+        unnormalized = WeightMap(values * 7.0, GridSpec(4, 25.0), LABEL_TRUTH)
+        assert detected(unnormalized, real, (0.5,)) == pytest.approx(detected(unnormalized.normalized(), real, (0.5,)))
+        estimated = WeightMap(values * 7.0, GridSpec(4, 25.0), "estimate")
+        assert detected(real, estimated, (0.5,)) == pytest.approx(detected(real, estimated.normalized(), (0.5,)))
 
 
 class TestWeightCdf:
@@ -245,9 +247,7 @@ class TestCompareVariants:
         assert report.variants["copy"].mean_distance_m == 0.0
         for p in config.p_list:
             assert report.variants["copy"].detection[p] == pytest.approx(
-                detection_percentage(
-                    truth.normalized(), truth.normalized(), p
-                )
+                sorted_detection(truth.normalized(), truth.normalized(), p)
             )
 
     def test_empty_runs_rejected(self):
@@ -428,11 +428,3 @@ class TestReportMatchesPerCallInstruments:
             ),
         ]:
             assert [a.tobytes() for a in got_cdf] == [a.tobytes() for a in want_cdf]
-
-    def test_detection_percentage_is_the_per_call_sort(self):
-        truth, runs = self.maps(33, GridSpec(12, 25.0))
-        truth_n = truth.normalized()
-        for wmap in runs.values():
-            estimated = wmap.normalized()
-            for p in (0.005, 0.05, 0.5, 1.0):
-                assert detection_percentage(truth_n, estimated, p) == sorted_detection(truth_n, estimated, p)

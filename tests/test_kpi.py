@@ -100,9 +100,9 @@ class TestWeightMap:
 
     def test_normalized(self):
         wmap = WeightMap(np.array([[1.0, 3.0], [0.0, 0.0]]), GridSpec(2, 25.0), "w")
-        normalized = wmap.normalized("n")
+        normalized = wmap.normalized()
         assert normalized.total() == 1.0
-        assert normalized.label == "n"
+        assert normalized.label == "w"
         with pytest.raises(ValueError, match="all-zero"):
             WeightMap(np.zeros((2, 2)), GridSpec(2, 25.0), "w").normalized()
 
@@ -666,6 +666,19 @@ class TestOracle:
         with pytest.raises(ValueError, match="exactly the grid's cells"):
             kpis.validate(grid)
 
+    def test_validate_against_grid_names_missing_and_unknown_cells(self):
+        grid, servers = self.two_cell_setup()
+        kpis = KpiSet(cells={"A": CellKpis.empty()})
+        with pytest.raises(ValueError, match=r"cells: grid cells missing: 1, the first 'B'$"):
+            kpis.validate(grid)
+        kpis = KpiSet(cells={"X": CellKpis.empty(), "A": CellKpis.empty(), "Y": CellKpis.empty()})
+        reason = "grid cells missing: 1, the first 'B'; cells not on the grid: 2, the first 'X'"
+        with pytest.raises(ValueError, match=f"^KPI set does not cover exactly the grid's cells: {reason}$"):
+            kpis.validate(grid)
+        kpis = KpiSet(cells={"A": CellKpis.empty(), "B": CellKpis.empty(), "Z": CellKpis.empty()})
+        with pytest.raises(ValueError, match=r"cells: cells not on the grid: 1, the first 'Z'$"):
+            kpis.validate(grid)
+
     def test_validate_against_grid_detects_unknown_neighbor(self):
         grid, servers = self.two_cell_setup()
         good = TestCellKpis().good()
@@ -733,8 +746,24 @@ class TestOracle:
     def test_load_names_missing_field(self, tmp_path):
         path = tmp_path / "kpis.json"
         path.write_text(json.dumps({"source": "oracle", "window_s": None, "cells": [{"cell_id": "A"}]}))
-        with pytest.raises(ValueError, match="kpis.json: missing field 'ta'"):
+        with pytest.raises(ValueError, match="kpis.json: cell 'A': missing field 'ta'"):
             load_kpi_set(path)
+
+    # A field missing from a cell is named at the cell, one missing from
+    # the document at the file.
+    def test_load_names_the_cell_a_field_is_missing_from(self, tmp_path):
+        path = tmp_path / "kpis.json"
+        cells = [{"cell_id": "A", "ta": [1.0, 0.0, 0.0]}]
+        path.write_text(json.dumps({"source": "oracle", "window_s": None, "cells": cells}))
+        with pytest.raises(InputError) as excinfo:
+            load_kpi_set(path)
+        assert str(excinfo.value) == f"{path}: cell 'A': missing field 'aoa'"
+        assert (excinfo.value.source, excinfo.value.where) == (str(path), "cell 'A'")
+        path.write_text(json.dumps({"source": "oracle", "cells": []}))
+        with pytest.raises(InputError) as excinfo:
+            load_kpi_set(path)
+        assert str(excinfo.value) == f"{path}: missing field 'window_s'"
+        assert excinfo.value.where is None
 
     # Every number of kpis.json is read by one rule (bounds.json_float): a
     # string or a bool is refused where it stands, and so is an integer
@@ -750,6 +779,7 @@ class TestOracle:
             ),
             pytest.param(("load_time",), 10**400, "load_time must be finite, got 1e+400", id="load_time-huge"),
             pytest.param(("amt_bps",), -(10**400), "amt_bps must be finite, got -1e+400", id="amt_bps-huge"),
+            pytest.param(("ta",), 10**400, "ta must be a list, got 1e+400", id="ta-list-huge"),
         ],
     )
     def test_load_reads_cell_numbers_by_one_rule(self, tmp_path, keys, value, reason):
@@ -767,6 +797,21 @@ class TestOracle:
             load_kpi_set(path)
         error = excinfo.value
         assert (error.source, error.where, error.message) == (str(path), "cell 'A'", reason)
+
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [
+            ({"cells": [10**400]}, "each cell must be an object, got 1e+400"),
+            ({"cells": [{"cell_id": [10**400]}]}, "cell_id must be a string, got [1e+400]"),
+            ({"source": 10**400}, "source must be a string, got 1e+400"),
+        ],
+        ids=["cell", "cell_id", "source"],
+    )
+    def test_load_shows_a_huge_value_compactly(self, tmp_path, doc, reason):
+        path = tmp_path / "kpis.json"
+        path.write_text(json.dumps({"source": "oracle", "window_s": None, "cells": [], **doc}))
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: {re.escape(reason)}$"):
+            load_kpi_set(path)
 
     def test_load_refuses_huge_window(self, tmp_path):
         path = tmp_path / "kpis.json"

@@ -76,10 +76,13 @@ class ConfigError(InputError):
 
 def shown(value) -> str:
     """``repr(value)``, but an integer above 10^15 in ``%.6g`` form, which
-    float formatting cannot give beyond the float range, and a list or
+    float formatting cannot give beyond the float range, a string of more
+    than 40 characters as its first 20 and its length, and a list or
     tuple item by item."""
     if isinstance(value, int) and abs(value) > 10**15:
         return f"{Context(prec=6).create_decimal(value).normalize():g}"
+    if isinstance(value, str) and len(value) > 40:
+        return f"{value[:20]!r}... ({len(value)} characters)"
     if isinstance(value, list):
         return f"[{', '.join(map(shown, value))}]"
     if isinstance(value, tuple):

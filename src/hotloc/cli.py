@@ -33,6 +33,7 @@ from typing import Callable, NamedTuple
 
 import click
 
+from hotloc.bounds import shown
 from hotloc.localize import KPI_COUNT, ImportanceVector
 from hotloc.pipeline import (
     ALL_VARIANTS,
@@ -92,6 +93,21 @@ def _parse_x_override(_ctx, _param, value):
         raise click.BadParameter(str(exc)) from exc
 
 
+def _parse_seed(_ctx, _param, value):
+    """The ``--seed`` text as a non-negative int. A refused value is shown
+    short (:func:`hotloc.bounds.shown`): click's own integer type echoes
+    it whole, thousands of digits included."""
+    if value is None:
+        return None
+    try:
+        seed = int(value)
+    except ValueError:  # int() also refuses more digits than sys.get_int_max_str_digits()
+        seed = -1
+    if seed < 0:
+        raise click.BadParameter(f"expected a non-negative integer, got {shown(value)}")
+    return seed
+
+
 def _parse_seeds(_ctx, _param, value):
     if value is None:
         return None
@@ -109,7 +125,7 @@ def _parse_seeds(_ctx, _param, value):
 # Every option of a stage subcommand, by parameter name.
 OPTIONS = {
     "config_path": click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False), help="Scenario configuration (JSON)."),
-    "seed": click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed override."),
+    "seed": click.option("--seed", metavar="INTEGER", callback=_parse_seed, default=None, help="Master seed override (non-negative)."),
     "out_dir": click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False), help="Output directory."),
     "in_dir": click.option("--in", "in_dir", type=click.Path(exists=True, file_okay=False), default=None, help="Input artifact directory (default: the output directory)."),
     "events": click.option("--events/--no-events", default=False, help="Also write the simulator's per-tick event log."),

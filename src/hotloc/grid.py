@@ -139,19 +139,25 @@ class CoverageGrid:
 
     def __post_init__(self):
         n, m = len(self.cells), self.spec.m
-        if n < 1:
-            raise ValueError("coverage grid needs at least one cell")
+        self.check_header(self.cells, self.q_rxlevmin)
         if self.rsrp.shape != (n, m, m):
             raise ValueError(
                 f"rsrp shape {self.rsrp.shape} does not match {n} cells on a {m}x{m} grid"
             )
         if np.isinf(self.rsrp).any():
             raise ValueError("rsrp values must be finite or NaN")
-        if not math.isfinite(self.q_rxlevmin):
-            raise ValueError(f"q_rxlevmin must be finite, got {self.q_rxlevmin}")
         self._index = {c.cell_id: k for k, c in enumerate(self.cells)}
         if len(self._index) != n:
             raise ValueError("duplicate cell ids")
+
+    @staticmethod
+    def check_header(cells: list[CellInfo], q_rxlevmin: float) -> None:
+        """Raise ValueError unless ``cells`` holds a cell and
+        ``q_rxlevmin`` is finite: the checks that need no layer."""
+        if not cells:
+            raise ValueError("coverage grid needs at least one cell")
+        if not math.isfinite(q_rxlevmin):
+            raise ValueError(f"q_rxlevmin must be finite, got {q_rxlevmin}")
 
     @property
     def n_cells(self) -> int:
@@ -192,22 +198,25 @@ class ServerMaps:
 def compute_server_maps(grid: CoverageGrid) -> ServerMaps:
     """Derive the server maps and the serving level from the RSRP layers.
 
-    The best server is the argmax of RSRP over cells (ties broken by lowest
-    cell index); a pixel is uncovered when its best RSRP is below
+    The best server is the argmax of RSRP over cells, ties broken by the
+    lowest cell id; a pixel is uncovered when its best RSRP is below
     ``q_rxlevmin`` or no cell has signal there. The runner-up is the argmax
-    over the remaining cells, without the admission threshold.
+    over the remaining cells, without the admission threshold. The maps
+    hold row indices, but which cell a pixel gets does not depend on the
+    order of the cell rows.
 
-    One pass over the layers keeps the running best and runner-up values
-    and indices, so no temporary is larger than a layer. A cell takes a
-    place only with a strictly greater value, so the lowest index wins a
-    tie, as with ``argmax``; a NaN compares false and takes none.
+    One pass over the layers, in cell-id order, keeps the running best
+    and runner-up values and indices, so no temporary is larger than a
+    layer. A cell takes a place only with a strictly greater value, so
+    the lowest id wins a tie; a NaN compares false and takes none.
     """
     shape = grid.rsrp.shape[1:]
     best = np.zeros(shape, np.int32)
     second = np.zeros(shape, np.int32)
     best_val = np.full(shape, -np.inf)
     second_val = np.full(shape, -np.inf)
-    for k, layer in enumerate(grid.rsrp):
+    for k in sorted(range(grid.n_cells), key=lambda k: grid.cells[k].cell_id):
+        layer = grid.rsrp[k]
         beats_best = layer > best_val
         # best_val >= second_val, so a layer that beats the best beats both.
         beats_second = (layer > second_val) & ~beats_best
@@ -268,27 +277,27 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # File formats
 #
-# grid.csv is plain text: a magic row with the format version, header rows,
-# a marker row, then each cell's (m, m) RSRP layer as m rows, row i holding
-# the reprs of pixels (i, 0) .. (i, m-1). Row i is world x, so the text is
-# the layer on its side, not a north-up picture.
+# A coverage grid is two files. grid.csv is plain text: a magic row with
+# the format version, then the header rows and one row per cell, and
+# nothing else. The (cells, m, m) RSRP cube sits beside it in grid.npy,
+# numpy's .npy format of one C-ordered float64 array: layer k belongs to
+# the k-th cell row, and a layer's axis 0 (i) runs along world x. NaN is
+# no coverage.
 #
-# grid.csv, after the magic row "hotloc-grid,2":
+# grid.csv, after the magic row "hotloc-grid,3":
 #   header rows: m,<int> / pixel_size,<float> / origin,<x>,<y> /
 #                q_rxlevmin,<float> / cells,<count>
 #   cell rows:   cell,<id>,<x>,<y>,<azimuth_deg>,<nb1;nb2;...>
-#   marker row:  rsrp
-#   layer rows:  each cell's layer in cell-row order; "nan" is no coverage
 #
 # Cell ids are distinct, every neighbor id names a cell row, and no id holds
 # ",", ";", a NUL or a line break. Every header row but the cell rows is
-# given once. The layer rows hold m values each, finite or "nan", with no
-# blank line among them; only blank lines follow the last.
+# given once; blank lines are skipped.
 #
-# The writers format each distinct value of a file once (repr_table) and
-# take each value's text by its index into that table; text_rows then
-# assembles the rows of one layer, map or set of CDF series from such
-# fixed-width bytes arrays in numpy.
+# The text writers of the weight maps, the report CSVs and the event log
+# format each distinct value of a file once (repr_table) and take each
+# value's text by its index into that table; text_rows then assembles the
+# rows of one map or set of CDF series from such fixed-width bytes arrays
+# in numpy.
 #
 # The texts are Python's repr, the shortest decimal that reads back as the
 # value and, of those, the nearest. Most values of a run need 16 or 17
@@ -301,7 +310,8 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 # values that 15 digits or fewer already round-trip.
 # ---------------------------------------------------------------------------
 
-_GRID_MAGIC = "hotloc-grid,2"
+_GRID_MAGIC = "hotloc-grid,3"
+_NPY_MAGIC = b"\x93NUMPY"
 
 # Sorted values taken per batch, which bounds the Python strings and the
 # batch temporaries alive at once.
@@ -624,10 +634,17 @@ def read_end(path: str | Path, fh: TextIO, start: int, rows: int) -> None:
             raise InputError(path, f"line {line_no}", f"more than {rows} rows")
 
 
+def cube_path(path: str | Path) -> Path:
+    """The ``.npy`` file that holds the RSRP cube of the grid file ``path``:
+    ``grid.csv`` gives ``grid.npy``."""
+    return Path(path).with_suffix(".npy")
+
+
 def save_grid(grid: CoverageGrid, path: str | Path) -> None:
-    """Write a coverage grid to its CSV-based interchange format. A cell or
+    """Write a coverage grid: the header and cell rows to the text file
+    ``path``, and the RSRP cube to :func:`cube_path` beside it. A cell or
     neighbor id holding ``,``, ``;``, a NUL or a line break raises
-    ValueError."""
+    ValueError before either file is written."""
     for cell in grid.cells:
         reject_separators("cell id", cell.cell_id, ",;\0")
         for nb_id in cell.neighbors:
@@ -646,23 +663,9 @@ def save_grid(grid: CoverageGrid, path: str | Path) -> None:
             f"cell,{cell.cell_id},{cell.site_position[0]!r},"
             f"{cell.site_position[1]!r},{az_deg!r},{nbs}"
         )
-    lines.append("rsrp")
-    # Only the covered values are keyed, so the table and index do not
-    # grow with the uncovered part of the stack; every NaN pixel takes
-    # the slot after the table's last text. Each layer is masked on its
-    # own, to gather its values and again to write them.
-    texts, index = repr_table(np.concatenate([layer[~np.isnan(layer)] for layer in grid.rsrp]))
-    texts = np.append(texts, b"nan")
-    slot = np.empty((spec.m, spec.m), dtype=np.int32)
-    end = 0
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode())
-        for layer in grid.rsrp:
-            covered = ~np.isnan(layer)
-            start, end = end, end + np.count_nonzero(covered)
-            slot.fill(texts.size - 1)
-            slot[covered] = index[start:end]
-            fh.write(text_rows([texts.take(slot)]))
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode())
+    with open(cube_path(path), "wb") as fh:
+        np.save(fh, np.asarray(grid.rsrp, dtype=np.float64), allow_pickle=False)
 
 
 @contextmanager
@@ -719,22 +722,27 @@ Header = dict[str, list[tuple[int, list[str]]]]
 
 
 def read_header(
-    path: str | Path, fh: TextIO, kind: str, magic: str, marker: str, keys: dict[str, bool]
+    path: str | Path, fh: TextIO, kind: str, magic: str, marker: str | None, keys: dict[str, bool]
 ) -> tuple[Header, int]:
     """The (1-based line, fields) of the rows of each key of ``keys`` in
     the header of the text artifact ``fh``, and the 0-based line after
-    its ``marker`` row, where ``fh`` is left. ``keys`` maps each key to
-    whether its row may repeat. A first row other than ``magic``, an
-    unknown key, a repeat of a row that may not repeat and a missing
-    marker raise InputError, at the line for a row."""
+    its ``marker`` row, where ``fh`` is left. With ``marker`` None the
+    header runs to the end of the file, skipping blank lines, and the
+    line is the file's line count. ``keys`` maps each key to whether its
+    row may repeat. A first row other than ``magic``, an unknown key, a
+    repeat of a row that may not repeat and a missing marker raise
+    InputError, at the line for a row."""
     first = fh.readline().rstrip("\n")
     if first != magic:
         raise InputError(path, "line 1", f"not a hotloc {kind} file ({magic}): {first!r}")
     header: Header = {key: [] for key in keys}
+    line_no = 1
     for line_no, line in enumerate(iter(fh.readline, ""), 2):
         line = line.rstrip("\n")
         if line == marker:
             return header, line_no
+        if marker is None and not line.strip():
+            continue
         fields = line.split(",")
         rows = header.get(fields[0])
         if rows is None:
@@ -743,6 +751,8 @@ def read_header(
             reason = f"header row already given on line {rows[0][0]}"
             raise InputError(path, f"line {line_no}", f"{reason}: {line!r}")
         rows.append((line_no, fields))
+    if marker is None:
+        return header, line_no
     raise InputError(path, None, f"missing {marker} section")
 
 
@@ -761,11 +771,11 @@ def header_row(header: Header, key: str, path: str | Path, convert=float, count:
         raise InputError(path, where, f"missing or garbled {key!r} header row") from None
 
 
-def read_spec(header: Header, path: str | Path, values_per_pixel: int) -> GridSpec:
+def read_spec(header: Header, path: str | Path, values_per_pixel: int = 0) -> GridSpec:
     """The grid in the ``m``, ``pixel_size`` and ``origin`` header rows. A
     garbled row, a bad :class:`GridSpec` and an ``m`` whose rows of
     ``values_per_pixel`` values, two bytes each or more, would overrun
-    the file raise InputError."""
+    the file raise InputError; a file without such rows passes 0."""
     m = header_row(header, "m", path, int)[0]
     pixel_size = header_row(header, "pixel_size", path)[0]
     origin = tuple(header_row(header, "origin", path, count=2))
@@ -779,6 +789,35 @@ def read_spec(header: Header, path: str | Path, values_per_pixel: int) -> GridSp
     return spec
 
 
+def read_array(path: str | Path, shape: tuple[int, ...], about: str) -> np.ndarray:
+    """A C-ordered copy of the float64 array of ``shape`` in the ``.npy``
+    file ``path``, mapped read-only and checked before it is copied. A
+    missing file, one that is not ``.npy``, a header numpy refuses
+    (objects, a cut header), another dtype or shape, a file too short for
+    its array and bytes after it raise InputError of the file; ``about``
+    says where ``shape`` comes from."""
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(len(_NPY_MAGIC))
+        array = np.load(path, mmap_mode="r", allow_pickle=False) if magic == _NPY_MAGIC else None
+    except FileNotFoundError:
+        raise InputError(path, None, "not found") from None
+    except OSError as exc:
+        raise InputError(path, None, f"cannot be read: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise InputError(path, None, f"not a readable .npy array: {exc}") from None
+    if array is None:
+        raise InputError(path, None, f"not a .npy file: it starts {magic!r}")
+    if array.dtype != np.float64:
+        raise InputError(path, None, f"dtype {array.dtype.str}, expected float64 ({np.dtype(np.float64).str})")
+    if array.shape != shape:
+        raise InputError(path, None, f"shape {array.shape}, expected {shape} ({about})")
+    extra = Path(path).stat().st_size - array.offset - array.nbytes
+    if extra:
+        raise InputError(path, None, f"{extra} bytes after the array")
+    return np.array(array, order="C")
+
+
 _GRID_KEYS = {
     **dict.fromkeys(("m", "pixel_size", "origin", "q_rxlevmin", "cells"), False), "cell": True
 }
@@ -788,12 +827,13 @@ def load_grid(path: str | Path) -> CoverageGrid:
     """Read a coverage grid written by :func:`save_grid`. A file of another
     format version, a garbled, unknown or repeated header row, a
     non-finite header value, a repeated cell id, a neighbor that names no
-    cell, an id that holds a NUL and a non-finite site or azimuth raise
-    InputError, at the line for a row; so do the grid
-    :func:`read_spec` refuses, the layer rows :func:`read_rows` and
-    :func:`read_end` reject, and a byte that is not UTF-8."""
+    cell, an id that holds a NUL, a non-finite site or azimuth, the grid
+    :func:`read_spec` refuses and a byte that is not UTF-8 raise
+    InputError of ``path``, at the line for a row, before the cube file
+    (:func:`cube_path`) is opened. Then the refusals of :func:`read_array`
+    and an infinite RSRP value raise InputError of the cube file."""
     with open_text(path) as fh:
-        header, start = read_header(path, fh, "coverage grid", _GRID_MAGIC, "rsrp", _GRID_KEYS)
+        header, _ = read_header(path, fh, "coverage grid", _GRID_MAGIC, None, _GRID_KEYS)
         cells: list[CellInfo] = []
         # The 1-based line of each cell row, by cell id.
         cell_rows: dict[str, int] = {}
@@ -821,17 +861,15 @@ def load_grid(path: str | Path) -> CoverageGrid:
             if unknown:
                 reason = f"neighbors {unknown} are not cells of the grid"
                 raise InputError(path, f"line {line_no}", f"{reason}: {','.join(fields)!r}")
-        spec = read_spec(header, path, len(cells))
-        m = spec.m
+        spec = read_spec(header, path)
         try:
-            # The rows fill the stack in place; read_rows holds them to the
-            # grid's rule of finite or NaN values.
-            grid = CoverageGrid(spec, cells, np.zeros((len(cells), m, m)), q_rxlevmin)
+            CoverageGrid.check_header(cells, q_rxlevmin)
         except ValueError as exc:
             raise InputError.of(path, exc) from None
-        layer_row = np.dtype([("", np.float64)] * m)
-        for k, cell in enumerate(cells):
-            rows = read_rows(path, fh, start + k * m, m, layer_row, f"cell {cell.cell_id!r}: ")
-            grid.rsrp[k] = rows.view(np.float64).reshape(m, m)
-        read_end(path, fh, start + len(cells) * m, len(cells) * m)
-    return grid
+    m, cube = spec.m, cube_path(path)
+    rsrp = read_array(cube, (len(cells), m, m), f"{len(cells)} cells on the {m}x{m} grid of {Path(path).name}")
+    try:
+        # Every check left is of the layers: an infinite value.
+        return CoverageGrid(spec, cells, rsrp, q_rxlevmin)
+    except ValueError as exc:
+        raise InputError.of(cube, exc) from None

@@ -245,9 +245,10 @@ STAGE_INPUTS = {
 # How a stage input is read when no stage of the call makes it: (the stage
 # that writes it, its files, the loader, the inputs the loader takes after
 # the files' paths). An input without files is derived from inputs read
-# the same way.
+# the same way. load_grid finds the cube file beside grid.csv; it is
+# listed so that a missing one is named with its stage.
 READERS = {
-    "grid": ("scenario", ("grid.csv",), load_grid, ()),
+    "grid": ("scenario", ("grid.csv", "grid.npy"), lambda path, _cube: load_grid(path), ()),
     "servers": ("scenario", (), compute_server_maps, ("grid",)),
     "truth": ("scenario", ("truth.csv",), load_weight_map, ()),
     "potential_map": ("scenario", ("potential.csv",), load_weight_map, ()),

@@ -161,8 +161,11 @@ def hex_site_positions(count: int, isd_m: float, spec: GridSpec) -> np.ndarray:
     return np.array(sites)
 
 
-def _sector_id(site: int, sector: int) -> str:
-    return f"BS{site + 1:02d}{chr(ord('A') + sector)}"
+def _sector_id(site: int, sector: int, width: int) -> str:
+    """The id of a sector: its site number padded to ``width`` digits, so
+    that ids sort in row order (``compute_server_maps`` breaks ties by
+    id), and a letter."""
+    return f"BS{site + 1:0{width}d}{chr(ord('A') + sector)}"
 
 
 def build_cells(config: ScenarioConfig) -> list[CellInfo]:
@@ -173,8 +176,9 @@ def build_cells(config: ScenarioConfig) -> list[CellInfo]:
     sites = hex_site_positions(layout.site_count, layout.isd_m, config.spec)
 
     sector_step = 2.0 * math.pi / layout.sectors_per_site
+    width = max(2, len(str(layout.site_count)))
     ids: list[list[str]] = [
-        [_sector_id(s, sec) for sec in range(layout.sectors_per_site)]
+        [_sector_id(s, sec, width) for sec in range(layout.sectors_per_site)]
         for s in range(layout.site_count)
     ]
     radius = layout.neighbor_radius_factor * layout.isd_m

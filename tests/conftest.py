@@ -67,6 +67,43 @@ def put_byte(path: Path, line_no: int, byte: bytes = b"\xff") -> str:
     return f"line {line_no}: byte {byte[0]:#04x} is not UTF-8"
 
 
+# The ways a grid's cube file (grid.npy) is broken, for mutate_cube.
+CUBE_MUTATIONS = ("removed", "truncated", "dtype", "shape", "object", "inf", "trailing")
+
+
+def mutate_cube(path: Path, kind: str, rng: np.random.Generator) -> None:
+    """Break the ``.npy`` cube file ``path`` as ``kind`` of
+    :data:`CUBE_MUTATIONS`: delete it, cut it at a random byte, write it
+    as float32, with a random cell or pixel column fewer or more, as an
+    object array, with one random covered pixel set to +inf or -inf, or
+    with a few bytes after the array."""
+    cube = np.load(path)
+    if kind == "removed":
+        path.unlink()
+        return
+    if kind in ("truncated", "trailing"):
+        data = path.read_bytes()
+        extra = bytes(rng.integers(0, 256, size=int(rng.integers(1, 16)), dtype=np.uint8))
+        path.write_bytes(data[: rng.integers(len(data))] if kind == "truncated" else data + extra)
+        return
+    if kind == "dtype":
+        cube = cube.astype(np.float32)
+    elif kind == "shape":
+        n, m, _ = cube.shape
+        cube = [cube[:-1], np.concatenate([cube, cube[:1]]), cube[:, :, :-1], np.zeros((n, m, m + 1))][
+            rng.integers(4)
+        ]
+    elif kind == "object":
+        cube = cube.astype(object)
+    elif kind == "inf":
+        covered = np.flatnonzero(~np.isnan(cube))
+        cube.flat[rng.choice(covered)] = rng.choice([np.inf, -np.inf])
+    else:
+        raise ValueError(f"unknown cube mutation {kind!r}")
+    with open(path, "wb") as fh:
+        np.save(fh, cube, allow_pickle=kind == "object")
+
+
 @pytest.fixture()
 def desk_config():
     return load_scenario_config(DESK_CONFIG)

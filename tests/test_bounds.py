@@ -70,6 +70,8 @@ class TestInputError:
         ([[1, -(10**20)], "a", None], "[[1, -1e+20], 'a', None]"),
         ([], "[]"),
         ((), "()"),
+        ("x" * 40, repr("x" * 40)),
+        ("1" * 5000, "'11111111111111111111'... (5000 characters)"),
     ],
 )
 def test_huge_integers_shown_compactly(value, text):

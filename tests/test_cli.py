@@ -5,6 +5,7 @@ import re
 import shutil
 import time
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -47,14 +48,14 @@ class TestGenScenario:
         result = invoke(runner, "gen-scenario", "--config", CONFIG, "--out", str(out))
         assert result.exit_code == 0
         assert "3 cells, m=32" in result.output
-        for name in ("grid.csv", "truth.csv", "potential.json"):
+        for name in ("grid.csv", "grid.npy", "truth.csv", "potential.json"):
             assert (out / name).exists()
 
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         invoke(runner, "gen-scenario", "--config", CONFIG, "--out", str(a))
         invoke(runner, "gen-scenario", "--config", CONFIG, "--out", str(b))
-        for name in ("grid.csv", "truth.csv", "potential.json"):
+        for name in ("grid.csv", "grid.npy", "truth.csv", "potential.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_missing_config_file(self, runner, tmp_path):
@@ -156,6 +157,7 @@ class TestStageCommands:
 
 STAGEWISE_ARTIFACTS = (
     "grid.csv",
+    "grid.npy",
     "truth.csv",
     "potential.json",
     "potential.csv",
@@ -219,7 +221,7 @@ def readme_stage_table():
 
     def files(cell):
         cell = cell.replace("`q1.csv` .. `q5.csv`", ", ".join(f"`q{k}.csv`" for k in range(1, 6)))
-        return frozenset(re.findall(r"`([\w.]+\.(?:csv|json))`", cell))
+        return frozenset(re.findall(r"`([\w.]+\.(?:csv|json|npy))`", cell))
 
     rows = []
     for line in section.splitlines():
@@ -354,16 +356,20 @@ class TestBadInputs:
         assert "grid.csv: missing or garbled 'm' header row" in err
 
     def test_grid_row_outside_the_grid(self, runner, scenario_dir, tmp_path):
-        # A 33rd value in a row of the 32x32 grid.
+        # A 33rd pixel in every row of the 32x32 grid's cube.
         art = self.copy(scenario_dir, tmp_path)
-        path = art / "grid.csv"
-        lines = path.read_text().splitlines()
-        line_no = lines.index("rsrp") + 2
-        lines[line_no - 1] += ",-42.0"
-        path.write_text("\n".join(lines) + "\n")
-        cell_id = next(line for line in lines if line.startswith("cell,")).split(",")[1]
+        cube = art / "grid.npy"
+        rsrp = np.load(cube)
+        np.save(cube, np.concatenate([rsrp, rsrp[:, :, :1]], axis=2))
         err = fails(runner, "kpis", "oracle-kpis", "--config", CONFIG, "--out", str(art))
-        assert f"grid.csv: line {line_no}: cell '{cell_id}': expected 32 values, got 33" in err
+        reason = "shape (3, 32, 33), expected (3, 32, 32) (3 cells on the 32x32 grid of grid.csv)"
+        assert err == f"hotloc: stage kpis: {cube}: {reason}\n"
+
+    def test_grid_without_its_cube(self, runner, scenario_dir, tmp_path):
+        art = self.copy(scenario_dir, tmp_path)
+        (art / "grid.npy").unlink()
+        err = fails(runner, "kpis", "oracle-kpis", "--config", CONFIG, "--out", str(art))
+        assert err == f"hotloc: stage kpis: {art / 'grid.npy'}: not found, run scenario first\n"
 
     def test_non_finite_cell_site_fails_in_kpi_stage(self, runner, scenario_dir, tmp_path):
         art = self.copy(scenario_dir, tmp_path)
@@ -492,7 +498,11 @@ class TestBadInputs:
         path = art / name
         path.write_text(path.read_text().replace("\nm,32\n", f"\nm,{m}\n", 1))
         err = fails(runner, stage, command, "--config", CONFIG, "--out", str(art))
-        assert f"{path}: m={m} needs" in err
+        # The grid's cube file gives its shape in its header.
+        if name == "grid.csv":
+            assert f"{art / 'grid.npy'}: shape (3, 32, 32), expected (3, {m}, {m})" in err
+        else:
+            assert f"{path}: m={m} needs" in err
 
     def test_all_zero_smoothed_map_named_by_its_variant(self, runner, pipeline_dir, tmp_path):
         art = self.copy(pipeline_dir, tmp_path)
@@ -870,6 +880,16 @@ class TestPipelineCommand:
         assert result.exit_code == 2
         assert "Invalid value" in result.stderr
         assert not (tmp_path / "out" / "grid.csv").exists()
+
+    @pytest.mark.parametrize("option", ["--seed", "--seeds"])
+    @pytest.mark.parametrize("value", ["1" * 5000, "x" * 5000], ids=["5000-digits", "5000-letters"])
+    def test_long_seed_option_refused_briefly(self, runner, tmp_path, option, value):
+        # Python's int() reads at most 4300 digits; the usage error must
+        # not echo the value whole.
+        result = runner.invoke(main, ["pipeline", "--config", CONFIG, "--out", str(tmp_path / "out"), option, value])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.stderr
+        assert len(result.stderr) < 400
 
     def test_seed_and_seeds_exclude_each_other(self, runner, tmp_path):
         out = tmp_path / "out"

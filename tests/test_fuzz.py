@@ -7,7 +7,9 @@ as the command does: the config through ``load_scenario_config``, then
 ``pipeline.run_stages``. The run must finish, or raise an
 :class:`InputError` (bare, or as the ``cause`` of a ``StageError``)
 whose ``source`` names what was mutated: the file, or for a value of the
-config its dotted key.
+config its dotted key. The grid's binary cube file, ``grid.npy``, takes
+the mutations of ``conftest.CUBE_MUTATIONS`` instead, each of which must
+be refused naming it.
 """
 
 import json
@@ -15,10 +17,11 @@ import random
 import re
 import shutil
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import SIM_CONFIG
+from conftest import CUBE_MUTATIONS, SIM_CONFIG, mutate_cube
 from hotloc.bounds import ConfigError, InputError
 from hotloc.cli import STAGE_COMMANDS, main
 from hotloc.pipeline import StageError, run_stages
@@ -30,7 +33,8 @@ CASES = 300
 # CASES drawn over all of them.
 PAIR_CASES = 4
 
-# The stage commands that read each file.
+# The stage commands that read each text file; the grid's commands also
+# read its cube file, grid.npy.
 COMMANDS = {
     "config.json": ("optimize", "localize", "evaluate", "simulate", "gen-scenario"),
     "grid.csv": ("oracle-kpis", "optimize", "localize"),
@@ -53,8 +57,9 @@ STRAY = (",", ";", "\0", "é")
 # text holds each as the surrogate escape of the byte.
 NOT_UTF8 = tuple(bytes([b]).decode("utf-8", "surrogateescape") for b in (0x80, 0xC3, 0xFF))
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?|nan|inf")
-# The row that ends the header of each CSV format.
-MARKERS = ("rsrp", "i,j,weight")
+# The row that ends the header of each CSV format that has one; the
+# header of grid.csv runs to the end of the file.
+MARKERS = ("i,j,weight",)
 
 
 def json_paths(value, path=()):
@@ -198,6 +203,18 @@ def test_mutated_input_is_read_or_named(run_dir, tmp_path, case):
 )
 def test_every_command_reads_or_names(run_dir, tmp_path, name, command, case):
     mutated_run(run_dir, tmp_path, random.Random(f"{SEED} {name} {command} {case}"), name, command)
+
+
+@pytest.mark.parametrize("kind", CUBE_MUTATIONS)
+@pytest.mark.parametrize("command", COMMANDS["grid.csv"])
+def test_broken_cube_is_named(run_dir, tmp_path, command, kind):
+    art = shutil.copytree(run_dir, tmp_path / "art")
+    cube = art / "grid.npy"
+    mutate_cube(cube, kind, np.random.default_rng(sorted(COMMANDS["grid.csv"]).index(command)))
+    error = run_command(command, art)
+    cause = error.cause if isinstance(error, StageError) else error
+    assert isinstance(cause, InputError), f"{kind} cube under {command} ran"
+    assert cause.source == str(cube), f"{kind} cube under {command}: {error}"
 
 
 def test_printed_form(run_dir, tmp_path):

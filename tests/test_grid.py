@@ -144,14 +144,24 @@ class TestServerMaps:
         assert (servers.best == 0).all()
         assert (servers.second == 1).all()
 
-    def test_tie_goes_to_lowest_index(self):
+    def test_tie_goes_to_lowest_id(self):
+        # The rows are out of id order, so a tie broken by row index would
+        # give each pixel the other cell.
+        for ids, best, second in ((("A", "B"), 0, 1), (("B", "A"), 1, 0), (("BS10A", "BS09A"), 1, 0)):
+            grid = constant_grid([(cell_id, (0.0, 0.0), 0.0, -85.0, ()) for cell_id in ids], m=4)
+            servers = compute_server_maps(grid)
+            assert (servers.best == best).all()
+            assert (servers.second == second).all()
+
+    def test_runner_up_tie_goes_to_lowest_id(self):
+        a = np.full((4, 4), -80.0)
         grid = constant_grid(
-            [("A", (0.0, 0.0), 0.0, -85.0, ()), ("B", (0.0, 0.0), 0.0, -85.0, ())],
+            [("C", (0.0, 0.0), 0.0, -90.0, ()), ("A", (0.0, 0.0), 0.0, a, ()), ("B", (0.0, 0.0), 0.0, -90.0, ())],
             m=4,
         )
         servers = compute_server_maps(grid)
-        assert (servers.best == 0).all()
-        assert (servers.second == 1).all()
+        assert (servers.best == 1).all()
+        assert (servers.second == 2).all()
 
     def test_below_threshold_is_uncovered(self):
         grid = constant_grid([("A", (0.0, 0.0), 0.0, -120.0, ())], m=4)
@@ -384,14 +394,14 @@ class TestGridFile:
         path = tmp_path / "grid.csv"
         with pytest.raises(ValueError, match=re.escape(repr(name))):
             save_grid(grid, path)
-        assert not path.exists()
+        assert not path.exists() and not path.with_suffix(".npy").exists()
 
     @pytest.mark.parametrize("line_no", [1, 2, -1])
     def test_byte_not_utf8_named_by_line(self, tmp_path, line_no):
-        # The last line of a 40x40 grid lies past the first block a text
+        # The last cell row of 400 cells lies past the first block a text
         # file decodes at a time.
-        cells = [("A", (0.0, 0.0), 0.0, -90.0, ()), ("B", (0.0, 0.0), 0.0, -95.5, ())]
-        grid = constant_grid(cells, m=40)
+        cells = [(f"C{k:03d}", (0.0, 0.0), 0.0, -90.0 - k, ()) for k in range(400)]
+        grid = constant_grid(cells, m=2)
         path = tmp_path / "grid.csv"
         save_grid(grid, path)
         if line_no < 0:
@@ -461,30 +471,27 @@ class TestGridFile:
         ],
     )
     def test_repeated_or_unknown_header_row_named_by_line(self, tmp_path, row, reason):
-        # Cell rows repeat, one per cell; every other header row is given once.
+        # Cell rows repeat, one per cell; every other header row is given
+        # once. The header runs to the end of the file.
         path = self.two_cell_file(tmp_path)
         text = path.read_text()
-        line_no = text.splitlines().index("rsrp") + 1
-        path.write_text(text.replace("\nrsrp\n", f"\n{row}\nrsrp\n"))
+        line_no = len(text.splitlines()) + 1
+        path.write_text(f"{text}{row}\n")
         with pytest.raises(ValueError) as excinfo:
             load_grid(path)
         assert str(excinfo.value) == f"{path}: line {line_no}: {reason}: {row!r}"
 
-    def test_row_only_python_reads_is_rejected(self, tmp_path):
-        path = self.two_cell_file(tmp_path)
-        path.write_text(path.read_text().replace("\n-90.0,-90.0,-90.0\n", "\n-90.0,-9_0.0,-90.0\n", 1))
-        with pytest.raises(ValueError, match=f"^{path}: line 10: cell 'A': garbled rows from here: "):
-            load_grid(path)
-
     def test_duplicate_row_named_by_line(self, tmp_path):
-        # A row given twice is one row too many; the extra one is named.
+        # A cell row given twice repeats its id; the second copy is named.
         path = self.two_cell_file(tmp_path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines + [lines[-1]]) + "\n")
         with pytest.raises(InputError) as excinfo:
             load_grid(path)
-        assert str(excinfo.value) == f"{path}: line {len(lines) + 1}: more than 6 rows"
-        assert (excinfo.value.source, excinfo.value.where) == (str(path), f"line {len(lines) + 1}")
+        where = f"line {len(lines) + 1}"
+        reason = f"cell id 'B' already given on line {len(lines)}: {lines[-1]!r}"
+        assert str(excinfo.value) == f"{path}: {where}: {reason}"
+        assert (excinfo.value.source, excinfo.value.where) == (str(path), where)
 
     def test_blank_lines_after_the_last_row_are_skipped(self, tmp_path):
         path = self.two_cell_file(tmp_path)
@@ -492,48 +499,27 @@ class TestGridFile:
         path.write_text(path.read_text() + "\n \n")
         np.testing.assert_array_equal(load_grid(path).rsrp, grid.rsrp)
 
-    def test_file_cut_off_in_a_layer_named_by_line(self, tmp_path):
+    def test_cube_cut_off_in_a_layer_refused(self, tmp_path):
         path = self.two_cell_file(tmp_path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(ValueError) as excinfo:
+        cube = path.with_suffix(".npy")
+        cube.write_bytes(cube.read_bytes()[: -8 * 4])
+        with pytest.raises(InputError) as excinfo:
             load_grid(path)
-        assert str(excinfo.value) == (
-            f"{path}: line {len(lines) - 1}: cell 'B': the file ends after 1 of 3 rows"
-        )
-
-    @pytest.mark.parametrize(
-        "offset, replacement, reason",
-        [
-            (1, "-90.0,-90.0", "cell 'A': expected 3 values, got 2"),
-            (4, "-80.0,-80.0,-80.0,-80.0", "cell 'B': expected 3 values, got 4"),
-            (3, "-80.0;-80.0;-80.0", "cell 'B': expected 3 values, got 1"),
-            (2, "", "cell 'A': expected 3 values, got 0"),
-            (2, "-90.0,-9o.0,-90.0", "cell 'A': value 2 '-9o.0' is not a number"),
-            (1, "-90.0,-90.0,-90.0#5", "cell 'A': value 3 '-90.0#5' is not a number"),
-            (0, "nan,inf,-90.0", "cell 'A': value 2 'inf' is not finite or NaN"),
-            (5, "-80.0,-80.0,-inf", "cell 'B': value 3 '-inf' is not finite or NaN"),
-        ],
-        ids=["short", "long", "semicolons", "blank", "garbled", "hash", "inf", "-inf"],
-    )
-    def test_bad_layer_row_named_by_line(self, tmp_path, offset, replacement, reason):
-        path = self.two_cell_file(tmp_path)
-        lines = path.read_text().splitlines()
-        line_no = lines.index("rsrp") + 2 + offset
-        lines[line_no - 1] = replacement
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError) as excinfo:
-            load_grid(path)
-        assert str(excinfo.value) == f"{path}: line {line_no}: {reason}"
+        assert excinfo.value.source == str(cube)
+        assert str(excinfo.value) == f"{cube}: not a readable .npy array: mmap length is greater than file size"
 
     def test_version_one_file_refused_with_its_version(self, tmp_path):
+        # Version 2 held the cube as text rows after the cell rows; no
+        # reader of it is kept.
         path = self.two_cell_file(tmp_path)
-        path.write_text(path.read_text().replace("hotloc-grid,2\n", "hotloc-grid,1\n", 1))
-        with pytest.raises(ValueError) as excinfo:
-            load_grid(path)
-        assert str(excinfo.value) == (
-            f"{path}: line 1: not a hotloc coverage grid file (hotloc-grid,2): 'hotloc-grid,1'"
-        )
+        text = path.read_text()
+        for version in (1, 2):
+            path.write_text(text.replace("hotloc-grid,3\n", f"hotloc-grid,{version}\n", 1))
+            with pytest.raises(ValueError) as excinfo:
+                load_grid(path)
+            assert str(excinfo.value) == (
+                f"{path}: line 1: not a hotloc coverage grid file (hotloc-grid,3): 'hotloc-grid,{version}'"
+            )
 
     @pytest.mark.parametrize(
         "row, replacement, reason",
@@ -549,23 +535,29 @@ class TestGridFile:
         text = path.read_text()
         assert f"\n{row}\n" in text
         path.write_text(text.replace(f"\n{row}\n", f"\n{replacement}\n"))
+        # Refused before the cube file is opened.
+        path.with_suffix(".npy").unlink()
         with pytest.raises(InputError) as excinfo:
             load_grid(path)
         assert str(excinfo.value).startswith(f"{path}: {reason}")
         assert (excinfo.value.source, excinfo.value.where) == (str(path), None)
 
     def test_m_too_large_for_the_file_refused_before_allocating(self, tmp_path):
-        # Two cells of m x m values take 2 * 2 * m^2 bytes or more; the
-        # stack alone would be 144 TB.
+        # The stack would be 144 TB; only the cube file's header is read.
         path = self.two_cell_file(tmp_path)
-        size = path.stat().st_size
         path.write_text(path.read_text().replace("\nm,3\n", "\nm,3000000\n", 1))
-        with pytest.raises(ValueError) as excinfo:
-            load_grid(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as excinfo:
+                load_grid(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert str(excinfo.value) == (
-            f"{path}: m=3000000 needs 36000000000000 bytes of rows or more, "
-            f"the file holds {size + 6}"
+            f"{path.with_suffix('.npy')}: shape (2, 3, 3), expected (2, 3000000, 3000000) "
+            "(2 cells on the 3000000x3000000 grid of grid.csv)"
         )
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "row, replacement, reason",
@@ -613,10 +605,74 @@ class TestGridFile:
         assert message.endswith(repr(replacement))
 
 
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"", "not a .npy file: it starts b''"),
+            (b"hotloc-grid,3\n", "not a .npy file: it starts b'hotloc'"),
+            (b"\x93NUMPY\x01\x00", "not a readable .npy array: "),
+        ],
+        ids=["empty", "text", "cut-header"],
+    )
+    def test_cube_that_is_not_npy_named(self, tmp_path, data, reason):
+        path = self.two_cell_file(tmp_path)
+        cube = path.with_suffix(".npy")
+        cube.write_bytes(data)
+        with pytest.raises(InputError) as excinfo:
+            load_grid(path)
+        assert str(excinfo.value).startswith(f"{cube}: {reason}")
+
+    def test_cube_refusals_say_what_is_wrong(self, tmp_path):
+        path = self.two_cell_file(tmp_path)
+        cube = path.with_suffix(".npy")
+        rsrp = np.load(cube)
+        cases = [
+            (rsrp.astype(np.float32), "dtype <f4, expected float64 (<f8)"),
+            (rsrp.astype(">f8"), "dtype >f8, expected float64 (<f8)"),
+            (rsrp[:1], "shape (1, 3, 3), expected (2, 3, 3) (2 cells on the 3x3 grid of grid.csv)"),
+            (np.where(np.arange(9).reshape(3, 3) == 4, -np.inf, rsrp), "rsrp values must be finite or NaN"),
+        ]
+        for array, reason in cases:
+            np.save(cube, array)
+            with pytest.raises(InputError) as excinfo:
+                load_grid(path)
+            assert str(excinfo.value) == f"{cube}: {reason}"
+        np.save(cube, rsrp)
+        cube.write_bytes(cube.read_bytes() + b"\0" * 5)
+        with pytest.raises(InputError, match=r"grid\.npy: 5 bytes after the array$"):
+            load_grid(path)
+        np.save(cube, rsrp.astype(object), allow_pickle=True)
+        with pytest.raises(InputError, match=r"grid\.npy: not a readable \.npy array: .*object"):
+            load_grid(path)
+        cube.unlink()
+        with pytest.raises(InputError, match=r"grid\.npy: not found$"):
+            load_grid(path)
+
+    def test_cube_of_another_shape_refused_before_it_is_read(self, tmp_path):
+        # A cube of 9 layers of 128 x 128 pixels whose grid.csv declares
+        # 8 cells: the header is read, the values are not.
+        m = 128
+        grid = constant_grid([(f"C{k}", (0.0, 0.0), 0.0, -90.0 - k, ()) for k in range(9)], m=m)
+        path = tmp_path / "grid.csv"
+        save_grid(grid, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line.replace("cells,9", "cells,8") for line in lines[:-1]) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=r"shape \(9, 128, 128\), expected \(8, 128, 128\)"):
+                load_grid(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Less than one layer of the cube.
+        assert peak < grid.rsrp[0].nbytes
+
+
 def test_load_grid_memory_is_bounded_by_the_block(tmp_path):
-    # Nine layers of 128 x 128 random values. Beyond the stack, only the
-    # text and the parse of a few layers may be alive at once; parsing
-    # every layer in one call would hold another stack and all the text.
+    # Nine layers of 128 x 128 random values. The cube file is mapped,
+    # so beyond the stack only the infinity check's one-byte mask of it
+    # may be alive; reading the file into memory before copying it would
+    # hold a second stack.
     m, cells = 128, 9
     rng = np.random.default_rng(0)
     grid = constant_grid(
@@ -632,17 +688,20 @@ def test_load_grid_memory_is_bounded_by_the_block(tmp_path):
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(loaded.rsrp, grid.rsrp)
+    assert loaded.rsrp.flags.c_contiguous and loaded.rsrp.flags.writeable
     layer = loaded.rsrp.nbytes // cells
-    assert peak < loaded.rsrp.nbytes + 8 * layer
+    assert peak < loaded.rsrp.nbytes + 2 * layer
 
 
 def test_every_nan_is_written_nan(tmp_path):
-    # NaNs with the sign bit set or another payload read back as NaN.
+    # NaNs with the sign bit set or another payload read back as NaN,
+    # with their bits.
     layer = np.full((3, 3), -90.0)
     payload = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)[0]
     layer[0] = (-np.nan, payload, np.nan)
     grid = constant_grid([("A", (0.0, 0.0), 0.0, layer, ())], m=3)
     path = tmp_path / "grid.csv"
     save_grid(grid, path)
-    assert path.read_text().splitlines()[-3] == "nan,nan,nan"
-    np.testing.assert_array_equal(load_grid(path).rsrp, grid.rsrp)
+    loaded = load_grid(path).rsrp
+    np.testing.assert_array_equal(loaded, grid.rsrp)
+    assert loaded.view(np.uint64).tolist() == grid.rsrp.view(np.uint64).tolist()

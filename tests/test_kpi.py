@@ -179,6 +179,9 @@ class TestWeightMap:
             ("0,0,1.0", "0,0,-1.0", "weight -1.0 is negative or NaN"),
             ("1,2,1.0", "1,2,nan", "weight nan is negative or NaN"),
             ("1,2,1.0", "1,2,inf", "value 3 'inf' is not finite or NaN"),
+            ("1,2,1.0", "1,2,-inf", "value 3 '-inf' is not finite or NaN"),
+            ("1,2,1.0", "1;2;1.0", "expected 3 values, got 1"),
+            ("1,2,1.0", "1,2,1.o", "value 3 '1.o' is not a number"),
         ],
         ids=[
             "short",
@@ -195,6 +198,9 @@ class TestWeightMap:
             "negative-weight",
             "nan-weight",
             "inf-weight",
+            "-inf-weight",
+            "semicolons",
+            "garbled-weight",
         ],
     )
     def test_garbled_row_named_by_line(self, tmp_path, row, replacement, reason):
@@ -235,6 +241,18 @@ class TestWeightMap:
         text = path.read_text()
         path.write_text(text[: text.index(f"\n{cut_before}\n") + 1])
         with pytest.raises(ValueError, match=f"^{path}: missing i,j,weight section$"):
+            load_weight_map(path)
+
+    def test_row_only_python_reads_is_rejected(self, tmp_path):
+        # Python's float reads "1_0.0" and numpy's parser does not, so the
+        # rows are refused from the first.
+        path = tmp_path / "map.csv"
+        save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "tag"), path)
+        lines = path.read_text().splitlines()
+        lines[lines.index("1,2,1.0")] = "1,2,1_0.0"
+        path.write_text("\n".join(lines) + "\n")
+        line_no = lines.index("i,j,weight") + 2
+        with pytest.raises(ValueError, match=f"^{path}: line {line_no}: garbled rows from here: "):
             load_weight_map(path)
 
     def test_map_cut_off_in_its_rows_named_by_line(self, tmp_path):

@@ -25,6 +25,7 @@ from hotloc.scenario import load_scenario_config
 
 EXPECTED_ARTIFACTS = (
     "grid.csv",
+    "grid.npy",
     "truth.csv",
     "potential.json",
     "potential.csv",

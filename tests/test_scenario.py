@@ -91,6 +91,16 @@ class TestBuildCells:
         )
         assert first_site[0].site_position == first_site[1].site_position
 
+    @pytest.mark.parametrize("sites, first, last", [(99, "BS01A", "BS99C"), (127, "BS001A", "BS127C")])
+    def test_ids_sort_in_row_order(self, sites, first, last):
+        # compute_server_maps breaks ties by id, so a generated layout's
+        # ids sort in row order: the site number takes the width of the
+        # largest one, and BS100A follows BS099A, not BS10A.
+        config = parse_scenario_config(minimal_config(layout={"site_count": sites, "isd_m": 100.0}))
+        ids = [c.cell_id for c in build_cells(config)]
+        assert (ids[0], ids[-1]) == (first, last)
+        assert ids == sorted(ids)
+
     def test_neighbor_lists_follow_site_distance(self):
         config = parse_scenario_config(minimal_config())
         cells = {c.cell_id: c for c in build_cells(config)}
@@ -145,7 +155,8 @@ class TestBuildCells:
         assert time.perf_counter() - start < 5.0
         assert len(cells) == 9000
         # A site in the lattice's interior has six sites within 1.5 isd.
-        assert set(cells[0].neighbors) == {f"BS{s:02d}{x}" for s in range(1, 8) for x in "ABC"} - {"BS01A"}
+        # Site numbers take four digits, as 3000 does.
+        assert set(cells[0].neighbors) == {f"BS{s:04d}{x}" for s in range(1, 8) for x in "ABC"} - {"BS0001A"}
 
     @pytest.mark.parametrize("count", [27, 1e308])
     def test_more_sectors_than_id_letters_rejected(self, count):

@@ -1,15 +1,19 @@
-"""Byte pins of the text artifacts: ``grid.csv``, the weight-map CSVs,
-``cdf.csv``, ``peaks.csv`` and ``detection.csv``.
+"""Byte pins of the grid's files, ``grid.csv`` and its cube ``grid.npy``,
+and of the text artifacts: the weight-map CSVs, ``cdf.csv``, ``peaks.csv``
+and ``detection.csv``.
 
 The per-row writers below are the reference implementations of the
-formats. The production writers must produce the same bytes on every
-artifact of a desk run and on seeded grids and maps with edge values, and
-``save(load(f))`` must give ``f`` back.
+formats, and ``reference_cube_bytes`` writes the ``.npy`` format by its
+specification, apart from numpy's writer, so the pins hold on every numpy
+the project supports. The production writers must produce the same bytes
+on every artifact of a desk run and on seeded grids and maps with edge
+values, and ``save(load(f))`` must give ``f`` back.
 """
 
 import csv
 import io
 import math
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -23,6 +27,7 @@ from hotloc.grid import (
     CoverageGrid,
     GridSpec,
     load_grid,
+    cube_path,
     repr_table,
     save_grid,
     text_rows,
@@ -42,7 +47,7 @@ MAP_POOL = np.random.default_rng(5678).random(8)
 
 def reference_grid_text(grid: CoverageGrid) -> str:
     spec = grid.spec
-    lines = ["hotloc-grid,2"]
+    lines = ["hotloc-grid,3"]
     lines.append(f"m,{spec.m}")
     lines.append(f"pixel_size,{spec.pixel_size!r}")
     lines.append(f"origin,{spec.origin[0]!r},{spec.origin[1]!r}")
@@ -55,10 +60,20 @@ def reference_grid_text(grid: CoverageGrid) -> str:
             f"cell,{cell.cell_id},{cell.site_position[0]!r},"
             f"{cell.site_position[1]!r},{az_deg!r},{nbs}"
         )
-    lines.append("rsrp")
-    for layer in grid.rsrp:
-        lines += [",".join(map(repr, row)) for row in layer.tolist()]
     return "\n".join(lines) + "\n"
+
+
+def reference_cube_bytes(rsrp: np.ndarray) -> bytes:
+    """The ``.npy`` file of the float64 cube ``rsrp``, format version 1.0:
+    the magic, the header's length as a little-endian uint16 and the
+    header, the repr of a dict padded with spaces to 21 digits of its
+    first axis and then to a multiple of 64 bytes with the magic, ended
+    by a newline; then the values, little-endian, in C order."""
+    header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {rsrp.shape!r}, }}"
+    header += " " * (21 - len(repr(rsrp.shape[0])))
+    header += " " * (-(10 + len(header) + 1) % 64) + "\n"
+    values = np.ascontiguousarray(rsrp, dtype="<f8").tobytes()
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header.encode("latin1") + values
 
 
 def reference_map_text(wmap: WeightMap) -> str:
@@ -150,17 +165,21 @@ def edge_map(seed: int, m: int = 9) -> WeightMap:
 
 
 def assert_round_trip(path, load, save):
-    """``save(load(path))`` rewrites ``path`` byte for byte."""
-    original = path.read_bytes()
+    """``save(load(path))`` rewrites ``path`` byte for byte, and a grid's
+    cube file beside it."""
     again = path.with_name("again-" + path.name)
     save(load(path), again)
-    assert again.read_bytes() == original
+    assert again.read_bytes() == path.read_bytes()
+    if save is save_grid:
+        assert cube_path(again).read_bytes() == cube_path(path).read_bytes()
 
 
 class TestDeskArtifacts:
     def test_grid_csv_matches_reference(self, desk_run):
         path = desk_run.out_dir / "grid.csv"
         assert path.read_bytes() == reference_grid_text(desk_run.scenario.grid).encode()
+        cube = desk_run.out_dir / "grid.npy"
+        assert cube.read_bytes() == reference_cube_bytes(desk_run.scenario.grid.rsrp)
 
     def test_weight_maps_match_reference(self, desk_run):
         maps = {
@@ -191,6 +210,7 @@ class TestDeskArtifacts:
         for path in sorted(desk_run.out_dir.glob("*.csv")):
             if path.name == "grid.csv":
                 load, save = load_grid, save_grid
+                cube_path(tmp_path / path.name).write_bytes(cube_path(path).read_bytes())
             elif path.read_text().startswith("hotloc-weightmap,1\n"):
                 load, save = load_weight_map, save_weight_map
             else:
@@ -201,12 +221,26 @@ class TestDeskArtifacts:
 
 
 class TestEdgeValues:
+    def test_small_cube_bytes(self, tmp_path):
+        # One cell of 2 x 2 pixels, pinned to the byte: a 128-byte .npy
+        # file whose header is padded to 118 bytes, then the 4 values.
+        values = (-90.0, -0.0, math.nan, 5e-324)
+        cells = [CellInfo("A", (0.0, 0.0), 0.0)]
+        grid = CoverageGrid(GridSpec(2, 12.5), cells, np.array(values).reshape(1, 2, 2), -115.0)
+        save_grid(grid, tmp_path / "grid.csv")
+        header = "{'descr': '<f8', 'fortran_order': False, 'shape': (1, 2, 2), }"
+        expected = b"\x93NUMPY\x01\x00\x76\x00" + (header + " " * 55 + "\n").encode()
+        expected += struct.pack("<4d", *values)
+        assert (tmp_path / "grid.npy").read_bytes() == expected == reference_cube_bytes(grid.rsrp)
+        assert len(expected) == 128 + 4 * 8
+
     @pytest.mark.parametrize("seed", range(4))
     def test_grid_bytes_and_round_trip(self, tmp_path, seed):
         grid = edge_grid(seed)
         path = tmp_path / "grid.csv"
         save_grid(grid, path)
         assert path.read_bytes() == reference_grid_text(grid).encode()
+        assert cube_path(path).read_bytes() == reference_cube_bytes(grid.rsrp)
         loaded = load_grid(path)
         np.testing.assert_array_equal(loaded.rsrp, grid.rsrp)
         np.testing.assert_array_equal(np.signbit(loaded.rsrp), np.signbit(grid.rsrp))
@@ -222,7 +256,9 @@ class TestEdgeValues:
         path = tmp_path / "grid.csv"
         save_grid(grid, path)
         assert path.read_bytes() == reference_grid_text(grid).encode()
-        assert np.isnan(load_grid(path).rsrp[2, -1, :3]).all()
+        # The cube keeps every NaN's bits.
+        assert cube_path(path).read_bytes() == reference_cube_bytes(grid.rsrp)
+        assert load_grid(path).rsrp.tobytes() == grid.rsrp.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_map_bytes_and_round_trip(self, tmp_path, seed):
@@ -308,9 +344,10 @@ class TestReprTable:
         expected = np.fromiter(map(repr, values.tolist()), "S24", values.size)
         assert grid_module._repr_bytes(values).tolist() == expected.tolist()
 
-    def test_desk_grid_values_mostly_take_the_numpy_path(self, desk_run, tmp_path, monkeypatch):
+    def test_desk_grid_values_mostly_take_the_numpy_path(self, desk_run, monkeypatch):
         # Only repr_table's fallback calls repr; a regression that sends
-        # every value there keeps the bytes and loses the speed.
+        # every value there keeps the bytes and loses the speed. The
+        # desk's RSRP values are a run's worth of real doubles.
         fallback = []
         repr_each = grid_module._repr_each
 
@@ -319,10 +356,11 @@ class TestReprTable:
             return repr_each(values)
 
         monkeypatch.setattr(grid_module, "_repr_each", each)
-        grid = desk_run.scenario.grid
-        save_grid(grid, tmp_path / "grid.csv")
-        assert (tmp_path / "grid.csv").read_bytes() == (desk_run.out_dir / "grid.csv").read_bytes()
-        distinct = np.unique(grid.rsrp[~np.isnan(grid.rsrp)]).size
+        rsrp = desk_run.scenario.grid.rsrp
+        values = rsrp[~np.isnan(rsrp)]
+        texts, index = repr_table(values)
+        assert texts.take(index).tolist() == [repr(v).encode() for v in values.tolist()]
+        distinct = np.unique(values).size
         assert distinct > 10_000
         assert sum(fallback) <= 0.1 * distinct
 
@@ -397,12 +435,9 @@ class TestTextRows:
 
 
 class TestWriterMemory:
-    def save_grid_memory(self, tmp_path, monkeypatch, uncovered):
+    def save_grid_memory(self, tmp_path, uncovered):
         """The traced peak of ``save_grid`` on 100 cells at m=40 with a
-        share ``uncovered`` of NaN, and the most held while the layers are
-        written, each per covered value. The covered values come from a
-        pool, so the texts are few and the memory is the arrays that
-        scale with the stack."""
+        share ``uncovered`` of NaN, per covered value."""
         rng = np.random.default_rng(40)
         n_cells, m = 100, 40
         rsrp = rng.choice(rng.uniform(-130.0, -60.0, size=256), size=(n_cells, m, m))
@@ -411,19 +446,6 @@ class TestWriterMemory:
         assert abs(covered / rsrp.size - (1.0 - uncovered)) < 0.01
         cells = [CellInfo(f"C{k}", (25.0 * k, 0.0), 0.0) for k in range(n_cells)]
         grid = CoverageGrid(GridSpec(m, 12.5, (0.0, 0.0)), cells, rsrp, -115.0)
-        indexed, held = [], []
-
-        def table(values):
-            texts, index = repr_table(values)
-            indexed.append(index.size)
-            return texts, index
-
-        def rows(fields, end=b"\n"):
-            held.append(tracemalloc.get_traced_memory()[0] - start)
-            return text_rows(fields, end)
-
-        monkeypatch.setattr(grid_module, "repr_table", table)
-        monkeypatch.setattr(grid_module, "text_rows", rows)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -432,30 +454,18 @@ class TestWriterMemory:
         finally:
             tracemalloc.stop()
         assert (tmp_path / "grid.csv").read_bytes() == reference_grid_text(grid).encode()
-        assert indexed == [covered]
-        assert len(held) == n_cells
-        return peak / covered, max(held) / covered
+        assert (tmp_path / "grid.npy").read_bytes() == reference_cube_bytes(rsrp)
+        return peak / covered
 
-    def test_save_grid_memory_per_covered_value(self, tmp_path, monkeypatch):
-        # About 40% of the stack is NaN. The peak, while the table is made:
-        # the covered values (8 bytes each), the argsort's int64 order and
-        # its int32 copy (12), about 20 bytes a covered value. Held while
-        # the layers are written: the int32 index, about 5. A NaN mask of
-        # the whole cube adds 1.7 to either, and its inverted copy as
-        # much again; an int32 index over the whole cube adds 6.7, and an
-        # object array of texts 8 and its strings; a table over the whole
-        # cube instead of the covered values indexes more values than are
-        # covered.
-        peak, held = self.save_grid_memory(tmp_path, monkeypatch, 0.4)
-        assert peak < 23.0
-        assert held < 6.0
+    def test_save_grid_memory_per_covered_value(self, tmp_path):
+        # About 40% of the stack is NaN. The cube goes to its file as it
+        # is, so the peak is the text of the cell rows, about 16 kB, 0.2
+        # bytes a covered value; a copy of the cube adds 13, and a NaN
+        # mask of it 1.7.
+        assert self.save_grid_memory(tmp_path, 0.4) < 1.0
 
-    def test_save_grid_memory_at_low_coverage(self, tmp_path, monkeypatch):
+    def test_save_grid_memory_at_low_coverage(self, tmp_path):
         # 5% of the stack is covered, about as much as at m=1024 with 183
-        # cells. The peak is about 32 bytes a covered value and the most
-        # held about 12; a NaN mask of the whole cube and its inverted
-        # copy, 2 bytes a pixel, add 40 a covered value while the table is
-        # made, and the mask 20 while the layers are written.
-        peak, held = self.save_grid_memory(tmp_path, monkeypatch, 0.95)
-        assert peak < 36.0
-        assert held < 14.0
+        # cells: the same 16 kB are about 2 bytes a covered value, and a
+        # NaN mask of the cube adds 20.
+        assert self.save_grid_memory(tmp_path, 0.95) < 8.0

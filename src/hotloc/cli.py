@@ -94,9 +94,10 @@ def _parse_x_override(_ctx, _param, value):
 
 
 def _parse_seed(_ctx, _param, value):
-    """The ``--seed`` text as a non-negative int. A refused value is shown
-    short (:func:`hotloc.bounds.shown`): click's own integer type echoes
-    it whole, thousands of digits included."""
+    """A ``--seed`` value, or one part of ``--seeds``, as a non-negative
+    int. A refused value is shown short (:func:`hotloc.bounds.shown`):
+    click's own integer type echoes it whole, thousands of digits
+    included."""
     if value is None:
         return None
     try:
@@ -108,17 +109,14 @@ def _parse_seed(_ctx, _param, value):
     return seed
 
 
-def _parse_seeds(_ctx, _param, value):
+def _parse_seeds(ctx, param, value):
+    """The ``--seeds`` list: each part read by :func:`_parse_seed`, and no
+    seed given twice. A refused list is shown short."""
     if value is None:
         return None
-    try:
-        seeds = tuple(int(p) for p in value.split(","))
-    except ValueError as exc:
-        raise click.BadParameter(str(exc)) from exc
-    if any(s < 0 for s in seeds):
-        raise click.BadParameter("seeds must be non-negative")
+    seeds = tuple(_parse_seed(ctx, param, part) for part in value.split(","))
     if len(set(seeds)) < len(seeds):
-        raise click.BadParameter(f"seeds must not repeat, got {value}")
+        raise click.BadParameter(f"seeds must not repeat, got {shown(value)}")
     return seeds
 
 

@@ -293,11 +293,13 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 # ",", ";", a NUL or a line break. Every header row but the cell rows is
 # given once; blank lines are skipped.
 #
-# The text writers of the weight maps, the report CSVs and the event log
-# format each distinct value of a file once (repr_table) and take each
-# value's text by its index into that table; text_rows then assembles the
-# rows of one map or set of CDF series from such fixed-width bytes arrays
-# in numpy.
+# The text codec below serves the other text artifacts, not grid.csv: the
+# nine weight maps (hotloc.kpi), cdf.csv (hotloc.evaluate) and events.csv
+# (hotloc.sim). The maps and cdf.csv format each distinct value of a file
+# once (repr_table) and take each value's text by its index into that
+# table; text_rows assembles the rows of a map, a CDF series or a batch of
+# events from (n,) fixed-width bytes arrays in numpy, and read_rows reads
+# a map's rows back.
 #
 # The texts are Python's repr, the shortest decimal that reads back as the
 # value and, of those, the nearest. Most values of a run need 16 or 17
@@ -313,8 +315,8 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 _GRID_MAGIC = "hotloc-grid,3"
 _NPY_MAGIC = b"\x93NUMPY"
 
-# Sorted values taken per batch, which bounds the Python strings and the
-# batch temporaries alive at once.
+# Distinct values formatted per batch, which bounds the Python strings
+# and the batch temporaries alive at once.
 _REPR_CHUNK = 1 << 12
 
 # 10**k for k = 0 .. 22, each exact in a double (5**22 < 2**53), and the
@@ -480,48 +482,19 @@ def _repr_bytes(values: np.ndarray) -> np.ndarray:
 
 def repr_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ASCII ``repr`` of each distinct float64 of ``values``, in the
-    order of their bit patterns, and an int32 index into them of the
-    shape of ``values``: ``texts[index]`` gives each value's text. The
-    texts are fixed-width bytes (dtype ``S``) as wide as the longest,
-    each NUL-padded to the width.
+    order of their bit patterns, and an index into them of the shape of
+    ``values``: ``texts[index]`` gives each value's text. The texts are
+    fixed-width bytes (dtype ``S``) as wide as the longest, each
+    NUL-padded to the width.
 
-    Values are keyed on their bit patterns, which keeps ``-0.0`` apart
-    from ``0.0``; a NaN of any sign or payload is written ``nan``. One
-    ``argsort`` of the bits orders them, and the sorted values are then
-    taken a batch of :data:`_REPR_CHUNK` at a time: each value's index
-    is the count of values up to it that differ from the one before
-    them, less one, and the first of them joins the distinct values. The
-    distinct values are then formatted :data:`_REPR_CHUNK` at a time by
-    :func:`_repr_bytes`:
-    those of 1e-6 to 1e17 that need 16 or 17 significant digits, most of
-    a run's, in whole-array numpy, with the bytes ``repr`` gives because
-    they are the nearest decimal that reads back, found in exact
-    arithmetic; the rest, and any whose rounding comes too close to
-    call, by ``repr`` itself. Full batches of distinct values keep the
-    kernel's fixed cost per call small where values repeat, and its
-    temporaries are bounded by the batch. Besides ``values``, the
-    argsort's int64 result and its int32 copy, then that copy and the
-    index, are the only arrays of their size alive at once. Fewer than
-    2**31 values fit; the config's cube bound (``MAX_CUBE_BYTES``)
-    admits 2**28."""
+    Values are keyed on their bit patterns by ``np.unique``, which keeps
+    ``-0.0`` apart from ``0.0``; a NaN of any sign or payload is written
+    ``nan``. :func:`_repr_bytes` formats the distinct values
+    :data:`_REPR_CHUNK` at a time: full batches keep its fixed cost per
+    call small where values repeat, and bound its temporaries."""
     bits = np.asarray(values, np.float64).reshape(-1).view(np.uint64)
-    order = np.argsort(bits).astype(np.int32)
-    index = np.empty(bits.size, dtype=np.int32)
-    count = 0
-    distinct = [np.empty(0, dtype=np.uint64)]
-    for lo in range(0, bits.size, _REPR_CHUNK):
-        at = order[lo : lo + _REPR_CHUNK]
-        ranked = bits.take(at)
-        first = np.empty(ranked.size, dtype=bool)
-        first[0] = lo == 0 or ranked[0] != bits[order[lo - 1]]
-        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-        rank = np.cumsum(first, dtype=np.int32)
-        rank += count - 1
-        index[at] = rank
-        count = int(rank[-1]) + 1
-        distinct.append(ranked[first])
-    del order
-    distinct = np.concatenate(distinct).view(np.float64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    distinct = distinct.view(np.float64)
     chunks = [np.empty(0, dtype="S1")]
     for lo in range(0, distinct.size, _REPR_CHUNK):
         texts = _repr_bytes(distinct[lo : lo + _REPR_CHUNK])
@@ -534,28 +507,23 @@ def repr_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def text_rows(fields: Sequence[np.ndarray], end: bytes = b"\n") -> bytes:
-    """The rows of a text table: row r holds the texts of row r of each
-    field, joined by ``,`` and followed by ``end``. Each field is an (n,)
-    or (n, k) array of fixed-width bytes (dtype ``S``), whose k texts a
-    row takes in order; their NUL padding is dropped, so no text may hold
-    a NUL of its own.
+    """The rows of a text table: row r holds the r-th text of each field,
+    joined by ``,`` and followed by ``end``. Each field is an (n,) array
+    of fixed-width bytes (dtype ``S``); their NUL padding is dropped, so
+    no text may hold a NUL of its own.
 
     The fields are copied into one (n, row width) byte buffer, each text
     in a slot one byte wider than its dtype that the separator closes;
     one mask then drops the padding."""
-    n = len(fields[0])
-    fields = [f if f.ndim == 2 else f[:, None] for f in map(np.asarray, fields)]
     slots = [f.dtype.itemsize + 1 for f in fields]
-    width = sum(f.shape[1] * slot for f, slot in zip(fields, slots)) - 1 + len(end)
-    buf = np.zeros((n, width), np.uint8)
+    width = sum(slots) - 1 + len(end)
+    buf = np.zeros((len(fields[0]), width), np.uint8)
     at = 0
     for f, slot in zip(fields, slots):
-        span = f.shape[1] * slot
-        texts = buf[:, at : at + span]
-        texts.view(f"S{slot}")[...] = f
-        texts[:, slot - 1 :: slot] = ord(",")
-        at += span
-    # The last field's last separator slot starts the row's end.
+        buf[:, at : at + slot].view(f"S{slot}")[:, 0] = f
+        at += slot
+        buf[:, at - 1] = ord(",")
+    # The last field's separator starts the row's end.
     buf[:, width - len(end) :] = np.frombuffer(end, np.uint8)
     return buf[buf != 0].tobytes()
 
@@ -591,16 +559,15 @@ def _first_bad_line(lines: list[str], count: int, converters: list[type]) -> tup
     return None
 
 
-def read_rows(
-    path: str | Path, fh: TextIO, start: int, count: int, dtype: np.dtype, context: str
-) -> np.ndarray:
-    """The next ``count`` lines of the text file ``fh`` as an array of
-    ``count`` rows of the structured ``dtype``, one int64 or float64
-    field per column, parsed by one ``np.loadtxt`` call; ``start`` is the
-    0-based line of the first. A row without one value of its field's
-    type per column, an infinite float, a blank line and a missing row
-    raise InputError at the line, its reason after ``context``."""
+def read_rows(path: str | Path, fh: TextIO, start: int, count: int, dtype: np.dtype) -> np.ndarray:
+    """The rest of the text file ``fh`` as an array of ``count`` rows of
+    the structured ``dtype``, one int64 or float64 field per column,
+    parsed by one ``np.loadtxt`` call; ``start`` is the 0-based line of
+    the first. A row without one value of its field's type per column,
+    an infinite float, a blank line, a missing row and a non-blank line
+    after the last row raise InputError at the line."""
     lines = list(itertools.islice(fh, count))
+    floats = [name for name in dtype.names if dtype[name].kind == "f"]
     error = None
     try:
         with warnings.catch_warnings():
@@ -612,26 +579,15 @@ def read_rows(
     except (ValueError, DeprecationWarning) as exc:
         error = exc
     else:
-        # Every field is 8 bytes wide, so one float view covers the rows;
-        # an int that reads as infinite there is cleared below.
-        if len(rows) == count and not np.isinf(rows.view(np.float64)).any():
+        if len(rows) == count and not any(np.isinf(rows[name]).any() for name in floats):
+            for line_no, line in enumerate(fh, start + count + 1):
+                if line.strip():
+                    raise InputError(path, f"line {line_no}", f"more than {count} rows")
             return rows
     converters = [int if dtype[k].kind == "i" else float for k in range(len(dtype))]
-    found = _first_bad_line(lines, count, converters)
-    if found is None and error is None:
-        return rows
     # numpy refuses a few spellings Python reads, such as "1_0".
-    offset, reason = found or (0, f"garbled rows from here: {error}")
-    raise InputError(path, f"line {start + offset + 1}", context + reason)
-
-
-def read_end(path: str | Path, fh: TextIO, start: int, rows: int) -> None:
-    """Raise InputError at the first non-blank line left in ``fh`` after
-    the last of ``rows`` rows; ``start`` is the 0-based line after that
-    row."""
-    for line_no, line in enumerate(fh, start + 1):
-        if line.strip():
-            raise InputError(path, f"line {line_no}", f"more than {rows} rows")
+    offset, reason = _first_bad_line(lines, count, converters) or (0, f"garbled rows from here: {error}")
+    raise InputError(path, f"line {start + offset + 1}", reason)
 
 
 def cube_path(path: str | Path) -> Path:

@@ -37,7 +37,6 @@ from hotloc.grid import (
     aoa_zone_layer,
     header_row,
     open_text,
-    read_end,
     read_header,
     read_json,
     read_rows,
@@ -443,8 +442,10 @@ def oracle_kpis(
 # The m, pixel_size and origin rows are the map's grid, as in grid.csv.
 # Row order is i-major and i is world x, so the rows walk the map column
 # by column of a north-up picture. Weights are finite and non-negative.
-# The header and data rows follow the rules of grid.csv (hotloc.grid),
-# whose reader this one shares.
+# The header rows follow the rules of grid.csv's header, whose reader
+# (hotloc.grid.read_header) this one shares: each row is given once. The
+# data rows run to the end of the file, with no blank line among them;
+# blank lines after the last are skipped.
 # ---------------------------------------------------------------------------
 
 _WMAP_MAGIC = "hotloc-weightmap,1"
@@ -474,15 +475,15 @@ def load_weight_map(path: str | Path) -> WeightMap:
     """Read a weight map written by :func:`save_weight_map`. The header
     rows :func:`read_header` rejects, a garbled label, the grid
     :func:`read_spec` refuses, a pixel out of row-major order, a negative
-    or NaN weight, the rows :func:`read_rows` and :func:`read_end` reject
-    and a byte that is not UTF-8 raise InputError, at the line for a row.
+    or NaN weight, the rows :func:`read_rows` rejects and a byte that is
+    not UTF-8 raise InputError, at the line for a row.
     The weights are copied out of the parsed rows."""
     with open_text(path) as fh:
         header, start = read_header(path, fh, "weight map", _WMAP_MAGIC, "i,j,weight", _WMAP_KEYS)
         label = header_row(header, "label", path, str)[0]
         spec = read_spec(header, path, 3)
         m = spec.m
-        rows = read_rows(path, fh, start, m * m, _MAP_ROW, "")
+        rows = read_rows(path, fh, start, m * m, _MAP_ROW)
         i, j, weights = rows["i"], rows["j"], rows["weight"]
         # i and j are compared apart: i * m + j could wrap around int64.
         pixel = np.arange(m * m)
@@ -495,7 +496,6 @@ def load_weight_map(path: str | Path) -> WeightMap:
             else:
                 reason = f"weight {float(weights[k])!r} is negative or NaN"
             raise InputError(path, f"line {start + k + 1}", reason)
-        read_end(path, fh, start + m * m, m * m)
     return WeightMap(np.ascontiguousarray(weights.reshape(m, m)), spec, label)
 
 

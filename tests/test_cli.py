@@ -882,10 +882,12 @@ class TestPipelineCommand:
         assert not (tmp_path / "out" / "grid.csv").exists()
 
     @pytest.mark.parametrize("option", ["--seed", "--seeds"])
-    @pytest.mark.parametrize("value", ["1" * 5000, "x" * 5000], ids=["5000-digits", "5000-letters"])
+    @pytest.mark.parametrize(
+        "value", ["1" * 5000, "x" * 5000, ",".join(["7"] * 3000)], ids=["5000-digits", "5000-letters", "3000-repeats"]
+    )
     def test_long_seed_option_refused_briefly(self, runner, tmp_path, option, value):
-        # Python's int() reads at most 4300 digits; the usage error must
-        # not echo the value whole.
+        # Python's int() reads at most 4300 digits, and a seed list must not
+        # repeat; the usage error must not echo the value whole.
         result = runner.invoke(main, ["pipeline", "--config", CONFIG, "--out", str(tmp_path / "out"), option, value])
         assert result.exit_code == 2
         assert f"Invalid value for '{option}'" in result.stderr

@@ -20,8 +20,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hotloc import evaluate as evaluate_module, grid as grid_module, kpi as kpi_module
 from hotloc.evaluate import write_report_csvs
-from hotloc import grid as grid_module
 from hotloc.grid import (
     CellInfo,
     CoverageGrid,
@@ -174,6 +174,19 @@ def assert_round_trip(path, load, save):
         assert cube_path(again).read_bytes() == cube_path(path).read_bytes()
 
 
+def desk_maps(run) -> dict[str, WeightMap]:
+    """The nine weight maps of a desk run, by file name."""
+    maps = {
+        "truth": run.scenario.truth,
+        "potential": run.potential_map,
+        "fused": run.localization.fused,
+        "smoothed": run.localization.smoothed,
+    }
+    maps.update((wmap.label, wmap) for wmap in run.kpi_maps)
+    assert len(maps) == 9
+    return maps
+
+
 class TestDeskArtifacts:
     def test_grid_csv_matches_reference(self, desk_run):
         path = desk_run.out_dir / "grid.csv"
@@ -182,15 +195,7 @@ class TestDeskArtifacts:
         assert cube.read_bytes() == reference_cube_bytes(desk_run.scenario.grid.rsrp)
 
     def test_weight_maps_match_reference(self, desk_run):
-        maps = {
-            "truth": desk_run.scenario.truth,
-            "potential": desk_run.potential_map,
-            "fused": desk_run.localization.fused,
-            "smoothed": desk_run.localization.smoothed,
-        }
-        maps.update((wmap.label, wmap) for wmap in desk_run.kpi_maps)
-        assert len(maps) == 9
-        for name, wmap in maps.items():
+        for name, wmap in desk_maps(desk_run).items():
             path = desk_run.out_dir / f"{name}.csv"
             assert path.read_bytes() == reference_map_text(wmap).encode(), name
 
@@ -344,25 +349,44 @@ class TestReprTable:
         expected = np.fromiter(map(repr, values.tolist()), "S24", values.size)
         assert grid_module._repr_bytes(values).tolist() == expected.tolist()
 
-    def test_desk_grid_values_mostly_take_the_numpy_path(self, desk_run, monkeypatch):
+    def test_desk_map_and_cdf_values_mostly_take_the_numpy_path(self, desk_run, tmp_path, monkeypatch):
         # Only repr_table's fallback calls repr; a regression that sends
         # every value there keeps the bytes and loses the speed. The
-        # desk's RSRP values are a run's worth of real doubles.
-        fallback = []
+        # values are those a desk run formats, in its nine weight maps and
+        # in cdf.csv, counted through the writers' own repr_table calls.
+        fallback, distinct = [], []
         repr_each = grid_module._repr_each
 
         def each(values):
             fallback.append(values.size)
             return repr_each(values)
 
+        def table(values):
+            texts, index = repr_table(values)
+            distinct.append(texts.size)
+            return texts, index
+
         monkeypatch.setattr(grid_module, "_repr_each", each)
-        rsrp = desk_run.scenario.grid.rsrp
-        values = rsrp[~np.isnan(rsrp)]
-        texts, index = repr_table(values)
-        assert texts.take(index).tolist() == [repr(v).encode() for v in values.tolist()]
-        distinct = np.unique(values).size
-        assert distinct > 10_000
-        assert sum(fallback) <= 0.1 * distinct
+        monkeypatch.setattr(kpi_module, "repr_table", table)
+        monkeypatch.setattr(evaluate_module, "repr_table", table)
+        names = []
+        for name, wmap in desk_maps(desk_run).items():
+            names.append(f"{name}.csv")
+            save_weight_map(wmap, tmp_path / names[-1])
+        shares = [(sum(fallback), sum(distinct))]
+        fallback.clear()
+        distinct.clear()
+        report_names = ["peaks.csv", "detection.csv", "cdf.csv"]
+        write_report_csvs(desk_run.report, *(str(tmp_path / name) for name in report_names))
+        shares.append((sum(fallback), sum(distinct)))
+        for name in names + report_names:
+            assert (tmp_path / name).read_bytes() == (desk_run.out_dir / name).read_bytes(), name
+        # About 5% of the maps' 6.5k distinct values and 8% of cdf.csv's
+        # 10k fall back.
+        (map_fallback, map_distinct), (cdf_fallback, cdf_distinct) = shares
+        assert map_distinct > 5_000 and cdf_distinct > 10_000
+        assert map_fallback <= 0.1 * map_distinct
+        assert cdf_fallback <= 0.1 * cdf_distinct
 
     def test_matches_repr_on_random_bit_patterns(self, monkeypatch):
         # Batches smaller than the input, with a ragged last one.
@@ -380,10 +404,10 @@ class TestReprTable:
         special += [*LONGEST_NEGATIVE, *LONGEST_POSITIVE, 0.0, -0.0, math.inf, -math.inf]
         values = np.concatenate((bits.view(np.float64), special))
         # Every value again, in another order, so most of them repeat, and
-        # a run of one value across batch boundaries.
+        # a run of one value.
         values = np.concatenate((values, rng.permutation(values), np.full(2500, 0.5)))
         texts, index = repr_table(values)
-        assert index.dtype == np.int32
+        assert index.dtype == np.intp
         assert index.shape == values.shape
         assert 0 <= index.min() and index.max() < texts.size
         # One text per bit pattern, as wide as the longest.
@@ -407,7 +431,7 @@ class TestReprTable:
     def test_no_values(self):
         texts, index = repr_table(np.empty((0, 3)))
         assert texts.size == 0
-        assert index.shape == (0, 3) and index.dtype == np.int32
+        assert index.shape == (0, 3) and index.dtype == np.intp
 
 
 class TestTextRows:
@@ -416,9 +440,9 @@ class TestTextRows:
         # ones goes.
         values = np.array([[*LONGEST_NEGATIVE], [0.5, LONGEST_NEGATIVE[0]]])
         texts, index = repr_table(values)
-        texts = texts.take(index)
+        columns = list(texts.take(index).T)
         expected = "\n".join(",".join(map(repr, row)) for row in values.tolist()) + "\n"
-        assert text_rows([texts]) == expected.encode()
+        assert text_rows(columns) == expected.encode()
 
     def test_crlf_ending(self):
         fields = [np.array([b"a", b"bc"]), np.array([b"1.5", b"-0.0"])]
@@ -426,12 +450,13 @@ class TestTextRows:
 
     def test_wide_field_between_columns(self):
         first = np.array([b"0", b"10"])
-        wide = np.array([[b"x", b"yy", b"z"], [b"", b"q", b"rrr"]])
+        wide = [np.array([b"x", b""]), np.array([b"yy", b"q"]), np.array([b"z", b"rrr"])]
         last = np.array([b"1e-05", b"nan"])
-        assert text_rows([first, wide, last]) == b"0,x,yy,z,1e-05\n10,,q,rrr,nan\n"
+        assert text_rows([first, *wide, last]) == b"0,x,yy,z,1e-05\n10,,q,rrr,nan\n"
 
     def test_single_row(self):
-        assert text_rows([np.array([b"7"]), np.array([[b"1.0", b"2.0"]])]) == b"7,1.0,2.0\n"
+        fields = [np.array([b"7"]), np.array([b"1.0"]), np.array([b"2.0"])]
+        assert text_rows(fields) == b"7,1.0,2.0\n"
 
 
 class TestWriterMemory:

@@ -60,10 +60,10 @@ class InputError(ValueError):
 
 class ConfigError(InputError):
     """A refused config, an InputError whose ``source`` is the dotted key
-    (or a dataclass's field name) ``message`` is about, the config file
-    when it is not JSON or not UTF-8, and empty for a document that is
-    not an object. ``fields`` holds it and the other keys involved, which
-    the text names after the message as ``(with <key>, ...)``."""
+    (or a dataclass's field name) ``message`` is about, or the config
+    file when it is not JSON, not UTF-8 or not an object. ``fields``
+    holds it and the other keys involved, which the text names after the
+    message as ``(with <key>, ...)``."""
 
     def __init__(self, fields: str | tuple[str, ...], message: str, where: str | None = None):
         self.fields = (fields,) if isinstance(fields, str) else tuple(fields)

@@ -14,10 +14,8 @@ Conventions
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,8 +47,8 @@ class GridSpec:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        # Held as plain int, float and tuple: the writers print the fields
-        # by repr, and specs compare by value.
+        # Held as plain int, float and tuple: the writers print the fields,
+        # and specs compare by value.
         try:
             m = int(self.m)
         except (OverflowError, ValueError):
@@ -289,17 +287,18 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 #                q_rxlevmin,<float> / cells,<count>
 #   cell rows:   cell,<id>,<x>,<y>,<azimuth_deg>,<nb1;nb2;...>
 #
+# The header rows are lines 2-6, once each and in this order (_GRID_HEADER,
+# which save_grid writes and load_grid reads), and exactly <count> cell
+# rows follow; blank lines among and after the cell rows are skipped.
 # Cell ids are distinct, every neighbor id names a cell row, and no id holds
-# ",", ";", a NUL or a line break. Every header row but the cell rows is
-# given once; blank lines are skipped.
+# ",", ";", a NUL or a line break.
 #
 # The text codec below serves the other text artifacts, not grid.csv: the
 # nine weight maps (hotloc.kpi), cdf.csv (hotloc.evaluate) and events.csv
 # (hotloc.sim). The maps and cdf.csv format each distinct value of a file
 # once (repr_table) and take each value's text by its index into that
 # table; text_rows assembles the rows of a map, a CDF series or a batch of
-# events from (n,) fixed-width bytes arrays in numpy, and read_rows reads
-# a map's rows back.
+# events from (n,) fixed-width bytes arrays in numpy.
 #
 # The texts are Python's repr, the shortest decimal that reads back as the
 # value and, of those, the nearest. Most values of a run need 16 or 17
@@ -313,6 +312,11 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _GRID_MAGIC = "hotloc-grid,3"
+# grid.csv's header rows after its magic row, in order: each row's key,
+# and the type and count of the values after it (read_header).
+_GRID_HEADER = (
+    ("m", int, 1), ("pixel_size", float, 1), ("origin", float, 2), ("q_rxlevmin", float, 1), ("cells", int, 1)
+)
 _NPY_MAGIC = b"\x93NUMPY"
 
 # Distinct values formatted per batch, which bounds the Python strings
@@ -538,58 +542,6 @@ def reject_separators(what: str, name: str, separators: str) -> None:
         raise ValueError(f"{what} {name!r} contains {found!r}, which the file format cannot hold")
 
 
-def _first_bad_line(lines: list[str], count: int, converters: list[type]) -> tuple[int, str] | None:
-    """The index of the first bad line of ``count`` rows and the reason,
-    found by Python's parsers, one of ``int`` or ``float`` per column;
-    None when all rows are good."""
-    for k, line in enumerate(lines):
-        fields = line.rstrip("\n").split(",") if line.strip() else []
-        if len(fields) != len(converters):
-            return k, f"expected {len(converters)} values, got {len(fields)}"
-        for column, (convert, field) in enumerate(zip(converters, fields), 1):
-            try:
-                value = convert(field)
-            except ValueError:
-                what = "an integer" if convert is int else "a number"
-                return k, f"value {column} {field!r} is not {what}"
-            if math.isinf(value):
-                return k, f"value {column} {field!r} is not finite or NaN"
-    if len(lines) < count:
-        return len(lines), f"the file ends after {len(lines)} of {count} rows"
-    return None
-
-
-def read_rows(path: str | Path, fh: TextIO, start: int, count: int, dtype: np.dtype) -> np.ndarray:
-    """The rest of the text file ``fh`` as an array of ``count`` rows of
-    the structured ``dtype``, one int64 or float64 field per column,
-    parsed by one ``np.loadtxt`` call; ``start`` is the 0-based line of
-    the first. A row without one value of its field's type per column,
-    an infinite float, a blank line, a missing row and a non-blank line
-    after the last row raise InputError at the line."""
-    lines = list(itertools.islice(fh, count))
-    floats = [name for name in dtype.names if dtype[name].kind == "f"]
-    error = None
-    try:
-        with warnings.catch_warnings():
-            # Blank or missing lines give fewer rows, which the count check refuses.
-            warnings.simplefilter("ignore", UserWarning)
-            # numpy before 2.0 reads "1.5" into an int column with this warning.
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, DeprecationWarning) as exc:
-        error = exc
-    else:
-        if len(rows) == count and not any(np.isinf(rows[name]).any() for name in floats):
-            for line_no, line in enumerate(fh, start + count + 1):
-                if line.strip():
-                    raise InputError(path, f"line {line_no}", f"more than {count} rows")
-            return rows
-    converters = [int if dtype[k].kind == "i" else float for k in range(len(dtype))]
-    # numpy refuses a few spellings Python reads, such as "1_0".
-    offset, reason = _first_bad_line(lines, count, converters) or (0, f"garbled rows from here: {error}")
-    raise InputError(path, f"line {start + offset + 1}", reason)
-
-
 def cube_path(path: str | Path) -> Path:
     """The ``.npy`` file that holds the RSRP cube of the grid file ``path``:
     ``grid.csv`` gives ``grid.npy``."""
@@ -606,12 +558,8 @@ def save_grid(grid: CoverageGrid, path: str | Path) -> None:
         for nb_id in cell.neighbors:
             reject_separators("neighbor id", nb_id, ",;\0")
     spec = grid.spec
-    lines = [_GRID_MAGIC]
-    lines.append(f"m,{spec.m}")
-    lines.append(f"pixel_size,{spec.pixel_size!r}")
-    lines.append(f"origin,{spec.origin[0]!r},{spec.origin[1]!r}")
-    lines.append(f"q_rxlevmin,{grid.q_rxlevmin!r}")
-    lines.append(f"cells,{grid.n_cells}")
+    values = [(spec.m,), (spec.pixel_size,), spec.origin, (grid.q_rxlevmin,), (grid.n_cells,)]
+    lines = header_lines(_GRID_MAGIC, _GRID_HEADER, values)
     for cell in grid.cells:
         az_deg = math.degrees(cell.azimuth)
         nbs = ";".join(cell.neighbors)
@@ -674,75 +622,42 @@ def write_json(path: str | Path, doc, sort_keys: bool = False) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
 
 
-Header = dict[str, list[tuple[int, list[str]]]]
+def header_lines(magic: str, layout: tuple, values: list) -> list[str]:
+    """The header of a text artifact as lines: the ``magic`` row, then one
+    row per entry of ``layout``, its key and the entry's tuple of
+    ``values`` written by ``str`` (a float's shortest repr)."""
+    return [magic, *(",".join([key, *map(str, row)]) for (key, _, _), row in zip(layout, values, strict=True))]
 
 
-def read_header(
-    path: str | Path, fh: TextIO, kind: str, magic: str, marker: str | None, keys: dict[str, bool]
-) -> tuple[Header, int]:
-    """The (1-based line, fields) of the rows of each key of ``keys`` in
-    the header of the text artifact ``fh``, and the 0-based line after
-    its ``marker`` row, where ``fh`` is left. With ``marker`` None the
-    header runs to the end of the file, skipping blank lines, and the
-    line is the file's line count. ``keys`` maps each key to whether its
-    row may repeat. A first row other than ``magic``, an unknown key, a
-    repeat of a row that may not repeat and a missing marker raise
-    InputError, at the line for a row."""
+def read_header(path: str | Path, fh: TextIO, kind: str, magic: str, layout: tuple) -> list[list]:
+    """The values of each row of ``layout`` (:func:`header_lines`) in the
+    header of the text artifact ``fh``, read in order; ``fh`` is left
+    after the header. A first row other than ``magic`` and a row other
+    than its entry's key and count of values, each read by the entry's
+    type, raise InputError at the line."""
     first = fh.readline().rstrip("\n")
     if first != magic:
         raise InputError(path, "line 1", f"not a hotloc {kind} file ({magic}): {first!r}")
-    header: Header = {key: [] for key in keys}
-    line_no = 1
-    for line_no, line in enumerate(iter(fh.readline, ""), 2):
-        line = line.rstrip("\n")
-        if line == marker:
-            return header, line_no
-        if marker is None and not line.strip():
-            continue
-        fields = line.split(",")
-        rows = header.get(fields[0])
-        if rows is None:
-            raise InputError(path, f"line {line_no}", f"unknown header row: {line!r}")
-        if rows and not keys[fields[0]]:
-            reason = f"header row already given on line {rows[0][0]}"
-            raise InputError(path, f"line {line_no}", f"{reason}: {line!r}")
-        rows.append((line_no, fields))
-    if marker is None:
-        return header, line_no
-    raise InputError(path, None, f"missing {marker} section")
+    values = []
+    for line_no, (key, convert, count) in enumerate(layout, 2):
+        fields = fh.readline().rstrip("\n").split(",")
+        size = key.count(",") + 1
+        try:
+            if ",".join(fields[:size]) != key or len(fields) != size + count:
+                raise ValueError
+            values.append([convert(v) for v in fields[size:]])
+        except ValueError:
+            raise InputError(path, f"line {line_no}", f"missing or garbled {key!r} header row") from None
+    return values
 
 
-def header_row(header: Header, key: str, path: str | Path, convert=float, count: int = 1) -> list:
-    """The ``count`` values of header row ``key`` of a text artifact, each
-    passed through ``convert``. Raises InputError naming the row when it
-    is missing or garbled, at its line when it is there."""
-    rows = header[key]
+def read_spec(path: str | Path, m: int, pixel_size: float, origin: list[float]) -> GridSpec:
+    """The grid of a text artifact's ``m``, ``pixel_size`` and ``origin``
+    header rows; one that :class:`GridSpec` refuses raises InputError."""
     try:
-        ((_, fields),) = rows
-        if len(fields) != count + 1:
-            raise ValueError
-        return [convert(v) for v in fields[1:]]
-    except ValueError:
-        where = f"line {rows[0][0]}" if rows else None
-        raise InputError(path, where, f"missing or garbled {key!r} header row") from None
-
-
-def read_spec(header: Header, path: str | Path, values_per_pixel: int = 0) -> GridSpec:
-    """The grid in the ``m``, ``pixel_size`` and ``origin`` header rows. A
-    garbled row, a bad :class:`GridSpec` and an ``m`` whose rows of
-    ``values_per_pixel`` values, two bytes each or more, would overrun
-    the file raise InputError; a file without such rows passes 0."""
-    m = header_row(header, "m", path, int)[0]
-    pixel_size = header_row(header, "pixel_size", path)[0]
-    origin = tuple(header_row(header, "origin", path, count=2))
-    try:
-        spec = GridSpec(m=m, pixel_size=pixel_size, origin=origin)
+        return GridSpec(m=m, pixel_size=pixel_size, origin=origin)
     except ValueError as exc:
         raise InputError.of(path, exc) from None
-    need, size = 2 * values_per_pixel * m * m, Path(path).stat().st_size
-    if need > size:
-        raise InputError(path, None, f"m={m} needs {need} bytes of rows or more, the file holds {size}")
-    return spec
 
 
 def read_array(path: str | Path, shape: tuple[int, ...], about: str) -> np.ndarray:
@@ -774,27 +689,33 @@ def read_array(path: str | Path, shape: tuple[int, ...], about: str) -> np.ndarr
     return np.array(array, order="C")
 
 
-_GRID_KEYS = {
-    **dict.fromkeys(("m", "pixel_size", "origin", "q_rxlevmin", "cells"), False), "cell": True
-}
-
-
 def load_grid(path: str | Path) -> CoverageGrid:
     """Read a coverage grid written by :func:`save_grid`. A file of another
-    format version, a garbled, unknown or repeated header row, a
-    non-finite header value, a repeated cell id, a neighbor that names no
-    cell, an id that holds a NUL, a non-finite site or azimuth, the grid
-    :func:`read_spec` refuses and a byte that is not UTF-8 raise
-    InputError of ``path``, at the line for a row, before the cube file
-    (:func:`cube_path`) is opened. Then the refusals of :func:`read_array`
-    and an infinite RSRP value raise InputError of the cube file."""
+    format version, a missing, garbled or misplaced header row, a
+    non-finite header value, a count of cell rows other than the header's,
+    a repeated cell id, a neighbor that names no cell, an id that holds a
+    NUL, a non-finite site or azimuth, the grid :func:`read_spec` refuses
+    and a byte that is not UTF-8 raise InputError of ``path``, at the line
+    for a row, before the cube file (:func:`cube_path`) is opened. Then
+    the refusals of :func:`read_array` and an infinite RSRP value raise
+    InputError of the cube file."""
     with open_text(path) as fh:
-        header, _ = read_header(path, fh, "coverage grid", _GRID_MAGIC, None, _GRID_KEYS)
+        header = read_header(path, fh, "coverage grid", _GRID_MAGIC, _GRID_HEADER)
+        (m,), (pixel_size,), origin, (q_rxlevmin,), (declared,) = header
+        spec = read_spec(path, m, pixel_size, origin)
         cells: list[CellInfo] = []
-        # The 1-based line of each cell row, by cell id.
+        # The 1-based line and the fields of each cell row, and the line of
+        # each cell id.
+        rows: list[tuple[int, list[str]]] = []
         cell_rows: dict[str, int] = {}
-        for line_no, fields in header["cell"]:
+        for line_no, line in enumerate(fh, len(_GRID_HEADER) + 2):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\n").split(",")
+            rows.append((line_no, fields))
             try:
+                if fields[0] != "cell":
+                    raise ValueError("expected a cell row")
                 _, cell_id, x, y, az_deg, nbs = fields
                 neighbors = tuple(n for n in nbs.split(";") if n)
                 reject_separators("cell id", cell_id, "\0")
@@ -807,22 +728,18 @@ def load_grid(path: str | Path) -> CoverageGrid:
                 cells.append(CellInfo(cell_id, site, azimuth, neighbors))
             except ValueError as exc:
                 raise InputError(path, f"line {line_no}", f"{exc}: {','.join(fields)!r}") from None
-
-        q_rxlevmin = header_row(header, "q_rxlevmin", path)[0]
-        declared = header_row(header, "cells", path, int)[0]
         if declared != len(cells):
             raise InputError(path, None, f"header declares {declared} cells, found {len(cells)}")
-        for cell, (line_no, fields) in zip(cells, header["cell"]):
+        for cell, (line_no, fields) in zip(cells, rows):
             unknown = [nb_id for nb_id in cell.neighbors if nb_id not in cell_rows]
             if unknown:
                 reason = f"neighbors {unknown} are not cells of the grid"
                 raise InputError(path, f"line {line_no}", f"{reason}: {','.join(fields)!r}")
-        spec = read_spec(header, path)
         try:
             CoverageGrid.check_header(cells, q_rxlevmin)
         except ValueError as exc:
             raise InputError.of(path, exc) from None
-    m, cube = spec.m, cube_path(path)
+    cube = cube_path(path)
     rsrp = read_array(cube, (len(cells), m, m), f"{len(cells)} cells on the {m}x{m} grid of {Path(path).name}")
     try:
         # Every check left is of the layers: an infinite value.

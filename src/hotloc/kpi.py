@@ -10,8 +10,12 @@ invert.
 
 from __future__ import annotations
 
+import itertools
+import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -35,11 +39,10 @@ from hotloc.grid import (
     TA_ZONE_COUNT,
     UNCOVERED,
     aoa_zone_layer,
-    header_row,
+    header_lines,
     open_text,
     read_header,
     read_json,
-    read_rows,
     read_spec,
     reject_separators,
     repr_table,
@@ -435,21 +438,22 @@ def oracle_kpis(
 # A weight map is plain text:
 #   line 1: "hotloc-weightmap,1"                 (magic, format version)
 #   header rows: m,<int> / pixel_size,<float> / label,<text> /
-#                origin,<x>,<y>
-#   marker row:  i,j,weight
+#                origin,<x>,<y> / i,j,weight
 #   data rows:   one i,j,<weight> row per pixel, in row-major order
 #
 # The m, pixel_size and origin rows are the map's grid, as in grid.csv.
-# Row order is i-major and i is world x, so the rows walk the map column
-# by column of a north-up picture. Weights are finite and non-negative.
-# The header rows follow the rules of grid.csv's header, whose reader
-# (hotloc.grid.read_header) this one shares: each row is given once. The
-# data rows run to the end of the file, with no blank line among them;
-# blank lines after the last are skipped.
+# The header rows are lines 2-6, once each and in this order (_WMAP_HEADER,
+# which save_weight_map writes and load_weight_map reads); the i,j,weight
+# row ends the header. Row order is i-major and i is world x, so the rows
+# walk the map column by column of a north-up picture. Weights are finite
+# and non-negative. The m * m data rows follow the header with no blank
+# line among them; blank lines after the last are skipped.
 # ---------------------------------------------------------------------------
 
 _WMAP_MAGIC = "hotloc-weightmap,1"
-_WMAP_KEYS = dict.fromkeys(("m", "pixel_size", "label", "origin"), False)
+_WMAP_HEADER = (
+    ("m", int, 1), ("pixel_size", float, 1), ("label", str, 1), ("origin", float, 2), ("i,j,weight", str, 0)
+)
 _MAP_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("weight", np.float64)])
 
 
@@ -458,32 +462,80 @@ def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
     per pixel in row-major order. A label holding ``,`` or a line break
     raises ValueError."""
     reject_separators("weight map label", wmap.label, ",")
-    lines = [_WMAP_MAGIC]
-    lines.append(f"m,{wmap.m}")
-    lines.append(f"pixel_size,{wmap.spec.pixel_size!r}")
-    lines.append(f"label,{wmap.label}")
-    lines.append(f"origin,{wmap.spec.origin[0]!r},{wmap.spec.origin[1]!r}")
-    lines.append("i,j,weight")
-    m = wmap.m
+    spec, m = wmap.spec, wmap.m
+    lines = header_lines(_WMAP_MAGIC, _WMAP_HEADER, [(m,), (spec.pixel_size,), (wmap.label,), spec.origin, ()])
     coords = np.arange(m).astype(f"S{len(str(m - 1))}")
     texts, index = repr_table(wmap.values.reshape(-1))
     rows = text_rows([np.repeat(coords, m), np.tile(coords, m), texts.take(index)])
     Path(path).write_bytes(("\n".join(lines) + "\n").encode() + rows)
 
 
+def _first_bad_line(lines: list[str], count: int) -> tuple[int, str] | None:
+    """The index of the first bad line of ``count`` map rows and the
+    reason, found by Python's ``int`` and ``float``; None when all rows
+    are good."""
+    for k, line in enumerate(lines):
+        fields = line.rstrip("\n").split(",") if line.strip() else []
+        if len(fields) != 3:
+            return k, f"expected 3 values, got {len(fields)}"
+        for column, field in enumerate(fields, 1):
+            is_index = column < 3
+            try:
+                value = int(field) if is_index else float(field)
+            except ValueError:
+                return k, f"value {column} {field!r} is not {'an integer' if is_index else 'a number'}"
+            # An index is never infinite, and isinf of one too long for a
+            # float would raise OverflowError.
+            if not is_index and math.isinf(value):
+                return k, f"value {column} {field!r} is not finite or NaN"
+    if len(lines) < count:
+        return len(lines), f"the file ends after {len(lines)} of {count} rows"
+    return None
+
+
+def read_rows(path: str | Path, fh: TextIO, start: int, count: int) -> np.ndarray:
+    """The rest of the map file ``fh`` as ``count`` rows of ``_MAP_ROW``,
+    parsed by one ``np.loadtxt`` call; ``start`` is the 0-based line of
+    the first. A row without two integers and a number, an infinite
+    weight, a blank line, a missing row and a non-blank line after the
+    last row raise InputError at the line. At most ``count`` lines are
+    read before the rows are checked, so a ``count`` too large for the
+    file costs no more than the file."""
+    lines = list(itertools.islice(fh, count))
+    error = None
+    try:
+        with warnings.catch_warnings():
+            # Blank or missing lines give fewer rows, which the count check refuses.
+            warnings.simplefilter("ignore", UserWarning)
+            # numpy before 2.0 reads "1.5" into an int column with this warning.
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(lines, _MAP_ROW, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning) as exc:
+        error = exc
+    else:
+        if len(rows) == count and not np.isinf(rows["weight"]).any():
+            for line_no, line in enumerate(fh, start + count + 1):
+                if line.strip():
+                    raise InputError(path, f"line {line_no}", f"more than {count} rows")
+            return rows
+    # numpy refuses a few spellings Python reads, such as "1_0".
+    offset, reason = _first_bad_line(lines, count) or (0, f"garbled rows from here: {error}")
+    raise InputError(path, f"line {start + offset + 1}", reason)
+
+
 def load_weight_map(path: str | Path) -> WeightMap:
-    """Read a weight map written by :func:`save_weight_map`. The header
-    rows :func:`read_header` rejects, a garbled label, the grid
-    :func:`read_spec` refuses, a pixel out of row-major order, a negative
-    or NaN weight, the rows :func:`read_rows` rejects and a byte that is
-    not UTF-8 raise InputError, at the line for a row.
-    The weights are copied out of the parsed rows."""
+    """Read a weight map written by :func:`save_weight_map`. A missing,
+    garbled or misplaced header row, the grid :func:`read_spec` refuses,
+    a pixel out of row-major order, a negative or NaN weight, the rows
+    :func:`read_rows` rejects and a byte that is not UTF-8 raise
+    InputError, at the line for a row. The weights are copied out of the
+    parsed rows."""
     with open_text(path) as fh:
-        header, start = read_header(path, fh, "weight map", _WMAP_MAGIC, "i,j,weight", _WMAP_KEYS)
-        label = header_row(header, "label", path, str)[0]
-        spec = read_spec(header, path, 3)
-        m = spec.m
-        rows = read_rows(path, fh, start, m * m, _MAP_ROW)
+        header = read_header(path, fh, "weight map", _WMAP_MAGIC, _WMAP_HEADER)
+        (m,), (pixel_size,), (label,), origin, _ = header
+        spec = read_spec(path, m, pixel_size, origin)
+        start = len(_WMAP_HEADER) + 1
+        rows = read_rows(path, fh, start, m * m)
         i, j, weights = rows["i"], rows["j"], rows["weight"]
         # i and j are compared apart: i * m + j could wrap around int64.
         pixel = np.arange(m * m)

@@ -299,8 +299,6 @@ class GridParams(Bounded):
 
 
 def parse_scenario_config(data: dict, seed_override: int | None = None) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("", "config root must be an object")
     read_object(data, "", _ROOT_KEYS, ("grid", "traffic"))
     schema = data.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
@@ -333,10 +331,13 @@ def parse_scenario_config(data: dict, seed_override: int | None = None) -> Scena
 def load_scenario_config(path: str | Path, seed_override: int | None = None) -> ScenarioConfig:
     """The config in the JSON file ``path``, with ``seed_override``, when
     given, as its master seed. Every error is a ConfigError: of the file
-    for text that is not JSON or not UTF-8 (:func:`read_json`), else of
-    the dotted key, ``seed`` for a negative seed or seed override."""
+    for text that is not JSON or not UTF-8 (:func:`read_json`) and for a
+    document that is not an object, else of the dotted key, ``seed`` for
+    a negative seed or seed override."""
     try:
         data = read_json(path)
     except InputError as exc:  # not JSON, or a byte that is not UTF-8 at its line
         raise ConfigError(exc.source, exc.message, exc.where) from None
+    if not isinstance(data, dict):
+        raise ConfigError(str(path), "config root must be an object")
     return parse_scenario_config(data, seed_override)

@@ -66,6 +66,12 @@ class TestGenScenario:
         assert result.exit_code == 2
         assert "does not exist" in result.stderr
 
+    def test_config_that_is_not_an_object_names_the_file(self, runner, tmp_path):
+        root = tmp_path / "root.json"
+        root.write_text("[1, 2]")
+        err = fails(runner, "config", "gen-scenario", "--config", str(root), "--out", str(tmp_path / "o"))
+        assert err == f"hotloc: stage config: {root}: config root must be an object\n"
+
     def test_invalid_config_reports_stage(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"grid": {"extent_m": 100.0, "pixel_size_m": 3.0}}))
@@ -353,7 +359,7 @@ class TestBadInputs:
             runner, "localize",
             "localize", "--config", CONFIG, "--out", str(art), "--x-override", "1,1,1,1,1",
         )
-        assert "grid.csv: missing or garbled 'm' header row" in err
+        assert "grid.csv: line 2: missing or garbled 'm' header row" in err
 
     def test_grid_row_outside_the_grid(self, runner, scenario_dir, tmp_path):
         # A 33rd pixel in every row of the 32x32 grid's cube.
@@ -391,7 +397,7 @@ class TestBadInputs:
         text = path.read_text()
         path.write_text(text[: text.index("i,j,weight")])
         err = fails(runner, "optimize", "optimize", "--config", CONFIG, "--out", str(art))
-        assert "potential.csv: missing i,j,weight section" in err
+        assert "potential.csv: line 6: missing or garbled 'i,j,weight' header row" in err
 
     @pytest.mark.parametrize(
         "name, command, stage", [("q3.csv", "evaluate", "evaluate"), ("truth.csv", "oracle-kpis", "kpis")]
@@ -413,7 +419,7 @@ class TestBadInputs:
         invoke(runner, "localize", "--config", CONFIG, "--out", str(art), "--x-override", "1,1,1,1,1")
         self.drop_row(art / "truth.csv", "m,32")
         err = fails(runner, "evaluate", "evaluate", "--config", CONFIG, "--out", str(art))
-        assert "truth.csv: missing or garbled 'm' header row" in err
+        assert "truth.csv: line 2: missing or garbled 'm' header row" in err
 
     def test_garbled_truth_row_named_by_line(self, runner, scenario_dir, tmp_path):
         art = self.copy(scenario_dir, tmp_path)
@@ -498,11 +504,12 @@ class TestBadInputs:
         path = art / name
         path.write_text(path.read_text().replace("\nm,32\n", f"\nm,{m}\n", 1))
         err = fails(runner, stage, command, "--config", CONFIG, "--out", str(art))
-        # The grid's cube file gives its shape in its header.
+        # The grid's cube file gives its shape in its header; a map's rows
+        # run out after its 6 header lines and the 32x32 map's 1024 rows.
         if name == "grid.csv":
             assert f"{art / 'grid.npy'}: shape (3, 32, 32), expected (3, {m}, {m})" in err
         else:
-            assert f"{path}: m={m} needs" in err
+            assert f"{path}: line {6 + 32 * 32 + 1}: the file ends after {32 * 32} of {m * m} rows" in err
 
     def test_all_zero_smoothed_map_named_by_its_variant(self, runner, pipeline_dir, tmp_path):
         art = self.copy(pipeline_dir, tmp_path)

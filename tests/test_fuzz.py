@@ -57,8 +57,8 @@ STRAY = (",", ";", "\0", "é")
 # text holds each as the surrogate escape of the byte.
 NOT_UTF8 = tuple(bytes([b]).decode("utf-8", "surrogateescape") for b in (0x80, 0xC3, 0xFF))
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?|nan|inf")
-# The row that ends the header of each CSV format that has one; the
-# header of grid.csv runs to the end of the file.
+# The row that ends the header of each CSV format that has one; grid.csv's
+# header ends at its cells row, and its cell rows run to the end of the file.
 MARKERS = ("i,j,weight",)
 
 

@@ -445,10 +445,42 @@ class TestGridFile:
         assert f"\n{row}\n" in text
         path.write_text(text.replace(f"\n{row}\n", f"\n{replacement}\n" if replacement else "\n"))
         key = row.split(",")[0]
-        # A garbled row is named by its line, a missing one by the file alone.
-        where = f"line {text.splitlines().index(row) + 1}: " if replacement else ""
-        with pytest.raises(InputError, match=f"grid.csv: {where}missing or garbled '{key}' header row$"):
+        # The header rows are read in order: a missing row is named at the
+        # line it should be on, where the next row stands.
+        where = f"line {text.splitlines().index(row) + 1}"
+        with pytest.raises(InputError, match=f"grid.csv: {where}: missing or garbled '{key}' header row$"):
             load_grid(path)
+
+    @pytest.mark.parametrize("first, second", [("m,4", "pixel_size,25.0"), ("q_rxlevmin,-115.0", "cells,1")])
+    def test_header_rows_out_of_order_named_by_line(self, tmp_path, first, second):
+        grid = constant_grid([("A", (0.0, 0.0), 0.0, -90.0, ())], m=4)
+        path = tmp_path / "grid.csv"
+        save_grid(grid, path)
+        text = path.read_text()
+        path.write_text(text.replace(f"\n{first}\n{second}\n", f"\n{second}\n{first}\n"))
+        line_no = text.splitlines().index(first) + 1
+        key = first.split(",")[0]
+        with pytest.raises(InputError) as excinfo:
+            load_grid(path)
+        assert str(excinfo.value) == f"{path}: line {line_no}: missing or garbled '{key}' header row"
+
+    def test_blank_line_in_the_header_named_by_line(self, tmp_path):
+        grid = constant_grid([("A", (0.0, 0.0), 0.0, -90.0, ())], m=4)
+        path = tmp_path / "grid.csv"
+        save_grid(grid, path)
+        path.write_text(path.read_text().replace("\norigin,", "\n\norigin,"))
+        with pytest.raises(InputError) as excinfo:
+            load_grid(path)
+        assert str(excinfo.value) == f"{path}: line 4: missing or garbled 'origin' header row"
+
+    def test_grid_without_cells_refused(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        save_grid(constant_grid([("A", (0.0, 0.0), 0.0, -90.0, ())], m=4), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(line.replace("cells,1", "cells,0") for line in lines[:-1]) + "\n")
+        with pytest.raises(InputError) as excinfo:
+            load_grid(path)
+        assert str(excinfo.value) == f"{path}: coverage grid needs at least one cell"
 
     def two_cell_file(self, tmp_path):
         """A 3x3 grid.csv of cells A and B; A leaves pixel (0, 0) uncovered."""
@@ -463,23 +495,23 @@ class TestGridFile:
         return path
 
     @pytest.mark.parametrize(
-        "row, reason",
+        "row, fault",
         [
             ("q_rxlevmin,-60.0", "header row already given on line 5"),
             ("m,3", "header row already given on line 2"),
             ("foo,bar", "unknown header row"),
         ],
     )
-    def test_repeated_or_unknown_header_row_named_by_line(self, tmp_path, row, reason):
-        # Cell rows repeat, one per cell; every other header row is given
-        # once. The header runs to the end of the file.
+    def test_repeated_or_unknown_header_row_named_by_line(self, tmp_path, row, fault):
+        # ``fault`` says what the row is. Each header row is given once, on
+        # its own line; after them every row is a cell row.
         path = self.two_cell_file(tmp_path)
         text = path.read_text()
         line_no = len(text.splitlines()) + 1
         path.write_text(f"{text}{row}\n")
         with pytest.raises(ValueError) as excinfo:
             load_grid(path)
-        assert str(excinfo.value) == f"{path}: line {line_no}: {reason}: {row!r}"
+        assert str(excinfo.value) == f"{path}: line {line_no}: expected a cell row: {row!r}"
 
     def test_duplicate_row_named_by_line(self, tmp_path):
         # A cell row given twice repeats its id; the second copy is named.
@@ -646,6 +678,9 @@ class TestGridFile:
             load_grid(path)
         cube.unlink()
         with pytest.raises(InputError, match=r"grid\.npy: not found$"):
+            load_grid(path)
+        cube.mkdir()
+        with pytest.raises(InputError, match=r"grid\.npy: cannot be read: Is a directory$"):
             load_grid(path)
 
     def test_cube_of_another_shape_refused_before_it_is_read(self, tmp_path):

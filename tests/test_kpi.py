@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,10 +148,25 @@ class TestWeightMap:
         assert f"\n{row}\n" in text
         path.write_text(text.replace(f"\n{row}\n", f"\n{replacement}\n" if replacement else "\n"))
         key = row.split(",")[0]
-        # A garbled row is named by its line, a missing one by the file alone.
-        where = f"line {text.splitlines().index(row) + 1}: " if replacement else ""
-        with pytest.raises(InputError, match=f"map.csv: {where}missing or garbled '{key}' header row$"):
+        # The header rows are read in order: a missing row is named at the
+        # line it should be on, where the next row stands.
+        where = f"line {text.splitlines().index(row) + 1}"
+        with pytest.raises(InputError, match=f"map.csv: {where}: missing or garbled '{key}' header row$"):
             load_weight_map(path)
+
+    @pytest.mark.parametrize(
+        "first, second", [("m,3", "pixel_size,12.5"), ("origin,0.0,0.0", "i,j,weight")]
+    )
+    def test_header_rows_out_of_order_named_by_line(self, tmp_path, first, second):
+        path = tmp_path / "map.csv"
+        save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "tag"), path)
+        text = path.read_text()
+        path.write_text(text.replace(f"\n{first}\n{second}\n", f"\n{second}\n{first}\n"))
+        line_no = text.splitlines().index(first) + 1
+        key = first.split(",")[0]
+        with pytest.raises(InputError) as excinfo:
+            load_weight_map(path)
+        assert str(excinfo.value) == f"{path}: line {line_no}: missing or garbled '{key}' header row"
 
     @pytest.mark.parametrize(
         "row, replacement, reason",
@@ -216,7 +232,7 @@ class TestWeightMap:
         assert str(excinfo.value) == f"{path}: line {line_no}: {reason}"
 
     @pytest.mark.parametrize(
-        "row, reason",
+        "row, fault",
         [
             ("pixel_size,99.0", "header row already given on line 3"),
             ("label,tag", "header row already given on line 4"),
@@ -224,14 +240,16 @@ class TestWeightMap:
             ("", "unknown header row"),
         ],
     )
-    def test_repeated_or_unknown_header_row_named_by_line(self, tmp_path, row, reason):
+    def test_repeated_or_unknown_header_row_named_by_line(self, tmp_path, row, fault):
+        # ``fault`` says what the row is. Line 6 holds the i,j,weight row
+        # that ends the header.
         path = tmp_path / "map.csv"
         save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "tag"), path)
         text = path.read_text()
         path.write_text(text.replace("\ni,j,weight\n", f"\n{row}\ni,j,weight\n"))
         with pytest.raises(ValueError) as excinfo:
             load_weight_map(path)
-        assert str(excinfo.value) == f"{path}: line 6: {reason}: {row!r}"
+        assert str(excinfo.value) == f"{path}: line 6: missing or garbled 'i,j,weight' header row"
 
     @pytest.mark.parametrize("cut_before", ["i,j,weight", "pixel_size,12.5"])
     def test_map_cut_off_before_its_rows_rejected(self, tmp_path, cut_before):
@@ -240,7 +258,10 @@ class TestWeightMap:
         save_weight_map(wmap, path)
         text = path.read_text()
         path.write_text(text[: text.index(f"\n{cut_before}\n") + 1])
-        with pytest.raises(ValueError, match=f"^{path}: missing i,j,weight section$"):
+        # The first row the file lacks is named at its line.
+        line_no = text.splitlines().index(cut_before) + 1
+        key = cut_before.removesuffix(",12.5")
+        with pytest.raises(ValueError, match=f"^{path}: line {line_no}: missing or garbled '{key}' header row$"):
             load_weight_map(path)
 
     def test_row_only_python_reads_is_rejected(self, tmp_path):
@@ -253,6 +274,18 @@ class TestWeightMap:
         path.write_text("\n".join(lines) + "\n")
         line_no = lines.index("i,j,weight") + 2
         with pytest.raises(ValueError, match=f"^{path}: line {line_no}: garbled rows from here: "):
+            load_weight_map(path)
+
+    def test_index_too_long_for_a_float_is_refused(self, tmp_path):
+        # numpy refuses the index as an int64, and Python reads it as an
+        # int that no float holds.
+        path = tmp_path / "map.csv"
+        save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "tag"), path)
+        lines = path.read_text().splitlines()
+        lines[lines.index("1,2,1.0")] = "9" * 400 + ",2,1.0"
+        path.write_text("\n".join(lines) + "\n")
+        line_no = lines.index("i,j,weight") + 2
+        with pytest.raises(InputError, match=f"^{path}: line {line_no}: garbled rows from here: "):
             load_weight_map(path)
 
     def test_map_cut_off_in_its_rows_named_by_line(self, tmp_path):
@@ -342,16 +375,19 @@ class TestWeightMap:
         assert str(excinfo.value).startswith(f"{path}: {reason}")
 
     def test_m_too_large_for_the_file_refused_before_allocating(self, tmp_path):
+        # 10**16 rows are due; the reader takes the file's 9 and stops.
         path = tmp_path / "q3.csv"
         save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "q3"), path)
-        size = path.stat().st_size
         path.write_text(path.read_text().replace("\nm,3\n", "\nm,100000000\n", 1))
-        with pytest.raises(ValueError) as excinfo:
-            load_weight_map(path)
-        assert str(excinfo.value) == (
-            f"{path}: m=100000000 needs 60000000000000000 bytes of rows or more, "
-            f"the file holds {size + 8}"
-        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as excinfo:
+                load_weight_map(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(excinfo.value) == f"{path}: line 16: the file ends after 9 of 10000000000000000 rows"
+        assert peak < 1 << 20
 
     def test_loaded_values_are_a_contiguous_copy(self, tmp_path):
         path = tmp_path / "map.csv"
@@ -795,6 +831,7 @@ class TestOracle:
             pytest.param(
                 ("neighbor_level", "B"), 10**400, "neighbor_level['B'] must be finite, got 1e+400", id="level-huge"
             ),
+            pytest.param(("neighbor_level", "B"), 0.5, "neighbor_level must sum to 1, got 0.5", id="level-sum"),
             pytest.param(("load_time",), 10**400, "load_time must be finite, got 1e+400", id="load_time-huge"),
             pytest.param(("amt_bps",), -(10**400), "amt_bps must be finite, got -1e+400", id="amt_bps-huge"),
             pytest.param(("ta",), 10**400, "ta must be a list, got 1e+400", id="ta-list-huge"),

@@ -34,6 +34,7 @@ from typing import Callable, NamedTuple
 import click
 
 from hotloc.bounds import shown
+from hotloc.grid import create
 from hotloc.localize import KPI_COUNT, ImportanceVector
 from hotloc.pipeline import (
     ALL_VARIANTS,
@@ -248,7 +249,7 @@ def pipeline_cmd(
             for label, variant in sorted(result.report.variants.items()):
                 for p, detected in sorted(variant.detection.items()):
                     rows.append((s, label, variant.mean_distance_m, p, detected))
-        with open(out / "seeds.csv", "w", newline="") as fh:
+        with create(out / "seeds.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["seed", "variant", "mean_distance_m", "p", "detected"])
             for row in rows:

@@ -39,6 +39,7 @@ from hotloc.grid import (
     TA_ZONE_COUNT,
     UNCOVERED,
     aoa_zone_layer,
+    create,
     header_lines,
     open_text,
     read_header,
@@ -467,7 +468,8 @@ def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
     coords = np.arange(m).astype(f"S{len(str(m - 1))}")
     texts, index = repr_table(wmap.values.reshape(-1))
     rows = text_rows([np.repeat(coords, m), np.tile(coords, m), texts.take(index)])
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode() + rows)
+    with create(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode() + rows)
 
 
 def _first_bad_line(lines: list[str], count: int) -> tuple[int, str] | None:
@@ -483,14 +485,47 @@ def _first_bad_line(lines: list[str], count: int) -> tuple[int, str] | None:
             try:
                 value = int(field) if is_index else float(field)
             except ValueError:
-                return k, f"value {column} {field!r} is not {'an integer' if is_index else 'a number'}"
+                return k, f"value {column} {shown(field)} is not {'an integer' if is_index else 'a number'}"
             # An index is never infinite, and isinf of one too long for a
             # float would raise OverflowError.
             if not is_index and math.isinf(value):
-                return k, f"value {column} {field!r} is not finite or NaN"
+                return k, f"value {column} {shown(field)} is not finite or NaN"
     if len(lines) < count:
         return len(lines), f"the file ends after {len(lines)} of {count} rows"
     return None
+
+
+def _parse(lines: list[str], dtype: np.dtype = _MAP_ROW) -> np.ndarray | None:
+    """``lines`` parsed by ``np.loadtxt`` as rows of ``dtype``; None when
+    numpy refuses one of them."""
+    try:
+        with warnings.catch_warnings():
+            # Blank or missing lines give fewer rows, which the count check refuses.
+            warnings.simplefilter("ignore", UserWarning)
+            # numpy before 2.0 reads "1.5" into an int column with this warning.
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def _first_refused_line(lines: list[str]) -> tuple[int, str]:
+    """The index of the first of ``lines`` that :func:`_parse` refuses
+    and the field it refuses, found by bisecting: numpy refuses a few
+    rows that Python reads, such as an index beyond int64 or a weight
+    spelled ``1_0``. The parses cover about twice the lines."""
+    good, bad = 0, len(lines)  # lines[:good] parse, lines[good:bad] hold a refused one
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _parse(lines[good:mid]) is None:
+            bad = mid
+        else:
+            good = mid
+    fields = lines[good].rstrip("\n").split(",")
+    for column, field in enumerate(fields, 1):
+        if _parse([field], _MAP_ROW[column - 1]) is None:
+            return good, f"value {column} {shown(field)} does not read as {_MAP_ROW[column - 1]}"
+    return good, f"numpy does not read the row {shown(lines[good].rstrip())}"
 
 
 def read_rows(path: str | Path, fh: TextIO, start: int, count: int) -> np.ndarray:
@@ -498,28 +533,18 @@ def read_rows(path: str | Path, fh: TextIO, start: int, count: int) -> np.ndarra
     parsed by one ``np.loadtxt`` call; ``start`` is the 0-based line of
     the first. A row without two integers and a number, an infinite
     weight, a blank line, a missing row and a non-blank line after the
-    last row raise InputError at the line. At most ``count`` lines are
-    read before the rows are checked, so a ``count`` too large for the
-    file costs no more than the file."""
+    last row raise InputError at the line, quoting a field by
+    :func:`shown`. At most ``count`` lines are read before the
+    rows are checked, so a ``count`` too large for the file costs no
+    more than the file."""
     lines = list(itertools.islice(fh, count))
-    error = None
-    try:
-        with warnings.catch_warnings():
-            # Blank or missing lines give fewer rows, which the count check refuses.
-            warnings.simplefilter("ignore", UserWarning)
-            # numpy before 2.0 reads "1.5" into an int column with this warning.
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(lines, _MAP_ROW, delimiter=",", comments=None, ndmin=1)
-    except (ValueError, DeprecationWarning) as exc:
-        error = exc
-    else:
-        if len(rows) == count and not np.isinf(rows["weight"]).any():
-            for line_no, line in enumerate(fh, start + count + 1):
-                if line.strip():
-                    raise InputError(path, f"line {line_no}", f"more than {count} rows")
-            return rows
-    # numpy refuses a few spellings Python reads, such as "1_0".
-    offset, reason = _first_bad_line(lines, count) or (0, f"garbled rows from here: {error}")
+    rows = _parse(lines)
+    if rows is not None and len(rows) == count and not np.isinf(rows["weight"]).any():
+        for line_no, line in enumerate(fh, start + count + 1):
+            if line.strip():
+                raise InputError(path, f"line {line_no}", f"more than {count} rows")
+        return rows
+    offset, reason = _first_bad_line(lines, count) or _first_refused_line(lines)
     raise InputError(path, f"line {start + offset + 1}", reason)
 
 

@@ -352,6 +352,15 @@ class TestBadInputs:
         assert f"\n{row}\n" in text
         path.write_text(text.replace(f"\n{row}\n", "\n", 1))
 
+    def test_directory_in_place_of_an_artifact(self, runner, pipeline_dir, tmp_path):
+        # A directory where a stage writes is refused, not removed.
+        art = self.copy(pipeline_dir, tmp_path)
+        (art / "report.json").unlink()
+        (art / "report.json").mkdir()
+        err = fails(runner, "evaluate", "evaluate", "--config", CONFIG, "--out", str(art))
+        assert err == f"hotloc: stage evaluate: [Errno 21] Is a directory: '{art / 'report.json'}'\n"
+        assert (art / "report.json").is_dir()
+
     def test_grid_without_m_row(self, runner, optimized_dir, tmp_path):
         art = self.copy(optimized_dir, tmp_path)
         self.drop_row(art / "grid.csv", "m,32")
@@ -811,6 +820,27 @@ class TestPipelineCommand:
         )
         assert result.exit_code == 0
         assert (out / "events.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra", [("--kpi-source", "sim", "--events"), ("--seeds", "0,1")], ids=["sim-events", "seeds"]
+    )
+    def test_rerun_replaces_every_file(self, runner, tmp_path, extra):
+        # A rerun into the same --out writes each artifact as a new file:
+        # a hard link to the first run's file keeps that file, not the
+        # rerun's bytes written through it.
+        out, links = tmp_path / "run", tmp_path / "links"
+        args = ["pipeline", "--config", CONFIG, "--out", str(out), *extra]
+        assert invoke(runner, *args).exit_code == 0
+        first = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        for name in first:
+            (links / name).parent.mkdir(parents=True, exist_ok=True)
+            os.link(out / name, links / name)
+        assert invoke(runner, *args).exit_code == 0
+        assert {p.relative_to(out) for p in out.rglob("*") if p.is_file()} == set(first)
+        for name, data in first.items():
+            assert (out / name).read_bytes() == data, name
+            assert (out / name).stat().st_nlink == 1, name
+            assert (links / name).read_bytes() == data, name
 
     def test_nan_config_number_fails_in_config_stage(self, runner, tmp_path):
         # json reads the NaN literal; a NaN margin made every UE with a

@@ -198,6 +198,11 @@ class TestWeightMap:
             ("1,2,1.0", "1,2,-inf", "value 3 '-inf' is not finite or NaN"),
             ("1,2,1.0", "1;2;1.0", "expected 3 values, got 1"),
             ("1,2,1.0", "1,2,1.o", "value 3 '1.o' is not a number"),
+            # Python reads the index and numpy does not: beyond int64.
+            ("1,2,1.0", "99999999999999999999,2,1.0", "value 1 '99999999999999999999' does not read as int64"),
+            # A field longer than 40 characters is quoted by its first 20.
+            ("1,2,1.0", "1,2," + "9" * 400, "value 3 '99999999999999999999'... (400 characters) is not finite or NaN"),
+            ("1,2,1.0", "1,2," + "1" * 50 + "x", "value 3 '11111111111111111111'... (51 characters) is not a number"),
         ],
         ids=[
             "short",
@@ -217,6 +222,9 @@ class TestWeightMap:
             "-inf-weight",
             "semicolons",
             "garbled-weight",
+            "index-beyond-int64",
+            "long-inf-weight",
+            "long-garbled-weight",
         ],
     )
     def test_garbled_row_named_by_line(self, tmp_path, row, replacement, reason):
@@ -266,15 +274,16 @@ class TestWeightMap:
 
     def test_row_only_python_reads_is_rejected(self, tmp_path):
         # Python's float reads "1_0.0" and numpy's parser does not, so the
-        # rows are refused from the first.
+        # row is found by numpy and refused at its own line.
         path = tmp_path / "map.csv"
         save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "tag"), path)
         lines = path.read_text().splitlines()
-        lines[lines.index("1,2,1.0")] = "1,2,1_0.0"
+        line_no = lines.index("1,2,1.0") + 1
+        lines[line_no - 1] = "1,2,1_0.0"
         path.write_text("\n".join(lines) + "\n")
-        line_no = lines.index("i,j,weight") + 2
-        with pytest.raises(ValueError, match=f"^{path}: line {line_no}: garbled rows from here: "):
+        with pytest.raises(ValueError) as excinfo:
             load_weight_map(path)
+        assert str(excinfo.value) == f"{path}: line {line_no}: value 3 '1_0.0' does not read as float64"
 
     def test_index_too_long_for_a_float_is_refused(self, tmp_path):
         # numpy refuses the index as an int64, and Python reads it as an
@@ -282,11 +291,13 @@ class TestWeightMap:
         path = tmp_path / "map.csv"
         save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "tag"), path)
         lines = path.read_text().splitlines()
-        lines[lines.index("1,2,1.0")] = "9" * 400 + ",2,1.0"
+        line_no = lines.index("1,2,1.0") + 1
+        lines[line_no - 1] = "9" * 400 + ",2,1.0"
         path.write_text("\n".join(lines) + "\n")
-        line_no = lines.index("i,j,weight") + 2
-        with pytest.raises(InputError, match=f"^{path}: line {line_no}: garbled rows from here: "):
+        with pytest.raises(InputError) as excinfo:
             load_weight_map(path)
+        reason = "value 1 '99999999999999999999'... (400 characters) does not read as int64"
+        assert str(excinfo.value) == f"{path}: line {line_no}: {reason}"
 
     def test_map_cut_off_in_its_rows_named_by_line(self, tmp_path):
         path = tmp_path / "map.csv"

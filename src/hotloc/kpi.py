@@ -11,11 +11,9 @@ invert.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -472,98 +470,79 @@ def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
         fh.write(("\n".join(lines) + "\n").encode() + rows)
 
 
-def _first_bad_line(lines: list[str], count: int) -> tuple[int, str] | None:
-    """The index of the first bad line of ``count`` map rows and the
-    reason, found by Python's ``int`` and ``float``; None when all rows
-    are good."""
-    for k, line in enumerate(lines):
-        fields = line.rstrip("\n").split(",") if line.strip() else []
-        if len(fields) != 3:
-            return k, f"expected 3 values, got {len(fields)}"
-        for column, field in enumerate(fields, 1):
-            is_index = column < 3
-            try:
-                value = int(field) if is_index else float(field)
-            except ValueError:
-                return k, f"value {column} {shown(field)} is not {'an integer' if is_index else 'a number'}"
-            # An index is never infinite, and isinf of one too long for a
-            # float would raise OverflowError.
-            if not is_index and math.isinf(value):
-                return k, f"value {column} {shown(field)} is not finite or NaN"
-    if len(lines) < count:
-        return len(lines), f"the file ends after {len(lines)} of {count} rows"
-    return None
-
-
 def _parse(lines: list[str], dtype: np.dtype = _MAP_ROW) -> np.ndarray | None:
-    """``lines`` parsed by ``np.loadtxt`` as rows of ``dtype``; None when
-    numpy refuses one of them."""
+    """``lines`` parsed by ``np.loadtxt`` as one row of ``dtype`` each;
+    None when numpy refuses one of them or a blank one gives no row."""
     try:
         with warnings.catch_warnings():
-            # Blank or missing lines give fewer rows, which the count check refuses.
+            # A blank line gives no row, which the count below refuses.
             warnings.simplefilter("ignore", UserWarning)
             # numpy before 2.0 reads "1.5" into an int column with this warning.
             warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+            rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
     except (ValueError, DeprecationWarning):
         return None
+    return rows if len(rows) == len(lines) else None
 
 
-def _first_refused_line(lines: list[str]) -> tuple[int, str]:
-    """The index of the first of ``lines`` that :func:`_parse` refuses
-    and the field it refuses, found by bisecting: numpy refuses a few
-    rows that Python reads, such as an index beyond int64 or a weight
-    spelled ``1_0``. The parses cover about twice the lines."""
-    good, bad = 0, len(lines)  # lines[:good] parse, lines[good:bad] hold a refused one
+def _map_rows(lines: list[str]) -> np.ndarray | None:
+    """``lines`` as the rows of a map: None unless :func:`_parse` reads
+    each as one ``_MAP_ROW`` with a weight that is not infinite."""
+    rows = _parse(lines)
+    return None if rows is None or np.isinf(rows["weight"]).any() else rows
+
+
+def _refused_row(lines: list[str]) -> tuple[int, str]:
+    """The index of the first of ``lines`` that :func:`_map_rows` refuses,
+    found by bisecting with it over about twice the lines, and the reason:
+    the field count, the first field :func:`_parse` refuses alone or the
+    infinite weight."""
+    good, bad = 0, len(lines)  # lines[:good] are rows, lines[good:bad] hold a refused one
     while bad - good > 1:
         mid = (good + bad) // 2
-        if _parse(lines[good:mid]) is None:
+        if _map_rows(lines[good:mid]) is None:
             bad = mid
         else:
             good = mid
-    fields = lines[good].rstrip("\n").split(",")
+    line = lines[good].rstrip("\n")
+    fields = line.split(",") if line.strip() else []
+    if len(fields) != 3:
+        return good, f"expected 3 values, got {len(fields)}"
     for column, field in enumerate(fields, 1):
-        if _parse([field], _MAP_ROW[column - 1]) is None:
+        value = _parse([field], _MAP_ROW[column - 1])
+        if value is None:
             return good, f"value {column} {shown(field)} does not read as {_MAP_ROW[column - 1]}"
-    return good, f"numpy does not read the row {shown(lines[good].rstrip())}"
-
-
-def read_rows(path: str | Path, fh: TextIO, start: int, count: int) -> np.ndarray:
-    """The rest of the map file ``fh`` as ``count`` rows of ``_MAP_ROW``,
-    parsed by one ``np.loadtxt`` call; ``start`` is the 0-based line of
-    the first. A row without two integers and a number, an infinite
-    weight, a blank line, a missing row and a non-blank line after the
-    last row raise InputError at the line, quoting a field by
-    :func:`shown`. At most ``count`` lines are read before the
-    rows are checked, so a ``count`` too large for the file costs no
-    more than the file."""
-    lines = list(itertools.islice(fh, count))
-    rows = _parse(lines)
-    if rows is not None and len(rows) == count and not np.isinf(rows["weight"]).any():
-        for line_no, line in enumerate(fh, start + count + 1):
-            if line.strip():
-                raise InputError(path, f"line {line_no}", f"more than {count} rows")
-        return rows
-    offset, reason = _first_bad_line(lines, count) or _first_refused_line(lines)
-    raise InputError(path, f"line {start + offset + 1}", reason)
+    if np.isinf(value).any():
+        return good, f"value 3 {shown(field)} is not finite or NaN"
+    return good, f"numpy does not read the row {shown(line)}"
 
 
 def load_weight_map(path: str | Path) -> WeightMap:
     """Read a weight map written by :func:`save_weight_map`. A missing,
     garbled or misplaced header row, the grid :func:`read_spec` refuses,
-    a pixel out of row-major order, a negative or NaN weight, the rows
-    :func:`read_rows` rejects and a byte that is not UTF-8 raise
-    InputError, at the line for a row. The weights are copied out of the
-    parsed rows."""
+    the first data row :func:`_map_rows` refuses, a map cut short, a line
+    after its last row, a pixel out of row-major order, a negative or NaN
+    weight and a byte that is not UTF-8 raise InputError, at the line for
+    a row. At most m * m lines are read before the rows are checked, so an
+    ``m`` too large for the file costs no more than the file."""
     with open_text(path) as fh:
         header = read_header(path, fh, "weight map", _WMAP_MAGIC, _WMAP_HEADER)
         (m,), (pixel_size,), (label,), origin, _ = header
         spec = read_spec(path, m, pixel_size, origin)
-        start = len(_WMAP_HEADER) + 1
-        rows = read_rows(path, fh, start, m * m)
+        start, count = len(_WMAP_HEADER) + 1, m * m
+        lines = list(itertools.islice(fh, count))
+        rows = _map_rows(lines)
+        if rows is None:
+            k, reason = _refused_row(lines)
+            raise InputError(path, f"line {start + k + 1}", reason)
+        if len(rows) < count:
+            raise InputError(path, f"line {start + len(rows) + 1}", f"the file ends after {len(rows)} of {count} rows")
+        for line_no, line in enumerate(fh, start + count + 1):
+            if line.strip():
+                raise InputError(path, f"line {line_no}", f"more than {count} rows")
         i, j, weights = rows["i"], rows["j"], rows["weight"]
         # i and j are compared apart: i * m + j could wrap around int64.
-        pixel = np.arange(m * m)
+        pixel = np.arange(count)
         # NaN compares false, so "< 0" alone would let a NaN weight through.
         bad = (i != pixel // m) | (j != pixel % m) | ~(weights >= 0)
         if bad.any():

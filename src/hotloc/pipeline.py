@@ -134,12 +134,16 @@ def _run_scenario(run: Run) -> None:
 
 def _run_kpis(run: Run) -> None:
     """Per-cell KPIs from the oracle (``config.oracle``) or the simulator
-    (``config.sim``)."""
+    (``config.sim``). A run without the simulator's event log removes the
+    ``events.csv`` an earlier run left, which these KPIs did not come from."""
+    log_path = run.out_dir / "events.csv"
+    if not (run.event_log and run.kpi_source == KPI_SOURCE_SIM):
+        log_path.unlink(missing_ok=True)
     if run.kpi_source == KPI_SOURCE_ORACLE:
         kpis = oracle_kpis(run.truth, run.grid, run.servers, run.config.oracle)
     elif run.kpi_source == KPI_SOURCE_SIM:
-        log_path = str(run.out_dir / "events.csv") if run.event_log else None
-        kpis = run_simulation(run.config.sim, run.truth, run.grid, run.servers, log_path)
+        log = str(log_path) if run.event_log else None
+        kpis = run_simulation(run.config.sim, run.truth, run.grid, run.servers, log)
     else:
         raise ValueError(f"unknown KPI source {run.kpi_source!r}")
     if kpis.all_empty():

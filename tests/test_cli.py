@@ -211,6 +211,28 @@ class TestStagewiseEqualsPipeline:
         assert set(report["variants"]) == {"ta_only", "ta_neighbor", "step6", "step7"}
 
 
+    @pytest.mark.parametrize(
+        "commands",
+        [
+            [["pipeline", "--kpi-source", "sim", "--events"], ["pipeline"]],
+            [["gen-scenario"], ["simulate", "--events"], ["oracle-kpis"], ["optimize"], ["localize"], ["evaluate"]],
+        ],
+        ids=["pipeline", "stages"],
+    )
+    def test_oracle_kpis_remove_an_old_event_log(self, runner, tmp_path, commands):
+        """Oracle KPIs over a simulator run with its event log leave the
+        files of a fresh oracle run, byte for byte: the old events.csv,
+        which the new kpis.json did not come from, is gone."""
+        art, fresh = tmp_path / "art", tmp_path / "fresh"
+        for command in commands:
+            result = invoke(runner, *command, "--config", CONFIG, "--out", str(art))
+            assert result.exit_code == 0, (command, result.output)
+        invoke(runner, "pipeline", "--config", CONFIG, "--out", str(fresh))
+        names = sorted(path.name for path in art.iterdir())
+        assert names == sorted(path.name for path in fresh.iterdir())
+        for name in names:
+            assert (art / name).read_bytes() == (fresh / name).read_bytes(), name
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """Every artifact of one oracle ``hotloc pipeline`` run on sim-small."""

@@ -49,7 +49,7 @@ COMMANDS = {
     "smoothed.csv": ("evaluate",),
 }
 
-NUMBERS = ("nan", "inf", "1e308", "1e-320", "-1", "", "text")
+NUMBERS = ("nan", "inf", "1e308", "1e-320", "-1", "", "text", "1_0")
 JSON_VALUES = (None, [], {}, "text", float("nan"), float("inf"), 1e308, 1e-320, -1, True, "0.5", 10**400)
 STRAY = (",", ";", "\0", "é")
 # Bytes that are not UTF-8 on their own: a continuation byte, the lead

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_grid, put_byte, random_truth, single_cell_grid
+from hotloc import kpi
 from hotloc.bounds import ConfigError, InputError
 from hotloc.grid import GridSpec, compute_server_maps, ta_zone_layer, aoa_zone_layer
 from hotloc.kpi import (
@@ -173,9 +174,9 @@ class TestWeightMap:
         [
             ("1,2,1.0", "1,2", "expected 3 values, got 2"),
             ("1,2,1.0", "1,2,1.0,5", "expected 3 values, got 4"),
-            ("1,2,1.0", "1,2,1.0#5", "value 3 '1.0#5' is not a number"),
-            ("1,2,1.0", "1e0,2,1.0", "value 1 '1e0' is not an integer"),
-            ("1,2,1.0", "1,1.5,1.0", "value 2 '1.5' is not an integer"),
+            ("1,2,1.0", "1,2,1.0#5", "value 3 '1.0#5' does not read as float64"),
+            ("1,2,1.0", "1e0,2,1.0", "value 1 '1e0' does not read as int64"),
+            ("1,2,1.0", "1,1.5,1.0", "value 2 '1.5' does not read as int64"),
             ("1,2,1.0", "-1,2,1.0", "expected pixel (1, 2), got (-1, 2)"),
             ("1,2,1.0", "1,-1,1.0", "expected pixel (1, 2), got (1, -1)"),
             ("1,2,1.0", "3,2,1.0", "expected pixel (1, 2), got (3, 2)"),
@@ -197,12 +198,12 @@ class TestWeightMap:
             ("1,2,1.0", "1,2,inf", "value 3 'inf' is not finite or NaN"),
             ("1,2,1.0", "1,2,-inf", "value 3 '-inf' is not finite or NaN"),
             ("1,2,1.0", "1;2;1.0", "expected 3 values, got 1"),
-            ("1,2,1.0", "1,2,1.o", "value 3 '1.o' is not a number"),
-            # Python reads the index and numpy does not: beyond int64.
+            ("1,2,1.0", "1,2,1.o", "value 3 '1.o' does not read as float64"),
+            # An index beyond int64.
             ("1,2,1.0", "99999999999999999999,2,1.0", "value 1 '99999999999999999999' does not read as int64"),
             # A field longer than 40 characters is quoted by its first 20.
             ("1,2,1.0", "1,2," + "9" * 400, "value 3 '99999999999999999999'... (400 characters) is not finite or NaN"),
-            ("1,2,1.0", "1,2," + "1" * 50 + "x", "value 3 '11111111111111111111'... (51 characters) is not a number"),
+            ("1,2,1.0", "1,2," + "1" * 50 + "x", "value 3 '11111111111111111111'... (51 characters) does not read as float64"),
         ],
         ids=[
             "short",
@@ -273,8 +274,8 @@ class TestWeightMap:
             load_weight_map(path)
 
     def test_row_only_python_reads_is_rejected(self, tmp_path):
-        # Python's float reads "1_0.0" and numpy's parser does not, so the
-        # row is found by numpy and refused at its own line.
+        # Python's float reads "1_0.0" and numpy's parser does not; numpy's
+        # refusal is the one that counts, at the row's own line.
         path = tmp_path / "map.csv"
         save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "tag"), path)
         lines = path.read_text().splitlines()
@@ -284,6 +285,48 @@ class TestWeightMap:
         with pytest.raises(ValueError) as excinfo:
             load_weight_map(path)
         assert str(excinfo.value) == f"{path}: line {line_no}: value 3 '1_0.0' does not read as float64"
+
+    @pytest.mark.parametrize(
+        "later, reason",
+        [
+            ("2,0,1.o", "value 3 '1_0.0' does not read as float64"),
+            ("2,0,inf", "value 3 '1_0.0' does not read as float64"),
+            ("2,0,1.0,5", "value 3 '1_0.0' does not read as float64"),
+        ],
+        ids=["garbled-weight", "inf-weight", "four-values"],
+    )
+    def test_first_refused_row_is_named(self, tmp_path, later, reason):
+        # A row only numpy refuses, on line 10, comes before a row that
+        # every parser refuses, on line 13: line 10 is named.
+        path = tmp_path / "map.csv"
+        save_weight_map(WeightMap(np.ones((3, 3)), GridSpec(3, 12.5), "tag"), path)
+        lines = path.read_text().splitlines()
+        assert (lines[9], lines[12]) == ("1,0,1.0", "2,0,1.0")
+        lines[9], lines[12] = "1,0,1_0.0", later
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError) as excinfo:
+            load_weight_map(path)
+        assert str(excinfo.value) == f"{path}: line 10: {reason}"
+
+    def test_refused_row_found_in_logarithmic_parses(self, tmp_path, monkeypatch):
+        # The last of 4096 rows is garbled: the first parse of all rows,
+        # 12 halvings and the fields alone stay within 20 parses.
+        path = tmp_path / "map.csv"
+        save_weight_map(WeightMap(np.ones((64, 64)), GridSpec(64, 12.5), "tag"), path)
+        lines = path.read_text().splitlines()
+        lines[-1] = "63,63,1.o"
+        path.write_text("\n".join(lines) + "\n")
+        calls, parse = [], kpi._parse
+
+        def counted(*args):
+            calls.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(kpi, "_parse", counted)
+        with pytest.raises(InputError) as excinfo:
+            load_weight_map(path)
+        assert str(excinfo.value) == f"{path}: line {len(lines)}: value 3 '1.o' does not read as float64"
+        assert len(calls) <= 20
 
     def test_index_too_long_for_a_float_is_refused(self, tmp_path):
         # numpy refuses the index as an int64, and Python reads it as an

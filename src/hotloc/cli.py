@@ -233,6 +233,8 @@ def pipeline_cmd(
     """Run every stage from scenario generation to the evaluation report."""
     if seed is not None and seeds is not None:
         raise click.UsageError("--seed and --seeds exclude each other")
+    if events and kpi_source != KPI_SOURCE_SIM:
+        raise click.UsageError(f"--events writes the simulator's event log and needs --kpi-source {KPI_SOURCE_SIM}")
     out = Path(out_dir)
 
     if seeds is not None:

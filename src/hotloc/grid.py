@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +37,9 @@ AOA_BORESIGHT_HALF_WIDTH = math.pi / 6.0
 
 UNCOVERED = -1
 NO_SECOND = -1
+
+# The pixels of the cube CoverageGrid checks for infinities at once.
+_INF_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,10 @@ class CoverageGrid:
             raise ValueError(
                 f"rsrp shape {self.rsrp.shape} does not match {n} cells on a {m}x{m} grid"
             )
-        if np.isinf(self.rsrp).any():
+        # A block of layers at a time, so the mask is at most one layer or
+        # 64 KB, never the size of the cube.
+        step = max(1, _INF_BLOCK // (m * m))
+        if any(np.isinf(self.rsrp[k : k + step]).any() for k in range(0, n, step)):
             raise ValueError("rsrp values must be finite or NaN")
         self._index = {c.cell_id: k for k, c in enumerate(self.cells)}
         if len(self._index) != n:
@@ -278,9 +285,9 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 # A coverage grid is two files. grid.csv is plain text: a magic row with
 # the format version, then the header rows and one row per cell, and
 # nothing else. The (cells, m, m) RSRP cube sits beside it in grid.npy,
-# numpy's .npy format of one C-ordered float64 array: layer k belongs to
-# the k-th cell row, and a layer's axis 0 (i) runs along world x. NaN is
-# no coverage.
+# numpy's .npy format (version 1.0 or 2.0) of one C-ordered float64
+# array, with no byte after it: layer k belongs to the k-th cell row, and
+# a layer's axis 0 (i) runs along world x. NaN is no coverage.
 #
 # grid.csv, after the magic row "hotloc-grid,3":
 #   header rows: m,<int> / pixel_size,<float> / origin,<x>,<y> /
@@ -290,8 +297,9 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 # The header rows are lines 2-6, once each and in this order (_GRID_HEADER,
 # which save_grid writes and load_grid reads), and exactly <count> cell
 # rows follow; blank lines among and after the cell rows are skipped.
-# Cell ids are distinct, every neighbor id names a cell row, and no id holds
-# ",", ";", a NUL or a line break.
+# Every row ends in "\n", the last one too: a file that does not is cut
+# short. Cell ids are distinct, every neighbor id names a cell row, and no
+# id holds ",", ";", a NUL or a line break.
 #
 # The text codec below serves the other text artifacts, not grid.csv: the
 # nine weight maps (hotloc.kpi), cdf.csv (hotloc.evaluate) and events.csv
@@ -318,6 +326,9 @@ _GRID_HEADER = (
     ("m", int, 1), ("pixel_size", float, 1), ("origin", float, 2), ("q_rxlevmin", float, 1), ("cells", int, 1)
 )
 _NPY_MAGIC = b"\x93NUMPY"
+# The header reader of each .npy format version np.save writes for a
+# float64 array: 2.0 only for a header longer than 1.0's 16-bit length.
+_NPY_VERSIONS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
 
 # Distinct values formatted per batch, which bounds the Python strings
 # and the batch temporaries alive at once.
@@ -536,10 +547,13 @@ def reject_separators(what: str, name: str, separators: str) -> None:
     """Raise ValueError naming ``name`` when it holds one of ``separators``
     or a line break, which would split or merge the fields and rows of a
     text artifact. The ids of ``grid.csv`` also refuse a NUL: text tools
-    take a file that holds one for binary, and C strings end at it."""
+    take a file that holds one for binary, and C strings end at it. A
+    name that holds none of them, every name of a valid file, returns
+    after one set."""
+    if set(name).isdisjoint(separators + "\n\r"):
+        return
     found = "".join(sorted(set(name) & set(separators + "\n\r")))
-    if found:
-        raise ValueError(f"{what} {name!r} contains {found!r}, which the file format cannot hold")
+    raise ValueError(f"{what} {name!r} contains {found!r}, which the file format cannot hold")
 
 
 def cube_path(path: str | Path) -> Path:
@@ -570,7 +584,8 @@ def save_grid(grid: CoverageGrid, path: str | Path) -> None:
     with create(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode())
     with create(cube_path(path)) as fh:
-        np.save(fh, np.asarray(grid.rsrp, dtype=np.float64), allow_pickle=False)
+        # C order, the one read_array takes.
+        np.save(fh, np.ascontiguousarray(grid.rsrp, dtype=np.float64), allow_pickle=False)
 
 
 @contextmanager
@@ -672,6 +687,14 @@ def read_header(path: str | Path, fh: TextIO, kind: str, magic: str, layout: tup
     return values
 
 
+def check_line_end(path: str | Path, line_no: int, line: str) -> None:
+    """Raise InputError at ``line_no`` of the text artifact ``path``
+    unless its row ``line`` ends in the "\\n" its writer ends every row
+    with: a row without one is the last of a file cut short."""
+    if not line.endswith("\n"):
+        raise InputError(path, f"line {line_no}", f"cut short: the row has no line end: {line!r}")
+
+
 def read_spec(path: str | Path, m: int, pixel_size: float, origin: list[float]) -> GridSpec:
     """The grid of a text artifact's ``m``, ``pixel_size`` and ``origin``
     header rows; one that :class:`GridSpec` refuses raises InputError."""
@@ -682,41 +705,57 @@ def read_spec(path: str | Path, m: int, pixel_size: float, origin: list[float]) 
 
 
 def read_array(path: str | Path, shape: tuple[int, ...], about: str) -> np.ndarray:
-    """A C-ordered copy of the float64 array of ``shape`` in the ``.npy``
-    file ``path``, mapped read-only and checked before it is copied. A
-    missing file, one that is not ``.npy``, a header numpy refuses
-    (objects, a cut header), another dtype or shape, a file too short for
-    its array and bytes after it raise InputError of the file; ``about``
-    says where ``shape`` comes from."""
+    """The C-ordered float64 array of ``shape`` in the ``.npy`` file
+    ``path``, read into one new array once its header and the file's size
+    are checked. A missing file, one that is not ``.npy``, a header numpy
+    refuses (a cut header, a format version it does not know), another
+    dtype (objects among them) or shape, a Fortran-ordered array, a file
+    too short for its array and bytes after it raise InputError of the
+    file before the array is allocated; ``about`` says where ``shape``
+    comes from."""
     try:
         with open(path, "rb") as fh:
             magic = fh.read(len(_NPY_MAGIC))
-        array = np.load(path, mmap_mode="r", allow_pickle=False) if magic == _NPY_MAGIC else None
+            if magic != _NPY_MAGIC:
+                raise InputError(path, None, f"not a .npy file: it starts {magic!r}")
+            fh.seek(0)
+            try:
+                version = np.lib.format.read_magic(fh)
+                if version not in _NPY_VERSIONS:
+                    raise ValueError(f"format version {version}, expected one of {sorted(_NPY_VERSIONS)}")
+                stored, fortran_order, dtype = _NPY_VERSIONS[version](fh)
+            except ValueError as exc:
+                raise InputError(path, None, f"not a readable .npy array: {exc}") from None
+            if dtype != np.float64:
+                raise InputError(path, None, f"dtype {dtype.str}, expected float64 ({np.dtype(np.float64).str})")
+            if stored != shape:
+                raise InputError(path, None, f"shape {stored}, expected {shape} ({about})")
+            if fortran_order:
+                raise InputError(path, None, "a Fortran-ordered array, expected C order")
+            nbytes = math.prod(shape) * dtype.itemsize
+            held = os.fstat(fh.fileno()).st_size - fh.tell()
+            if held < nbytes:
+                raise InputError(path, None, f"cut short: {held} of the array's {nbytes} bytes")
+            if held > nbytes:
+                raise InputError(path, None, f"{held - nbytes} bytes after the array")
+            array = np.empty(shape, np.float64)
+            if fh.readinto(array.reshape(-1).view(np.uint8)) != nbytes:
+                raise InputError(path, None, "cut short while it was read")
     except FileNotFoundError:
         raise InputError(path, None, "not found") from None
     except OSError as exc:
         raise InputError(path, None, f"cannot be read: {exc.strerror or exc}") from None
-    except ValueError as exc:
-        raise InputError(path, None, f"not a readable .npy array: {exc}") from None
-    if array is None:
-        raise InputError(path, None, f"not a .npy file: it starts {magic!r}")
-    if array.dtype != np.float64:
-        raise InputError(path, None, f"dtype {array.dtype.str}, expected float64 ({np.dtype(np.float64).str})")
-    if array.shape != shape:
-        raise InputError(path, None, f"shape {array.shape}, expected {shape} ({about})")
-    extra = Path(path).stat().st_size - array.offset - array.nbytes
-    if extra:
-        raise InputError(path, None, f"{extra} bytes after the array")
-    return np.array(array, order="C")
+    return array
 
 
 def load_grid(path: str | Path) -> CoverageGrid:
     """Read a coverage grid written by :func:`save_grid`. A file of another
     format version, a missing, garbled or misplaced header row, a
-    non-finite header value, a count of cell rows other than the header's,
-    a repeated cell id, a neighbor that names no cell, an id that holds a
-    NUL, a non-finite site or azimuth, the grid :func:`read_spec` refuses
-    and a byte that is not UTF-8 raise InputError of ``path``, at the line
+    non-finite header value, a cell row without its line end (a file cut
+    short), a count of cell rows other than the header's, a repeated cell
+    id, a neighbor that names no cell, an id that holds a NUL, a
+    non-finite site or azimuth, the grid :func:`read_spec` refuses and a
+    byte that is not UTF-8 raise InputError of ``path``, at the line
     for a row, before the cube file (:func:`cube_path`) is opened. Then
     the refusals of :func:`read_array` and an infinite RSRP value raise
     InputError of the cube file."""
@@ -732,6 +771,7 @@ def load_grid(path: str | Path) -> CoverageGrid:
         for line_no, line in enumerate(fh, len(_GRID_HEADER) + 2):
             if not line.strip():
                 continue
+            check_line_end(path, line_no, line)
             fields = line.rstrip("\n").split(",")
             rows.append((line_no, fields))
             try:
@@ -739,9 +779,10 @@ def load_grid(path: str | Path) -> CoverageGrid:
                     raise ValueError("expected a cell row")
                 _, cell_id, x, y, az_deg, nbs = fields
                 neighbors = tuple(n for n in nbs.split(";") if n)
-                reject_separators("cell id", cell_id, "\0")
-                for nb_id in neighbors:
-                    reject_separators("neighbor id", nb_id, "\0")
+                if "\0" in line:
+                    reject_separators("cell id", cell_id, "\0")
+                    for nb_id in neighbors:
+                        reject_separators("neighbor id", nb_id, "\0")
                 first = cell_rows.setdefault(cell_id, line_no)
                 if first != line_no:
                     raise ValueError(f"cell id {cell_id!r} already given on line {first}")

@@ -37,6 +37,7 @@ from hotloc.grid import (
     TA_ZONE_COUNT,
     UNCOVERED,
     aoa_zone_layer,
+    check_line_end,
     create,
     header_lines,
     open_text,
@@ -152,11 +153,13 @@ class KpiSet:
             valid = False
         if not valid:
             raise ValueError(f"window_s must be null or a finite non-negative number, got {shown(window)}")
-        for cell_id, kpis in self.cells.items():
-            try:
-                kpis.validate()
-            except ValueError as exc:
-                raise InputError("", f"cell {cell_id!r}", str(exc)) from exc
+        if not self._cells_pass():
+            # The per-cell checks, for the message of the first bad cell.
+            for cell_id, kpis in self.cells.items():
+                try:
+                    kpis.validate()
+                except ValueError as exc:
+                    raise InputError("", f"cell {cell_id!r}", str(exc)) from exc
         if grid is not None:
             expected = {c.cell_id for c in grid.cells}
             missing = [c.cell_id for c in grid.cells if c.cell_id not in self.cells]
@@ -173,6 +176,38 @@ class KpiSet:
                     what = "cells not on the grid" if unknown else "cells that are not its configured neighbors"
                     reason = f"neighbor_level names {what}: {unknown or stray}"
                     raise InputError("", f"cell {cell.cell_id!r}", reason)
+
+    def _cells_pass(self) -> bool:
+        """Whether every cell passes :meth:`CellKpis.validate`, checked in
+        whole-set passes: the ta and the aoa fractions of all cells
+        stacked into one array each, whose row sums are each row's
+        ``sum()`` bit for bit, all neighbor levels in one array, and the
+        load times and throughputs as one (cells, 3) array. A value numpy
+        does not take as a float fails it, and the per-cell checks say
+        why."""
+        cells = list(self.cells.values())
+        if not cells:
+            return True
+        if any(k.ta.shape != (TA_ZONE_COUNT,) or k.aoa.shape != (3,) for k in cells):
+            return False
+        try:
+            for values in (np.array([k.ta for k in cells]), np.array([k.aoa for k in cells])):
+                if not (np.isfinite(values).all() and values.min() >= 0):
+                    return False
+                total = values.sum(axis=1)
+                if not ((np.abs(total) <= DIST_TOL) | (np.abs(total - 1) <= DIST_TOL)).all():
+                    return False
+            levels = [list(k.neighbor_level.values()) for k in cells if k.neighbor_level]
+            flat = np.array(list(itertools.chain.from_iterable(levels)), np.float64)
+            if not (np.isfinite(flat).all() and (flat >= 0).all()):
+                return False
+            if any(abs(sum(cell) - 1) > DIST_TOL for cell in levels):
+                return False
+            load, amt, hmt = np.array([(k.load_time, k.amt_bps, k.hmt_bps) for k in cells], np.float64).T
+        except (TypeError, ValueError, OverflowError):
+            return False
+        finite = np.isfinite(amt) & np.isfinite(hmt)
+        return bool((finite & (load >= 0) & (load <= 1) & (amt >= 0) & (hmt >= 0) & (hmt <= amt)).all())
 
     def all_empty(self) -> bool:
         return all(k.is_empty() for k in self.cells.values())
@@ -446,7 +481,8 @@ def oracle_kpis(
 # row ends the header. Row order is i-major and i is world x, so the rows
 # walk the map column by column of a north-up picture. Weights are finite
 # and non-negative. The m * m data rows follow the header with no blank
-# line among them; blank lines after the last are skipped.
+# line among them, each ended by "\n" as in grid.csv; blank lines after the
+# last are skipped.
 # ---------------------------------------------------------------------------
 
 _WMAP_MAGIC = "hotloc-weightmap,1"
@@ -520,7 +556,8 @@ def _refused_row(lines: list[str]) -> tuple[int, str]:
 def load_weight_map(path: str | Path) -> WeightMap:
     """Read a weight map written by :func:`save_weight_map`. A missing,
     garbled or misplaced header row, the grid :func:`read_spec` refuses,
-    the first data row :func:`_map_rows` refuses, a map cut short, a line
+    a last data row without its line end, the first data row
+    :func:`_map_rows` refuses, a map cut short, a line
     after its last row, a pixel out of row-major order, a negative or NaN
     weight and a byte that is not UTF-8 raise InputError, at the line for
     a row. At most m * m lines are read before the rows are checked, so an
@@ -531,6 +568,8 @@ def load_weight_map(path: str | Path) -> WeightMap:
         spec = read_spec(path, m, pixel_size, origin)
         start, count = len(_WMAP_HEADER) + 1, m * m
         lines = list(itertools.islice(fh, count))
+        if lines:
+            check_line_end(path, start + len(lines), lines[-1])
         rows = _map_rows(lines)
         if rows is None:
             k, reason = _refused_row(lines)
@@ -578,7 +617,8 @@ def save_kpi_set(kpis: KpiSet, path: str | Path) -> None:
 
 def _cell_entry(entry) -> tuple[str, CellKpis]:
     """One entry of the ``cells`` list of a KPI file as (cell id, KPIs),
-    every number read by :func:`json_float`."""
+    every number read by :func:`json_float`: a float, as JSON gives every
+    number of a file :func:`save_kpi_set` wrote, is kept as it is."""
     if not isinstance(entry, dict):
         raise ValueError(f"each cell must be an object, got {shown(entry)}")
     cell_id = entry["cell_id"]
@@ -599,8 +639,14 @@ def _cell_entry(entry) -> tuple[str, CellKpis]:
         except ValueError as exc:
             raise InputError("", where, f"{key} {exc}") from None
 
-    ta, aoa = ([number(v, f"{key}[{k}]") for k, v in enumerate(entry[key])] for key in ("ta", "aoa"))
-    levels = {nb: number(v, f"neighbor_level[{nb!r}]") for nb, v in entry["neighbor_level"].items()}
+    ta, aoa = (
+        [v if type(v) is float else number(v, f"{key}[{k}]") for k, v in enumerate(entry[key])]
+        for key in ("ta", "aoa")
+    )
+    levels = {
+        nb: v if type(v) is float else number(v, f"neighbor_level[{nb!r}]")
+        for nb, v in entry["neighbor_level"].items()
+    }
     scalars = [number(entry[key], key) for key in ("load_time", "amt_bps", "hmt_bps")]
     return cell_id, CellKpis(ta, aoa, levels, *scalars)
 

@@ -961,6 +961,18 @@ class TestPipelineCommand:
         assert "--seed and --seeds exclude each other" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra", [(), ("--kpi-source", "oracle"), ("--seeds", "0,1")], ids=["default", "oracle", "seeds"]
+    )
+    def test_events_without_the_simulator_refused(self, runner, tmp_path, extra):
+        # Only the simulator writes an event log; the oracle run wrote
+        # none and said nothing.
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["pipeline", "--config", CONFIG, "--out", str(out), "--events", *extra])
+        assert result.exit_code == 2
+        assert "--events writes the simulator's event log and needs --kpi-source sim" in result.stderr
+        assert not out.exists()
+
     def test_zero_fit_fails_in_optimize_stage(self, runner, tmp_path):
         # Nine pixels in ten uncovered and the prior's one zone in a corner
         # no cell reaches: the prior overlaps none of the KPI maps.

@@ -1,10 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hotloc
 from conftest import constant_grid, put_byte
 from hotloc.bounds import InputError
 from hotloc.grid import (
@@ -538,7 +543,9 @@ class TestGridFile:
         with pytest.raises(InputError) as excinfo:
             load_grid(path)
         assert excinfo.value.source == str(cube)
-        assert str(excinfo.value) == f"{cube}: not a readable .npy array: mmap length is greater than file size"
+        # The header gives the array's size, so the file is refused before
+        # the array is allocated.
+        assert str(excinfo.value) == f"{cube}: cut short: 112 of the array's 144 bytes"
 
     def test_version_one_file_refused_with_its_version(self, tmp_path):
         # Version 2 held the cube as text rows after the cell rows; no
@@ -674,7 +681,10 @@ class TestGridFile:
         with pytest.raises(InputError, match=r"grid\.npy: 5 bytes after the array$"):
             load_grid(path)
         np.save(cube, rsrp.astype(object), allow_pickle=True)
-        with pytest.raises(InputError, match=r"grid\.npy: not a readable \.npy array: .*object"):
+        with pytest.raises(InputError, match=r"grid\.npy: dtype \|O, expected float64 \(<f8\)$"):
+            load_grid(path)
+        np.save(cube, np.asfortranarray(rsrp))
+        with pytest.raises(InputError, match=r"grid\.npy: a Fortran-ordered array, expected C order$"):
             load_grid(path)
         cube.unlink()
         with pytest.raises(InputError, match=r"grid\.npy: not found$"):
@@ -704,10 +714,10 @@ class TestGridFile:
 
 
 def test_load_grid_memory_is_bounded_by_the_block(tmp_path):
-    # Nine layers of 128 x 128 random values. The cube file is mapped,
-    # so beyond the stack only the infinity check's one-byte mask of it
-    # may be alive; reading the file into memory before copying it would
-    # hold a second stack.
+    # Nine layers of 128 x 128 random values. The cube file is read into
+    # the stack, so beyond it only the infinity check's one-byte mask of a
+    # few layers may be alive; reading the file into memory before copying
+    # it would hold a second stack.
     m, cells = 128, 9
     rng = np.random.default_rng(0)
     grid = constant_grid(
@@ -726,6 +736,45 @@ def test_load_grid_memory_is_bounded_by_the_block(tmp_path):
     assert loaded.rsrp.flags.c_contiguous and loaded.rsrp.flags.writeable
     layer = loaded.rsrp.nbytes // cells
     assert peak < loaded.rsrp.nbytes + 2 * layer
+
+
+# Run in a fresh interpreter: the rise of the peak resident set across
+# load_grid, in bytes, and the bytes of the cube it read. The peak is
+# VmHWM, the high-water mark of the process's own memory: ru_maxrss also
+# keeps the peak of the process that started it, which is larger.
+RSS_PROBE = r"""
+import re, sys
+from hotloc.grid import load_grid
+def peak():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"^VmHWM:\s+(\d+) kB$", fh.read(), re.M).group(1)) * 1024
+before = peak()
+grid = load_grid(sys.argv[1])
+print(peak() - before, grid.rsrp.nbytes)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak resident set from /proc")
+def test_load_grid_holds_one_copy_of_the_cube(tmp_path):
+    # 21 cells at m=512: the 44 MB cube is most of what load_grid holds.
+    # The resident set counts the pages of a mapped file, so mapping the
+    # cube and then copying it would hold it twice.
+    m, cells = 512, 21
+    grid = constant_grid([(f"C{k}", (10.0 * k, 0.0), 0.0, -90.0 - k, ()) for k in range(cells)], m=m)
+    save_grid(grid, tmp_path / "grid.csv")
+    del grid
+    src = str(Path(hotloc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, str(tmp_path / "grid.csv")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    rise, cube = map(int, result.stdout.split())
+    assert cube == cells * m * m * 8
+    assert rise < 1.3 * cube, f"load_grid raised the peak resident set by {rise / cube:.2f} cubes"
 
 
 def test_every_nan_is_written_nan(tmp_path):

@@ -91,6 +91,91 @@ class TestCellKpis:
             bad.validate()
 
 
+# One bad value of each kind CellKpis.validate refuses: (field, value).
+BAD_CELLS = {
+    "ta-nan": ("ta", [0.5, np.nan, 0.5, 0.0, 0.0, 0.0]),
+    "aoa-inf": ("aoa", [np.inf, 0.0, 0.0]),
+    "ta-negative": ("ta", [0.5, -0.1, 0.6, 0.0, 0.0, 0.0]),
+    "aoa-negative-zero-sum": ("aoa", [-0.5, 0.5, 0.0]),
+    "ta-sum": ("ta", [0.3, 0.2, 0.0, 0.0, 0.0, 0.0]),
+    "aoa-sum-just-above": ("aoa", [0.5, 0.5, 2e-9]),
+    "wrong-shape": ("ta", [0.5, 0.5]),
+    "level-nan": ("neighbor_level", {"B": np.nan, "C": 1.0}),
+    "level-negative": ("neighbor_level", {"B": -0.5, "C": 1.5}),
+    "level-sum": ("neighbor_level", {"B": 0.5, "C": 0.4}),
+    "load-above": ("load_time", 1.2),
+    "load-nan": ("load_time", np.nan),
+    "amt-inf": ("amt_bps", np.inf),
+    "hmt-nan": ("hmt_bps", np.nan),
+    "hmt-above-amt": ("hmt_bps", 3e6),
+    "amt-negative": ("amt_bps", -1.0),
+}
+
+
+class TestStackedValidate:
+    """``KpiSet.validate`` checks all cells in whole-set passes and runs
+    the per-cell ``CellKpis.validate`` only when one fails: the outcome and
+    the message must be the per-cell loop's."""
+
+    def cells(self, n=12):
+        rng = np.random.default_rng(3)
+        cells = {}
+        for k in range(n):
+            ta, aoa = rng.random(6), rng.random(3)
+            cells[f"C{k}"] = CellKpis(ta / ta.sum(), aoa / aoa.sum(), {"B": 0.25, "C": 0.75}, 0.5, 2e6, 1e6)
+        cells["C3"] = CellKpis.empty()
+        return cells
+
+    @staticmethod
+    def first_refusal(cells) -> tuple[str, str] | None:
+        for cell_id, cell in cells.items():
+            try:
+                cell.validate()
+            except ValueError as exc:
+                return f"cell {cell_id!r}", str(exc)
+        return None
+
+    def test_valid_set_runs_no_per_cell_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(CellKpis, "validate", lambda self: calls.append(self))
+        KpiSet(self.cells()).validate()
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", sorted(BAD_CELLS))
+    def test_first_bad_cell_named_as_by_the_loop(self, kind):
+        field, value = BAD_CELLS[kind]
+        cells = self.cells()
+        for cell_id in ("C5", "C9"):
+            setattr(cells[cell_id], field, np.array(value) if field in ("ta", "aoa") else value)
+        expected = self.first_refusal(cells)
+        assert expected is not None and expected[0] == "cell 'C5'"
+        with pytest.raises(InputError) as excinfo:
+            KpiSet(cells).validate()
+        assert (excinfo.value.where, excinfo.value.message) == expected
+
+    def test_sums_at_the_tolerance_agree_with_the_loop(self):
+        # Rows whose sums fall within a few ulps of 1 +- DIST_TOL: each
+        # row alone and all the rows that pass alone together.
+        rng = np.random.default_rng(5)
+        passing = {}
+        for k in range(400):
+            ta = rng.random(6)
+            ta /= ta.sum()
+            ta[rng.integers(6)] += rng.choice([-1.0, 1.0]) * kpi.DIST_TOL * (1.0 + rng.uniform(-1e-6, 1e-6))
+            cell = CellKpis(ta, np.array([0.0, 1.0, 0.0]), {}, 0.0, 0.0, 0.0)
+            alone = self.first_refusal({f"C{k}": cell})
+            try:
+                KpiSet({f"C{k}": cell}).validate()
+                stacked = None
+            except InputError as exc:
+                stacked = exc.where, exc.message
+            assert stacked == alone
+            if alone is None:
+                passing[f"C{k}"] = cell
+        assert 50 < len(passing) < 350
+        assert KpiSet(passing)._cells_pass()
+
+
 class TestWeightMap:
     def test_rejects_negative_and_non_square(self):
         with pytest.raises(ValueError, match="non-negative"):

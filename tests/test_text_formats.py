@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from hotloc import evaluate as evaluate_module, grid as grid_module, kpi as kpi_module
+from hotloc.bounds import InputError
 from hotloc.evaluate import write_report_csvs
 from hotloc.grid import (
     CellInfo,
@@ -223,6 +224,74 @@ class TestDeskArtifacts:
             copy = tmp_path / path.name
             copy.write_bytes(path.read_bytes())
             assert_round_trip(copy, load, save)
+
+
+def assert_prefixes_refused_or_whole(path, starts, load, same):
+    """Each prefix of the file ``path`` that is at least ``starts`` bytes
+    long, written over ``path``, is refused by ``load`` with an InputError
+    of ``path``, or ``same`` as what ``load`` reads from the whole file."""
+    data = path.read_bytes()
+    whole = load(path)
+    for cut in range(starts, len(data)):
+        path.write_bytes(data[:cut])
+        try:
+            loaded = load(path)
+        except InputError as exc:
+            assert exc.source == str(path), f"{path.name} cut at byte {cut}: {exc}"
+        else:
+            assert same(loaded, whole), f"{path.name} cut at byte {cut} reads as another {type(whole).__name__}"
+    path.write_bytes(data)
+
+
+class TestCutShort:
+    """A file cut short, as a full disk or a killed run leaves it, is
+    refused naming the file, never read as a smaller valid one."""
+
+    def test_every_prefix_of_the_desk_grid(self, desk_run, tmp_path):
+        # Cut inside the neighbor list of the last cell row, grid.csv read
+        # as a grid whose last cell has fewer neighbors.
+        path = tmp_path / "grid.csv"
+        path.write_bytes((desk_run.out_dir / "grid.csv").read_bytes())
+        cube_path(path).write_bytes((desk_run.out_dir / "grid.npy").read_bytes())
+
+        def same(a, b):
+            return (a.spec, a.cells, a.q_rxlevmin) == (b.spec, b.cells, b.q_rxlevmin) and np.array_equal(
+                a.rsrp, b.rsrp, equal_nan=True
+            )
+
+        assert_prefixes_refused_or_whole(path, 0, load_grid, same)
+
+    def test_maps_cut_in_their_last_two_rows(self, desk_run, tmp_path):
+        # Every desk map ends in zeros, and "0" reads as "0.0". A last
+        # weight of many digits cut after one of them reads as another
+        # number.
+        maps = desk_maps(desk_run)
+        values = maps["truth"].values.copy()
+        values[-1, -1] = 0.012345678901234
+        maps["long-last"] = WeightMap(values, maps["truth"].spec, "long-last")
+
+        def same(a, b):
+            return (a.spec, a.label) == (b.spec, b.label) and np.array_equal(a.values, b.values)
+
+        for name, wmap in maps.items():
+            path = tmp_path / f"{name}.csv"
+            save_weight_map(wmap, path)
+            data = path.read_bytes()
+            second_last = data.rindex(b"\n", 0, data.rindex(b"\n", 0, len(data) - 1)) + 1
+            assert_prefixes_refused_or_whole(path, second_last, load_weight_map, same)
+
+    @pytest.mark.parametrize("name, load", [("grid.csv", load_grid), ("q1.csv", load_weight_map)])
+    def test_cut_row_named_by_line(self, desk_run, tmp_path, name, load):
+        # The whole file but its final newline.
+        path = tmp_path / name
+        data = (desk_run.out_dir / name).read_bytes()[:-1]
+        path.write_bytes(data)
+        cube_path(path).write_bytes((desk_run.out_dir / "grid.npy").read_bytes())
+        with pytest.raises(InputError) as excinfo:
+            load(path)
+        *rows, last = data.decode().split("\n")
+        assert (excinfo.value.source, excinfo.value.where) == (str(path), f"line {len(rows) + 1}")
+        assert excinfo.value.message == f"cut short: the row has no line end: {last!r}"
 
 
 class TestEdgeValues:

@@ -71,7 +71,8 @@ class CellKpis:
     ``ta`` holds the six ring fractions (index = ring), ``aoa`` the three
     sector fractions in zone order (-1, 0, +1), ``neighbor_level`` the
     handover-candidate fractions keyed by neighbor cell id. Distribution
-    KPIs either sum to 1 or are all zero (empty cell).
+    KPIs either sum to 1 or are all zero (empty cell). These and the
+    other cell rules are checked by :meth:`KpiSet.validate` alone.
     """
 
     ta: np.ndarray
@@ -84,38 +85,6 @@ class CellKpis:
     def __post_init__(self):
         self.ta = np.asarray(self.ta, dtype=np.float64)
         self.aoa = np.asarray(self.aoa, dtype=np.float64)
-
-    def validate(self) -> None:
-        if self.ta.shape != (TA_ZONE_COUNT,) or self.aoa.shape != (3,):
-            raise ValueError("ta must have 6 entries and aoa 3")
-        for name, values in (("ta", self.ta), ("aoa", self.aoa)):
-            if not (np.isfinite(values).all() and values.min() >= 0):
-                raise ValueError(
-                    f"{name} fractions must be finite and non-negative, got {values.tolist()}"
-                )
-            total = float(values.sum())
-            if not (abs(total) <= DIST_TOL or abs(total - 1) <= DIST_TOL):
-                raise ValueError(f"{name} fractions must sum to 0 or 1, got {total}")
-        if self.neighbor_level:
-            levels = list(self.neighbor_level.values())
-            if not (np.isfinite(levels).all() and min(levels) >= 0):
-                raise ValueError(
-                    f"neighbor_level fractions must be finite and non-negative, "
-                    f"got {self.neighbor_level}"
-                )
-            total = sum(levels)
-            if abs(total - 1) > DIST_TOL:
-                raise ValueError(f"neighbor_level must sum to 1, got {total}")
-        if not 0.0 <= self.load_time <= 1.0:
-            raise ValueError(f"load_time must be in [0, 1], got {self.load_time}")
-        if not np.isfinite([self.amt_bps, self.hmt_bps]).all():
-            raise ValueError(
-                f"throughputs must be finite, got amt_bps={self.amt_bps} hmt_bps={self.hmt_bps}"
-            )
-        if self.amt_bps < 0 or self.hmt_bps < 0 or self.hmt_bps > self.amt_bps:
-            raise ValueError(
-                f"throughputs need 0 <= hmt <= amt, got amt={self.amt_bps} hmt={self.hmt_bps}"
-            )
 
     @classmethod
     def empty(cls) -> "CellKpis":
@@ -132,6 +101,21 @@ class CellKpis:
         )
 
 
+# The words of each cell rule's refusal, in the order KpiSet.validate checks the rules.
+_CELL_REASONS = (
+    lambda k: "ta must have 6 entries and aoa 3",
+    lambda k: f"ta fractions must be finite and non-negative, got {k.ta.tolist()}",
+    lambda k: f"ta fractions must sum to 0 or 1, got {float(k.ta.sum())}",
+    lambda k: f"aoa fractions must be finite and non-negative, got {k.aoa.tolist()}",
+    lambda k: f"aoa fractions must sum to 0 or 1, got {float(k.aoa.sum())}",
+    lambda k: f"neighbor_level fractions must be finite and non-negative, got {k.neighbor_level}",
+    lambda k: f"neighbor_level must sum to 1, got {sum(k.neighbor_level.values())}",
+    lambda k: f"load_time must be in [0, 1], got {k.load_time}",
+    lambda k: f"throughputs must be finite, got amt_bps={k.amt_bps} hmt_bps={k.hmt_bps}",
+    lambda k: f"throughputs need 0 <= hmt <= amt, got amt={k.amt_bps} hmt={k.hmt_bps}",
+)
+
+
 @dataclass
 class KpiSet:
     """KPIs for every cell of a coverage grid plus provenance metadata."""
@@ -143,7 +127,15 @@ class KpiSet:
     def validate(self, grid: CoverageGrid | None = None) -> None:
         """Check the header and every cell; with ``grid``, also that the cells
         are the grid's and that neighbor levels name configured neighbors.
-        A bad cell raises InputError at that cell, with no source."""
+
+        The cell rules live here alone, checked in this order: the shape;
+        ta finite and non-negative, then summing to 0 or 1; the same for
+        aoa; neighbor levels, if any, finite and non-negative, then summing
+        to 1 (Python's ``sum``); load time in [0, 1]; throughputs finite;
+        0 <= hmt <= amt. One pass over all cells stacked gives a mask of
+        the cells that keep each rule. The first cell, in dict order, that
+        breaks one raises InputError at that cell, with no source, in the
+        words of ``_CELL_REASONS`` for the first rule it breaks."""
         if not isinstance(self.source, str):
             raise ValueError(f"source must be a string, got {shown(self.source)}")
         window = self.window_s
@@ -153,13 +145,40 @@ class KpiSet:
             valid = False
         if not valid:
             raise ValueError(f"window_s must be null or a finite non-negative number, got {shown(window)}")
-        if not self._cells_pass():
-            # The per-cell checks, for the message of the first bad cell.
-            for cell_id, kpis in self.cells.items():
-                try:
-                    kpis.validate()
-                except ValueError as exc:
-                    raise InputError("", f"cell {cell_id!r}", str(exc)) from exc
+        cells = list(self.cells.values())
+        n = len(cells)
+        shaped = [k.ta.shape == (TA_ZONE_COUNT,) and k.aoa.shape == (3,) for k in cells]
+        ta, aoa = [k.ta for k in cells], [k.aoa for k in cells]
+        if not all(shaped):  # stacked as empty, having failed the first rule
+            for i in itertools.compress(range(n), (not ok for ok in shaped)):
+                ta[i], aoa[i] = np.zeros(TA_ZONE_COUNT), np.zeros(3)
+        levels = [k.neighbor_level for k in cells]
+        flat_levels = np.fromiter(itertools.chain.from_iterable(cell.values() for cell in levels), np.float64)
+        # All ta, then all aoa, then all level values, and which are finite and non-negative.
+        values = np.concatenate([*ta, *aoa, flat_levels])
+        nonneg = (values >= 0) & (values < np.inf)
+        # A row with a value that fails fails before its sum; zeros in its
+        # place keep inf - inf from warning, and every total >= 0.
+        summed = np.where(nonneg, values, 0.0)
+        keeps = [np.array(shaped, bool)]
+        for start, width in ((0, TA_ZONE_COUNT), (TA_ZONE_COUNT * n, 3)):
+            rows = slice(start, start + width * n)
+            total = summed[rows].reshape(n, width).sum(axis=1)  # each row's sum() bit for bit
+            keeps += [nonneg[rows].reshape(n, width).all(axis=1), np.minimum(total, np.abs(total - 1)) <= DIST_TOL]
+        level_nonneg = nonneg[(TA_ZONE_COUNT + 3) * n :]
+        cell_level_nonneg = np.ones(n, bool)
+        if not level_nonneg.all():
+            cell_level_nonneg[np.repeat(np.arange(n), list(map(len, levels)))[~level_nonneg]] = False
+        level_total = np.array([sum(cell.values()) if cell else 1.0 for cell in levels])  # no levels, no sum
+        keeps += [cell_level_nonneg, np.abs(level_total - 1) <= DIST_TOL]
+        scalars = itertools.chain.from_iterable((k.load_time, k.amt_bps, k.hmt_bps) for k in cells)
+        load, amt, hmt = np.fromiter(scalars, np.float64, 3 * n).reshape(n, 3).T
+        keeps += [(load >= 0) & (load <= 1), np.isfinite(amt) & np.isfinite(hmt), (hmt >= 0) & (hmt <= amt)]
+        good = np.logical_and.reduce(keeps)
+        if not good.all():
+            i = int(good.argmin())
+            rule = next(r for r, kept in enumerate(keeps) if not kept[i])
+            raise InputError("", f"cell {list(self.cells)[i]!r}", _CELL_REASONS[rule](cells[i]))
         if grid is not None:
             expected = {c.cell_id for c in grid.cells}
             missing = [c.cell_id for c in grid.cells if c.cell_id not in self.cells]
@@ -176,38 +195,6 @@ class KpiSet:
                     what = "cells not on the grid" if unknown else "cells that are not its configured neighbors"
                     reason = f"neighbor_level names {what}: {unknown or stray}"
                     raise InputError("", f"cell {cell.cell_id!r}", reason)
-
-    def _cells_pass(self) -> bool:
-        """Whether every cell passes :meth:`CellKpis.validate`, checked in
-        whole-set passes: the ta and the aoa fractions of all cells
-        stacked into one array each, whose row sums are each row's
-        ``sum()`` bit for bit, all neighbor levels in one array, and the
-        load times and throughputs as one (cells, 3) array. A value numpy
-        does not take as a float fails it, and the per-cell checks say
-        why."""
-        cells = list(self.cells.values())
-        if not cells:
-            return True
-        if any(k.ta.shape != (TA_ZONE_COUNT,) or k.aoa.shape != (3,) for k in cells):
-            return False
-        try:
-            for values in (np.array([k.ta for k in cells]), np.array([k.aoa for k in cells])):
-                if not (np.isfinite(values).all() and values.min() >= 0):
-                    return False
-                total = values.sum(axis=1)
-                if not ((np.abs(total) <= DIST_TOL) | (np.abs(total - 1) <= DIST_TOL)).all():
-                    return False
-            levels = [list(k.neighbor_level.values()) for k in cells if k.neighbor_level]
-            flat = np.array(list(itertools.chain.from_iterable(levels)), np.float64)
-            if not (np.isfinite(flat).all() and (flat >= 0).all()):
-                return False
-            if any(abs(sum(cell) - 1) > DIST_TOL for cell in levels):
-                return False
-            load, amt, hmt = np.array([(k.load_time, k.amt_bps, k.hmt_bps) for k in cells], np.float64).T
-        except (TypeError, ValueError, OverflowError):
-            return False
-        finite = np.isfinite(amt) & np.isfinite(hmt)
-        return bool((finite & (load >= 0) & (load <= 1) & (amt >= 0) & (hmt >= 0) & (hmt <= amt)).all())
 
     def all_empty(self) -> bool:
         return all(k.is_empty() for k in self.cells.values())

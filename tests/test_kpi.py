@@ -9,8 +9,9 @@ import pytest
 from conftest import constant_grid, put_byte, random_truth, single_cell_grid
 from hotloc import kpi
 from hotloc.bounds import ConfigError, InputError
-from hotloc.grid import GridSpec, compute_server_maps, ta_zone_layer, aoa_zone_layer
+from hotloc.grid import TA_ZONE_COUNT, GridSpec, compute_server_maps, ta_zone_layer, aoa_zone_layer
 from hotloc.kpi import (
+    DIST_TOL,
     CellKpis,
     HotspotZone,
     KpiSet,
@@ -44,11 +45,11 @@ class TestCellKpis:
         )
 
     def test_valid_distributions_pass(self):
-        self.good().validate()
+        KpiSet({"A": self.good()}).validate()
 
     def test_empty_cell_is_valid(self):
         empty = CellKpis.empty()
-        empty.validate()
+        KpiSet({"A": empty}).validate()
         assert empty.is_empty()
         assert not self.good().is_empty()
 
@@ -56,25 +57,25 @@ class TestCellKpis:
         bad = self.good()
         bad.ta = np.array([0.3, 0.2, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="sum to 0 or 1"):
-            bad.validate()
+            KpiSet({"A": bad}).validate()
 
     def test_negative_fraction_rejected(self):
         bad = self.good()
         bad.aoa = np.array([-0.1, 0.6, 0.5])
         with pytest.raises(ValueError):
-            bad.validate()
+            KpiSet({"A": bad}).validate()
 
     def test_hmt_above_amt_rejected(self):
         bad = self.good()
         bad.hmt_bps = 3e6
         with pytest.raises(ValueError, match="hmt"):
-            bad.validate()
+            KpiSet({"A": bad}).validate()
 
     def test_load_range_enforced(self):
         bad = self.good()
         bad.load_time = 1.2
         with pytest.raises(ValueError, match="load_time"):
-            bad.validate()
+            KpiSet({"A": bad}).validate()
 
     @pytest.mark.parametrize("field", ["amt_bps", "hmt_bps"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -82,16 +83,51 @@ class TestCellKpis:
         bad = self.good()
         setattr(bad, field, value)
         with pytest.raises(ValueError, match="throughputs must be finite"):
-            bad.validate()
+            KpiSet({"A": bad}).validate()
 
     def test_non_finite_neighbor_level_rejected(self):
         bad = self.good()
         bad.neighbor_level = {"B": np.nan, "C": 1.0}
         with pytest.raises(ValueError, match="neighbor_level fractions must be finite"):
-            bad.validate()
+            KpiSet({"A": bad}).validate()
 
 
-# One bad value of each kind CellKpis.validate refuses: (field, value).
+def reference_validate(cell: CellKpis) -> None:
+    """The per-cell checks ``KpiSet.validate`` makes for all cells at once,
+    written for one cell: the reference its stacked pass must agree with."""
+    if cell.ta.shape != (TA_ZONE_COUNT,) or cell.aoa.shape != (3,):
+        raise ValueError("ta must have 6 entries and aoa 3")
+    for name, values in (("ta", cell.ta), ("aoa", cell.aoa)):
+        if not (np.isfinite(values).all() and values.min() >= 0):
+            raise ValueError(
+                f"{name} fractions must be finite and non-negative, got {values.tolist()}"
+            )
+        total = float(values.sum())
+        if not (abs(total) <= DIST_TOL or abs(total - 1) <= DIST_TOL):
+            raise ValueError(f"{name} fractions must sum to 0 or 1, got {total}")
+    if cell.neighbor_level:
+        levels = list(cell.neighbor_level.values())
+        if not (np.isfinite(levels).all() and min(levels) >= 0):
+            raise ValueError(
+                f"neighbor_level fractions must be finite and non-negative, "
+                f"got {cell.neighbor_level}"
+            )
+        total = sum(levels)
+        if abs(total - 1) > DIST_TOL:
+            raise ValueError(f"neighbor_level must sum to 1, got {total}")
+    if not 0.0 <= cell.load_time <= 1.0:
+        raise ValueError(f"load_time must be in [0, 1], got {cell.load_time}")
+    if not np.isfinite([cell.amt_bps, cell.hmt_bps]).all():
+        raise ValueError(
+            f"throughputs must be finite, got amt_bps={cell.amt_bps} hmt_bps={cell.hmt_bps}"
+        )
+    if cell.amt_bps < 0 or cell.hmt_bps < 0 or cell.hmt_bps > cell.amt_bps:
+        raise ValueError(
+            f"throughputs need 0 <= hmt <= amt, got amt={cell.amt_bps} hmt={cell.hmt_bps}"
+        )
+
+
+# One bad value of each kind a cell can hold: (field, value).
 BAD_CELLS = {
     "ta-nan": ("ta", [0.5, np.nan, 0.5, 0.0, 0.0, 0.0]),
     "aoa-inf": ("aoa", [np.inf, 0.0, 0.0]),
@@ -110,12 +146,30 @@ BAD_CELLS = {
     "hmt-above-amt": ("hmt_bps", 3e6),
     "amt-negative": ("amt_bps", -1.0),
 }
+# The start of each rule's refusal, in the order the rules are checked.
+RULE_ORDER = (
+    "ta must have",
+    "ta fractions must be finite",
+    "ta fractions must sum",
+    "aoa fractions must be finite",
+    "aoa fractions must sum",
+    "neighbor_level fractions must be finite",
+    "neighbor_level must sum",
+    "load_time",
+    "throughputs must be finite",
+    "throughputs need",
+)
+
+
+def rule_of(message: str) -> int:
+    (rule,) = [r for r, start in enumerate(RULE_ORDER) if message.startswith(start)]
+    return rule
 
 
 class TestStackedValidate:
-    """``KpiSet.validate`` checks all cells in whole-set passes and runs
-    the per-cell ``CellKpis.validate`` only when one fails: the outcome and
-    the message must be the per-cell loop's."""
+    """``KpiSet.validate`` checks every cell rule for all cells at once: the
+    cell it names and its message must be those of ``reference_validate``
+    run cell by cell."""
 
     def cells(self, n=12):
         rng = np.random.default_rng(3)
@@ -130,50 +184,88 @@ class TestStackedValidate:
     def first_refusal(cells) -> tuple[str, str] | None:
         for cell_id, cell in cells.items():
             try:
-                cell.validate()
+                reference_validate(cell)
             except ValueError as exc:
                 return f"cell {cell_id!r}", str(exc)
         return None
 
-    def test_valid_set_runs_no_per_cell_check(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(CellKpis, "validate", lambda self: calls.append(self))
-        KpiSet(self.cells()).validate()
-        assert calls == []
+    @staticmethod
+    def stacked_refusal(cells) -> tuple[str, str] | None:
+        try:
+            KpiSet(cells).validate()
+        except InputError as exc:
+            return exc.where, exc.message
+        return None
+
+    @staticmethod
+    def spoil(cell, kind):
+        field, value = BAD_CELLS[kind]
+        setattr(cell, field, np.array(value) if field in ("ta", "aoa") else value)
+
+    def test_valid_set_passes(self):
+        assert self.stacked_refusal(self.cells()) is None
+        assert self.stacked_refusal({}) is None
 
     @pytest.mark.parametrize("kind", sorted(BAD_CELLS))
     def test_first_bad_cell_named_as_by_the_loop(self, kind):
-        field, value = BAD_CELLS[kind]
         cells = self.cells()
         for cell_id in ("C5", "C9"):
-            setattr(cells[cell_id], field, np.array(value) if field in ("ta", "aoa") else value)
+            self.spoil(cells[cell_id], kind)
         expected = self.first_refusal(cells)
         assert expected is not None and expected[0] == "cell 'C5'"
-        with pytest.raises(InputError) as excinfo:
-            KpiSet(cells).validate()
-        assert (excinfo.value.where, excinfo.value.message) == expected
+        assert self.stacked_refusal(cells) == expected
+
+    @pytest.mark.parametrize("first", sorted(BAD_CELLS))
+    def test_two_faults_in_one_cell_named_by_the_first_rule(self, first):
+        # Every ordered pair of kinds in one cell; a second kind on the same
+        # field replaces the first. The cell is refused for the earliest rule
+        # it breaks, and so with the words of that rule alone.
+        for second in sorted(BAD_CELLS):
+            cells = self.cells()
+            self.spoil(cells["C5"], first)
+            self.spoil(cells["C5"], second)
+            expected = self.first_refusal(cells)
+            assert self.stacked_refusal(cells) == expected, (first, second)
+            kept = {BAD_CELLS[kind][0]: kind for kind in (first, second)}.values()
+            alone = []
+            for kind in kept:
+                single = self.cells()
+                self.spoil(single["C5"], kind)
+                alone.append(rule_of(self.first_refusal(single)[1]))
+            assert expected[0] == "cell 'C5'" and rule_of(expected[1]) == min(alone), (first, second)
+
+    @pytest.mark.parametrize("field", ["ta", "aoa", "neighbor_level"])
+    def test_inf_and_minus_inf_in_one_cell_refused_without_a_warning(self, field):
+        # inf - inf is NaN, and numpy warns when a sum makes one; a
+        # RuntimeWarning is an error under pytest.
+        cells = self.cells()
+        value = {
+            "ta": np.array([np.inf, -np.inf, 0, 0, 0, 0]),
+            "aoa": np.array([np.inf, -np.inf, 0]),
+            "neighbor_level": {"B": np.inf, "C": -np.inf},
+        }[field]
+        setattr(cells["C7"], field, value)
+        expected = self.first_refusal(cells)
+        assert expected[0] == "cell 'C7'" and "finite and non-negative" in expected[1]
+        assert self.stacked_refusal(cells) == expected
 
     def test_sums_at_the_tolerance_agree_with_the_loop(self):
         # Rows whose sums fall within a few ulps of 1 +- DIST_TOL: each
-        # row alone and all the rows that pass alone together.
+        # row alone, all the rows that pass alone together, and all rows.
         rng = np.random.default_rng(5)
-        passing = {}
+        cells, passing = {}, {}
         for k in range(400):
             ta = rng.random(6)
             ta /= ta.sum()
             ta[rng.integers(6)] += rng.choice([-1.0, 1.0]) * kpi.DIST_TOL * (1.0 + rng.uniform(-1e-6, 1e-6))
-            cell = CellKpis(ta, np.array([0.0, 1.0, 0.0]), {}, 0.0, 0.0, 0.0)
-            alone = self.first_refusal({f"C{k}": cell})
-            try:
-                KpiSet({f"C{k}": cell}).validate()
-                stacked = None
-            except InputError as exc:
-                stacked = exc.where, exc.message
-            assert stacked == alone
+            cells[f"C{k}"] = CellKpis(ta, np.array([0.0, 1.0, 0.0]), {}, 0.0, 0.0, 0.0)
+            alone = self.first_refusal({f"C{k}": cells[f"C{k}"]})
+            assert self.stacked_refusal({f"C{k}": cells[f"C{k}"]}) == alone
             if alone is None:
-                passing[f"C{k}"] = cell
+                passing[f"C{k}"] = cells[f"C{k}"]
         assert 50 < len(passing) < 350
-        assert KpiSet(passing)._cells_pass()
+        assert self.stacked_refusal(passing) is None
+        assert self.stacked_refusal(cells) == self.first_refusal(cells) is not None
 
 
 class TestWeightMap:
@@ -778,7 +870,7 @@ class TestOracle:
             for zone in (-1, 0, 1):
                 expect = truth.values[mask & (aoa_layer == zone)].sum() / total
                 assert abs(kpis.cells[cell.cell_id].aoa[zone + 1] - expect) < 1e-12
-            kpis.cells[cell.cell_id].validate()
+            KpiSet({cell.cell_id: kpis.cells[cell.cell_id]}).validate()
 
     def test_neighbor_levels_split_by_second_best(self):
         grid, servers = self.two_cell_setup()

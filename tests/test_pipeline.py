@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_REPORT, SIM_CONFIG, put_byte
+from conftest import DESK_CONFIG, GOLDEN_REPORT, SIM_CONFIG, put_byte
 from hotloc.bounds import ConfigError, InputError
 from hotloc.grid import GridSpec
 from hotloc.kpi import WeightMap
@@ -15,10 +16,12 @@ from hotloc.nnls import build_system
 from hotloc.pipeline import (
     ALL_VARIANTS,
     VARIANT_COLUMNS,
+    STAGE_INPUTS,
     StageError,
     fit_importance,
     load_importance,
     run_pipeline,
+    run_stages,
     variant_maps,
 )
 from hotloc.scenario import load_scenario_config
@@ -228,3 +231,42 @@ class TestSimPipeline:
         doc = json.loads((tmp_path / "o" / "importance.json").read_text())
         assert doc["fitted"] is False
         assert doc["residual"] is None
+
+
+# The tracemalloc peak of each stage run alone, reading its inputs from a
+# finished run, in bytes per (cell, pixel) of the desk layout on a 128x128
+# grid: about 1.25 times the measured peak (scenario 15.9, kpis 14.7,
+# maps 16.7, optimize 7.5, localize 18.9, evaluate 20.8). The cube is 8
+# bytes per (cell, pixel), so one more full-cube temporary fails the
+# scenario, kpis and maps bounds.
+STAGE_PEAK_BOUNDS = {
+    "scenario": 20.0,
+    "kpis": 18.5,
+    "maps": 21.0,
+    "optimize": 9.5,
+    "localize": 23.5,
+    "evaluate": 26.0,
+}
+
+
+@pytest.fixture(scope="module")
+def desk_128(tmp_path_factory):
+    """The desk layout on a 128x128 grid, and a full run of it."""
+    config = load_scenario_config(DESK_CONFIG)
+    config = replace(config, spec=GridSpec(128, config.spec.extent / 128, config.spec.origin))
+    assert config.layout.site_count * config.layout.sectors_per_site == 21
+    out = tmp_path_factory.mktemp("desk-128")
+    run_pipeline(config, out)
+    return config, out
+
+
+@pytest.mark.parametrize("stage", STAGE_INPUTS)
+def test_stage_memory_bound(desk_128, tmp_path, stage):
+    config, run_dir = desk_128
+    tracemalloc.start()
+    try:
+        run_stages((stage,), config, tmp_path, in_dir=run_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (21 * 128**2) < STAGE_PEAK_BOUNDS[stage]

@@ -13,6 +13,8 @@ values, and ``save(load(f))`` must give ``f`` back.
 import csv
 import io
 import math
+import operator
+import os
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -33,7 +35,8 @@ from hotloc.grid import (
     save_grid,
     text_rows,
 )
-from hotloc.kpi import LABEL_TRUTH, WeightMap, load_weight_map, save_weight_map
+from hotloc.kpi import LABEL_TRUTH, WeightMap, load_kpi_set, load_potential_spec, load_weight_map, save_weight_map
+from hotloc.pipeline import load_importance
 
 EDGE_VALUES = (-0.0, 5e-324, 1e16, 1e-5, 1e-4)
 # The longest reprs a double has: 24 characters negative, 23 positive.
@@ -226,14 +229,15 @@ class TestDeskArtifacts:
             assert_round_trip(copy, load, save)
 
 
-def assert_prefixes_refused_or_whole(path, starts, load, same):
-    """Each prefix of the file ``path`` that is at least ``starts`` bytes
-    long, written over ``path``, is refused by ``load`` with an InputError
-    of ``path``, or ``same`` as what ``load`` reads from the whole file."""
+def assert_prefixes_refused_or_whole(path, cuts, load, same):
+    """Each prefix of the file ``path`` whose length is in ``cuts``, written
+    over ``path``, is refused by ``load`` with an InputError of ``path``,
+    or ``same`` as what ``load`` reads from the whole file. The file is
+    cut shorter and shorter in place, longest prefix first."""
     data = path.read_bytes()
     whole = load(path)
-    for cut in range(starts, len(data)):
-        path.write_bytes(data[:cut])
+    for cut in sorted(cuts, reverse=True):
+        os.truncate(path, cut)
         try:
             loaded = load(path)
         except InputError as exc:
@@ -241,6 +245,15 @@ def assert_prefixes_refused_or_whole(path, starts, load, same):
         else:
             assert same(loaded, whole), f"{path.name} cut at byte {cut} reads as another {type(whole).__name__}"
     path.write_bytes(data)
+
+
+def same_kpi_set(a, b):
+    def cell(k):
+        return k.ta.tolist(), k.aoa.tolist(), k.neighbor_level, k.load_time, k.amt_bps, k.hmt_bps
+
+    return (a.source, a.window_s, {c: cell(k) for c, k in a.cells.items()}) == (
+        b.source, b.window_s, {c: cell(k) for c, k in b.cells.items()}
+    )
 
 
 class TestCutShort:
@@ -259,7 +272,7 @@ class TestCutShort:
                 a.rsrp, b.rsrp, equal_nan=True
             )
 
-        assert_prefixes_refused_or_whole(path, 0, load_grid, same)
+        assert_prefixes_refused_or_whole(path, range(path.stat().st_size), load_grid, same)
 
     def test_maps_cut_in_their_last_two_rows(self, desk_run, tmp_path):
         # Every desk map ends in zeros, and "0" reads as "0.0". A last
@@ -278,7 +291,41 @@ class TestCutShort:
             save_weight_map(wmap, path)
             data = path.read_bytes()
             second_last = data.rindex(b"\n", 0, data.rindex(b"\n", 0, len(data) - 1)) + 1
-            assert_prefixes_refused_or_whole(path, second_last, load_weight_map, same)
+            assert_prefixes_refused_or_whole(path, range(second_last, len(data)), load_weight_map, same)
+
+    @pytest.mark.parametrize(
+        "name, load, same",
+        [
+            ("kpis.json", load_kpi_set, same_kpi_set),
+            ("importance.json", load_importance, operator.eq),
+            ("potential.json", load_potential_spec, operator.eq),
+        ],
+    )
+    def test_every_prefix_of_the_desk_json(self, desk_run, tmp_path, name, load, same):
+        # Only importance.json without its final newline reads, as the
+        # same document.
+        path = tmp_path / name
+        path.write_bytes((desk_run.out_dir / name).read_bytes())
+        assert_prefixes_refused_or_whole(path, range(path.stat().st_size), load, same)
+
+    def test_cube_cut_in_its_header_data_and_last_value(self, desk_run, tmp_path):
+        # Every byte of the .npy header, a stride through the data that
+        # falls at every offset within a value, and the last 8 bytes.
+        grid_path = tmp_path / "grid.csv"
+        grid_path.write_bytes((desk_run.out_dir / "grid.csv").read_bytes())
+        path = cube_path(grid_path)
+        path.write_bytes((desk_run.out_dir / "grid.npy").read_bytes())
+        size = path.stat().st_size
+        with open(path, "rb") as fh:
+            np.lib.format.read_magic(fh)
+            header = fh.tell() + 2 + int.from_bytes(fh.read(2), "little")
+        assert (size - header) % 8 == 0 and header % 64 == 0
+        cuts = [*range(header + 1), *range(header, size, 4099), *range(size - 8, size)]
+
+        def same(a, b):
+            return np.array_equal(a.rsrp, b.rsrp, equal_nan=True)
+
+        assert_prefixes_refused_or_whole(path, cuts, lambda _: load_grid(grid_path), same)
 
     @pytest.mark.parametrize("name, load", [("grid.csv", load_grid), ("q1.csv", load_weight_map)])
     def test_cut_row_named_by_line(self, desk_run, tmp_path, name, load):

@@ -306,17 +306,22 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 # (hotloc.sim). The maps and cdf.csv format each distinct value of a file
 # once (repr_table) and take each value's text by its index into that
 # table; text_rows assembles the rows of a map, a CDF series or a batch of
-# events from (n,) fixed-width bytes arrays in numpy.
+# events from (n,) fixed-width bytes arrays in numpy. The maps of one size
+# share one "i,j" field, built once per m (hotloc.kpi).
 #
 # The texts are Python's repr, the shortest decimal that reads back as the
-# value and, of those, the nearest. Most values of a run need 16 or 17
-# significant digits, and for them _repr_bytes writes repr's bytes in
-# whole-array numpy: finite normal values of 1e-6 <= |x| < 1e17 whose
-# significand is not a power of two. Every other value, and every value
-# for which one of _repr_bytes's rounding decisions falls within its
-# error bound, is formatted by repr itself (_repr_each): zeros, NaNs,
-# infinities, subnormals, powers of two, magnitudes out of that range, and
-# values that 15 digits or fewer already round-trip.
+# value and, of those, the nearest. A table of fewer than _KERNEL_MIN
+# distinct values is formatted by repr itself (_repr_each): below that
+# size the numpy kernel's fixed cost per call outweighs what it saves per
+# value. In a larger table, most values need 16 or 17 significant digits,
+# and for them _repr_bytes writes repr's bytes in whole-array numpy:
+# finite normal values of 1e-6 <= |x| < 1e17 whose significand is not a
+# power of two. Every other value, and every value for which one of
+# _repr_bytes's rounding decisions falls within its error bound, goes to
+# _repr_each too: zeros, NaNs, infinities, subnormals, powers of two,
+# magnitudes out of that range, and values that 15 digits or fewer
+# already round-trip. Both paths give repr's bytes, so the choice never
+# shows in a file.
 # ---------------------------------------------------------------------------
 
 _GRID_MAGIC = "hotloc-grid,3"
@@ -333,6 +338,13 @@ _NPY_VERSIONS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.for
 # Distinct values formatted per batch, which bounds the Python strings
 # and the batch temporaries alive at once.
 _REPR_CHUNK = 1 << 12
+# The fewest distinct values a batch sends to _repr_bytes; smaller ones go
+# to _repr_each. Measured on 2 vCPUs with numpy 2.4 (best of 15 x 100
+# calls, uniform values of [0, 1e-3)): repr takes about 0.67 us a value,
+# the kernel about 100 us a call plus 0.18 us a value, and they cross at
+# about 224 values: 128 take 84 us with repr and 134 us with the kernel,
+# 256 take 171 us and 153 us.
+_KERNEL_MIN = 224
 
 # 10**k for k = 0 .. 22, each exact in a double (5**22 < 2**53), and the
 # halves of Veltkamp's split of each (see _repr_bytes).
@@ -504,15 +516,18 @@ def repr_table(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Values are keyed on their bit patterns by ``np.unique``, which keeps
     ``-0.0`` apart from ``0.0``; a NaN of any sign or payload is written
-    ``nan``. :func:`_repr_bytes` formats the distinct values
-    :data:`_REPR_CHUNK` at a time: full batches keep its fixed cost per
-    call small where values repeat, and bound its temporaries."""
+    ``nan``. The distinct values are formatted :data:`_REPR_CHUNK` at a
+    time, which bounds the temporaries: a batch of fewer than
+    :data:`_KERNEL_MIN` by :func:`_repr_each`, a larger one by
+    :func:`_repr_bytes`, whose fixed cost per call full batches keep
+    small."""
     bits = np.asarray(values, np.float64).reshape(-1).view(np.uint64)
     distinct, index = np.unique(bits, return_inverse=True)
     distinct = distinct.view(np.float64)
     chunks = [np.empty(0, dtype="S1")]
     for lo in range(0, distinct.size, _REPR_CHUNK):
-        texts = _repr_bytes(distinct[lo : lo + _REPR_CHUNK])
+        batch = distinct[lo : lo + _REPR_CHUNK]
+        texts = _repr_bytes(batch) if batch.size >= _KERNEL_MIN else _repr_each(batch)
         # A double's repr is at most 24 characters; the batch keeps the
         # width of its longest.
         width = np.count_nonzero(texts.view(np.uint8).reshape(-1, 24).any(axis=0))

@@ -10,6 +10,7 @@ invert.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -163,7 +164,9 @@ class KpiSet:
         keeps = [np.array(shaped, bool)]
         for start, width in ((0, TA_ZONE_COUNT), (TA_ZONE_COUNT * n, 3)):
             rows = slice(start, start + width * n)
-            total = summed[rows].reshape(n, width).sum(axis=1)  # each row's sum() bit for bit
+            # Each row's sum() bit for bit; finite values may overflow to inf, which the rule refuses.
+            with np.errstate(over="ignore"):
+                total = summed[rows].reshape(n, width).sum(axis=1)
             keeps += [nonneg[rows].reshape(n, width).all(axis=1), np.minimum(total, np.abs(total - 1)) <= DIST_TOL]
         level_nonneg = nonneg[(TA_ZONE_COUNT + 3) * n :]
         cell_level_nonneg = np.ones(n, bool)
@@ -178,7 +181,9 @@ class KpiSet:
         if not good.all():
             i = int(good.argmin())
             rule = next(r for r, kept in enumerate(keeps) if not kept[i])
-            raise InputError("", f"cell {list(self.cells)[i]!r}", _CELL_REASONS[rule](cells[i]))
+            with np.errstate(over="ignore"):  # the sum the reason shows may be inf
+                reason = _CELL_REASONS[rule](cells[i])
+            raise InputError("", f"cell {list(self.cells)[i]!r}", reason)
         if grid is not None:
             expected = {c.cell_id for c in grid.cells}
             missing = [c.cell_id for c in grid.cells if c.cell_id not in self.cells]
@@ -470,6 +475,10 @@ def oracle_kpis(
 # and non-negative. The m * m data rows follow the header with no blank
 # line among them, each ended by "\n" as in grid.csv; blank lines after the
 # last are skipped.
+#
+# save_weight_map writes the rows with two fields: the pixel's "i,j" text,
+# the same for every map of a size and so built once per m
+# (_pixel_column), and the weight's repr from grid.repr_table.
 # ---------------------------------------------------------------------------
 
 _WMAP_MAGIC = "hotloc-weightmap,1"
@@ -479,6 +488,25 @@ _WMAP_HEADER = (
 _MAP_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("weight", np.float64)])
 
 
+@functools.lru_cache(maxsize=2)
+def _pixel_column(m: int) -> np.ndarray:
+    """The ``i,j`` text of each pixel of an m x m map in row order, as
+    one read-only (m * m,) bytes array: every map of a run shares it. The
+    rows of the i of each digit count are written as one block, so each
+    text starts its array slot and only its end is NUL padding."""
+    width = len(str(m - 1))
+    digits = np.arange(m).astype(f"S{width}").view(np.uint8).reshape(m, width)
+    column = np.zeros((m, m, 2 * width + 1), np.uint8)
+    for count in range(1, width + 1):
+        rows = slice(10 ** (count - 1) if count > 1 else 0, min(10**count, m))
+        column[rows, :, :count] = digits[rows, None, :count]
+        column[rows, :, count] = ord(",")
+        column[rows, :, count + 1 : count + 1 + width] = digits
+    column = column.view(f"S{2 * width + 1}").reshape(-1)
+    column.flags.writeable = False
+    return column
+
+
 def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
     """Write a weight map as CSV: header rows, then one ``i,j,weight`` row
     per pixel in row-major order. A label holding ``,`` or a line break
@@ -486,9 +514,8 @@ def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
     reject_separators("weight map label", wmap.label, ",")
     spec, m = wmap.spec, wmap.m
     lines = header_lines(_WMAP_MAGIC, _WMAP_HEADER, [(m,), (spec.pixel_size,), (wmap.label,), spec.origin, ()])
-    coords = np.arange(m).astype(f"S{len(str(m - 1))}")
     texts, index = repr_table(wmap.values.reshape(-1))
-    rows = text_rows([np.repeat(coords, m), np.tile(coords, m), texts.take(index)])
+    rows = text_rows([_pixel_column(m), texts.take(index)])
     with create(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode() + rows)
 

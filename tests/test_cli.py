@@ -582,6 +582,21 @@ class TestBadInputs:
         assert err == f"hotloc: stage optimize: {art / 'kpis.json'}: cell '{cell_id}': load_time must be finite, got 1e+400\n"
         assert cell_id == "BS01A"
 
+    @pytest.mark.parametrize("field", ["ta", "aoa"])
+    def test_fractions_whose_sum_overflows_name_the_cell(self, runner, scenario_dir, tmp_path, field):
+        # Each fraction is finite and non-negative, but their sum is inf;
+        # numpy's overflow warning, an error under the suite, must not
+        # stand in for the refusal.
+        art = self.copy(scenario_dir, tmp_path)
+
+        def edit(cell):
+            cell[field][:2] = [1e308, 1e308]
+
+        cell_id = self.edit_kpis(art, edit)
+        err = fails(runner, "optimize", "optimize", "--config", CONFIG, "--out", str(art))
+        where = f"{art / 'kpis.json'}: cell '{cell_id}'"
+        assert err == f"hotloc: stage optimize: {where}: {field} fractions must sum to 0 or 1, got inf\n"
+
     def test_unknown_neighbor_id(self, runner, scenario_dir, tmp_path):
         art = self.copy(scenario_dir, tmp_path)
 

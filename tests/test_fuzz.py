@@ -7,9 +7,11 @@ as the command does: the config through ``load_scenario_config``, then
 ``pipeline.run_stages``. The run must finish, or raise an
 :class:`InputError` (bare, or as the ``cause`` of a ``StageError``)
 whose ``source`` names what was mutated: the file, or for a value of the
-config its dotted key. The grid's binary cube file, ``grid.npy``, takes
-the mutations of ``conftest.CUBE_MUTATIONS`` instead, each of which must
-be refused naming it.
+config its dotted key. A file cut short, as a full disk or a killed run
+leaves it, may only finish when its loader reads it back equal to the
+whole file. The grid's binary cube file, ``grid.npy``, takes the
+mutations of ``conftest.CUBE_MUTATIONS`` instead, each of which must be
+refused naming it.
 """
 
 import json
@@ -24,7 +26,9 @@ from click.testing import CliRunner
 from conftest import CUBE_MUTATIONS, SIM_CONFIG, mutate_cube
 from hotloc.bounds import ConfigError, InputError
 from hotloc.cli import STAGE_COMMANDS, main
-from hotloc.pipeline import StageError, run_stages
+from hotloc.grid import load_grid
+from hotloc.kpi import load_kpi_set, load_weight_map
+from hotloc.pipeline import StageError, load_importance, run_stages
 from hotloc.scenario import load_scenario_config
 
 SEED = 7
@@ -48,6 +52,7 @@ COMMANDS = {
     "fused.csv": ("evaluate",),
     "smoothed.csv": ("evaluate",),
 }
+PAIRS = [(name, command) for name in sorted(COMMANDS) for command in COMMANDS[name]]
 
 NUMBERS = ("nan", "inf", "1e308", "1e-320", "-1", "", "text", "1_0")
 JSON_VALUES = (None, [], {}, "text", float("nan"), float("inf"), 1e308, 1e-320, -1, True, "0.5", 10**400)
@@ -84,7 +89,7 @@ def mutate(rng: random.Random, name: str, text: str) -> tuple[str, str, str | No
     dotted path of the config value it replaced, or None)."""
     lines = text.split("\n")[:-1]
     marker = next((k for k, line in enumerate(lines) if line in MARKERS), None)
-    kinds = ["number", "drop", "duplicate", "swap", "truncate", "stray", "byte"]
+    kinds = ["number", "drop", "duplicate", "swap", "cut", "stray", "byte"]
     if name.endswith(".json"):
         kinds.append("json")
     if marker is not None:
@@ -101,7 +106,7 @@ def mutate(rng: random.Random, name: str, text: str) -> tuple[str, str, str | No
             parent = parent[key]
         parent[path[-1]] = rng.choice(JSON_VALUES)
         return kind, json.dumps(doc), dotted(path)
-    if kind == "truncate":
+    if kind == "cut":
         return kind, text[: rng.randrange(len(text))], None
     if kind in ("stray", "byte"):
         at = rng.randrange(len(text) + 1)
@@ -122,6 +127,28 @@ def mutate(rng: random.Random, name: str, text: str) -> tuple[str, str, str | No
         # A blank line among the data rows.
         lines.insert(rng.randrange(marker + 1, len(lines)), "")
     return kind, "\n".join(lines) + "\n", None
+
+
+def read_back(path):
+    """The file ``path`` as the stages' loader of its name reads it, in a
+    form that ``==`` compares; None when the loader refuses it."""
+    try:
+        if path.name == "config.json":
+            return load_scenario_config(path)
+        if path.name == "importance.json":
+            return load_importance(path)
+        if path.name == "grid.csv":
+            grid = load_grid(path)
+            return grid.spec, grid.cells, grid.q_rxlevmin, grid.rsrp.tobytes()
+        if path.name == "kpis.json":
+            kpis = load_kpi_set(path)
+            cells = {c: (k.ta.tolist(), k.aoa.tolist(), k.neighbor_level, k.load_time, k.amt_bps, k.hmt_bps)
+                     for c, k in kpis.cells.items()}
+            return kpis.source, kpis.window_s, cells
+        wmap = load_weight_map(path)
+        return wmap.spec, wmap.label, wmap.values.tobytes()
+    except InputError:
+        return None
 
 
 def run_command(command: str, art) -> Exception | None:
@@ -185,8 +212,24 @@ def mutated_run(run_dir, tmp_path, rng: random.Random, name: str, command: str) 
     path = art / name
     kind, text, field = mutate(rng, name, path.read_text(encoding="utf-8"))
     path.write_text(text, encoding="utf-8", errors="surrogateescape")
+    if kind == "cut":
+        check_cut(run_dir, art, name, command, f"cut of {name} under {command}")
+        return
     error = run_command(command, art)
     check_named(error, path, field, f"{kind} mutation of {name} under {command}")
+
+
+def check_cut(run_dir, art, name: str, command: str, what: str) -> None:
+    """Run ``command`` on ``art``, whose ``name`` is a prefix of the run's:
+    it must be refused naming the file, or finish with the prefix read
+    back equal to the whole file. The prefix is read before the run,
+    which may write files of its own."""
+    path = art / name
+    read = read_back(path)
+    error = run_command(command, art)
+    check_named(error, path, None, what)
+    if error is None:
+        assert read is not None and read == read_back(run_dir / name), f"{what} read as another file"
 
 
 @pytest.mark.parametrize("case", range(CASES))
@@ -197,12 +240,30 @@ def test_mutated_input_is_read_or_named(run_dir, tmp_path, case):
 
 
 @pytest.mark.parametrize(
-    "name, command, case",
-    [(name, command, case) for name in sorted(COMMANDS) for command in COMMANDS[name]
-     for case in range(PAIR_CASES)],
+    "name, command, case", [(name, command, case) for name, command in PAIRS for case in range(PAIR_CASES)]
 )
 def test_every_command_reads_or_names(run_dir, tmp_path, name, command, case):
     mutated_run(run_dir, tmp_path, random.Random(f"{SEED} {name} {command} {case}"), name, command)
+
+
+@pytest.mark.parametrize("name, command", PAIRS)
+def test_every_command_refuses_a_cut_file_or_reads_it_whole(run_dir, tmp_path, name, command):
+    """Prefixes of each file under each command that reads it: the whole
+    file but its final newline, a cut before each "," or ";" of its last
+    64 bytes (a grid's last cell row cut there has fewer neighbours), and
+    seeded cuts inside its last row, at a line end and anywhere."""
+    data = (run_dir / name).read_bytes()
+    rng = random.Random(f"{SEED} cut {name} {command}")
+    last_row = data.rfind(b"\n", 0, len(data) - 1) + 1
+    line_ends = [k + 1 for k in range(len(data) - 1) if data[k] == ord("\n")]
+    cuts = {len(data) - 1, rng.randrange(last_row, len(data)), rng.randrange(len(data))}
+    cuts.update(k for k in range(max(0, len(data) - 64), len(data)) if data[k] in b",;")
+    if line_ends:
+        cuts.add(rng.choice(line_ends))
+    for cut in sorted(cuts):
+        art = shutil.copytree(run_dir, tmp_path / f"art{cut}")
+        (art / name).write_bytes(data[:cut])
+        check_cut(run_dir, art, name, command, f"{name} cut to {cut} of {len(data)} bytes under {command}")
 
 
 @pytest.mark.parametrize("kind", CUBE_MUTATIONS)

@@ -234,6 +234,16 @@ class TestStackedValidate:
                 alone.append(rule_of(self.first_refusal(single)[1]))
             assert expected[0] == "cell 'C5'" and rule_of(expected[1]) == min(alone), (first, second)
 
+    @pytest.mark.parametrize("field", ["ta", "aoa"])
+    def test_finite_fractions_whose_sum_overflows_refused_without_a_warning(self, field):
+        # 1e308 + 1e308 overflows to inf, and numpy warns on it; a
+        # RuntimeWarning is an error under pytest.
+        cells = self.cells()
+        value = {"ta": [1e308, 1e308, 0, 0, 0, 0], "aoa": [1e308, 1e308, 0]}[field]
+        setattr(cells["C7"], field, np.array(value))
+        expected = ("cell 'C7'", f"{field} fractions must sum to 0 or 1, got inf")
+        assert self.stacked_refusal(cells) == expected
+
     @pytest.mark.parametrize("field", ["ta", "aoa", "neighbor_level"])
     def test_inf_and_minus_inf_in_one_cell_refused_without_a_warning(self, field):
         # inf - inf is NaN, and numpy warns when a sum makes one; a

@@ -392,15 +392,55 @@ class TestEdgeValues:
         np.testing.assert_array_equal(np.signbit(loaded.values), np.signbit(wmap.values))
         assert_round_trip(path, load_weight_map, save_weight_map)
 
-    @pytest.mark.parametrize("m", (11, 101))
+    @pytest.mark.parametrize("m", (2, 10, 11, 100, 101))
     def test_map_bytes_with_multi_digit_indices(self, tmp_path, m):
-        # Two- and three-digit pixel indices: the i and j texts are padded
-        # to the widest index, and none of the padding may reach the file.
+        # One-, two- and three-digit pixel indices, on either side of each
+        # change of width: the i,j texts are padded to the widest, and none
+        # of the padding may reach the file.
         wmap = edge_map(m, m)
         path = tmp_path / "map.csv"
         save_weight_map(wmap, path)
         assert path.read_bytes() == reference_map_text(wmap).encode()
         assert_round_trip(path, load_weight_map, save_weight_map)
+
+    def test_maps_of_two_sizes_written_alternately(self, tmp_path):
+        # The i,j column is cached by m: each map must take the column of
+        # its own size, whether it is built, cached or built again.
+        kpi_module._pixel_column.cache_clear()
+        for k, m in enumerate((10, 11, 10, 11, 100, 10, 101, 11)):
+            wmap = edge_map(k, m)
+            path = tmp_path / f"map{k}.csv"
+            save_weight_map(wmap, path)
+            assert path.read_bytes() == reference_map_text(wmap).encode(), m
+        column = kpi_module._pixel_column(11)
+        assert column is kpi_module._pixel_column(11)
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = b"9,9"
+        assert column.tolist() == [f"{i},{j}".encode() for i in range(11) for j in range(11)]
+
+    @pytest.mark.parametrize("offset", (-1, 0, 1))
+    def test_map_bytes_around_the_kernel_threshold(self, tmp_path, monkeypatch, offset):
+        # A map of one distinct value fewer than the kernel takes, as many
+        # and one more: zeros of both signs, powers of two, decimals of 15
+        # or fewer digits and random weights, some of them repeated.
+        count = grid_module._KERNEL_MIN + offset
+        kernel = []
+        repr_bytes = grid_module._repr_bytes
+        monkeypatch.setattr(grid_module, "_repr_bytes", lambda v: kernel.append(v.size) or repr_bytes(v))
+        rng = np.random.default_rng(count)
+        short = [round(v, int(d)) for v, d in zip(rng.random(60).tolist(), rng.integers(1, 16, 60))]
+        shared = np.concatenate(([0.0, -0.0], np.ldexp(1.0, np.arange(-40, 20)), short))
+        shared = np.unique(shared.view(np.uint64)).view(np.float64)
+        distinct = np.concatenate((shared, rng.random(count - shared.size)))
+        assert np.unique(distinct.view(np.uint64)).size == count
+        m = 16
+        values = np.concatenate((distinct, rng.choice(distinct, m * m - count)))
+        wmap = WeightMap(rng.permutation(values).reshape(m, m), GridSpec(m, 12.5, (0.0, 0.0)), "edge")
+        path = tmp_path / "map.csv"
+        save_weight_map(wmap, path)
+        assert path.read_bytes() == reference_map_text(wmap).encode()
+        assert kernel == ([count] if count >= grid_module._KERNEL_MIN else [])
 
     def test_cdf_bytes_with_edge_weights(self, tmp_path, desk_run):
         weights = np.array(sorted({0.0, *EDGE_VALUES[1:], 0.5}))
@@ -466,39 +506,57 @@ class TestReprTable:
         assert grid_module._repr_bytes(values).tolist() == expected.tolist()
 
     def test_desk_map_and_cdf_values_mostly_take_the_numpy_path(self, desk_run, tmp_path, monkeypatch):
-        # Only repr_table's fallback calls repr; a regression that sends
-        # every value there keeps the bytes and loses the speed. The
-        # values are those a desk run formats, in its nine weight maps and
-        # in cdf.csv, counted through the writers' own repr_table calls.
-        fallback, distinct = [], []
-        repr_each = grid_module._repr_each
+        # In a table of _KERNEL_MIN or more distinct values, only the
+        # kernel's fallback calls repr; a regression that sends every value
+        # there keeps the bytes and loses the speed. A smaller table goes to
+        # repr whole and never reaches the kernel. The values are those a
+        # desk run formats, in its nine weight maps and in cdf.csv, counted
+        # through the writers' own repr_table calls.
+        fallback, kernel, tables = [], [], []
+        repr_each, repr_bytes = grid_module._repr_each, grid_module._repr_bytes
 
         def each(values):
             fallback.append(values.size)
             return repr_each(values)
 
+        def numpy_path(values):
+            kernel.append(values.size)
+            return repr_bytes(values)
+
         def table(values):
+            fallback.clear()
+            kernel.clear()
             texts, index = repr_table(values)
-            distinct.append(texts.size)
+            tables.append((texts.size, sum(fallback), sum(kernel)))
             return texts, index
 
         monkeypatch.setattr(grid_module, "_repr_each", each)
+        monkeypatch.setattr(grid_module, "_repr_bytes", numpy_path)
         monkeypatch.setattr(kpi_module, "repr_table", table)
         monkeypatch.setattr(evaluate_module, "repr_table", table)
         names = []
         for name, wmap in desk_maps(desk_run).items():
             names.append(f"{name}.csv")
             save_weight_map(wmap, tmp_path / names[-1])
-        shares = [(sum(fallback), sum(distinct))]
-        fallback.clear()
-        distinct.clear()
+        map_tables = tables[:]
+        tables.clear()
         report_names = ["peaks.csv", "detection.csv", "cdf.csv"]
         write_report_csvs(desk_run.report, *(str(tmp_path / name) for name in report_names))
-        shares.append((sum(fallback), sum(distinct)))
+        cdf_tables = tables[:]
         for name in names + report_names:
             assert (tmp_path / name).read_bytes() == (desk_run.out_dir / name).read_bytes(), name
-        # About 5% of the maps' 6.5k distinct values and 8% of cdf.csv's
-        # 10k fall back.
+        # The desk run writes both sizes: q1-q5 and potential have 6-97
+        # distinct values, the other maps and cdf.csv 469 or more.
+        small = [t for t in map_tables + cdf_tables if t[0] < grid_module._KERNEL_MIN]
+        assert len(small) == 6
+        assert all(kernel == 0 and fallback == distinct for distinct, fallback, kernel in small)
+        shares = []
+        for tables_of_file in (map_tables, cdf_tables):
+            large = [t for t in tables_of_file if t[0] >= grid_module._KERNEL_MIN]
+            assert all(kernel == distinct for distinct, _, kernel in large)
+            shares.append((sum(t[1] for t in large), sum(t[0] for t in large)))
+        # About 5% of the large maps' 6.3k distinct values and 8% of
+        # cdf.csv's 10k fall back.
         (map_fallback, map_distinct), (cdf_fallback, cdf_distinct) = shares
         assert map_distinct > 5_000 and cdf_distinct > 10_000
         assert map_fallback <= 0.1 * map_distinct

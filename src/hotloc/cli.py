@@ -7,11 +7,13 @@ working directory accumulates the full artifact set. Each is one entry of
 :data:`STAGE_COMMANDS`: its stages, help, summary, options and KPI
 source. It hands its stages to :func:`hotloc.pipeline.run_stages` and
 echoes the summary; what a stage reads, computes and writes lives in the
-pipeline. Every failure, reading the inputs included, ends the command
-with ``hotloc: stage <name>: <message>`` on stderr and exit status 1,
-printed by :func:`_fail` alone; a read fails under the subcommand's
-name, and a bad config, or an input that does not match it, under
-``config``.
+pipeline. The group :data:`main` is the one failure boundary: its
+``invoke`` ends any subcommand that fails, reading its inputs included,
+with ``hotloc: stage <name>: <message>`` on stderr and exit status 1. A
+:class:`hotloc.pipeline.StageError` fails under its stage, a bad config,
+or an input that does not match it, under ``config``, and anything else
+under the subcommand's last stage (``pipeline`` for the pipeline
+command). Click reports usage errors, ``--help`` and aborts itself.
 
 A refused input is a :class:`hotloc.bounds.InputError` whose ``source``
 is the file path or the dotted config key, ``where`` the line (``line
@@ -19,9 +21,9 @@ is the file path or the dotted config key, ``where`` the line (``line
 reason; its message reads ``<source>: <where>: <message>``, without a
 part that is None. A :class:`hotloc.bounds.ConfigError` is the config
 form: its source is the first key it names, and the other keys follow
-the reason as ``(with <key>, ...)``. A stage's failure reaches
-:func:`_fail` as a :class:`hotloc.pipeline.StageError` that keeps the
-error as ``cause``.
+the reason as ``(with <key>, ...)``. A stage's failure reaches the
+boundary as a :class:`hotloc.pipeline.StageError` that keeps the error
+as ``cause``.
 """
 
 from __future__ import annotations
@@ -46,36 +48,6 @@ from hotloc.pipeline import (
     run_stages,
 )
 from hotloc.scenario import ConfigError, load_scenario_config
-
-
-def _fail(exc: Exception, name: str) -> None:
-    """Print ``exc`` as ``hotloc: stage <s>: <exc>`` and exit 1: under its
-    stage for a StageError, under ``config`` for a ConfigError (a bad
-    config, or an input that does not match it) and under ``name`` for
-    anything else (loading the inputs, say)."""
-    stage = exc.stage if isinstance(exc, StageError) else "config" if isinstance(exc, ConfigError) else name
-    click.echo(f"hotloc: stage {stage}: {exc}", err=True)
-    sys.exit(1)
-
-
-def _reported(name: str):
-    """Run a subcommand so that every failure leaves through ``_fail``
-    with the subcommand's stage ``name``. Click reports usage errors
-    itself."""
-
-    def wrap(fn):
-        def command(**kwargs):
-            try:
-                fn(**kwargs)
-            except click.UsageError:
-                raise
-            except Exception as exc:
-                _fail(exc, name)
-
-        command.__doc__ = fn.__doc__
-        return command
-
-    return wrap
 
 
 def _format_x(x: ImportanceVector) -> str:
@@ -132,7 +104,26 @@ OPTIONS = {
 }
 
 
-@click.group()
+class _Hotloc(click.Group):
+    """The ``hotloc`` group: every failure of a subcommand ends here."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise  # usage errors, --help and ^C, which click reports itself
+        except Exception as exc:
+            name = ctx.invoked_subcommand
+            stage = STAGE_COMMANDS[name].stages[-1] if name in STAGE_COMMANDS else name
+            if isinstance(exc, StageError):
+                stage = exc.stage
+            elif isinstance(exc, ConfigError):
+                stage = "config"
+            click.echo(f"hotloc: stage {stage}: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Hotloc)
 def main() -> None:
     """KPI-driven traffic hotspot localization toolkit."""
 
@@ -202,7 +193,6 @@ def _register(name: str, entry: StageCommand) -> None:
         click.echo(entry.summary(run))
 
     command.__doc__ = entry.help
-    command = _reported(entry.stages[-1])(command)
     for option in reversed(("config_path", "seed", "out_dir", *entry.options)):
         command = OPTIONS[option](command)
     main.command(name)(command)
@@ -220,7 +210,6 @@ for _name, _entry in STAGE_COMMANDS.items():
 @OPTIONS["x_override"]
 @OPTIONS["events"]
 @click.option("--seeds", callback=_parse_seeds, default=None, help="Comma-separated seed list: run once per seed into seed-N subdirectories and collect seeds.csv.")
-@_reported("pipeline")
 def pipeline_cmd(
     config_path: str,
     seed: int | None,

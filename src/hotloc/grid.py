@@ -625,18 +625,13 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def read_text(path: str | Path) -> str:
-    """The whole text of the UTF-8 file ``path`` (:func:`open_text`)."""
-    with open_text(path) as fh:
-        return fh.read()
-
-
 def read_json(path: str | Path):
-    """The JSON document in the UTF-8 file ``path`` (:func:`read_text`).
+    """The JSON document in the UTF-8 file ``path`` (:func:`open_text`).
     Text that is not JSON, an integer of more digits than the interpreter
     converts and nesting past its recursion limit raise InputError of the
     file."""
-    text = read_text(path)
+    with open_text(path) as fh:
+        text = fh.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

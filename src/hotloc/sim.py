@@ -764,15 +764,11 @@ def run_simulation(
 
     zone_counts = samples.count().reshape(n_cells, TA_ZONE_COUNT, 3)
     ta_counts, aoa_counts = zone_counts.sum(axis=2), zone_counts.sum(axis=1)
+    # An idle cell's counts are all 0, and so are its fractions.
+    occupancy = np.maximum(ta_counts.sum(axis=1), 1)[:, None]
+    ta_fractions, aoa_fractions = ta_counts / occupancy, aoa_counts / occupancy
     cells_out: dict[str, CellKpis] = {}
     for idx, cell in enumerate(grid.cells):
-        occupancy = int(ta_counts[idx].sum())
-        if occupancy:
-            ta = ta_counts[idx] / occupancy
-            aoa = aoa_counts[idx] / occupancy
-        else:
-            ta = np.zeros(TA_ZONE_COUNT)
-            aoa = np.zeros(3)
         total_reports = int(reports[idx].sum())
         neighbor_level = {
             grid.cells[nb].cell_id: int(reports[idx, nb]) / total_reports
@@ -786,8 +782,8 @@ def run_simulation(
         else:
             amt = hmt = 0.0
         cells_out[cell.cell_id] = CellKpis(
-            ta=ta,
-            aoa=aoa,
+            ta=ta_fractions[idx],
+            aoa=aoa_fractions[idx],
             neighbor_level=neighbor_level,
             load_time=float(full_ticks[idx] / config.n_ticks),
             amt_bps=amt,

@@ -341,6 +341,43 @@ class TestStageCommandTable:
         assert name in files_read(STAGE_COMMANDS[command].stages)
 
 
+# The stage each subcommand fails under when an error is not a stage's
+# or the config's: its last stage, or "pipeline".
+FALLBACK_STAGES = {
+    "gen-scenario": "scenario",
+    "oracle-kpis": "kpis",
+    "simulate": "kpis",
+    "optimize": "optimize",
+    "localize": "localize",
+    "evaluate": "evaluate",
+    "pipeline": "pipeline",
+}
+
+
+class TestFailureBoundary:
+    """The ``hotloc`` group reports every subcommand's failure, and leaves
+    ``--help`` to click."""
+
+    def test_every_subcommand_is_listed(self):
+        assert set(FALLBACK_STAGES) == set(main.commands)
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_STAGES))
+    def test_help_exits_zero(self, runner, name):
+        result = runner.invoke(main, [name, "--help"])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith(f"Usage: main {name} [OPTIONS]\n")
+        assert "\nOptions:\n" in result.output
+
+    @pytest.mark.parametrize("name, stage", sorted(FALLBACK_STAGES.items()))
+    def test_unexpected_error_names_the_stage(self, runner, tmp_path, monkeypatch, name, stage):
+        def boom(*_args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("hotloc.cli.load_scenario_config", boom)
+        err = fails(runner, stage, name, "--config", CONFIG, "--out", str(tmp_path / "out"))
+        assert err == f"hotloc: stage {stage}: boom\n"
+
+
 @pytest.fixture(scope="module")
 def scenario_dir(tmp_path_factory):
     """Artifacts of ``gen-scenario`` and ``oracle-kpis`` on sim-small."""

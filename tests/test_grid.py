@@ -661,6 +661,22 @@ class TestGridFile:
             load_grid(path)
         assert str(excinfo.value).startswith(f"{cube}: {reason}")
 
+    def test_cube_of_format_version_three_named(self, tmp_path):
+        # Version 3.0 differs from 2.0 only in a UTF-8 header, which numpy
+        # writes only for field names that latin-1 cannot encode.
+        path = self.two_cell_file(tmp_path)
+        cube = path.with_suffix(".npy")
+        rsrp = np.load(cube)
+        with open(cube, "wb") as fh:
+            np.lib.format.write_array(fh, rsrp, version=(3, 0))
+        assert cube.read_bytes().startswith(b"\x93NUMPY\x03\x00")
+        with pytest.raises(InputError) as excinfo:
+            load_grid(path)
+        assert excinfo.value.source == str(cube)
+        assert str(excinfo.value) == (
+            f"{cube}: not a readable .npy array: format version (3, 0), expected one of [(1, 0), (2, 0)]"
+        )
+
     def test_cube_refusals_say_what_is_wrong(self, tmp_path):
         path = self.two_cell_file(tmp_path)
         cube = path.with_suffix(".npy")

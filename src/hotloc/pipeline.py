@@ -98,14 +98,17 @@ def fit_importance(system: DesignSystem, name: str = "importance") -> tuple[Impo
     """The NNLS importance vector of ``system`` and its residual. The fit
     ``importance`` takes every KPI column; a restricted variant ``name``
     takes its :data:`VARIANT_COLUMNS` alone, and the other KPI maps get
-    factor zero. An all-zero fit raises ConfigError naming the prior's
-    zones, which overlap none of the fitted KPI maps."""
+    factor zero. A fit that is all zero or has a factor above
+    :data:`MAX_MAGNITUDE` raises ConfigError naming the prior's zones."""
     columns = VARIANT_COLUMNS.get(name)
     # The full fit solves on A itself: a copy of its columns costs memory
     # and can change the BLAS bits.
     result = solve_nnls(system if columns is None else DesignSystem(A=system.A[:, list(columns)], b=system.b))
     if not result.x.any():
         reason = f"{name} fit: every factor is zero; the potential-hotspot prior overlaps none of the KPI maps"
+        raise ConfigError("potential.zones", reason)
+    if (top := float(result.x.max())) > MAX_MAGNITUDE:
+        reason = f"{name} fit: factor {top!r} is above {MAX_MAGNITUDE:g}; the prior's importances are too large"
         raise ConfigError("potential.zones", reason)
     x = np.zeros(system.A.shape[1])
     x[list(columns or range(len(x)))] = result.x
@@ -221,6 +224,8 @@ def _run_localize(run: Run) -> None:
     """Fused and smoothed estimates with the importance vector ``x``, and
     every variant's map."""
     result = localize(run.kpi_maps, run.x, run.config.localizer, run.servers.uncovered_mask())
+    for wmap in (result.fused, result.smoothed):
+        _check_weights(wmap, f"{wmap.label} map of importance factors {list(run.x.values)}")
     save_weight_map(result.fused, run.out_dir / "fused.csv")
     save_weight_map(result.smoothed, run.out_dir / "smoothed.csv")
     run.localization = result
@@ -289,6 +294,12 @@ def _check_against_config(path: Path, item, config: ScenarioConfig) -> None:
             raise ConfigError(key, f"{want!r} does not match {path}, which has {got!r}")
 
 
+def _check_weights(wmap: WeightMap, source) -> None:
+    """Raise InputError of ``source`` if ``wmap`` has a weight above :data:`MAX_MAGNITUDE`."""
+    if (top := float(wmap.values.max())) > MAX_MAGNITUDE:
+        raise InputError(source, None, f"weight {top!r} is above {MAX_MAGNITUDE:g}")
+
+
 def _read(name: str, source: Path, run: Run) -> None:
     """Read input ``name`` from ``source`` onto ``run``, after the inputs
     its loader takes. A missing file, named with the stage that writes it,
@@ -307,8 +318,8 @@ def _read(name: str, source: Path, run: Run) -> None:
     for path, item in zip(paths, value if isinstance(value, tuple) else (value,)):
         if isinstance(item, (CoverageGrid, WeightMap)):
             _check_against_config(path, item, run.config)
-        if isinstance(item, WeightMap) and item.values.max() > MAX_MAGNITUDE:
-            raise InputError(path, None, f"weight {float(item.values.max())!r} is above {MAX_MAGNITUDE:g}")
+        if isinstance(item, WeightMap):
+            _check_weights(item, path)
     setattr(run, name, value)
 
 

@@ -1057,6 +1057,23 @@ class TestPipelineCommand:
         assert err.startswith(f"hotloc: stage optimize: (seed 3) {text}")
         assert err.count("\n") == 1 and err.count("(seed") == 1
 
+    def test_fit_above_the_bound_names_the_prior(self, runner, tmp_path):
+        # Every zone at importance 1e100, which the config allows: the full
+        # fit stays within the bound, but the ta_only fit's factor does not.
+        # evaluate fits before its stage runs, so it ends under stage config.
+        doc = json.loads(SIM_CONFIG.read_text())
+        for zone in doc["potential"]["zones"]:
+            zone["importance"] = 1e100
+        config = tmp_path / "loud.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        text = r"potential\.zones: ta_only fit: factor [0-9.]+e\+100 is above 1e\+100; "
+        err = fails(runner, "localize", "pipeline", "--config", str(config), "--out", str(out))
+        assert re.match(f"hotloc: stage localize: {text}", err), err
+        args = ("--config", str(config), "--in", str(out), "--out", str(tmp_path / "eval"))
+        err = fails(runner, "config", "evaluate", *args)
+        assert re.match(f"hotloc: stage config: {text}", err), err
+
     @pytest.mark.parametrize("key", ["site_count", "sectors_per_site"])
     def test_huge_count_printed_compactly(self, runner, tmp_path, key):
         doc = json.loads(SIM_CONFIG.read_text())
@@ -1087,6 +1104,27 @@ class TestPipelineCommand:
         assert (out / "q4.csv").exists()
         assert not (out / "fused.csv").exists()
         assert not (out / "smoothed.csv").exists()
+
+    def test_fused_weight_above_the_bound_written_by_neither_flow(self, runner, pipeline_dir, tmp_path):
+        # Factors at the bound fuse sim-small's maps to a weight of 4.1e100,
+        # which evaluate would refuse to read back: localize refuses it
+        # first, alone and in the pipeline, with the same line.
+        x, factors = ",".join(["1e100"] * 5), ", ".join(["1e+100"] * 5)
+        stages = tmp_path / "stages"
+        shutil.copytree(pipeline_dir, stages)
+        (stages / "fused.csv").unlink()
+        (stages / "smoothed.csv").unlink()
+        whole = tmp_path / "whole"
+        errs = [
+            fails(runner, "localize", command, "--config", CONFIG, "--out", str(out), "--x-override", x)
+            for command, out in (("localize", stages), ("pipeline", whole))
+        ]
+        line = re.escape(f"hotloc: stage localize: fused map of importance factors [{factors}]: ")
+        assert re.fullmatch(line + r"weight [0-9.]+e\+100 is above 1e\+100\n", errs[0]), errs[0]
+        assert errs[1] == errs[0]
+        for out in (stages, whole):
+            assert not (out / "fused.csv").exists() and not (out / "smoothed.csv").exists()
+        assert (whole / "q5.csv").exists()
 
     def test_idle_sim_fails_in_kpi_stage(self, runner, tmp_path):
         doc = json.loads(SIM_CONFIG.read_text())

@@ -7,6 +7,7 @@ import pytest
 import scipy.optimize
 
 from hotloc import nnls, pipeline
+from hotloc.bounds import MAX_MAGNITUDE
 from hotloc.grid import GridSpec
 from hotloc.kpi import WeightMap, save_weight_map
 from hotloc.localize import ImportanceVector, step6_combine
@@ -38,6 +39,19 @@ class TestDesignSystem:
     def test_negative_columns_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             DesignSystem(A=-np.ones((4, 2)), b=np.ones(4))
+
+    @pytest.mark.parametrize("entry, sign", [("A", 1.0), ("b", 1.0), ("b", -1.0)])
+    def test_entry_beyond_the_bound_refused(self, entry, sign):
+        arrays = {"A": np.ones((4, 2)), "b": np.ones(4)}
+        arrays[entry].flat[1] = sign * np.nextafter(MAX_MAGNITUDE, np.inf)
+        message = "^design system entries must be finite and at most 1e\\+100 in magnitude$"
+        with pytest.raises(ValueError, match=message):
+            DesignSystem(**arrays)
+
+    def test_entries_at_the_bound_accepted(self):
+        A = np.ones((4, 2))
+        A[1, 1] = MAX_MAGNITUDE
+        DesignSystem(A=A, b=np.array([MAX_MAGNITUDE, -MAX_MAGNITUDE, 0.0, 1.0]))
 
 
 class TestBuildSystem:
@@ -73,12 +87,13 @@ class TestBuildSystem:
         with pytest.raises(ValueError, match="share one grid"):
             build_system(maps, potential)
 
-    def test_overflowing_map_named_by_label(self):
-        # 1e308 is a finite weight, but its square overflows A^T A.
+    def test_map_beyond_the_bound_refused_by_the_design_system(self):
+        # 1e308 is a finite weight, but beyond the bound that keeps A^T A
+        # finite.
         maps = self.maps()
         maps[2].values[0, 0] = 1e308
         potential = WeightMap(np.ones((4, 4)), GridSpec(4, 25.0), "potential")
-        with pytest.raises(ValueError, match="^map 'q3': the squared norm of its weights overflows$"):
+        with pytest.raises(ValueError, match="^design system entries must be finite and at most 1e\\+100"):
             build_system(maps, potential)
 
 
@@ -168,6 +183,18 @@ class TestSolveNnls:
             x = solve_nnls(DesignSystem(A=a * A, b=c * b)).x
             assert (x > 0).tolist() == (base > 0).tolist(), (a, c)
             np.testing.assert_allclose(x, base * c / a, rtol=1e-12, atol=0)
+
+    def test_entries_at_the_bound_solve_without_overflow(self):
+        # |A^T A| and |A^T b| reach 3600 * 1e200: finite, as is every step
+        # of the Gram screen and the exact solves (the suite turns a
+        # RuntimeWarning into an error).
+        rng = np.random.default_rng(23)
+        A = rng.random((3600, 5)) * MAX_MAGNITUDE
+        b = rng.uniform(-1.0, 1.0, 3600) * MAX_MAGNITUDE
+        system = DesignSystem(A=A, b=b)
+        result = solve_nnls(system)
+        assert result.x.any() and np.isfinite(result.residual)
+        assert_kkt(system, result.x, tol=1e-10 * np.abs(A.T @ b).max())
 
     def test_importance_conversion(self):
         system = DesignSystem(A=np.eye(5), b=np.array([0.4, 0.3, 0.0, 0.2, 0.1]))

@@ -14,13 +14,14 @@ Conventions
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple, Sequence, TextIO
+from typing import IO, BinaryIO, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -37,6 +38,13 @@ AOA_BORESIGHT_HALF_WIDTH = math.pi / 6.0
 
 UNCOVERED = -1
 NO_SECOND = -1
+
+# The dense float64 RSRP cube, cells * m^2 * 8 bytes, that synthesis,
+# the server maps and load_grid hold whole: 2 GiB admits the metro
+# layout (183 cells) at m=1024, 1.5 GB, on a host of a few GB. The config
+# reader refuses a larger one, and so does load_grid, since grid.npy
+# holds only the windows and no longer bounds the cube.
+MAX_CUBE_BYTES = 2 * 1024**3
 
 # The pixels of the cube CoverageGrid checks for infinities at once.
 _INF_BLOCK = 1 << 16
@@ -284,16 +292,23 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 #
 # A coverage grid is two files. grid.csv is plain text: a magic row with
 # the format version, then the header rows and one row per cell, and
-# nothing else. The (cells, m, m) RSRP cube sits beside it in grid.npy,
-# numpy's .npy format (version 1.0 or 2.0) of one C-ordered float64
-# array, with no byte after it: layer k belongs to the k-th cell row, and
-# a layer's axis 0 (i) runs along world x. NaN is no coverage.
+# nothing else. Each cell's RSRP layer is (m, m), axis 0 (i) along world
+# x, with NaN for no coverage; grid.npy beside grid.csv holds only its
+# window, the smallest box that holds every pixel whose float64 bits
+# differ from np.nan's (_NAN_BITS). A NaN of another sign or payload
+# lies inside the window, so a layer reads back bit for bit. grid.npy is
+# numpy's .npy format (version 1.0 or 2.0) of one C-ordered 1-D float64
+# array, with no byte after it: the windows in cell-row order, each one
+# row-major. Its writer's header is the 128 bytes np.save writes for
+# that array, whatever its length.
 #
-# grid.csv, after the magic row "hotloc-grid,3":
+# grid.csv, after the magic row "hotloc-grid,4":
 #   header rows: m,<int> / pixel_size,<float> / origin,<x>,<y> /
 #                q_rxlevmin,<float> / cells,<count>
-#   cell rows:   cell,<id>,<x>,<y>,<azimuth_deg>,<nb1;nb2;...>
+#   cell rows:   cell,<id>,<x>,<y>,<azimuth_deg>,<nb1;nb2;...>,<i0>,<j0>,<rows>,<cols>
 #
+# A cell row's window is rows i0 .. i0+rows-1 and columns j0 .. j0+cols-1
+# of its layer; a layer that is np.nan everywhere has the window 0,0,0,0.
 # The header rows are lines 2-6, once each and in this order (_GRID_HEADER,
 # which save_grid writes and load_grid reads), and exactly <count> cell
 # rows follow; blank lines among and after the cell rows are skipped.
@@ -324,13 +339,15 @@ def aoa_zone_layer(spec: GridSpec, cell: CellInfo | CellSites) -> np.ndarray:
 # shows in a file.
 # ---------------------------------------------------------------------------
 
-_GRID_MAGIC = "hotloc-grid,3"
+_GRID_MAGIC = "hotloc-grid,4"
 # grid.csv's header rows after its magic row, in order: each row's key,
 # and the type and count of the values after it (read_header).
 _GRID_HEADER = (
     ("m", int, 1), ("pixel_size", float, 1), ("origin", float, 2), ("q_rxlevmin", float, 1), ("cells", int, 1)
 )
 _NPY_MAGIC = b"\x93NUMPY"
+# The bits of np.nan, the NaN a layer's window leaves out.
+_NAN_BITS = np.uint64(0x7FF8000000000000)
 # The header reader of each .npy format version np.save writes for a
 # float64 array: 2.0 only for a header longer than 1.0's 16-bit length.
 _NPY_VERSIONS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
@@ -577,30 +594,64 @@ def cube_path(path: str | Path) -> Path:
     return Path(path).with_suffix(".npy")
 
 
+def _coverage_window(layer: np.ndarray) -> tuple[int, int, int, int]:
+    """The window ``(i0, j0, rows, cols)`` of the C-contiguous (m, m)
+    float64 ``layer``: the smallest box that holds every pixel whose bits
+    differ from np.nan's, and ``(0, 0, 0, 0)`` for a layer that is np.nan
+    everywhere. The masks are of the layer, one byte a pixel."""
+    held = layer.view(np.uint64) != _NAN_BITS
+    rows = held.any(axis=1).nonzero()[0]
+    if rows.size == 0:
+        return 0, 0, 0, 0
+    i0, i1 = int(rows[0]), int(rows[-1]) + 1
+    cols = held[i0:i1].any(axis=0).nonzero()[0]
+    return i0, int(cols[0]), i1 - i0, int(cols[-1]) + 1 - int(cols[0])
+
+
+def _npy_header(size: int) -> bytes:
+    """The version 1.0 ``.npy`` header np.save writes for a 1-D float64
+    array of ``size`` values. Its dict is padded to 21 digits of the
+    length, so every size up to 10**21 gives the same 128 bytes."""
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)), "fortran_order": False, "shape": (size,)}
+    fh = io.BytesIO()
+    np.lib.format.write_array_header_1_0(fh, header)
+    return fh.getvalue()
+
+
 def save_grid(grid: CoverageGrid, path: str | Path) -> None:
-    """Write a coverage grid: the header and cell rows to the text file
-    ``path``, and the RSRP cube to :func:`cube_path` beside it. A cell or
+    """Write a coverage grid: each layer's window to :func:`cube_path`,
+    then the header and the cell rows, each with its window, to the text
+    file ``path``. The windows are found and written one layer at a time,
+    after a header of the fixed length :func:`_npy_header` gives, and the
+    header of their total length is written over it last. A cell or
     neighbor id holding ``,``, ``;``, a NUL or a line break raises
     ValueError before either file is written."""
     for cell in grid.cells:
         reject_separators("cell id", cell.cell_id, ",;\0")
         for nb_id in cell.neighbors:
             reject_separators("neighbor id", nb_id, ",;\0")
+    windows = []
+    with create(cube_path(path)) as fh:
+        fh.write(_npy_header(0))
+        for layer in grid.rsrp:
+            layer = np.ascontiguousarray(layer, dtype=np.float64)
+            i0, j0, rows, cols = window = _coverage_window(layer)
+            windows.append(window)
+            fh.write(np.ascontiguousarray(layer[i0 : i0 + rows, j0 : j0 + cols]))
+        fh.seek(0)
+        fh.write(_npy_header(sum(rows * cols for _, _, rows, cols in windows)))
     spec = grid.spec
     values = [(spec.m,), (spec.pixel_size,), spec.origin, (grid.q_rxlevmin,), (grid.n_cells,)]
     lines = header_lines(_GRID_MAGIC, _GRID_HEADER, values)
-    for cell in grid.cells:
+    for cell, window in zip(grid.cells, windows):
         az_deg = math.degrees(cell.azimuth)
         nbs = ";".join(cell.neighbors)
         lines.append(
             f"cell,{cell.cell_id},{cell.site_position[0]!r},"
-            f"{cell.site_position[1]!r},{az_deg!r},{nbs}"
+            f"{cell.site_position[1]!r},{az_deg!r},{nbs},{','.join(map(str, window))}"
         )
     with create(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode())
-    with create(cube_path(path)) as fh:
-        # C order, the one read_array takes.
-        np.save(fh, np.ascontiguousarray(grid.rsrp, dtype=np.float64), allow_pickle=False)
 
 
 @contextmanager
@@ -714,15 +765,17 @@ def read_spec(path: str | Path, m: int, pixel_size: float, origin: list[float]) 
         raise InputError.of(path, exc) from None
 
 
-def read_array(path: str | Path, shape: tuple[int, ...], about: str) -> np.ndarray:
-    """The C-ordered float64 array of ``shape`` in the ``.npy`` file
-    ``path``, read into one new array once its header and the file's size
-    are checked. A missing file, one that is not ``.npy``, a header numpy
+@contextmanager
+def open_array(path: str | Path, shape: tuple[int, ...], about: str) -> Iterator[BinaryIO]:
+    """The ``.npy`` file ``path``, open for reading at its first value once
+    its header and size are checked against a C-ordered float64 array of
+    ``shape``. A missing file, one that is not ``.npy``, a header numpy
     refuses (a cut header, a format version it does not know), another
     dtype (objects among them) or shape, a Fortran-ordered array, a file
     too short for its array and bytes after it raise InputError of the
-    file before the array is allocated; ``about`` says where ``shape``
-    comes from."""
+    file before the ``with`` block runs; ``about`` says where ``shape``
+    comes from. An OSError in the block raises InputError of the file
+    too."""
     try:
         with open(path, "rb") as fh:
             magic = fh.read(len(_NPY_MAGIC))
@@ -748,14 +801,29 @@ def read_array(path: str | Path, shape: tuple[int, ...], about: str) -> np.ndarr
                 raise InputError(path, None, f"cut short: {held} of the array's {nbytes} bytes")
             if held > nbytes:
                 raise InputError(path, None, f"{held - nbytes} bytes after the array")
-            array = np.empty(shape, np.float64)
-            if fh.readinto(array.reshape(-1).view(np.uint8)) != nbytes:
-                raise InputError(path, None, "cut short while it was read")
+            yield fh
     except FileNotFoundError:
         raise InputError(path, None, "not found") from None
     except OSError as exc:
         raise InputError(path, None, f"cannot be read: {exc.strerror or exc}") from None
-    return array
+
+
+def read_values(path: str | Path, fh: BinaryIO, out: np.ndarray) -> None:
+    """Fill the C-contiguous float64 array ``out`` from the next values of
+    ``fh``, the ``.npy`` file ``path`` open by :func:`open_array`. A file
+    that ends first, one cut after its size was checked, raises
+    InputError of the file."""
+    if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+        raise InputError(path, None, "cut short while it was read")
+
+
+def _read_window(fields: list[str]) -> tuple[int, int, int, int]:
+    """A cell row's window, from its four fields of ASCII digits; any
+    other field raises ValueError."""
+    for text in fields:
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"window field {text!r} is not a non-negative integer")
+    return tuple(map(int, fields))
 
 
 def load_grid(path: str | Path) -> CoverageGrid:
@@ -764,16 +832,24 @@ def load_grid(path: str | Path) -> CoverageGrid:
     non-finite header value, a cell row without its line end (a file cut
     short), a count of cell rows other than the header's, a repeated cell
     id, a neighbor that names no cell, an id that holds a NUL, a
-    non-finite site or azimuth, the grid :func:`read_spec` refuses and a
-    byte that is not UTF-8 raise InputError of ``path``, at the line
-    for a row, before the cube file (:func:`cube_path`) is opened. Then
-    the refusals of :func:`read_array` and an infinite RSRP value raise
-    InputError of the cube file."""
+    non-finite site or azimuth, a window field that is not a non-negative
+    integer, a window that reaches past the grid or is empty along one
+    axis only, the grid :func:`read_spec` refuses, a cube above
+    :data:`MAX_CUBE_BYTES` and a byte that is not UTF-8 raise InputError
+    of ``path``, at the line for a row, before the cube file
+    (:func:`cube_path`) is opened. Then the refusals of
+    :func:`open_array`, against the windows' total length, and an
+    infinite RSRP value raise InputError of the cube file.
+
+    The windows are read one at a time into the dense (cells, m, m) cube,
+    NaN outside them, each through one buffer the size of the largest of
+    them."""
     with open_text(path) as fh:
         header = read_header(path, fh, "coverage grid", _GRID_MAGIC, _GRID_HEADER)
         (m,), (pixel_size,), origin, (q_rxlevmin,), (declared,) = header
         spec = read_spec(path, m, pixel_size, origin)
         cells: list[CellInfo] = []
+        windows: list[tuple[int, int, int, int]] = []
         # The 1-based line and the fields of each cell row, and the line of
         # each cell id.
         rows: list[tuple[int, list[str]]] = []
@@ -787,7 +863,7 @@ def load_grid(path: str | Path) -> CoverageGrid:
             try:
                 if fields[0] != "cell":
                     raise ValueError("expected a cell row")
-                _, cell_id, x, y, az_deg, nbs = fields
+                _, cell_id, x, y, az_deg, nbs, i0, j0, n_rows, n_cols = fields
                 neighbors = tuple(n for n in nbs.split(";") if n)
                 if "\0" in line:
                     reject_separators("cell id", cell_id, "\0")
@@ -798,6 +874,12 @@ def load_grid(path: str | Path) -> CoverageGrid:
                     raise ValueError(f"cell id {cell_id!r} already given on line {first}")
                 site, azimuth = (float(x), float(y)), math.radians(float(az_deg))
                 cells.append(CellInfo(cell_id, site, azimuth, neighbors))
+                i0, j0, n_rows, n_cols = window = _read_window([i0, j0, n_rows, n_cols])
+                if (n_rows == 0) != (n_cols == 0):
+                    raise ValueError(f"window {window} is empty along one axis only")
+                if i0 + n_rows > m or j0 + n_cols > m:
+                    raise ValueError(f"window {window} reaches past the {m}x{m} grid")
+                windows.append(window)
             except ValueError as exc:
                 raise InputError(path, f"line {line_no}", f"{exc}: {','.join(fields)!r}") from None
         if declared != len(cells):
@@ -811,8 +893,19 @@ def load_grid(path: str | Path) -> CoverageGrid:
             CoverageGrid.check_header(cells, q_rxlevmin)
         except ValueError as exc:
             raise InputError.of(path, exc) from None
+    n = len(cells)
+    if 8 * n * m * m > MAX_CUBE_BYTES:
+        reason = f"an RSRP cube of {n} x {m} x {m} float64 values takes more than {MAX_CUBE_BYTES} bytes"
+        raise InputError(path, None, reason)
     cube = cube_path(path)
-    rsrp = read_array(cube, (len(cells), m, m), f"{len(cells)} cells on the {m}x{m} grid of {Path(path).name}")
+    total = sum(n_rows * n_cols for _, _, n_rows, n_cols in windows)
+    with open_array(cube, (total,), f"the windows of the {n} cells of {Path(path).name}") as fh:
+        rsrp = np.full((n, m, m), np.nan)
+        buffer = np.empty(max((n_rows * n_cols for _, _, n_rows, n_cols in windows), default=0))
+        for layer, (i0, j0, n_rows, n_cols) in zip(rsrp, windows):
+            window = buffer[: n_rows * n_cols].reshape(n_rows, n_cols)
+            read_values(cube, fh, window)
+            layer[i0 : i0 + n_rows, j0 : j0 + n_cols] = window
     try:
         # Every check left is of the layers: an infinite value.
         return CoverageGrid(spec, cells, rsrp, q_rxlevmin)

@@ -105,7 +105,7 @@ def _clearly_failing(G: np.ndarray, c: np.ndarray, tol: float, margin: float) ->
         others = np.array([[j for j in range(n) if j not in s] for s in supports.tolist()], dtype=np.intp)
         cross = G[others[:, :, None], supports[:, None, :]]
         gradient = c[others] - (cross @ z[:, :, None])[:, :, 0]
-        bound = tol + margin + radius * np.linalg.norm(cross, axis=2)
+        bound = tol + margin + radius * np.hypot.reduce(cross, axis=2)
         fails = (z < -radius).any(axis=1) | (gradient > bound).any(axis=1)
         failing.update(map(tuple, supports[fails].tolist()))
     return failing

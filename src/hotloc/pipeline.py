@@ -203,18 +203,26 @@ def load_importance(path: Path) -> ImportanceVector:
         raise InputError.of(path, exc) from exc
 
 
+def variant_fits(kpi_maps: tuple[WeightMap, ...], potential_map: WeightMap) -> dict[str, ImportanceVector]:
+    """The importance vector of each restricted variant, each fitted on
+    its own KPI columns of one design system (:func:`fit_importance`)."""
+    system = build_system(tuple(kpi_maps), potential_map)
+    return {name: fit_importance(system, name)[0] for name in VARIANT_COLUMNS}
+
+
 def variant_maps(
     kpi_maps: tuple[WeightMap, ...],
     potential_map: WeightMap,
     fused: WeightMap,
     smoothed: WeightMap,
+    fits: dict[str, ImportanceVector] | None = None,
 ) -> dict[str, WeightMap]:
     """Every variant's map: the fused and smoothed estimates as ``step6``
-    and ``step7``, and the fused maps of the restricted variants, each
-    fitted on its own KPI columns of one design system
-    (:func:`fit_importance`)."""
-    system = build_system(tuple(kpi_maps), potential_map)
-    maps = {name: step6_combine(kpi_maps, fit_importance(system, name)[0]) for name in VARIANT_COLUMNS}
+    and ``step7``, and the fused maps of the restricted variants with
+    their ``fits`` (:func:`variant_fits` when None)."""
+    if fits is None:
+        fits = variant_fits(kpi_maps, potential_map)
+    maps = {name: step6_combine(kpi_maps, x) for name, x in fits.items()}
     maps[VARIANT_STEP6] = fused
     maps[VARIANT_STEP7] = smoothed
     return maps
@@ -222,14 +230,17 @@ def variant_maps(
 
 def _run_localize(run: Run) -> None:
     """Fused and smoothed estimates with the importance vector ``x``, and
-    every variant's map."""
+    every variant's map. The restricted variants are fitted before either
+    map is written, so a refused fit leaves neither file; their maps are
+    made after the writes, which then do not hold them."""
     result = localize(run.kpi_maps, run.x, run.config.localizer, run.servers.uncovered_mask())
     for wmap in (result.fused, result.smoothed):
         _check_weights(wmap, f"{wmap.label} map of importance factors {list(run.x.values)}")
+    fits = variant_fits(run.kpi_maps, run.potential_map)
     save_weight_map(result.fused, run.out_dir / "fused.csv")
     save_weight_map(result.smoothed, run.out_dir / "smoothed.csv")
     run.localization = result
-    run.variant_maps = variant_maps(run.kpi_maps, run.potential_map, result.fused, result.smoothed)
+    run.variant_maps = variant_maps(run.kpi_maps, run.potential_map, result.fused, result.smoothed, fits)
 
 
 def _run_evaluate(run: Run) -> None:

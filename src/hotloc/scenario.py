@@ -32,6 +32,7 @@ from hotloc.bounds import (
 )
 from hotloc.evaluate import EvalConfig
 from hotloc.grid import (
+    MAX_CUBE_BYTES,
     CellInfo,
     CoverageGrid,
     GridSpec,
@@ -56,11 +57,6 @@ DEFAULT_Q_RXLEVMIN_DBM = -115.0
 # Decouples the shadowing draw from the traffic-noise draw under one
 # master seed.
 _SHADOWING_SEED_OFFSET = 7_919
-
-# The dense float64 RSRP cube, cells * m^2 * 8 bytes, that synthesis,
-# the server maps and the grid writer hold whole: 2 GiB admits the metro
-# layout (183 cells) at m=1024, 1.5 GB, on a host of a few GB.
-MAX_CUBE_BYTES = 2 * 1024**3
 
 
 @dataclass(frozen=True)

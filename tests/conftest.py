@@ -68,15 +68,18 @@ def put_byte(path: Path, line_no: int, byte: bytes = b"\xff") -> str:
 
 
 # The ways a grid's cube file (grid.npy) is broken, for mutate_cube.
-CUBE_MUTATIONS = ("removed", "truncated", "dtype", "shape", "object", "inf", "trailing")
+CUBE_MUTATIONS = ("removed", "truncated", "dtype", "shape", "window", "object", "inf", "trailing")
 
 
 def mutate_cube(path: Path, kind: str, rng: np.random.Generator) -> None:
-    """Break the ``.npy`` cube file ``path`` as ``kind`` of
-    :data:`CUBE_MUTATIONS`: delete it, cut it at a random byte, write it
-    as float32, with a random cell or pixel column fewer or more, as an
-    object array, with one random covered pixel set to +inf or -inf, or
-    with a few bytes after the array."""
+    """Break the ``.npy`` cube file ``path``, the flat array of the
+    windows of its grid (``path`` with the suffix ``.csv``), as ``kind``
+    of :data:`CUBE_MUTATIONS`: delete it, cut it at a random byte, write
+    it as float32, with a random value fewer or more or as a 2-D array,
+    give a random cell row of the grid a window one row or column larger
+    or smaller, so the file no longer holds the windows' total, write it
+    as an object array, with one random covered pixel set to +inf or
+    -inf, or with a few bytes after the array."""
     cube = np.load(path)
     if kind == "removed":
         path.unlink()
@@ -86,11 +89,25 @@ def mutate_cube(path: Path, kind: str, rng: np.random.Generator) -> None:
         extra = bytes(rng.integers(0, 256, size=int(rng.integers(1, 16)), dtype=np.uint8))
         path.write_bytes(data[: rng.integers(len(data))] if kind == "truncated" else data + extra)
         return
+    if kind == "window":
+        grid = path.with_suffix(".csv")
+        lines = grid.read_text().split("\n")
+        k = rng.choice([k for k, line in enumerate(lines) if line.startswith("cell,")])
+        fields = lines[k].split(",")
+        i0, j0, rows, cols = map(int, fields[-4:])
+        m = int(lines[1].split(",")[1])
+        # A field that can grow inside the grid grows, or else shrinks.
+        axis = int(rng.integers(2))
+        start, size = (i0, rows) if axis == 0 else (j0, cols)
+        size += 1 if start + size < m else -1
+        fields[-2 + axis] = str(size)
+        lines[k] = ",".join(fields)
+        grid.write_text("\n".join(lines))
+        return
     if kind == "dtype":
         cube = cube.astype(np.float32)
     elif kind == "shape":
-        n, m, _ = cube.shape
-        cube = [cube[:-1], np.concatenate([cube, cube[:1]]), cube[:, :, :-1], np.zeros((n, m, m + 1))][
+        cube = [cube[:-1], np.concatenate([cube, cube[:1]]), cube.reshape(1, -1), np.zeros(cube.size + 1)][
             rng.integers(4)
         ]
     elif kind == "object":

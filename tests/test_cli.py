@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from conftest import DESK_CONFIG, REPO_ROOT, SIM_CONFIG, put_byte
 from hotloc.cli import STAGE_COMMANDS, main
+from hotloc.grid import MAX_CUBE_BYTES
 from hotloc.pipeline import READERS, STAGE_INPUTS
 from test_fuzz import COMMANDS
 
@@ -430,13 +431,13 @@ class TestBadInputs:
         assert "grid.csv: line 2: missing or garbled 'm' header row" in err
 
     def test_grid_row_outside_the_grid(self, runner, scenario_dir, tmp_path):
-        # A 33rd pixel in every row of the 32x32 grid's cube.
+        # A 33rd pixel in every row of the 32x32 windows of the grid's cube.
         art = self.copy(scenario_dir, tmp_path)
         cube = art / "grid.npy"
-        rsrp = np.load(cube)
-        np.save(cube, np.concatenate([rsrp, rsrp[:, :, :1]], axis=2))
+        rsrp = np.load(cube).reshape(3, 32, 32)
+        np.save(cube, np.concatenate([rsrp, rsrp[:, :, :1]], axis=2).reshape(-1))
         err = fails(runner, "kpis", "oracle-kpis", "--config", CONFIG, "--out", str(art))
-        reason = "shape (3, 32, 33), expected (3, 32, 32) (3 cells on the 32x32 grid of grid.csv)"
+        reason = "shape (3168,), expected (3072,) (the windows of the 3 cells of grid.csv)"
         assert err == f"hotloc: stage kpis: {cube}: {reason}\n"
 
     def test_grid_without_its_cube(self, runner, scenario_dir, tmp_path):
@@ -572,10 +573,10 @@ class TestBadInputs:
         path = art / name
         path.write_text(path.read_text().replace("\nm,32\n", f"\nm,{m}\n", 1))
         err = fails(runner, stage, command, "--config", CONFIG, "--out", str(art))
-        # The grid's cube file gives its shape in its header; a map's rows
+        # The grid's cube would pass the bound on its size; a map's rows
         # run out after its 6 header lines and the 32x32 map's 1024 rows.
         if name == "grid.csv":
-            assert f"{art / 'grid.npy'}: shape (3, 32, 32), expected (3, {m}, {m})" in err
+            assert f"{path}: an RSRP cube of 3 x {m} x {m} float64 values takes more than {MAX_CUBE_BYTES}" in err
         else:
             assert f"{path}: line {6 + 32 * 32 + 1}: the file ends after {32 * 32} of {m * m} rows" in err
 
@@ -704,20 +705,20 @@ class TestBadInputs:
         [
             (
                 "oracle-kpis",
-                "cell,BS01A,400.0,400.0,0.0,BS01B;BS01C",
-                "cell,BS01A,400.0,400.0,0.0,BS01B;BS01C;ZZ",
+                "cell,BS01A,400.0,400.0,0.0,BS01B;BS01C,0,0,32,32",
+                "cell,BS01A,400.0,400.0,0.0,BS01B;BS01C;ZZ,0,0,32,32",
                 "neighbors ['ZZ'] are not cells of the grid",
             ),
             (
                 "simulate",
-                "cell,BS01A,400.0,400.0,0.0,BS01B;BS01C",
-                "cell,BS01A,400.0,400.0,0.0,BS01B;BS01C;ZZ",
+                "cell,BS01A,400.0,400.0,0.0,BS01B;BS01C,0,0,32,32",
+                "cell,BS01A,400.0,400.0,0.0,BS01B;BS01C;ZZ,0,0,32,32",
                 "neighbors ['ZZ'] are not cells of the grid",
             ),
             (
                 "oracle-kpis",
-                "cell,BS01C,400.0,400.0,239.99999999999997,BS01A;BS01B",
-                "cell,BS01A,400.0,400.0,239.99999999999997,BS01C;BS01B",
+                "cell,BS01C,400.0,400.0,239.99999999999997,BS01A;BS01B,0,0,32,32",
+                "cell,BS01A,400.0,400.0,239.99999999999997,BS01C;BS01B,0,0,32,32",
                 "cell id 'BS01A' already given on line 7",
             ),
         ],
@@ -1057,22 +1058,48 @@ class TestPipelineCommand:
         assert err.startswith(f"hotloc: stage optimize: (seed 3) {text}")
         assert err.count("\n") == 1 and err.count("(seed") == 1
 
-    def test_fit_above_the_bound_names_the_prior(self, runner, tmp_path):
-        # Every zone at importance 1e100, which the config allows: the full
-        # fit stays within the bound, but the ta_only fit's factor does not.
-        # evaluate fits before its stage runs, so it ends under stage config.
+    # The line of a ta_only fit whose factor is above the bound.
+    LOUD_FIT = r"potential\.zones: ta_only fit: factor [0-9.]+e\+100 is above 1e\+100; "
+
+    def loud_config(self, tmp_path):
+        """Sim-small with every zone at importance 1e100, which the config
+        allows: the full fit stays within the bound, but the ta_only fit's
+        factor does not."""
         doc = json.loads(SIM_CONFIG.read_text())
         for zone in doc["potential"]["zones"]:
             zone["importance"] = 1e100
         config = tmp_path / "loud.json"
         config.write_text(json.dumps(doc))
+        return config
+
+    def test_fit_above_the_bound_names_the_prior(self, runner, pipeline_dir, tmp_path):
+        # evaluate fits before its stage runs, so it ends under stage config.
+        # The failed localize stage left no fused or smoothed map; evaluate
+        # reads those of sim-small's own run.
+        config = self.loud_config(tmp_path)
         out = tmp_path / "out"
-        text = r"potential\.zones: ta_only fit: factor [0-9.]+e\+100 is above 1e\+100; "
+        text = self.LOUD_FIT
         err = fails(runner, "localize", "pipeline", "--config", str(config), "--out", str(out))
         assert re.match(f"hotloc: stage localize: {text}", err), err
+        for name in ("fused.csv", "smoothed.csv"):
+            shutil.copy(pipeline_dir / name, out / name)
         args = ("--config", str(config), "--in", str(out), "--out", str(tmp_path / "eval"))
         err = fails(runner, "config", "evaluate", *args)
         assert re.match(f"hotloc: stage config: {text}", err), err
+
+    def test_refused_restricted_fit_leaves_no_localize_output(self, runner, tmp_path):
+        # The restricted variants are fitted before fused.csv and
+        # smoothed.csv are written, so the refusal leaves neither, in the
+        # pipeline's fresh directory or in a copy of localize's inputs.
+        config = self.loud_config(tmp_path)
+        out = tmp_path / "out"
+        err = fails(runner, "localize", "pipeline", "--config", str(config), "--out", str(out))
+        assert re.match(f"hotloc: stage localize: {self.LOUD_FIT}", err), err
+        assert (out / "importance.json").exists()
+        stages = shutil.copytree(out, tmp_path / "stages")
+        assert fails(runner, "localize", "localize", "--config", str(config), "--out", str(stages)) == err
+        for directory in (out, stages):
+            assert not (directory / "fused.csv").exists() and not (directory / "smoothed.csv").exists()
 
     @pytest.mark.parametrize("key", ["site_count", "sectors_per_site"])
     def test_huge_count_printed_compactly(self, runner, tmp_path, key):

@@ -10,8 +10,9 @@ whose ``source`` names what was mutated: the file, or for a value of the
 config its dotted key. A file cut short, as a full disk or a killed run
 leaves it, may only finish when its loader reads it back equal to the
 whole file. The grid's binary cube file, ``grid.npy``, takes the
-mutations of ``conftest.CUBE_MUTATIONS`` instead, each of which must be
-refused naming it.
+mutations of ``conftest.CUBE_MUTATIONS`` instead, among them a window
+field of ``grid.csv`` that no longer matches it, each of which must be
+refused naming ``grid.npy``.
 """
 
 import json
@@ -250,14 +251,18 @@ def test_every_command_reads_or_names(run_dir, tmp_path, name, command, case):
 def test_every_command_refuses_a_cut_file_or_reads_it_whole(run_dir, tmp_path, name, command):
     """Prefixes of each file under each command that reads it: the whole
     file but its final newline, a cut before each "," or ";" of its last
-    64 bytes (a grid's last cell row cut there has fewer neighbours), and
-    seeded cuts inside its last row, at a line end and anywhere."""
+    64 bytes (a grid's last cell row cut there has fewer neighbours or
+    window fields), a grid's every cut inside its last row's window
+    fields (a smaller window), and seeded cuts inside its last row, at a
+    line end and anywhere."""
     data = (run_dir / name).read_bytes()
     rng = random.Random(f"{SEED} cut {name} {command}")
     last_row = data.rfind(b"\n", 0, len(data) - 1) + 1
     line_ends = [k + 1 for k in range(len(data) - 1) if data[k] == ord("\n")]
     cuts = {len(data) - 1, rng.randrange(last_row, len(data)), rng.randrange(len(data))}
     cuts.update(k for k in range(max(0, len(data) - 64), len(data)) if data[k] in b",;")
+    if name == "grid.csv":
+        cuts.update(range(last_row + len(b",".join(data[last_row:].split(b",")[:6])), len(data)))
     if line_ends:
         cuts.add(rng.choice(line_ends))
     for cut in sorted(cuts):

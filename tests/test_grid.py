@@ -13,6 +13,7 @@ import hotloc
 from conftest import constant_grid, put_byte
 from hotloc.bounds import InputError
 from hotloc.grid import (
+    MAX_CUBE_BYTES,
     NO_SECOND,
     TA_GRANULARITY_M,
     TA_ZONE_COUNT,
@@ -548,16 +549,16 @@ class TestGridFile:
         assert str(excinfo.value) == f"{cube}: cut short: 112 of the array's 144 bytes"
 
     def test_version_one_file_refused_with_its_version(self, tmp_path):
-        # Version 2 held the cube as text rows after the cell rows; no
-        # reader of it is kept.
+        # Version 2 held the cube as text rows after the cell rows, and
+        # version 3 the dense cube in grid.npy; no reader of either is kept.
         path = self.two_cell_file(tmp_path)
         text = path.read_text()
-        for version in (1, 2):
-            path.write_text(text.replace("hotloc-grid,3\n", f"hotloc-grid,{version}\n", 1))
+        for version in (1, 2, 3):
+            path.write_text(text.replace("hotloc-grid,4\n", f"hotloc-grid,{version}\n", 1))
             with pytest.raises(ValueError) as excinfo:
                 load_grid(path)
             assert str(excinfo.value) == (
-                f"{path}: line 1: not a hotloc coverage grid file (hotloc-grid,3): 'hotloc-grid,{version}'"
+                f"{path}: line 1: not a hotloc coverage grid file (hotloc-grid,4): 'hotloc-grid,{version}'"
             )
 
     @pytest.mark.parametrize(
@@ -582,8 +583,10 @@ class TestGridFile:
         assert (excinfo.value.source, excinfo.value.where) == (str(path), None)
 
     def test_m_too_large_for_the_file_refused_before_allocating(self, tmp_path):
-        # The stack would be 144 TB; only the cube file's header is read.
+        # The stack would be 144 TB. grid.npy holds only the windows, so
+        # the bound on the cube refuses it, before the cube file is opened.
         path = self.two_cell_file(tmp_path)
+        path.with_suffix(".npy").unlink()
         path.write_text(path.read_text().replace("\nm,3\n", "\nm,3000000\n", 1))
         tracemalloc.start()
         try:
@@ -593,8 +596,7 @@ class TestGridFile:
         finally:
             tracemalloc.stop()
         assert str(excinfo.value) == (
-            f"{path.with_suffix('.npy')}: shape (2, 3, 3), expected (2, 3000000, 3000000) "
-            "(2 cells on the 3000000x3000000 grid of grid.csv)"
+            f"{path}: an RSRP cube of 2 x 3000000 x 3000000 float64 values takes more than {MAX_CUBE_BYTES} bytes"
         )
         assert peak < 1 << 20
 
@@ -604,7 +606,7 @@ class TestGridFile:
             (
                 "cell,B,5.0,0.0,57.29577951308232,A",
                 "cell,B,5.0",
-                "not enough values to unpack (expected 6, got 3)",
+                "not enough values to unpack (expected 10, got 7)",
             ),
             ("cell,A,0.0,0.0,0.0,B", "cell,A,zero,0.0,0.0,B", "could not convert"),
             (
@@ -632,9 +634,12 @@ class TestGridFile:
         ],
     )
     def test_garbled_row_named_by_line(self, tmp_path, row, replacement, reason):
+        # ``row`` and ``replacement`` are the fields of a cell row before its
+        # window, which is 0,0,3,3 in both.
         path = self.two_cell_file(tmp_path)
         lines = path.read_text().splitlines()
-        line_no = lines.index(row) + 1
+        line_no = lines.index(f"{row},0,0,3,3") + 1
+        replacement += ",0,0,3,3"
         lines[line_no - 1] = replacement
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as excinfo:
@@ -681,11 +686,13 @@ class TestGridFile:
         path = self.two_cell_file(tmp_path)
         cube = path.with_suffix(".npy")
         rsrp = np.load(cube)
+        assert rsrp.shape == (18,)
         cases = [
             (rsrp.astype(np.float32), "dtype <f4, expected float64 (<f8)"),
             (rsrp.astype(">f8"), "dtype >f8, expected float64 (<f8)"),
-            (rsrp[:1], "shape (1, 3, 3), expected (2, 3, 3) (2 cells on the 3x3 grid of grid.csv)"),
-            (np.where(np.arange(9).reshape(3, 3) == 4, -np.inf, rsrp), "rsrp values must be finite or NaN"),
+            (rsrp[:9], "shape (9,), expected (18,) (the windows of the 2 cells of grid.csv)"),
+            (rsrp.reshape(2, 3, 3), "shape (2, 3, 3), expected (18,) (the windows of the 2 cells of grid.csv)"),
+            (np.where(np.arange(18) == 4, -np.inf, rsrp), "rsrp values must be finite or NaN"),
         ]
         for array, reason in cases:
             np.save(cube, array)
@@ -699,7 +706,10 @@ class TestGridFile:
         np.save(cube, rsrp.astype(object), allow_pickle=True)
         with pytest.raises(InputError, match=r"grid\.npy: dtype \|O, expected float64 \(<f8\)$"):
             load_grid(path)
-        np.save(cube, np.asfortranarray(rsrp))
+        # np.save writes a 1-D array in C order; the header says otherwise.
+        with open(cube, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": True, "shape": (18,)})
+            fh.write(rsrp.tobytes())
         with pytest.raises(InputError, match=r"grid\.npy: a Fortran-ordered array, expected C order$"):
             load_grid(path)
         cube.unlink()
@@ -707,6 +717,118 @@ class TestGridFile:
             load_grid(path)
         cube.mkdir()
         with pytest.raises(InputError, match=r"grid\.npy: cannot be read: Is a directory$"):
+            load_grid(path)
+
+    def test_window_holds_every_pixel_but_np_nan(self, tmp_path):
+        # An 8x8 layer of np.nan around a 3x3 block at (2, 3), which holds
+        # a NaN with the sign bit set; a NaN of another payload at (6, 1),
+        # outside the block, widens the window to rows 2-6 and columns 1-5.
+        # Both NaNs read back with their bits.
+        layer = np.full((8, 8), np.nan)
+        layer[2:5, 3:6] = -90.0
+        layer[3, 4] = np.copysign(np.nan, -1.0)
+        layer[6, 1] = np.array([0x7FF0_0000_0000_0ABC], np.uint64).view(np.float64)[0]
+        grid = constant_grid([("A", (0.0, 0.0), 0.0, layer, ())], m=8)
+        path = tmp_path / "grid.csv"
+        save_grid(grid, path)
+        assert path.read_text().splitlines()[-1] == "cell,A,0.0,0.0,0.0,,2,1,5,5"
+        np.testing.assert_array_equal(np.load(path.with_suffix(".npy")), layer[2:7, 1:6].reshape(-1))
+        assert load_grid(path).rsrp.tobytes() == grid.rsrp.tobytes()
+
+    def test_cell_of_np_nan_everywhere_has_no_window(self, tmp_path):
+        # A cell that covers nothing is written 0,0,0,0 and takes no value
+        # of grid.npy; it reads back as np.nan everywhere.
+        grid = constant_grid([("A", (0.0, 0.0), 0.0, np.nan, ()), ("B", (5.0, 0.0), 0.0, -80.0, ())], m=3)
+        path = tmp_path / "grid.csv"
+        save_grid(grid, path)
+        assert path.read_text().splitlines()[-2:] == ["cell,A,0.0,0.0,0.0,,0,0,0,0", "cell,B,5.0,0.0,0.0,,0,0,3,3"]
+        assert np.load(path.with_suffix(".npy")).shape == (9,)
+        assert load_grid(path).rsrp.tobytes() == grid.rsrp.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_written_window_is_tight(self, tmp_path, seed):
+        # Random boxes of random values in layers of np.nan, some a single
+        # pixel or a whole row or column: each window is the box, so every
+        # edge row and column of it holds a value.
+        rng = np.random.default_rng(seed)
+        m = 9
+        layers, boxes = [], []
+        for _ in range(5):
+            i0, j0 = rng.integers(m, size=2)
+            rows, cols = rng.integers(1, m - i0 + 1), rng.integers(1, m - j0 + 1)
+            layer = np.full((m, m), np.nan)
+            box = layer[i0 : i0 + rows, j0 : j0 + cols]
+            box[...] = rng.uniform(-120.0, -60.0, box.shape)
+            box[rng.random(box.shape) < 0.5] = np.nan
+            # The corners of the box, which pin its edges.
+            box[0, 0] = box[-1, -1] = box[0, -1] = box[-1, 0] = -100.0
+            layers.append(layer)
+            boxes.append(f"{i0},{j0},{rows},{cols}")
+        grid = constant_grid([(f"C{k}", (0.0, 0.0), 0.0, layer, ()) for k, layer in enumerate(layers)], m=m)
+        path = tmp_path / "grid.csv"
+        save_grid(grid, path)
+        assert [line.split(",", 6)[6] for line in path.read_text().splitlines()[6:]] == boxes
+        assert load_grid(path).rsrp.tobytes() == grid.rsrp.tobytes()
+
+    @pytest.mark.parametrize(
+        "window, reason",
+        [
+            ("0,0,3,-3", "window field '-3' is not a non-negative integer"),
+            ("0,0,3,+3", "window field '+3' is not a non-negative integer"),
+            ("0,0,3,3.0", "window field '3.0' is not a non-negative integer"),
+            ("0,,3,3", "window field '' is not a non-negative integer"),
+            ("0,0,3, 3", "window field ' 3' is not a non-negative integer"),
+            ("0,0,3,\u0663", "window field '\u0663' is not a non-negative integer"),
+            ("1,0,3,3", "window (1, 0, 3, 3) reaches past the 3x3 grid"),
+            ("0,2,3,2", "window (0, 2, 3, 2) reaches past the 3x3 grid"),
+            ("0,0,0,3", "window (0, 0, 0, 3) is empty along one axis only"),
+            ("0,0,3,0", "window (0, 0, 3, 0) is empty along one axis only"),
+            ("0,0,3", "not enough values to unpack (expected 10, got 9)"),
+            ("0,0,3,3,3", "too many values to unpack (expected 10)"),
+        ],
+    )
+    def test_bad_window_named_by_line(self, tmp_path, window, reason):
+        path = self.two_cell_file(tmp_path)
+        lines = path.read_text().splitlines()
+        assert lines[-1].endswith(",0,0,3,3")
+        lines[-1] = lines[-1][: -len("0,0,3,3")] + window
+        path.write_text("\n".join(lines) + "\n")
+        # Refused before the cube file is opened.
+        path.with_suffix(".npy").unlink()
+        with pytest.raises(InputError) as excinfo:
+            load_grid(path)
+        assert (excinfo.value.source, excinfo.value.where) == (str(path), f"line {len(lines)}")
+        assert excinfo.value.message == f"{reason}: {lines[-1]!r}"
+
+    def test_windows_that_disagree_with_the_cube_name_it(self, tmp_path):
+        # B's window loses a row: grid.csv is valid, and grid.npy holds 3
+        # values more than its windows.
+        path = self.two_cell_file(tmp_path)
+        path.write_text(path.read_text().replace(",A,0,0,3,3\n", ",A,0,0,2,3\n"))
+        cube = path.with_suffix(".npy")
+        with pytest.raises(InputError) as excinfo:
+            load_grid(path)
+        assert str(excinfo.value) == f"{cube}: shape (18,), expected (15,) (the windows of the 2 cells of grid.csv)"
+
+    def test_cube_above_the_bound_refused_naming_the_grid(self, tmp_path):
+        # 2 cells of 16384 x 16384 pixels are 4 GiB as float64; the windows
+        # of 3 x 3 pixels would read, so the bound is what refuses them.
+        path = self.two_cell_file(tmp_path)
+        path.write_text(path.read_text().replace("\nm,3\n", "\nm,16384\n", 1))
+        assert 8 * 2 * 16384**2 > MAX_CUBE_BYTES
+        with pytest.raises(InputError) as excinfo:
+            load_grid(path)
+        assert (excinfo.value.source, excinfo.value.where) == (str(path), None)
+        assert excinfo.value.message == (
+            f"an RSRP cube of 2 x 16384 x 16384 float64 values takes more than {MAX_CUBE_BYTES} bytes"
+        )
+        # 1 cell of 16384 x 16384 pixels is exactly the bound and passes it,
+        # so its window is checked against grid.npy.
+        lines = path.read_text().splitlines()
+        lines[5] = "cells,1"
+        lines[6] = lines[6].replace(",B,", ",,")
+        path.write_text("\n".join(lines[:7]) + "\n")
+        with pytest.raises(InputError, match=r"grid\.npy: shape \(18,\), expected \(9,\)"):
             load_grid(path)
 
     def test_cube_of_another_shape_refused_before_it_is_read(self, tmp_path):
@@ -720,7 +842,7 @@ class TestGridFile:
         path.write_text("\n".join(line.replace("cells,9", "cells,8") for line in lines[:-1]) + "\n")
         tracemalloc.start()
         try:
-            with pytest.raises(InputError, match=r"shape \(9, 128, 128\), expected \(8, 128, 128\)"):
+            with pytest.raises(InputError, match=r"shape \(147456,\), expected \(131072,\)"):
                 load_grid(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

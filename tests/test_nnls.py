@@ -196,6 +196,18 @@ class TestSolveNnls:
         assert result.x.any() and np.isfinite(result.residual)
         assert_kkt(system, result.x, tol=1e-10 * np.abs(A.T @ b).max())
 
+    def test_screen_skips_as_much_at_the_bound_as_at_unit_scale(self):
+        # The system of the test above at scale 1 and at the bound: Gram
+        # entries of 3600 * 1e200 must not square to an infinite gradient
+        # bound, which would leave every support to an exact solve.
+        rng = np.random.default_rng(23)
+        A = rng.random((3600, 5))
+        b = rng.uniform(-1.0, 1.0, 3600)
+        results = [solve_nnls(DesignSystem(A=s * A, b=s * b)) for s in (1.0, 1e50, 1e80, MAX_MAGNITUDE)]
+        assert [r.iterations for r in results] == [results[0].iterations] * 4
+        for result in results[1:]:
+            np.testing.assert_allclose(result.x, results[0].x, rtol=1e-12, atol=0)
+
     def test_importance_conversion(self):
         system = DesignSystem(A=np.eye(5), b=np.array([0.4, 0.3, 0.0, 0.2, 0.1]))
         vec, _ = fit_importance(system)

@@ -39,6 +39,8 @@ from hotloc.kpi import LABEL_TRUTH, WeightMap, load_kpi_set, load_potential_spec
 from hotloc.pipeline import load_importance
 
 EDGE_VALUES = (-0.0, 5e-324, 1e16, 1e-5, 1e-4)
+# The bits of np.nan, the one NaN a grid layer's window leaves out.
+NAN_BITS = 0x7FF8000000000000
 # The longest reprs a double has: 24 characters negative, 23 positive.
 LONGEST_NEGATIVE = (-2.2250738585072014e-308, -1.7976931348623157e308)
 LONGEST_POSITIVE = (2.2250738585072014e-308, 1.7976931348623157e308)
@@ -49,34 +51,55 @@ GRID_POOL = np.random.default_rng(1234).uniform(-130.0, -60.0, size=8)
 MAP_POOL = np.random.default_rng(5678).random(8)
 
 
+def reference_windows(rsrp: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Each layer's window ``(i0, j0, rows, cols)`` by its definition, one
+    pixel at a time: the smallest box that holds every pixel whose bits
+    differ from np.nan's, ``(0, 0, 0, 0)`` when there is none."""
+    windows = []
+    for layer in rsrp:
+        held = [(i, j) for (i, j), bits in np.ndenumerate(layer.view(np.uint64)) if int(bits) != NAN_BITS]
+        if not held:
+            windows.append((0, 0, 0, 0))
+            continue
+        rows, cols = zip(*held)
+        windows.append((min(rows), min(cols), max(rows) - min(rows) + 1, max(cols) - min(cols) + 1))
+    return windows
+
+
 def reference_grid_text(grid: CoverageGrid) -> str:
     spec = grid.spec
-    lines = ["hotloc-grid,3"]
+    lines = ["hotloc-grid,4"]
     lines.append(f"m,{spec.m}")
     lines.append(f"pixel_size,{spec.pixel_size!r}")
     lines.append(f"origin,{spec.origin[0]!r},{spec.origin[1]!r}")
     lines.append(f"q_rxlevmin,{grid.q_rxlevmin!r}")
     lines.append(f"cells,{grid.n_cells}")
-    for cell in grid.cells:
+    for cell, (i0, j0, rows, cols) in zip(grid.cells, reference_windows(grid.rsrp)):
         az_deg = math.degrees(cell.azimuth)
         nbs = ";".join(cell.neighbors)
         lines.append(
             f"cell,{cell.cell_id},{cell.site_position[0]!r},"
-            f"{cell.site_position[1]!r},{az_deg!r},{nbs}"
+            f"{cell.site_position[1]!r},{az_deg!r},{nbs},{i0},{j0},{rows},{cols}"
         )
     return "\n".join(lines) + "\n"
 
 
 def reference_cube_bytes(rsrp: np.ndarray) -> bytes:
-    """The ``.npy`` file of the float64 cube ``rsrp``, format version 1.0:
-    the magic, the header's length as a little-endian uint16 and the
-    header, the repr of a dict padded with spaces to 21 digits of its
-    first axis and then to a multiple of 64 bytes with the magic, ended
-    by a newline; then the values, little-endian, in C order."""
-    header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {rsrp.shape!r}, }}"
-    header += " " * (21 - len(repr(rsrp.shape[0])))
+    """The ``.npy`` file of the windows of the float64 cube ``rsrp``, one
+    1-D array, format version 1.0: the magic, the header's length as a
+    little-endian uint16 and the header, the repr of a dict padded with
+    spaces to 21 digits of the array's length and then to a multiple of
+    64 bytes with the magic, ended by a newline; then each layer's window
+    in turn, row by row, its values little-endian."""
+    windows = reference_windows(rsrp)
+    shape = (sum(rows * cols for _, _, rows, cols in windows),)
+    header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {shape!r}, }}"
+    header += " " * (21 - len(repr(shape[0])))
     header += " " * (-(10 + len(header) + 1) % 64) + "\n"
-    values = np.ascontiguousarray(rsrp, dtype="<f8").tobytes()
+    values = b"".join(
+        np.ascontiguousarray(layer[i0 : i0 + rows, j0 : j0 + cols], dtype="<f8").tobytes()
+        for layer, (i0, j0, rows, cols) in zip(rsrp, windows)
+    )
     return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header.encode("latin1") + values
 
 
@@ -261,8 +284,9 @@ class TestCutShort:
     refused naming the file, never read as a smaller valid one."""
 
     def test_every_prefix_of_the_desk_grid(self, desk_run, tmp_path):
-        # Cut inside the neighbor list of the last cell row, grid.csv read
-        # as a grid whose last cell has fewer neighbors.
+        # Cut inside the neighbor list or the window of the last cell row,
+        # grid.csv read as a grid whose last cell has fewer neighbors or a
+        # smaller window.
         path = tmp_path / "grid.csv"
         path.write_bytes((desk_run.out_dir / "grid.csv").read_bytes())
         cube_path(path).write_bytes((desk_run.out_dir / "grid.npy").read_bytes())
@@ -343,14 +367,18 @@ class TestCutShort:
 
 class TestEdgeValues:
     def test_small_cube_bytes(self, tmp_path):
-        # One cell of 2 x 2 pixels, pinned to the byte: a 128-byte .npy
-        # file whose header is padded to 118 bytes, then the 4 values.
+        # One cell of 3 x 3 pixels, pinned to the byte: its window is the
+        # 2 x 2 box at (1, 0), with the np.nan inside it, in a 128-byte
+        # .npy file whose header is padded to 118 bytes, then the 4 values.
         values = (-90.0, -0.0, math.nan, 5e-324)
+        layer = np.full((3, 3), math.nan)
+        layer[1:, :2] = np.reshape(values, (2, 2))
         cells = [CellInfo("A", (0.0, 0.0), 0.0)]
-        grid = CoverageGrid(GridSpec(2, 12.5), cells, np.array(values).reshape(1, 2, 2), -115.0)
+        grid = CoverageGrid(GridSpec(3, 12.5), cells, layer.reshape(1, 3, 3), -115.0)
         save_grid(grid, tmp_path / "grid.csv")
-        header = "{'descr': '<f8', 'fortran_order': False, 'shape': (1, 2, 2), }"
-        expected = b"\x93NUMPY\x01\x00\x76\x00" + (header + " " * 55 + "\n").encode()
+        assert (tmp_path / "grid.csv").read_text().endswith("\ncell,A,0.0,0.0,0.0,,1,0,2,2\n")
+        header = "{'descr': '<f8', 'fortran_order': False, 'shape': (4,), }"
+        expected = b"\x93NUMPY\x01\x00\x76\x00" + (header + " " * 60 + "\n").encode()
         expected += struct.pack("<4d", *values)
         assert (tmp_path / "grid.npy").read_bytes() == expected == reference_cube_bytes(grid.rsrp)
         assert len(expected) == 128 + 4 * 8

@@ -36,7 +36,6 @@ from typing import Callable, NamedTuple
 import click
 
 from hotloc.bounds import shown
-from hotloc.grid import create
 from hotloc.localize import KPI_COUNT, ImportanceVector
 from hotloc.pipeline import (
     ALL_VARIANTS,
@@ -44,6 +43,7 @@ from hotloc.pipeline import (
     KPI_SOURCE_SIM,
     Run,
     StageError,
+    remove_files,
     run_pipeline,
     run_stages,
 )
@@ -227,6 +227,7 @@ def pipeline_cmd(
     out = Path(out_dir)
 
     if seeds is not None:
+        remove_files(out, ("seeds.csv",))
         rows = []
         for s in seeds:
             config = load_scenario_config(config_path, s)
@@ -240,7 +241,7 @@ def pipeline_cmd(
             for label, variant in sorted(result.report.variants.items()):
                 for p, detected in sorted(variant.detection.items()):
                     rows.append((s, label, variant.mean_distance_m, p, detected))
-        with create(out / "seeds.csv", "w", newline="") as fh:
+        with open(out / "seeds.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["seed", "variant", "mean_distance_m", "p", "detected"])
             for row in rows:

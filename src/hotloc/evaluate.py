@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hotloc.bounds import MAX_METERS, Bounded, bounded, section_doc
-from hotloc.grid import create, reject_separators, repr_table, text_rows, write_json
+from hotloc.grid import reject_separators, repr_table, text_rows, write_json
 from hotloc.kpi import LABEL_TRUTH, WeightMap
 
 DEF_SUPPRESSION_RADIUS_M = 150.0
@@ -275,7 +275,7 @@ def write_report_csvs(report: EvalReport, peaks_path: str, detection_path: str, 
     ]
     for label, _ in series:
         reject_separators("variant label", label, ',"\0')
-    with create(peaks_path, "w", newline="") as fh:
+    with open(peaks_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "gen_x", "gen_y", "est_x", "est_y", "dist_m"])
         for label, variant in sorted(report.variants.items()):
@@ -290,13 +290,13 @@ def write_report_csvs(report: EvalReport, peaks_path: str, detection_path: str, 
                         repr(pair.distance_m),
                     ]
                 )
-    with create(detection_path, "w", newline="") as fh:
+    with open(detection_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "p", "detected"])
         for label, variant in sorted(report.variants.items()):
             for p, detected in sorted(variant.detection.items()):
                 writer.writerow([label, repr(p), repr(detected)])
-    with create(cdf_path) as fh:
+    with open(cdf_path, "wb") as fh:
         # csv.writer's line ending.
         fh.write(b"variant,weight,fraction\r\n")
         # One table formats every series: the fractions are k/N, which

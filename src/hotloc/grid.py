@@ -21,7 +21,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, BinaryIO, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -631,7 +631,7 @@ def save_grid(grid: CoverageGrid, path: str | Path) -> None:
         for nb_id in cell.neighbors:
             reject_separators("neighbor id", nb_id, ",;\0")
     windows = []
-    with create(cube_path(path)) as fh:
+    with open(cube_path(path), "wb") as fh:
         fh.write(_npy_header(0))
         for layer in grid.rsrp:
             layer = np.ascontiguousarray(layer, dtype=np.float64)
@@ -650,7 +650,7 @@ def save_grid(grid: CoverageGrid, path: str | Path) -> None:
             f"cell,{cell.cell_id},{cell.site_position[0]!r},"
             f"{cell.site_position[1]!r},{az_deg!r},{nbs},{','.join(map(str, window))}"
         )
-    with create(path) as fh:
+    with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode())
 
 
@@ -693,29 +693,10 @@ def read_json(path: str | Path):
         raise InputError(path, None, "arrays or objects nested too deeply to read") from None
 
 
-def create(path: str | Path, mode: str = "wb", **open_kwargs) -> IO:
-    """A new file at ``path``, open in ``mode`` (``open``'s arguments),
-    in place of the file there: every artifact is written through this.
-    The old file is unlinked first, so a hard link or symlink at
-    ``path`` is replaced, not written through, and a directory at
-    ``path`` raises IsADirectoryError as ``open`` would.
-
-    A rerun writes over the artifacts of the last run, and on ext4
-    truncating a file that holds data costs more than unlinking it and
-    creating another: on an ext4 root on a virtual disk, 18 files of
-    80 KB took 2.3-3.1 ms truncated in place and 1.1-1.7 ms unlinked and
-    created anew. A temporary file renamed over the old one would keep
-    the old file whole until the new one is complete, but took 3.6-5.6
-    ms, more than either; so a write that fails here leaves a partial
-    file, as truncation did."""
-    Path(path).unlink(missing_ok=True)
-    return open(path, mode, **open_kwargs)
-
-
 def write_json(path: str | Path, doc, sort_keys: bool = False) -> None:
-    """Write the JSON document ``doc`` to ``path`` (:func:`create`),
-    indented by two spaces and ended by a newline."""
-    with create(path, "w", encoding="utf-8") as fh:
+    """Write the JSON document ``doc`` to ``path``, indented by two spaces
+    and ended by a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
 
 

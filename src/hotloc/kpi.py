@@ -39,7 +39,6 @@ from hotloc.grid import (
     UNCOVERED,
     aoa_zone_layer,
     check_line_end,
-    create,
     header_lines,
     open_text,
     read_header,
@@ -516,7 +515,7 @@ def save_weight_map(wmap: WeightMap, path: str | Path) -> None:
     lines = header_lines(_WMAP_MAGIC, _WMAP_HEADER, [(m,), (spec.pixel_size,), (wmap.label,), spec.origin, ()])
     texts, index = repr_table(wmap.values.reshape(-1))
     rows = text_rows([_pixel_column(m), texts.take(index)])
-    with create(path) as fh:
+    with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode() + rows)
 
 

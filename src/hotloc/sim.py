@@ -83,7 +83,6 @@ from hotloc.grid import (
     GridSpec,
     ServerMaps,
     aoa_zone_layer,
-    create,
     ta_zone_layer,
     text_rows,
 )
@@ -281,7 +280,7 @@ class _EventLog:
     :meth:`flush` formats and writes them in one go."""
 
     def __init__(self, path: str | None, cell_ids: list[str]):
-        self._fh = create(path) if path else None
+        self._fh = open(path, "wb") if path else None
         # Cell index UNCOVERED (-1) picks the trailing empty name.
         self._names = np.array([_csv_field(c) for c in [*cell_ids, ""]])
         self._rows: list[tuple[int, int | np.ndarray, np.ndarray, np.ndarray]] = []

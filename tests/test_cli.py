@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from conftest import DESK_CONFIG, REPO_ROOT, SIM_CONFIG, put_byte
 from hotloc.cli import STAGE_COMMANDS, main
 from hotloc.grid import MAX_CUBE_BYTES
-from hotloc.pipeline import READERS, STAGE_INPUTS
+from hotloc.pipeline import READERS, STAGE_INPUTS, STAGE_OUTPUTS
 from test_fuzz import COMMANDS
 
 CONFIG = str(SIM_CONFIG)
@@ -275,7 +275,11 @@ def test_readme_stage_table_is_true(runner, pipeline_dir, tmp_path, command, rea
     """Given only the files of its ``reads`` column and the config, a
     subcommand succeeds, writes exactly the files of its ``writes`` column
     and leaves the files it read as they were. Without any one of them it
-    fails, naming the file and the stage that writes it."""
+    fails, naming the file and the stage that writes it. The ``writes``
+    column is the outputs of the subcommand's stages, ``events.csv``
+    written only with ``--events``."""
+    declared = {name for s in STAGE_COMMANDS[command].stages for name in STAGE_OUTPUTS[s]}
+    assert writes == declared - {"events.csv"}
     writer = {file: stage for stage, files, _, _ in READERS.values() for file in files}
     for missing in sorted(reads):
         art = tmp_path / f"without-{missing}"
@@ -299,6 +303,9 @@ def test_readme_stage_table_is_true(runner, pipeline_dir, tmp_path, command, rea
     for name in reads:
         assert (art / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
         assert (art / name).stat().st_mtime_ns == 10**9, name
+    if "events" in STAGE_COMMANDS[command].options:
+        invoke(runner, command, "--config", str(config), "--out", str(art), "--events")
+        assert {path.name for path in art.iterdir()} == reads | declared | {"config.json"}
 
 
 def files_read(stages):
@@ -1207,3 +1214,58 @@ class TestPipelineCommand:
             assert result.exit_code == 2
             assert message in result.stderr
         assert not out.exists()
+
+
+class TestFailedStageFiles:
+    """A failed stage of a command leaves none of its files, nor those of
+    a later stage of the command, whatever an earlier run left."""
+
+    SCENARIO = set(STAGE_OUTPUTS["scenario"])
+
+    def config(self, tmp_path, name, edit):
+        doc = json.loads(SIM_CONFIG.read_text())
+        edit(doc)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def idle(self, tmp_path):
+        # One arrival expected per 10^6 s: the 600 s run admits no one.
+        return self.config(tmp_path, "idle", lambda doc: doc["sim"].update(arrival_rate=1e-6))
+
+    def test_idle_sim_leaves_no_event_log(self, runner, tmp_path):
+        out = tmp_path / "out"
+        args = ["pipeline", "--config", self.idle(tmp_path), "--out", str(out), "--kpi-source", "sim", "--events"]
+        assert "empty system" in fails(runner, "kpis", *args)
+        assert {path.name for path in out.iterdir()} == self.SCENARIO
+
+    def test_idle_sim_over_a_full_run_leaves_only_its_scenario(self, runner, tmp_path):
+        out = tmp_path / "out"
+        args = ["--out", str(out), "--kpi-source", "sim", "--events"]
+        invoke(runner, "pipeline", "--config", CONFIG, *args)
+        fails(runner, "kpis", "pipeline", "--config", self.idle(tmp_path), *args)
+        assert {path.name for path in out.iterdir()} == self.SCENARIO
+
+    def test_failed_sweep_leaves_no_summary(self, runner, tmp_path):
+        # With every zone's importance at 1e100 the ta_only fit of seed 0
+        # comes out above the bound, in stage localize.
+        out = tmp_path / "sweep"
+        invoke(runner, "pipeline", "--config", CONFIG, "--out", str(out), "--seeds", "0,1")
+
+        def loud(doc):
+            for zone in doc["potential"]["zones"]:
+                zone["importance"] = 1e100
+
+        config = self.config(tmp_path, "loud", loud)
+        err = fails(runner, "localize", "pipeline", "--config", config, "--out", str(out), "--seeds", "0,1")
+        assert err.startswith("hotloc: stage localize: (seed 0) potential.zones: ta_only fit: ")
+        assert not (out / "seeds.csv").exists()
+        ran = {name for s in ("scenario", "kpis", "maps", "optimize") for name in STAGE_OUTPUTS[s]}
+        assert {path.name for path in (out / "seed-0").iterdir()} == ran - {"events.csv"}
+
+    def test_directory_at_an_output_stays(self, runner, tmp_path):
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        err = fails(runner, "evaluate", "pipeline", "--config", CONFIG, "--out", str(out))
+        assert err == f"hotloc: stage evaluate: [Errno 21] Is a directory: '{out / 'report.json'}'\n"
+        assert (out / "report.json").is_dir() and (out / "smoothed.csv").exists()

@@ -1,7 +1,11 @@
+import errno
 import json
 import math
+import os
+import shutil
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,9 @@ from hotloc.nnls import build_system
 from hotloc.pipeline import (
     ALL_VARIANTS,
     VARIANT_COLUMNS,
+    READERS,
     STAGE_INPUTS,
+    STAGE_OUTPUTS,
     StageError,
     fit_importance,
     load_importance,
@@ -270,3 +276,86 @@ def test_stage_memory_bound(desk_128, tmp_path, stage):
     finally:
         tracemalloc.stop()
     assert peak / (21 * 128**2) < STAGE_PEAK_BOUNDS[stage]
+
+
+@pytest.fixture(scope="module")
+def sim_runs(tmp_path_factory):
+    """Two simulator runs of sim-small with the event log: at seed 1, the
+    earlier run that a failing run goes over, and at seed 0, the failing
+    run's own files."""
+    runs = []
+    for seed in (1, 0):
+        out = tmp_path_factory.mktemp(f"sim-seed-{seed}")
+        run_pipeline(load_scenario_config(SIM_CONFIG, seed), out, kpi_source="sim", event_log=True)
+        runs.append(out)
+    return runs
+
+
+def test_full_run_leaves_exactly_the_declared_files(sim_runs):
+    assert {path.name for path in sim_runs[1].iterdir()} == {
+        name for files in STAGE_OUTPUTS.values() for name in files
+    }
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_read_files_are_their_writers_outputs(name):
+    writer, files, _, _ = READERS[name]
+    assert set(files) <= set(STAGE_OUTPUTS[writer])
+
+
+# The last file each stage writes, and the pipeline's writers: in
+# test_failed_stage_leaves_none_of_its_files the writer of that file fails
+# right after writing it, as on a full disk, so the stage has written all
+# of its files when it fails.
+LAST_WRITTEN = {
+    "scenario": "potential.csv",
+    "kpis": "kpis.json",
+    "maps": "q5.csv",
+    "optimize": "importance.json",
+    "localize": "smoothed.csv",
+    "evaluate": "cdf.csv",
+}
+WRITERS = (
+    "save_grid", "save_weight_map", "save_potential_spec", "save_kpi_set", "write_json", "save_report",
+    "write_report_csvs",
+)
+
+
+@pytest.mark.parametrize("alone", [False, True], ids=["pipeline", "alone"])
+@pytest.mark.parametrize("stage", STAGE_OUTPUTS)
+def test_failed_stage_leaves_none_of_its_files(monkeypatch, sim_runs, tmp_path, stage, alone):
+    """Over a complete earlier run, a stage that fails after its writes
+    leaves none of its files and none of a later stage's of the call; the
+    stages before it in the call leave this run's files, as new files, and
+    every other file stays as it was."""
+    earlier, own = sim_runs
+    out, links = tmp_path / "out", tmp_path / "links"
+    shutil.copytree(earlier, out)
+    links.mkdir()
+    for path in out.iterdir():
+        os.link(path, links / path.name)
+
+    def failing(writer):
+        def write(*args):
+            writer(*args)
+            if any(isinstance(arg, Path) and arg.name == LAST_WRITTEN[stage] for arg in args):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        return write
+
+    for name in WRITERS:
+        monkeypatch.setattr(pipeline, name, failing(getattr(pipeline, name)))
+    stages = (stage,) if alone else tuple(STAGE_OUTPUTS)
+    with pytest.raises(StageError) as excinfo:
+        run_stages(stages, load_scenario_config(SIM_CONFIG, 0), out, kpi_source="sim", event_log=True)
+    assert excinfo.value.stage == stage and excinfo.value.cause.errno == errno.ENOSPC
+    k = stages.index(stage)
+    gone = {name for s in stages[k:] for name in STAGE_OUTPUTS[s]}
+    written = {name for s in stages[:k] for name in STAGE_OUTPUTS[s]}
+    assert {path.name for path in out.iterdir()} == {path.name for path in links.iterdir()} - gone
+    for name in written:
+        assert (out / name).read_bytes() == (own / name).read_bytes(), name
+        assert (out / name).stat().st_nlink == 1, name
+    for path in links.iterdir():
+        if path.name not in gone | written:
+            assert (out / path.name).samefile(path), path.name
